@@ -71,12 +71,12 @@ WindowMetrics Measure(const telemetry::TelemetryStore& store,
   WindowMetrics m;
   double weighted_latency = 0.0, util_sum = 0.0;
   std::vector<double> queue_latencies;
-  for (const auto& r : store.records()) {
-    if (r.hour < begin || r.hour >= end) continue;
-    if (!machine_ids.empty() && machine_ids.count(r.machine_id) == 0) continue;
+  store.ForEach(telemetry::HourRangeFilter(begin, end),
+                [&](const telemetry::MachineHourRecord& r) {
+    if (!machine_ids.empty() && machine_ids.count(r.machine_id) == 0) return;
     if (!std::isfinite(r.cpu_utilization) || !std::isfinite(r.avg_task_latency_s) ||
         !std::isfinite(r.tasks_finished) || !std::isfinite(r.queue_latency_ms)) {
-      continue;
+      return;
     }
     ++m.records;
     if (slo_target_latency_s > 0.0 &&
@@ -87,7 +87,7 @@ WindowMetrics Measure(const telemetry::TelemetryStore& store,
     weighted_latency += r.avg_task_latency_s * r.tasks_finished;
     util_sum += r.cpu_utilization;
     queue_latencies.push_back(r.queue_latency_ms);
-  }
+  });
   if (m.records == 0) return m;
   m.latency_s = m.tasks > 0.0 ? weighted_latency / m.tasks : 0.0;
   m.utilization = util_sum / static_cast<double>(m.records);

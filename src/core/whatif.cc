@@ -107,9 +107,12 @@ StatusOr<WhatIfEngine> WhatIfEngine::Fit(const telemetry::TelemetryStore& store,
   if (grouped.empty()) {
     return Status::FailedPrecondition("no telemetry to fit the What-if Engine");
   }
+  size_t window_records = 0;
+  for (const auto& entry : grouped) window_records += entry.second.size();
   KEA_TRACE_SPAN("whatif.fit",
                  {{"groups", std::to_string(grouped.size())},
-                  {"records", std::to_string(store.size())}});
+                  {"records", std::to_string(window_records)},
+                  {"store_records", std::to_string(store.size())}});
   KEA_PHASE("whatif.fit");
   FitsCounter()->Increment();
 

@@ -3,20 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 
 namespace kea::ml {
 
 namespace {
-
-/// Builds the design matrix with a leading intercept column.
-Matrix WithIntercept(const Matrix& x) {
-  Matrix d(x.rows(), x.cols() + 1, 0.0);
-  for (size_t r = 0; r < x.rows(); ++r) {
-    d(r, 0) = 1.0;
-    for (size_t c = 0; c < x.cols(); ++c) d(r, c + 1) = x(r, c);
-  }
-  return d;
-}
 
 Status ValidateDataset(const Dataset& data) {
   if (data.y.empty()) return Status::InvalidArgument("empty dataset");
@@ -35,16 +26,87 @@ LinearModel ModelFromSolution(const Vector& beta) {
   return LinearModel(beta[0], std::move(coef));
 }
 
-/// Median of |values|; used for the robust residual scale (MAD).
-double MedianAbs(Vector values) {
-  for (double& v : values) v = std::fabs(v);
-  size_t mid = values.size() / 2;
-  std::nth_element(values.begin(), values.begin() + mid, values.end());
-  double m = values[mid];
-  if (values.size() % 2 == 0) {
-    std::nth_element(values.begin(), values.begin() + mid - 1, values.begin() + mid);
-    m = 0.5 * (m + values[mid - 1]);
+Status ValidateWeights(const Dataset& data, const Vector& weights) {
+  if (weights.size() != data.y.size()) {
+    return Status::InvalidArgument("weight count mismatch");
   }
+  for (double w : weights) {
+    if (w < 0.0) return Status::InvalidArgument("negative observation weight");
+  }
+  return Status::OK();
+}
+
+/// Rows of the design scaled per block of SolveWeighted.
+constexpr size_t kBlockRows = 64;
+
+/// sum + the products u[k] * v[k] over k < m, in order, skipping every k
+/// with u[k] == 0 -- the skip rule of Matrix::Gram (on the row entry) and
+/// Matrix::TransposedMultiply (on the vector entry). Selecting +0.0 instead
+/// of branching is the same skip: a sum that starts at +0.0 can never be
+/// -0.0, and adding +0.0 leaves any other value unchanged.
+double AccumulateNonZero(const double* u, const double* v, size_t m, double sum) {
+  for (size_t k = 0; k < m; ++k) sum += u[k] == 0.0 ? 0.0 : u[k] * v[k];
+  return sum;
+}
+
+/// Weighted least squares on the design [1 | x] with the ridge term on the
+/// coefficients only: solves (Z'Z + l2 I') beta = Z'(sqrt(w) y), where row r
+/// of Z is sqrt(w_r) [1, x_r]. Z is never materialized: rows are scaled a
+/// block at a time into `block` (caller-owned scratch), column by column,
+/// and each entry of the normal equations adds the block's products to its
+/// running sum. Every entry thus sums the operands of the materialized
+/// Gram() / TransposedMultiply() in their order -- rows ascending, the same
+/// zero skips -- and the ridge term is added after the sums, so the solution
+/// is bit-identical to the materialized form.
+StatusOr<LinearModel> SolveWeighted(const Dataset& data, const Vector& weights,
+                                    double l2, Vector* block) {
+  const size_t n = data.y.size();
+  const size_t p = data.x.cols() + 1;
+  Matrix gram(p, p, 0.0);
+  Vector rhs(p, 0.0);
+  // Column c < p of the block holds Z(r, c); column p the scaled targets.
+  block->resize(kBlockRows * (p + 1));
+  auto column = [&](size_t c) { return block->data() + c * kBlockRows; };
+  for (size_t r0 = 0; r0 < n; r0 += kBlockRows) {
+    const size_t m = std::min(kBlockRows, n - r0);
+    for (size_t k = 0; k < m; ++k) {
+      const double s = std::sqrt(weights[r0 + k]);
+      column(0)[k] = s;
+      for (size_t c = 1; c < p; ++c) column(c)[k] = data.x(r0 + k, c - 1) * s;
+      column(p)[k] = data.y[r0 + k] * s;
+    }
+    for (size_t i = 0; i < p; ++i) {
+      for (size_t j = i; j < p; ++j) {
+        gram(i, j) = AccumulateNonZero(column(i), column(j), m, gram(i, j));
+      }
+      rhs[i] = AccumulateNonZero(column(p), column(i), m, rhs[i]);
+    }
+  }
+  for (size_t i = 0; i < p; ++i) {
+    for (size_t j = 0; j < i; ++j) gram(i, j) = gram(j, i);
+  }
+  // Regularize coefficients only; the intercept (index 0) stays free.
+  if (l2 > 0.0) {
+    for (size_t i = 1; i < p; ++i) gram(i, i) += l2;
+  }
+
+  auto chol = SolveCholesky(gram, rhs);
+  if (chol.ok()) return ModelFromSolution(chol.value());
+  // Fall back to pivoted Gaussian elimination for semi-definite cases.
+  KEA_ASSIGN_OR_RETURN(Vector beta, SolveLinearSystem(std::move(gram), std::move(rhs)));
+  return ModelFromSolution(beta);
+}
+
+/// Median of |values|, the robust residual scale (MAD); `scratch` is
+/// caller-owned. For even sizes the lower middle is the largest element
+/// left of the upper middle once nth_element has partitioned around it.
+double MedianAbs(const Vector& values, Vector* scratch) {
+  scratch->resize(values.size());
+  for (size_t i = 0; i < values.size(); ++i) (*scratch)[i] = std::fabs(values[i]);
+  const auto mid = scratch->begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
+  std::nth_element(scratch->begin(), mid, scratch->end());
+  double m = *mid;
+  if (values.size() % 2 == 0) m = 0.5 * (m + *std::max_element(scratch->begin(), mid));
   return m;
 }
 
@@ -93,63 +155,40 @@ StatusOr<LinearModel> LinearRegressor::Fit(const Dataset& data) const {
 StatusOr<LinearModel> LinearRegressor::FitWeighted(const Dataset& data,
                                                    const Vector& weights) const {
   KEA_RETURN_IF_ERROR(ValidateDataset(data));
-  if (weights.size() != data.y.size()) {
-    return Status::InvalidArgument("weight count mismatch");
-  }
-  for (double w : weights) {
-    if (w < 0.0) return Status::InvalidArgument("negative observation weight");
-  }
-
-  Matrix design = WithIntercept(data.x);
-  // Scale rows by sqrt(w): (W^1/2 X)^T (W^1/2 X) beta = (W^1/2 X)^T W^1/2 y.
-  Vector scaled_y(data.y.size());
-  for (size_t r = 0; r < design.rows(); ++r) {
-    double s = std::sqrt(weights[r]);
-    for (size_t c = 0; c < design.cols(); ++c) design(r, c) *= s;
-    scaled_y[r] = data.y[r] * s;
-  }
-
-  Matrix gram = design.Gram();
-  if (l2_ > 0.0) {
-    // Regularize coefficients only; the intercept (index 0) stays free.
-    for (size_t i = 1; i < gram.rows(); ++i) gram(i, i) += l2_;
-  }
-  KEA_ASSIGN_OR_RETURN(Vector rhs, design.TransposedMultiply(scaled_y));
-
-  auto chol = SolveCholesky(gram, rhs);
-  if (chol.ok()) return ModelFromSolution(chol.value());
-  // Fall back to pivoted Gaussian elimination for semi-definite cases.
-  KEA_ASSIGN_OR_RETURN(Vector beta, SolveLinearSystem(gram, rhs));
-  return ModelFromSolution(beta);
+  KEA_RETURN_IF_ERROR(ValidateWeights(data, weights));
+  Vector block;
+  return SolveWeighted(data, weights, l2_, &block);
 }
 
 StatusOr<LinearModel> HuberRegressor::Fit(const Dataset& data) const {
   KEA_RETURN_IF_ERROR(ValidateDataset(data));
-  LinearRegressor inner(options_.l2);
-
-  KEA_ASSIGN_OR_RETURN(LinearModel model, inner.Fit(data));
-  Vector weights(data.y.size(), 1.0);
+  const size_t n = data.y.size();
+  const size_t d = data.x.cols();
+  // One set of buffers serves every IRLS iteration.
+  Vector weights(n, 1.0), residuals(n), scratch;
+  KEA_ASSIGN_OR_RETURN(LinearModel model,
+                       SolveWeighted(data, weights, options_.l2, &scratch));
 
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    // Residuals of the current model.
-    Vector residuals(data.y.size());
-    for (size_t r = 0; r < data.y.size(); ++r) {
-      Vector features(data.x.cols());
-      for (size_t c = 0; c < data.x.cols(); ++c) features[c] = data.x(r, c);
-      residuals[r] = data.y[r] - model.Predict(features);
+    // Residuals of the current model, summed exactly as LinearModel::Predict.
+    const Vector& coef = model.coefficients();
+    for (size_t r = 0; r < n; ++r) {
+      double dot = 0.0;
+      for (size_t c = 0; c < d; ++c) dot += data.x(r, c) * coef[c];
+      residuals[r] = data.y[r] - (model.intercept() + dot);
     }
     // Robust scale: MAD / 0.6745 (consistent with sigma under normality).
-    double scale = MedianAbs(residuals) / 0.6745;
+    double scale = MedianAbs(residuals, &scratch) / 0.6745;
     if (scale < 1e-12) scale = 1e-12;
 
     double max_weight_change = 0.0;
-    for (size_t r = 0; r < residuals.size(); ++r) {
+    for (size_t r = 0; r < n; ++r) {
       double z = std::fabs(residuals[r]) / scale;
       double w = z <= options_.delta ? 1.0 : options_.delta / z;
       max_weight_change = std::max(max_weight_change, std::fabs(w - weights[r]));
       weights[r] = w;
     }
-    KEA_ASSIGN_OR_RETURN(model, inner.FitWeighted(data, weights));
+    KEA_ASSIGN_OR_RETURN(model, SolveWeighted(data, weights, options_.l2, &scratch));
     if (max_weight_change < options_.tolerance) break;
   }
   return model;

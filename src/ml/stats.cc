@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <string>
 
 #include "common/snapshot.h"
@@ -141,12 +142,18 @@ double Variance(const std::vector<double>& sample) {
 StatusOr<double> Quantile(std::vector<double> sample, double q) {
   if (sample.empty()) return Status::InvalidArgument("empty sample");
   if (q < 0.0 || q > 1.0) return Status::InvalidArgument("quantile outside [0, 1]");
-  std::sort(sample.begin(), sample.end());
   double pos = q * static_cast<double>(sample.size() - 1);
   size_t lo = static_cast<size_t>(pos);
   size_t hi = std::min(lo + 1, sample.size() - 1);
   double frac = pos - static_cast<double>(lo);
-  return sample[lo] * (1.0 - frac) + sample[hi] * frac;
+  // The lo-th and hi-th order statistics by selection, O(n): after
+  // nth_element everything right of lo is >= it, so the next order
+  // statistic is the smallest of that tail.
+  const auto lo_it = sample.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(sample.begin(), lo_it, sample.end());
+  const double lo_value = *lo_it;
+  const double hi_value = hi == lo ? lo_value : *std::min_element(lo_it + 1, sample.end());
+  return lo_value * (1.0 - frac) + hi_value * frac;
 }
 
 double Histogram::BinCenter(size_t i) const {

@@ -44,8 +44,8 @@ WorkloadFingerprint FingerprintWindow(const telemetry::TelemetryStore& store,
   WorkloadFingerprint fp;
   fp.lo = 0xcbf29ce484222325ULL;  // FNV-1a 64 offset basis.
   fp.hi = 0x6a09e667f3bcc908ULL;  // sqrt(2) fraction bits.
-  for (const auto& r : store.records()) {
-    if (r.hour < begin || r.hour >= end) continue;
+  store.ForEach(telemetry::HourRangeFilter(begin, end),
+                [&fp](const telemetry::MachineHourRecord& r) {
     MixInt(r.machine_id, &fp);
     MixInt(r.hour, &fp);
     MixInt(r.rack, &fp);
@@ -66,7 +66,7 @@ WorkloadFingerprint FingerprintWindow(const telemetry::TelemetryStore& store,
     MixDouble(r.network_used_mbps, &fp);
     MixDouble(r.power_watts, &fp);
     ++fp.records;
-  }
+  });
   // Seal the window bounds so an empty [0, 5) window and an empty [3, 9)
   // window do not collide.
   MixInt(begin, &fp);

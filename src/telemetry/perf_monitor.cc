@@ -142,13 +142,12 @@ PerformanceMonitor::GroupMetricsByKey(const RecordFilter& filter,
 StatusOr<std::vector<std::pair<sim::HourIndex, double>>>
 PerformanceMonitor::HourlyClusterUtilization(const RecordFilter& filter) const {
   std::map<sim::HourIndex, std::pair<double, size_t>> by_hour;
-  for (const auto& r : store_->records()) {
-    if (filter && !filter(r)) continue;
-    if (!std::isfinite(r.cpu_utilization)) continue;
+  store_->ForEach(filter, [&by_hour](const MachineHourRecord& r) {
+    if (!std::isfinite(r.cpu_utilization)) return;
     auto& [sum, count] = by_hour[r.hour];
     sum += r.cpu_utilization;
     ++count;
-  }
+  });
   if (by_hour.empty()) {
     return Status::FailedPrecondition("no telemetry records match the filter");
   }
@@ -163,39 +162,33 @@ PerformanceMonitor::HourlyClusterUtilization(const RecordFilter& filter) const {
 std::vector<ScatterPoint> PerformanceMonitor::UtilizationThroughputScatter(
     size_t max_points, const RecordFilter& filter) const {
   std::vector<ScatterPoint> points;
-  const auto& records = store_->records();
   size_t matching = 0;
-  for (const auto& r : records) {
-    if (filter && !filter(r)) continue;
-    ++matching;
-  }
+  store_->ForEach(filter, [&matching](const MachineHourRecord&) { ++matching; });
   if (matching == 0) return points;
   size_t stride = std::max<size_t>(1, matching / std::max<size_t>(1, max_points));
   size_t index = 0;
-  for (const auto& r : records) {
-    if (filter && !filter(r)) continue;
-    if (index++ % stride != 0) continue;
+  store_->ForEach(filter, [&](const MachineHourRecord& r) {
+    if (index++ % stride != 0) return;
     ScatterPoint p;
     p.x = r.cpu_utilization;
     p.y = r.data_read_mb;
     p.group = r.group();
     points.push_back(p);
-  }
+  });
   return points;
 }
 
 StatusOr<double> PerformanceMonitor::ClusterAverageTaskLatency(
     const RecordFilter& filter) const {
   double weighted = 0.0, tasks = 0.0;
-  for (const auto& r : store_->records()) {
-    if (filter && !filter(r)) continue;
+  store_->ForEach(filter, [&](const MachineHourRecord& r) {
     if (!std::isfinite(r.avg_task_latency_s) || !std::isfinite(r.tasks_finished) ||
         r.tasks_finished < 0.0) {
-      continue;
+      return;
     }
     weighted += r.avg_task_latency_s * r.tasks_finished;
     tasks += r.tasks_finished;
-  }
+  });
   if (tasks <= 0.0) {
     return Status::FailedPrecondition("no finished tasks in the filtered telemetry");
   }
@@ -204,28 +197,18 @@ StatusOr<double> PerformanceMonitor::ClusterAverageTaskLatency(
 
 double PerformanceMonitor::TotalDataReadMb(const RecordFilter& filter) const {
   double total = 0.0;
-  for (const auto& r : store_->records()) {
-    if (filter && !filter(r)) continue;
-    if (!std::isfinite(r.data_read_mb)) continue;
-    total += r.data_read_mb;
-  }
+  store_->ForEach(filter, [&total](const MachineHourRecord& r) {
+    if (std::isfinite(r.data_read_mb)) total += r.data_read_mb;
+  });
   return total;
 }
 
 double PerformanceMonitor::TotalTasksFinished(const RecordFilter& filter) const {
   double total = 0.0;
-  for (const auto& r : store_->records()) {
-    if (filter && !filter(r)) continue;
-    if (!std::isfinite(r.tasks_finished)) continue;
-    total += r.tasks_finished;
-  }
+  store_->ForEach(filter, [&total](const MachineHourRecord& r) {
+    if (std::isfinite(r.tasks_finished)) total += r.tasks_finished;
+  });
   return total;
-}
-
-RecordFilter HourRangeFilter(sim::HourIndex begin, sim::HourIndex end) {
-  return [begin, end](const MachineHourRecord& r) {
-    return r.hour >= begin && r.hour < end;
-  };
 }
 
 RecordFilter MachineSetFilter(std::vector<int> machine_ids) {
@@ -238,19 +221,12 @@ RecordFilter GroupFilter(sim::MachineGroupKey key) {
   return [key](const MachineHourRecord& r) { return r.group() == key; };
 }
 
-RecordFilter AndFilter(RecordFilter a, RecordFilter b) {
-  return [a = std::move(a), b = std::move(b)](const MachineHourRecord& r) {
-    return (!a || a(r)) && (!b || b(r));
-  };
-}
-
 std::vector<MachineHourRecord> RollUpDaily(const TelemetryStore& store,
                                            const RecordFilter& filter) {
   // (machine, day) -> accumulated record + hour count.
   std::map<std::pair<int, int>, std::pair<MachineHourRecord, int>> days;
-  for (const auto& r : store.records()) {
-    if (filter && !filter(r)) continue;
-    if (!RecordFinite(r)) continue;
+  store.ForEach(filter, [&days](const MachineHourRecord& r) {
+    if (!RecordFinite(r)) return;
     int day = r.hour / sim::kHoursPerDay;
     auto [it, inserted] = days.try_emplace({r.machine_id, day});
     MachineHourRecord& acc = it->second.first;
@@ -261,7 +237,7 @@ std::vector<MachineHourRecord> RollUpDaily(const TelemetryStore& store,
       // accumulating; divided back out at the end.
       acc.avg_task_latency_s = r.avg_task_latency_s * r.tasks_finished;
       it->second.second = 1;
-      continue;
+      return;
     }
     acc.avg_running_containers += r.avg_running_containers;
     acc.cpu_utilization += r.cpu_utilization;
@@ -278,7 +254,7 @@ std::vector<MachineHourRecord> RollUpDaily(const TelemetryStore& store,
     acc.network_used_mbps += r.network_used_mbps;
     acc.power_watts += r.power_watts;
     it->second.second += 1;
-  }
+  });
 
   std::vector<MachineHourRecord> out;
   out.reserve(days.size());

@@ -94,11 +94,9 @@ class PerformanceMonitor {
   const TelemetryStore* store_;
 };
 
-/// Convenience filters.
-RecordFilter HourRangeFilter(sim::HourIndex begin, sim::HourIndex end);
+/// Convenience filters (HourRangeFilter and AndFilter live in store.h).
 RecordFilter MachineSetFilter(std::vector<int> machine_ids);
 RecordFilter GroupFilter(sim::MachineGroupKey key);
-RecordFilter AndFilter(RecordFilter a, RecordFilter b);
 
 /// Rolls hourly records up to machine-days (the production pipeline prepares
 /// metrics "at a daily basis"; each dot of Figure 9 is a machine-day).

@@ -8,26 +8,45 @@
 
 namespace kea::telemetry {
 
+RecordFilter HourRangeFilter(sim::HourIndex begin, sim::HourIndex end) {
+  return RecordFilter(begin, end);
+}
+
+RecordFilter AndFilter(RecordFilter a, RecordFilter b) {
+  const auto ha = a.hours();
+  const auto hb = b.hours();
+  RecordFilter::Predicate both = [a = std::move(a), b = std::move(b)](
+                                     const MachineHourRecord& r) { return a(r) && b(r); };
+  if (!ha && !hb) return RecordFilter(std::move(both));
+  std::pair<sim::HourIndex, sim::HourIndex> hours = ha ? *ha : *hb;
+  if (ha && hb) {
+    hours = {std::max(ha->first, hb->first), std::min(ha->second, hb->second)};
+  }
+  return RecordFilter(hours.first, hours.second, std::move(both));
+}
+
 void TelemetryStore::AppendAll(const std::vector<MachineHourRecord>& records) {
+  const size_t first = records_.size();
   records_.insert(records_.end(), records.begin(), records.end());
+  for (size_t i = first; i < records_.size(); ++i) IndexHour(i, records_[i].hour);
+}
+
+size_t TelemetryStore::FirstAtOrAfter(sim::HourIndex hour) const {
+  const auto stride = std::lower_bound(max_hour_.begin(), max_hour_.end(), hour);
+  return static_cast<size_t>(stride - max_hour_.begin()) * kIndexStride;
 }
 
 std::vector<MachineHourRecord> TelemetryStore::Query(const RecordFilter& filter) const {
   if (!filter) return records_;
   std::vector<MachineHourRecord> out;
-  for (const auto& r : records_) {
-    if (filter(r)) out.push_back(r);
-  }
+  ForEach(filter, [&out](const MachineHourRecord& r) { out.push_back(r); });
   return out;
 }
 
 std::map<sim::MachineGroupKey, std::vector<MachineHourRecord>>
 TelemetryStore::GroupByKey(const RecordFilter& filter) const {
   std::map<sim::MachineGroupKey, std::vector<MachineHourRecord>> out;
-  for (const auto& r : records_) {
-    if (filter && !filter(r)) continue;
-    out[r.group()].push_back(r);
-  }
+  ForEach(filter, [&out](const MachineHourRecord& r) { out[r.group()].push_back(r); });
   return out;
 }
 
@@ -35,11 +54,7 @@ std::vector<double> TelemetryStore::Extract(
     const std::function<double(const MachineHourRecord&)>& field,
     const RecordFilter& filter) const {
   std::vector<double> out;
-  out.reserve(records_.size());
-  for (const auto& r : records_) {
-    if (filter && !filter(r)) continue;
-    out.push_back(field(r));
-  }
+  ForEach(filter, [&](const MachineHourRecord& r) { out.push_back(field(r)); });
   return out;
 }
 

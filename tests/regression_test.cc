@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 
@@ -240,6 +245,203 @@ TEST_P(HuberContaminationTest, SlopeWithinFivePercent) {
 
 INSTANTIATE_TEST_SUITE_P(ContaminationLevels, HuberContaminationTest,
                          ::testing::Values(0.0, 0.02, 0.05, 0.10));
+
+// ---------------------------------------------------------------------------
+// Bit-identity against the materialized normal equations. FitWeighted and
+// HuberRegressor stream the design row by row; the reference below builds
+// the design [1 | x] scaled by sqrt(w) in full and solves through
+// Matrix::Gram() / TransposedMultiply(), Cholesky with the elimination
+// fallback -- the formulation the streamed code must reproduce bit for bit.
+
+struct ReferenceFit {
+  StatusOr<LinearModel> model;
+  bool used_elimination = false;  ///< Cholesky failed on the Gram matrix.
+};
+
+ReferenceFit ReferenceWls(const Dataset& data, const Vector& weights, double l2) {
+  Matrix design(data.x.rows(), data.x.cols() + 1, 0.0);
+  Vector scaled_y(data.y.size());
+  for (size_t r = 0; r < design.rows(); ++r) {
+    design(r, 0) = 1.0;
+    for (size_t c = 0; c < data.x.cols(); ++c) design(r, c + 1) = data.x(r, c);
+    double s = std::sqrt(weights[r]);
+    for (size_t c = 0; c < design.cols(); ++c) design(r, c) *= s;
+    scaled_y[r] = data.y[r] * s;
+  }
+  Matrix gram = design.Gram();
+  if (l2 > 0.0) {
+    for (size_t i = 1; i < gram.rows(); ++i) gram(i, i) += l2;
+  }
+  Vector rhs = design.TransposedMultiply(scaled_y).value();
+  ReferenceFit fit{Status::Internal("unset")};
+  StatusOr<Vector> beta = SolveCholesky(gram, rhs);
+  if (!beta.ok()) {
+    fit.used_elimination = true;
+    beta = SolveLinearSystem(gram, rhs);
+  }
+  if (!beta.ok()) {
+    fit.model = beta.status();
+    return fit;
+  }
+  fit.model = LinearModel((*beta)[0], Vector(beta->begin() + 1, beta->end()));
+  return fit;
+}
+
+double ReferenceMedianAbs(Vector values) {
+  for (double& v : values) v = std::fabs(v);
+  size_t mid = values.size() / 2;
+  std::nth_element(values.begin(), values.begin() + mid, values.end());
+  double m = values[mid];
+  if (values.size() % 2 == 0) {
+    std::nth_element(values.begin(), values.begin() + mid - 1, values.begin() + mid);
+    m = 0.5 * (m + values[mid - 1]);
+  }
+  return m;
+}
+
+StatusOr<LinearModel> ReferenceHuber(const Dataset& data,
+                                     const HuberRegressor::Options& options) {
+  Vector weights(data.y.size(), 1.0);
+  StatusOr<LinearModel> model = ReferenceWls(data, weights, options.l2).model;
+  for (int iter = 0; iter < options.max_iterations && model.ok(); ++iter) {
+    Vector residuals(data.y.size());
+    for (size_t r = 0; r < data.y.size(); ++r) {
+      Vector features(data.x.cols());
+      for (size_t c = 0; c < data.x.cols(); ++c) features[c] = data.x(r, c);
+      residuals[r] = data.y[r] - model->Predict(features);
+    }
+    double scale = ReferenceMedianAbs(residuals) / 0.6745;
+    if (scale < 1e-12) scale = 1e-12;
+    double max_weight_change = 0.0;
+    for (size_t r = 0; r < residuals.size(); ++r) {
+      double z = std::fabs(residuals[r]) / scale;
+      double w = z <= options.delta ? 1.0 : options.delta / z;
+      max_weight_change = std::max(max_weight_change, std::fabs(w - weights[r]));
+      weights[r] = w;
+    }
+    model = ReferenceWls(data, weights, options.l2).model;
+    if (max_weight_change < options.tolerance) break;
+  }
+  return model;
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+void ExpectSameFit(const StatusOr<LinearModel>& got, const StatusOr<LinearModel>& want) {
+  ASSERT_EQ(got.ok(), want.ok()) << got.status() << " vs " << want.status();
+  if (!got.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code());
+    return;
+  }
+  EXPECT_EQ(Bits(got->intercept()), Bits(want->intercept()));
+  ASSERT_EQ(got->coefficients().size(), want->coefficients().size());
+  for (size_t c = 0; c < got->coefficients().size(); ++c) {
+    EXPECT_EQ(Bits(got->coefficients()[c]), Bits(want->coefficients()[c])) << "c=" << c;
+  }
+}
+
+/// The 3-feature data of MultivariateRecovery, plus optional noise and
+/// exact zeros in features and targets (each exercises a zero skip).
+Dataset ThreeFeatureData(double noise, bool zeros) {
+  Rng rng(3);
+  const size_t n = 500;
+  Dataset data;
+  data.x = Matrix(n, 3);
+  data.y.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    double a = rng.Uniform(0, 5), b = rng.Uniform(0, 5), c = rng.Uniform(0, 5);
+    data.x(i, 0) = a;
+    data.x(i, 1) = b;
+    data.x(i, 2) = c;
+    data.y[i] = 1.0 + 2.0 * a - 3.0 * b + 0.5 * c + rng.Gaussian(0.0, noise);
+  }
+  if (zeros) {
+    for (size_t i = 0; i < n; i += 7) data.x(i, i % 3) = 0.0;
+    for (size_t i = 3; i < n; i += 11) data.y[i] = 0.0;
+  }
+  return data;
+}
+
+/// Weights in [0, 2] with every fifth one exactly zero.
+Vector MixedWeights(size_t n, Rng* rng) {
+  Vector w(n);
+  for (size_t i = 0; i < n; ++i) w[i] = i % 5 == 0 ? 0.0 : rng->Uniform(0.0, 2.0);
+  return w;
+}
+
+TEST(StreamedFitBitIdentityTest, WeightedLeastSquares) {
+  Rng rng(31);
+  Dataset line = NoisyLine(1.5, -0.7, 300, 0.4, &rng);
+  for (size_t i = 0; i < line.size(); i += 13) line.y[i] = 0.0;
+  const std::vector<Dataset> datasets = {line, ThreeFeatureData(0.0, false),
+                                         ThreeFeatureData(0.3, true)};
+  for (const Dataset& data : datasets) {
+    const Vector ones(data.size(), 1.0);
+    const Vector mixed = MixedWeights(data.size(), &rng);
+    for (double l2 : {0.0, 2.5}) {
+      SCOPED_TRACE("features=" + std::to_string(data.x.cols()) +
+                   " l2=" + std::to_string(l2));
+      LinearRegressor reg(l2);
+      ExpectSameFit(reg.Fit(data), ReferenceWls(data, ones, l2).model);
+      ExpectSameFit(reg.FitWeighted(data, mixed), ReferenceWls(data, mixed, l2).model);
+    }
+  }
+}
+
+TEST(StreamedFitBitIdentityTest, HuberIrls) {
+  Rng rng(32);
+  Dataset line = NoisyLine(2.0, 0.8, 401, 0.2, &rng);
+  for (size_t i = 0; i < line.size(); i += 9) line.y[i] += 25.0;  // Outliers.
+  Dataset noisy3 = ThreeFeatureData(0.3, true);
+  for (size_t i = 0; i < noisy3.size(); i += 17) noisy3.y[i] -= 40.0;
+  const std::vector<Dataset> datasets = {line, NoisyLine(-1.0, 3.0, 64, 0.1, &rng),
+                                         ThreeFeatureData(0.0, false), noisy3};
+  for (const Dataset& data : datasets) {
+    for (double l2 : {0.0, 2.5}) {
+      SCOPED_TRACE("n=" + std::to_string(data.size()) +
+                   " features=" + std::to_string(data.x.cols()) +
+                   " l2=" + std::to_string(l2));
+      HuberRegressor::Options options;
+      options.l2 = l2;
+      ExpectSameFit(HuberRegressor(options).Fit(data), ReferenceHuber(data, options));
+    }
+  }
+}
+
+TEST(StreamedFitBitIdentityTest, CholeskyFallbackAndRankDeficientDesigns) {
+  // Tiny uniform weights leave the intercept's Gram entry below Cholesky's
+  // positive-definiteness floor while pivoted elimination still solves it.
+  Rng rng(33);
+  const size_t n = 10;
+  Vector x(n), y(n);
+  for (size_t i = 0; i < n; ++i) {
+    x[i] = 1000.0 + 1000.0 * rng.Gaussian();
+    y[i] = 3.0 + 0.5 * x[i] + rng.Gaussian();
+  }
+  Dataset ill = MakeDataset1D(x, y);
+  const Vector tiny(n, 5e-16);
+  ReferenceFit reference = ReferenceWls(ill, tiny, 0.0);
+  ASSERT_TRUE(reference.used_elimination);
+  ASSERT_TRUE(reference.model.ok()) << reference.model.status();
+  ExpectSameFit(LinearRegressor().FitWeighted(ill, tiny), reference.model);
+
+  // Exactly collinear and all-zero columns: whichever way the solvers land
+  // (a rounding-level pivot or a singular-matrix error), the streamed fit
+  // lands the same way.
+  Dataset collinear = ThreeFeatureData(0.3, false);
+  Dataset zero_column = collinear;
+  for (size_t i = 0; i < collinear.size(); ++i) {
+    collinear.x(i, 2) = 2.0 * collinear.x(i, 0);
+    zero_column.x(i, 1) = 0.0;
+  }
+  for (const Dataset& data : {collinear, zero_column}) {
+    const Vector ones(data.size(), 1.0);
+    ExpectSameFit(LinearRegressor().Fit(data), ReferenceWls(data, ones, 0.0).model);
+    ExpectSameFit(HuberRegressor().Fit(data), ReferenceHuber(data, HuberRegressor::Options()));
+  }
+  const Vector ones(zero_column.size(), 1.0);
+  EXPECT_TRUE(ReferenceWls(zero_column, ones, 0.0).used_elimination);
+}
 
 }  // namespace
 }  // namespace kea::ml

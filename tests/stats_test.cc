@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/random.h"
@@ -46,6 +49,37 @@ TEST(QuantileTest, MedianAndExtremes) {
 TEST(QuantileTest, Interpolates) {
   std::vector<double> v = {0.0, 10.0};
   EXPECT_DOUBLE_EQ(Quantile(v, 0.25).value(), 2.5);
+}
+
+// The sort-based definition that Quantile computes by selection.
+double SortedQuantile(std::vector<double> sample, double q) {
+  std::sort(sample.begin(), sample.end());
+  double pos = q * static_cast<double>(sample.size() - 1);
+  size_t lo = static_cast<size_t>(pos);
+  size_t hi = std::min(lo + 1, sample.size() - 1);
+  double frac = pos - static_cast<double>(lo);
+  return sample[lo] * (1.0 - frac) + sample[hi] * frac;
+}
+
+TEST(QuantileTest, SelectionMatchesSortBitForBit) {
+  Rng rng(17);
+  for (int trial = 0; trial < 600; ++trial) {
+    // Odd and even sizes; every third sample is drawn from six values, so
+    // it is full of duplicates.
+    const size_t n = 1 + static_cast<size_t>(rng.UniformInt(0, 40));
+    std::vector<double> sample(n);
+    for (double& v : sample) {
+      v = trial % 3 == 0 ? static_cast<double>(rng.UniformInt(1, 6))
+                         : rng.Gaussian(0.0, 10.0);
+    }
+    for (double q : {0.0, 0.25, 0.5, 1.0, rng.Uniform()}) {
+      auto got = Quantile(sample, q);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(std::bit_cast<uint64_t>(*got),
+                std::bit_cast<uint64_t>(SortedQuantile(sample, q)))
+          << "n=" << n << " q=" << q;
+    }
+  }
 }
 
 TEST(QuantileTest, Validation) {

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "common/csv.h"
+#include "common/random.h"
 #include "telemetry/perf_monitor.h"
 #include "telemetry/record.h"
 #include "telemetry/store.h"
@@ -348,6 +353,104 @@ TEST(FilterTest, GroupAndAndFilters) {
   // Null sub-filters are treated as pass-through.
   auto g = AndFilter(nullptr, GroupFilter({0, 2}));
   EXPECT_TRUE(g(MakeRecord(0, 5, 0, 2, 1, 0.1, 1, 1, 1)));
+}
+
+// ---------------------------------------------------------------------------
+// The hour index: reads through an hour-bounded filter start part-way into
+// the store, and must still return exactly what a full filtered scan of
+// records() returns, in the same order.
+
+std::vector<std::vector<std::string>> Rows(const std::vector<MachineHourRecord>& records) {
+  std::vector<std::vector<std::string>> rows;
+  for (const MachineHourRecord& r : records) rows.push_back(MachineHourCsvRow(r));
+  return rows;
+}
+
+/// Every read of `store` through `filter` against a full scan of records().
+void ExpectReadsMatchFullScan(const TelemetryStore& store, const RecordFilter& filter,
+                              const std::function<bool(const MachineHourRecord&)>& truth) {
+  std::vector<MachineHourRecord> want;
+  for (const MachineHourRecord& r : store.records()) {
+    if (truth(r)) want.push_back(r);
+  }
+  EXPECT_EQ(Rows(store.Query(filter)), Rows(want));
+
+  std::map<sim::MachineGroupKey, std::vector<MachineHourRecord>> want_groups;
+  for (const MachineHourRecord& r : want) want_groups[r.group()].push_back(r);
+  auto groups = store.GroupByKey(filter);
+  ASSERT_EQ(groups.size(), want_groups.size());
+  for (const auto& [key, records] : want_groups) {
+    EXPECT_EQ(Rows(groups[key]), Rows(records));
+  }
+
+  std::vector<double> want_latency;
+  for (const MachineHourRecord& r : want) want_latency.push_back(r.avg_task_latency_s);
+  EXPECT_EQ(store.Extract([](const MachineHourRecord& r) { return r.avg_task_latency_s; },
+                          filter),
+            want_latency);
+}
+
+void ExpectWindowsMatchFullScan(const TelemetryStore& store, Rng* rng) {
+  for (int q = 0; q < 25; ++q) {
+    // Bounds reach below hour 0 and past the newest hour; some windows are
+    // empty or inverted.
+    const int begin = static_cast<int>(rng->UniformInt(-30, 260));
+    const int end = begin + static_cast<int>(rng->UniformInt(-5, 80));
+    SCOPED_TRACE("window [" + std::to_string(begin) + ", " + std::to_string(end) + ")");
+    auto in_window = [begin, end](const MachineHourRecord& r) {
+      return r.hour >= begin && r.hour < end;
+    };
+    ExpectReadsMatchFullScan(store, HourRangeFilter(begin, end), in_window);
+    // Intersected bounds plus a predicate.
+    const int later = begin + static_cast<int>(rng->UniformInt(0, 40));
+    ExpectReadsMatchFullScan(
+        store, AndFilter(HourRangeFilter(begin, end), AndFilter(GroupFilter({0, 1}),
+                                                                HourRangeFilter(later, end + 50))),
+        [&](const MachineHourRecord& r) {
+          return in_window(r) && r.hour >= later && r.group() == sim::MachineGroupKey{0, 1};
+        });
+  }
+}
+
+TEST(StoreHourIndexTest, WindowReadsMatchFullScanUnderLateArrivals) {
+  Rng rng(23);
+  TelemetryStore store;
+  int now = 0;
+  for (int batch = 0; batch < 60; ++batch) {
+    // Mostly the current hour, with late arrivals reaching back up to two
+    // days and the odd record stamped in the future.
+    std::vector<MachineHourRecord> records;
+    const int count = static_cast<int>(rng.UniformInt(0, 150));
+    for (int i = 0; i < count; ++i) {
+      int hour = now;
+      const double u = rng.Uniform();
+      if (u < 0.2) hour = std::max(0, now - static_cast<int>(rng.UniformInt(1, 48)));
+      if (u > 0.97) hour = now + static_cast<int>(rng.UniformInt(1, 30));
+      records.push_back(MakeRecord(static_cast<int>(rng.UniformInt(0, 40)), hour,
+                                   static_cast<sim::ScId>(rng.UniformInt(0, 1)),
+                                   static_cast<sim::SkuId>(rng.UniformInt(0, 2)),
+                                   rng.Uniform(1, 10), rng.Uniform(), rng.Uniform(0, 200),
+                                   rng.Uniform(0, 5000), rng.Uniform(1, 60)));
+    }
+    if (batch % 2 == 0) {
+      store.AppendAll(records);
+    } else {
+      for (const MachineHourRecord& r : records) store.Append(r);
+    }
+    now += static_cast<int>(rng.UniformInt(1, 6));
+    if (batch % 10 == 9) ExpectWindowsMatchFullScan(store, &rng);
+    if (batch == 29) {
+      store.Clear();
+      ExpectWindowsMatchFullScan(store, &rng);
+      now = 10;  // Hours restart below the cleared history's.
+    }
+  }
+  ASSERT_GT(store.size(), 1000u);
+
+  auto parsed = TelemetryStore::FromCsv(store.ToCsv());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ASSERT_EQ(parsed->size(), store.size());
+  ExpectWindowsMatchFullScan(*parsed, &rng);
 }
 
 }  // namespace

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "serve/fingerprint.h"
 #include "sim/fluid_engine.h"
 #include "telemetry/perf_monitor.h"
 
@@ -106,6 +113,88 @@ TEST(ModelValidatorTest, ToleranceOptionRespected) {
   auto report = validator.Validate(*whatif, fx.store, nullptr);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->models_valid);
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+void ExpectSameReport(const ValidationReport& got, const ValidationReport& want) {
+  EXPECT_EQ(got.models_valid, want.models_valid);
+  EXPECT_EQ(Bits(got.max_latency_error), Bits(want.max_latency_error));
+  EXPECT_EQ(Bits(got.max_utilization_error), Bits(want.max_utilization_error));
+  EXPECT_EQ(got.unmodeled_groups, want.unmodeled_groups);
+  ASSERT_EQ(got.groups.size(), want.groups.size());
+  for (size_t i = 0; i < got.groups.size(); ++i) {
+    const GroupValidation& a = got.groups[i];
+    const GroupValidation& b = want.groups[i];
+    EXPECT_EQ(a.group, b.group);
+    EXPECT_EQ(a.observations, b.observations);
+    EXPECT_EQ(a.within_tolerance, b.within_tolerance);
+    for (auto field : {&GroupValidation::observed_containers,
+                       &GroupValidation::predicted_utilization,
+                       &GroupValidation::observed_utilization,
+                       &GroupValidation::predicted_latency_s,
+                       &GroupValidation::observed_latency_s,
+                       &GroupValidation::utilization_error,
+                       &GroupValidation::latency_error}) {
+      EXPECT_EQ(Bits(a.*field), Bits(b.*field)) << sim::GroupLabel(a.group);
+    }
+  }
+}
+
+// Window reads start at the store's hour index. On a store whose telemetry
+// arrived out of hour order, the index-backed reads of the validator, the
+// What-if fit and the serving fingerprint must equal a full scan, bit for
+// bit.
+TEST(ModelValidatorTest, LateArrivalsMatchFullScanReference) {
+  ValidationFixture fx;
+  ASSERT_TRUE(fx.engine->Run(168, 168, &fx.store).ok());
+  // Re-append the two weeks with hours [150, 200) arriving after the rest.
+  telemetry::TelemetryStore late;
+  std::vector<telemetry::MachineHourRecord> deferred;
+  for (const auto& r : fx.store.records()) {
+    if (r.hour >= 150 && r.hour < 200) {
+      deferred.push_back(r);
+    } else {
+      late.Append(r);
+    }
+  }
+  late.AppendAll(deferred);
+
+  auto whatif = WhatIfEngine::Fit(fx.store, telemetry::HourRangeFilter(0, 168),
+                                  WhatIfEngine::Options());
+  ASSERT_TRUE(whatif.ok());
+  ModelValidator validator;
+  for (auto [begin, end] : {std::pair{168, 336}, std::pair{180, 240},
+                            std::pair{140, 170}, std::pair{320, 400}}) {
+    SCOPED_TRACE("window [" + std::to_string(begin) + ", " + std::to_string(end) + ")");
+    // A bare predicate carries no hour bounds, so the store scans it all.
+    const telemetry::RecordFilter full_scan =
+        [begin, end](const telemetry::MachineHourRecord& r) {
+          return r.hour >= begin && r.hour < end;
+        };
+    const telemetry::RecordFilter window = telemetry::HourRangeFilter(begin, end);
+
+    auto fast = validator.Validate(*whatif, late, window);
+    auto full = validator.Validate(*whatif, late, full_scan);
+    ASSERT_TRUE(fast.ok()) << fast.status();
+    ASSERT_TRUE(full.ok()) << full.status();
+    ExpectSameReport(*fast, *full);
+
+    auto fast_fit = WhatIfEngine::Fit(late, window, WhatIfEngine::Options());
+    auto full_fit = WhatIfEngine::Fit(late, full_scan, WhatIfEngine::Options());
+    ASSERT_TRUE(fast_fit.ok());
+    ASSERT_TRUE(full_fit.ok());
+    EXPECT_EQ(fast_fit->ModelHash(), full_fit->ModelHash());
+
+    // The fingerprint's reference digests the window's records gathered by
+    // a full scan, in store order.
+    telemetry::TelemetryStore in_window;
+    for (const auto& r : late.records()) {
+      if (full_scan(r)) in_window.Append(r);
+    }
+    EXPECT_EQ(serve::FingerprintWindow(late, begin, end),
+              serve::FingerprintWindow(in_window, begin, end));
+  }
 }
 
 }  // namespace
