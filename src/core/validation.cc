@@ -2,38 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <vector>
 
 #include "ml/stats.h"
 
 namespace kea::core {
 
-namespace {
-
-/// The columns the validator reads for one machine group, in store order.
-/// Only busy machine-hours (tasks_finished > 0) carry a latency signal.
-struct BusyColumns {
-  std::vector<double> containers;
-  std::vector<double> utilization;
-  std::vector<double> latency_s;
-};
-
-}  // namespace
-
 StatusOr<ValidationReport> ModelValidator::Validate(
     const WhatIfEngine& engine, const telemetry::TelemetryStore& store,
     const telemetry::RecordFilter& window) const {
-  // Every group with a record in the window is listed, busy or not, so that
-  // an idle unmodeled group still flags a refit.
-  std::map<sim::MachineGroupKey, BusyColumns> grouped;
-  store.ForEach(window, [&grouped](const telemetry::MachineHourRecord& r) {
-    BusyColumns& columns = grouped[r.group()];
-    if (r.tasks_finished <= 0.0) return;
-    columns.containers.push_back(r.avg_running_containers);
-    columns.utilization.push_back(r.cpu_utilization);
-    columns.latency_s.push_back(r.avg_task_latency_s);
-  });
+  auto grouped = store.GroupByKey(window);
   if (grouped.empty()) {
     return Status::FailedPrecondition("no telemetry in the validation window");
   }
@@ -42,20 +19,27 @@ StatusOr<ValidationReport> ModelValidator::Validate(
   report.models_valid = true;
   bool any_validated = false;
 
-  for (const auto& [key, columns] : grouped) {
+  for (const auto& [key, records] : grouped) {
     if (engine.models().find(key) == engine.models().end()) {
       report.unmodeled_groups.push_back(key);
       report.models_valid = false;
       continue;
     }
-    if (columns.containers.size() < options_.min_observations) continue;
+    std::vector<double> containers, util, latency;
+    for (const auto& r : records) {
+      if (r.tasks_finished <= 0.0) continue;
+      containers.push_back(r.avg_running_containers);
+      util.push_back(r.cpu_utilization);
+      latency.push_back(r.avg_task_latency_s);
+    }
+    if (containers.size() < options_.min_observations) continue;
 
     GroupValidation v;
     v.group = key;
-    v.observations = columns.containers.size();
-    KEA_ASSIGN_OR_RETURN(v.observed_containers, ml::Quantile(columns.containers, 0.5));
-    KEA_ASSIGN_OR_RETURN(v.observed_utilization, ml::Quantile(columns.utilization, 0.5));
-    KEA_ASSIGN_OR_RETURN(v.observed_latency_s, ml::Quantile(columns.latency_s, 0.5));
+    v.observations = containers.size();
+    KEA_ASSIGN_OR_RETURN(v.observed_containers, ml::Quantile(containers, 0.5));
+    KEA_ASSIGN_OR_RETURN(v.observed_utilization, ml::Quantile(util, 0.5));
+    KEA_ASSIGN_OR_RETURN(v.observed_latency_s, ml::Quantile(latency, 0.5));
 
     KEA_ASSIGN_OR_RETURN(v.predicted_utilization,
                          engine.PredictUtilization(key, v.observed_containers));

@@ -9,14 +9,21 @@
 namespace kea::telemetry {
 
 RecordFilter HourRangeFilter(sim::HourIndex begin, sim::HourIndex end) {
-  return RecordFilter(begin, end);
+  return RecordFilter(begin, end, nullptr);
 }
 
 RecordFilter AndFilter(RecordFilter a, RecordFilter b) {
-  const auto ha = a.hours();
-  const auto hb = b.hours();
-  RecordFilter::Predicate both = [a = std::move(a), b = std::move(b)](
-                                     const MachineHourRecord& r) { return a(r) && b(r); };
+  // The operands' predicates only: the result's intersected bounds do the
+  // hour check once.
+  RecordFilter::Predicate both = std::move(a.predicate_);
+  if (!both) {
+    both = std::move(b.predicate_);
+  } else if (b.predicate_) {
+    both = [pa = std::move(both), pb = std::move(b.predicate_)](
+               const MachineHourRecord& r) { return pa(r) && pb(r); };
+  }
+  const auto& ha = a.hours_;
+  const auto& hb = b.hours_;
   if (!ha && !hb) return RecordFilter(std::move(both));
   std::pair<sim::HourIndex, sim::HourIndex> hours = ha ? *ha : *hb;
   if (ha && hb) {
@@ -32,8 +39,9 @@ void TelemetryStore::AppendAll(const std::vector<MachineHourRecord>& records) {
 }
 
 size_t TelemetryStore::FirstAtOrAfter(sim::HourIndex hour) const {
-  const auto stride = std::lower_bound(max_hour_.begin(), max_hour_.end(), hour);
-  return static_cast<size_t>(stride - max_hour_.begin()) * kIndexStride;
+  const size_t entries = (records_.size() + index_stride_ - 1) / index_stride_;
+  const auto entry = std::lower_bound(max_hour_.begin(), max_hour_.begin() + entries, hour);
+  return static_cast<size_t>(entry - max_hour_.begin()) * index_stride_;
 }
 
 std::vector<MachineHourRecord> TelemetryStore::Query(const RecordFilter& filter) const {

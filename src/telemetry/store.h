@@ -2,6 +2,7 @@
 #define KEA_TELEMETRY_STORE_H_
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <functional>
 #include <map>
@@ -36,11 +37,6 @@ class RecordFilter {
   RecordFilter(F&& predicate)  // NOLINT(runtime/explicit)
       : predicate_(std::forward<F>(predicate)) {}
 
-  /// Records with `begin <= hour < end` that `predicate` (when set) accepts.
-  RecordFilter(sim::HourIndex begin, sim::HourIndex end,
-               Predicate predicate = nullptr)
-      : predicate_(std::move(predicate)), hours_(std::make_pair(begin, end)) {}
-
   /// False only for the match-everything filter.
   explicit operator bool() const {
     return hours_.has_value() || static_cast<bool>(predicate_);
@@ -59,6 +55,13 @@ class RecordFilter {
   }
 
  private:
+  friend RecordFilter HourRangeFilter(sim::HourIndex begin, sim::HourIndex end);
+  friend RecordFilter AndFilter(RecordFilter a, RecordFilter b);
+
+  /// Records with `begin <= hour < end` that `predicate` (when set) accepts.
+  RecordFilter(sim::HourIndex begin, sim::HourIndex end, Predicate predicate)
+      : predicate_(std::move(predicate)), hours_(std::make_pair(begin, end)) {}
+
   Predicate predicate_;
   std::optional<std::pair<sim::HourIndex, sim::HourIndex>> hours_;
 };
@@ -77,7 +80,8 @@ RecordFilter AndFilter(RecordFilter a, RecordFilter b);
 ///
 /// Records keep their append order, which need not be hour order (late
 /// arrivals, quarantine releases). An hour index -- the running maximum hour
-/// of the store's prefixes, sampled every kIndexStride records -- is
+/// of the store's prefixes, sampled every 64 records, a stride that doubles
+/// whenever the store outgrows the index's fixed 1024 entries -- is
 /// non-decreasing regardless, so a read of an hour window binary-searches the
 /// first stride that can hold a record inside it: every record before that
 /// stride is older than the window. Reads therefore cost the window plus
@@ -87,7 +91,7 @@ class TelemetryStore {
  public:
   void Append(const MachineHourRecord& record) {
     records_.push_back(record);
-    IndexHour(records_.size() - 1, record.hour);
+    IndexHour(records_.size() - 1, records_.back().hour);
   }
   void AppendAll(const std::vector<MachineHourRecord>& records);
 
@@ -130,12 +134,14 @@ class TelemetryStore {
 
   void Clear() {
     records_.clear();
-    max_hour_.clear();
+    index_stride_ = kIndexStride;
   }
 
  private:
-  /// Records per hour-index entry.
+  /// Records per hour-index entry while the store is small.
   static constexpr size_t kIndexStride = 64;
+  /// Hour-index entries; when a store outgrows them the stride doubles.
+  static constexpr size_t kIndexEntries = 1024;
 
   /// Position from which a record can have `hour >= hour`: every record
   /// before it has a smaller hour.
@@ -143,16 +149,27 @@ class TelemetryStore {
 
   /// Extends the hour index by the record appended at `position`.
   void IndexHour(size_t position, sim::HourIndex hour) {
-    if (position % kIndexStride == 0) {
-      max_hour_.push_back(max_hour_.empty() ? hour : std::max(max_hour_.back(), hour));
+    if (position == index_stride_ * kIndexEntries) {
+      // Merge entry pairs: a prefix maximum at twice the stride is the
+      // second entry of each pair.
+      for (size_t k = 0; k < kIndexEntries / 2; ++k) max_hour_[k] = max_hour_[2 * k + 1];
+      index_stride_ *= 2;
+    }
+    const size_t k = position / index_stride_;
+    if (position % index_stride_ == 0) {
+      max_hour_[k] = k == 0 ? hour : std::max(max_hour_[k - 1], hour);
     } else {
-      max_hour_.back() = std::max(max_hour_.back(), hour);
+      max_hour_[k] = std::max(max_hour_[k], hour);
     }
   }
 
   std::vector<MachineHourRecord> records_;
-  /// max_hour_[k] = max hour of records_[0 .. (k + 1) * kIndexStride).
-  std::vector<sim::HourIndex> max_hour_;
+  /// max_hour_[k] = max hour of records_[0 .. (k + 1) * index_stride_), for
+  /// every entry the store's records reach. A fixed array: an index that grew
+  /// on the heap in step with records_ left freed record buffers resident in
+  /// malloc arenas (DESIGN.md, "Fit hot path").
+  std::array<sim::HourIndex, kIndexEntries> max_hour_{};
+  size_t index_stride_ = kIndexStride;
 };
 
 }  // namespace kea::telemetry

@@ -355,6 +355,27 @@ TEST(FilterTest, GroupAndAndFilters) {
   EXPECT_TRUE(g(MakeRecord(0, 5, 0, 2, 1, 0.1, 1, 1, 1)));
 }
 
+TEST(FilterTest, AndFilterKeepsBothPredicatesAndIntersectsBounds) {
+  auto f = AndFilter(GroupFilter({0, 2}), MachineSetFilter({0}));
+  EXPECT_FALSE(f.hours().has_value());
+  EXPECT_TRUE(f(MakeRecord(0, 5, 0, 2, 1, 0.1, 1, 1, 1)));
+  EXPECT_FALSE(f(MakeRecord(1, 5, 0, 2, 1, 0.1, 1, 1, 1)));
+  EXPECT_FALSE(f(MakeRecord(0, 5, 1, 2, 1, 0.1, 1, 1, 1)));
+
+  auto all = AndFilter(nullptr, nullptr);
+  EXPECT_FALSE(static_cast<bool>(all));
+
+  auto window = AndFilter(AndFilter(HourRangeFilter(0, 10), MachineSetFilter({0})),
+                          AndFilter(GroupFilter({0, 2}), HourRangeFilter(5, 20)));
+  ASSERT_TRUE(window.hours().has_value());
+  EXPECT_EQ(*window.hours(), std::make_pair(5, 10));
+  EXPECT_TRUE(window(MakeRecord(0, 5, 0, 2, 1, 0.1, 1, 1, 1)));
+  EXPECT_FALSE(window(MakeRecord(0, 4, 0, 2, 1, 0.1, 1, 1, 1)));
+  EXPECT_FALSE(window(MakeRecord(0, 10, 0, 2, 1, 0.1, 1, 1, 1)));
+  EXPECT_FALSE(window(MakeRecord(1, 5, 0, 2, 1, 0.1, 1, 1, 1)));
+  EXPECT_FALSE(window(MakeRecord(0, 5, 1, 2, 1, 0.1, 1, 1, 1)));
+}
+
 // ---------------------------------------------------------------------------
 // The hour index: reads through an hour-bounded filter start part-way into
 // the store, and must still return exactly what a full filtered scan of
@@ -451,6 +472,59 @@ TEST(StoreHourIndexTest, WindowReadsMatchFullScanUnderLateArrivals) {
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   ASSERT_EQ(parsed->size(), store.size());
   ExpectWindowsMatchFullScan(*parsed, &rng);
+}
+
+TEST(StoreHourIndexTest, WindowReadsMatchFullScanPastIndexCoarsening) {
+  // The index holds 1024 entries at a stride of 64 records; 150,000 records
+  // double the stride twice. ForEach is the read behind Query, GroupByKey
+  // and Extract, so it is checked alone here.
+  Rng rng(29);
+  TelemetryStore store;
+  auto expect_windows_match = [&] {
+    for (int q = 0; q < 40; ++q) {
+      const int begin = static_cast<int>(rng.UniformInt(-30, 320));
+      const int end = begin + static_cast<int>(rng.UniformInt(-5, 60));
+      SCOPED_TRACE("window [" + std::to_string(begin) + ", " + std::to_string(end) + ")");
+      std::vector<std::pair<int, double>> want, got;
+      for (const MachineHourRecord& r : store.records()) {
+        if (r.hour >= begin && r.hour < end) want.emplace_back(r.hour, r.avg_task_latency_s);
+      }
+      store.ForEach(HourRangeFilter(begin, end), [&got](const MachineHourRecord& r) {
+        got.emplace_back(r.hour, r.avg_task_latency_s);
+      });
+      EXPECT_EQ(got, want);
+    }
+  };
+  std::vector<MachineHourRecord> batch;
+  for (int hour = 0; hour < 300; ++hour) {
+    batch.clear();
+    for (int i = 0; i < 500; ++i) {
+      int late = hour;
+      if (rng.Uniform() < 0.2) late = std::max(0, hour - static_cast<int>(rng.UniformInt(1, 48)));
+      batch.push_back(MakeRecord(i % 40, late, 0, 1, 1, 0.5, 1, 1, rng.Uniform(1, 60)));
+    }
+    store.AppendAll(batch);
+    // Before the first doubling, between the two, and after the second.
+    if (hour == 120 || hour == 200 || hour == 299) expect_windows_match();
+  }
+  ASSERT_EQ(store.size(), 150000u);
+
+  store.Clear();
+  for (int i = 0; i < 300; ++i) {
+    store.Append(MakeRecord(i % 40, 300 - i, 0, 1, 1, 0.5, 1, 1, rng.Uniform(1, 60)));
+  }
+  expect_windows_match();
+}
+
+TEST(StoreHourIndexTest, AppendOfAStoredRecord) {
+  // The argument points into the store's own buffer, which push_back
+  // reallocates on growth: the index must read the stored copy (the ASan
+  // build flags a read of the argument after the append).
+  TelemetryStore store;
+  store.Append(MakeRecord(0, 7, 0, 0, 1, 0.1, 1, 1, 1));
+  for (size_t i = 0; i < 300; ++i) store.Append(store.records()[i]);
+  EXPECT_EQ(store.Query(HourRangeFilter(7, 8)).size(), 301u);
+  EXPECT_TRUE(store.Query(HourRangeFilter(8, 100)).empty());
 }
 
 }  // namespace
