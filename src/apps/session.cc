@@ -665,7 +665,7 @@ Status KeaSession::WriteCheckpoint(uint64_t covered_seq) {
                self_healing_enabled_, &config);
   snapshot.AddSection("config", config.Release());
 
-  snapshot.AddSection("telemetry", store_.ToCsv());
+  snapshot.AddSection("records", store_.SerializeState());
 
   StateWriter cluster;
   cluster.PutU64(cluster_.machines().size());
@@ -730,6 +730,13 @@ StatusOr<std::unique_ptr<KeaSession>> KeaSession::Resume(const std::string& dir)
                        SnapshotGenerations::RestoreLatestValid(
                            dir + kCheckpointFile, admissible));
   SnapshotReader& snapshot = restored.reader;
+  // Telemetry travels as the store's binary "records" section. A checkpoint
+  // without it (one that held telemetry as CSV) is refused before anything
+  // is built from it.
+  if (!snapshot.Has("records")) {
+    return Status::InvalidArgument("checkpoint " + restored.source_path +
+                                   " has no 'records' section");
+  }
 
   std::string config_blob;
   KEA_ASSIGN_OR_RETURN(config_blob, snapshot.Section("config"));
@@ -800,10 +807,9 @@ StatusOr<std::unique_ptr<KeaSession>> KeaSession::Resume(const std::string& dir)
       static_cast<size_t>(min_observations);
   session->last_whatif_options_.num_threads = num_threads;
 
-  std::string store_csv;
-  KEA_ASSIGN_OR_RETURN(store_csv, snapshot.Section("telemetry"));
-  KEA_ASSIGN_OR_RETURN(session->store_,
-                       telemetry::TelemetryStore::FromCsv(store_csv));
+  std::string blob;
+  KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("records"));
+  KEA_RETURN_IF_ERROR(session->store_.RestoreState(blob));
 
   std::string cluster_blob;
   KEA_ASSIGN_OR_RETURN(cluster_blob, snapshot.Section("cluster"));
@@ -834,7 +840,6 @@ StatusOr<std::unique_ptr<KeaSession>> KeaSession::Resume(const std::string& dir)
     KEA_RETURN_IF_ERROR(session->cluster_.SetSoftwareConfig(ids, sc));
   }
 
-  std::string blob;
   KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("engine"));
   KEA_RETURN_IF_ERROR(session->engine_->RestoreState(blob));
   KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("deployment"));

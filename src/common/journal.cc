@@ -1,5 +1,6 @@
 #include "common/journal.h"
 
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -79,20 +80,29 @@ void StoreU32(uint32_t v, std::string* out) {
   out->push_back(static_cast<char>((v >> 24) & 0xff));
 }
 
-const uint32_t* CrcTable() {
-  static uint32_t table[256];
-  static bool init = [] {
+// Slice-by-8 tables: table[0] is the classic bytewise table, and table[k][b]
+// is the CRC of byte b followed by k zero bytes, so eight table lookups
+// advance the CRC over eight input bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+const CrcTables& Crc32Tables() {
+  static const CrcTables tables = [] {
+    CrcTables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
       }
-      table[i] = c;
+      t[0][i] = c;
     }
-    return true;
+    for (size_t k = 1; k < t.size(); ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+      }
+    }
+    return t;
   }();
-  (void)init;
-  return table;
+  return tables;
 }
 
 // Shared record scan for Open() and Scrub(): walks `data` (which must start
@@ -142,10 +152,20 @@ std::string QuarantineTail(const std::string& path, const std::string& data,
 }  // namespace
 
 uint32_t Crc32Extend(uint32_t crc, const char* data, size_t size) {
-  const uint32_t* table = CrcTable();
+  const CrcTables& t = Crc32Tables();
   uint32_t c = crc ^ 0xffffffffu;
-  for (size_t i = 0; i < size; ++i) {
-    c = table[(c ^ static_cast<unsigned char>(data[i])) & 0xff] ^ (c >> 8);
+  size_t i = 0;
+  for (; size - i >= 8; i += 8) {
+    // The tables take the bytes in stream order: LoadU32 reads them as a
+    // little-endian word whatever the host's byte order.
+    const uint32_t lo = c ^ LoadU32(data + i);
+    const uint32_t hi = LoadU32(data + i + 4);
+    c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+        t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; i < size; ++i) {
+    c = t[0][(c ^ static_cast<unsigned char>(data[i])) & 0xff] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
 }

@@ -36,11 +36,15 @@ obs::Counter* GenerationsDiscardedCounter() {
 constexpr char kMagic[] = "KEASNP01";
 constexpr size_t kMagicLen = 8;
 
-void AppendU32(uint32_t v, std::string* out) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-  out->push_back(static_cast<char>((v >> 16) & 0xff));
-  out->push_back(static_cast<char>((v >> 24) & 0xff));
+// Appends `v` as sizeof(T) little-endian bytes in one call. The shifts fix
+// the byte order on any host; compilers fold them into a single store.
+template <typename T>
+void AppendLittleEndian(T v, std::string* out) {
+  char bytes[sizeof(T)];
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    bytes[i] = static_cast<char>(v >> (8 * i));
+  }
+  out->append(bytes, sizeof(T));
 }
 
 Status ParseU32(const std::string& data, size_t* pos, uint32_t* v) {
@@ -63,17 +67,23 @@ void SnapshotWriter::AddSection(const std::string& name, std::string content) {
 }
 
 Status SnapshotWriter::WriteFile(const std::string& path) const {
-  std::string out(kMagic, kMagicLen);
+  size_t bytes = kMagicLen + 4;
+  for (const auto& [name, content] : sections_) {
+    bytes += 3 * 4 + name.size() + content.size();  // Three u32 headers.
+  }
+  std::string out;
+  out.reserve(bytes);
+  out.append(kMagic, kMagicLen);
   // The section count makes truncation at an exact section boundary — which
   // no per-section CRC can catch — detectable.
-  AppendU32(static_cast<uint32_t>(sections_.size()), &out);
+  AppendLittleEndian(static_cast<uint32_t>(sections_.size()), &out);
   for (const auto& [name, content] : sections_) {
-    AppendU32(static_cast<uint32_t>(name.size()), &out);
+    AppendLittleEndian(static_cast<uint32_t>(name.size()), &out);
     out += name;
-    AppendU32(static_cast<uint32_t>(content.size()), &out);
+    AppendLittleEndian(static_cast<uint32_t>(content.size()), &out);
     // The CRC covers name and content: a rotted name byte must not be able
     // to silently rename (and thereby hide) a section.
-    AppendU32(Crc32Extend(Crc32(name), content), &out);
+    AppendLittleEndian(Crc32Extend(Crc32(name), content), &out);
     out += content;
   }
   const auto start = std::chrono::steady_clock::now();
@@ -250,12 +260,9 @@ bool SnapshotReader::Has(const std::string& name) const {
   return false;
 }
 
-void StateWriter::PutU32(uint32_t v) { AppendU32(v, &buf_); }
+void StateWriter::PutU32(uint32_t v) { AppendLittleEndian(v, &buf_); }
 
-void StateWriter::PutU64(uint64_t v) {
-  PutU32(static_cast<uint32_t>(v & 0xffffffffu));
-  PutU32(static_cast<uint32_t>(v >> 32));
-}
+void StateWriter::PutU64(uint64_t v) { AppendLittleEndian(v, &buf_); }
 
 void StateWriter::PutDouble(double v) {
   uint64_t bits = 0;

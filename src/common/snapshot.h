@@ -12,10 +12,11 @@
 namespace kea {
 
 /// A multi-section checkpoint container written as ONE atomic file. Each
-/// section is a named, CRC-checked blob (telemetry CSV, RNG state, cluster
-/// config...). Because the whole container goes through AtomicWriteFile, a
-/// crash during Checkpoint() can never leave mixed generations of the parts —
-/// the checkpoint on disk is either entirely old or entirely new.
+/// section is a named, CRC-checked blob (telemetry records, RNG state,
+/// cluster config...). Because the whole container goes through
+/// AtomicWriteFile, a crash during Checkpoint() can never leave mixed
+/// generations of the parts — the checkpoint on disk is either entirely old
+/// or entirely new.
 ///
 /// On-disk layout:
 ///   magic "KEASNP01"
@@ -95,11 +96,14 @@ class SnapshotGenerations {
                                                const Validator& validate = {});
 };
 
-/// Little-endian binary codec for component state blobs (RNG cursors, fault
-/// injector queues, ...). Doubles are stored as raw IEEE-754 bit patterns so
-/// restore is bit-exact; strings are length-prefixed.
+/// Little-endian binary codec for component state blobs (telemetry records,
+/// RNG cursors, fault injector queues, ...). Doubles are stored as raw
+/// IEEE-754 bit patterns so restore is bit-exact; strings are
+/// length-prefixed. Each Put appends its bytes in one call.
 class StateWriter {
  public:
+  /// Reserves room for `bytes` more bytes, for writers that know their size.
+  void Reserve(size_t bytes) { buf_.reserve(buf_.size() + bytes); }
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
@@ -130,6 +134,8 @@ class StateReader {
   Status GetString(std::string* s);
 
   bool AtEnd() const { return pos_ == data_.size(); }
+  /// Bytes not yet read.
+  size_t remaining() const { return data_.size() - pos_; }
 
  private:
   std::string data_;

@@ -24,9 +24,9 @@ std::vector<std::string> MachineHourCsvHeader() {
 }
 
 std::vector<std::string> MachineHourCsvRow(const MachineHourRecord& r) {
-  // %.17g round-trips every finite double exactly through strtod, which the
-  // checkpoint/resume path depends on: a store serialized to CSV and parsed
-  // back must be bit-identical to the original.
+  // %.17g round-trips every finite double exactly through strtod, so a store
+  // dumped with ToCsv and read back with FromCsv is bit-identical to the
+  // original. Checkpoints do not print: they use the binary codec below.
   auto d = [](double v) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.17g", v);

@@ -87,10 +87,15 @@ struct JobRecord {
 std::vector<std::string> MachineHourCsvHeader();
 std::vector<std::string> MachineHourCsvRow(const MachineHourRecord& r);
 
-/// Bit-exact binary codec for checkpoint blobs (fault-injector queues,
-/// quarantine contents). Doubles are stored as raw IEEE-754 bit patterns.
+/// Bit-exact binary codec for checkpoint blobs (the telemetry store,
+/// fault-injector queues, quarantine contents). Doubles are stored as raw
+/// IEEE-754 bit patterns.
 void PutMachineHourRecord(const MachineHourRecord& r, StateWriter* w);
 Status GetMachineHourRecord(StateReader* reader, MachineHourRecord* r);
+
+/// Bytes PutMachineHourRecord writes for every record: five integer fields
+/// as 64-bit values, then fourteen doubles.
+inline constexpr size_t kMachineHourRecordBytes = 5 * 8 + 14 * 8;
 
 }  // namespace kea::telemetry
 

@@ -1,8 +1,9 @@
 #include "telemetry/store.h"
 
 #include <algorithm>
-
+#include <cstdint>
 #include <cstdlib>
+#include <string>
 
 #include "common/csv.h"
 
@@ -141,6 +142,39 @@ StatusOr<TelemetryStore> TelemetryStore::FromCsv(const std::string& text) {
     store.Append(r);
   }
   return store;
+}
+
+std::string TelemetryStore::SerializeState() const {
+  StateWriter w;
+  w.Reserve(sizeof(uint64_t) + records_.size() * kMachineHourRecordBytes);
+  w.PutU64(records_.size());
+  for (const MachineHourRecord& r : records_) PutMachineHourRecord(r, &w);
+  return w.Release();
+}
+
+Status TelemetryStore::RestoreState(const std::string& blob) {
+  StateReader reader(blob);
+  uint64_t count = 0;
+  KEA_RETURN_IF_ERROR(reader.GetU64(&count));
+  // Every record encodes to the same width, so a count the blob cannot hold
+  // is refused before anything is reserved for it.
+  if (count > reader.remaining() / kMachineHourRecordBytes) {
+    return Status::InvalidArgument(
+        "telemetry state declares " + std::to_string(count) +
+        " records but holds " + std::to_string(reader.remaining()) + " bytes");
+  }
+  TelemetryStore restored;
+  restored.records_.reserve(count);
+  MachineHourRecord r;
+  for (uint64_t i = 0; i < count; ++i) {
+    KEA_RETURN_IF_ERROR(GetMachineHourRecord(&reader, &r));
+    restored.Append(r);
+  }
+  if (!reader.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes in telemetry state");
+  }
+  *this = std::move(restored);
+  return Status::OK();
 }
 
 std::string TelemetryStore::ToCsv() const {

@@ -124,13 +124,25 @@ class TelemetryStore {
   /// FailedPrecondition when empty.
   StatusOr<std::pair<sim::HourIndex, sim::HourIndex>> HourRange() const;
 
-  /// Serializes all records as CSV text (header + rows).
+  /// Serializes all records as CSV text (header + rows): the dump and import
+  /// format. Checkpoints use SerializeState.
   std::string ToCsv() const;
 
   /// Parses a store from CSV produced by ToCsv (or an external trace with
   /// the same header). Returns InvalidArgument on unknown columns or
   /// unparsable numbers.
   static StatusOr<TelemetryStore> FromCsv(const std::string& text);
+
+  /// Checkpoint blob of every record, in store order: a u64 count, then each
+  /// record in PutMachineHourRecord's encoding (doubles as raw IEEE-754
+  /// bits, little-endian throughout).
+  std::string SerializeState() const;
+
+  /// Replaces the records with those of a SerializeState blob, rebuilding
+  /// the hour index through Append. InvalidArgument on a truncated blob,
+  /// trailing bytes, or a count the blob cannot hold; the store is then
+  /// left as it was.
+  Status RestoreState(const std::string& blob);
 
   void Clear() {
     records_.clear();

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -301,6 +304,94 @@ TEST(StateCodecTest, TruncatedBlobNeverFabricates) {
     if (status.ok()) status = r.GetDouble(&d);
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
         << "cut at byte " << cut;
+  }
+}
+
+// Byte layout of every StateWriter put. Journals, ledgers and checkpoints
+// written before the writer appended whole words must still read, so these
+// bytes are fixed: little-endian, doubles as raw IEEE-754 bits.
+TEST(StateCodecTest, GoldenBytes) {
+  auto bytes = [](auto put) {
+    StateWriter w;
+    put(&w);
+    return w.Release();
+  };
+  EXPECT_EQ(bytes([](StateWriter* w) { w->PutU32(0x04030201u); }),
+            std::string("\x01\x02\x03\x04", 4));
+  EXPECT_EQ(bytes([](StateWriter* w) { w->PutU32(0xfedcba98u); }),
+            std::string("\x98\xba\xdc\xfe", 4));
+  EXPECT_EQ(bytes([](StateWriter* w) { w->PutU64(0x0807060504030201ULL); }),
+            std::string("\x01\x02\x03\x04\x05\x06\x07\x08", 8));
+  EXPECT_EQ(bytes([](StateWriter* w) { w->PutI64(-1); }),
+            std::string(8, '\xff'));
+  EXPECT_EQ(bytes([](StateWriter* w) { w->PutDouble(-0.0); }),
+            std::string("\0\0\0\0\0\0\0\x80", 8));
+  EXPECT_EQ(bytes([](StateWriter* w) {
+              w->PutDouble(std::numeric_limits<double>::quiet_NaN());
+            }),
+            std::string("\0\0\0\0\0\0\xf8\x7f", 8));
+  EXPECT_EQ(bytes([](StateWriter* w) { w->PutString(std::string("a\0b", 3)); }),
+            std::string("\x03\0\0\0a\0b", 7));
+  EXPECT_EQ(bytes([](StateWriter* w) {
+              w->PutU32(1);
+              w->PutU64(2);
+            }),
+            std::string("\x01\0\0\0\x02\0\0\0\0\0\0\0", 12));
+}
+
+// Reference CRC-32 (reflected IEEE polynomial) with no tables: one byte at
+// a time, bit by bit. The table-driven Crc32Extend must reproduce it exactly.
+uint32_t ReferenceCrc32Extend(uint32_t crc, const char* data, size_t size) {
+  uint32_t c = crc ^ 0xffffffffu;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= static_cast<unsigned char>(data[i]);
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+std::string RandomBytes(size_t n, uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::string bytes(n, '\0');
+  for (char& b : bytes) b = static_cast<char>(rng() & 0xff);
+  return bytes;
+}
+
+TEST(Crc32Test, CheckValue) {
+  EXPECT_EQ(Crc32("123456789"), 0xcbf43926u);
+  EXPECT_EQ(Crc32(std::string()), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  const std::string buffer = RandomBytes(8 + 256, 13);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 256; ++len) {
+      const char* p = buffer.data() + offset;
+      ASSERT_EQ(Crc32(p, len), ReferenceCrc32Extend(0, p, len))
+          << "offset " << offset << " length " << len;
+      ASSERT_EQ(Crc32Extend(0x9e3779b9u, p, len),
+                ReferenceCrc32Extend(0x9e3779b9u, p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  // Every byte value, high bit set or not, in every position of a word.
+  std::string all(256, '\0');
+  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<char>(i);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    EXPECT_EQ(Crc32(all.data() + offset, all.size() - offset),
+              ReferenceCrc32Extend(0, all.data() + offset, all.size() - offset));
+  }
+}
+
+TEST(Crc32Test, ChainingAtEverySplitPointEqualsOneCall) {
+  const std::string data = RandomBytes(256, 29);
+  const uint32_t whole = Crc32(data);
+  ASSERT_EQ(whole, ReferenceCrc32Extend(0, data.data(), data.size()));
+  for (size_t split = 0; split <= data.size(); ++split) {
+    EXPECT_EQ(Crc32Extend(Crc32(data.data(), split), data.data() + split,
+                          data.size() - split),
+              whole)
+        << "split at " << split;
   }
 }
 

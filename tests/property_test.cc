@@ -161,6 +161,7 @@ INSTANTIATE_TEST_SUITE_P(ShapeGrid, SeasonalityTest,
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 
 #include "telemetry/store.h"
@@ -266,6 +267,146 @@ TEST_P(TelemetryCsvPropertyTest, TruncationAtAnyOffsetNeverFabricates) {
 }
 
 INSTANTIATE_TEST_SUITE_P(SeedGrid, TelemetryCsvPropertyTest,
+                         ::testing::Values(1u, 7u, 1234u));
+
+// ---------------------------------------------------------------------------
+// The binary checkpoint codec (SerializeState/RestoreState): the same round
+// trip, plus the values CSV cannot carry, the hour index rebuilt on restore,
+// and every malformed blob refused whole.
+
+double FromBits(uint64_t bits) {
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+class TelemetryStatePropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TelemetryStatePropertyTest, RandomStoreRoundTripsBitExactly) {
+  TelemetryStore store = RandomStore(GetParam(), 64);
+  const std::string blob = store.SerializeState();
+  EXPECT_EQ(blob.size(),
+            sizeof(uint64_t) + store.size() * kMachineHourRecordBytes);
+  TelemetryStore restored;
+  ASSERT_TRUE(restored.RestoreState(blob).ok());
+  ASSERT_EQ(restored.size(), store.size());
+  for (size_t i = 0; i < store.size(); ++i) {
+    ExpectBitIdentical(store.records()[i], restored.records()[i], i);
+  }
+  EXPECT_EQ(restored.SerializeState(), blob);
+}
+
+TEST(TelemetryStateCodecTest, SpecialValuesRoundTripBitExactly) {
+  const std::vector<double> specials = {
+      FromBits(0x7ff8000000000001ULL),  // Quiet NaN with a payload.
+      FromBits(0xfff80000deadbeefULL),  // Sign bit set, payload.
+      FromBits(0xfff8000000000000ULL),  // Negative default NaN.
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      FromBits(0x000fffffffffffffULL),  // Largest subnormal.
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      0.0,
+      -0.0,
+  };
+  const std::vector<int> ints = {std::numeric_limits<int>::min(),
+                                 std::numeric_limits<int>::max(), -1, 0};
+  TelemetryStore store;
+  for (size_t i = 0; i < specials.size() * ints.size(); ++i) {
+    MachineHourRecord r;
+    r.machine_id = ints[i % ints.size()];
+    r.hour = ints[(i + 1) % ints.size()];
+    r.rack = ints[(i + 2) % ints.size()];
+    r.sku = ints[(i + 3) % ints.size()];
+    r.sc = ints[i / specials.size() % ints.size()];
+    size_t field = 0;
+    for (double* v : DoubleFields(&r)) *v = specials[(i + field++) % specials.size()];
+    store.Append(r);
+  }
+  TelemetryStore restored;
+  ASSERT_TRUE(restored.RestoreState(store.SerializeState()).ok());
+  ASSERT_EQ(restored.size(), store.size());
+  for (size_t i = 0; i < store.size(); ++i) {
+    ExpectBitIdentical(store.records()[i], restored.records()[i], i);
+  }
+}
+
+TEST_P(TelemetryStatePropertyTest, RestoredHourIndexMatchesFullScan) {
+  // Hours rise with the append order, and one record in four arrives late,
+  // so the hour index skips real prefixes and late arrivals sit behind them.
+  std::mt19937_64 rng(GetParam());
+  std::uniform_int_distribution<int> lateness(1, 40);
+  TelemetryStore store;
+  std::vector<MachineHourRecord> source = RandomStore(GetParam(), 900).records();
+  for (size_t i = 0; i < source.size(); ++i) {
+    source[i].hour = static_cast<sim::HourIndex>(i / 4);
+    if (rng() % 4 == 0) source[i].hour -= lateness(rng);
+    store.Append(source[i]);
+  }
+  // The target held as many records at hours before every window: an index
+  // left over from them would skip the restored records' real prefixes.
+  TelemetryStore restored;
+  for (MachineHourRecord r : source) {
+    r.hour = -1000000;
+    restored.Append(r);
+  }
+  ASSERT_TRUE(restored.RestoreState(store.SerializeState()).ok());
+  ASSERT_EQ(restored.size(), store.size());
+
+  std::uniform_int_distribution<int> hour(-60, 260);
+  for (int w = 0; w < 300; ++w) {
+    const sim::HourIndex begin = hour(rng);
+    const sim::HourIndex end = hour(rng);  // Inverted windows included.
+    std::vector<MachineHourRecord> expected;
+    for (const MachineHourRecord& r : store.records()) {
+      if (r.hour >= begin && r.hour < end) expected.push_back(r);
+    }
+    const std::vector<MachineHourRecord> got =
+        restored.Query(HourRangeFilter(begin, end));
+    ASSERT_EQ(got.size(), expected.size()) << "[" << begin << ", " << end << ")";
+    for (size_t i = 0; i < got.size(); ++i) {
+      ExpectBitIdentical(expected[i], got[i], i);
+    }
+  }
+}
+
+TEST_P(TelemetryStatePropertyTest, TruncatedOrPaddedBlobIsRefusedWhole) {
+  TelemetryStore store = RandomStore(GetParam() ^ 0x9e3779b9, 12);
+  const std::string blob = store.SerializeState();
+  TelemetryStore target = RandomStore(GetParam() + 1, 5);
+  const std::string before = target.SerializeState();
+  for (size_t cut = 0; cut < blob.size(); ++cut) {
+    EXPECT_EQ(target.RestoreState(blob.substr(0, cut)).code(),
+              StatusCode::kInvalidArgument)
+        << "cut at byte " << cut;
+  }
+  EXPECT_EQ(target.RestoreState(blob + '\0').code(),
+            StatusCode::kInvalidArgument);
+  // A refused blob leaves the store as it was.
+  EXPECT_EQ(target.SerializeState(), before);
+}
+
+TEST(TelemetryStateCodecTest, CountBeyondTheBlobIsRefusedBeforeReserving) {
+  TelemetryStore store = RandomStore(3, 4);
+  const std::string records = store.SerializeState().substr(sizeof(uint64_t));
+  // A store that reserved `count` records first would throw or abort on the
+  // larger counts instead of returning.
+  for (uint64_t count : {uint64_t{5}, uint64_t{1} << 40,
+                         std::numeric_limits<uint64_t>::max()}) {
+    StateWriter w;
+    w.PutU64(count);
+    TelemetryStore target;
+    EXPECT_EQ(target.RestoreState(w.Release() + records).code(),
+              StatusCode::kInvalidArgument)
+        << "count " << count;
+    EXPECT_TRUE(target.empty());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedGrid, TelemetryStatePropertyTest,
                          ::testing::Values(1u, 7u, 1234u));
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -17,6 +18,7 @@
 #include "common/io.h"
 #include "common/snapshot.h"
 #include "common/storage_fault.h"
+#include "telemetry/store.h"
 
 namespace kea::apps {
 namespace {
@@ -579,6 +581,61 @@ TEST_F(StorageRecoveryTest, CorruptLedgerHeadRefusesToFabricate) {
       << resumed.status();
   // The corrupt bytes were preserved for post-mortems, not destroyed.
   EXPECT_FALSE(RawRead(ledger_path + ".quarantine").empty());
+}
+
+/// Every file under `dir` with its bytes.
+std::map<std::string, std::string> DirectoryBytes(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files[entry.path().filename().string()] = RawRead(entry.path().string());
+  }
+  return files;
+}
+
+// A checkpoint that holds telemetry as a CSV "telemetry" section, as
+// checkpoints did before the binary "records" section, is refused by name:
+// no session comes back and nothing on disk changes.
+TEST_F(StorageRecoveryTest, CsvTelemetryCheckpointIsRefusedByName) {
+  const std::string dir = FreshDir("storage_csv_checkpoint");
+  const std::string checkpoint = dir + "/checkpoint.kea";
+  {
+    auto session = MakeDurableSession(dir);
+    auto round = session->RunGuardedTuningRound(RoundOptions());
+    ASSERT_TRUE(round.ok()) << round.status();
+  }
+  // Rewrite the live checkpoint and every generation in the old layout: the
+  // same sections in the same order, with each one's store as CSV.
+  std::vector<std::string> candidates = {checkpoint};
+  for (uint64_t gen : SnapshotGenerations::List(checkpoint)) {
+    candidates.push_back(SnapshotGenerations::GenerationPath(checkpoint, gen));
+  }
+  ASSERT_GT(candidates.size(), 1u);
+  for (const std::string& path : candidates) {
+    auto reader = SnapshotReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    SnapshotWriter writer;
+    for (const auto& [name, content] : reader->sections()) {
+      if (name != "records") {
+        writer.AddSection(name, content);
+        continue;
+      }
+      telemetry::TelemetryStore store;
+      ASSERT_TRUE(store.RestoreState(content).ok());
+      writer.AddSection("telemetry", store.ToCsv());
+    }
+    ASSERT_TRUE(writer.WriteFile(path).ok());
+  }
+  const std::map<std::string, std::string> before = DirectoryBytes(dir);
+  ASSERT_TRUE(before.count("ledger.kea"));
+
+  auto resumed = KeaSession::Resume(dir);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(resumed.status().message().find("no 'records' section"),
+            std::string::npos)
+      << resumed.status();
+  EXPECT_TRUE(DirectoryBytes(dir) == before)
+      << "Resume changed, added or removed a file";
 }
 
 // Profile-mode chaos: whole rounds under Moderate() background rot. Either
