@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/crash_point.h"
 #include "common/io.h"
 #include "common/journal.h"
 #include "common/snapshot.h"
@@ -22,9 +21,7 @@ constexpr char kLedgerFile[] = "/ledger.kea";
 constexpr char kCheckpointFile[] = "/checkpoint.kea";
 
 // Deterministic session-level counters: logical calls and simulated hours, not
-// wall clock. The durable.step_* counters classify each resumed-round step the
-// same way the journaled rollout does, so a resumed run's step mix is visible
-// in one place.
+// wall clock.
 obs::Counter* SimulateCallsCounter() {
   static obs::Counter* c =
       obs::Registry::Get().GetCounter("session.simulate_calls");
@@ -37,21 +34,6 @@ obs::Counter* SimulateHoursCounter() {
 }
 obs::Counter* RoundsCounter() {
   static obs::Counter* c = obs::Registry::Get().GetCounter("session.rounds");
-  return c;
-}
-obs::Counter* StepReplayedCounter() {
-  static obs::Counter* c =
-      obs::Registry::Get().GetCounter("durable.step_replayed");
-  return c;
-}
-obs::Counter* StepRedrivenCounter() {
-  static obs::Counter* c =
-      obs::Registry::Get().GetCounter("durable.step_redriven");
-  return c;
-}
-obs::Counter* StepFreshCounter() {
-  static obs::Counter* c =
-      obs::Registry::Get().GetCounter("durable.step_fresh");
   return c;
 }
 // Self-healing durability plane. The mode gauge mirrors DurabilityMode
@@ -399,8 +381,8 @@ Status DecodeRoundStart(const std::string& blob, sim::HourIndex* start_hour,
   return DecodePlan(&r, plan);
 }
 
-/// The plan-sanity screen shared by the plain and durable guarded rounds: a
-/// corrupted model never reaches the fleet.
+/// The plan-sanity screen of every guarded round: a corrupted model never
+/// reaches the fleet.
 Status CheckPlanSane(const YarnConfigTuner::Plan& plan) {
   bool sane = std::isfinite(plan.predicted_capacity_gain) &&
               std::isfinite(plan.predicted_latency_before_s) &&
@@ -1023,79 +1005,17 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunGuardedTuningRound(
   if (durability_mode_ == DurabilityMode::kDegraded) {
     return DegradedRefusal(degraded_reason_);
   }
-  // The breaker gates both the plain and the durable paths: while open, the
-  // session holds the last known-good config and only drives the refit cycle.
-  if (model_health_ != nullptr && model_health_->in_safe_mode()) {
-    StatusOr<GuardedRound> round = RunSafeModeRound(options);
-    if (!round.ok() && IsStorageFailure(round.status())) {
-      EnterDegradedMode(round.status());
-    }
-    return round;
+  // While the model breaker is open the session holds the last known-good
+  // config and only drives the refit cycle.
+  StatusOr<GuardedRound> round =
+      model_health_ != nullptr && model_health_->in_safe_mode()
+          ? RunSafeModeRound(options)
+          : RunTunedRound(options);
+  if (!round.ok() && IsStorageFailure(round.status())) {
+    // Journaled steps that already ran are on disk (or re-drivable);
+    // degrade so nothing further reaches the fleet until the plane heals.
+    EnterDegradedMode(round.status());
   }
-  if (ledger_ != nullptr) {
-    StatusOr<GuardedRound> round = RunGuardedTuningRoundDurable(options);
-    if (!round.ok() && IsStorageFailure(round.status())) {
-      // Journaled steps that already ran are on disk (or re-drivable);
-      // degrade so nothing further reaches the fleet until the plane heals.
-      EnterDegradedMode(round.status());
-    }
-    return round;
-  }
-  if (options.lookback_hours <= 0) {
-    return Status::InvalidArgument("lookback_hours must be positive");
-  }
-  if (now_ == 0) {
-    return Status::FailedPrecondition("simulate telemetry before tuning");
-  }
-  KEA_TRACE_SPAN("session.round", {{"kind", "guarded"},
-                                   {"lookback_hours",
-                                    std::to_string(options.lookback_hours)}});
-  RoundsCounter()->Increment();
-  const size_t alarms_before = TotalDriftAlarms();
-  sim::HourIndex begin = std::max(0, now_ - options.lookback_hours);
-
-  KEA_ASSIGN_OR_RETURN(
-      core::WhatIfEngine engine,
-      core::WhatIfEngine::Fit(store_, telemetry::HourRangeFilter(begin, now_),
-                              options.tuner.whatif));
-  YarnConfigTuner tuner(options.tuner);
-  GuardedRound round;
-  KEA_ASSIGN_OR_RETURN(round.plan, tuner.ProposeFromEngine(engine, cluster_));
-  round.fit_begin = begin;
-  round.fit_end = now_;
-
-  // A corrupted model never reaches the fleet: any non-finite prediction or
-  // recommendation aborts before the first canary machine is touched.
-  KEA_RETURN_IF_ERROR(CheckPlanSane(round.plan));
-
-  // During probation (RE-ARMED) the guardrails are tightened — the freshly
-  // refitted model gets less headroom. EffectiveGuardrails is the identity
-  // while HEALTHY, so the tuned path stays bit-identical without trips.
-  core::GuardrailedRollout::Options rollout_options = options.rollout;
-  if (model_health_ != nullptr) {
-    rollout_options.guardrails =
-        model_health_->EffectiveGuardrails(rollout_options.guardrails);
-  }
-  core::GuardrailedRollout rollout(rollout_options);
-  sim::HourIndex deploy_hour = now_;
-  KEA_ASSIGN_OR_RETURN(
-      round.rollout,
-      rollout.Execute(round.plan.recommendations, &cluster_, &store_, now_,
-                      [this](int hours) { return Simulate(hours); }));
-
-  has_round_ = true;
-  last_engine_ = std::make_unique<core::WhatIfEngine>(std::move(engine));
-  last_fit_begin_ = begin;
-  last_fit_end_ = round.fit_end;
-  last_deploy_hour_ = deploy_hour;
-  last_whatif_options_ = options.tuner.whatif;
-  ++model_epoch_;
-  // kNoChange rollouts never touch a machine; anything else changed the
-  // fleet's applied configuration at least transiently.
-  if (round.rollout.outcome != core::GuardrailedRollout::Outcome::kNoChange) {
-    ++deploy_epoch_;
-  }
-  FinishRoundHealth(alarms_before, &round);
   return round;
 }
 
@@ -1190,39 +1110,43 @@ void KeaSession::FinishRoundHealth(size_t alarms_before, GuardedRound* round) {
   round->drift_alarms = TotalDriftAlarms() - alarms_before;
 }
 
-StatusOr<KeaSession::GuardedRound> KeaSession::RunGuardedTuningRoundDurable(
+core::JournalContext KeaSession::JournalContextFor(int64_t run_number) {
+  core::JournalContext context;
+  context.ledger = ledger_.get();
+  context.durable_seq = durable_seq_;
+  context.round = static_cast<int>(run_number);
+  context.checkpoint = [this](uint64_t covered_seq) {
+    return WriteCheckpoint(covered_seq);
+  };
+  return context;
+}
+
+StatusOr<KeaSession::GuardedRound> KeaSession::RunTunedRound(
     const GuardedRoundOptions& options) {
+  using EventType = core::DeploymentLedger::EventType;
   const int64_t round_number = round_count_;
   const std::string round_key = "round/" + std::to_string(round_number);
-  KEA_TRACE_SPAN("session.round", {{"kind", "durable"},
-                                   {"round", std::to_string(round_number)}});
+  core::JournalContext context = JournalContextFor(round_number);
+  core::JournalContext* journal = ledger_ != nullptr ? &context : nullptr;
+  KEA_TRACE_SPAN("session.round",
+                 {{"kind", journal != nullptr ? "durable" : "guarded"},
+                  {"round", std::to_string(round_number)},
+                  {"lookback_hours", std::to_string(options.lookback_hours)}});
   RoundsCounter()->Increment();
   const size_t alarms_before = TotalDriftAlarms();
   GuardedRound round;
   sim::HourIndex start_hour = 0;
   std::unique_ptr<core::WhatIfEngine> fresh_engine;
 
-  // --- ROUND_STARTED: journal the fit window and the full plan before any
+  // --- ROUND_STARTED: the fit window and the full plan, journaled before any
   // machine is touched. On resume the journaled plan is the authority — the
   // clock has advanced into the rollout, so a refit would see a different
   // window and could propose a different plan.
-  {
-    const core::DeploymentLedger::Event* event =
-        ledger_->Find(round_key + "/started");
-    std::string payload;
-    if (event != nullptr && event->seq < durable_seq_) {
-      StepReplayedCounter()->Increment();
-      payload = event->payload;  // Replay: checkpoint already covers it.
-    } else {
-      KEA_RETURN_IF_ERROR(CrashPoints::Check("session.round_started.pre"));
-      uint64_t seq = 0;
-      if (event != nullptr) {
-        // Journaled but not yet checkpointed: re-drive from the record.
-        StepRedrivenCounter()->Increment();
-        payload = event->payload;
-        seq = event->seq;
-      } else {
-        StepFreshCounter()->Increment();
+  std::string payload;
+  KEA_RETURN_IF_ERROR(core::JournaledStep(
+      journal, EventType::kRoundStarted, round_key + "/started",
+      "session.round_started",
+      [&]() -> StatusOr<std::string> {
         if (options.lookback_hours <= 0) {
           return Status::InvalidArgument("lookback_hours must be positive");
         }
@@ -1232,102 +1156,70 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunGuardedTuningRoundDurable(
         sim::HourIndex begin = std::max(0, now_ - options.lookback_hours);
         KEA_ASSIGN_OR_RETURN(
             core::WhatIfEngine engine,
-            core::WhatIfEngine::Fit(
-                store_, telemetry::HourRangeFilter(begin, now_),
-                options.tuner.whatif));
-        YarnConfigTuner tuner(options.tuner);
+            core::WhatIfEngine::Fit(store_,
+                                    telemetry::HourRangeFilter(begin, now_),
+                                    options.tuner.whatif));
         YarnConfigTuner::Plan plan;
-        KEA_ASSIGN_OR_RETURN(plan, tuner.ProposeFromEngine(engine, cluster_));
+        KEA_ASSIGN_OR_RETURN(
+            plan, YarnConfigTuner(options.tuner).ProposeFromEngine(engine, cluster_));
+        // A corrupted model never reaches the fleet: any non-finite
+        // prediction or recommendation aborts before the first canary
+        // machine is touched.
         KEA_RETURN_IF_ERROR(CheckPlanSane(plan));
         fresh_engine = std::make_unique<core::WhatIfEngine>(std::move(engine));
-        payload = EncodeRoundStart(now_, begin, now_, plan);
-        const core::DeploymentLedger::Event* appended = nullptr;
-        KEA_ASSIGN_OR_RETURN(
-            appended,
-            ledger_->Append(core::DeploymentLedger::EventType::kRoundStarted,
-                            round_key + "/started", payload));
-        seq = appended->seq;
-      }
-      KEA_RETURN_IF_ERROR(
-          CrashPoints::Check("session.round_started.post_record"));
-      KEA_RETURN_IF_ERROR(WriteCheckpoint(seq + 1));
-    }
-    KEA_RETURN_IF_ERROR(DecodeRoundStart(payload, &start_hour,
-                                         &round.fit_begin, &round.fit_end,
-                                         &round.plan));
-  }
+        return EncodeRoundStart(now_, begin, now_, plan);
+      },
+      nullptr, &payload));
+  KEA_RETURN_IF_ERROR(DecodeRoundStart(payload, &start_hour, &round.fit_begin,
+                                       &round.fit_end, &round.plan));
 
-  // --- Waves: the rollout drives itself through the ledger, checkpointing
-  // after every journaled step. Simulate() must not checkpoint concurrently —
-  // a mid-observation checkpoint would claim coverage of a step whose verdict
-  // is not yet journaled.
+  // --- Waves: the rollout runs each step through the same journal context,
+  // checkpointing after every one. Simulate() must not checkpoint meanwhile
+  // — a mid-observation checkpoint would claim coverage of a step whose
+  // verdict is not yet journaled. During probation (RE-ARMED) the guardrails
+  // are tightened — the freshly refitted model gets less headroom;
+  // EffectiveGuardrails is the identity while HEALTHY.
   core::GuardrailedRollout::Options rollout_options = options.rollout;
   if (model_health_ != nullptr) {
     rollout_options.guardrails =
         model_health_->EffectiveGuardrails(rollout_options.guardrails);
   }
-  core::GuardrailedRollout rollout(rollout_options);
-  core::GuardrailedRollout::JournalContext context;
-  context.ledger = ledger_.get();
-  context.durable_seq = durable_seq_;
-  context.round = static_cast<int>(round_number);
-  context.checkpoint = [this](uint64_t covered_seq) {
-    return WriteCheckpoint(covered_seq);
-  };
   in_journaled_round_ = true;
-  StatusOr<core::GuardrailedRollout::Report> executed = rollout.ExecuteJournaled(
-      round.plan.recommendations, &cluster_, &store_, start_hour,
-      [this](int hours) { return Simulate(hours); }, &context);
+  StatusOr<core::GuardrailedRollout::Report> executed =
+      core::GuardrailedRollout(rollout_options)
+          .Execute(round.plan.recommendations, &cluster_, &store_, start_hour,
+                   [this](int hours) { return Simulate(hours); }, journal);
   in_journaled_round_ = false;
   if (!executed.ok()) return executed.status();
   round.rollout = std::move(executed).value();
 
   // --- ROUND_FINISHED: seal the outcome so the next round gets a new key.
-  {
-    const core::DeploymentLedger::Event* event =
-        ledger_->Find(round_key + "/finished");
-    if (event == nullptr || event->seq >= durable_seq_) {
-      KEA_RETURN_IF_ERROR(CrashPoints::Check("session.round_finished.pre"));
-      uint64_t seq = 0;
-      if (event != nullptr) {
-        StepRedrivenCounter()->Increment();
-        seq = event->seq;
-      } else {
-        StepFreshCounter()->Increment();
+  // The effect is the round's bookkeeping, so the checkpoint covering the
+  // step holds the completed round; only journaled rounds are counted.
+  KEA_RETURN_IF_ERROR(core::JournaledStep(
+      journal, EventType::kRoundFinished, round_key + "/finished",
+      "session.round_finished",
+      [&] {
         StateWriter outcome;
         outcome.PutInt(static_cast<int>(round.rollout.outcome));
         outcome.PutInt(round.rollout.tripped_wave);
         outcome.PutU64(round.rollout.machines_restored);
-        const core::DeploymentLedger::Event* appended = nullptr;
-        KEA_ASSIGN_OR_RETURN(
-            appended,
-            ledger_->Append(core::DeploymentLedger::EventType::kRoundFinished,
-                            round_key + "/finished", outcome.Release()));
-        seq = appended->seq;
-      }
-      KEA_RETURN_IF_ERROR(
-          CrashPoints::Check("session.round_finished.post_record"));
-      // Bookkeeping before the checkpoint so the round's completion is part
-      // of the durable state the checkpoint claims to cover.
-      round_count_ = round_number + 1;
-      has_round_ = true;
-      last_fit_begin_ = round.fit_begin;
-      last_fit_end_ = round.fit_end;
-      last_deploy_hour_ = start_hour;
-      last_whatif_options_ = options.tuner.whatif;
-      KEA_RETURN_IF_ERROR(WriteCheckpoint(seq + 1));
-    } else {
-      StepReplayedCounter()->Increment();
-      round_count_ = round_number + 1;
-      has_round_ = true;
-      last_fit_begin_ = round.fit_begin;
-      last_fit_end_ = round.fit_end;
-      last_deploy_hour_ = start_hour;
-      last_whatif_options_ = options.tuner.whatif;
-    }
-  }
+        return outcome.Release();
+      },
+      [&](const std::string&) {
+        if (journal != nullptr) round_count_ = round_number + 1;
+        has_round_ = true;
+        last_fit_begin_ = round.fit_begin;
+        last_fit_end_ = round.fit_end;
+        last_deploy_hour_ = start_hour;
+        last_whatif_options_ = options.tuner.whatif;
+        return Status::OK();
+      },
+      &payload));
 
   ++model_epoch_;
+  // kNoChange rollouts never touch a machine; anything else changed the
+  // fleet's applied configuration at least transiently.
   if (round.rollout.outcome != core::GuardrailedRollout::Outcome::kNoChange) {
     ++deploy_epoch_;
   }
@@ -1346,7 +1238,7 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunGuardedTuningRoundDurable(
     last_engine_ = std::make_unique<core::WhatIfEngine>(std::move(engine));
   }
   FinishRoundHealth(alarms_before, &round);
-  if (self_healing_enabled_) {
+  if (journal != nullptr && self_healing_enabled_) {
     // Persist the post-round breaker/residual state; without this a crash
     // here would resume with a pre-round ModelHealth.
     KEA_RETURN_IF_ERROR(WriteCheckpoint(ledger_->next_seq()));
@@ -1382,124 +1274,75 @@ StatusOr<core::ExperimentFabric::Report> KeaSession::RunExperimentFabric(
   if (durability_mode_ == DurabilityMode::kDegraded) {
     return DegradedRefusal(degraded_reason_);
   }
-  if (ledger_ != nullptr) {
-    StatusOr<core::ExperimentFabric::Report> report =
-        RunExperimentFabricDurable(requests, options);
-    if (!report.ok() && IsStorageFailure(report.status())) {
-      EnterDegradedMode(report.status());
-    }
-    return report;
-  }
-  KEA_TRACE_SPAN("session.fabric", {{"kind", "plain"},
-                                    {"requests",
-                                     std::to_string(requests.size())}});
-  FabricRunsCounter()->Increment();
-  core::ExperimentFabric::Options fabric_options = options.fabric;
-  WireDownHours(fleet_faults_.get(), &fabric_options);
-  core::ExperimentFabric fabric(fabric_options);
-  StatusOr<core::ExperimentFabric::Report> report = fabric.Run(
-      requests, &cluster_, &store_, now_,
-      [this](int hours) { return Simulate(hours); }, nullptr);
-  if (report.ok() && report.value().admitted > 0) {
-    // Flights patched and restored machine config; anything cached against
-    // the previous deploy epoch saw a fleet that no longer exists.
-    ++deploy_epoch_;
+  StatusOr<core::ExperimentFabric::Report> report = RunFlights(requests, options);
+  if (!report.ok() && IsStorageFailure(report.status())) {
+    EnterDegradedMode(report.status());
   }
   return report;
 }
 
-StatusOr<core::ExperimentFabric::Report> KeaSession::RunExperimentFabricDurable(
+StatusOr<core::ExperimentFabric::Report> KeaSession::RunFlights(
     const std::vector<core::FlightRequest>& requests,
     const FabricRoundOptions& options) {
+  using EventType = core::DeploymentLedger::EventType;
   const int64_t fabric_number = fabric_count_;
   const std::string fabric_key = "fab/" + std::to_string(fabric_number);
-  KEA_TRACE_SPAN("session.fabric", {{"kind", "durable"},
-                                    {"fabric", std::to_string(fabric_number)}});
+  core::JournalContext context = JournalContextFor(fabric_number);
+  core::JournalContext* journal = ledger_ != nullptr ? &context : nullptr;
+  KEA_TRACE_SPAN("session.fabric",
+                 {{"kind", journal != nullptr ? "durable" : "plain"},
+                  {"fabric", std::to_string(fabric_number)},
+                  {"requests", std::to_string(requests.size())}});
   FabricRunsCounter()->Increment();
-  sim::HourIndex start_hour = 0;
 
   // --- FABRIC_STARTED: seal the start hour and queue size before any flight
   // is touched. On resume the journaled start hour is the authority — the
   // clock has advanced into the run.
-  {
-    const core::DeploymentLedger::Event* event =
-        ledger_->Find(fabric_key + "/started");
-    std::string payload;
-    if (event != nullptr && event->seq < durable_seq_) {
-      StepReplayedCounter()->Increment();
-      payload = event->payload;
-    } else {
-      KEA_RETURN_IF_ERROR(CrashPoints::Check("session.fabric_started.pre"));
-      uint64_t seq = 0;
-      if (event != nullptr) {
-        StepRedrivenCounter()->Increment();
-        payload = event->payload;
-        seq = event->seq;
-      } else {
-        StepFreshCounter()->Increment();
+  std::string payload;
+  KEA_RETURN_IF_ERROR(core::JournaledStep(
+      journal, EventType::kFabricStarted, fabric_key + "/started",
+      "session.fabric_started",
+      [&] {
         StateWriter w;
         w.PutI64(now_);
         w.PutU64(requests.size());
-        payload = w.Release();
-        const core::DeploymentLedger::Event* appended = nullptr;
-        KEA_ASSIGN_OR_RETURN(
-            appended,
-            ledger_->Append(core::DeploymentLedger::EventType::kFabricStarted,
-                            fabric_key + "/started", payload));
-        seq = appended->seq;
-      }
-      KEA_RETURN_IF_ERROR(
-          CrashPoints::Check("session.fabric_started.post_record"));
-      KEA_RETURN_IF_ERROR(WriteCheckpoint(seq + 1));
-    }
-    StateReader r(payload);
-    int64_t start = 0;
-    uint64_t queue_size = 0;
-    KEA_RETURN_IF_ERROR(r.GetI64(&start));
-    KEA_RETURN_IF_ERROR(r.GetU64(&queue_size));
-    if (queue_size != requests.size()) {
-      return Status::FailedPrecondition(
-          "resumed fabric run " + std::to_string(fabric_number) + " had " +
-          std::to_string(queue_size) + " requests, got " +
-          std::to_string(requests.size()) +
-          " — resume must pass the same queue");
-    }
-    start_hour = static_cast<sim::HourIndex>(start);
+        return w.Release();
+      },
+      nullptr, &payload));
+  StateReader r(payload);
+  int64_t start_hour = 0;
+  uint64_t queue_size = 0;
+  KEA_RETURN_IF_ERROR(r.GetI64(&start_hour));
+  KEA_RETURN_IF_ERROR(r.GetU64(&queue_size));
+  if (queue_size != requests.size()) {
+    return Status::FailedPrecondition(
+        "resumed fabric run " + std::to_string(fabric_number) + " had " +
+        std::to_string(queue_size) + " requests, got " +
+        std::to_string(requests.size()) + " — resume must pass the same queue");
   }
 
-  // --- Flights: the fabric drives itself through the ledger under
-  // "fab<n>/..." keys, checkpointing after every journaled step. Simulate()
-  // must not checkpoint concurrently (same contract as guarded rounds).
+  // --- Flights: the fabric runs each step through the same journal context
+  // under "fab<n>/..." keys, checkpointing after every one. Simulate() must
+  // not checkpoint meanwhile (same contract as guarded rounds).
   core::ExperimentFabric::Options fabric_options = options.fabric;
   WireDownHours(fleet_faults_.get(), &fabric_options);
-  core::ExperimentFabric fabric(fabric_options);
-  core::ExperimentFabric::JournalContext context;
-  context.ledger = ledger_.get();
-  context.durable_seq = durable_seq_;
-  context.round = static_cast<int>(fabric_number);
-  context.checkpoint = [this](uint64_t covered_seq) {
-    return WriteCheckpoint(covered_seq);
-  };
   in_journaled_round_ = true;
-  StatusOr<core::ExperimentFabric::Report> executed = fabric.Run(
-      requests, &cluster_, &store_, start_hour,
-      [this](int hours) { return Simulate(hours); }, &context);
+  StatusOr<core::ExperimentFabric::Report> executed =
+      core::ExperimentFabric(fabric_options)
+          .Run(requests, &cluster_, &store_,
+               static_cast<sim::HourIndex>(start_hour),
+               [this](int hours) { return Simulate(hours); }, journal);
   in_journaled_round_ = false;
   if (!executed.ok()) return executed.status();
   core::ExperimentFabric::Report report = std::move(executed).value();
 
-  // --- FABRIC_FINISHED: seal the outcome so the next run gets new keys.
-  {
-    const core::DeploymentLedger::Event* event =
-        ledger_->Find(fabric_key + "/finished");
-    if (event == nullptr || event->seq >= durable_seq_) {
-      KEA_RETURN_IF_ERROR(CrashPoints::Check("session.fabric_finished.pre"));
-      uint64_t seq = 0;
-      if (event != nullptr) {
-        StepRedrivenCounter()->Increment();
-        seq = event->seq;
-      } else {
-        StepFreshCounter()->Increment();
+  // --- FABRIC_FINISHED: seal the outcome so the next run gets new keys. The
+  // effect counts the run before the checkpoint, so its completion is part
+  // of the durable state the checkpoint claims to cover.
+  KEA_RETURN_IF_ERROR(core::JournaledStep(
+      journal, EventType::kFabricFinished, fabric_key + "/finished",
+      "session.fabric_finished",
+      [&] {
         StateWriter outcome;
         outcome.PutU64(report.admitted);
         outcome.PutU64(report.rejected);
@@ -1507,24 +1350,15 @@ StatusOr<core::ExperimentFabric::Report> KeaSession::RunExperimentFabricDurable(
         outcome.PutU64(report.max_concurrent);
         outcome.PutU64(report.peak_flighted_machines);
         outcome.PutI64(report.end_hour);
-        const core::DeploymentLedger::Event* appended = nullptr;
-        KEA_ASSIGN_OR_RETURN(
-            appended,
-            ledger_->Append(core::DeploymentLedger::EventType::kFabricFinished,
-                            fabric_key + "/finished", outcome.Release()));
-        seq = appended->seq;
-      }
-      KEA_RETURN_IF_ERROR(
-          CrashPoints::Check("session.fabric_finished.post_record"));
-      // Bookkeeping before the checkpoint so the run's completion is part of
-      // the durable state the checkpoint claims to cover.
-      fabric_count_ = fabric_number + 1;
-      KEA_RETURN_IF_ERROR(WriteCheckpoint(seq + 1));
-    } else {
-      StepReplayedCounter()->Increment();
-      fabric_count_ = fabric_number + 1;
-    }
-  }
+        return outcome.Release();
+      },
+      [&](const std::string&) {
+        if (journal != nullptr) fabric_count_ = fabric_number + 1;
+        return Status::OK();
+      },
+      &payload));
+  // Flights patched and restored machine config; anything cached against the
+  // previous deploy epoch saw a fleet that no longer exists.
   if (report.admitted > 0) ++deploy_epoch_;
   return report;
 }

@@ -267,6 +267,14 @@ class KeaSession {
   /// regression). Refuses to deploy a plan containing non-finite predictions
   /// — a corrupted model never reaches the fleet. Guardrail trips are
   /// reported in GuardedRound::rollout.outcome, not as an error status.
+  ///
+  /// A durable and a plain session run the same steps; durability only adds
+  /// the journal. With durability on, the plan (ROUND_STARTED), every wave
+  /// transition and the outcome (ROUND_FINISHED) are journaled under
+  /// "round/<n>" and "r<n>/..." keys, and after a crash the next call on the
+  /// resumed session completes the round bit-identically. While the
+  /// ModelHealth breaker is open the round runs in safe mode (no fit, no
+  /// deployment); in degraded-durability mode it is refused.
   StatusOr<GuardedRound> RunGuardedTuningRound(const GuardedRoundOptions& options);
 
   struct FabricRoundOptions {
@@ -316,16 +324,21 @@ class KeaSession {
   /// ledger_durable_seq and used on resume to split replay from re-drive).
   Status WriteCheckpoint(uint64_t covered_seq);
 
-  /// RunGuardedTuningRound body when durability is on: plan journaled at
-  /// ROUND_STARTED, waves driven through ExecuteJournaled, outcome sealed at
-  /// ROUND_FINISHED.
-  StatusOr<GuardedRound> RunGuardedTuningRoundDurable(
-      const GuardedRoundOptions& options);
+  /// The journal context of guarded round or fabric run `run_number`: the
+  /// ledger, the durable_seq of the restored checkpoint, and WriteCheckpoint
+  /// as the per-step hook. Only meaningful while a ledger exists.
+  core::JournalContext JournalContextFor(int64_t run_number);
 
-  /// RunExperimentFabric body when durability is on: queue sealed at
-  /// FABRIC_STARTED, flights driven through the fabric's journaled steps,
-  /// outcome sealed at FABRIC_FINISHED.
-  StatusOr<core::ExperimentFabric::Report> RunExperimentFabricDurable(
+  /// The one guarded-round body outside safe mode, durable or not: plan
+  /// sealed at ROUND_STARTED, waves run by GuardrailedRollout::Execute,
+  /// outcome sealed at ROUND_FINISHED. Each is a core::JournaledStep, with a
+  /// journal context only while a ledger exists.
+  StatusOr<GuardedRound> RunTunedRound(const GuardedRoundOptions& options);
+
+  /// The one fabric body, durable or not: queue sealed at FABRIC_STARTED,
+  /// flights run by ExperimentFabric::Run, outcome sealed at
+  /// FABRIC_FINISHED, each step journaled only while a ledger exists.
+  StatusOr<core::ExperimentFabric::Report> RunFlights(
       const std::vector<core::FlightRequest>& requests,
       const FabricRoundOptions& options);
 
@@ -389,8 +402,9 @@ class KeaSession {
   int64_t round_count_ = 0;
   /// Fabric runs completed (numbers the ledger's fabric keys).
   int64_t fabric_count_ = 0;
-  /// True while a journaled round drives Simulate() via its observation
-  /// windows — those checkpoints are per-step, not per-Simulate.
+  /// True while a guarded round or fabric run drives Simulate() through its
+  /// observation windows — a durable run checkpoints per step there, not per
+  /// Simulate.
   bool in_journaled_round_ = false;
   /// Construction-time knobs remembered so checkpoints are self-contained.
   Config config_;

@@ -1,9 +1,33 @@
 #include "core/deployment_ledger.h"
 
+#include "common/crash_point.h"
 #include "common/csv.h"
 #include "common/snapshot.h"
+#include "obs/metrics.h"
 
 namespace kea::core {
+namespace {
+
+// The durable.step_* trio classifies journaled steps on resume — REPLAY
+// (checkpoint already holds the effect), RE-DRIVE (journaled intent, effect
+// re-run), FRESH (new) — the audit trail that explains what a recovery
+// actually did. Deterministic: journaled steps run on one thread.
+obs::Counter* StepReplayedCounter() {
+  static obs::Counter* c =
+      obs::Registry::Get().GetCounter("durable.step_replayed");
+  return c;
+}
+obs::Counter* StepRedrivenCounter() {
+  static obs::Counter* c =
+      obs::Registry::Get().GetCounter("durable.step_redriven");
+  return c;
+}
+obs::Counter* StepFreshCounter() {
+  static obs::Counter* c = obs::Registry::Get().GetCounter("durable.step_fresh");
+  return c;
+}
+
+}  // namespace
 
 const char* DeploymentLedger::EventTypeToString(EventType type) {
   switch (type) {
@@ -163,6 +187,40 @@ std::string DeploymentLedger::AppliedChangesCsv() const {
     }
   }
   return writer.ToString();
+}
+
+Status JournaledStep(JournalContext* ctx, DeploymentLedger::EventType type,
+                     const std::string& key, const std::string& crash,
+                     const std::function<StatusOr<std::string>()>& make_payload,
+                     const std::function<Status(const std::string&)>& effect,
+                     std::string* payload) {
+  if (ctx == nullptr) {
+    KEA_ASSIGN_OR_RETURN(*payload, make_payload());
+    return effect ? effect(*payload) : Status::OK();
+  }
+  const DeploymentLedger::Event* ev = ctx->ledger->Find(key);
+  if (ev != nullptr && ev->seq < ctx->durable_seq) {
+    StepReplayedCounter()->Increment();
+    *payload = ev->payload;
+    return Status::OK();
+  }
+  KEA_RETURN_IF_ERROR(CrashPoints::Check(crash + ".pre"));
+  uint64_t seq = 0;
+  if (ev != nullptr) {
+    StepRedrivenCounter()->Increment();
+    *payload = ev->payload;
+    seq = ev->seq;
+  } else {
+    StepFreshCounter()->Increment();
+    KEA_ASSIGN_OR_RETURN(*payload, make_payload());
+    KEA_ASSIGN_OR_RETURN(const DeploymentLedger::Event* appended,
+                         ctx->ledger->Append(type, key, *payload));
+    seq = appended->seq;
+  }
+  KEA_RETURN_IF_ERROR(CrashPoints::Check(crash + ".post_record"));
+  if (effect) KEA_RETURN_IF_ERROR(effect(*payload));
+  if (ctx->checkpoint) KEA_RETURN_IF_ERROR(ctx->checkpoint(seq + 1));
+  return Status::OK();
 }
 
 }  // namespace kea::core

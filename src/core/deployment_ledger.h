@@ -2,6 +2,7 @@
 #define KEA_CORE_DEPLOYMENT_LEDGER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -100,6 +101,45 @@ class DeploymentLedger {
   std::vector<Event> events_;
   std::unordered_map<std::string, size_t> by_key_;
 };
+
+/// Durability context of one journaled run (a guarded round, its rollout, a
+/// fabric run). `durable_seq` is the ledger sequence the restored checkpoint
+/// covers: ledger events below it are replayed (bookkeeping only — their
+/// effects are already in the restored state), events at or above it are
+/// re-driven. `checkpoint(covered_seq)`, when set, persists the world after
+/// each journaled step; `covered_seq` is the number of ledger events whose
+/// effects the persisted state contains. `round` numbers the run's keys.
+struct JournalContext {
+  DeploymentLedger* ledger = nullptr;
+  uint64_t durable_seq = 0;
+  int round = 0;
+  std::function<Status(uint64_t covered_seq)> checkpoint;
+};
+
+/// The one journaled-step primitive: write-ahead append under an idempotency
+/// key, then the effect, then a checkpoint covering the step. On resume a
+/// step takes one of three paths:
+///   - seq <  durable_seq: REPLAY — the restored checkpoint already holds the
+///     effect; only the recorded payload is returned, for bookkeeping.
+///   - seq >= durable_seq: RE-DRIVE — recorded intent whose effect was lost;
+///     the effect runs again, from the recorded payload, on the restored
+///     (pre-effect) state.
+///   - absent: FRESH — `make_payload` builds the intent, it is appended, and
+///     the effect runs.
+/// Crash points `<crash>.pre` and `<crash>.post_record` bracket the append, so
+/// a sweep covers both "died before journaling" (the step re-runs whole) and
+/// "journaled but died before the effect was durable" (the step re-drives).
+/// The durable.step_{replayed,redriven,fresh} counters classify every step.
+///
+/// With a null `ctx` the step is not journaled: `make_payload` runs, then the
+/// effect, and nothing else — a plain run is the same path with no journal.
+/// `effect` may be null. A failing `make_payload` appends nothing. On success
+/// `*payload` holds the step's payload, recorded or fresh.
+Status JournaledStep(JournalContext* ctx, DeploymentLedger::EventType type,
+                     const std::string& key, const std::string& crash,
+                     const std::function<StatusOr<std::string>()>& make_payload,
+                     const std::function<Status(const std::string&)>& effect,
+                     std::string* payload);
 
 }  // namespace kea::core
 

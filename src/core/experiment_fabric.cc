@@ -6,7 +6,6 @@
 #include <set>
 #include <unordered_set>
 
-#include "common/crash_point.h"
 #include "common/snapshot.h"
 #include "common/thread_pool.h"
 #include "core/deployment_ledger.h"
@@ -44,97 +43,6 @@ obs::Counter* ConcludedCounter() {
       obs::Registry::Get().GetCounter("fabric.flights_concluded");
   return c;
 }
-obs::Counter* StepReplayedCounter() {
-  static obs::Counter* c =
-      obs::Registry::Get().GetCounter("durable.step_replayed");
-  return c;
-}
-obs::Counter* StepRedrivenCounter() {
-  static obs::Counter* c =
-      obs::Registry::Get().GetCounter("durable.step_redriven");
-  return c;
-}
-obs::Counter* StepFreshCounter() {
-  static obs::Counter* c = obs::Registry::Get().GetCounter("durable.step_fresh");
-  return c;
-}
-
-/// Guardrail metrics of one telemetry window restricted to a machine set.
-/// Mirrors GuardrailedRollout's measurement exactly — flights and rollouts
-/// must trip on the same evidence.
-struct WindowMetrics {
-  size_t records = 0;
-  double tasks = 0.0;
-  double latency_s = 0.0;  ///< Task-weighted mean latency.
-  double queue_p99_ms = 0.0;
-  double utilization = 0.0;
-};
-
-WindowMetrics Measure(const telemetry::TelemetryStore& store,
-                      const std::unordered_set<int>& machine_ids,
-                      sim::HourIndex begin, sim::HourIndex end) {
-  WindowMetrics m;
-  double weighted_latency = 0.0, util_sum = 0.0;
-  std::vector<double> queue_latencies;
-  for (const auto& r : store.records()) {
-    if (r.hour < begin || r.hour >= end) continue;
-    if (!machine_ids.empty() && machine_ids.count(r.machine_id) == 0) continue;
-    if (!std::isfinite(r.cpu_utilization) ||
-        !std::isfinite(r.avg_task_latency_s) ||
-        !std::isfinite(r.tasks_finished) || !std::isfinite(r.queue_latency_ms)) {
-      continue;
-    }
-    ++m.records;
-    m.tasks += r.tasks_finished;
-    weighted_latency += r.avg_task_latency_s * r.tasks_finished;
-    util_sum += r.cpu_utilization;
-    queue_latencies.push_back(r.queue_latency_ms);
-  }
-  if (m.records == 0) return m;
-  m.latency_s = m.tasks > 0.0 ? weighted_latency / m.tasks : 0.0;
-  m.utilization = util_sum / static_cast<double>(m.records);
-  std::sort(queue_latencies.begin(), queue_latencies.end());
-  size_t p99 =
-      static_cast<size_t>(0.99 * static_cast<double>(queue_latencies.size()));
-  m.queue_p99_ms = queue_latencies[std::min(p99, queue_latencies.size() - 1)];
-  return m;
-}
-
-/// GuardrailedRollout::Evaluate semantics applied to one flight's treatment
-/// arm: observed window vs the arm's own pre-flight baseline, with the
-/// "silence trips" rule.
-GuardrailEvaluation EvaluateGuardrails(const telemetry::TelemetryStore& store,
-                                       const GuardrailThresholds& t,
-                                       const std::vector<int>& machine_ids,
-                                       sim::HourIndex baseline_begin,
-                                       sim::HourIndex baseline_end,
-                                       sim::HourIndex begin,
-                                       sim::HourIndex end) {
-  std::unordered_set<int> ids(machine_ids.begin(), machine_ids.end());
-  WindowMetrics baseline = Measure(store, ids, baseline_begin, baseline_end);
-  WindowMetrics observed = Measure(store, ids, begin, end);
-
-  GuardrailEvaluation eval;
-  eval.baseline_latency_s = baseline.latency_s;
-  eval.observed_latency_s = observed.latency_s;
-  eval.baseline_queue_p99_ms = baseline.queue_p99_ms;
-  eval.observed_queue_p99_ms = observed.queue_p99_ms;
-  eval.baseline_utilization = baseline.utilization;
-  eval.observed_utilization = observed.utilization;
-  eval.measurable = baseline.records > 0 && observed.records > 0;
-  if (!eval.measurable) return eval;
-
-  eval.latency_ok =
-      baseline.latency_s > 0.0
-          ? observed.latency_s <= baseline.latency_s * t.max_latency_ratio
-          : true;
-  eval.queue_ok = observed.queue_p99_ms <=
-                  std::max(baseline.queue_p99_ms * t.max_queue_p99_ratio,
-                           t.queue_p99_floor_ms);
-  eval.utilization_ok = observed.utilization <= t.max_utilization;
-  return eval;
-}
-
 /// Pre-flight value of every config field a patch can touch, per machine.
 /// Journaled in FLIGHT_STARTED so rollback restores bit-exact state from the
 /// record even across a crash.
@@ -507,48 +415,9 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
                  {{"requests", std::to_string(requests.size())},
                   {"budget_machines", std::to_string(budget)},
                   {"journaled", ctx ? "1" : "0"}});
-
-  // One journaled step — identical discipline to GuardrailedRollout: REPLAY
-  // below durable_seq, RE-DRIVE from the recorded payload, FRESH otherwise,
-  // with crash points bracketing the append. Without a context the step runs
-  // bare (payload + effect, no journal).
-  auto step = [&](DeploymentLedger::EventType type, const std::string& key,
-                  const std::string& crash,
-                  const std::function<std::string()>& make_payload,
-                  const std::function<Status(const std::string&)>& effect,
-                  std::string* out_payload) -> Status {
-    if (ctx == nullptr) {
-      std::string payload = make_payload();
-      if (effect) KEA_RETURN_IF_ERROR(effect(payload));
-      *out_payload = std::move(payload);
-      return Status::OK();
-    }
-    const DeploymentLedger::Event* ev = ctx->ledger->Find(key);
-    if (ev != nullptr && ev->seq < ctx->durable_seq) {
-      StepReplayedCounter()->Increment();
-      *out_payload = ev->payload;
-      return Status::OK();
-    }
-    KEA_RETURN_IF_ERROR(CrashPoints::Check(crash + ".pre"));
-    std::string payload;
-    uint64_t seq = 0;
-    if (ev != nullptr) {
-      StepRedrivenCounter()->Increment();
-      payload = ev->payload;
-      seq = ev->seq;
-    } else {
-      StepFreshCounter()->Increment();
-      payload = make_payload();
-      KEA_ASSIGN_OR_RETURN(const DeploymentLedger::Event* appended,
-                           ctx->ledger->Append(type, key, payload));
-      seq = appended->seq;
-    }
-    KEA_RETURN_IF_ERROR(CrashPoints::Check(crash + ".post_record"));
-    if (effect) KEA_RETURN_IF_ERROR(effect(payload));
-    if (ctx->checkpoint) KEA_RETURN_IF_ERROR(ctx->checkpoint(seq + 1));
-    *out_payload = payload;
-    return Status::OK();
-  };
+  // Every transition below is one JournaledStep: journaled and checkpointed
+  // with a context, payload + effect only without one.
+  using EventType = DeploymentLedger::EventType;
 
   std::vector<FlightState> states(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -605,9 +474,8 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
       -> Status {
     const std::string fkey = prefix + "/f" + std::to_string(st.index);
     std::string payload;
-    KEA_RETURN_IF_ERROR(step(
-        DeploymentLedger::EventType::kFlightAdmitted, fkey + "/admitted",
-        "fabric.admitted",
+    KEA_RETURN_IF_ERROR(JournaledStep(
+        ctx, EventType::kFlightAdmitted, fkey + "/admitted", "fabric.admitted",
         [&] {
           StateWriter w;
           w.PutI64(now);
@@ -633,9 +501,8 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
       st.conclusion.admitted = true;
     }
 
-    KEA_RETURN_IF_ERROR(step(
-        DeploymentLedger::EventType::kFlightStarted, fkey + "/started",
-        "fabric.started",
+    KEA_RETURN_IF_ERROR(JournaledStep(
+        ctx, EventType::kFlightStarted, fkey + "/started", "fabric.started",
         [&] {
           StateWriter w;
           w.PutString(EncodeConfigPatch(st.req->treatment));
@@ -746,8 +613,8 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
     const std::string fkey = prefix + "/f" + std::to_string(st.index);
     st.conclusion.machines_restored = st.priors.size();
     std::string payload;
-    KEA_RETURN_IF_ERROR(step(
-        DeploymentLedger::EventType::kFlightConcluded, fkey + "/concluded",
+    KEA_RETURN_IF_ERROR(JournaledStep(
+        ctx, EventType::kFlightConcluded, fkey + "/concluded",
         "fabric.concluded",
         [&] {
           if (options_.down_hours) {
@@ -884,8 +751,8 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
                               std::to_string(now));
     }
     std::string payload;
-    KEA_RETURN_IF_ERROR(step(
-        DeploymentLedger::EventType::kFabricAdvanced,
+    KEA_RETURN_IF_ERROR(JournaledStep(
+        ctx, EventType::kFabricAdvanced,
         prefix + "/adv" + std::to_string(adv_count), "fabric.advanced",
         [&] {
           StateWriter w;
@@ -946,8 +813,8 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
       FlightState& st = states[due[i]];
       const std::string fkey = prefix + "/f" + std::to_string(st.index);
       const int window = st.windows_done;
-      KEA_RETURN_IF_ERROR(step(
-          DeploymentLedger::EventType::kFlightVerdict,
+      KEA_RETURN_IF_ERROR(JournaledStep(
+          ctx, EventType::kFlightVerdict,
           fkey + "/win" + std::to_string(window), "fabric.verdict",
           [&] { return GuardrailedRollout::EncodeEvaluation(evals[i]); },
           nullptr, &payload));
@@ -965,8 +832,8 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
         st.conclusion.tripped_window = window;
         st.conclusion.trip_eval = eval;
         st.conclusion.end_hour = now;
-        KEA_RETURN_IF_ERROR(step(
-            DeploymentLedger::EventType::kFlightRollback, fkey + "/rollback",
+        KEA_RETURN_IF_ERROR(JournaledStep(
+            ctx, EventType::kFlightRollback, fkey + "/rollback",
             "fabric.rollback",
             [&] {
               StateWriter w;

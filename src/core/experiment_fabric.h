@@ -133,18 +133,17 @@ class ExperimentFabric {
   /// Advances the world (simulate + ingest) by `hours`, appending telemetry
   /// to the store passed to Run.
   using AdvanceFn = std::function<Status(int hours)>;
-  /// Same durability context as GuardrailedRollout: ledger + durable_seq +
-  /// round number + per-step checkpoint hook.
-  using JournalContext = GuardrailedRollout::JournalContext;
 
   explicit ExperimentFabric(const Options& options);
 
-  /// Runs the whole request queue to completion. `ctx` may be null (no
-  /// journaling, e.g. what-if exploration); with a context every transition
-  /// is journaled and checkpointed, and a crashed run re-driven through the
-  /// same requests finishes bit-identically. Guardrail trips are reported per
-  /// flight, never as a non-OK status. On return the cluster configuration is
-  /// restored to its entry state (every flight ends or is rolled back).
+  /// Runs the whole request queue to completion. Every transition is one
+  /// core::JournaledStep keyed "fab<ctx->round>/...": with a context it is
+  /// journaled and checkpointed, and a crashed run re-driven through the
+  /// same requests finishes bit-identically; a null `ctx` runs the same
+  /// steps unjournaled (e.g. what-if exploration). Guardrail trips are
+  /// reported per flight, never as a non-OK status. On return the cluster
+  /// configuration is restored to its entry state (every flight ends or is
+  /// rolled back).
   StatusOr<Report> Run(const std::vector<FlightRequest>& requests,
                        sim::Cluster* cluster,
                        const telemetry::TelemetryStore* store,

@@ -15,10 +15,7 @@ namespace kea::core {
 namespace {
 
 // Deterministic rollout counters: wave/trip/rollback totals are logical
-// events (the rollout loop is single-threaded). The durable.step_* trio
-// classifies journaled steps on resume — REPLAY (checkpoint already holds
-// the effect), RE-DRIVE (journaled intent, effect re-run), FRESH (new) —
-// the audit trail that explains what a recovery actually did.
+// events (the rollout loop is single-threaded).
 obs::Counter* WavesCounter() {
   static obs::Counter* c = obs::Registry::Get().GetCounter("rollout.waves");
   return c;
@@ -35,20 +32,6 @@ obs::Counter* RollbacksCounter() {
 obs::Counter* MachinesRestoredCounter() {
   static obs::Counter* c =
       obs::Registry::Get().GetCounter("rollout.machines_restored");
-  return c;
-}
-obs::Counter* StepReplayedCounter() {
-  static obs::Counter* c =
-      obs::Registry::Get().GetCounter("durable.step_replayed");
-  return c;
-}
-obs::Counter* StepRedrivenCounter() {
-  static obs::Counter* c =
-      obs::Registry::Get().GetCounter("durable.step_redriven");
-  return c;
-}
-obs::Counter* StepFreshCounter() {
-  static obs::Counter* c = obs::Registry::Get().GetCounter("durable.step_fresh");
   return c;
 }
 
@@ -113,6 +96,76 @@ std::map<sim::MachineGroupKey, int> ClampTargets(
   return targets;
 }
 
+/// One applied wave: (machine id, pre-rollout max_containers) per changed
+/// machine.
+using MachineSnapshot = std::vector<std::pair<int, int>>;
+
+/// Restores all snapshots, newest wave first.
+void Restore(const std::vector<MachineSnapshot>& snapshots,
+             sim::Cluster* cluster) {
+  auto& machines = cluster->mutable_machines();
+  for (auto wave = snapshots.rbegin(); wave != snapshots.rend(); ++wave) {
+    for (auto entry = wave->rbegin(); entry != wave->rend(); ++entry) {
+      machines[static_cast<size_t>(entry->first)].max_containers = entry->second;
+    }
+  }
+}
+
+/// WAVE_STARTED payload: the wave's end sub-cluster, then the sub-clusters.
+Status DecodeWaveStart(const std::string& blob, int* end_sc,
+                       std::vector<int>* sub_clusters) {
+  StateReader r(blob);
+  uint64_t count = 0;
+  KEA_RETURN_IF_ERROR(r.GetInt(end_sc));
+  KEA_RETURN_IF_ERROR(r.GetU64(&count));
+  for (uint64_t i = 0; i < count; ++i) {
+    int sc = 0;
+    KEA_RETURN_IF_ERROR(r.GetInt(&sc));
+    sub_clusters->push_back(sc);
+  }
+  return Status::OK();
+}
+
+/// WAVE_APPLIED payload: per-machine (id, old max, new max) deltas.
+using Deltas = std::vector<std::tuple<int, int, int>>;
+
+std::string EncodeDeltas(const Deltas& deltas) {
+  StateWriter w;
+  w.PutU64(deltas.size());
+  for (const auto& [id, old_max, new_max] : deltas) {
+    w.PutInt(id);
+    w.PutInt(old_max);
+    w.PutInt(new_max);
+  }
+  return w.Release();
+}
+
+Status DecodeDeltas(const std::string& blob, Deltas* deltas) {
+  StateReader r(blob);
+  uint64_t count = 0;
+  KEA_RETURN_IF_ERROR(r.GetU64(&count));
+  for (uint64_t i = 0; i < count; ++i) {
+    int id = 0, old_max = 0, new_max = 0;
+    KEA_RETURN_IF_ERROR(r.GetInt(&id));
+    KEA_RETURN_IF_ERROR(r.GetInt(&old_max));
+    KEA_RETURN_IF_ERROR(r.GetInt(&new_max));
+    deltas->emplace_back(id, old_max, new_max);
+  }
+  return Status::OK();
+}
+
+/// WAVE_OBSERVED payload: the observation window [begin, end).
+Status DecodeWindow(const std::string& blob, sim::HourIndex* begin,
+                    sim::HourIndex* end) {
+  StateReader r(blob);
+  int64_t b = 0, e = 0;
+  KEA_RETURN_IF_ERROR(r.GetI64(&b));
+  KEA_RETURN_IF_ERROR(r.GetI64(&e));
+  *begin = static_cast<sim::HourIndex>(b);
+  *end = static_cast<sim::HourIndex>(e);
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string GuardrailEvaluation::Describe() const {
@@ -157,32 +210,15 @@ Status GuardrailedRollout::ValidateOptions() const {
   return Status::OK();
 }
 
-StatusOr<GuardrailedRollout::MachineSnapshot> GuardrailedRollout::ApplyWave(
-    const std::vector<int>& machine_ids,
-    const std::map<sim::MachineGroupKey, int>& targets, sim::Cluster* cluster) {
-  MachineSnapshot snapshot;
-  auto& machines = cluster->mutable_machines();
-  for (int id : machine_ids) {
-    if (id < 0 || static_cast<size_t>(id) >= machines.size()) {
-      return Status::OutOfRange("machine id " + std::to_string(id));
-    }
-    sim::Machine& m = machines[static_cast<size_t>(id)];
-    auto it = targets.find(m.group());
-    if (it == targets.end() || m.max_containers == it->second) continue;
-    snapshot.emplace_back(id, m.max_containers);
-    m.max_containers = it->second;
-  }
-  return snapshot;
-}
-
-GuardrailEvaluation GuardrailedRollout::Evaluate(
-    const telemetry::TelemetryStore& store, const std::vector<int>& machine_ids,
-    sim::HourIndex baseline_begin, sim::HourIndex baseline_end,
-    sim::HourIndex begin, sim::HourIndex end) const {
+GuardrailEvaluation EvaluateGuardrails(const telemetry::TelemetryStore& store,
+                                       const GuardrailThresholds& t,
+                                       const std::vector<int>& machine_ids,
+                                       sim::HourIndex baseline_begin,
+                                       sim::HourIndex baseline_end,
+                                       sim::HourIndex begin, sim::HourIndex end) {
   std::unordered_set<int> ids(machine_ids.begin(), machine_ids.end());
-  const double slo_target = options_.guardrails.slo_target_latency_s;
   WindowMetrics baseline = Measure(store, ids, baseline_begin, baseline_end);
-  WindowMetrics observed = Measure(store, ids, begin, end, slo_target);
+  WindowMetrics observed = Measure(store, ids, begin, end, t.slo_target_latency_s);
 
   GuardrailEvaluation eval;
   eval.baseline_latency_s = baseline.latency_s;
@@ -197,7 +233,6 @@ GuardrailEvaluation GuardrailedRollout::Evaluate(
   eval.measurable = baseline.records > 0 && observed.records > 0;
   if (!eval.measurable) return eval;
 
-  const GuardrailThresholds& t = options_.guardrails;
   eval.latency_ok =
       baseline.latency_s > 0.0
           ? observed.latency_s <= baseline.latency_s * t.max_latency_ratio
@@ -220,25 +255,18 @@ GuardrailEvaluation GuardrailedRollout::Evaluate(
   return eval;
 }
 
-void GuardrailedRollout::Restore(const std::vector<MachineSnapshot>& snapshots,
-                                 sim::Cluster* cluster, size_t* restored) const {
-  auto& machines = cluster->mutable_machines();
-  for (auto wave = snapshots.rbegin(); wave != snapshots.rend(); ++wave) {
-    for (auto entry = wave->rbegin(); entry != wave->rend(); ++entry) {
-      machines[static_cast<size_t>(entry->first)].max_containers = entry->second;
-      ++*restored;
-    }
-  }
-}
-
 StatusOr<GuardrailedRollout::Report> GuardrailedRollout::Execute(
     const std::vector<GroupRecommendation>& recommendations, sim::Cluster* cluster,
     const telemetry::TelemetryStore* store, sim::HourIndex start_hour,
-    const AdvanceFn& advance) {
+    const AdvanceFn& advance, JournalContext* ctx) {
+  using EventType = DeploymentLedger::EventType;
   KEA_RETURN_IF_ERROR(ValidateOptions());
   if (cluster == nullptr) return Status::InvalidArgument("null cluster");
   if (store == nullptr) return Status::InvalidArgument("null telemetry store");
   if (!advance) return Status::InvalidArgument("null advance function");
+  if (ctx != nullptr && ctx->ledger == nullptr) {
+    return Status::InvalidArgument("journal context without a ledger");
+  }
   if (recommendations.empty()) {
     return Status::InvalidArgument("no recommendations to roll out");
   }
@@ -256,71 +284,164 @@ StatusOr<GuardrailedRollout::Report> GuardrailedRollout::Execute(
   if (num_sc <= 0) return Status::FailedPrecondition("cluster has no sub-clusters");
 
   std::vector<MachineSnapshot> snapshots;
+  // A real error restores every applied wave before it is returned. An
+  // injected crash models abrupt process death instead: it leaves the world
+  // exactly as the dying process would, and resume picks it up from the
+  // journal.
+  auto unwind = [&](const Status& error) {
+    if (!CrashPoints::IsCrash(error)) Restore(snapshots, cluster);
+    return error;
+  };
+
+  const std::string rkey = "r" + std::to_string(ctx != nullptr ? ctx->round : 0);
   std::vector<int> treated;  ///< Cumulative machines changed across waves.
   sim::HourIndex now = start_hour;
   sim::HourIndex baseline_begin = std::max(0, start_hour - options_.baseline_hours);
 
   int next_sc = 0;
   for (size_t w = 0; w < options_.wave_fractions.size(); ++w) {
-    int end_sc = static_cast<int>(
-        std::ceil(options_.wave_fractions[w] * static_cast<double>(num_sc)));
-    end_sc = std::clamp(end_sc, next_sc, num_sc);
-    if (w + 1 == options_.wave_fractions.size() &&
-        options_.wave_fractions[w] >= 1.0) {
-      end_sc = num_sc;  // Final full-fleet wave sweeps every remainder.
-    }
-    if (end_sc == next_sc && next_sc < num_sc) end_sc = next_sc + 1;
-
-    KEA_TRACE_SPAN("rollout.wave", {{"wave", std::to_string(w)}});
+    const std::string wkey = rkey + "/w" + std::to_string(w);
+    KEA_TRACE_SPAN("rollout.wave", {{"wave", std::to_string(w)},
+                                    {"key", wkey},
+                                    {"journaled", ctx != nullptr ? "1" : "0"}});
     WavesCounter()->Increment();
     WaveResult wave;
     wave.wave = static_cast<int>(w);
+
+    // -- WAVE_STARTED: which sub-clusters this wave covers.
+    std::string payload;
+    Status status = JournaledStep(
+        ctx, EventType::kWaveStarted, wkey + "/started", "rollout.wave_started",
+        [&] {
+          int end_sc = static_cast<int>(std::ceil(
+              options_.wave_fractions[w] * static_cast<double>(num_sc)));
+          end_sc = std::clamp(end_sc, next_sc, num_sc);
+          if (w + 1 == options_.wave_fractions.size() &&
+              options_.wave_fractions[w] >= 1.0) {
+            end_sc = num_sc;  // Final full-fleet wave sweeps every remainder.
+          }
+          if (end_sc == next_sc && next_sc < num_sc) end_sc = next_sc + 1;
+          StateWriter sw;
+          sw.PutInt(end_sc);
+          sw.PutU64(static_cast<uint64_t>(end_sc - next_sc));
+          for (int sc = next_sc; sc < end_sc; ++sc) sw.PutInt(sc);
+          return sw.Release();
+        },
+        nullptr, &payload);
+    if (status.ok()) {
+      status = DecodeWaveStart(payload, &next_sc, &wave.sub_clusters);
+    }
+    if (!status.ok()) return unwind(status);
     std::vector<int> wave_machines;
-    for (int sc = next_sc; sc < end_sc; ++sc) {
-      wave.sub_clusters.push_back(sc);
+    for (int sc : wave.sub_clusters) {
       std::vector<int> ids = cluster->SubClusterMachines(sc);
       wave_machines.insert(wave_machines.end(), ids.begin(), ids.end());
     }
-    next_sc = end_sc;
 
-    auto snapshot = ApplyWave(wave_machines, targets, cluster);
-    if (!snapshot.ok()) {
-      size_t restored = 0;
-      Restore(snapshots, cluster, &restored);
-      return snapshot.status();
-    }
-    wave.machines_changed = snapshot->size();
+    // -- WAVE_APPLIED: per-machine (id, old, new) deltas, journaled before
+    // the cluster is touched.
+    status = JournaledStep(
+        ctx, EventType::kWaveApplied, wkey + "/applied", "rollout.wave_applied",
+        [&] {
+          Deltas deltas;
+          const auto& machines = cluster->machines();
+          for (int id : wave_machines) {
+            if (id < 0 || static_cast<size_t>(id) >= machines.size()) continue;
+            const sim::Machine& m = machines[static_cast<size_t>(id)];
+            auto it = targets.find(m.group());
+            if (it == targets.end() || m.max_containers == it->second) continue;
+            deltas.emplace_back(id, m.max_containers, it->second);
+          }
+          return EncodeDeltas(deltas);
+        },
+        [&](const std::string& p) -> Status {
+          Deltas deltas;
+          KEA_RETURN_IF_ERROR(DecodeDeltas(p, &deltas));
+          auto& machines = cluster->mutable_machines();
+          for (const auto& [id, old_max, new_max] : deltas) {
+            if (id < 0 || static_cast<size_t>(id) >= machines.size()) {
+              return Status::OutOfRange("machine id " + std::to_string(id));
+            }
+            machines[static_cast<size_t>(id)].max_containers = new_max;
+          }
+          return Status::OK();
+        },
+        &payload);
+    Deltas deltas;
+    if (status.ok()) status = DecodeDeltas(payload, &deltas);
+    if (!status.ok()) return unwind(status);
+    wave.machines_changed = deltas.size();
     if (wave.machines_changed == 0) {
       // No targeted machine in this wave: nothing to observe, trivially safe.
       wave.passed = true;
       report.waves.push_back(std::move(wave));
       continue;
     }
-    snapshots.push_back(std::move(snapshot).value());
-    for (const auto& entry : snapshots.back()) treated.push_back(entry.first);
-
-    wave.observe_begin = now;
-    Status advanced = advance(options_.observe_hours_per_wave);
-    if (!advanced.ok()) {
-      size_t restored = 0;
-      Restore(snapshots, cluster, &restored);
-      return advanced;
+    MachineSnapshot& snapshot = snapshots.emplace_back();
+    for (const auto& [id, old_max, new_max] : deltas) {
+      snapshot.emplace_back(id, old_max);
+      treated.push_back(id);
     }
-    now += options_.observe_hours_per_wave;
-    wave.observe_end = now;
 
-    wave.eval = Evaluate(*store, treated, baseline_begin, start_hour,
-                         wave.observe_begin, wave.observe_end);
+    // -- WAVE_OBSERVED: advance the world through the observation window.
+    status = JournaledStep(
+        ctx, EventType::kWaveObserved, wkey + "/observed", "rollout.wave_observed",
+        [&] {
+          StateWriter sw;
+          sw.PutI64(now);
+          sw.PutI64(now + options_.observe_hours_per_wave);
+          return sw.Release();
+        },
+        [&](const std::string&) { return advance(options_.observe_hours_per_wave); },
+        &payload);
+    if (status.ok()) {
+      status = DecodeWindow(payload, &wave.observe_begin, &wave.observe_end);
+    }
+    if (!status.ok()) return unwind(status);
+    now = wave.observe_end;
+
+    // -- WAVE_VERDICT: the guardrail decision, recorded before it is acted
+    // on. A resumed round reuses the recorded verdict rather than judging
+    // twice (the deterministic re-evaluation would match, but the record is
+    // the authority).
+    status = JournaledStep(
+        ctx, EventType::kWaveVerdict, wkey + "/verdict", "rollout.wave_verdict",
+        [&] {
+          return EncodeEvaluation(EvaluateGuardrails(
+              *store, options_.guardrails, treated, baseline_begin, start_hour,
+              wave.observe_begin, wave.observe_end));
+        },
+        nullptr, &payload);
+    if (status.ok()) status = DecodeEvaluation(payload, &wave.eval);
+    if (!status.ok()) return unwind(status);
     wave.passed = wave.eval.pass();
-    bool tripped = !wave.passed;
+    const bool tripped = !wave.passed;
     report.waves.push_back(std::move(wave));
 
     if (tripped) {
       TripsCounter()->Increment();
       report.tripped_wave = static_cast<int>(w);
-      Restore(snapshots, cluster, &report.machines_restored);
+      // -- ROLLBACK: restore every applied wave, newest first.
+      status = JournaledStep(
+          ctx, EventType::kRollback, rkey + "/rollback", "rollout.rollback",
+          [&] {
+            size_t total = 0;
+            for (const MachineSnapshot& s : snapshots) total += s.size();
+            StateWriter sw;
+            sw.PutU64(total);
+            return sw.Release();
+          },
+          [&](const std::string&) {
+            Restore(snapshots, cluster);
+            return Status::OK();
+          },
+          &payload);
+      uint64_t restored = 0;
+      if (status.ok()) status = StateReader(payload).GetU64(&restored);
+      if (!status.ok()) return unwind(status);
+      report.machines_restored = restored;
       RollbacksCounter()->Increment();
-      MachinesRestoredCounter()->Increment(report.machines_restored);
+      MachinesRestoredCounter()->Increment(restored);
       report.outcome = Outcome::kRolledBack;
       return report;
     }
@@ -369,295 +490,6 @@ Status GuardrailedRollout::DecodeEvaluation(const std::string& blob,
     KEA_RETURN_IF_ERROR(r.GetDouble(&eval->observed_slo_burn));
     KEA_RETURN_IF_ERROR(r.GetBool(&eval->slo_ok));
   }
-  return Status::OK();
-}
-
-StatusOr<GuardrailedRollout::Report> GuardrailedRollout::ExecuteJournaled(
-    const std::vector<GroupRecommendation>& recommendations, sim::Cluster* cluster,
-    const telemetry::TelemetryStore* store, sim::HourIndex start_hour,
-    const AdvanceFn& advance, JournalContext* ctx) {
-  if (ctx == nullptr || ctx->ledger == nullptr) {
-    return Status::InvalidArgument("null journal context / ledger");
-  }
-  Report report;
-  std::vector<MachineSnapshot> snapshots;
-  Status run = RunJournaled(recommendations, cluster, store, start_hour, advance,
-                            ctx, &report, &snapshots);
-  if (!run.ok()) {
-    // An injected crash models abrupt process death: leave the world exactly
-    // as the dying process would — resume will pick it up from the journal.
-    // Real errors restore the in-memory cluster, mirroring Execute().
-    if (!CrashPoints::IsCrash(run) && cluster != nullptr) {
-      size_t restored = 0;
-      Restore(snapshots, cluster, &restored);
-    }
-    return run;
-  }
-  return report;
-}
-
-Status GuardrailedRollout::RunJournaled(
-    const std::vector<GroupRecommendation>& recommendations, sim::Cluster* cluster,
-    const telemetry::TelemetryStore* store, sim::HourIndex start_hour,
-    const AdvanceFn& advance, JournalContext* ctx, Report* report,
-    std::vector<MachineSnapshot>* snapshots) {
-  KEA_RETURN_IF_ERROR(ValidateOptions());
-  if (cluster == nullptr) return Status::InvalidArgument("null cluster");
-  if (store == nullptr) return Status::InvalidArgument("null telemetry store");
-  if (!advance) return Status::InvalidArgument("null advance function");
-  if (recommendations.empty()) {
-    return Status::InvalidArgument("no recommendations to roll out");
-  }
-
-  // One journaled step: write-ahead append under an idempotency key, then the
-  // effect, then a checkpoint covering the step. Three phases on resume:
-  //   - seq <  durable_seq: REPLAY — the restored checkpoint already holds
-  //     the effect; only the recorded payload is returned for bookkeeping.
-  //   - seq >= durable_seq: RE-DRIVE — recorded intent whose effect was lost;
-  //     the effect runs again from the restored (pre-effect) state.
-  //   - absent: FRESH — record intent, run the effect.
-  // Crash points bracket the append so the sweep covers both "died before
-  // journaling" (step re-runs whole) and "journaled but died before the
-  // effect was durable" (step re-drives).
-  auto step = [&](DeploymentLedger::EventType type, const std::string& key,
-                  const std::string& crash,
-                  const std::function<std::string()>& make_payload,
-                  const std::function<Status(const std::string&)>& effect,
-                  std::string* out_payload) -> Status {
-    const DeploymentLedger::Event* ev = ctx->ledger->Find(key);
-    if (ev != nullptr && ev->seq < ctx->durable_seq) {
-      StepReplayedCounter()->Increment();
-      *out_payload = ev->payload;
-      return Status::OK();
-    }
-    KEA_RETURN_IF_ERROR(CrashPoints::Check(crash + ".pre"));
-    std::string payload;
-    uint64_t seq = 0;
-    if (ev != nullptr) {
-      StepRedrivenCounter()->Increment();
-      payload = ev->payload;
-      seq = ev->seq;
-    } else {
-      StepFreshCounter()->Increment();
-      payload = make_payload();
-      KEA_ASSIGN_OR_RETURN(const DeploymentLedger::Event* appended,
-                           ctx->ledger->Append(type, key, payload));
-      seq = appended->seq;
-    }
-    KEA_RETURN_IF_ERROR(CrashPoints::Check(crash + ".post_record"));
-    if (effect) KEA_RETURN_IF_ERROR(effect(payload));
-    if (ctx->checkpoint) KEA_RETURN_IF_ERROR(ctx->checkpoint(seq + 1));
-    *out_payload = payload;
-    return Status::OK();
-  };
-
-  std::map<sim::MachineGroupKey, int> targets =
-      ClampTargets(recommendations, options_.deploy);
-  if (targets.empty()) {
-    report->outcome = Outcome::kNoChange;
-    return Status::OK();
-  }
-
-  int num_sc = cluster->num_subclusters();
-  if (num_sc <= 0) return Status::FailedPrecondition("cluster has no sub-clusters");
-
-  std::string rkey = "r";
-  rkey += std::to_string(ctx->round);
-  std::vector<int> treated;
-  sim::HourIndex now = start_hour;
-  sim::HourIndex baseline_begin = std::max(0, start_hour - options_.baseline_hours);
-
-  int next_sc = 0;
-  bool tripped = false;
-  for (size_t w = 0; w < options_.wave_fractions.size() && !tripped; ++w) {
-    const std::string wkey = rkey + "/w" + std::to_string(w);
-    KEA_TRACE_SPAN("rollout.wave", {{"wave", std::to_string(w)},
-                                    {"key", wkey},
-                                    {"journaled", "1"}});
-    WavesCounter()->Increment();
-    WaveResult wave;
-    wave.wave = static_cast<int>(w);
-
-    // -- WAVE_STARTED: which sub-clusters this wave covers.
-    std::string payload;
-    KEA_RETURN_IF_ERROR(step(
-        DeploymentLedger::EventType::kWaveStarted, wkey + "/started",
-        "rollout.wave_started",
-        [&] {
-          int end_sc = static_cast<int>(std::ceil(
-              options_.wave_fractions[w] * static_cast<double>(num_sc)));
-          end_sc = std::clamp(end_sc, next_sc, num_sc);
-          if (w + 1 == options_.wave_fractions.size() &&
-              options_.wave_fractions[w] >= 1.0) {
-            end_sc = num_sc;
-          }
-          if (end_sc == next_sc && next_sc < num_sc) end_sc = next_sc + 1;
-          StateWriter sw;
-          sw.PutInt(end_sc);
-          sw.PutU64(static_cast<uint64_t>(end_sc - next_sc));
-          for (int sc = next_sc; sc < end_sc; ++sc) sw.PutInt(sc);
-          return sw.Release();
-        },
-        nullptr, &payload));
-    {
-      StateReader sr(payload);
-      int end_sc = 0;
-      uint64_t count = 0;
-      KEA_RETURN_IF_ERROR(sr.GetInt(&end_sc));
-      KEA_RETURN_IF_ERROR(sr.GetU64(&count));
-      for (uint64_t i = 0; i < count; ++i) {
-        int sc = 0;
-        KEA_RETURN_IF_ERROR(sr.GetInt(&sc));
-        wave.sub_clusters.push_back(sc);
-      }
-      next_sc = end_sc;
-    }
-    std::vector<int> wave_machines;
-    for (int sc : wave.sub_clusters) {
-      std::vector<int> ids = cluster->SubClusterMachines(sc);
-      wave_machines.insert(wave_machines.end(), ids.begin(), ids.end());
-    }
-
-    // -- WAVE_APPLIED: per-machine (id, old, new) deltas, journaled before
-    // the cluster is touched.
-    KEA_RETURN_IF_ERROR(step(
-        DeploymentLedger::EventType::kWaveApplied, wkey + "/applied",
-        "rollout.wave_applied",
-        [&] {
-          StateWriter sw;
-          std::vector<std::tuple<int, int, int>> deltas;
-          const auto& machines = cluster->machines();
-          for (int id : wave_machines) {
-            if (id < 0 || static_cast<size_t>(id) >= machines.size()) continue;
-            const sim::Machine& m = machines[static_cast<size_t>(id)];
-            auto it = targets.find(m.group());
-            if (it == targets.end() || m.max_containers == it->second) continue;
-            deltas.emplace_back(id, m.max_containers, it->second);
-          }
-          sw.PutU64(deltas.size());
-          for (const auto& [id, old_max, new_max] : deltas) {
-            sw.PutInt(id);
-            sw.PutInt(old_max);
-            sw.PutInt(new_max);
-          }
-          return sw.Release();
-        },
-        [&](const std::string& p) -> Status {
-          StateReader sr(p);
-          uint64_t count = 0;
-          KEA_RETURN_IF_ERROR(sr.GetU64(&count));
-          auto& machines = cluster->mutable_machines();
-          for (uint64_t i = 0; i < count; ++i) {
-            int id = 0, old_max = 0, new_max = 0;
-            KEA_RETURN_IF_ERROR(sr.GetInt(&id));
-            KEA_RETURN_IF_ERROR(sr.GetInt(&old_max));
-            KEA_RETURN_IF_ERROR(sr.GetInt(&new_max));
-            if (id < 0 || static_cast<size_t>(id) >= machines.size()) {
-              return Status::OutOfRange("machine id " + std::to_string(id));
-            }
-            machines[static_cast<size_t>(id)].max_containers = new_max;
-          }
-          return Status::OK();
-        },
-        &payload));
-    MachineSnapshot snapshot;
-    {
-      StateReader sr(payload);
-      uint64_t count = 0;
-      KEA_RETURN_IF_ERROR(sr.GetU64(&count));
-      for (uint64_t i = 0; i < count; ++i) {
-        int id = 0, old_max = 0, new_max = 0;
-        KEA_RETURN_IF_ERROR(sr.GetInt(&id));
-        KEA_RETURN_IF_ERROR(sr.GetInt(&old_max));
-        KEA_RETURN_IF_ERROR(sr.GetInt(&new_max));
-        snapshot.emplace_back(id, old_max);
-      }
-    }
-    wave.machines_changed = snapshot.size();
-    if (wave.machines_changed == 0) {
-      // No targeted machine in this wave: nothing to observe, trivially safe.
-      wave.passed = true;
-      report->waves.push_back(std::move(wave));
-      continue;
-    }
-    snapshots->push_back(std::move(snapshot));
-    for (const auto& entry : snapshots->back()) treated.push_back(entry.first);
-
-    // -- WAVE_OBSERVED: advance the world through the observation window.
-    KEA_RETURN_IF_ERROR(step(
-        DeploymentLedger::EventType::kWaveObserved, wkey + "/observed",
-        "rollout.wave_observed",
-        [&] {
-          StateWriter sw;
-          sw.PutI64(now);
-          sw.PutI64(now + options_.observe_hours_per_wave);
-          return sw.Release();
-        },
-        [&](const std::string&) { return advance(options_.observe_hours_per_wave); },
-        &payload));
-    {
-      StateReader sr(payload);
-      int64_t begin = 0, end = 0;
-      KEA_RETURN_IF_ERROR(sr.GetI64(&begin));
-      KEA_RETURN_IF_ERROR(sr.GetI64(&end));
-      wave.observe_begin = static_cast<sim::HourIndex>(begin);
-      wave.observe_end = static_cast<sim::HourIndex>(end);
-      now = wave.observe_end;
-    }
-
-    // -- WAVE_VERDICT: the guardrail decision, recorded before it is acted
-    // on. A resumed round reuses the recorded verdict rather than judging
-    // twice (the deterministic re-evaluation would match, but the record is
-    // the authority).
-    KEA_RETURN_IF_ERROR(step(
-        DeploymentLedger::EventType::kWaveVerdict, wkey + "/verdict",
-        "rollout.wave_verdict",
-        [&] {
-          GuardrailEvaluation eval =
-              Evaluate(*store, treated, baseline_begin, start_hour,
-                       wave.observe_begin, wave.observe_end);
-          return EncodeEvaluation(eval);
-        },
-        nullptr, &payload));
-    KEA_RETURN_IF_ERROR(DecodeEvaluation(payload, &wave.eval));
-    wave.passed = wave.eval.pass();
-    tripped = !wave.passed;
-    report->waves.push_back(std::move(wave));
-
-    if (tripped) {
-      TripsCounter()->Increment();
-      report->tripped_wave = static_cast<int>(w);
-      // -- ROLLBACK: restore every applied wave, newest first.
-      KEA_RETURN_IF_ERROR(step(
-          DeploymentLedger::EventType::kRollback, rkey + "/rollback",
-          "rollout.rollback",
-          [&] {
-            size_t total = 0;
-            for (const MachineSnapshot& s : *snapshots) total += s.size();
-            StateWriter sw;
-            sw.PutU64(total);
-            return sw.Release();
-          },
-          [&](const std::string&) -> Status {
-            size_t restored = 0;
-            Restore(*snapshots, cluster, &restored);
-            return Status::OK();
-          },
-          &payload));
-      StateReader sr(payload);
-      uint64_t restored = 0;
-      KEA_RETURN_IF_ERROR(sr.GetU64(&restored));
-      report->machines_restored = restored;
-      RollbacksCounter()->Increment();
-      MachinesRestoredCounter()->Increment(restored);
-      // The world is back to its entry state; don't restore again on return.
-      snapshots->clear();
-      report->outcome = Outcome::kRolledBack;
-      return Status::OK();
-    }
-  }
-
-  report->outcome = Outcome::kConverged;
   return Status::OK();
 }
 

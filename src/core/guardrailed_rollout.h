@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -71,6 +70,20 @@ struct GuardrailEvaluation {
   std::string Describe() const;
 };
 
+/// Guardrail metrics of `machine_ids` (every machine when empty) over the
+/// observed window [begin, end) against the same machines' baseline window
+/// [baseline_begin, baseline_end), judged by `thresholds`. An empty window
+/// on either side is unmeasurable, which fails pass() — silence is not
+/// health. The one evaluator behind rollout waves and fabric flights, so
+/// both trip on the same evidence. Reads only the windows through the
+/// store's hour index; safe to call concurrently on a const store.
+GuardrailEvaluation EvaluateGuardrails(const telemetry::TelemetryStore& store,
+                                       const GuardrailThresholds& thresholds,
+                                       const std::vector<int>& machine_ids,
+                                       sim::HourIndex baseline_begin,
+                                       sim::HourIndex baseline_end,
+                                       sim::HourIndex begin, sim::HourIndex end);
+
 /// Staged deployment with guardrails and automatic rollback — the Section
 /// 5.2.2 discipline ("modify the configuration by a small margin", flighting
 /// before fleet) composed into a state machine:
@@ -135,75 +148,45 @@ class GuardrailedRollout {
 
   explicit GuardrailedRollout(const Options& options);
 
+  /// Kept for callers that name the context through the rollout.
+  using JournalContext = core::JournalContext;
+
   /// Runs the staged rollout. `store` is read for baseline and per-wave
   /// guardrail metrics; `start_hour` is the current simulation clock (the
   /// baseline window is [start_hour - baseline_hours, start_hour)).
   /// Guardrail trips are reported via Report::outcome, not a non-OK status;
   /// errors (bad options, failing advance) leave the cluster rolled back to
   /// its entry state before returning.
+  ///
+  /// Every wave transition (started / applied / observed / guardrail verdict
+  /// / rollback) is one core::JournaledStep keyed "r<round>/w<wave>/<step>".
+  /// With a context each is appended to the ledger *before* its effect, so a
+  /// crashed round resumed from its last checkpoint re-drives pending steps
+  /// exactly once and finishes bit-identical to an uninterrupted run; an
+  /// injected crash (kAborted) unwinds without touching anything further —
+  /// mirroring process death. Without a context (the default) the same steps
+  /// run unjournaled.
   StatusOr<Report> Execute(const std::vector<GroupRecommendation>& recommendations,
                            sim::Cluster* cluster,
                            const telemetry::TelemetryStore* store,
-                           sim::HourIndex start_hour, const AdvanceFn& advance);
+                           sim::HourIndex start_hour, const AdvanceFn& advance,
+                           JournalContext* ctx = nullptr);
 
-  /// Durability context for ExecuteJournaled. `durable_seq` is the ledger
-  /// sequence the restored checkpoint covers: ledger events below it are
-  /// replayed (bookkeeping only — their effects are already in the restored
-  /// state), events at or above it are re-driven. `checkpoint(covered_seq)`,
-  /// when set, persists the world after each journaled step; `covered_seq` is
-  /// the number of ledger events whose effects the persisted state contains.
-  struct JournalContext {
-    DeploymentLedger* ledger = nullptr;
-    uint64_t durable_seq = 0;
-    int round = 0;
-    std::function<Status(uint64_t covered_seq)> checkpoint;
-  };
-
-  /// Execute() with write-ahead journaling and crash-point hooks: every wave
-  /// transition (started / applied / observed / guardrail verdict / rollback)
-  /// is appended to the ledger *before* its effect, keyed idempotently as
-  /// "r<round>/w<wave>/<step>", so a crashed round resumed from its last
-  /// checkpoint re-drives pending steps exactly once and finishes
-  /// bit-identical to an uninterrupted run. An injected crash (kAborted)
-  /// unwinds without touching anything further — mirroring process death —
-  /// while real errors roll the in-memory cluster back as Execute() does.
+  /// Forwards to Execute(); kept for callers written before Execute took
+  /// the context.
   StatusOr<Report> ExecuteJournaled(
       const std::vector<GroupRecommendation>& recommendations,
       sim::Cluster* cluster, const telemetry::TelemetryStore* store,
-      sim::HourIndex start_hour, const AdvanceFn& advance, JournalContext* ctx);
+      sim::HourIndex start_hour, const AdvanceFn& advance, JournalContext* ctx) {
+    return Execute(recommendations, cluster, store, start_hour, advance, ctx);
+  }
 
   /// Bit-exact codec for GuardrailEvaluation (used in WAVE_VERDICT payloads).
   static std::string EncodeEvaluation(const GuardrailEvaluation& eval);
   static Status DecodeEvaluation(const std::string& blob, GuardrailEvaluation* eval);
 
  private:
-  /// Snapshot entry: (machine id, pre-rollout max_containers).
-  using MachineSnapshot = std::vector<std::pair<int, int>>;
-
   Status ValidateOptions() const;
-  /// Applies the per-group clamped targets to `machine_ids`; returns the
-  /// snapshot of prior values for the machines actually changed.
-  StatusOr<MachineSnapshot> ApplyWave(
-      const std::vector<int>& machine_ids,
-      const std::map<sim::MachineGroupKey, int>& targets, sim::Cluster* cluster);
-  /// Computes guardrail metrics over `machine_ids` in [begin, end).
-  GuardrailEvaluation Evaluate(const telemetry::TelemetryStore& store,
-                               const std::vector<int>& machine_ids,
-                               sim::HourIndex baseline_begin,
-                               sim::HourIndex baseline_end, sim::HourIndex begin,
-                               sim::HourIndex end) const;
-  /// Restores all snapshots, newest wave first.
-  void Restore(const std::vector<MachineSnapshot>& snapshots,
-               sim::Cluster* cluster, size_t* restored) const;
-
-  /// Body of ExecuteJournaled; `snapshots` is owned by the caller so the
-  /// error path can roll back whatever was applied before the failure.
-  Status RunJournaled(const std::vector<GroupRecommendation>& recommendations,
-                      sim::Cluster* cluster,
-                      const telemetry::TelemetryStore* store,
-                      sim::HourIndex start_hour, const AdvanceFn& advance,
-                      JournalContext* ctx, Report* report,
-                      std::vector<MachineSnapshot>* snapshots);
 
   Options options_;
 };

@@ -236,6 +236,84 @@ TEST(CrashRecoveryTest, SweepEveryCrashPointThroughRollback) {
   SweepCrashPoints(ref, options, "rollback");
 }
 
+std::string PlanSignature(const YarnConfigTuner::Plan& plan) {
+  StateWriter w;
+  w.PutU64(plan.recommendations.size());
+  for (const core::GroupRecommendation& rec : plan.recommendations) {
+    w.PutInt(rec.group.sc);
+    w.PutInt(rec.group.sku);
+    w.PutInt(rec.current_max_containers);
+    w.PutInt(rec.recommended_max_containers);
+  }
+  w.PutDouble(plan.predicted_capacity_gain);
+  w.PutDouble(plan.predicted_latency_before_s);
+  w.PutDouble(plan.predicted_latency_after_s);
+  w.PutU64(plan.lp_solution.size());
+  for (const auto& [group, value] : plan.lp_solution) {
+    w.PutInt(group.sc);
+    w.PutInt(group.sku);
+    w.PutDouble(value);
+  }
+  return w.Release();
+}
+
+/// A session with self-healing on, durable when `dir` is non-empty, and the
+/// same telemetry prelude either way.
+std::unique_ptr<KeaSession> MakeHealingSession(const std::string& dir) {
+  KeaSession::Config config;
+  config.machines = kMachines;
+  config.seed = 7;
+  auto session = std::move(KeaSession::Create(config)).value();
+  EXPECT_TRUE(session->EnableSelfHealing(KeaSession::SelfHealingConfig()).ok());
+  if (!dir.empty()) {
+    EXPECT_TRUE(session->EnableDurability(dir).ok());
+  }
+  EXPECT_TRUE(session->Simulate(kPreludeHours).ok());
+  return session;
+}
+
+TEST(CrashRecoveryTest, DurableGuardedRoundMatchesPlainRound) {
+  // Journaling and per-step checkpoints must not change a guarded round: two
+  // rounds on a durable session end exactly where the same rounds on a plain
+  // session do, for a converging rollout and for one that rolls back.
+  auto rollback = RoundOptions();
+  rollback.rollout.guardrails.max_latency_ratio = 0.5;
+  const std::vector<std::pair<std::string, KeaSession::GuardedRoundOptions>>
+      configs = {{"converge", RoundOptions()}, {"rollback", rollback}};
+  for (const auto& [tag, options] : configs) {
+    SCOPED_TRACE(tag);
+    auto plain = MakeHealingSession("");
+    auto durable = MakeHealingSession(FreshDir("crash_durable_vs_plain_" + tag));
+    ASSERT_EQ(plain->ledger(), nullptr);
+    ASSERT_NE(durable->ledger(), nullptr);
+    for (int round = 0; round < 2; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      auto p = plain->RunGuardedTuningRound(options);
+      auto d = durable->RunGuardedTuningRound(options);
+      ASSERT_TRUE(p.ok()) << p.status();
+      ASSERT_TRUE(d.ok()) << d.status();
+      EXPECT_EQ(PlanSignature(p->plan), PlanSignature(d->plan));
+      EXPECT_EQ(ReportSignature(p->rollout), ReportSignature(d->rollout));
+      EXPECT_EQ(p->rollout.outcome, d->rollout.outcome);
+      EXPECT_EQ(p->fit_begin, d->fit_begin);
+      EXPECT_EQ(p->fit_end, d->fit_end);
+      EXPECT_EQ(p->health_state, d->health_state);
+      EXPECT_EQ(ClusterSignature(*plain), ClusterSignature(*durable));
+      EXPECT_EQ(plain->store().ToCsv(), durable->store().ToCsv());
+      EXPECT_EQ(plain->now(), durable->now());
+      EXPECT_EQ(plain->fit_window(), durable->fit_window());
+      EXPECT_EQ(plain->model_epoch(), durable->model_epoch());
+      EXPECT_EQ(plain->deploy_epoch(), durable->deploy_epoch());
+      if (tag == "rollback") {
+        EXPECT_EQ(d->rollout.outcome,
+                  core::GuardrailedRollout::Outcome::kRolledBack);
+      }
+      ASSERT_TRUE(plain->Simulate(12).ok());
+      ASSERT_TRUE(durable->Simulate(12).ok());
+    }
+  }
+}
+
 TEST(CrashRecoveryTest, ResumeOfCleanSessionIsBitIdentical) {
   const std::string dir = FreshDir("crash_clean_resume");
   auto session = MakeDurableSession(dir);

@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/crash_point.h"
 #include "common/csv.h"
 #include "core/deployment_ledger.h"
+#include "obs/metrics.h"
 
 namespace kea::core {
 namespace {
@@ -230,6 +236,205 @@ TEST(DeploymentTest, LedgerRecordsAppliesAndRollbacksWriteAhead) {
   EXPECT_EQ(table->rows[0][table->ColumnIndex("new_max_containers")],
             std::to_string(current + 1));
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// JournaledStep: the one REPLAY / RE-DRIVE / FRESH primitive.
+// ---------------------------------------------------------------------------
+
+using EventType = DeploymentLedger::EventType;
+
+std::unique_ptr<DeploymentLedger> OpenFreshLedger(const std::string& name) {
+  const std::string path = testing::TempDir() + "/" + name;
+  std::remove(path.c_str());
+  return std::move(DeploymentLedger::Open(path)).value();
+}
+
+/// The durable.step_{replayed,redriven,fresh} counters.
+std::vector<uint64_t> StepCounters() {
+  obs::Registry& registry = obs::Registry::Get();
+  return {registry.GetCounter("durable.step_replayed")->value(),
+          registry.GetCounter("durable.step_redriven")->value(),
+          registry.GetCounter("durable.step_fresh")->value()};
+}
+
+/// Counter movement since `before`, expected as {replayed, redriven, fresh};
+/// nothing moves when metrics are compiled out.
+void ExpectStepCountersMoved(const std::vector<uint64_t>& before,
+                             std::vector<uint64_t> expected) {
+  if (!obs::MetricsEnabled()) expected = {0, 0, 0};
+  std::vector<uint64_t> after = StepCounters();
+  for (size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], expected[i]) << "counter " << i;
+  }
+}
+
+TEST(JournaledStepTest, NullContextOnlyBuildsThePayloadAndRunsTheEffect) {
+  CrashPoints::Reset();
+  CrashPoints::SetRecording(true);
+  const std::vector<uint64_t> before = StepCounters();
+  int payloads = 0, effects = 0;
+  std::string seen, payload;
+  Status status = JournaledStep(
+      nullptr, EventType::kWaveApplied, "r0/w0/applied", "test.step",
+      [&]() -> StatusOr<std::string> {
+        ++payloads;
+        return std::string("intent");
+      },
+      [&](const std::string& p) {
+        ++effects;
+        seen = p;
+        return Status::OK();
+      },
+      &payload);
+  const auto reached = CrashPoints::Reached();
+  CrashPoints::Reset();
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(payloads, 1);
+  EXPECT_EQ(effects, 1);
+  EXPECT_EQ(seen, "intent");
+  EXPECT_EQ(payload, "intent");
+  EXPECT_TRUE(reached.empty());
+  ExpectStepCountersMoved(before, {0, 0, 0});
+}
+
+TEST(JournaledStepTest, FreshStepAppendsThenRunsTheEffectThenCheckpoints) {
+  auto ledger = OpenFreshLedger("journaled_step_fresh.kea");
+  ASSERT_TRUE(ledger->Append(EventType::kWaveStarted, "earlier", "x").ok());
+  std::vector<std::string> order;
+  JournalContext ctx;
+  ctx.ledger = ledger.get();
+  ctx.durable_seq = 1;  // The checkpoint covers "earlier" only.
+  ctx.checkpoint = [&](uint64_t covered_seq) {
+    order.push_back("checkpoint " + std::to_string(covered_seq));
+    return Status::OK();
+  };
+  CrashPoints::Reset();
+  CrashPoints::SetRecording(true);
+  const std::vector<uint64_t> before = StepCounters();
+  std::string payload;
+  Status status = JournaledStep(
+      &ctx, EventType::kWaveApplied, "step", "test.step",
+      [&]() -> StatusOr<std::string> {
+        order.push_back("payload");
+        return std::string("intent");
+      },
+      [&](const std::string& p) {
+        order.push_back("effect " + p +
+                        (ledger->Has("step") ? " after append" : " before append"));
+        return Status::OK();
+      },
+      &payload);
+  const auto reached = CrashPoints::Reached();
+  CrashPoints::Reset();
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(payload, "intent");
+  ASSERT_EQ(ledger->events().size(), 2u);
+  EXPECT_EQ(ledger->events()[1].type, EventType::kWaveApplied);
+  EXPECT_EQ(ledger->events()[1].key, "step");
+  EXPECT_EQ(ledger->events()[1].payload, "intent");
+  EXPECT_EQ(order, (std::vector<std::string>{
+                       "payload", "effect intent after append", "checkpoint 2"}));
+  // Both halves of the step, and the ledger append's own torn-write point.
+  EXPECT_EQ(reached, (std::vector<std::pair<std::string, int>>{
+                         {"journal.append.torn", 1},
+                         {"test.step.post_record", 1},
+                         {"test.step.pre", 1}}));
+  ExpectStepCountersMoved(before, {0, 0, 1});
+}
+
+TEST(JournaledStepTest, RedriveReusesTheRecordedPayloadAndRerunsTheEffect) {
+  auto ledger = OpenFreshLedger("journaled_step_redrive.kea");
+  ASSERT_TRUE(ledger->Append(EventType::kWaveApplied, "step", "recorded").ok());
+  std::vector<uint64_t> checkpoints;
+  JournalContext ctx;
+  ctx.ledger = ledger.get();
+  ctx.durable_seq = 0;  // Journaled, but its effect never reached a checkpoint.
+  ctx.checkpoint = [&](uint64_t covered_seq) {
+    checkpoints.push_back(covered_seq);
+    return Status::OK();
+  };
+  const std::vector<uint64_t> before = StepCounters();
+  std::string seen, payload;
+  Status status = JournaledStep(
+      &ctx, EventType::kWaveApplied, "step", "test.step",
+      [&]() -> StatusOr<std::string> {
+        ADD_FAILURE() << "a re-driven step must not rebuild its payload";
+        return std::string("rebuilt");
+      },
+      [&](const std::string& p) {
+        seen = p;
+        return Status::OK();
+      },
+      &payload);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(payload, "recorded");
+  EXPECT_EQ(seen, "recorded");
+  EXPECT_EQ(ledger->events().size(), 1u);
+  EXPECT_EQ(checkpoints, std::vector<uint64_t>{1});
+  ExpectStepCountersMoved(before, {0, 1, 0});
+}
+
+TEST(JournaledStepTest, ReplayReturnsTheRecordedPayloadAndRunsNothing) {
+  auto ledger = OpenFreshLedger("journaled_step_replay.kea");
+  ASSERT_TRUE(ledger->Append(EventType::kWaveApplied, "step", "recorded").ok());
+  JournalContext ctx;
+  ctx.ledger = ledger.get();
+  ctx.durable_seq = 1;  // The restored checkpoint already holds the effect.
+  ctx.checkpoint = [](uint64_t) {
+    ADD_FAILURE() << "a replayed step must not checkpoint";
+    return Status::OK();
+  };
+  CrashPoints::Reset();
+  CrashPoints::SetRecording(true);
+  const std::vector<uint64_t> before = StepCounters();
+  std::string payload;
+  Status status = JournaledStep(
+      &ctx, EventType::kWaveApplied, "step", "test.step",
+      [&]() -> StatusOr<std::string> {
+        ADD_FAILURE() << "a replayed step must not rebuild its payload";
+        return std::string("rebuilt");
+      },
+      [](const std::string&) {
+        ADD_FAILURE() << "a replayed step must not rerun its effect";
+        return Status::OK();
+      },
+      &payload);
+  const auto reached = CrashPoints::Reached();
+  CrashPoints::Reset();
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(payload, "recorded");
+  EXPECT_EQ(ledger->events().size(), 1u);
+  EXPECT_TRUE(reached.empty());
+  ExpectStepCountersMoved(before, {1, 0, 0});
+}
+
+TEST(JournaledStepTest, FailingPayloadAppendsNothing) {
+  const std::string name = "journaled_step_failing.kea";
+  auto ledger = OpenFreshLedger(name);
+  JournalContext ctx;
+  ctx.ledger = ledger.get();
+  ctx.checkpoint = [](uint64_t) {
+    ADD_FAILURE() << "a failed step must not checkpoint";
+    return Status::OK();
+  };
+  std::string payload;
+  Status status = JournaledStep(
+      &ctx, EventType::kRoundStarted, "step", "test.step",
+      []() -> StatusOr<std::string> {
+        return Status::FailedPrecondition("no plan");
+      },
+      [](const std::string&) {
+        ADD_FAILURE() << "a failed step must not run its effect";
+        return Status::OK();
+      },
+      &payload);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(ledger->events().empty());
+  ledger.reset();
+  auto reopened = DeploymentLedger::Open(testing::TempDir() + "/" + name);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_TRUE((*reopened)->events().empty());
 }
 
 TEST(DeploymentTest, StateRoundTripPreservesHistoryAndCounters) {

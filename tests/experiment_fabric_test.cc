@@ -376,6 +376,31 @@ TEST(ExperimentFabricTest, TripRollsBackOnlyTheTrippedFlight) {
   EXPECT_EQ(fx.ConfigSignature(), before);
 }
 
+TEST(ExperimentFabricTest, SloGuardrailTripsAFlight) {
+  // Generous on every ratio, but no machine-hour can meet a 1 ns latency
+  // target: the SLO burn alone must trip the flight, exactly as it trips a
+  // staged rollout under the same thresholds.
+  FabricFixture fx;
+  std::string before = fx.ConfigSignature();
+  FlightRequest flight = FeatureFlight("slo", 4, 4, 2);
+  flight.guardrails.slo_target_latency_s = 1e-9;
+  auto report = fx.Run({flight});
+  ASSERT_TRUE(report.ok()) << report.status();
+
+  EXPECT_EQ(report->trips, 1u);
+  const auto& c = report->flights[0];
+  EXPECT_TRUE(c.tripped);
+  EXPECT_EQ(c.tripped_window, 0);
+  EXPECT_TRUE(c.trip_eval.measurable);
+  EXPECT_TRUE(c.trip_eval.latency_ok);
+  EXPECT_TRUE(c.trip_eval.queue_ok);
+  EXPECT_TRUE(c.trip_eval.utilization_ok);
+  EXPECT_TRUE(c.trip_eval.slo_checked);
+  EXPECT_FALSE(c.trip_eval.slo_ok);
+  EXPECT_GT(c.trip_eval.observed_slo_burn, flight.guardrails.max_slo_burn);
+  EXPECT_EQ(fx.ConfigSignature(), before);
+}
+
 TEST(ExperimentFabricTest, TrippedReservationBlocksRackUntilPlannedHorizon) {
   FabricFixture fx;
   // "doomed" trips at hour +6 but planned to run 24h on SKU 0's only viable
