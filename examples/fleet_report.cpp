@@ -207,8 +207,6 @@ int main() {
   // Every deterministic counter the run incremented — fits, thread-pool jobs,
   // snapshot writes — rendered beside the fleet views above.
   std::printf("\n%s", telemetry::RenderObsPanel().c_str());
-  std::string trace_summary = telemetry::RenderTraceSummary();
-  if (!trace_summary.empty()) std::printf("\n%s", trace_summary.c_str());
 
   // --- Prometheus exposition sample ------------------------------------------
   // The same registry, rendered in Prometheus text format (deterministic

@@ -10,7 +10,6 @@
 #include "common/journal.h"
 #include "common/snapshot.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/trace.h"
 #include "telemetry/perf_monitor.h"
 
@@ -685,7 +684,7 @@ Status KeaSession::WriteCheckpoint(uint64_t covered_seq) {
 }
 
 StatusOr<std::unique_ptr<KeaSession>> KeaSession::Resume(const std::string& dir) {
-  KEA_PHASE("session.journal_replay");
+  KEA_TRACE_SPAN("session.journal_replay");
   // The ledger first: its durable progress bounds which checkpoints are
   // admissible. A checkpoint claiming coverage beyond the ledger's tail
   // (a rotted or rewound ledger) would fabricate effects on replay, so the

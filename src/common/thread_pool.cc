@@ -103,7 +103,11 @@ void ThreadPool::WorkerLoop() {
                     [&] { return stopping_ || generation_ != seen_generation; });
       if (stopping_) break;
       seen_generation = generation_;
+      // Scopes opened by this job's bodies nest under the ParallelFor scope
+      // that dispatched them, in the phase trie and in the trace.
+      obs::SetThreadScope(job_scope_);
       DrainIndices(lock, seen_generation);
+      obs::SetThreadScope(obs::ScopeContext{});
     }
   }
   // Eagerly retire this worker's obs shard (the TLS destructor would too,
@@ -119,7 +123,6 @@ void ThreadPool::DrainIndices(std::unique_lock<std::mutex>& lock,
     const std::function<void(size_t)>* job = job_;
     const size_t depth = job_size_ - next_index_;
     const auto dispatch_time = job_dispatch_time_;
-    const uint64_t parent_span = job_parent_span_;
     lock.unlock();
 
     const bool timing = obs::MetricsEnabled();
@@ -129,15 +132,6 @@ void ThreadPool::DrainIndices(std::unique_lock<std::mutex>& lock,
       TaskWaitHistogram()->Observe(ElapsedUs(dispatch_time, run_start));
       QueueDepthHistogram()->Observe(static_cast<double>(depth));
     }
-    // Spans begun inside the body (per-group fits, per-candidate draws)
-    // nest under the dispatching ParallelFor span rather than floating as
-    // roots on the worker thread.
-    const bool traced = obs::TraceEnabled();
-    uint64_t previous_parent = 0;
-    if (traced) {
-      previous_parent =
-          obs::Tracer::Get().ExchangeThreadDefaultParent(parent_span);
-    }
 
     std::exception_ptr err;
     try {
@@ -146,9 +140,6 @@ void ThreadPool::DrainIndices(std::unique_lock<std::mutex>& lock,
       err = std::current_exception();
     }
 
-    if (traced) {
-      obs::Tracer::Get().ExchangeThreadDefaultParent(previous_parent);
-    }
     if (timing) {
       TaskRunHistogram()->Observe(
           ElapsedUs(run_start, std::chrono::steady_clock::now()));
@@ -188,7 +179,8 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   error_index_ = 0;
   error_ = nullptr;
   job_dispatch_time_ = std::chrono::steady_clock::now();
-  job_parent_span_ = obs::Tracer::Get().CurrentSpanId();
+  // Workers adopt this scope in WorkerLoop; the caller drains inside it.
+  job_scope_ = obs::CurrentScope();
   const uint64_t generation = ++generation_;
   work_cv_.notify_all();
 

@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/trace.h"
+
 namespace kea::common {
 
 /// A fixed-size fork-join pool for KEA's embarrassingly parallel loops: the
@@ -83,11 +85,11 @@ class ThreadPool {
   std::exception_ptr error_;
 
   // Observability context of the current job (guarded by mu_): the dispatch
-  // time feeds the task-wait histogram and the dispatching span id lets
-  // worker-side spans nest under the ParallelFor span (kTiming only — none
+  // time feeds the task-wait histogram and the dispatching scope lets
+  // worker-side scopes nest under the ParallelFor scope (kTiming only — none
   // of this affects which index runs where).
   std::chrono::steady_clock::time_point job_dispatch_time_{};
-  uint64_t job_parent_span_ = 0;
+  obs::ScopeContext job_scope_;
 };
 
 }  // namespace kea::common

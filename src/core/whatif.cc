@@ -12,7 +12,6 @@
 #include "ml/model_selection.h"
 #include "ml/stats.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/trace.h"
 
 namespace kea::core {
@@ -113,7 +112,6 @@ StatusOr<WhatIfEngine> WhatIfEngine::Fit(const telemetry::TelemetryStore& store,
                  {{"groups", std::to_string(grouped.size())},
                   {"records", std::to_string(window_records)},
                   {"store_records", std::to_string(store.size())}});
-  KEA_PHASE("whatif.fit");
   FitsCounter()->Increment();
 
   // Groups are independent (one g/h/f triple per SC-SKU combination), so the

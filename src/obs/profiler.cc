@@ -1,20 +1,27 @@
 #include "obs/profiler.h"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <map>
+#include <utility>
 
 namespace kea::obs {
-
-thread_local PhaseProfiler::TlsState PhaseProfiler::tls_;
 
 namespace {
 int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+PhaseNode* FindChild(const PhaseNode* parent, const char* name,
+                     std::memory_order order) {
+  for (PhaseNode* c = parent->first_child.load(order); c != nullptr;
+       c = c->next_sibling) {
+    if (c->name == name) return c;
+  }
+  return nullptr;
 }
 }  // namespace
 
@@ -23,98 +30,66 @@ PhaseProfiler& PhaseProfiler::Get() {
   return *p;
 }
 
-PhaseProfiler::Node* PhaseProfiler::ChildNamed(Node* parent,
-                                               const char* name) {
-  // Nodes are per-thread (every thread owns its root), so the owning thread
-  // may scan children without a lock; only the push_back needs mu_ to
-  // synchronize with the exporter.
-  for (const auto& c : parent->children) {
-    if (c->name == name) return c.get();
+PhaseNode* PhaseProfiler::Child(PhaseNode* parent, const char* name) {
+  if (parent == nullptr) parent = &root_;
+  // A child list only ever grows at its head, and a node's fields are set
+  // before the release store that publishes it, so readers walk it without
+  // a lock; only creation takes mu_, and re-checks under it.
+  if (PhaseNode* c = FindChild(parent, name, std::memory_order_acquire)) {
+    return c;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& c : parent->children) {
-    if (c->name == name) return c.get();
+  if (PhaseNode* c = FindChild(parent, name, std::memory_order_relaxed)) {
+    return c;
   }
-  auto node = std::make_unique<Node>();
+  auto node = std::make_unique<PhaseNode>();
   node->name = name;
   node->parent = parent;
-  Node* raw = node.get();
-  parent->children.push_back(std::move(node));
+  node->next_sibling = parent->first_child.load(std::memory_order_relaxed);
+  PhaseNode* raw = node.get();
+  nodes_.push_back(std::move(node));
+  parent->first_child.store(raw, std::memory_order_release);
   return raw;
 }
 
-void PhaseProfiler::Begin(const char* name) {
-  TlsState& t = tls_;
-  if (t.current == nullptr) {
-    auto root = std::make_unique<ThreadRoot>();
-    Node* r = &root->root;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      roots_.push_back(std::move(root));
-    }
-    t.current = r;
-  }
-  t.current = ChildNamed(t.current, name);
-  t.starts.push_back(NowNs());
-  scopes_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void PhaseProfiler::End() {
-  TlsState& t = tls_;
-  if (t.current == nullptr || t.starts.empty()) return;  // unbalanced; drop
-  const int64_t dt = NowNs() - t.starts.back();
-  t.starts.pop_back();
-  t.current->total_ns.fetch_add(dt > 0 ? static_cast<uint64_t>(dt) : 0,
-                                std::memory_order_relaxed);
-  t.current->count.fetch_add(1, std::memory_order_relaxed);
-  t.current = t.current->parent;
-}
-
-void PhaseProfiler::CollectLocked(
-    const Node& node, std::string* prefix,
-    std::vector<std::pair<std::string, uint64_t>>* out) const {
-  const size_t prefix_len = prefix->size();
-  if (!prefix->empty()) *prefix += ";";
-  *prefix += node.name;
-  uint64_t self = node.total_ns.load(std::memory_order_relaxed);
-  for (const auto& c : node.children) {
-    const uint64_t child_total = c->total_ns.load(std::memory_order_relaxed);
-    self = self >= child_total ? self - child_total : 0;
-    CollectLocked(*c, prefix, out);
-  }
-  if (node.count.load(std::memory_order_relaxed) > 0) {
-    out->emplace_back(*prefix, self);
-  }
-  prefix->resize(prefix_len);
-}
-
 std::string PhaseProfiler::CollapsedStack() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<std::string, uint64_t>> rows;
-  std::string prefix;
-  for (const auto& r : roots_) {
-    for (const auto& c : r->root.children) CollectLocked(*c, &prefix, &rows);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& node : nodes_) {
+      if (node->count.load(std::memory_order_relaxed) == 0) continue;
+      std::string path = node->name;
+      for (const PhaseNode* p = node->parent; p != &root_; p = p->parent) {
+        path = p->name + ";" + path;
+      }
+      rows.emplace_back(std::move(path),
+                        node->self_ns.load(std::memory_order_relaxed));
+    }
   }
-  // Merge identical paths across threads; map iteration sorts by path so
-  // the rendering is deterministic given the same timings.
-  std::map<std::string, uint64_t> merged;
-  for (auto& [path, self_ns] : rows) merged[path] += self_ns;
+  // Sorted by path so the rendering is deterministic given the same timings.
+  std::sort(rows.begin(), rows.end());
   std::string out;
-  for (const auto& [path, self_ns] : merged) {
+  for (const auto& [path, self_ns] : rows) {
     out += path + " " + std::to_string(self_ns) + "\n";
   }
   return out;
 }
 
 uint64_t PhaseProfiler::scope_count() const {
-  return scopes_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  uint64_t n = 0;
+  for (const auto& node : nodes_) {
+    n += node->count.load(std::memory_order_relaxed);
+  }
+  return n;
 }
 
 double PhaseProfiler::calibrated_scope_cost_ns() const {
   uint64_t bits = calibrated_ns_bits_.load(std::memory_order_relaxed);
   if (bits != 0) return std::bit_cast<double>(bits);
-  // A scope's cost is dominated by its two steady_clock reads plus the
-  // (amortised-away) child scan; calibrate with clock-read pairs.
+  // A scope's cost is dominated by its two steady_clock reads; calibrate
+  // with clock-read pairs. A lower bound: the child lookup and two relaxed
+  // adds come on top.
   constexpr int kIters = 4096;
   const int64_t begin = NowNs();
   for (int i = 0; i < kIters; ++i) {
@@ -153,13 +128,11 @@ bool PhaseProfiler::WriteCollapsedFile(const std::string& path) const {
 }
 
 void PhaseProfiler::ResetForTest() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    roots_.clear();
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& node : nodes_) {
+    node->self_ns.store(0, std::memory_order_relaxed);
+    node->count.store(0, std::memory_order_relaxed);
   }
-  scopes_.store(0, std::memory_order_relaxed);
-  tls_.current = nullptr;
-  tls_.starts.clear();
 }
 
 }  // namespace kea::obs

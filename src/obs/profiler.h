@@ -10,40 +10,48 @@
 
 /// Always-on phase profiler (DESIGN.md "Observability v2").
 ///
-/// Attributes wall time to a stack of NAMED PHASES ("fit", "mc.grid",
-/// "sweep.run", ...) per thread, cheap enough to leave on in production:
-/// entering a phase is one steady_clock read plus a child lookup on a
-/// per-thread trie node (usually a one-element scan); leaving is one clock
-/// read plus two relaxed atomic adds. No allocation after a phase path has
-/// been seen once on a thread.
+/// One process-wide trie of scope paths ("whatif.fit;whatif.fit_group"),
+/// fed by every obs::SpanGuard (KEA_TRACE_SPAN) while MetricsEnabled(): a
+/// guard finds its child under the calling thread's current node, reads the
+/// clock on entry and exit, and adds one entry and its self time (wall time
+/// minus the same-thread scopes nested in it) to the node with two relaxed
+/// atomic adds. The trie is shared by all threads, and ThreadPool hands the
+/// dispatching thread's node to its workers, so a worker's scopes nest under
+/// the scope that dispatched them and a path's self time is summed across
+/// threads. A node is created once per distinct path and lives for the
+/// process: nothing allocates after a path has been seen, and a thread that
+/// exits leaves nothing behind.
 ///
 /// Export is flamegraph-ready collapsed-stack text ("fit;mc.grid 1234"
-/// — self nanoseconds per path, merged across threads, sorted), written
-/// next to the Chrome trace by WriteTraceFromEnv. Self-overhead is
-/// reported from a startup calibration of the enter/leave cost times the
-/// observed scope count.
+/// — self nanoseconds per path, sorted), written next to the Chrome trace
+/// by WriteTraceFromEnv. Self-overhead is reported from a startup
+/// calibration of the per-scope cost times the observed scope count.
 ///
 /// Wall-clock derived — never part of the deterministic exports.
 namespace kea::obs {
+
+/// One scope path. Never freed or moved once created. A scope bumps `count`
+/// when it opens (so live snapshots count open scopes too) and adds its self
+/// time to `self_ns` when it closes.
+struct PhaseNode {
+  std::string name;
+  PhaseNode* parent = nullptr;
+  PhaseNode* next_sibling = nullptr;              // fixed before publication
+  std::atomic<PhaseNode*> first_child{nullptr};   // release-published
+  std::atomic<uint64_t> count{0};
+  std::atomic<uint64_t> self_ns{0};
+};
 
 class PhaseProfiler {
  public:
   static PhaseProfiler& Get();
 
-  /// Runtime switch (on by default; KEA_OBS_DISABLED builds compile the
-  /// scopes out).
-  void SetEnabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  /// Enter/leave the named phase on the calling thread. Prefer the
-  /// KEA_PHASE macro. `name` must outlive the process (string literal).
-  void Begin(const char* name);
-  void End();
+  /// The child of `parent` (nullptr = the root) named `name`, created on
+  /// first use. Lock-free once the path exists. Thread-safe.
+  PhaseNode* Child(PhaseNode* parent, const char* name);
 
   /// Collapsed-stack ("folded") export: one "path;leaf <self_ns>" line per
-  /// distinct phase path, self time merged across threads, sorted by path.
+  /// path entered at least once, sorted by path.
   std::string CollapsedStack() const;
   /// Writes CollapsedStack() plus '#'-prefixed self-overhead trailer lines
   /// to `path`. Returns false on I/O failure.
@@ -55,72 +63,19 @@ class PhaseProfiler {
   double calibrated_scope_cost_ns() const;
   std::string SelfOverheadSummary() const;
 
-  /// Drops all recorded phases (pointers invalidated). Tests only; callers
-  /// must be outside any phase on every thread.
+  /// Zeroes every node's time and count. Nodes stay, so a thread inside a
+  /// scope keeps a valid node; a path reappears in the export once entered
+  /// again. Tests only.
   void ResetForTest();
 
  private:
-  struct Node {
-    std::string name;
-    Node* parent = nullptr;
-    // Inclusive wall ns and entry count; owner thread writes, export reads.
-    std::atomic<uint64_t> total_ns{0};
-    std::atomic<uint64_t> count{0};
-    std::vector<std::unique_ptr<Node>> children;  // mutated under mu_
-  };
-  struct ThreadRoot {
-    Node root;  // name "" — never exported itself
-  };
-  struct TlsState {
-    Node* current = nullptr;       // null until first Begin on this thread
-    std::vector<int64_t> starts;   // entry timestamps, one per open phase
-  };
-
   PhaseProfiler() = default;
-  Node* ChildNamed(Node* parent, const char* name);
-  void CollectLocked(const Node& node, std::string* prefix,
-                     std::vector<std::pair<std::string, uint64_t>>* out) const;
 
-  static thread_local TlsState tls_;
-
-  mutable std::mutex mu_;  // guards roots_ and children edits
-  std::vector<std::unique_ptr<ThreadRoot>> roots_;
-  std::atomic<bool> enabled_{true};
-  std::atomic<uint64_t> scopes_{0};
+  PhaseNode root_;  // name "" — never exported itself
+  mutable std::mutex mu_;  // serializes node creation
+  std::vector<std::unique_ptr<PhaseNode>> nodes_;  // guarded by mu_
   mutable std::atomic<uint64_t> calibrated_ns_bits_{0};  // double bits; 0 = not yet
 };
-
-/// RAII phase scope.
-class PhaseScope {
- public:
-  explicit PhaseScope(const char* name) {
-#ifndef KEA_OBS_DISABLED
-    PhaseProfiler& p = PhaseProfiler::Get();
-    if (p.enabled()) {
-      p.Begin(name);
-      active_ = true;
-    }
-#else
-    (void)name;
-#endif
-  }
-  ~PhaseScope() {
-#ifndef KEA_OBS_DISABLED
-    if (active_) PhaseProfiler::Get().End();
-#endif
-  }
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  bool active_ = false;
-};
-
-#define KEA_PHASE_CONCAT_INNER(a, b) a##b
-#define KEA_PHASE_CONCAT(a, b) KEA_PHASE_CONCAT_INNER(a, b)
-/// Attributes the enclosing scope's wall time to phase `name`.
-#define KEA_PHASE(name) \
-  ::kea::obs::PhaseScope KEA_PHASE_CONCAT(kea_phase_scope_, __LINE__)(name)
 
 }  // namespace kea::obs
 

@@ -34,68 +34,63 @@ void ResetTracingToDefault() { DisableTracing(); }
 // ---------------------------------------------------------------------------
 // Per-thread state. The buffer is shared_ptr'd from the tracer's registry so
 // export can walk buffers of threads that have since exited; the per-buffer
-// mutex makes the walk safe against a still-running owner. The span stack and
-// default parent are plain thread_locals — only the owner touches them.
+// mutex makes the walk safe against a still-running owner. The scope
+// context is a plain thread_local — only the owner touches it.
 
 namespace {
 
-struct TlsState {
-  std::shared_ptr<void> buf;  // really Tracer::ThreadBuf; type-erased here
-  std::vector<uint64_t> span_stack;
-  uint64_t default_parent = 0;
+struct ThreadScope {
+  ScopeContext ctx;
+  // The innermost open guard's child-time accumulator: a guard adds its
+  // wall time here on close. Null at a thread's top level and after a
+  // cross-thread handoff, since another thread's scope is not ours to bill.
+  uint64_t* child_ns = nullptr;
 };
 
-TlsState& Tls() {
-  thread_local TlsState tls;
-  return tls;
-}
+thread_local ThreadScope t_scope;
+thread_local std::shared_ptr<void> t_buf;  // really Tracer::ThreadBuf
 
 std::atomic<uint32_t> g_next_tid{1};
 
+int64_t SteadyNowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 }  // namespace
 
-Tracer::Tracer() {
-  epoch_ns_ = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+ScopeContext CurrentScope() { return t_scope.ctx; }
+
+void SetThreadScope(ScopeContext ctx) { t_scope = {ctx, nullptr}; }
+
+Tracer::Tracer() : epoch_ns_(SteadyNowNs()) {}
 
 Tracer& Tracer::Get() {
   static Tracer* t = new Tracer();  // leaked: outlives static destructors
   return *t;
 }
 
-uint64_t Tracer::NowNs() const {
-  uint64_t now = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-  return now - epoch_ns_;
-}
-
 Tracer::ThreadBuf* Tracer::LocalBuf() {
-  TlsState& tls = Tls();
-  if (!tls.buf) {
+  if (!t_buf) {
     auto buf = std::make_shared<ThreadBuf>();
     buf->tid = g_next_tid.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(mu_);
       bufs_.push_back(buf);
     }
-    tls.buf = buf;
+    t_buf = buf;
   }
-  return static_cast<ThreadBuf*>(tls.buf.get());
+  return static_cast<ThreadBuf*>(t_buf.get());
 }
 
-uint64_t Tracer::BeginSpan(const char* name, Annotations args) {
-  if (!TraceEnabled()) return 0;
+uint64_t Tracer::BeginSpan(const char* name, Annotations args,
+                           uint64_t parent_id, int64_t now_ns) {
   ThreadBuf* buf = LocalBuf();
-  TlsState& tls = Tls();
   // Bounded buffers: once this thread's buffer is full, new spans are
-  // dropped whole (no Begin recorded, id 0 so EndSpan no-ops, nothing
-  // pushed on the stack — children simply re-parent to the enclosing
-  // recorded span). End events bypass the cap so open spans always close.
+  // dropped whole (no Begin recorded, id 0 so the guard records no End and
+  // leaves the context alone — children re-parent to the enclosing recorded
+  // span). End events bypass the cap so open spans always close.
   const size_t cap = max_events_per_thread_.load(std::memory_order_relaxed);
   if (cap != 0) {
     std::lock_guard<std::mutex> lock(buf->mu);
@@ -112,48 +107,62 @@ uint64_t Tracer::BeginSpan(const char* name, Annotations args) {
   ev.phase = TraceEvent::Phase::kBegin;
   ev.name = name;
   ev.span_id = id;
-  ev.parent_id =
-      tls.span_stack.empty() ? tls.default_parent : tls.span_stack.back();
-  ev.ts_ns = NowNs();
+  ev.parent_id = parent_id;
+  ev.ts_ns = static_cast<uint64_t>(now_ns - epoch_ns_);
   ev.tid = buf->tid;
   ev.args = std::move(args);
-  {
-    std::lock_guard<std::mutex> lock(buf->mu);
-    buf->events.push_back(std::move(ev));
-  }
-  tls.span_stack.push_back(id);
+  std::lock_guard<std::mutex> lock(buf->mu);
+  buf->events.push_back(std::move(ev));
   return id;
 }
 
-void Tracer::EndSpan(uint64_t span_id, const char* name) {
-  if (span_id == 0) return;  // begun while disabled
+void Tracer::EndSpan(uint64_t span_id, const char* name, int64_t now_ns) {
   ThreadBuf* buf = LocalBuf();
-  TlsState& tls = Tls();
-  // RAII guards unwind LIFO, so the top of the stack is ours. Guard against
-  // a mismatch anyway (e.g. Clear() called with a span open in a test).
-  if (!tls.span_stack.empty() && tls.span_stack.back() == span_id) {
-    tls.span_stack.pop_back();
-  }
   TraceEvent ev;
   ev.phase = TraceEvent::Phase::kEnd;
   ev.name = name;
   ev.span_id = span_id;
-  ev.ts_ns = NowNs();
+  ev.ts_ns = static_cast<uint64_t>(now_ns - epoch_ns_);
   ev.tid = buf->tid;
   std::lock_guard<std::mutex> lock(buf->mu);
   buf->events.push_back(std::move(ev));
 }
 
-uint64_t Tracer::CurrentSpanId() const {
-  const TlsState& tls = Tls();
-  return tls.span_stack.empty() ? 0 : tls.span_stack.back();
+// ---------------------------------------------------------------------------
+// SpanGuard
+
+void SpanGuard::Open(bool traced, Annotations args) {
+  ThreadScope& t = t_scope;
+  saved_ = t.ctx;
+  saved_child_ns_ = t.child_ns;
+  if (MetricsEnabled()) {
+    node_ = PhaseProfiler::Get().Child(saved_.node, name_);
+    node_->count.fetch_add(1, std::memory_order_relaxed);
+    t.ctx.node = node_;
+  }
+  // Tracer first: its epoch must not postdate this span's start, so trace
+  // timestamps (start - epoch) never go negative.
+  Tracer* tracer = traced ? &Tracer::Get() : nullptr;
+  start_ns_ = SteadyNowNs();
+  if (tracer != nullptr) {
+    id_ = tracer->BeginSpan(name_, std::move(args), saved_.span_id, start_ns_);
+    if (id_ != 0) t.ctx.span_id = id_;
+  }
+  t.child_ns = &child_ns_;
+  open_ = true;
 }
 
-uint64_t Tracer::ExchangeThreadDefaultParent(uint64_t span_id) {
-  TlsState& tls = Tls();
-  uint64_t prev = tls.default_parent;
-  tls.default_parent = span_id;
-  return prev;
+void SpanGuard::Close() {
+  const int64_t end_ns = SteadyNowNs();
+  const uint64_t wall_ns =
+      end_ns > start_ns_ ? static_cast<uint64_t>(end_ns - start_ns_) : 0;
+  if (node_ != nullptr) {
+    node_->self_ns.fetch_add(wall_ns > child_ns_ ? wall_ns - child_ns_ : 0,
+                             std::memory_order_relaxed);
+  }
+  if (id_ != 0) Tracer::Get().EndSpan(id_, name_, end_ns);
+  t_scope = {saved_, saved_child_ns_};
+  if (saved_child_ns_ != nullptr) *saved_child_ns_ += wall_ns;
 }
 
 void Tracer::SetMaxEventsPerThread(size_t max_events) {
@@ -276,72 +285,6 @@ bool Tracer::WriteChromeTraceFile(const std::string& path,
     return false;
   }
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// Self-time aggregation
-
-std::vector<SelfTimeRow> ComputeSelfTimes(
-    const std::vector<TraceEvent>& events) {
-  struct Frame {
-    std::string name;
-    uint64_t span_id;
-    uint64_t begin_ns;
-    uint64_t child_ns = 0;
-  };
-  struct Agg {
-    uint64_t count = 0;
-    uint64_t total_ns = 0;
-    uint64_t self_ns = 0;
-  };
-  std::map<uint32_t, std::vector<Frame>> stacks;
-  std::map<std::string, Agg> aggs;
-  for (const TraceEvent& ev : events) {
-    auto& stack = stacks[ev.tid];
-    if (ev.phase == TraceEvent::Phase::kBegin) {
-      stack.push_back({ev.name, ev.span_id, ev.ts_ns});
-    } else {
-      if (stack.empty() || stack.back().span_id != ev.span_id) continue;
-      Frame frame = stack.back();
-      stack.pop_back();
-      const uint64_t dur = ev.ts_ns - frame.begin_ns;
-      Agg& a = aggs[frame.name];
-      a.count += 1;
-      a.total_ns += dur;
-      a.self_ns += dur > frame.child_ns ? dur - frame.child_ns : 0;
-      if (!stack.empty()) stack.back().child_ns += dur;
-    }
-  }
-  std::vector<SelfTimeRow> rows;
-  rows.reserve(aggs.size());
-  for (const auto& [name, a] : aggs) {
-    SelfTimeRow row;
-    row.name = name;
-    row.count = a.count;
-    row.total_us = static_cast<double>(a.total_ns) / 1000.0;
-    row.self_us = static_cast<double>(a.self_ns) / 1000.0;
-    rows.push_back(std::move(row));
-  }
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    return a.total_us != b.total_us ? a.total_us > b.total_us
-                                    : a.name < b.name;
-  });
-  return rows;
-}
-
-std::string Tracer::SelfTimeSummary() const {
-  std::vector<SelfTimeRow> rows = ComputeSelfTimes(Events());
-  std::string out =
-      "span name                          count     total_ms      self_ms\n"
-      "-------------------------------- ------- ------------ ------------\n";
-  char line[160];
-  for (const SelfTimeRow& row : rows) {
-    std::snprintf(line, sizeof(line), "%-32s %7llu %12.3f %12.3f\n",
-                  row.name.c_str(), static_cast<unsigned long long>(row.count),
-                  row.total_us / 1000.0, row.self_us / 1000.0);
-    out += line;
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -10,16 +10,22 @@
 #include <utility>
 #include <vector>
 
-/// Hierarchical span tracing (DESIGN.md "Observability"). Spans are RAII
-/// scopes recorded as begin/end event pairs into per-thread buffers; the
-/// merged stream exports as Chrome trace-event JSON (open in Perfetto or
-/// chrome://tracing) or aggregates into a self-time summary table.
+#include "obs/metrics.h"
+
+/// Scopes and span tracing (DESIGN.md "Observability"). A SpanGuard
+/// (KEA_TRACE_SPAN) is the one scope primitive: while metrics are on it
+/// feeds the phase trie (obs/profiler.h), and while tracing is on it also
+/// records a begin/end event pair into a per-thread buffer; the merged
+/// stream exports as Chrome trace-event JSON (open in Perfetto or
+/// chrome://tracing).
 ///
-/// Tracing is OFF by default — a disabled span is one relaxed load and no
-/// allocation. Every timestamp in a trace is wall-clock derived, so traces
-/// are kTiming artifacts by definition: they are never part of the
-/// deterministic exports and never feed back into tuning decisions.
+/// Tracing is OFF by default — an untraced span allocates nothing. Every
+/// timestamp in a trace is wall-clock derived, so traces are kTiming
+/// artifacts by definition: they are never part of the deterministic exports
+/// and never feed back into tuning decisions.
 namespace kea::obs {
+
+struct PhaseNode;  // obs/profiler.h
 
 #ifdef KEA_OBS_DISABLED
 inline constexpr bool TraceEnabled() { return false; }
@@ -45,37 +51,30 @@ struct TraceEvent {
   Annotations args;
 };
 
-/// One row of the aggregated self-time table: total is inclusive wall time,
-/// self excludes time spent in same-thread child spans.
-struct SelfTimeRow {
-  std::string name;
-  uint64_t count = 0;
-  double total_us = 0.0;
-  double self_us = 0.0;
+/// Where the calling thread stands in the scope tree: the phase-trie node of
+/// its innermost open scope (nullptr = the root) and its innermost recorded
+/// span (0 = none). Every SpanGuard saves and restores it; ThreadPool hands
+/// the dispatching thread's context to its workers.
+struct ScopeContext {
+  PhaseNode* node = nullptr;
+  uint64_t span_id = 0;
 };
+
+/// The calling thread's context, to hand to another thread.
+ScopeContext CurrentScope();
+/// Makes `ctx`, captured by CurrentScope() on another thread, the calling
+/// thread's context: the scopes it opens next nest under ctx in the trie and
+/// the trace. Their time is this thread's own, so it is not subtracted from
+/// the self time of ctx's scope. Only for a thread with no scope open (a
+/// pool worker between jobs); ScopeContext{} detaches it again.
+void SetThreadScope(ScopeContext ctx);
 
 class Tracer {
  public:
   static Tracer& Get();
 
-  /// Records a begin event and pushes the span on this thread's stack.
-  /// Returns the span id, or 0 when tracing is disabled (the matching
-  /// EndSpan(0, ...) is a no-op). Parent is the innermost open span on this
-  /// thread, else the thread's default parent (set by ThreadPool so worker
-  /// tasks nest under the dispatching ParallelFor span).
-  uint64_t BeginSpan(const char* name, Annotations args = {});
-  void EndSpan(uint64_t span_id, const char* name);
-
-  /// Innermost open span on the calling thread (0 if none).
-  uint64_t CurrentSpanId() const;
-
-  /// Cross-thread parent propagation: spans begun on this thread with an
-  /// empty stack adopt `span_id` as parent. Returns the previous value so
-  /// callers can restore it (see ThreadPool::DrainIndices).
-  uint64_t ExchangeThreadDefaultParent(uint64_t span_id);
-
   /// Per-thread buffer bound: once a thread's buffer holds this many
-  /// events, further BeginSpan calls on it are DROPPED (counted in
+  /// events, further spans begun on it are DROPPED (counted in
   /// dropped_span_count() and the exported `obs.trace.dropped_spans`
   /// counter) so week-long traced runs cannot grow memory without bound.
   /// End events for already-open spans always append, so the trace stays
@@ -102,10 +101,8 @@ class Tracer {
   bool WriteChromeTraceFile(const std::string& path,
                             std::string* error = nullptr) const;
 
-  /// Fixed-width table of per-span-name totals, sorted by total desc.
-  std::string SelfTimeSummary() const;
-
  private:
+  friend class SpanGuard;
   struct ThreadBuf {
     mutable std::mutex mu;
     uint32_t tid = 0;
@@ -114,7 +111,12 @@ class Tracer {
 
   Tracer();
   ThreadBuf* LocalBuf();
-  uint64_t NowNs() const;
+
+  /// Appends a begin event at steady-clock time `now_ns`; returns the new
+  /// span id, or 0 when the thread's buffer is full and the span is dropped.
+  uint64_t BeginSpan(const char* name, Annotations args, uint64_t parent_id,
+                     int64_t now_ns);
+  void EndSpan(uint64_t span_id, const char* name, int64_t now_ns);
 
   mutable std::mutex mu_;  // guards bufs_
   std::vector<std::shared_ptr<ThreadBuf>> bufs_;
@@ -123,43 +125,58 @@ class Tracer {
   // test or example, low enough that an always-on weeklong run stays flat.
   std::atomic<size_t> max_events_per_thread_{1u << 20};
   std::atomic<uint64_t> dropped_spans_{0};
-  uint64_t epoch_ns_ = 0;
+  int64_t epoch_ns_ = 0;
 };
 
-/// RAII span scope. Prefer the KEA_TRACE_SPAN macro.
+/// RAII scope, the one instrumentation primitive. Prefer the KEA_TRACE_SPAN
+/// macro. While MetricsEnabled() the scope is recorded in the phase trie
+/// (obs/profiler.h); while TraceEnabled() it is also recorded as a Chrome
+/// trace B/E pair stamped with the same two clock reads. With both off it
+/// costs two relaxed loads. `name` must outlive the guard.
 class SpanGuard {
  public:
   explicit SpanGuard(const char* name) : name_(name) {
-    if (TraceEnabled()) id_ = Tracer::Get().BeginSpan(name);
-  }
-  SpanGuard(const char* name, Annotations args) : name_(name) {
-    if (TraceEnabled()) id_ = Tracer::Get().BeginSpan(name, std::move(args));
+    const bool traced = TraceEnabled();
+    if (traced || MetricsEnabled()) Open(traced, Annotations());
   }
   /// Lazy-annotation form used by KEA_TRACE_SPAN: `make_args` is only
   /// invoked when tracing is on, so annotation strings (std::to_string and
-  /// friends) cost nothing on the disabled path.
+  /// friends) cost nothing on the untraced path.
   template <typename F,
             typename = std::enable_if_t<std::is_invocable_r_v<Annotations, F&>>>
   SpanGuard(const char* name, F&& make_args) : name_(name) {
-    if (TraceEnabled()) id_ = Tracer::Get().BeginSpan(name, make_args());
+    const bool traced = TraceEnabled();
+    if (traced || MetricsEnabled()) {
+      Open(traced, traced ? make_args() : Annotations());
+    }
   }
   ~SpanGuard() {
-    if (id_ != 0) Tracer::Get().EndSpan(id_, name_);
+    if (open_) Close();
   }
   SpanGuard(const SpanGuard&) = delete;
   SpanGuard& operator=(const SpanGuard&) = delete;
 
+  /// The recorded span's id; 0 when tracing was off or the span was dropped.
   uint64_t id() const { return id_; }
 
  private:
+  void Open(bool traced, Annotations args);
+  void Close();
+
   const char* name_;
+  bool open_ = false;
+  PhaseNode* node_ = nullptr;  // null while metrics are off
   uint64_t id_ = 0;
+  int64_t start_ns_ = 0;
+  uint64_t child_ns_ = 0;  // wall time of same-thread scopes nested in this one
+  ScopeContext saved_;
+  uint64_t* saved_child_ns_ = nullptr;
 };
 
 #define KEA_OBS_CONCAT_INNER(a, b) a##b
 #define KEA_OBS_CONCAT(a, b) KEA_OBS_CONCAT_INNER(a, b)
-/// KEA_TRACE_SPAN("whatif.fit", {{"groups", "12"}}); — traces the enclosing
-/// scope. The annotations are wrapped in a lambda so their construction is
+/// KEA_TRACE_SPAN("whatif.fit", {{"groups", "12"}}); — scopes the enclosing
+/// block. The annotations are wrapped in a lambda so their construction is
 /// skipped entirely when tracing is off.
 #define KEA_TRACE_SPAN(name, ...)                                  \
   ::kea::obs::SpanGuard KEA_OBS_CONCAT(kea_trace_span_, __LINE__)( \
@@ -200,9 +217,6 @@ bool EnableTracingFromEnv();
 /// failure, true otherwise (including "not set").
 bool WriteTraceFromEnv(std::string* path_out = nullptr,
                        std::string* error = nullptr);
-
-/// Aggregates self-times from an event stream (exposed for tests).
-std::vector<SelfTimeRow> ComputeSelfTimes(const std::vector<TraceEvent>& events);
 
 }  // namespace kea::obs
 

@@ -5,7 +5,6 @@
 
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/trace.h"
 
 namespace kea::opt {
@@ -66,7 +65,6 @@ StatusOr<GridEstimate> EstimateOverGrid(
   KEA_TRACE_SPAN("mc.grid",
                  {{"candidates", std::to_string(num_candidates)},
                   {"iterations", std::to_string(iterations_per_candidate)}});
-  KEA_PHASE("mc.grid");
   GridCallsCounter()->Increment();
   CandidatesCounter()->Increment(num_candidates);
   DrawsCounter()->Increment(num_candidates *

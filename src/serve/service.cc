@@ -6,6 +6,7 @@
 #include "common/random.h"
 #include "obs/profiler.h"
 #include "obs/shard.h"
+#include "obs/trace.h"
 
 namespace kea::serve {
 
@@ -117,7 +118,7 @@ TuningService::~TuningService() {
 
 void TuningService::RunOne(RequestQueue* queue, int tenant_id,
                            const std::function<bool()>& work) {
-  KEA_PHASE("serve.dispatch");
+  KEA_TRACE_SPAN("serve.dispatch");
   const bool executed = work();
   queue->Done(tenant_id, executed);
 }

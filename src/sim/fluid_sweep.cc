@@ -4,7 +4,6 @@
 
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/trace.h"
 
 namespace kea::sim {
@@ -64,7 +63,6 @@ StatusOr<std::vector<telemetry::TelemetryStore>> RunConfigSweepTelemetry(
   KEA_TRACE_SPAN("sweep.run",
                  {{"candidates", std::to_string(candidates.size())},
                   {"hours", std::to_string(options.hours)}});
-  KEA_PHASE("sweep.run");
   SweepRunsCounter()->Increment();
   SweepCandidatesCounter()->Increment(candidates.size());
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace kea::telemetry {
 
@@ -131,14 +130,6 @@ std::string RenderObsPanel(bool include_timing) {
   if (!include_timing) {
     out += "(timing instruments hidden; pass include_timing for wall-clock)\n";
   }
-  return out;
-}
-
-std::string RenderTraceSummary() {
-  obs::Tracer& tracer = obs::Tracer::Get();
-  if (tracer.event_count() == 0) return "";
-  std::string out = "== span self-time summary ==\n";
-  out += tracer.SelfTimeSummary();
   return out;
 }
 

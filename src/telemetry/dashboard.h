@@ -39,10 +39,6 @@ StatusOr<std::string> RenderUtilizationWeek(const TelemetryStore& store,
 /// accept/quarantine, rollout waves) beside what the fleet *looked like*.
 std::string RenderObsPanel(bool include_timing = false);
 
-/// Renders the span tracer's aggregated self-time table (top spans by self
-/// time). Empty string when tracing is disabled or no spans were recorded.
-std::string RenderTraceSummary();
-
 }  // namespace kea::telemetry
 
 #endif  // KEA_TELEMETRY_DASHBOARD_H_

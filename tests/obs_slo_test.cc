@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "common/random.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/trace.h"
 
 namespace kea::obs {
 namespace {
@@ -31,7 +34,6 @@ class ObsSloTest : public ::testing::Test {
     Enable();
     Registry::Get().ResetForTest();
     PhaseProfiler::Get().ResetForTest();
-    PhaseProfiler::Get().SetEnabled(true);
   }
   void TearDown() override { Enable(); }
 };
@@ -207,13 +209,13 @@ TEST_F(ObsSloTest, ProfilerAttributesNestedPhases) {
   PhaseProfiler& prof = PhaseProfiler::Get();
   const uint64_t scopes_before = prof.scope_count();
   {
-    KEA_PHASE("outer");
+    KEA_TRACE_SPAN("outer");
     {
-      KEA_PHASE("inner");
+      KEA_TRACE_SPAN("inner");
       volatile double sink = 0;
       for (int i = 0; i < 1000; ++i) sink = sink + i;
     }
-    { KEA_PHASE("inner"); }
+    { KEA_TRACE_SPAN("inner"); }
   }
   EXPECT_EQ(prof.scope_count(), scopes_before + 3);
 
@@ -232,24 +234,66 @@ TEST_F(ObsSloTest, ProfilerAttributesNestedPhases) {
 TEST_F(ObsSloTest, ProfilerMergesThreadsAndDisablesCleanly) {
   PhaseProfiler& prof = PhaseProfiler::Get();
   {
-    KEA_PHASE("work");
+    KEA_TRACE_SPAN("work");
   }
   std::thread t([] {
-    KEA_PHASE("work");
+    KEA_TRACE_SPAN("work");
   });
   t.join();
-  // Two threads, one path: merged into a single "work <ns>" line.
+  // Two threads, one path: one shared "work <ns>" line.
   const std::string folded = prof.CollapsedStack();
   const size_t first = folded.find("work ");
   ASSERT_NE(first, std::string::npos) << folded;
   EXPECT_EQ(folded.find("work ", first + 1), std::string::npos) << folded;
 
-  prof.SetEnabled(false);
+  Disable();
   const uint64_t scopes = prof.scope_count();
-  { KEA_PHASE("ignored"); }
+  { KEA_TRACE_SPAN("ignored"); }
   EXPECT_EQ(prof.scope_count(), scopes);
   EXPECT_EQ(prof.CollapsedStack().find("ignored"), std::string::npos);
-  prof.SetEnabled(true);
+  Enable();
+}
+
+// ResetForTest must leave every node a live thread may still stand on: a
+// thread inside a scope across the reset keeps entering scopes under it.
+TEST_F(ObsSloTest, ProfilerResetKeepsNodesOfLiveThreads) {
+  PhaseProfiler& prof = PhaseProfiler::Get();
+  std::mutex mu;
+  std::condition_variable cv;
+  int step = 0;
+  auto advance_to = [&](int next) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      step = next;
+    }
+    cv.notify_all();
+  };
+  auto wait_for = [&](int target) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return step >= target; });
+  };
+  std::thread persistent([&] {
+    KEA_TRACE_SPAN("reset.outer");
+    { KEA_TRACE_SPAN("reset.inner"); }
+    advance_to(1);
+    wait_for(2);  // the main thread resets the trie here
+    { KEA_TRACE_SPAN("reset.inner"); }
+    advance_to(3);
+    wait_for(4);
+  });
+  wait_for(1);
+  prof.ResetForTest();
+  advance_to(2);
+  wait_for(3);
+  PhaseNode* inner = prof.Child(prof.Child(nullptr, "reset.outer"),
+                                "reset.inner");
+  EXPECT_EQ(inner->count.load(), 1u);
+  // reset.outer was entered before the reset, so only reset.inner counts.
+  EXPECT_EQ(prof.scope_count(), 1u);
+  advance_to(4);
+  persistent.join();
+  EXPECT_NE(prof.CollapsedStack().find("reset.outer;reset.inner "),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "obs/profiler.h"
 #include "obs/trace.h"
 #include "opt/montecarlo.h"
 #include "telemetry/ingestion.h"
@@ -29,6 +33,7 @@ class ObsTest : public ::testing::Test {
     Enable();  // metrics on, tracing off
     Registry::Get().ResetForTest();
     Tracer::Get().Clear();
+    PhaseProfiler::Get().ResetForTest();
   }
   void TearDown() override { Enable(); }
 };
@@ -210,12 +215,17 @@ TEST_F(ObsTest, DisableKillsMetricsAndTracingTogether) {
   Disable();
   EXPECT_FALSE(MetricsEnabled());
   EXPECT_FALSE(TraceEnabled());
+  const uint64_t scopes = PhaseProfiler::Get().scope_count();
   {
     KEA_TRACE_SPAN("t.dead");
     Registry::Get().GetCounter("t.dead")->Increment();
   }
   EXPECT_EQ(Tracer::Get().event_count(), 0u);
   EXPECT_EQ(Registry::Get().CounterValue("t.dead"), 0u);
+  // The phase trie sits under the same switch.
+  EXPECT_EQ(PhaseProfiler::Get().scope_count(), scopes);
+  EXPECT_EQ(PhaseProfiler::Get().CollapsedStack().find("t.dead"),
+            std::string::npos);
   Enable();
   EXPECT_TRUE(MetricsEnabled());
   EXPECT_FALSE(TraceEnabled());  // default state: tracing stays opt-in
@@ -365,7 +375,7 @@ TEST_F(ObsTest, NestedSpansRecordHierarchy) {
   {
     SpanGuard outer("t.outer");
     outer_id = outer.id();
-    EXPECT_EQ(Tracer::Get().CurrentSpanId(), outer_id);
+    EXPECT_EQ(CurrentScope().span_id, outer_id);
     {
       SpanGuard inner("t.inner");
       inner_id = inner.id();
@@ -388,12 +398,23 @@ TEST_F(ObsTest, NestedSpansRecordHierarchy) {
   EXPECT_EQ(events[3].phase, TraceEvent::Phase::kEnd);
 }
 
-// The trace-export round trip of the ISSUE: multi-threaded nested span tree
-// -> Chrome trace JSON -> parse back -> every B has a matching E, nesting
-// preserved, JSON valid.
+// Sums entry counts per scope name over the trie subtree rooted at `node`.
+void CountByName(const PhaseNode* node, std::map<std::string, size_t>* out) {
+  if (const uint64_t n = node->count.load()) (*out)[node->name] += n;
+  for (const PhaseNode* c = node->first_child.load(); c != nullptr;
+       c = c->next_sibling) {
+    CountByName(c, out);
+  }
+}
+
+// The trace-export round trip: multi-threaded nested span tree -> Chrome
+// trace JSON -> parse back -> every B has a matching E, nesting preserved,
+// JSON valid. The same guards feed the phase trie, which must see exactly
+// the scopes the trace saw, with worker scopes under the dispatching one.
 TEST_F(ObsTest, ChromeTraceRoundTripMultiThreaded) {
   EnableTracing();
   constexpr size_t kTasks = 48;
+  const uint64_t scopes_before = PhaseProfiler::Get().scope_count();
   {
     KEA_TRACE_SPAN("t.root", {{"tasks", "48"}});
     common::ThreadPool::Run(4, kTasks, [](size_t i) {
@@ -423,8 +444,8 @@ TEST_F(ObsTest, ChromeTraceRoundTripMultiThreaded) {
   EXPECT_EQ(work, kTasks);
   EXPECT_EQ(work_child, kTasks / 2);
 
-  // Cross-thread parenting: every t.work span's parent is a real span (the
-  // dispatching parallel_for scope), never dangling.
+  // Cross-thread parenting: every t.work span, on a worker or drained by the
+  // calling thread, is a child of the dispatching parallel_for span.
   std::vector<TraceEvent> events = Tracer::Get().Events();
   uint64_t parallel_for_span = 0;
   for (const TraceEvent& e : events) {
@@ -435,13 +456,30 @@ TEST_F(ObsTest, ChromeTraceRoundTripMultiThreaded) {
   }
   ASSERT_NE(parallel_for_span, 0u);
   for (const TraceEvent& e : events) {
-    if (e.name == "t.work" && e.phase == TraceEvent::Phase::kBegin &&
-        e.parent_id != 0) {
-      // Either directly under the dispatch span (worker thread) or nested
-      // in-line when the pool ran the body on the calling thread.
-      EXPECT_NE(e.parent_id, e.span_id);
+    if (e.name == "t.work" && e.phase == TraceEvent::Phase::kBegin) {
+      EXPECT_EQ(e.parent_id, parallel_for_span);
     }
   }
+
+  // One primitive, one set of scopes: the trie counted every span the trace
+  // recorded, name by name, and nothing else.
+  PhaseProfiler& prof = PhaseProfiler::Get();
+  EXPECT_EQ(prof.scope_count() - scopes_before, v.begins);
+  std::map<std::string, size_t> trie_counts;
+  CountByName(prof.Child(nullptr, "t.root"), &trie_counts);
+  const std::vector<std::pair<std::string, size_t>> trie_name_counts(
+      trie_counts.begin(), trie_counts.end());
+  EXPECT_EQ(trie_name_counts, v.name_counts);
+  // Worker frames fold under the dispatching scope, never at the root.
+  const std::string folded = prof.CollapsedStack();
+  EXPECT_NE(folded.find("t.root;threadpool.parallel_for;t.work "),
+            std::string::npos)
+      << folded;
+  EXPECT_NE(folded.find("t.root;threadpool.parallel_for;t.work;t.work_child "),
+            std::string::npos)
+      << folded;
+  EXPECT_EQ(folded.find("\nt.work"), std::string::npos) << folded;
+  EXPECT_EQ(folded.find("t.root "), 0u) << folded;
 }
 
 TEST_F(ObsTest, TraceValidatorRejectsMalformedStreams) {
@@ -484,34 +522,32 @@ TEST_F(ObsTest, TraceValidatorRejectsMalformedStreams) {
   EXPECT_EQ(v.max_depth, 2u);
 }
 
-TEST_F(ObsTest, SelfTimeExcludesSameThreadChildren) {
-  auto ev = [](TraceEvent::Phase ph, const char* name, uint64_t span,
-               uint64_t parent, uint64_t ts_ns) {
-    TraceEvent e;
-    e.phase = ph;
-    e.name = name;
-    e.span_id = span;
-    e.parent_id = parent;
-    e.ts_ns = ts_ns;
-    e.tid = 1;
-    return e;
-  };
-  // parent: [0, 100us]; child: [20us, 60us] -> parent self = 60us.
-  std::vector<TraceEvent> events = {
-      ev(TraceEvent::Phase::kBegin, "parent", 1, 0, 0),
-      ev(TraceEvent::Phase::kBegin, "child", 2, 1, 20000),
-      ev(TraceEvent::Phase::kEnd, "child", 2, 0, 60000),
-      ev(TraceEvent::Phase::kEnd, "parent", 1, 0, 100000),
-  };
-  std::vector<SelfTimeRow> rows = ComputeSelfTimes(events);
-  ASSERT_EQ(rows.size(), 2u);
-  // Sorted by total desc: parent first.
-  EXPECT_EQ(rows[0].name, "parent");
-  EXPECT_DOUBLE_EQ(rows[0].total_us, 100.0);
-  EXPECT_DOUBLE_EQ(rows[0].self_us, 60.0);
-  EXPECT_EQ(rows[1].name, "child");
-  EXPECT_DOUBLE_EQ(rows[1].total_us, 40.0);
-  EXPECT_DOUBLE_EQ(rows[1].self_us, 40.0);
+// Reads the self nanoseconds of `path` from a collapsed-stack export.
+uint64_t FoldedSelfNs(const std::string& folded, const std::string& path) {
+  const std::string key = path + " ";
+  for (size_t pos = 0; pos < folded.size();) {
+    const size_t eol = folded.find('\n', pos);
+    const std::string line = folded.substr(pos, eol - pos);
+    if (line.rfind(key, 0) == 0) return std::stoull(line.substr(key.size()));
+    if (eol == std::string::npos) break;
+    pos = eol + 1;
+  }
+  ADD_FAILURE() << "no line for " << path << " in:\n" << folded;
+  return 0;
+}
+
+TEST_F(ObsTest, TrieSelfTimeExcludesNestedScopes) {
+  {
+    KEA_TRACE_SPAN("t.parent");
+    {
+      KEA_TRACE_SPAN("t.child");
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  }
+  const std::string folded = PhaseProfiler::Get().CollapsedStack();
+  const uint64_t child_self = FoldedSelfNs(folded, "t.parent;t.child");
+  EXPECT_GE(child_self, 20'000'000u);
+  EXPECT_LT(FoldedSelfNs(folded, "t.parent"), child_self);
 }
 
 // ---------------------------------------------------------------------------
@@ -521,20 +557,19 @@ TEST_F(ObsTest, TracerCapDropsSpansWholeAndCountsThem) {
   Tracer& tr = Tracer::Get();
   EnableTracing();
   tr.SetMaxEventsPerThread(4);
-  // Each begin is one buffered event; the cap admits a begin while the
-  // buffer holds fewer than 4 events, so the 5th span is dropped whole.
-  uint64_t a = tr.BeginSpan("a");
-  uint64_t b = tr.BeginSpan("b");
-  uint64_t c = tr.BeginSpan("c");
-  uint64_t d = tr.BeginSpan("d");
-  uint64_t e = tr.BeginSpan("e");  // buffer full -> dropped
-  EXPECT_NE(d, 0u);
-  EXPECT_EQ(e, 0u);  // dropped span id is 0, so its EndSpan no-ops
-  tr.EndSpan(e, "e");
-  tr.EndSpan(d, "d");  // end events bypass the cap: open spans always close
-  tr.EndSpan(c, "c");
-  tr.EndSpan(b, "b");
-  tr.EndSpan(a, "a");
+  {
+    // Each begin is one buffered event; the cap admits a begin while the
+    // buffer holds fewer than 4 events, so the 5th span is dropped whole.
+    SpanGuard a("a");
+    SpanGuard b("b");
+    SpanGuard c("c");
+    SpanGuard d("d");
+    SpanGuard e("e");  // buffer full -> dropped
+    EXPECT_NE(d.id(), 0u);
+    EXPECT_EQ(e.id(), 0u);  // dropped span id is 0, so it records no end
+    // The guards close e..a here: end events bypass the cap, so every open
+    // span still closes.
+  }
   EXPECT_EQ(tr.dropped_span_count(), 1u);
   // The drop is exported as a counter so dashboards see truncated traces.
   EXPECT_EQ(Registry::Get().CounterValue("obs.trace.dropped_spans"), 1u);
