@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <optional>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -212,10 +213,11 @@ StatusOr<double> WhatIfEngine::CurrentClusterLatency() const {
 
 namespace {
 
-/// Deterministic per-group sampling seed: a pure function of the group key
-/// and the candidate's exact bits, so uncertainty estimates never depend on
-/// evaluation order, thread count, or wall clock.
-uint64_t SampleSeed(const sim::MachineGroupKey& key, double containers) {
+/// Deterministic per-group sampling seed: FNV-1a over the group key alone.
+/// Every candidate that names the group draws the same noise (common random
+/// numbers), and no estimate depends on evaluation order, thread count, or
+/// wall clock.
+uint64_t SampleSeed(const sim::MachineGroupKey& key) {
   uint64_t h = 0xcbf29ce484222325ULL;
   auto mix = [&h](uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -225,8 +227,28 @@ uint64_t SampleSeed(const sim::MachineGroupKey& key, double containers) {
   };
   mix(static_cast<uint64_t>(static_cast<int64_t>(key.sc)));
   mix(static_cast<uint64_t>(static_cast<int64_t>(key.sku)));
-  mix(std::bit_cast<uint64_t>(containers));
   return h;
+}
+
+/// One group's shared draws for a request: the first 3n standard normals of
+/// its stream, split by the model they perturb. Sample s reads g[s], h[s] and
+/// f[s], which are draws 3s, 3s+1 and 3s+2.
+struct GroupDraws {
+  std::vector<double> g, h, f;
+};
+
+GroupDraws DrawNormals(const sim::MachineGroupKey& key, size_t samples) {
+  Rng rng(SampleSeed(key));
+  GroupDraws z;
+  z.g.resize(samples);
+  z.h.resize(samples);
+  z.f.resize(samples);
+  for (size_t s = 0; s < samples; ++s) {
+    z.g[s] = rng.Gaussian();
+    z.h[s] = rng.Gaussian();
+    z.f[s] = rng.Gaussian();
+  }
+  return z;
 }
 
 double Stddev(const std::vector<double>& xs) {
@@ -241,57 +263,85 @@ double Stddev(const std::vector<double>& xs) {
 
 }  // namespace
 
+StatusOr<std::vector<WhatIfResult>> WhatIfEngine::EvaluateGrid(
+    std::span<const std::map<sim::MachineGroupKey, double>> grid,
+    int uncertainty_samples) const {
+  if (uncertainty_samples > kMaxUncertaintySamples) {
+    return Status::InvalidArgument(
+        "uncertainty_samples " + std::to_string(uncertainty_samples) +
+        " exceeds the limit of " + std::to_string(kMaxUncertaintySamples));
+  }
+  const size_t samples =
+      uncertainty_samples > 0 ? static_cast<size_t>(uncertainty_samples) : 0;
+  std::map<sim::MachineGroupKey, GroupDraws> draws;
+  // Per-sample cluster accumulators, aggregated across one candidate's groups.
+  std::vector<double> mc_weighted(samples), mc_weight(samples);
+  std::vector<double> mc_latency(samples);
+  std::vector<WhatIfResult> results;
+  results.reserve(grid.size());
+  for (const auto& containers_per_machine : grid) {
+    WhatIfResult result;
+    double weighted = 0.0, weight = 0.0;
+    std::fill(mc_weighted.begin(), mc_weighted.end(), 0.0);
+    std::fill(mc_weight.begin(), mc_weight.end(), 0.0);
+    for (const auto& [key, m_k] : containers_per_machine) {
+      KEA_ASSIGN_OR_RETURN(const GroupModels* gm, Find(key));
+      GroupWhatIf gw;
+      gw.containers = m_k;
+      gw.utilization = gm->g.Predict1D(m_k);
+      gw.tasks_per_hour = gm->h.Predict1D(gw.utilization);
+      gw.latency_s = gm->f.Predict1D(gw.utilization);
+      double n_k = static_cast<double>(gm->num_machines);
+      weighted += gw.latency_s * gw.tasks_per_hour * n_k;
+      weight += gw.tasks_per_hour * n_k;
+
+      if (samples > 0) {
+        auto [it, fresh] = draws.try_emplace(key);
+        if (fresh) it->second = DrawNormals(key, samples);
+        const GroupDraws& z = it->second;
+        // Propagate each model's residual noise through the g -> h/f chain,
+        // each draw as mean + rmse * z. Throughput is floored at a sliver so
+        // a noisy draw cannot flip the task-weighting negative.
+        const double g_rmse = gm->g_fit.rmse;
+        const double h0 = gm->h.intercept(), h1 = gm->h.coefficients()[0];
+        const double h_rmse = gm->h_fit.rmse;
+        const double f0 = gm->f.intercept(), f1 = gm->f.coefficients()[0];
+        const double f_rmse = gm->f_fit.rmse;
+        for (size_t s = 0; s < samples; ++s) {
+          const double util = gw.utilization + g_rmse * z.g[s];
+          const double tasks =
+              std::max(h0 + h1 * util + h_rmse * z.h[s], 1e-9);
+          const double latency = f0 + f1 * util + f_rmse * z.f[s];
+          mc_latency[s] = latency;
+          mc_weighted[s] += latency * tasks * n_k;
+          mc_weight[s] += tasks * n_k;
+        }
+        gw.latency_stderr_s = Stddev(mc_latency);
+      }
+      result.groups[key] = gw;
+    }
+    if (weight <= 0.0) {
+      return Status::FailedPrecondition("predicted zero task throughput");
+    }
+    result.cluster_latency_s = weighted / weight;
+    if (samples > 0) {
+      for (size_t s = 0; s < samples; ++s) {
+        mc_latency[s] = mc_weighted[s] / mc_weight[s];
+      }
+      result.cluster_latency_stderr_s = Stddev(mc_latency);
+    }
+    results.push_back(std::move(result));
+  }
+  return results;
+}
+
 StatusOr<WhatIfResult> WhatIfEngine::EvaluateWhatIf(
     const std::map<sim::MachineGroupKey, double>& containers_per_machine,
     int uncertainty_samples) const {
-  WhatIfResult result;
-  double weighted = 0.0, weight = 0.0;
-  const size_t samples =
-      uncertainty_samples > 0 ? static_cast<size_t>(uncertainty_samples) : 0;
-  // Per-sample cluster accumulators, aggregated across groups.
-  std::vector<double> mc_weighted(samples, 0.0), mc_weight(samples, 0.0);
-  std::vector<double> mc_latency(samples);
-  for (const auto& [key, m_k] : containers_per_machine) {
-    KEA_ASSIGN_OR_RETURN(const GroupModels* gm, Find(key));
-    GroupWhatIf gw;
-    gw.containers = m_k;
-    gw.utilization = gm->g.Predict1D(m_k);
-    gw.tasks_per_hour = gm->h.Predict1D(gw.utilization);
-    gw.latency_s = gm->f.Predict1D(gw.utilization);
-    double n_k = static_cast<double>(gm->num_machines);
-    weighted += gw.latency_s * gw.tasks_per_hour * n_k;
-    weight += gw.tasks_per_hour * n_k;
-
-    if (samples > 0) {
-      // Propagate each model's residual noise through the g -> h/f chain.
-      // Throughput is floored at a sliver so a noisy draw cannot flip the
-      // task-weighting negative.
-      Rng rng(SampleSeed(key, m_k));
-      for (size_t s = 0; s < samples; ++s) {
-        const double util = rng.Gaussian(gw.utilization, gm->g_fit.rmse);
-        const double tasks = std::max(
-            rng.Gaussian(gm->h.Predict1D(util), gm->h_fit.rmse), 1e-9);
-        const double latency =
-            rng.Gaussian(gm->f.Predict1D(util), gm->f_fit.rmse);
-        mc_latency[s] = latency;
-        mc_weighted[s] += latency * tasks * n_k;
-        mc_weight[s] += tasks * n_k;
-      }
-      gw.latency_stderr_s = Stddev(mc_latency);
-    }
-    result.groups[key] = gw;
-  }
-  if (weight <= 0.0) {
-    return Status::FailedPrecondition("predicted zero task throughput");
-  }
-  result.cluster_latency_s = weighted / weight;
-  if (samples > 0) {
-    for (size_t s = 0; s < samples; ++s) {
-      mc_latency[s] = mc_weighted[s] / mc_weight[s];
-    }
-    result.cluster_latency_stderr_s = Stddev(mc_latency);
-  }
-  return result;
+  KEA_ASSIGN_OR_RETURN(
+      std::vector<WhatIfResult> results,
+      EvaluateGrid(std::span(&containers_per_machine, 1), uncertainty_samples));
+  return std::move(results.front());
 }
 
 namespace {

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
+#include <vector>
 
 #include "common/status.h"
 #include "ml/regression.h"
@@ -49,7 +51,8 @@ struct GroupWhatIf {
   double tasks_per_hour = 0.0;  ///< h_k(g_k(m_k)).
   double latency_s = 0.0;       ///< f_k(g_k(m_k)).
   /// Monte Carlo standard error of latency_s under the fitted models'
-  /// residual noise; 0 when uncertainty sampling is disabled.
+  /// residual noise; 0 when uncertainty sampling is disabled. Its true value,
+  /// sqrt(f_slope^2 * g_rmse^2 + f_rmse^2), does not depend on containers.
   double latency_stderr_s = 0.0;
 };
 
@@ -105,18 +108,38 @@ class WhatIfEngine {
   /// W-bar' — the same quantity at the current operating point (Eq. 10).
   StatusOr<double> CurrentClusterLatency() const;
 
-  /// One-call evaluation of a hypothetical allocation: per-group
+  /// Largest `uncertainty_samples` EvaluateGrid accepts. The sample count
+  /// arrives from outside the program (a serving request), and each group's
+  /// draw table holds 3 doubles per sample.
+  static constexpr int kMaxUncertaintySamples = 65536;
+
+  /// Evaluates every candidate allocation of `grid`: per-group
   /// utilization/throughput/latency plus the Eq. (9) cluster latency, using
   /// the same accumulation order as PredictClusterLatency so the scalar
-  /// agrees bit-for-bit with it. Missing groups are an error.
+  /// agrees bit-for-bit with it. Missing groups are an error; errors are
+  /// returned in candidate order.
   ///
-  /// With `uncertainty_samples > 0`, additionally propagates the fitted
+  /// With `uncertainty_samples` n > 0, additionally propagates the fitted
   /// models' residual noise (each model's fit RMSE) through the g -> h/f
-  /// chain by Monte Carlo and fills the *_stderr fields. Sampling is seeded
-  /// from the group key and candidate bits alone, so the result — error bars
-  /// included — is a pure function of (models, candidate): bit-identical
-  /// across runs, threads, and identically-fitted engines. The tuning loop
-  /// uses the point-prediction paths and never pays this cost.
+  /// chain by Monte Carlo and fills the *_stderr fields. Uncertainty uses
+  /// common random numbers: a group's noise stream is seeded from its key
+  /// alone, and the first time a group appears in the grid its first 3n
+  /// standard normals are drawn; sample s perturbs g, h and f by draws 3s,
+  /// 3s+1 and 3s+2, as `mean + rmse * z`. Every candidate naming that group
+  /// reuses the same draws, so each candidate keeps its marginal
+  /// distribution, candidate-to-candidate differences carry no independent
+  /// sampling noise, and the draws cost the same however many candidates
+  /// the grid holds. The result — error bars included — is a pure function
+  /// of (models, candidate, n): it does not depend on which grid the
+  /// candidate arrived in, and it is bit-identical across runs, threads, and
+  /// identically-fitted engines. n above kMaxUncertaintySamples is
+  /// InvalidArgument; n <= 0 disables sampling. The tuning loop uses the
+  /// point-prediction paths and never pays this cost.
+  StatusOr<std::vector<WhatIfResult>> EvaluateGrid(
+      std::span<const std::map<sim::MachineGroupKey, double>> grid,
+      int uncertainty_samples) const;
+
+  /// A one-candidate EvaluateGrid.
   StatusOr<WhatIfResult> EvaluateWhatIf(
       const std::map<sim::MachineGroupKey, double>& containers_per_machine,
       int uncertainty_samples = 0) const;

@@ -6,14 +6,12 @@ namespace kea::serve {
 
 namespace {
 
-// Two independent digests of the same byte stream: `lo` is FNV-1a over the
-// little-endian bytes, `hi` is a splitmix64-style chain. A collision must
-// happen in both simultaneously for two windows to alias.
+// Two independent digests of the same word stream: `lo` is FNV-1a folding
+// each 64-bit word in one step, `hi` is a splitmix64-style chain. A collision
+// must happen in both simultaneously for two windows to alias.
 inline void MixLo(uint64_t v, uint64_t* lo) {
-  for (int i = 0; i < 8; ++i) {
-    *lo ^= (v >> (8 * i)) & 0xffu;
-    *lo *= 0x100000001b3ULL;
-  }
+  *lo ^= v;
+  *lo *= 0x100000001b3ULL;
 }
 
 inline void MixHi(uint64_t v, uint64_t* hi) {

@@ -388,6 +388,12 @@ StatusOr<Ticket<WhatIfResponsePtr>> TuningService::SubmitWhatIf(
   if (request.candidates.empty()) {
     return Status::InvalidArgument("what-if request has no candidates");
   }
+  if (request.uncertainty_samples > core::WhatIfEngine::kMaxUncertaintySamples) {
+    return Status::InvalidArgument(
+        "what-if request asks for more than " +
+        std::to_string(core::WhatIfEngine::kMaxUncertaintySamples) +
+        " uncertainty samples");
+  }
   KEA_RETURN_IF_ERROR(AdmitOverload(t, /*cold_work=*/false));
   Ticket<WhatIfResponsePtr> ticket;
   std::lock_guard<std::mutex> lock(t->staging_mu);

@@ -208,6 +208,8 @@ class TuningService {
   /// cached response itself (zero-copy), a miss the freshly evaluated one.
   /// Under brownout the payload may be marked degraded (reduced sampling or
   /// a stale epoch), and rung 3 refuses cold evaluations with kUnavailable.
+  /// No candidates, or uncertainty_samples above
+  /// WhatIfEngine::kMaxUncertaintySamples, is InvalidArgument at submission.
   StatusOr<Ticket<WhatIfResponsePtr>> SubmitWhatIf(
       TenantId id, const WhatIfRequest& request,
       const SubmitOptions& submit = SubmitOptions());

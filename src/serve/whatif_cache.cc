@@ -64,13 +64,9 @@ StatusOr<WhatIfResponse> EvaluateWhatIfRequest(const core::WhatIfEngine& engine,
     return Status::InvalidArgument("what-if request has no candidates");
   }
   WhatIfResponse response;
-  response.candidates.reserve(request.candidates.size());
-  for (const auto& candidate : request.candidates) {
-    KEA_ASSIGN_OR_RETURN(
-        core::WhatIfResult result,
-        engine.EvaluateWhatIf(candidate, request.uncertainty_samples));
-    response.candidates.push_back(std::move(result));
-  }
+  KEA_ASSIGN_OR_RETURN(
+      response.candidates,
+      engine.EvaluateGrid(request.candidates, request.uncertainty_samples));
   for (size_t i = 1; i < response.candidates.size(); ++i) {
     if (response.candidates[i].cluster_latency_s <
         response.candidates[response.best_index].cluster_latency_s) {

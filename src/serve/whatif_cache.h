@@ -23,8 +23,10 @@ namespace kea::serve {
 struct WhatIfRequest {
   std::vector<std::map<sim::MachineGroupKey, double>> candidates;
   /// Monte Carlo samples for the per-candidate error bars (see
-  /// WhatIfEngine::EvaluateWhatIf). Part of the cache key: requests that ask
-  /// for different sampling depths are different queries. 0 disables.
+  /// WhatIfEngine::EvaluateGrid). Part of the cache key: requests that ask
+  /// for different sampling depths are different queries. 0 disables; above
+  /// WhatIfEngine::kMaxUncertaintySamples (65,536) the request is rejected
+  /// with InvalidArgument.
   int uncertainty_samples = 256;
 };
 
@@ -56,10 +58,11 @@ using WhatIfResponsePtr = std::shared_ptr<const WhatIfResponse>;
 /// component of the cache key. Doubles hash their IEEE-754 bit pattern.
 uint64_t ConfigHash(const WhatIfRequest& request);
 
-/// Evaluates every candidate against `engine`. This is the single evaluation
-/// path shared by the service's cold path and by solo baselines, so a cache
-/// hit is bit-identical to recomputation by construction: the cached payload
-/// was produced by this exact function.
+/// Evaluates every candidate against `engine` in one WhatIfEngine::EvaluateGrid
+/// call, so the request's candidates share each group's uncertainty draws.
+/// This is the single evaluation path shared by the service's cold path and
+/// by solo baselines, so a cache hit is bit-identical to recomputation by
+/// construction: the cached payload was produced by this exact function.
 StatusOr<WhatIfResponse> EvaluateWhatIfRequest(const core::WhatIfEngine& engine,
                                                const WhatIfRequest& request);
 

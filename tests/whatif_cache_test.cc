@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "apps/session.h"
 #include "serve/fingerprint.h"
@@ -344,6 +347,185 @@ TEST(WhatIfUncertaintyTest, ErrorBarsAreDeterministicAndOptional) {
   EXPECT_EQ(off.value().cluster_latency_stderr_s, 0.0);
   EXPECT_EQ(std::bit_cast<uint64_t>(a.value().cluster_latency_s),
             std::bit_cast<uint64_t>(off.value().cluster_latency_s));
+}
+
+// A week of telemetry on 150 machines, fitted single-threaded: the engine the
+// common-random-numbers tests below evaluate against.
+std::unique_ptr<apps::KeaSession> FittedSession() {
+  apps::KeaSession::Config config;
+  config.machines = 150;
+  auto session = apps::KeaSession::Create(config);
+  if (!session.ok()) return nullptr;
+  std::unique_ptr<apps::KeaSession> s = std::move(session).value();
+  core::WhatIfEngine::Options fit_options;
+  fit_options.num_threads = 1;
+  if (!s->Simulate(sim::kHoursPerWeek).ok() ||
+      !s->FitWhatIfEngine(fit_options, sim::kHoursPerWeek).ok()) {
+    return nullptr;
+  }
+  return s;
+}
+
+using Allocation = std::map<sim::MachineGroupKey, double>;
+
+// `n` candidates that scale every group's operating point by 0.8 .. 1.175,
+// the shape of a serving request's grid.
+std::vector<Allocation> ScaledGrid(const core::WhatIfEngine& engine, int n) {
+  std::vector<Allocation> grid(n);
+  for (int c = 0; c < n; ++c) {
+    for (const auto& [key, gm] : engine.models()) {
+      grid[c][key] = gm.current_containers * (0.8 + 0.025 * c);
+    }
+  }
+  return grid;
+}
+
+void ExpectSameBits(const core::WhatIfResult& a, const core::WhatIfResult& b) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.cluster_latency_s),
+            std::bit_cast<uint64_t>(b.cluster_latency_s));
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.cluster_latency_stderr_s),
+            std::bit_cast<uint64_t>(b.cluster_latency_stderr_s));
+  ASSERT_EQ(a.groups.size(), b.groups.size());
+  auto bi = b.groups.begin();
+  for (const auto& [key, gw] : a.groups) {
+    EXPECT_EQ(key, bi->first);
+    for (auto field : {&core::GroupWhatIf::containers,
+                       &core::GroupWhatIf::utilization,
+                       &core::GroupWhatIf::tasks_per_hour,
+                       &core::GroupWhatIf::latency_s,
+                       &core::GroupWhatIf::latency_stderr_s}) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(gw.*field),
+                std::bit_cast<uint64_t>(bi->second.*field))
+          << sim::GroupLabel(key);
+    }
+    ++bi;
+  }
+}
+
+// Common random numbers: a group's noise is seeded by its key alone, so every
+// candidate of a grid perturbs a group with the same draws. A group's latency
+// spread, sqrt(f_slope^2 * g_rmse^2 + f_rmse^2), does not depend on the
+// candidate, so its estimate must agree across the grid up to rounding.
+TEST(WhatIfUncertaintyTest, GroupErrorBarsAgreeAcrossAGrid) {
+  std::unique_ptr<apps::KeaSession> s = FittedSession();
+  ASSERT_NE(s, nullptr);
+  const core::WhatIfEngine& engine = *s->whatif_engine();
+  auto results = engine.EvaluateGrid(ScaledGrid(engine, 16), 256);
+  ASSERT_TRUE(results.ok()) << results.status();
+  ASSERT_EQ(results->size(), 16u);
+  for (const auto& [key, first] : results->front().groups) {
+    ASSERT_GT(first.latency_stderr_s, 0.0) << sim::GroupLabel(key);
+    for (const core::WhatIfResult& r : *results) {
+      const double stderr_s = r.groups.at(key).latency_stderr_s;
+      EXPECT_LE(std::abs(stderr_s - first.latency_stderr_s),
+                1e-12 * first.latency_stderr_s)
+          << sim::GroupLabel(key);
+    }
+  }
+}
+
+// An answer is a pure function of (models, candidate, samples): a grid call
+// returns exactly the bits of one-candidate calls, whichever groups the other
+// candidates name and however often a candidate repeats.
+TEST(WhatIfUncertaintyTest, GridAnswersEqualOneCandidateCalls) {
+  std::unique_ptr<apps::KeaSession> s = FittedSession();
+  ASSERT_NE(s, nullptr);
+  const core::WhatIfEngine& engine = *s->whatif_engine();
+  const std::vector<Allocation> scaled = ScaledGrid(engine, 4);
+  // Different group subsets: everything, every other group, the rest, and a
+  // single group.
+  std::vector<Allocation> subsets(4);
+  size_t i = 0;
+  for (const auto& [key, m] : scaled[1]) {
+    subsets[0][key] = m;
+    subsets[1 + i % 2][key] = scaled[2].at(key);
+    if (i == 0) subsets[3][key] = scaled[3].at(key);
+    ++i;
+  }
+  ASSERT_FALSE(subsets[2].empty());
+  const std::vector<Allocation> repeated = {scaled[0], scaled[3], scaled[0]};
+  for (const std::vector<Allocation>& grid : {subsets, repeated}) {
+    auto results = engine.EvaluateGrid(grid, 256);
+    ASSERT_TRUE(results.ok()) << results.status();
+    ASSERT_EQ(results->size(), grid.size());
+    for (size_t c = 0; c < grid.size(); ++c) {
+      auto solo = engine.EvaluateWhatIf(grid[c], 256);
+      ASSERT_TRUE(solo.ok()) << solo.status();
+      ExpectSameBits((*results)[c], solo.value());
+    }
+  }
+}
+
+// The shared draws keep each candidate's marginal distribution: at 65,536
+// samples every group's latency stderr lies within 4 standard errors of the
+// analytic value, and the 256-sample cluster stderr lies within 4 standard
+// errors of the 65,536-sample one. The standard error of a sample standard
+// deviation over n draws is about sd / sqrt(2n).
+TEST(WhatIfUncertaintyTest, ErrorBarsMatchTheirAnalyticValue) {
+  std::unique_ptr<apps::KeaSession> s = FittedSession();
+  ASSERT_NE(s, nullptr);
+  const core::WhatIfEngine& engine = *s->whatif_engine();
+  const Allocation candidate = ScaledGrid(engine, 1).front();
+  constexpr int kDeep = core::WhatIfEngine::kMaxUncertaintySamples;
+  auto deep = engine.EvaluateWhatIf(candidate, kDeep);
+  auto shallow = engine.EvaluateWhatIf(candidate, 256);
+  ASSERT_TRUE(deep.ok()) << deep.status();
+  ASSERT_TRUE(shallow.ok()) << shallow.status();
+  const double deep_tolerance = 4.0 / std::sqrt(2.0 * kDeep);
+  for (const auto& [key, gm] : engine.models()) {
+    const double slope = gm.f.coefficients()[0];
+    const double analytic =
+        std::sqrt(slope * slope * gm.g_fit.rmse * gm.g_fit.rmse +
+                  gm.f_fit.rmse * gm.f_fit.rmse);
+    ASSERT_GT(analytic, 0.0) << sim::GroupLabel(key);
+    EXPECT_NEAR(deep->groups.at(key).latency_stderr_s / analytic, 1.0,
+                deep_tolerance)
+        << sim::GroupLabel(key);
+  }
+  ASSERT_GT(deep->cluster_latency_stderr_s, 0.0);
+  EXPECT_NEAR(shallow->cluster_latency_stderr_s / deep->cluster_latency_stderr_s,
+              1.0, 4.0 / std::sqrt(2.0 * 256));
+}
+
+// The sample count arrives from outside the program. Above the bound it is
+// refused before anything is allocated, by the engine and at submission.
+TEST(WhatIfUncertaintyTest, SampleCountIsBounded) {
+  constexpr int kMax = core::WhatIfEngine::kMaxUncertaintySamples;
+  ASSERT_EQ(kMax, 65536);
+  std::unique_ptr<apps::KeaSession> s = FittedSession();
+  ASSERT_NE(s, nullptr);
+  const std::vector<Allocation> grid = ScaledGrid(*s->whatif_engine(), 1);
+  auto over = s->whatif_engine()->EvaluateGrid(grid, kMax + 1);
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(s->whatif_engine()->EvaluateGrid(grid, kMax).ok());
+
+  TuningService::Options options;
+  options.num_threads = 0;
+  TuningService service(options);
+  auto id = service.AddTenant("bounded", [] {
+    apps::KeaSession::Config config;
+    config.machines = 150;
+    return config;
+  }());
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(service.SubmitSimulate(id.value(), sim::kHoursPerWeek).ok());
+  service.RunPending();
+  FitRequest fit;
+  fit.whatif.num_threads = 1;
+  ASSERT_TRUE(service.SubmitFit(id.value(), fit).ok());
+  service.RunPending();
+  WhatIfRequest request;
+  request.candidates = grid;
+  request.uncertainty_samples = kMax + 1;
+  auto refused = service.SubmitWhatIf(id.value(), request);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  request.uncertainty_samples = kMax;
+  auto accepted = service.SubmitWhatIf(id.value(), request);
+  ASSERT_TRUE(accepted.ok()) << accepted.status();
+  service.RunPending();
+  auto answer = accepted.value().Wait();
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_GT(answer.value()->candidates.front().cluster_latency_stderr_s, 0.0);
 }
 
 // ---------------------------------------------------------------------------
