@@ -1,13 +1,16 @@
 // Measures what the self-healing durability plane costs and how fast it
 // recovers: the per-round cost of running durable (a durable guarded round
-// checkpoints after every simulate step so any crash window is covered — the
-// round is checkpoint-dominated by design), checkpoint write latency,
+// checkpoints after every journaled step so any crash window is covered;
+// each checkpoint appends only the telemetry added since the last one),
+// checkpoint write latency,
 // Resume() latency from the live checkpoint, fallback-restore latency as
 // corruption forces Resume() one, two, then three generations back, and
-// offline Journal::Scrub throughput over the ledger. Writes
+// offline Journal::Scrub throughput over the ledger — and the durable
+// rounds' write volume in bytes, which does not depend on the host: every
+// byte the durability plane wrote (checkpoint installs, ledger appends,
+// telemetry segment appends) per byte of telemetry the rounds added. Writes
 // BENCH_storage_recovery.json for the storage-chaos CI job.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -15,11 +18,14 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/session.h"
 #include "bench/bench_util.h"
 #include "common/journal.h"
+#include "common/snapshot.h"
+#include "obs/metrics.h"
 
 namespace {
 
@@ -74,31 +80,44 @@ void FlipByte(const std::string& path) {
   WriteBytes(path, bytes);
 }
 
-/// Checkpoint generation paths in `dir`, newest first.
+/// Checkpoint generation paths in `dir`, newest first, as
+/// SnapshotGenerations::List parses them (a suffix that is not all digits or
+/// does not fit a u64 is not a generation).
 std::vector<std::string> GenerationsNewestFirst(const std::string& dir) {
-  std::vector<std::pair<int, std::string>> found;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    std::string name = entry.path().filename().string();
-    const std::string prefix = "checkpoint.kea.g";
-    if (name.rfind(prefix, 0) == 0) {
-      found.emplace_back(std::stoi(name.substr(prefix.size())),
-                         entry.path().string());
-    }
-  }
-  std::sort(found.begin(), found.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
+  const std::string live = dir + "/checkpoint.kea";
+  const std::vector<uint64_t> generations =
+      kea::SnapshotGenerations::List(live);
   std::vector<std::string> paths;
-  for (const auto& [n, path] : found) paths.push_back(path);
+  for (auto it = generations.rbegin(); it != generations.rend(); ++it) {
+    paths.push_back(kea::SnapshotGenerations::GenerationPath(live, *it));
+  }
   return paths;
 }
 
+/// Bytes the durability plane has written: checkpoint (and segment
+/// rewrite) installs, ledger appends and telemetry segment appends.
+uint64_t DurableBytesWritten() {
+  const kea::obs::Registry& registry = kea::obs::Registry::Get();
+  return registry.CounterValue("atomic_write.bytes") +
+         registry.CounterValue("journal.append_bytes") +
+         registry.CounterValue("durability.segment_append_bytes");
+}
+
+/// What the durable rounds wrote against the telemetry they added, both in
+/// bytes (a record of telemetry is its 152-byte encoding).
+struct WriteVolume {
+  uint64_t written = 0;
+  uint64_t telemetry = 0;
+};
+
 /// Runs `rounds` guarded rounds (Simulate(24) between them) on a fresh
 /// session and returns per-round latencies. With `durable`, the session
-/// journals every fleet mutation to `dir` and `checkpoint_ms`/`bytes` receive
-/// the explicit post-round checkpoint cost.
+/// journals every fleet mutation to `dir`, `checkpoint_ms`/`bytes` receive
+/// the explicit post-round checkpoint cost, and `volume` the rounds' writes.
 std::vector<double> TimedRounds(bool durable, const std::string& dir,
                                 std::vector<double>* checkpoint_ms,
-                                size_t* checkpoint_bytes) {
+                                size_t* checkpoint_bytes,
+                                WriteVolume* volume) {
   KeaSession::Config config;
   config.machines = kMachines;
   config.seed = kSeed;
@@ -115,6 +134,8 @@ std::vector<double> TimedRounds(bool durable, const std::string& dir,
   if (auto s = session->Simulate(kPreludeHours); !s.ok()) Die(s);
 
   auto options = RoundOptions();
+  const uint64_t written_before = DurableBytesWritten();
+  const size_t records_before = session->store().size();
   std::vector<double> latencies;
   for (int i = 0; i < kRounds; ++i) {
     auto start = Clock::now();
@@ -129,6 +150,11 @@ std::vector<double> TimedRounds(bool durable, const std::string& dir,
           std::filesystem::file_size(dir + "/checkpoint.kea");
     }
     if (auto s = session->Simulate(24); !s.ok()) Die(s);
+  }
+  if (durable) {
+    volume->written = DurableBytesWritten() - written_before;
+    volume->telemetry = (session->store().size() - records_before) *
+                        kea::telemetry::kMachineHourRecordBytes;
   }
   return latencies;
 }
@@ -148,7 +174,7 @@ int main() {
   kea::bench::PrintBanner(
       "Durability plane cost/recovery - checkpointing, fallback restore, "
       "scrub",
-      "durable rounds are checkpoint-dominated; fallback cost grows with "
+      "checkpoints append only new telemetry; fallback cost grows with "
       "depth");
 
   const std::string dir = "bench_storage_state";
@@ -156,12 +182,17 @@ int main() {
   std::filesystem::create_directories(dir);
 
   // Warm-up, then the measured passes (identical schedule, same seed).
-  TimedRounds(false, dir, nullptr, nullptr);
-  std::vector<double> plain = TimedRounds(false, dir, nullptr, nullptr);
+  TimedRounds(false, dir, nullptr, nullptr, nullptr);
+  std::vector<double> plain = TimedRounds(false, dir, nullptr, nullptr, nullptr);
   std::vector<double> checkpoint_ms;
   size_t checkpoint_bytes = 0;
+  WriteVolume volume;
   std::vector<double> durable =
-      TimedRounds(true, dir, &checkpoint_ms, &checkpoint_bytes);
+      TimedRounds(true, dir, &checkpoint_ms, &checkpoint_bytes, &volume);
+  const size_t segment_bytes =
+      std::filesystem::file_size(dir + "/telemetry.kea");
+  const double write_amp = static_cast<double>(volume.written) /
+                           static_cast<double>(volume.telemetry);
   double plain_ms = Mean(plain);
   double durable_ms = Mean(durable);
   // A durable round checkpoints after every internal simulate step; this is
@@ -235,6 +266,11 @@ int main() {
               fallback_ms[1], fallback_ms[2], fallback_ms[3]);
   std::printf("scrub: %zu ledger bytes in %.2f ms (%.1f MB/s, %zu records)\n",
               ledger_bytes, scrub_ms, scrub_mb_per_s, scrub.value().records);
+  std::printf("write volume: %.0f bytes/round for %.0f bytes of telemetry "
+              "(write_amp %.2f); telemetry segment %zu bytes\n",
+              static_cast<double>(volume.written) / kRounds,
+              static_cast<double>(volume.telemetry) / kRounds, write_amp,
+              segment_bytes);
 
   FILE* out = std::fopen("BENCH_storage_recovery.json", "w");
   if (out == nullptr) {
@@ -256,13 +292,19 @@ int main() {
                "  \"fallback_resume_3gen_ms\": %.3f,\n"
                "  \"ledger_bytes\": %zu,\n"
                "  \"scrub_ms\": %.3f,\n"
-               "  \"scrub_mb_per_s\": %.1f\n"
+               "  \"scrub_mb_per_s\": %.1f,\n"
+               "  \"segment_bytes\": %zu,\n"
+               "  \"bytes_written_per_round\": %.0f,\n"
+               "  \"write_amp\": %.3f,\n"
+               "  \"nproc\": %u\n"
                "}\n",
                kMachines, kRounds, plain_ms, durable_ms,
                checkpointing_ms_per_round,
                Mean(checkpoint_ms), checkpoint_bytes, resume_live_ms,
                fallback_ms[1], fallback_ms[2], fallback_ms[3], ledger_bytes,
-               scrub_ms, scrub_mb_per_s);
+               scrub_ms, scrub_mb_per_s, segment_bytes,
+               static_cast<double>(volume.written) / kRounds, write_amp,
+               std::thread::hardware_concurrency());
   std::fclose(out);
   std::printf("wrote BENCH_storage_recovery.json\n");
   std::filesystem::remove_all(dir);

@@ -1,5 +1,6 @@
 #include "apps/session.h"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <optional>
@@ -18,6 +19,8 @@ namespace {
 
 constexpr char kLedgerFile[] = "/ledger.kea";
 constexpr char kCheckpointFile[] = "/checkpoint.kea";
+constexpr char kSegmentFile[] = "/telemetry.kea";
+constexpr char kSegmentMagic[] = "KEATLM01";
 
 // Deterministic session-level counters: logical calls and simulated hours, not
 // wall clock.
@@ -54,11 +57,163 @@ obs::Counter* DegradedRestoresCounter() {
   return c;
 }
 
+// Telemetry segment volume: bytes appended (frames included) and whole-file
+// rewrites of a dirty segment. Deterministic: they move with checkpoints and
+// storage failures, not with the clock.
+obs::Counter* SegmentAppendBytesCounter() {
+  static obs::Counter* c =
+      obs::Registry::Get().GetCounter("durability.segment_append_bytes");
+  return c;
+}
+obs::Counter* SegmentRewritesCounter() {
+  static obs::Counter* c =
+      obs::Registry::Get().GetCounter("durability.segment_rewrites");
+  return c;
+}
+
 Status DegradedRefusal(const Status& reason) {
   return Status::FailedPrecondition(
       "degraded durability: deployments refused until the storage plane "
       "heals (" + reason.message() + "); call TryRestoreDurability");
 }
+
+// ---- The telemetry segment. telemetry.kea is an append-only framed file
+// (common/journal.h) whose frame payloads are TelemetryStore::SerializeState
+// blobs; a checkpoint's "records" section holds the prefix it covers.
+
+/// A "records" section: the record count a checkpoint covers and the CRC32
+/// of those records' encodings in store order, so frame boundaries do not
+/// enter into it.
+struct SegmentCoverage {
+  uint64_t records = 0;
+  uint32_t crc = 0;
+};
+
+std::string EncodeCoverage(uint64_t records, uint32_t crc) {
+  StateWriter w;
+  w.PutU64(records);
+  w.PutU32(crc);
+  return w.Release();
+}
+
+/// Decodes a checkpoint's "records" section. The layout before
+/// telemetry.kea, which held the records themselves, is refused by name.
+StatusOr<SegmentCoverage> DecodeCoverage(const std::string& blob) {
+  StateReader reader(blob);
+  SegmentCoverage coverage;
+  KEA_RETURN_IF_ERROR(reader.GetU64(&coverage.records));
+  if (reader.remaining() != sizeof(uint32_t)) {
+    const bool inline_records =
+        reader.remaining() ==
+        coverage.records * telemetry::kMachineHourRecordBytes;
+    return Status::InvalidArgument(
+        inline_records ? "checkpoint holds inline telemetry in its 'records' "
+                         "section; telemetry now lives in telemetry.kea"
+                       : "checkpoint has a malformed 'records' section");
+  }
+  KEA_RETURN_IF_ERROR(reader.GetU32(&coverage.crc));
+  return coverage;
+}
+
+/// telemetry.kea as Resume reads it, once: the image's intact frames, each
+/// with the record count and running CRC before it, so checking a coverage
+/// pair extends one CRC over at most one frame. A missing file or a wrong
+/// magic has no intact frames.
+class SegmentImage {
+ public:
+  explicit SegmentImage(std::string data) : data_(std::move(data)) {
+    if (data_.size() < kFrameMagicBytes ||
+        data_.compare(0, kFrameMagicBytes, kSegmentMagic) != 0) {
+      return;
+    }
+    intact_end_ = ScanFrames(data_, [this](const char* payload, size_t size) {
+      // A frame is a SerializeState blob: a u64 count, then that many
+      // fixed-width records. Anything else ends the intact prefix.
+      if (size < sizeof(uint64_t)) return false;
+      uint64_t count = 0;
+      for (int i = 7; i >= 0; --i) {
+        count = count << 8 | static_cast<unsigned char>(payload[i]);
+      }
+      const size_t bytes = size - sizeof(uint64_t);
+      if (bytes % telemetry::kMachineHourRecordBytes != 0 ||
+          bytes / telemetry::kMachineHourRecordBytes != count) {
+        return false;
+      }
+      const char* first = payload + sizeof(uint64_t);
+      frames_.push_back({static_cast<size_t>(first - data_.data()), records_,
+                         count, crc_});
+      records_ += count;
+      crc_ = Crc32Extend(crc_, first, bytes);
+      return true;
+    });
+  }
+
+  /// OK when the intact frames reproduce `coverage`.
+  Status Check(const SegmentCoverage& coverage) const {
+    if (coverage.records > records_) {
+      return Status::FailedPrecondition(
+          "checkpoint covers " + std::to_string(coverage.records) +
+          " telemetry records but telemetry.kea holds " +
+          std::to_string(records_) + " intact — refusing to fabricate state");
+    }
+    if (PrefixCrc(coverage.records) != coverage.crc) {
+      return Status::FailedPrecondition(
+          "telemetry.kea's first " + std::to_string(coverage.records) +
+          " records do not match the checkpoint's CRC — refusing to "
+          "fabricate state");
+    }
+    return Status::OK();
+  }
+
+  /// Appends records [0, count) to `store`, one AppendState per frame.
+  /// `count` must have passed Check.
+  Status AppendPrefix(uint64_t count, telemetry::TelemetryStore* store) const {
+    for (const Frame& frame : frames_) {
+      if (frame.first >= count) break;
+      const uint64_t take = std::min(frame.count, count - frame.first);
+      StateWriter header;
+      header.PutU64(take);
+      std::string blob = header.Release();
+      blob.append(data_, frame.offset,
+                  take * telemetry::kMachineHourRecordBytes);
+      KEA_RETURN_IF_ERROR(store->AppendState(blob));
+    }
+    return Status::OK();
+  }
+
+  /// True when the file is exactly the magic plus intact frames that end
+  /// at record `count` — the only segment a session may append to.
+  bool EndsAt(uint64_t count) const {
+    return intact_end_ > 0 && intact_end_ == data_.size() && records_ == count;
+  }
+
+ private:
+  struct Frame {
+    size_t offset;   ///< Of the frame's first record encoding in data_.
+    uint64_t first;  ///< Records in the frames before this one.
+    uint64_t count;
+    uint32_t crc_before;  ///< CRC32 of the encodings of records [0, first).
+  };
+
+  /// CRC32 of the encodings of records [0, count), count <= records_.
+  uint32_t PrefixCrc(uint64_t count) const {
+    if (count == records_) return crc_;
+    // The frame holding record `count`: the last one starting at or before it.
+    auto frame = std::upper_bound(
+        frames_.begin(), frames_.end(), count,
+        [](uint64_t n, const Frame& f) { return n < f.first; });
+    --frame;
+    return Crc32Extend(frame->crc_before, data_.data() + frame->offset,
+                       (count - frame->first) *
+                           telemetry::kMachineHourRecordBytes);
+  }
+
+  std::string data_;
+  std::vector<Frame> frames_;
+  size_t intact_end_ = 0;
+  uint64_t records_ = 0;
+  uint32_t crc_ = 0;
+};
 
 // ---- Bit-exact codecs for the checkpoint's "config" section. Everything a
 // session was constructed with goes in, so Resume() needs only the directory.
@@ -547,9 +702,12 @@ Status KeaSession::EnableDurability(const DurabilityOptions& options) {
   durability_dir_ = options.dir;
   keep_generations_ = options.keep_generations;
   deployment_.AttachLedger(ledger_.get());
-  // The initial checkpoint covers whatever the (possibly pre-existing) ledger
-  // holds, so Resume() of a never-crashed directory is a clean no-op restore.
-  Status written = WriteCheckpoint(ledger_->next_seq());
+  // A fresh segment, so a stale telemetry.kea left by another session is
+  // replaced rather than appended to. The initial checkpoint covers whatever
+  // the (possibly pre-existing) ledger holds, so Resume() of a never-crashed
+  // directory is a clean no-op restore.
+  Status written = RewriteSegment();
+  if (written.ok()) written = WriteCheckpoint(ledger_->next_seq());
   if (!written.ok()) {
     deployment_.AttachLedger(nullptr);
     ledger_.reset();
@@ -620,7 +778,54 @@ Status KeaSession::TryRestoreDurability() {
   return Status::OK();
 }
 
+Status KeaSession::SyncSegment() {
+  if (store_.size() < segment_records_) segment_dirty_ = true;
+  if (segment_dirty_) {
+    KEA_RETURN_IF_ERROR(RewriteSegment());
+    SegmentRewritesCounter()->Increment();
+    return Status::OK();
+  }
+  if (store_.size() == segment_records_) return Status::OK();
+  const std::string blob = store_.SerializeState(segment_records_);
+  uint32_t frame_crc = 0;
+  Status appended = AppendFrame(durability_dir_ + kSegmentFile, blob,
+                                "telemetry_segment.append.torn", &frame_crc);
+  if (!appended.ok()) {
+    // Some, all or none of the frame may be on disk ("durability
+    // indeterminate" included): only a rewrite makes the segment known again.
+    segment_dirty_ = true;
+    return appended;
+  }
+  // The frame's CRC covers the count, then the records. CRC-32 is linear, so
+  // swapping the count's CRC for the running one extends the running CRC
+  // over the records without a second pass over them.
+  const size_t count_bytes = sizeof(uint64_t);
+  segment_crc_ = Crc32Combine(segment_crc_ ^ Crc32(blob.data(), count_bytes),
+                              frame_crc, blob.size() - count_bytes);
+  segment_records_ = store_.size();
+  SegmentAppendBytesCounter()->Increment(kFrameHeaderBytes + blob.size());
+  return Status::OK();
+}
+
+Status KeaSession::RewriteSegment() {
+  std::string image(kSegmentMagic, kFrameMagicBytes);
+  uint32_t crc = 0;
+  if (!store_.empty()) {
+    const std::string blob = store_.SerializeState();
+    KEA_ASSIGN_OR_RETURN(const std::string frame, EncodeFrame(blob));
+    image += frame;
+    crc = Crc32(blob.data() + sizeof(uint64_t), blob.size() - sizeof(uint64_t));
+  }
+  KEA_RETURN_IF_ERROR(AtomicWriteFile(durability_dir_ + kSegmentFile, image));
+  segment_records_ = store_.size();
+  segment_crc_ = crc;
+  segment_dirty_ = false;
+  return Status::OK();
+}
+
 Status KeaSession::WriteCheckpoint(uint64_t covered_seq) {
+  // Telemetry first: a snapshot never covers records the segment lacks.
+  KEA_RETURN_IF_ERROR(SyncSegment());
   SnapshotWriter snapshot;
 
   StateWriter meta;
@@ -646,7 +851,7 @@ Status KeaSession::WriteCheckpoint(uint64_t covered_seq) {
                self_healing_enabled_, &config);
   snapshot.AddSection("config", config.Release());
 
-  snapshot.AddSection("records", store_.SerializeState());
+  snapshot.AddSection("records", EncodeCoverage(segment_records_, segment_crc_));
 
   StateWriter cluster;
   cluster.PutU64(cluster_.machines().size());
@@ -692,8 +897,21 @@ StatusOr<std::unique_ptr<KeaSession>> KeaSession::Resume(const std::string& dir)
   std::unique_ptr<core::DeploymentLedger> ledger;
   KEA_ASSIGN_OR_RETURN(ledger, core::DeploymentLedger::Open(dir + kLedgerFile));
   const uint64_t ledger_next = ledger->next_seq();
+  // Then the telemetry segment, read once and never written: beside the
+  // ledger check, a checkpoint is admissible only if the segment's intact
+  // frames reproduce its records pair. Telemetry lives only there, so a
+  // checkpoint without the pair (telemetry held inline or as CSV) is refused
+  // by name before anything is built from it.
+  StatusOr<std::string> segment_bytes = ReadFileToString(dir + kSegmentFile);
+  if (!segment_bytes.ok() &&
+      segment_bytes.status().code() != StatusCode::kNotFound) {
+    return segment_bytes.status();
+  }
+  const SegmentImage segment(segment_bytes.ok()
+                                 ? std::move(segment_bytes).value()
+                                 : std::string());
   SnapshotGenerations::Validator admissible =
-      [ledger_next](const SnapshotReader& candidate) -> Status {
+      [ledger_next, &segment](const SnapshotReader& candidate) -> Status {
     StatusOr<std::string> meta_blob = candidate.Section("meta");
     if (!meta_blob.ok()) return meta_blob.status();
     StateReader meta(meta_blob.value());
@@ -705,19 +923,18 @@ StatusOr<std::unique_ptr<KeaSession>> KeaSession::Resume(const std::string& dir)
           " ledger events but the ledger holds " +
           std::to_string(ledger_next) + " — refusing to fabricate state");
     }
-    return Status::OK();
+    StatusOr<std::string> records = candidate.Section("records");
+    if (!records.ok()) {
+      return Status::InvalidArgument("checkpoint has no 'records' section");
+    }
+    KEA_ASSIGN_OR_RETURN(const SegmentCoverage coverage,
+                         DecodeCoverage(records.value()));
+    return segment.Check(coverage);
   };
   KEA_ASSIGN_OR_RETURN(SnapshotGenerations::Restored restored,
                        SnapshotGenerations::RestoreLatestValid(
                            dir + kCheckpointFile, admissible));
   SnapshotReader& snapshot = restored.reader;
-  // Telemetry travels as the store's binary "records" section. A checkpoint
-  // without it (one that held telemetry as CSV) is refused before anything
-  // is built from it.
-  if (!snapshot.Has("records")) {
-    return Status::InvalidArgument("checkpoint " + restored.source_path +
-                                   " has no 'records' section");
-  }
 
   std::string config_blob;
   KEA_ASSIGN_OR_RETURN(config_blob, snapshot.Section("config"));
@@ -790,7 +1007,12 @@ StatusOr<std::unique_ptr<KeaSession>> KeaSession::Resume(const std::string& dir)
 
   std::string blob;
   KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("records"));
-  KEA_RETURN_IF_ERROR(session->store_.RestoreState(blob));
+  KEA_ASSIGN_OR_RETURN(const SegmentCoverage coverage,
+                       DecodeCoverage(blob));
+  KEA_RETURN_IF_ERROR(segment.AppendPrefix(coverage.records, &session->store_));
+  session->segment_records_ = coverage.records;
+  session->segment_crc_ = coverage.crc;
+  session->segment_dirty_ = !segment.EndsAt(coverage.records);
 
   std::string cluster_blob;
   KEA_ASSIGN_OR_RETURN(cluster_blob, snapshot.Section("cluster"));

@@ -86,7 +86,8 @@ class KeaSession {
   /// Durable control-plane configuration (see EnableDurability).
   struct DurabilityOptions {
     /// Root of the durable state; must exist. The ledger lives at
-    /// `<dir>/ledger.kea`, the checkpoint at `<dir>/checkpoint.kea`.
+    /// `<dir>/ledger.kea`, the telemetry segment at `<dir>/telemetry.kea`,
+    /// the checkpoint at `<dir>/checkpoint.kea`.
     std::string dir;
     /// Rotated checkpoint generations retained for fallback restore
     /// (`checkpoint.kea.g<N>`, newest N highest). Resume() falls back
@@ -137,8 +138,9 @@ class KeaSession {
   static StatusOr<std::unique_ptr<KeaSession>> Create(const Config& config);
 
   /// Turns on the crash-safe control plane, rooted at `dir` (which must
-  /// exist): the deployment ledger lives at `<dir>/ledger.kea` and
-  /// checkpoints at `<dir>/checkpoint.kea`. Once enabled:
+  /// exist): the deployment ledger lives at `<dir>/ledger.kea`, telemetry
+  /// in the append-only segment `<dir>/telemetry.kea`, and checkpoints at
+  /// `<dir>/checkpoint.kea`. Once enabled:
   ///   - every DeploymentModule apply/rollback and every guarded-round wave
   ///     transition is write-ahead journaled in the ledger;
   ///   - Simulate() checkpoints the full session after each call (outside
@@ -146,15 +148,21 @@ class KeaSession {
   ///   - RunGuardedTuningRound() journals the plan at round start,
   ///     checkpoints after every step, and — after a crash — continues an
   ///     in-flight round from its last journaled step.
-  /// An initial checkpoint is written immediately.
+  /// A fresh segment holding the current records and an initial checkpoint
+  /// are written immediately. From then on the store is append-only: a
+  /// store that shrinks is rewritten whole at the next checkpoint.
   Status EnableDurability(const std::string& dir);
   /// As above with explicit knobs (generation retention).
   Status EnableDurability(const DurabilityOptions& options);
 
   /// Atomically writes a full-session checkpoint (telemetry, sim clock, RNG
   /// cursors, applied-config state, deployment/ledger bookkeeping) covering
-  /// everything journaled so far. FailedPrecondition before EnableDurability
-  /// and in degraded-durability mode (heal first; see TryRestoreDurability).
+  /// everything journaled so far. Telemetry is written once: the records
+  /// added since the last checkpoint are appended to telemetry.kea as one
+  /// frame, and the checkpoint's "records" section names the prefix of the
+  /// segment it covers (record count plus CRC32 of their encodings).
+  /// FailedPrecondition before EnableDurability and in degraded-durability
+  /// mode (heal first; see TryRestoreDurability).
   Status Checkpoint();
 
   DurabilityMode durability_mode() const { return durability_mode_; }
@@ -169,7 +177,8 @@ class KeaSession {
   /// Attempts to leave degraded-durability mode: re-opens the ledger from
   /// disk (salvaged by the journal layer), verifies it still holds every
   /// event this session acknowledged, and re-checkpoints the full in-memory
-  /// state. On success the session is kDurable again; orphan ledger events
+  /// state (rewriting telemetry.kea whole if an append to it failed). On
+  /// success the session is kDurable again; orphan ledger events
   /// (appends that persisted but were reported failed) are re-driven by the
   /// next round exactly once. Never fabricates state: a disk that lost
   /// acknowledged events is refused. FailedPrecondition unless degraded.
@@ -180,6 +189,14 @@ class KeaSession {
   /// that was in flight at the crash is NOT continued here — the next
   /// RunGuardedTuningRound() call picks it up from its last journaled step
   /// and completes it bit-identically to an uninterrupted run.
+  ///
+  /// A checkpoint generation is admissible only if the ledger holds every
+  /// event it covers and telemetry.kea's intact frames reproduce its
+  /// records pair; with none admissible, Resume refuses. A checkpoint that
+  /// holds telemetry inline (or as CSV) is refused by name. Resume reads
+  /// telemetry.kea but never writes it: a segment with a torn tail or
+  /// frames past the restored coverage is rewritten whole by the resumed
+  /// session's first checkpoint.
   static StatusOr<std::unique_ptr<KeaSession>> Resume(const std::string& dir);
 
   /// Null until EnableDurability has been called.
@@ -322,7 +339,18 @@ class KeaSession {
   /// Writes the checkpoint file; `covered_seq` is the number of ledger
   /// events whose effects the written state contains (recorded as
   /// ledger_durable_seq and used on resume to split replay from re-drive).
+  /// Brings telemetry.kea up to the store first (SyncSegment).
   Status WriteCheckpoint(uint64_t covered_seq);
+
+  /// Makes telemetry.kea hold exactly the store's records: appends one
+  /// frame of the records added since the last append (crash point
+  /// "telemetry_segment.append.torn"), or rewrites the segment whole when
+  /// it is dirty. A failed append marks it dirty.
+  Status SyncSegment();
+
+  /// Replaces telemetry.kea through AtomicWriteFile with the magic plus one
+  /// frame of every record, and resets the segment bookkeeping to match.
+  Status RewriteSegment();
 
   /// The journal context of guarded round or fabric run `run_number`: the
   /// ledger, the durable_seq of the restored checkpoint, and WriteCheckpoint
@@ -393,6 +421,15 @@ class KeaSession {
   std::unique_ptr<core::DeploymentLedger> ledger_;
   /// Ledger events below this are covered by the newest checkpoint.
   uint64_t durable_seq_ = 0;
+  /// Records written to telemetry.kea and the CRC32 of their encodings in
+  /// store order: the coverage pair the next checkpoint records. The
+  /// segment's payloads are not kept in memory.
+  uint64_t segment_records_ = 0;
+  uint32_t segment_crc_ = 0;
+  /// telemetry.kea may hold more or other bytes than its first
+  /// segment_records_ records (a failed or torn append, or frames past a
+  /// resumed checkpoint's coverage): the next checkpoint rewrites it whole.
+  bool segment_dirty_ = false;
   /// Self-healing durability plane state (see DurabilityMode).
   DurabilityMode durability_mode_ = DurabilityMode::kOff;
   Status degraded_reason_ = Status::OK();

@@ -63,8 +63,6 @@ double ElapsedUsSince(std::chrono::steady_clock::time_point start) {
 }
 
 constexpr char kMagic[] = "KEAJNL01";
-constexpr size_t kMagicLen = 8;
-constexpr size_t kHeaderLen = 8;  // u32 length + u32 crc.
 
 uint32_t LoadU32(const char* p) {
   return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
@@ -78,6 +76,25 @@ void StoreU32(uint32_t v, std::string* out) {
   out->push_back(static_cast<char>((v >> 8) & 0xff));
   out->push_back(static_cast<char>((v >> 16) & 0xff));
   out->push_back(static_cast<char>((v >> 24) & 0xff));
+}
+
+Status CheckFrameLength(const std::string& payload) {
+  if (payload.size() > UINT32_MAX) {
+    return Status::InvalidArgument("frame payload of " +
+                                   std::to_string(payload.size()) +
+                                   " bytes does not fit a u32 length");
+  }
+  return Status::OK();
+}
+
+// `payload` behind its header; `crc` is the payload's CRC-32.
+std::string Frame(const std::string& payload, uint32_t crc) {
+  std::string framed;
+  framed.reserve(kFrameHeaderBytes + payload.size());
+  StoreU32(static_cast<uint32_t>(payload.size()), &framed);
+  StoreU32(crc, &framed);
+  framed += payload;
+  return framed;
 }
 
 // Slice-by-8 tables: table[0] is the classic bytewise table, and table[k][b]
@@ -105,32 +122,24 @@ const CrcTables& Crc32Tables() {
   return tables;
 }
 
-// Shared record scan for Open() and Scrub(): walks `data` (which must start
-// with the magic) and returns the intact records plus the byte offset where
-// the valid prefix ends. A short header, a length past EOF, or a CRC
-// mismatch stops the scan — anything beyond that point is corrupt tail.
+// Shared record scan for Open() and Scrub(): the intact records of `data`
+// plus the byte offset where the valid prefix ends — anything beyond that
+// point is corrupt tail.
 struct JournalScan {
   std::vector<std::string> records;
-  size_t good_end = kMagicLen;
+  size_t good_end = kFrameMagicBytes;
 };
 
 Status ScanJournal(const std::string& data, const std::string& path,
                    JournalScan* out) {
-  if (data.size() < kMagicLen ||
-      std::memcmp(data.data(), kMagic, kMagicLen) != 0) {
+  if (data.size() < kFrameMagicBytes ||
+      std::memcmp(data.data(), kMagic, kFrameMagicBytes) != 0) {
     return Status::InvalidArgument("not a KEA journal: " + path);
   }
-  size_t pos = kMagicLen;
-  while (pos < data.size()) {
-    if (data.size() - pos < kHeaderLen) break;  // Torn header.
-    const uint32_t len = LoadU32(data.data() + pos);
-    const uint32_t crc = LoadU32(data.data() + pos + 4);
-    if (data.size() - pos - kHeaderLen < len) break;  // Torn payload.
-    if (Crc32(data.data() + pos + kHeaderLen, len) != crc) break;  // Bit rot.
-    out->records.emplace_back(data.data() + pos + kHeaderLen, len);
-    pos += kHeaderLen + len;
-    out->good_end = pos;
-  }
+  out->good_end = ScanFrames(data, [out](const char* payload, size_t size) {
+    out->records.emplace_back(payload, size);
+    return true;
+  });
   return Status::OK();
 }
 
@@ -172,6 +181,72 @@ uint32_t Crc32Extend(uint32_t crc, const char* data, size_t size) {
 
 uint32_t Crc32(const char* data, size_t size) {
   return Crc32Extend(0, data, size);
+}
+
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, uint64_t length_b) {
+  // Appending B to A shifts A's CRC register through length_b * 8 zero bits
+  // — multiplication by x^(8 length_b) modulo the polynomial — and XORs in
+  // B's own CRC. Polynomials are bit-reflected: x^0 is the top bit.
+  auto mult_mod_p = [](uint32_t a, uint32_t b) {
+    uint32_t product = 0;
+    for (uint32_t m = 1u << 31; m != 0 && a != 0; m >>= 1) {
+      if (a & m) {
+        product ^= b;
+        a ^= m;
+      }
+      b = (b & 1) ? (b >> 1) ^ 0xedb88320u : b >> 1;
+    }
+    return product;
+  };
+  uint32_t shift = 1u << 31;    // x^0
+  uint32_t square = 1u << 23;   // x^8: one zero byte.
+  for (uint64_t n = length_b; n != 0; n >>= 1) {
+    if (n & 1) shift = mult_mod_p(square, shift);
+    square = mult_mod_p(square, square);
+  }
+  return mult_mod_p(shift, crc_a) ^ crc_b;
+}
+
+StatusOr<std::string> EncodeFrame(const std::string& payload) {
+  KEA_RETURN_IF_ERROR(CheckFrameLength(payload));
+  return Frame(payload, Crc32(payload));
+}
+
+Status AppendFrame(const std::string& path, const std::string& payload,
+                   const std::string& torn_point, uint32_t* payload_crc) {
+  KEA_RETURN_IF_ERROR(CheckFrameLength(payload));
+  const uint32_t crc = Crc32(payload);
+  if (payload_crc != nullptr) *payload_crc = crc;
+  const std::string framed = Frame(payload, crc);
+  // Injected torn write: persist the header plus half the payload — a
+  // realistic power-loss artifact — then fail. Recovery must drop exactly
+  // these bytes and keep every earlier frame. Written directly (not via Io):
+  // this models a process dying mid-write, not an I/O error the seam should
+  // see.
+  Status torn = CrashPoints::Check(torn_point);
+  if (!torn.ok()) {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    const size_t partial = kFrameHeaderBytes + payload.size() / 2;
+    out.write(framed.data(), static_cast<std::streamsize>(partial));
+    out.flush();
+    return torn;
+  }
+  return Io::Get().AppendFile(path, framed);
+}
+
+size_t ScanFrames(const std::string& data,
+                  const std::function<bool(const char*, size_t)>& visit) {
+  size_t pos = kFrameMagicBytes;
+  while (data.size() - pos >= kFrameHeaderBytes) {  // Else a torn header.
+    const uint32_t len = LoadU32(data.data() + pos);
+    const uint32_t crc = LoadU32(data.data() + pos + 4);
+    const char* payload = data.data() + pos + kFrameHeaderBytes;
+    if (data.size() - pos - kFrameHeaderBytes < len) break;  // Torn payload.
+    if (Crc32(payload, len) != crc) break;                   // Bit rot.
+    if (!visit(payload, len)) break;
+    pos += kFrameHeaderBytes + len;
+  }
+  return pos;
 }
 
 Status AtomicWriteFile(const std::string& path, const std::string& content) {
@@ -230,7 +305,8 @@ StatusOr<std::unique_ptr<Journal>> Journal::Open(const std::string& path) {
 
   if (!exists || data.empty()) {
     // Fresh journal: write the magic via truncation.
-    KEA_RETURN_IF_ERROR(Io::Get().WriteFile(path, std::string(kMagic, kMagicLen)));
+    KEA_RETURN_IF_ERROR(
+        Io::Get().WriteFile(path, std::string(kMagic, kFrameMagicBytes)));
     return std::unique_ptr<Journal>(
         new Journal(path, std::vector<std::string>(), info));
   }
@@ -269,31 +345,11 @@ StatusOr<Journal::ScrubReport> Journal::Scrub(const std::string& path,
 }
 
 Status Journal::Append(const std::string& payload) {
-  std::string framed;
-  framed.reserve(kHeaderLen + payload.size());
-  StoreU32(static_cast<uint32_t>(payload.size()), &framed);
-  StoreU32(Crc32(payload), &framed);
-  framed += payload;
-
-  // Injected torn write: persist the header plus half the payload — a
-  // realistic power-loss artifact — then fail. Recovery at the next Open()
-  // must drop exactly these bytes and keep every earlier record. Written
-  // directly (not via Io): this models a process dying mid-write, not an
-  // I/O error the seam should see.
-  Status torn = CrashPoints::Check("journal.append.torn");
-  if (!torn.ok()) {
-    std::ofstream out(path_, std::ios::binary | std::ios::app);
-    const size_t partial = kHeaderLen + payload.size() / 2;
-    out.write(framed.data(), static_cast<std::streamsize>(partial));
-    out.flush();
-    return torn;
-  }
-
   const auto start = std::chrono::steady_clock::now();
-  KEA_RETURN_IF_ERROR(Io::Get().AppendFile(path_, framed));
+  KEA_RETURN_IF_ERROR(AppendFrame(path_, payload, "journal.append.torn"));
   records_.push_back(payload);
   AppendsCounter()->Increment();
-  AppendBytesCounter()->Increment(framed.size());
+  AppendBytesCounter()->Increment(kFrameHeaderBytes + payload.size());
   if (obs::MetricsEnabled()) {
     AppendLatencyHistogram()->Observe(ElapsedUsSince(start));
   }

@@ -2,6 +2,7 @@
 #define KEA_COMMON_JOURNAL_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +23,10 @@ inline uint32_t Crc32Extend(uint32_t crc, const std::string& s) {
   return Crc32Extend(crc, s.data(), s.size());
 }
 
+/// CRC-32 of A followed by B, from `crc_a` = Crc32(A), `crc_b` = Crc32(B)
+/// and B's length, without reading either (zlib's crc32_combine).
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, uint64_t length_b);
+
 /// Crash-safe whole-file replacement: the content is written to
 /// `<path>.tmp`, flushed, and renamed over `path` — all through the
 /// `common::Io` seam, so injected storage faults and bounded retries apply.
@@ -36,11 +41,34 @@ Status AtomicWriteFile(const std::string& path, const std::string& content);
 /// when it cannot be opened.
 StatusOr<std::string> ReadFileToString(const std::string& path);
 
+/// The framed-file layout shared by the ledger's journal and the telemetry
+/// segment: an 8-byte magic, then frames
+/// `[u32 payload_len][u32 crc32(payload)][payload bytes]`, little-endian.
+inline constexpr size_t kFrameMagicBytes = 8;
+inline constexpr size_t kFrameHeaderBytes = 8;
+
+/// `payload` behind its frame header. InvalidArgument when the payload's
+/// size does not fit the u32 length.
+StatusOr<std::string> EncodeFrame(const std::string& payload);
+
+/// Appends one frame of `payload` to the framed file at `path` through the
+/// Io seam and flushes it. Crash point `torn_point` instead persists the
+/// header plus half the payload — a process dying mid-write — and fails.
+/// `payload_crc`, when set, receives the payload's CRC-32 (the header's).
+Status AppendFrame(const std::string& path, const std::string& payload,
+                   const std::string& torn_point,
+                   uint32_t* payload_crc = nullptr);
+
+/// Calls `visit(payload, size)` for each intact frame of `data` after its
+/// magic, in order, and returns the offset where the intact prefix ends. A
+/// short header, a length past the end, a CRC mismatch, or `visit`
+/// returning false ends the prefix. `data` must hold at least the magic.
+size_t ScanFrames(const std::string& data,
+                  const std::function<bool(const char*, size_t)>& visit);
+
 /// An append-only, length-prefixed, CRC-checked record log — the write-ahead
-/// journal under the deployment ledger. On-disk layout:
-///
-///   magic "KEAJNL01"
-///   repeated records: [u32 payload_len][u32 crc32(payload)][payload bytes]
+/// journal under the deployment ledger. On-disk layout: magic "KEAJNL01",
+/// then one frame per record (see kFrameMagicBytes).
 ///
 /// Open() replays existing records and recovers from a torn tail: a final
 /// record with a short header, a length pointing past EOF, or a CRC mismatch

@@ -1,6 +1,7 @@
 #include "common/snapshot.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -157,22 +158,25 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
 Status SnapshotGenerations::Write(const SnapshotWriter& snapshot,
                                   const std::string& path, int keep) {
   if (keep <= 0) return snapshot.WriteFile(path);
+  // One directory scan: the install adds no generation, so the rotate's
+  // list plus the rotated one is what the prune sees.
+  std::vector<uint64_t> gens = List(path);
   std::error_code ec;
   if (std::filesystem::exists(path, ec)) {
     // Rotate the live checkpoint out of the way before installing the new
     // one. A crash (or fault) between the rotate and the install leaves no
     // live file, but the rotated generation still restores.
-    std::vector<uint64_t> gens = List(path);
     const uint64_t next = gens.empty() ? 1 : gens.back() + 1;
     KEA_RETURN_IF_ERROR(Io::Get().Rename(path, GenerationPath(path, next)));
+    gens.push_back(next);
   }
   KEA_RETURN_IF_ERROR(snapshot.WriteFile(path));
-  std::vector<uint64_t> gens = List(path);
-  while (static_cast<int>(gens.size()) > keep) {
+  const size_t excess =
+      gens.size() > static_cast<size_t>(keep) ? gens.size() - keep : 0;
+  for (size_t i = 0; i < excess; ++i) {
     // Best-effort, injection-proof prune: a broken disk must not be able to
     // fail a checkpoint that already installed.
-    Io::Get().RemoveFile(GenerationPath(path, gens.front()));
-    gens.erase(gens.begin());
+    Io::Get().RemoveFile(GenerationPath(path, gens[i]));
   }
   return Status::OK();
 }
@@ -194,9 +198,12 @@ std::vector<uint64_t> SnapshotGenerations::List(const std::string& path) {
     if (name.size() <= prefix.size() || name.compare(0, prefix.size(), prefix) != 0) {
       continue;
     }
-    const std::string digits = name.substr(prefix.size());
-    if (digits.find_first_not_of("0123456789") != std::string::npos) continue;
-    gens.push_back(std::stoull(digits));
+    // Digits only, and they must fit a u64: a stray suffix is not ours.
+    uint64_t gen = 0;
+    const char* last = name.data() + name.size();
+    const auto [end, err] = std::from_chars(name.data() + prefix.size(), last, gen);
+    if (err != std::errc() || end != last) continue;
+    gens.push_back(gen);
   }
   std::sort(gens.begin(), gens.end());
   return gens;

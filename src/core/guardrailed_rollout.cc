@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "common/crash_point.h"
+#include "common/io.h"
 #include "common/snapshot.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -287,9 +288,13 @@ StatusOr<GuardrailedRollout::Report> GuardrailedRollout::Execute(
   // A real error restores every applied wave before it is returned. An
   // injected crash models abrupt process death instead: it leaves the world
   // exactly as the dying process would, and resume picks it up from the
-  // journal.
+  // journal. A storage failure leaves the world too: the journal holds the
+  // applied waves, and the heal's checkpoint (or a resume) carries the round
+  // on from them, which an in-memory undo would contradict.
   auto unwind = [&](const Status& error) {
-    if (!CrashPoints::IsCrash(error)) Restore(snapshots, cluster);
+    if (!CrashPoints::IsCrash(error) && !IsStorageFailure(error)) {
+      Restore(snapshots, cluster);
+    }
     return error;
   };
 

@@ -744,7 +744,7 @@ double TuningService::slo_slow_burn() const {
 }
 
 std::string TuningService::Statusz() const {
-  char line[256];
+  char line[512];
   std::string out;
   out += "=== kea::serve statusz ===\n";
   std::snprintf(line, sizeof(line), "virtual_now_ms: %lld\n",
@@ -839,13 +839,15 @@ std::string TuningService::Statusz() const {
   out += line;
   // Durability panel: the self-healing storage plane's global tallies
   // (retries absorbed, scrub salvages, generation fallbacks, degraded-mode
-  // round trips) — deterministic counters, so statusz stays diffable.
+  // round trips, telemetry segment appends and rewrites) — deterministic
+  // counters, so statusz stays diffable.
   obs::Registry& registry = obs::Registry::Get();
   std::snprintf(
       line, sizeof(line),
       "durability: retries=%llu retries_exhausted=%llu scrub_repairs=%llu "
       "generations_discarded=%llu degraded_entries=%llu "
-      "degraded_restores=%llu\n",
+      "degraded_restores=%llu segment_append_bytes=%llu "
+      "segment_rewrites=%llu\n",
       static_cast<unsigned long long>(registry.CounterValue("durability.retries")),
       static_cast<unsigned long long>(
           registry.CounterValue("durability.retries_exhausted")),
@@ -856,7 +858,11 @@ std::string TuningService::Statusz() const {
       static_cast<unsigned long long>(
           registry.CounterValue("durability.degraded_entries")),
       static_cast<unsigned long long>(
-          registry.CounterValue("durability.degraded_restores")));
+          registry.CounterValue("durability.degraded_restores")),
+      static_cast<unsigned long long>(
+          registry.CounterValue("durability.segment_append_bytes")),
+      static_cast<unsigned long long>(
+          registry.CounterValue("durability.segment_rewrites")));
   out += line;
   return out;
 }

@@ -133,15 +133,20 @@ class TelemetryStore {
   /// unparsable numbers.
   static StatusOr<TelemetryStore> FromCsv(const std::string& text);
 
-  /// Checkpoint blob of every record, in store order: a u64 count, then each
-  /// record in PutMachineHourRecord's encoding (doubles as raw IEEE-754
-  /// bits, little-endian throughout).
-  std::string SerializeState() const;
+  /// State blob of records [first, size()), in store order: a u64 count,
+  /// then each record in PutMachineHourRecord's encoding (doubles as raw
+  /// IEEE-754 bits, little-endian throughout). With no argument, every
+  /// record; with `first` at or past the end, none.
+  std::string SerializeState(size_t first = 0) const;
 
-  /// Replaces the records with those of a SerializeState blob, rebuilding
-  /// the hour index through Append. InvalidArgument on a truncated blob,
-  /// trailing bytes, or a count the blob cannot hold; the store is then
-  /// left as it was.
+  /// Appends the records of a SerializeState blob, extending the hour index
+  /// through Append. InvalidArgument on a truncated blob, trailing bytes, or
+  /// a count the blob cannot hold; the store is then left as it was.
+  Status AppendState(const std::string& blob);
+
+  /// Replaces the records with those of a SerializeState blob: a fresh
+  /// store plus AppendState, with the same checks. A refused blob leaves
+  /// the store as it was.
   Status RestoreState(const std::string& blob);
 
   void Clear() {

@@ -28,6 +28,8 @@ std::string FreshDir(const std::string& name) {
   std::remove((dir + "/ledger.kea.tmp").c_str());
   std::remove((dir + "/checkpoint.kea").c_str());
   std::remove((dir + "/checkpoint.kea.tmp").c_str());
+  std::remove((dir + "/telemetry.kea").c_str());
+  std::remove((dir + "/telemetry.kea.tmp").c_str());
   ::mkdir(dir.c_str(), 0755);
   return dir;
 }
@@ -195,7 +197,8 @@ TEST(CrashRecoveryTest, SweepEveryCrashPointInConvergingRound) {
 
   // The matrix must include both halves of every journaled session step —
   // died-before-journaling and journaled-but-not-durable — plus the torn
-  // ledger append and the checkpoint rename.
+  // ledger append, the torn telemetry segment append and the checkpoint
+  // rename.
   std::set<std::string> names;
   for (const auto& [point, hits] : ref.crash_points) names.insert(point);
   for (const char* expected :
@@ -203,7 +206,8 @@ TEST(CrashRecoveryTest, SweepEveryCrashPointInConvergingRound) {
         "rollout.wave_started.pre", "rollout.wave_applied.post_record",
         "rollout.wave_observed.pre", "rollout.wave_verdict.post_record",
         "session.round_finished.pre", "session.round_finished.post_record",
-        "journal.append.torn", "atomic_write.before_rename"}) {
+        "journal.append.torn", "telemetry_segment.append.torn",
+        "atomic_write.before_rename"}) {
     EXPECT_TRUE(names.count(expected)) << "unreached crash point: " << expected;
   }
 

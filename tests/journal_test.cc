@@ -395,6 +395,22 @@ TEST(Crc32Test, ChainingAtEverySplitPointEqualsOneCall) {
   }
 }
 
+TEST(Crc32Test, CombineAtEverySplitPointEqualsOneCall) {
+  const std::string data = RandomBytes(256, 31);
+  const uint32_t whole = Crc32(data);
+  for (size_t split = 0; split <= data.size(); ++split) {
+    EXPECT_EQ(Crc32Combine(Crc32(data.data(), split),
+                           Crc32(data.data() + split, data.size() - split),
+                           data.size() - split),
+              whole)
+        << "split at " << split;
+  }
+  // A long second part exercises the high bits of its length.
+  const std::string tail = RandomBytes((1 << 20) + 13, 37);
+  EXPECT_EQ(Crc32Combine(Crc32(data), Crc32(tail), tail.size()),
+            Crc32Extend(whole, tail));
+}
+
 TEST(DeploymentLedgerTest, AppendIsIdempotentByKey) {
   const std::string path = TempPath("ledger_idempotent.kea");
   std::remove(path.c_str());

@@ -389,6 +389,46 @@ TEST_P(TelemetryStatePropertyTest, TruncatedOrPaddedBlobIsRefusedWhole) {
   EXPECT_EQ(target.SerializeState(), before);
 }
 
+// The telemetry segment's codec: a store split at any point, serialized
+// from the split and appended to its prefix, is the store again, bit for
+// bit, with an intact hour index. Malformed blobs are refused whole.
+TEST_P(TelemetryStatePropertyTest, AppendStateRoundTripsEverySplitPoint) {
+  TelemetryStore store = RandomStore(GetParam() ^ 0x5eed, 24);
+  const std::string whole = store.SerializeState();
+  EXPECT_EQ(store.SerializeState(0), whole);
+  EXPECT_EQ(store.SerializeState(store.size() + 3),
+            store.SerializeState(store.size()));
+  for (size_t split = 0; split <= store.size(); ++split) {
+    TelemetryStore prefix;
+    for (size_t i = 0; i < split; ++i) prefix.Append(store.records()[i]);
+    const std::string tail = store.SerializeState(split);
+    EXPECT_EQ(tail.size(), sizeof(uint64_t) +
+                               (store.size() - split) * kMachineHourRecordBytes);
+    ASSERT_TRUE(prefix.AppendState(tail).ok()) << "split " << split;
+    EXPECT_EQ(prefix.SerializeState(), whole) << "split " << split;
+    for (sim::HourIndex begin : {0, 1000, 3000}) {
+      EXPECT_EQ(prefix.Query(HourRangeFilter(begin, begin + 700)).size(),
+                store.Query(HourRangeFilter(begin, begin + 700)).size())
+          << "split " << split << ", window at " << begin;
+    }
+  }
+}
+
+TEST_P(TelemetryStatePropertyTest, AppendStateRefusesMalformedBlobsWhole) {
+  TelemetryStore store = RandomStore(GetParam() ^ 0xa11, 9);
+  const std::string tail = store.SerializeState(4);
+  TelemetryStore target = RandomStore(GetParam() + 2, 3);
+  const std::string before = target.SerializeState();
+  for (size_t cut = 0; cut < tail.size(); ++cut) {
+    EXPECT_EQ(target.AppendState(tail.substr(0, cut)).code(),
+              StatusCode::kInvalidArgument)
+        << "cut at byte " << cut;
+  }
+  EXPECT_EQ(target.AppendState(tail + '\0').code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(target.SerializeState(), before);
+}
+
 TEST(TelemetryStateCodecTest, CountBeyondTheBlobIsRefusedBeforeReserving) {
   TelemetryStore store = RandomStore(3, 4);
   const std::string records = store.SerializeState().substr(sizeof(uint64_t));

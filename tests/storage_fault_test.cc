@@ -6,9 +6,11 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "apps/session.h"
 #include "common/io.h"
 #include "common/journal.h"
 #include "common/snapshot.h"
@@ -570,6 +572,107 @@ TEST_F(GenerationsTest, RestoreAppliesValidator) {
                 .status()
                 .code(),
             StatusCode::kNotFound);
+}
+
+TEST_F(GenerationsTest, WriteWithoutLiveFilePrunesStaleGenerations) {
+  const std::string live = FreshLive("sf_gen_no_live.kea");
+  for (int v = 1; v <= 4; ++v) {
+    ASSERT_TRUE(SnapshotGenerations::Write(Versioned(v), live, /*keep=*/3).ok());
+  }
+  // A crash between the rotate and the install leaves no live file.
+  std::remove(live.c_str());
+  ASSERT_TRUE(SnapshotGenerations::Write(Versioned(5), live, /*keep=*/2).ok());
+  // Nothing to rotate: the install lands and the oldest generation goes.
+  EXPECT_EQ(StateOf(std::move(SnapshotReader::Open(live)).value()),
+            "version 5");
+  EXPECT_EQ(SnapshotGenerations::List(live), (std::vector<uint64_t>{2, 3}));
+  EXPECT_EQ(StateOf(std::move(SnapshotReader::Open(
+                        SnapshotGenerations::GenerationPath(live, 3)))
+                        .value()),
+            "version 3");
+}
+
+/// An empty directory for a durable session's files.
+std::string FreshSessionDir(const std::string& name) {
+  const std::string dir = TempPath(name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+std::unique_ptr<apps::KeaSession> SmallSession(int machines) {
+  apps::KeaSession::Config config;
+  config.machines = machines;
+  config.seed = 5;
+  return std::move(apps::KeaSession::Create(config)).value();
+}
+
+// A name whose generation suffix does not fit a u64 is not a generation:
+// List skips it, and Checkpoint and Resume run beside it and leave it in
+// place. Parsing the suffix used to throw out of every durable call.
+TEST_F(GenerationsTest, OutOfRangeSuffixIsNotAGeneration) {
+  const std::string dir = FreshSessionDir("sf_gen_stray");
+  const std::string checkpoint = dir + "/checkpoint.kea";
+  const std::string stray = checkpoint + ".g123456789012345678901";
+  RawWrite(stray, "not a generation");
+  EXPECT_TRUE(SnapshotGenerations::List(checkpoint).empty());
+
+  auto session = SmallSession(8);
+  ASSERT_TRUE(session->EnableDurability(dir).ok());
+  ASSERT_TRUE(session->Simulate(2).ok());
+  ASSERT_TRUE(session->Checkpoint().ok());
+  EXPECT_EQ(SnapshotGenerations::List(checkpoint),
+            (std::vector<uint64_t>{1, 2}));
+  auto resumed = apps::KeaSession::Resume(dir);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ((*resumed)->store().size(), session->store().size());
+  EXPECT_EQ(RawRead(stray), "not a generation");
+}
+
+// Every single-bit flip of a two-frame telemetry segment is caught. Resume
+// either refuses with a typed error, or restores exactly the records of the
+// generation it admitted — a prefix of the reference, never a changed
+// record.
+TEST_F(StorageFaultTest, SegmentDetectsEverySingleBitCorruption) {
+  const std::string dir = FreshSessionDir("sf_segment_every_bit");
+  const std::string segment = dir + "/telemetry.kea";
+  std::string reference;
+  // Record counts the live checkpoint and the generations cover, newest first.
+  std::vector<size_t> covered;
+  {
+    auto session = SmallSession(1);
+    ASSERT_TRUE(session->EnableDurability(dir).ok());  // Covers 0 records.
+    covered.insert(covered.begin(), 0);
+    for (int frame = 0; frame < 2; ++frame) {
+      ASSERT_TRUE(session->Simulate(1).ok());  // Appends one frame.
+      covered.insert(covered.begin(), session->store().size());
+    }
+    reference = session->store().SerializeState();
+  }
+  const std::string valid = RawRead(segment);
+  ASSERT_EQ(valid.size(), 8 + 2 * 16 + reference.size() - 8);
+
+  for (size_t byte = 0; byte < valid.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      SCOPED_TRACE("byte " + std::to_string(byte) + " bit " +
+                   std::to_string(bit));
+      std::string bad = valid;
+      bad[byte] ^= static_cast<char>(1u << bit);
+      RawWrite(segment, bad);
+      auto resumed = apps::KeaSession::Resume(dir);
+      if (!resumed.ok()) {
+        EXPECT_NE(resumed.status().code(), StatusCode::kAborted);
+        EXPECT_FALSE(resumed.status().message().empty());
+        continue;
+      }
+      const size_t discarded = (*resumed)->resume_generations_discarded();
+      ASSERT_LT(discarded, covered.size());
+      const std::string restored = (*resumed)->store().SerializeState();
+      ASSERT_EQ((*resumed)->store().size(), covered[discarded]);
+      EXPECT_EQ(restored.substr(8), reference.substr(8, restored.size() - 8));
+    }
+  }
+  RawWrite(segment, valid);
 }
 
 TEST_F(StorageFaultTest, RecordingEnumeratesTheSweepSpace) {

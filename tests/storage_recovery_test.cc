@@ -14,11 +14,12 @@
 #include <vector>
 
 #include "apps/session.h"
+#include "common/crash_point.h"
 #include "common/csv.h"
 #include "common/io.h"
 #include "common/snapshot.h"
 #include "common/storage_fault.h"
-#include "telemetry/store.h"
+#include "obs/metrics.h"
 
 namespace kea::apps {
 namespace {
@@ -41,6 +42,8 @@ std::string FreshDir(const std::string& name) {
   for (uint64_t gen : SnapshotGenerations::List(checkpoint)) {
     std::remove(SnapshotGenerations::GenerationPath(checkpoint, gen).c_str());
   }
+  std::remove((dir + "/telemetry.kea").c_str());
+  std::remove((dir + "/telemetry.kea.tmp").c_str());
   ::mkdir(dir.c_str(), 0755);
   return dir;
 }
@@ -347,6 +350,7 @@ TEST_F(StorageRecoveryTest, SweepEveryResumeReadFault) {
     if (std::filesystem::exists(path, ec)) world.emplace_back(path, RawRead(path));
   };
   snapshot_file(dir + "/ledger.kea");
+  snapshot_file(dir + "/telemetry.kea");
   snapshot_file(checkpoint);
   for (uint64_t gen : SnapshotGenerations::List(checkpoint)) {
     snapshot_file(SnapshotGenerations::GenerationPath(checkpoint, gen));
@@ -598,13 +602,15 @@ std::map<std::string, std::string> DirectoryBytes(const std::string& dir) {
 TEST_F(StorageRecoveryTest, CsvTelemetryCheckpointIsRefusedByName) {
   const std::string dir = FreshDir("storage_csv_checkpoint");
   const std::string checkpoint = dir + "/checkpoint.kea";
+  std::string store_csv;
   {
     auto session = MakeDurableSession(dir);
     auto round = session->RunGuardedTuningRound(RoundOptions());
     ASSERT_TRUE(round.ok()) << round.status();
+    store_csv = session->store().ToCsv();
   }
   // Rewrite the live checkpoint and every generation in the old layout: the
-  // same sections in the same order, with each one's store as CSV.
+  // same sections in the same order, with the session's store as CSV.
   std::vector<std::string> candidates = {checkpoint};
   for (uint64_t gen : SnapshotGenerations::List(checkpoint)) {
     candidates.push_back(SnapshotGenerations::GenerationPath(checkpoint, gen));
@@ -619,9 +625,7 @@ TEST_F(StorageRecoveryTest, CsvTelemetryCheckpointIsRefusedByName) {
         writer.AddSection(name, content);
         continue;
       }
-      telemetry::TelemetryStore store;
-      ASSERT_TRUE(store.RestoreState(content).ok());
-      writer.AddSection("telemetry", store.ToCsv());
+      writer.AddSection("telemetry", store_csv);
     }
     ASSERT_TRUE(writer.WriteFile(path).ok());
   }
@@ -636,6 +640,254 @@ TEST_F(StorageRecoveryTest, CsvTelemetryCheckpointIsRefusedByName) {
       << resumed.status();
   EXPECT_TRUE(DirectoryBytes(dir) == before)
       << "Resume changed, added or removed a file";
+}
+
+// The layout before telemetry.kea — the records themselves in the
+// checkpoint's "records" section — is refused by name, with no file changed.
+TEST_F(StorageRecoveryTest, InlineRecordsCheckpointIsRefusedByName) {
+  const std::string dir = FreshDir("storage_inline_checkpoint");
+  const std::string checkpoint = dir + "/checkpoint.kea";
+  std::string inline_records;
+  {
+    auto session = MakeDurableSession(dir);
+    auto round = session->RunGuardedTuningRound(RoundOptions());
+    ASSERT_TRUE(round.ok()) << round.status();
+    inline_records = session->store().SerializeState();
+  }
+  std::vector<std::string> candidates = {checkpoint};
+  for (uint64_t gen : SnapshotGenerations::List(checkpoint)) {
+    candidates.push_back(SnapshotGenerations::GenerationPath(checkpoint, gen));
+  }
+  ASSERT_GT(candidates.size(), 1u);
+  for (const std::string& path : candidates) {
+    auto reader = SnapshotReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    SnapshotWriter writer;
+    for (const auto& [name, content] : reader->sections()) {
+      writer.AddSection(name, name == "records" ? inline_records : content);
+    }
+    ASSERT_TRUE(writer.WriteFile(path).ok());
+  }
+  const std::map<std::string, std::string> before = DirectoryBytes(dir);
+  ASSERT_TRUE(before.count("telemetry.kea"));
+
+  auto resumed = KeaSession::Resume(dir);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(resumed.status().message().find("inline telemetry"),
+            std::string::npos)
+      << resumed.status();
+  EXPECT_TRUE(DirectoryBytes(dir) == before)
+      << "Resume changed, added or removed a file";
+}
+
+uint64_t Counter(const std::string& name) {
+  return obs::Registry::Get().CounterValue(name);
+}
+
+uint64_t DurableBytesWritten() {
+  return Counter("atomic_write.bytes") + Counter("journal.append_bytes") +
+         Counter("durability.segment_append_bytes");
+}
+
+uintmax_t FileSize(const std::string& path) {
+  return std::filesystem::file_size(path);
+}
+
+// Telemetry is written once. Every checkpoint appends one frame of the
+// records added since the last — a 16-byte frame header and count, then 152
+// bytes a record — and a whole durable round writes less than 4x the bytes
+// of telemetry it adds. (Each checkpoint used to rewrite the history.)
+TEST_F(StorageRecoveryTest, DurableRoundAppendsOnlyNewRecords) {
+  const std::string dir = FreshDir("storage_append_only");
+  const std::string segment = dir + "/telemetry.kea";
+  auto session = MakeDurableSession(dir);
+
+  // Outside a round each Simulate checkpoints once: one frame per call.
+  for (int hours : {1, 3}) {
+    const uintmax_t size_before = FileSize(segment);
+    const size_t records_before = session->store().size();
+    ASSERT_TRUE(session->Simulate(hours).ok());
+    const size_t n = session->store().size() - records_before;
+    EXPECT_GT(n, 0u);
+    EXPECT_EQ(FileSize(segment) - size_before, 16 + 152 * n);
+  }
+
+  // A round appends once per checkpoint that follows new telemetry.
+  const uintmax_t size_before = FileSize(segment);
+  const size_t records_before = session->store().size();
+  const uint64_t written_before = DurableBytesWritten();
+  const uint64_t appended_before = Counter("durability.segment_append_bytes");
+  CrashPoints::Reset();
+  CrashPoints::SetRecording(true);
+  auto round = session->RunGuardedTuningRound(RoundOptions());
+  int appends = 0;
+  for (const auto& [point, hits] : CrashPoints::Reached()) {
+    if (point == "telemetry_segment.append.torn") appends = hits;
+  }
+  CrashPoints::Reset();
+  ASSERT_TRUE(round.ok()) << round.status();
+  const size_t n = session->store().size() - records_before;
+  ASSERT_GT(n, 0u);
+  EXPECT_GT(appends, 0);
+  const uintmax_t grown = FileSize(segment) - size_before;
+  EXPECT_EQ(grown, 16 * static_cast<uintmax_t>(appends) + 152 * n);
+  if (obs::MetricsEnabled()) {
+    EXPECT_EQ(Counter("durability.segment_append_bytes") - appended_before,
+              grown);
+    const uint64_t written = DurableBytesWritten() - written_before;
+    const uint64_t telemetry_bytes = 152 * n;
+    std::cout << "[append-only] round wrote " << written << " bytes for "
+              << telemetry_bytes << " bytes of telemetry (" << appends
+              << " appends)" << std::endl;
+    EXPECT_LT(written, 4 * telemetry_bytes);
+  }
+}
+
+// Resume reads the segment and writes nothing: with one frame on disk past
+// the live checkpoint's coverage (a crash between the append and the
+// install), it restores exactly the covered prefix and every file keeps its
+// bytes. The resumed session's first checkpoint then rewrites the segment.
+TEST_F(StorageRecoveryTest, ResumeRestoresCoveredPrefixWithoutWriting) {
+  const std::string dir = FreshDir("storage_resume_read_only");
+  std::string covered;
+  {
+    auto session = MakeDurableSession(dir);
+    covered = session->store().SerializeState();
+    CrashPoints::Arm("atomic_write.before_rename");
+    Status crashed = session->Simulate(2);
+    CrashPoints::Reset();
+    ASSERT_TRUE(CrashPoints::IsCrash(crashed)) << crashed;
+  }
+  const std::map<std::string, std::string> before = DirectoryBytes(dir);
+  // The magic, the prelude's frame, and the frame the crash left uncovered.
+  const size_t frame_header = 8;
+  ASSERT_EQ(before.at("telemetry.kea").size(),
+            8 + (frame_header + covered.size()) + (16 + 152 * 2 * kMachines));
+
+  auto resumed = KeaSession::Resume(dir);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ((*resumed)->resume_generations_discarded(), 0u);
+  EXPECT_EQ((*resumed)->store().SerializeState(), covered);
+  EXPECT_TRUE(DirectoryBytes(dir) == before)
+      << "Resume changed, added or removed a file";
+
+  // The segment is longer than the restored coverage, so it is rewritten
+  // whole, after which it again ends at the store's last record.
+  const uint64_t rewrites_before = Counter("durability.segment_rewrites");
+  ASSERT_TRUE((*resumed)->Checkpoint().ok());
+  if (obs::MetricsEnabled()) {
+    EXPECT_EQ(Counter("durability.segment_rewrites") - rewrites_before, 1u);
+  }
+  EXPECT_EQ(FileSize(dir + "/telemetry.kea"),
+            8 + frame_header + covered.size());
+  auto again = KeaSession::Resume(dir);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ((*again)->store().SerializeState(), covered);
+}
+
+// A failed segment append makes the segment dirty: a persistent EIO on the
+// round's first append degrades the session, the heal rewrites the segment
+// once, and a later resume re-drives to the fault-free world bit for bit.
+TEST_F(StorageRecoveryTest, FailedSegmentAppendIsHealedByOneRewrite) {
+  auto options = RoundOptions();
+  Reference ref = RunReference(FreshDir("storage_ref_dirty"), options);
+  ASSERT_FALSE(ref.report_sig.empty());
+
+  // The write occurrence of the round's first segment append: the number of
+  // writes the round makes before that append's torn-write crash point.
+  int occurrence = 0;
+  {
+    auto probe = MakeDurableSession(FreshDir("storage_dirty_probe"));
+    injector_.Reset();
+    injector_.SetRecording(true);
+    CrashPoints::Arm("telemetry_segment.append.torn");
+    auto crashed = probe->RunGuardedTuningRound(options);
+    CrashPoints::Reset();
+    for (const auto& [op, hits] : injector_.Reached()) {
+      if (op == "write") occurrence = hits;
+    }
+    injector_.SetRecording(false);
+    injector_.Reset();
+    ASSERT_TRUE(CrashPoints::IsCrash(crashed.status())) << crashed.status();
+  }
+
+  const std::string dir = FreshDir("storage_dirty_segment");
+  auto session = MakeDurableSession(dir);
+  injector_.Reset();
+  injector_.Arm(StorageOp::kWrite, occurrence,
+                StorageFaultKind::kPersistentEio);
+  auto round = session->RunGuardedTuningRound(options);
+  ASSERT_FALSE(round.ok());
+  ASSERT_TRUE(IsStorageFailure(round.status())) << round.status();
+  ASSERT_EQ(session->durability_mode(), KeaSession::DurabilityMode::kDegraded);
+  EXPECT_NE(session->degraded_reason().message().find("telemetry.kea"),
+            std::string::npos)
+      << session->degraded_reason();
+
+  injector_.Reset();  // Disk replaced.
+  const uint64_t rewrites_before = Counter("durability.segment_rewrites");
+  ASSERT_TRUE(session->TryRestoreDurability().ok());
+  if (obs::MetricsEnabled()) {
+    EXPECT_EQ(Counter("durability.segment_rewrites") - rewrites_before, 1u);
+  }
+  session.reset();
+
+  auto resumed = KeaSession::Resume(dir);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  auto rerun = (*resumed)->RunGuardedTuningRound(options);
+  ASSERT_TRUE(rerun.ok()) << rerun.status();
+  ExpectMatchesReference(ref, **resumed, rerun->rollout);
+  if (obs::MetricsEnabled()) {
+    EXPECT_EQ(Counter("durability.segment_rewrites") - rewrites_before, 1u);
+  }
+}
+
+// A generation whose records pair the segment cannot reproduce — a count
+// past the intact frames, or a CRC that does not match them — is discarded,
+// and Resume falls back to an older one that the segment does reproduce.
+TEST_F(StorageRecoveryTest, GenerationTheSegmentCannotReproduceIsDiscarded) {
+  const std::string dir = FreshDir("storage_stale_generation");
+  const std::string checkpoint = dir + "/checkpoint.kea";
+  std::string store;
+  {
+    auto session = MakeDurableSession(dir);
+    ASSERT_TRUE(session->Simulate(2).ok());
+    store = session->store().SerializeState();
+  }
+  const std::string intact = RawRead(checkpoint);
+  auto reader = SnapshotReader::Open(checkpoint);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  std::string records = std::move(reader->Section("records")).value();
+  ASSERT_EQ(records.size(), 12u);  // u64 count + u32 CRC.
+  const std::string bumped_count = [&] {
+    std::string r = records;
+    r[0] = static_cast<char>(r[0] + 1);
+    return r;
+  }();
+  const std::string flipped_crc = [&] {
+    std::string r = records;
+    r[8] ^= 0x01;
+    return r;
+  }();
+
+  for (const std::string& stale : {bumped_count, flipped_crc}) {
+    SnapshotWriter writer;
+    for (const auto& [name, content] : reader->sections()) {
+      writer.AddSection(name, name == "records" ? stale : content);
+    }
+    ASSERT_TRUE(writer.WriteFile(checkpoint).ok());
+
+    auto resumed = KeaSession::Resume(dir);
+    ASSERT_TRUE(resumed.ok()) << resumed.status();
+    EXPECT_GT((*resumed)->resume_generations_discarded(), 0u);
+    // The older generation covers the store before the last Simulate.
+    const std::string restored = (*resumed)->store().SerializeState();
+    EXPECT_EQ((*resumed)->store().size(),
+              (store.size() - 8) / 152 - 2 * static_cast<size_t>(kMachines));
+    EXPECT_EQ(restored.substr(8), store.substr(8, restored.size() - 8));
+  }
+  RawWrite(checkpoint, intact);
 }
 
 // Profile-mode chaos: whole rounds under Moderate() background rot. Either
