@@ -301,8 +301,6 @@ void EncodeConfig(const KeaSession::Config& config,
   w->PutU64(po.retry.seed);
   w->PutU64(ingestion.seed);
 
-  // Fleet chaos + self-healing (appended after the PR-4 layout; DecodeConfig
-  // treats their absence as "not enabled" so older checkpoints still load).
   w->PutBool(chaos_enabled);
   const sim::FleetFaultProfile& fp = chaos.profile;
   w->PutDouble(fp.crash_rate_per_hour);
@@ -422,12 +420,6 @@ Status DecodeConfig(const std::string& blob, KeaSession::Config* config,
   KEA_RETURN_IF_ERROR(r.GetDouble(&po.retry.jitter));
   KEA_RETURN_IF_ERROR(r.GetU64(&po.retry.seed));
   KEA_RETURN_IF_ERROR(r.GetU64(&ingestion->seed));
-
-  // Pre-chaos checkpoints end here.
-  *chaos_enabled = false;
-  *healing_enabled = false;
-  if (r.AtEnd()) return Status::OK();
-
   KEA_RETURN_IF_ERROR(r.GetBool(chaos_enabled));
   sim::FleetFaultProfile& fp = chaos->profile;
   KEA_RETURN_IF_ERROR(r.GetDouble(&fp.crash_rate_per_hour));
@@ -535,7 +527,7 @@ Status DecodeRoundStart(const std::string& blob, sim::HourIndex* start_hour,
   return DecodePlan(&r, plan);
 }
 
-/// The plan-sanity screen of every guarded round: a corrupted model never
+/// The plan-sanity screen of every tuning round: a corrupted model never
 /// reaches the fleet.
 Status CheckPlanSane(const YarnConfigTuner::Plan& plan) {
   bool sane = std::isfinite(plan.predicted_capacity_gain) &&
@@ -628,6 +620,8 @@ Status KeaSession::Simulate(int hours) {
   // Durable sessions checkpoint after every simulate so a crash between
   // control-plane actions loses no telemetry. Inside a journaled round the
   // per-step checkpoints (which also cover the step's ledger event) own this.
+  // Outside one, a checkpoint covers durable_seq_, never steps whose effects
+  // have not run (a resumed round's), which would replay, not re-drive.
   if (ledger_ != nullptr && !in_journaled_round_) {
     if (durability_mode_ == DurabilityMode::kDegraded) {
       // Auto-probe: a healed disk re-checkpoints here (covering this call's
@@ -635,7 +629,7 @@ Status KeaSession::Simulate(int hours) {
       // way the simulation itself succeeded.
       (void)TryRestoreDurability();
     } else {
-      Status written = WriteCheckpoint(ledger_->next_seq());
+      Status written = WriteCheckpoint(durable_seq_);
       if (!written.ok()) {
         // Injected crashes (kAborted) and logic errors propagate; a storage
         // plane failure degrades the session instead of losing the tick.
@@ -701,7 +695,6 @@ Status KeaSession::EnableDurability(const DurabilityOptions& options) {
       ledger_, core::DeploymentLedger::Open(options.dir + kLedgerFile));
   durability_dir_ = options.dir;
   keep_generations_ = options.keep_generations;
-  deployment_.AttachLedger(ledger_.get());
   // A fresh segment, so a stale telemetry.kea left by another session is
   // replaced rather than appended to. The initial checkpoint covers whatever
   // the (possibly pre-existing) ledger holds, so Resume() of a never-crashed
@@ -709,7 +702,6 @@ Status KeaSession::EnableDurability(const DurabilityOptions& options) {
   Status written = RewriteSegment();
   if (written.ok()) written = WriteCheckpoint(ledger_->next_seq());
   if (!written.ok()) {
-    deployment_.AttachLedger(nullptr);
     ledger_.reset();
     durability_dir_.clear();
     return written;
@@ -729,7 +721,7 @@ Status KeaSession::Checkpoint() {
         "degraded durability (" + degraded_reason_.message() +
         "); call TryRestoreDurability before checkpointing");
   }
-  return WriteCheckpoint(ledger_->next_seq());
+  return WriteCheckpoint(durable_seq_);
 }
 
 void KeaSession::EnterDegradedMode(const Status& reason) {
@@ -765,7 +757,6 @@ Status KeaSession::TryRestoreDurability() {
   // re-drive region: the next round replays their recorded payloads with
   // the idempotency keys guaranteeing exactly-once effects.
   ledger_ = std::move(reopened).value();
-  deployment_.AttachLedger(ledger_.get());
   Status written = WriteCheckpoint(covered);
   if (!written.ok()) {
     if (IsStorageFailure(written)) degraded_reason_ = written;
@@ -866,21 +857,15 @@ Status KeaSession::WriteCheckpoint(uint64_t covered_seq) {
 
   snapshot.AddSection("engine", engine_->SerializeState());
   snapshot.AddSection("deployment", deployment_.SerializeState());
-  if (ingestion_ != nullptr) {
-    snapshot.AddSection("ingestion", ingestion_->SerializeState());
-  }
-  if (fault_injector_ != nullptr) {
-    snapshot.AddSection("fault_injector", fault_injector_->SerializeState());
-  }
-  if (fleet_faults_ != nullptr) {
-    snapshot.AddSection("fleet_faults", fleet_faults_->SerializeState());
-  }
-  if (drift_ != nullptr) {
-    snapshot.AddSection("drift", drift_->SerializeState());
-  }
-  if (model_health_ != nullptr) {
-    snapshot.AddSection("model_health", model_health_->SerializeState());
-  }
+  // Optional components: a section exactly when the component exists.
+  auto add = [&snapshot](const char* section, const auto* component) {
+    if (component) snapshot.AddSection(section, component->SerializeState());
+  };
+  add("ingestion", ingestion_.get());
+  add("fault_injector", fault_injector_.get());
+  add("fleet_faults", fleet_faults_.get());
+  add("drift", drift_.get());
+  add("model_health", model_health_.get());
 
   KEA_RETURN_IF_ERROR(SnapshotGenerations::Write(
       snapshot, durability_dir_ + kCheckpointFile, keep_generations_));
@@ -929,6 +914,11 @@ StatusOr<std::unique_ptr<KeaSession>> KeaSession::Resume(const std::string& dir)
     }
     KEA_ASSIGN_OR_RETURN(const SegmentCoverage coverage,
                          DecodeCoverage(records.value()));
+    // Every checkpoint has a deployment section, whose decoder refuses the
+    // older layout by name: no older checkpoint is decoded any further.
+    KEA_ASSIGN_OR_RETURN(const std::string deployment,
+                         candidate.Section("deployment"));
+    KEA_RETURN_IF_ERROR(core::DeploymentModule().RestoreState(deployment));
     return segment.Check(coverage);
   };
   KEA_ASSIGN_OR_RETURN(SnapshotGenerations::Restored restored,
@@ -977,21 +967,12 @@ StatusOr<std::unique_ptr<KeaSession>> KeaSession::Resume(const std::string& dir)
   KEA_RETURN_IF_ERROR(meta.GetInt(&regressor));
   KEA_RETURN_IF_ERROR(meta.GetU64(&min_observations));
   KEA_RETURN_IF_ERROR(meta.GetInt(&num_threads));
-  // Pre-serving checkpoints end here; their sessions start at epoch zero.
-  if (!meta.AtEnd()) {
-    KEA_RETURN_IF_ERROR(meta.GetU64(&session->model_epoch_));
-    KEA_RETURN_IF_ERROR(meta.GetU64(&session->deploy_epoch_));
-  }
-  // Pre-fabric checkpoints end here; their sessions have run zero fabrics.
-  if (!meta.AtEnd()) {
-    KEA_RETURN_IF_ERROR(meta.GetI64(&session->fabric_count_));
-  }
-  // Pre-generation checkpoints end here; their retention knob defaults.
-  if (!meta.AtEnd()) {
-    int64_t keep = 0;
-    KEA_RETURN_IF_ERROR(meta.GetI64(&keep));
-    session->keep_generations_ = static_cast<int>(keep);
-  }
+  KEA_RETURN_IF_ERROR(meta.GetU64(&session->model_epoch_));
+  KEA_RETURN_IF_ERROR(meta.GetU64(&session->deploy_epoch_));
+  KEA_RETURN_IF_ERROR(meta.GetI64(&session->fabric_count_));
+  int64_t keep = 0;
+  KEA_RETURN_IF_ERROR(meta.GetI64(&keep));
+  session->keep_generations_ = static_cast<int>(keep);
   if (!meta.AtEnd()) {
     return Status::InvalidArgument("trailing bytes in checkpoint meta section");
   }
@@ -1047,50 +1028,25 @@ StatusOr<std::unique_ptr<KeaSession>> KeaSession::Resume(const std::string& dir)
   KEA_RETURN_IF_ERROR(session->engine_->RestoreState(blob));
   KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("deployment"));
   KEA_RETURN_IF_ERROR(session->deployment_.RestoreState(blob));
-  if (snapshot.Has("ingestion")) {
-    if (session->ingestion_ == nullptr) {
-      return Status::InvalidArgument(
-          "checkpoint has ingestion state but no ingestion config");
+  // Optional components: the config enables one exactly when the layout
+  // has its section.
+  auto restore = [&snapshot](const char* section, auto* component) -> Status {
+    if (snapshot.Has(section) != (component != nullptr)) {
+      return Status::InvalidArgument(std::string("checkpoint's '") + section +
+                                     "' section does not match its config");
     }
-    KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("ingestion"));
-    KEA_RETURN_IF_ERROR(session->ingestion_->RestoreState(blob));
-  }
-  if (snapshot.Has("fault_injector")) {
-    if (session->fault_injector_ == nullptr) {
-      return Status::InvalidArgument(
-          "checkpoint has fault-injector state but no fault profile");
-    }
-    KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("fault_injector"));
-    KEA_RETURN_IF_ERROR(session->fault_injector_->RestoreState(blob));
-  }
-  if (snapshot.Has("fleet_faults")) {
-    if (session->fleet_faults_ == nullptr) {
-      return Status::InvalidArgument(
-          "checkpoint has fleet-fault state but no fleet-chaos config");
-    }
-    KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("fleet_faults"));
-    KEA_RETURN_IF_ERROR(session->fleet_faults_->RestoreState(blob));
-  }
-  if (snapshot.Has("drift")) {
-    if (session->drift_ == nullptr) {
-      return Status::InvalidArgument(
-          "checkpoint has drift state but no self-healing config");
-    }
-    KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("drift"));
-    KEA_RETURN_IF_ERROR(session->drift_->RestoreState(blob));
-  }
-  if (snapshot.Has("model_health")) {
-    if (session->model_health_ == nullptr) {
-      return Status::InvalidArgument(
-          "checkpoint has model-health state but no self-healing config");
-    }
-    KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("model_health"));
-    KEA_RETURN_IF_ERROR(session->model_health_->RestoreState(blob));
-  }
+    if (component == nullptr) return Status::OK();
+    KEA_ASSIGN_OR_RETURN(const std::string state, snapshot.Section(section));
+    return component->RestoreState(state);
+  };
+  KEA_RETURN_IF_ERROR(restore("ingestion", session->ingestion_.get()));
+  KEA_RETURN_IF_ERROR(restore("fault_injector", session->fault_injector_.get()));
+  KEA_RETURN_IF_ERROR(restore("fleet_faults", session->fleet_faults_.get()));
+  KEA_RETURN_IF_ERROR(restore("drift", session->drift_.get()));
+  KEA_RETURN_IF_ERROR(restore("model_health", session->model_health_.get()));
 
   session->durability_dir_ = dir;
   session->ledger_ = std::move(ledger);
-  session->deployment_.AttachLedger(session->ledger_.get());
   session->durability_mode_ = DurabilityMode::kDurable;
   session->resume_generations_discarded_ = restored.discarded;
   DurabilityModeGauge()->Set(1);
@@ -1137,7 +1093,7 @@ Status KeaSession::FitWhatIfEngine(const core::WhatIfEngine::Options& options,
   // still runs, it just cannot persist.
   if (ledger_ != nullptr && !in_journaled_round_ &&
       durability_mode_ != DurabilityMode::kDegraded) {
-    Status written = WriteCheckpoint(ledger_->next_seq());
+    Status written = WriteCheckpoint(durable_seq_);
     if (!written.ok()) {
       if (!IsStorageFailure(written)) return written;
       EnterDegradedMode(written);
@@ -1149,12 +1105,6 @@ Status KeaSession::FitWhatIfEngine(const core::WhatIfEngine::Options& options,
 StatusOr<KeaSession::TuningRound> KeaSession::RunYarnTuningRound(
     const YarnConfigTuner::Options& options, int lookback_hours,
     int deploy_max_step) {
-  if (lookback_hours <= 0) {
-    return Status::InvalidArgument("lookback_hours must be positive");
-  }
-  if (now_ == 0) {
-    return Status::FailedPrecondition("simulate telemetry before tuning");
-  }
   if (model_health_ != nullptr && model_health_->in_safe_mode()) {
     return Status::FailedPrecondition(
         "model-health breaker is open; deployments refused "
@@ -1163,59 +1113,19 @@ StatusOr<KeaSession::TuningRound> KeaSession::RunYarnTuningRound(
   if (durability_mode_ == DurabilityMode::kDegraded) {
     return DegradedRefusal(degraded_reason_);
   }
-  KEA_TRACE_SPAN("session.round", {{"kind", "yarn"},
-                                   {"lookback_hours",
-                                    std::to_string(lookback_hours)}});
-  RoundsCounter()->Increment();
-  sim::HourIndex begin = std::max(0, now_ - lookback_hours);
-
-  KEA_ASSIGN_OR_RETURN(
-      core::WhatIfEngine engine,
-      core::WhatIfEngine::Fit(store_, telemetry::HourRangeFilter(begin, now_),
-                              options.whatif));
-  YarnConfigTuner tuner(options);
+  GuardedRoundOptions round_options;
+  round_options.tuner = options;
+  round_options.lookback_hours = lookback_hours;
+  round_options.rollout.deploy.max_step = deploy_max_step;
   TuningRound round;
-  KEA_ASSIGN_OR_RETURN(round.plan, tuner.ProposeFromEngine(engine, cluster_));
-  round.fit_begin = begin;
-  round.fit_end = now_;
-
-  core::DeploymentModule::Options deploy_options;
-  deploy_options.max_step = deploy_max_step;
-  // Replacing the module must not reset its history or its ledger-key
-  // counters — a restarted counter would reuse idempotency keys and make a
-  // genuinely new apply look like a replayed one.
-  std::string module_state = deployment_.SerializeState();
-  deployment_ = core::DeploymentModule(deploy_options);
-  KEA_RETURN_IF_ERROR(deployment_.RestoreState(module_state));
-  if (ledger_ != nullptr) deployment_.AttachLedger(ledger_.get());
-  StatusOr<std::vector<core::AppliedChange>> applied =
-      deployment_.ApplyConservatively(round.plan.recommendations, &cluster_);
-  if (!applied.ok()) {
-    // Write-ahead discipline: a failed journal append touched no machine.
-    // Storage failures flip the session to degraded so later rounds are
-    // refused instead of repeatedly hammering a dead disk.
-    if (IsStorageFailure(applied.status())) EnterDegradedMode(applied.status());
-    return applied.status();
+  StatusOr<GuardedRound> ran = RunTunedRound(round_options, &round.applied);
+  if (!ran.ok()) {
+    if (IsStorageFailure(ran.status())) EnterDegradedMode(ran.status());
+    return ran.status();
   }
-  round.applied = std::move(applied).value();
-
-  has_round_ = true;
-  last_engine_ = std::make_unique<core::WhatIfEngine>(std::move(engine));
-  last_fit_begin_ = begin;
-  last_fit_end_ = now_;
-  last_deploy_hour_ = now_;
-  last_whatif_options_ = options.whatif;
-  ++model_epoch_;
-  if (!round.applied.empty()) ++deploy_epoch_;
-  if (ledger_ != nullptr) {
-    Status written = WriteCheckpoint(ledger_->next_seq());
-    if (!written.ok()) {
-      // The applies are already journaled; only their checkpoint is missing,
-      // which resume's re-drive repairs. Degrade rather than fail the round.
-      if (!IsStorageFailure(written)) return written;
-      EnterDegradedMode(written);
-    }
-  }
+  round.plan = std::move(ran->plan);
+  round.fit_begin = ran->fit_begin;
+  round.fit_end = ran->fit_end;
   return round;
 }
 
@@ -1231,7 +1141,7 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunGuardedTuningRound(
   StatusOr<GuardedRound> round =
       model_health_ != nullptr && model_health_->in_safe_mode()
           ? RunSafeModeRound(options)
-          : RunTunedRound(options);
+          : RunTunedRound(options, /*unguarded=*/nullptr);
   if (!round.ok() && IsStorageFailure(round.status())) {
     // Journaled steps that already ran are on disk (or re-drivable);
     // degrade so nothing further reaches the fleet until the plane heals.
@@ -1267,7 +1177,7 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunSafeModeRound(
   if (ledger_ != nullptr) {
     // Safe-mode rounds deploy nothing, but a passed refit moved the fit
     // window and breaker state — persist them.
-    KEA_RETURN_IF_ERROR(WriteCheckpoint(ledger_->next_seq()));
+    KEA_RETURN_IF_ERROR(WriteCheckpoint(durable_seq_));
   }
   return round;
 }
@@ -1343,18 +1253,33 @@ core::JournalContext KeaSession::JournalContextFor(int64_t run_number) {
 }
 
 StatusOr<KeaSession::GuardedRound> KeaSession::RunTunedRound(
-    const GuardedRoundOptions& options) {
+    const GuardedRoundOptions& options,
+    std::vector<core::AppliedChange>* unguarded) {
   using EventType = core::DeploymentLedger::EventType;
   const int64_t round_number = round_count_;
-  const std::string round_key = "round/" + std::to_string(round_number);
+  const std::string number = std::to_string(round_number);
+  const std::string round_key = "round/" + number;
   core::JournalContext context = JournalContextFor(round_number);
   core::JournalContext* journal = ledger_ != nullptr ? &context : nullptr;
   KEA_TRACE_SPAN("session.round",
-                 {{"kind", journal != nullptr ? "durable" : "guarded"},
-                  {"round", std::to_string(round_number)},
+                 {{"kind", unguarded != nullptr ? "yarn"
+                           : journal != nullptr ? "durable"
+                                                : "guarded"},
+                  {"round", number},
                   {"lookback_hours", std::to_string(options.lookback_hours)}});
   RoundsCounter()->Increment();
   const size_t alarms_before = TotalDriftAlarms();
+  // Another call completes what it journaled: a rollback not yet durable,
+  // or this round's waves (unguarded call) or APPLY (guarded call).
+  const core::DeploymentLedger::Event* rollback =
+      journal != nullptr ? ledger_->Find("rollback/" + number) : nullptr;
+  if ((rollback != nullptr && rollback->seq >= durable_seq_) ||
+      (journal != nullptr &&
+       ledger_->Has(unguarded != nullptr ? "r" + number + "/w0/started"
+                                         : round_key + "/apply"))) {
+    return Status::FailedPrecondition(
+        "another call's journaled step is in flight; repeat that call first");
+  }
   GuardedRound round;
   sim::HourIndex start_hour = 0;
   std::unique_ptr<core::WhatIfEngine> fresh_engine;
@@ -1385,8 +1310,11 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunTunedRound(
             plan, YarnConfigTuner(options.tuner).ProposeFromEngine(engine, cluster_));
         // A corrupted model never reaches the fleet: any non-finite
         // prediction or recommendation aborts before the first canary
-        // machine is touched.
+        // machine is touched, as do deploy options the clamp refuses.
         KEA_RETURN_IF_ERROR(CheckPlanSane(plan));
+        KEA_RETURN_IF_ERROR(core::DeploymentModule::Clamp(
+                                plan.recommendations, options.rollout.deploy)
+                                .status());
         fresh_engine = std::make_unique<core::WhatIfEngine>(std::move(engine));
         return EncodeRoundStart(now_, begin, now_, plan);
       },
@@ -1394,29 +1322,55 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunTunedRound(
   KEA_RETURN_IF_ERROR(DecodeRoundStart(payload, &start_hour, &round.fit_begin,
                                        &round.fit_end, &round.plan));
 
-  // --- Waves: the rollout runs each step through the same journal context,
-  // checkpointing after every one. Simulate() must not checkpoint meanwhile
-  // — a mid-observation checkpoint would claim coverage of a step whose
-  // verdict is not yet journaled. During probation (RE-ARMED) the guardrails
-  // are tightened — the freshly refitted model gets less headroom;
-  // EffectiveGuardrails is the identity while HEALTHY.
-  core::GuardrailedRollout::Options rollout_options = options.rollout;
-  if (model_health_ != nullptr) {
-    rollout_options.guardrails =
-        model_health_->EffectiveGuardrails(rollout_options.guardrails);
+  if (unguarded != nullptr) {
+    // --- APPLY, in place of the waves: the clamped batch, journaled before
+    // any machine is touched. The effect applies the recorded batch, whatever
+    // max_step a resuming call passes. It converged unless nothing changed.
+    KEA_RETURN_IF_ERROR(core::JournaledStep(
+        journal, EventType::kApply, round_key + "/apply", "session.apply",
+        [&]() -> StatusOr<std::string> {
+          KEA_ASSIGN_OR_RETURN(std::vector<core::AppliedChange> batch,
+                               core::DeploymentModule::Clamp(
+                                   round.plan.recommendations,
+                                   options.rollout.deploy));
+          return core::EncodeChangeBatch(batch);
+        },
+        [&](const std::string& recorded) -> Status {
+          KEA_RETURN_IF_ERROR(core::DecodeChangeBatch(recorded, unguarded));
+          return deployment_.Apply(*unguarded, &cluster_);
+        },
+        &payload));
+    KEA_RETURN_IF_ERROR(core::DecodeChangeBatch(payload, unguarded));
+    round.rollout.outcome = unguarded->empty()
+                                ? core::GuardrailedRollout::Outcome::kNoChange
+                                : core::GuardrailedRollout::Outcome::kConverged;
+  } else {
+    // --- Waves: the rollout runs each step through the same journal
+    // context, checkpointing after every one. Simulate() must not checkpoint
+    // meanwhile — a mid-observation checkpoint would claim coverage of a step
+    // whose verdict is not yet journaled. During probation (RE-ARMED) the
+    // guardrails are tightened — the freshly refitted model gets less
+    // headroom; EffectiveGuardrails is the identity while HEALTHY.
+    core::GuardrailedRollout::Options rollout_options = options.rollout;
+    if (model_health_ != nullptr) {
+      rollout_options.guardrails =
+          model_health_->EffectiveGuardrails(rollout_options.guardrails);
+    }
+    in_journaled_round_ = true;
+    StatusOr<core::GuardrailedRollout::Report> executed =
+        core::GuardrailedRollout(rollout_options)
+            .Execute(round.plan.recommendations, &cluster_, &store_, start_hour,
+                     [this](int hours) { return Simulate(hours); }, journal);
+    in_journaled_round_ = false;
+    if (!executed.ok()) return executed.status();
+    round.rollout = std::move(executed).value();
   }
-  in_journaled_round_ = true;
-  StatusOr<core::GuardrailedRollout::Report> executed =
-      core::GuardrailedRollout(rollout_options)
-          .Execute(round.plan.recommendations, &cluster_, &store_, start_hour,
-                   [this](int hours) { return Simulate(hours); }, journal);
-  in_journaled_round_ = false;
-  if (!executed.ok()) return executed.status();
-  round.rollout = std::move(executed).value();
 
   // --- ROUND_FINISHED: seal the outcome so the next round gets a new key.
   // The effect is the round's bookkeeping, so the checkpoint covering the
-  // step holds the completed round; only journaled rounds are counted.
+  // step holds the completed round; only journaled rounds are counted. A
+  // converged rollout supersedes the batch an unguarded round left pending;
+  // a rolled-back or no-change one left the fleet, and the batch, as it was.
   KEA_RETURN_IF_ERROR(core::JournaledStep(
       journal, EventType::kRoundFinished, round_key + "/finished",
       "session.round_finished",
@@ -1434,12 +1388,17 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunTunedRound(
         last_fit_end_ = round.fit_end;
         last_deploy_hour_ = start_hour;
         last_whatif_options_ = options.tuner.whatif;
+        if (unguarded == nullptr &&
+            round.rollout.outcome ==
+                core::GuardrailedRollout::Outcome::kConverged) {
+          deployment_.SupersedePendingBatch();
+        }
         return Status::OK();
       },
       &payload));
 
   ++model_epoch_;
-  // kNoChange rollouts never touch a machine; anything else changed the
+  // kNoChange rounds never touch a machine; anything else changed the
   // fleet's applied configuration at least transiently.
   if (round.rollout.outcome != core::GuardrailedRollout::Outcome::kNoChange) {
     ++deploy_epoch_;
@@ -1458,11 +1417,12 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunTunedRound(
             options.tuner.whatif));
     last_engine_ = std::make_unique<core::WhatIfEngine>(std::move(engine));
   }
+  if (unguarded != nullptr) return round;
   FinishRoundHealth(alarms_before, &round);
   if (journal != nullptr && self_healing_enabled_) {
     // Persist the post-round breaker/residual state; without this a crash
     // here would resume with a pre-round ModelHealth.
-    KEA_RETURN_IF_ERROR(WriteCheckpoint(ledger_->next_seq()));
+    KEA_RETURN_IF_ERROR(WriteCheckpoint(durable_seq_));
   }
   return round;
 }
@@ -1599,19 +1559,40 @@ StatusOr<core::ValidationReport> KeaSession::ValidateModels(
 }
 
 Status KeaSession::RollbackLastDeployment() {
+  using EventType = core::DeploymentLedger::EventType;
   if (durability_mode_ == DurabilityMode::kDegraded) {
     return DegradedRefusal(degraded_reason_);
   }
-  KEA_RETURN_IF_ERROR(deployment_.RollbackLast(&cluster_));
-  ++deploy_epoch_;
-  if (ledger_ != nullptr && !in_journaled_round_) {
-    Status written = WriteCheckpoint(ledger_->next_seq());
-    if (!written.ok()) {
-      if (!IsStorageFailure(written)) return written;
-      // The rollback is journaled; only its checkpoint is missing.
-      EnterDegradedMode(written);
-    }
+  if (!deployment_.has_pending_batch()) {
+    // Never applied, rolled back or superseded: nothing to journal.
+    return Status::FailedPrecondition("nothing to roll back");
   }
+  const std::string rounds = std::to_string(round_count_);
+  if (ledger_ != nullptr && ledger_->Has("round/" + rounds + "/started")) {
+    return Status::FailedPrecondition(
+        "round " + rounds +
+        " is in flight; the tuning-round call that started it completes it");
+  }
+  // --- MODULE_ROLLBACK: the pending batch, journaled before any machine is
+  // touched; the effect undoes the recorded batch. One rollback at most takes
+  // effect between two rounds, so the completed-round count keys it.
+  core::JournalContext context = JournalContextFor(round_count_);
+  std::string payload;
+  Status status = core::JournaledStep(
+      ledger_ != nullptr ? &context : nullptr, EventType::kModuleRollback,
+      "rollback/" + rounds, "session.rollback",
+      [&] { return core::EncodeChangeBatch(deployment_.pending_batch()); },
+      [&](const std::string& recorded) -> Status {
+        std::vector<core::AppliedChange> batch;
+        KEA_RETURN_IF_ERROR(core::DecodeChangeBatch(recorded, &batch));
+        return deployment_.Undo(batch, &cluster_);
+      },
+      &payload);
+  if (!status.ok()) {
+    if (IsStorageFailure(status)) EnterDegradedMode(status);
+    return status;
+  }
+  ++deploy_epoch_;
   return Status::OK();
 }
 

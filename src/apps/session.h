@@ -141,8 +141,8 @@ class KeaSession {
   /// exist): the deployment ledger lives at `<dir>/ledger.kea`, telemetry
   /// in the append-only segment `<dir>/telemetry.kea`, and checkpoints at
   /// `<dir>/checkpoint.kea`. Once enabled:
-  ///   - every DeploymentModule apply/rollback and every guarded-round wave
-  ///     transition is write-ahead journaled in the ledger;
+  ///   - every tuning-round step (plan, guarded waves or unguarded batch,
+  ///     outcome) and every manual rollback is journaled write-ahead;
   ///   - Simulate() checkpoints the full session after each call (outside
   ///     rollout observation windows, which checkpoint per journaled step);
   ///   - RunGuardedTuningRound() journals the plan at round start,
@@ -157,7 +157,8 @@ class KeaSession {
 
   /// Atomically writes a full-session checkpoint (telemetry, sim clock, RNG
   /// cursors, applied-config state, deployment/ledger bookkeeping) covering
-  /// everything journaled so far. Telemetry is written once: the records
+  /// the ledger events whose effects have run, never a resumed round's
+  /// pending steps. Telemetry is written once: the records
   /// added since the last checkpoint are appended to telemetry.kea as one
   /// frame, and the checkpoint's "records" section names the prefix of the
   /// segment it covers (record count plus CRC32 of their encodings).
@@ -193,7 +194,8 @@ class KeaSession {
   /// A checkpoint generation is admissible only if the ledger holds every
   /// event it covers and telemetry.kea's intact frames reproduce its
   /// records pair; with none admissible, Resume refuses. A checkpoint that
-  /// holds telemetry inline (or as CSV) is refused by name. Resume reads
+  /// holds telemetry inline (or as CSV), or deployment state with the older
+  /// ledger-key counters, is refused by name. Resume reads
   /// telemetry.kea but never writes it: a segment with a torn tail or
   /// frames past the restored coverage is rewritten whole by the resumed
   /// session's first checkpoint.
@@ -274,7 +276,13 @@ class KeaSession {
 
   /// Runs one observational-tuning round on the telemetry window
   /// [now - lookback_hours, now): fit the What-if Engine, solve the LP, and
-  /// deploy conservatively with the given per-round step.
+  /// deploy conservatively with the given per-round step, which must not be
+  /// negative. It is the guarded round's path with one APPLY step, which
+  /// journals the clamped batch, in place of the waves: after a crash the
+  /// next call on the resumed session completes the round with its recorded
+  /// plan and batch, whatever step it passes. A storage failure fails the
+  /// call into degraded-durability mode, which, like an open breaker,
+  /// refuses it.
   StatusOr<TuningRound> RunYarnTuningRound(const YarnConfigTuner::Options& options,
                                            int lookback_hours, int deploy_max_step);
 
@@ -317,7 +325,10 @@ class KeaSession {
   StatusOr<core::ValidationReport> ValidateModels(
       const core::ModelValidator::Options& options) const;
 
-  /// Rolls back the last deployment (the Phase III escape hatch).
+  /// Rolls back the last unguarded round's batch (the Phase III escape
+  /// hatch) as one journaled MODULE_ROLLBACK step. FailedPrecondition,
+  /// journaling nothing, while a round is in flight or no batch is pending:
+  /// none applied, rolled back, or superseded by a converged guarded round.
   Status RollbackLastDeployment();
 
   /// Converts the last round's before/after windows into capacity dollars.
@@ -357,11 +368,13 @@ class KeaSession {
   /// as the per-step hook. Only meaningful while a ledger exists.
   core::JournalContext JournalContextFor(int64_t run_number);
 
-  /// The one guarded-round body outside safe mode, durable or not: plan
-  /// sealed at ROUND_STARTED, waves run by GuardrailedRollout::Execute,
-  /// outcome sealed at ROUND_FINISHED. Each is a core::JournaledStep, with a
+  /// The one tuning-round body outside safe mode, durable or not: plan
+  /// sealed at ROUND_STARTED, waves run by GuardrailedRollout::Execute (or,
+  /// with `unguarded`, one APPLY step whose batch it receives), outcome
+  /// sealed at ROUND_FINISHED. Each is a core::JournaledStep, with a
   /// journal context only while a ledger exists.
-  StatusOr<GuardedRound> RunTunedRound(const GuardedRoundOptions& options);
+  StatusOr<GuardedRound> RunTunedRound(const GuardedRoundOptions& options,
+                                       std::vector<core::AppliedChange>* unguarded);
 
   /// The one fabric body, durable or not: queue sealed at FABRIC_STARTED,
   /// flights run by ExperimentFabric::Run, outcome sealed at

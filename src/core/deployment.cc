@@ -8,6 +8,29 @@
 namespace kea::core {
 namespace {
 
+/// Sets each change's group to its new value or, undoing, its old value
+/// newest first — all or nothing: every change is checked before any is made.
+Status SetGroups(const std::vector<AppliedChange>& batch, bool undo,
+                 sim::Cluster* cluster) {
+  if (cluster == nullptr) return Status::InvalidArgument("null cluster");
+  auto value = [undo](const AppliedChange& c) {
+    return undo ? c.old_max_containers : c.new_max_containers;
+  };
+  for (const AppliedChange& c : batch) {
+    if (cluster->groups().count(c.group) == 0) {
+      return Status::NotFound("no machines in group " + sim::GroupLabel(c.group));
+    }
+    if (value(c) <= 0) return Status::InvalidArgument("non-positive max_containers");
+  }
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const AppliedChange& c = batch[undo ? batch.size() - 1 - i : i];
+    KEA_RETURN_IF_ERROR(cluster->SetGroupMaxContainers(c.group, value(c)));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 std::string EncodeChangeBatch(const std::vector<AppliedChange>& batch) {
   StateWriter w;
   w.PutU64(batch.size());
@@ -40,7 +63,25 @@ Status DecodeChangeBatch(const std::string& blob,
   return Status::OK();
 }
 
-}  // namespace
+StatusOr<std::vector<AppliedChange>> DeploymentModule::Clamp(
+    const std::vector<GroupRecommendation>& recommendations,
+    const Options& options) {
+  if (options.max_step < 0 || options.min_containers < 1) {
+    return Status::InvalidArgument(
+        "deploy options need max_step >= 0 and min_containers >= 1");
+  }
+  std::vector<AppliedChange> batch;
+  for (const GroupRecommendation& rec : recommendations) {
+    int delta = rec.recommended_max_containers - rec.current_max_containers;
+    int clamped_delta = std::clamp(delta, -options.max_step, options.max_step);
+    int target = std::max(rec.current_max_containers + clamped_delta,
+                          options.min_containers);
+    if (target == rec.current_max_containers) continue;
+    batch.push_back({rec.group, rec.current_max_containers, target,
+                     clamped_delta != delta});
+  }
+  return batch;
+}
 
 StatusOr<std::vector<AppliedChange>> DeploymentModule::ApplyConservatively(
     const std::vector<GroupRecommendation>& recommendations, sim::Cluster* cluster) {
@@ -48,69 +89,43 @@ StatusOr<std::vector<AppliedChange>> DeploymentModule::ApplyConservatively(
   if (recommendations.empty()) {
     return Status::InvalidArgument("no recommendations to deploy");
   }
-
-  // Decide first (pure), then journal the intent, then mutate — write-ahead
-  // ordering so a crash after the ledger append can re-drive the apply.
-  std::vector<AppliedChange> applied;
-  for (const GroupRecommendation& rec : recommendations) {
-    int delta = rec.recommended_max_containers - rec.current_max_containers;
-    int clamped_delta = std::clamp(delta, -options_.max_step, options_.max_step);
-    int target = std::max(rec.current_max_containers + clamped_delta,
-                          options_.min_containers);
-    if (target == rec.current_max_containers) continue;
-
-    AppliedChange change;
-    change.group = rec.group;
-    change.old_max_containers = rec.current_max_containers;
-    change.new_max_containers = target;
-    change.clamped = clamped_delta != delta;
-    applied.push_back(change);
-  }
-
-  if (ledger_ != nullptr) {
-    const std::string key = "module/apply/" + std::to_string(apply_count_);
-    KEA_RETURN_IF_ERROR(ledger_
-                            ->Append(DeploymentLedger::EventType::kApply, key,
-                                     EncodeChangeBatch(applied))
-                            .status());
-  }
-  ++apply_count_;
-
-  for (const AppliedChange& change : applied) {
-    KEA_RETURN_IF_ERROR(
-        cluster->SetGroupMaxContainers(change.group, change.new_max_containers));
-  }
-  last_batch_ = applied;
-  has_last_batch_ = true;
-  history_.insert(history_.end(), applied.begin(), applied.end());
+  KEA_ASSIGN_OR_RETURN(std::vector<AppliedChange> applied,
+                       Clamp(recommendations, options_));
+  KEA_RETURN_IF_ERROR(Apply(applied, cluster));
   return applied;
+}
+
+Status DeploymentModule::Apply(const std::vector<AppliedChange>& batch,
+                               sim::Cluster* cluster) {
+  KEA_RETURN_IF_ERROR(SetGroups(batch, /*undo=*/false, cluster));
+  last_batch_ = batch;
+  has_last_batch_ = true;
+  history_.insert(history_.end(), batch.begin(), batch.end());
+  return Status::OK();
 }
 
 Status DeploymentModule::RollbackLast(sim::Cluster* cluster) {
   if (cluster == nullptr) return Status::InvalidArgument("null cluster");
   if (!has_last_batch_) {
-    // Never applied, or already rolled back: idempotent error, no mutation —
-    // and no ledger record, since nothing is about to change.
+    // Never applied, already rolled back, or superseded: idempotent error,
+    // no mutation.
     return Status::FailedPrecondition("nothing to roll back");
   }
-  if (ledger_ != nullptr) {
-    const std::string key = "module/rollback/" + std::to_string(rollback_count_);
-    KEA_RETURN_IF_ERROR(
-        ledger_
-            ->Append(DeploymentLedger::EventType::kModuleRollback, key,
-                     EncodeChangeBatch(last_batch_))
-            .status());
-  }
-  ++rollback_count_;
   // Empty batch (every recommendation clamped to a no-op): the cluster is
   // already in the pre-apply state, so rolling back is an OK no-op.
-  for (auto it = last_batch_.rbegin(); it != last_batch_.rend(); ++it) {
-    KEA_RETURN_IF_ERROR(
-        cluster->SetGroupMaxContainers(it->group, it->old_max_containers));
-  }
+  return Undo(last_batch_, cluster);
+}
+
+Status DeploymentModule::Undo(const std::vector<AppliedChange>& batch,
+                              sim::Cluster* cluster) {
+  KEA_RETURN_IF_ERROR(SetGroups(batch, /*undo=*/true, cluster));
+  SupersedePendingBatch();
+  return Status::OK();
+}
+
+void DeploymentModule::SupersedePendingBatch() {
   last_batch_.clear();
   has_last_batch_ = false;
-  return Status::OK();
 }
 
 std::string DeploymentModule::HistoryCsv() const {
@@ -131,8 +146,6 @@ std::string DeploymentModule::SerializeState() const {
   w.PutString(EncodeChangeBatch(history_));
   w.PutString(EncodeChangeBatch(last_batch_));
   w.PutBool(has_last_batch_);
-  w.PutI64(apply_count_);
-  w.PutI64(rollback_count_);
   return w.Release();
 }
 
@@ -145,18 +158,18 @@ Status DeploymentModule::RestoreState(const std::string& blob) {
   KEA_RETURN_IF_ERROR(DecodeChangeBatch(history_blob, &history));
   KEA_RETURN_IF_ERROR(DecodeChangeBatch(batch_blob, &last_batch));
   bool has_last_batch = false;
-  int64_t apply_count = 0, rollback_count = 0;
   KEA_RETURN_IF_ERROR(r.GetBool(&has_last_batch));
-  KEA_RETURN_IF_ERROR(r.GetI64(&apply_count));
-  KEA_RETURN_IF_ERROR(r.GetI64(&rollback_count));
+  if (r.remaining() == 2 * sizeof(int64_t)) {
+    return Status::InvalidArgument(
+        "deployment state holds the module's apply/rollback key counters, "
+        "the layout from before the session journaled deployment steps");
+  }
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes in deployment state blob");
   }
   history_ = std::move(history);
   last_batch_ = std::move(last_batch);
   has_last_batch_ = has_last_batch;
-  apply_count_ = apply_count;
-  rollback_count_ = rollback_count;
   return Status::OK();
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/deployment_ledger.h"
 #include "sim/cluster.h"
 
 namespace kea::core {
@@ -25,29 +24,46 @@ struct AppliedChange {
   bool clamped = false;  ///< True when the recommendation exceeded max_step.
 };
 
+/// Bit-exact codec for a batch of changes: the APPLY and MODULE_ROLLBACK
+/// ledger payloads, and the checkpointed history.
+std::string EncodeChangeBatch(const std::vector<AppliedChange>& batch);
+Status DecodeChangeBatch(const std::string& blob, std::vector<AppliedChange>* batch);
+
 /// The Deployment Module: rolls recommendations out to the full cluster with
 /// the production guardrails of Section 5.2.2 — "we only modify the
 /// configuration by a small margin, i.e. decrease or increase the maximum
 /// running containers for each group of machines by one" (max_step below).
+/// It keeps no journal: KeaSession journals each batch and hands Apply or
+/// Undo the recorded one.
 class DeploymentModule {
  public:
   struct Options {
-    /// Largest per-round change in max_containers per group.
+    /// Largest per-round change in max_containers per group (>= 0).
     int max_step = 1;
-    /// Floor for any group's max_containers.
+    /// Floor for any group's max_containers (>= 1).
     int min_containers = 1;
   };
 
   DeploymentModule() : options_(Options()) {}
   explicit DeploymentModule(const Options& options) : options_(options) {}
 
-  /// Clamps each recommendation to +-max_step of its current value and
-  /// applies it to the cluster. No-op recommendations (delta 0 after
-  /// clamping) are skipped. Returns the changes applied, which are also kept
-  /// in history().
+  /// The one clamp rule, pure: each recommendation moves at most +-max_step
+  /// from its current value and never below min_containers; no-ops are
+  /// omitted. InvalidArgument unless max_step >= 0 and min_containers >= 1.
+  static StatusOr<std::vector<AppliedChange>> Clamp(
+      const std::vector<GroupRecommendation>& recommendations,
+      const Options& options);
+
+  /// Clamp with this module's options, then Apply. Returns the changes
+  /// applied, which are also kept in history().
   StatusOr<std::vector<AppliedChange>> ApplyConservatively(
       const std::vector<GroupRecommendation>& recommendations,
       sim::Cluster* cluster);
+
+  /// Sets each change's group to its new value, all or nothing: every group
+  /// is checked before the first machine changes. The batch becomes the
+  /// pending one and joins history().
+  Status Apply(const std::vector<AppliedChange>& batch, sim::Cluster* cluster);
 
   /// All changes applied through this module, in order.
   const std::vector<AppliedChange>& history() const { return history_; }
@@ -56,42 +72,37 @@ class DeploymentModule {
   ///   sc,sku,old_max_containers,new_max_containers,clamped
   std::string HistoryCsv() const;
 
-  /// Attaches a write-ahead ledger: each ApplyConservatively batch and each
-  /// RollbackLast is journaled (keys "module/apply/<n>", "module/rollback/<n>")
-  /// *before* the cluster is mutated. `ledger` must outlive the module; null
-  /// detaches. The per-operation counters feeding the keys survive
-  /// checkpoint/restore via SerializeState().
-  void AttachLedger(DeploymentLedger* ledger) { ledger_ = ledger; }
-
-  /// Restores the configuration prior to the last ApplyConservatively call
-  /// (the rollback path when flighting invalidates a model). Changes are
-  /// undone in reverse application order. Semantics are explicit because the
-  /// guardrailed rollout leans on them:
+  /// Restores the configuration prior to the last Apply (the rollback path
+  /// when flighting invalidates a model) through Undo. Semantics are
+  /// explicit because callers lean on them:
   ///   - OK no-op when the last apply produced no changes (all
   ///     recommendations clamped to no-ops) — there is nothing to restore,
   ///     and the fleet is already in the pre-apply state;
   ///   - idempotent FailedPrecondition on a second rollback (or before any
-  ///     apply): the call never mutates the cluster, so retrying it is safe
-  ///     and returns the same error.
+  ///     apply, or once the batch is superseded): the call never mutates
+  ///     the cluster, so retrying it is safe and returns the same error.
   Status RollbackLast(sim::Cluster* cluster);
 
-  /// True while the last ApplyConservatively has not been rolled back.
-  bool has_pending_batch() const { return has_last_batch_; }
+  /// Restores each change's old value, newest first and all or nothing, and
+  /// clears the pending batch.
+  Status Undo(const std::vector<AppliedChange>& batch, sim::Cluster* cluster);
 
-  /// Bit-exact checkpoint of mutable state: history, the pending batch, and
-  /// the ledger-key counters. Options and the ledger binding are
-  /// construction-time and not included.
+  /// True while the last Apply has been neither undone nor superseded.
+  bool has_pending_batch() const { return has_last_batch_; }
+  const std::vector<AppliedChange>& pending_batch() const { return last_batch_; }
+  /// A later deployment set the fleet anew: nothing is left to roll back.
+  void SupersedePendingBatch();
+
+  /// Bit-exact checkpoint of mutable state: history and the pending batch.
+  /// Options are construction-time and not included.
   std::string SerializeState() const;
   Status RestoreState(const std::string& blob);
 
  private:
   Options options_;
-  DeploymentLedger* ledger_ = nullptr;
   std::vector<AppliedChange> history_;
   std::vector<AppliedChange> last_batch_;
-  bool has_last_batch_ = false;  ///< Apply seen and not yet rolled back.
-  int64_t apply_count_ = 0;      ///< ApplyConservatively calls (ledger keys).
-  int64_t rollback_count_ = 0;   ///< Effective RollbackLast calls (ledger keys).
+  bool has_last_batch_ = false;  ///< Applied; not rolled back or superseded.
 };
 
 }  // namespace kea::core

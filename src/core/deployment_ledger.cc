@@ -3,6 +3,7 @@
 #include "common/crash_point.h"
 #include "common/csv.h"
 #include "common/snapshot.h"
+#include "core/deployment.h"
 #include "obs/metrics.h"
 
 namespace kea::core {
@@ -169,20 +170,13 @@ std::string DeploymentLedger::AppliedChangesCsv() const {
                                 str(old_max), str(new_max)});
       }
     } else if (event.type == EventType::kApply) {
-      StateReader r(event.payload);
-      uint64_t count = 0;
-      if (!r.GetU64(&count).ok()) continue;
-      for (uint64_t i = 0; i < count; ++i) {
-        int sc = 0, sku = 0, old_max = 0, new_max = 0;
-        bool clamped = false;
-        if (!r.GetInt(&sc).ok() || !r.GetInt(&sku).ok() ||
-            !r.GetInt(&old_max).ok() || !r.GetInt(&new_max).ok() ||
-            !r.GetBool(&clamped).ok()) {
-          break;
-        }
+      std::vector<AppliedChange> batch;
+      if (!DecodeChangeBatch(event.payload, &batch).ok()) continue;
+      for (const AppliedChange& c : batch) {
         (void)writer.AppendRow({str(static_cast<int64_t>(event.seq)), event.key,
-                                "group", str(sc), str(sku), "-1", str(old_max),
-                                str(new_max)});
+                                "group", str(c.group.sc), str(c.group.sku), "-1",
+                                str(c.old_max_containers),
+                                str(c.new_max_containers)});
       }
     }
   }

@@ -14,7 +14,8 @@
 namespace kea::core {
 
 /// The write-ahead ledger of everything the control plane does to the fleet:
-/// every DeploymentModule apply/rollback and every GuardrailedRollout wave
+/// every tuning-round step (a GuardrailedRollout wave transition, or the
+/// unguarded round's batch), every manual rollback and every fabric
 /// transition is journaled here *before* it takes effect. Each event carries
 /// an idempotency key; appending a key that is already present is a no-op
 /// that returns the original event, so a crashed-and-resumed round that
@@ -36,8 +37,8 @@ class DeploymentLedger {
     kWaveVerdict = 4,    ///< Guardrail evaluation for one wave.
     kRollback = 5,       ///< Guardrail trip: every applied wave restored.
     kRoundFinished = 6,  ///< Round closed; payload carries the outcome.
-    kApply = 7,          ///< DeploymentModule::ApplyConservatively batch.
-    kModuleRollback = 8, ///< DeploymentModule::RollbackLast.
+    kApply = 7,          ///< Unguarded round's clamped per-group batch.
+    kModuleRollback = 8, ///< Manual rollback; payload is the batch undone.
     // Experiment fabric transitions (keys "fab<round>/..."). Every concurrent
     // A/B flight journals its lifecycle here with the same write-ahead +
     // idempotency discipline as rollout waves.
@@ -87,8 +88,9 @@ class DeploymentLedger {
   StatusOr<Journal::ScrubReport> VerifyIntegrity() const;
 
   /// CSV dump of every applied change in the ledger — per-machine rows from
-  /// rollout waves (kWaveApplied) and per-group rows from module batches
-  /// (kApply), in ledger order. Columns:
+  /// rollout waves (kWaveApplied) and fabric flights (kFlightStarted), and
+  /// per-group rows from unguarded-round batches (kApply, including the
+  /// "module/apply/<n>" events of older ledgers), in ledger order. Columns:
   ///   seq,key,kind,sc,sku,machine_id,old_max_containers,new_max_containers
   /// with -1 for fields a row kind does not carry.
   std::string AppliedChangesCsv() const;

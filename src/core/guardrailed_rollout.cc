@@ -81,22 +81,6 @@ WindowMetrics Measure(const telemetry::TelemetryStore& store,
   return m;
 }
 
-/// Per-group targets clamped to +-max_step of the current configuration,
-/// exactly like DeploymentModule::ApplyConservatively. No-ops are omitted.
-std::map<sim::MachineGroupKey, int> ClampTargets(
-    const std::vector<GroupRecommendation>& recommendations,
-    const DeploymentModule::Options& deploy) {
-  std::map<sim::MachineGroupKey, int> targets;
-  for (const GroupRecommendation& rec : recommendations) {
-    int delta = rec.recommended_max_containers - rec.current_max_containers;
-    int clamped = std::clamp(delta, -deploy.max_step, deploy.max_step);
-    int target =
-        std::max(rec.current_max_containers + clamped, deploy.min_containers);
-    if (target != rec.current_max_containers) targets[rec.group] = target;
-  }
-  return targets;
-}
-
 /// One applied wave: (machine id, pre-rollout max_containers) per changed
 /// machine.
 using MachineSnapshot = std::vector<std::pair<int, int>>;
@@ -272,8 +256,13 @@ StatusOr<GuardrailedRollout::Report> GuardrailedRollout::Execute(
     return Status::InvalidArgument("no recommendations to roll out");
   }
 
-  std::map<sim::MachineGroupKey, int> targets =
-      ClampTargets(recommendations, options_.deploy);
+  KEA_ASSIGN_OR_RETURN(
+      const std::vector<AppliedChange> batch,
+      DeploymentModule::Clamp(recommendations, options_.deploy));
+  std::map<sim::MachineGroupKey, int> targets;
+  for (const AppliedChange& change : batch) {
+    targets[change.group] = change.new_max_containers;
+  }
 
   Report report;
   if (targets.empty()) {

@@ -94,11 +94,11 @@ GuardrailEvaluation EvaluateGuardrails(const telemetry::TelemetryStore& store,
 ///                         restoring the exact pre-rollout per-machine config
 ///
 /// Waves are whole sub-clusters (pilot flightings target sub-clusters in the
-/// paper), selected deterministically. Per-group targets are clamped to
-/// +-deploy.max_step of the group's pre-rollout configuration, exactly like
-/// DeploymentModule. The rollout never touches machines outside its waves,
-/// and after a rollback the fleet configuration is bit-identical to the
-/// snapshot taken on entry.
+/// paper), selected deterministically. Per-group targets come from
+/// DeploymentModule::Clamp with the `deploy` options — the one clamp rule,
+/// which the unguarded round applies too. The rollout never touches machines
+/// outside its waves, and after a rollback the fleet configuration is
+/// bit-identical to the snapshot taken on entry.
 class GuardrailedRollout {
  public:
   struct Options {

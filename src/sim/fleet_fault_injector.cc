@@ -231,16 +231,9 @@ Status FleetFaultInjector::RestoreState(const std::string& blob) {
   KEA_RETURN_IF_ERROR(r.GetU64(&c.recoveries));
   KEA_RETURN_IF_ERROR(r.GetU64(&c.permanent_losses));
   KEA_RETURN_IF_ERROR(r.GetU64(&c.machine_down_hours));
-  // Per-machine down-hours: absent in blobs written before the attribution
-  // field existed — restore those as all-zero rather than rejecting them.
-  std::vector<uint64_t> down_hours;
-  if (!r.AtEnd()) {
-    KEA_RETURN_IF_ERROR(r.GetU64(&n));
-    down_hours.resize(n);
-    for (uint64_t& d : down_hours) KEA_RETURN_IF_ERROR(r.GetU64(&d));
-  } else {
-    down_hours.assign(down.size(), 0);
-  }
+  KEA_RETURN_IF_ERROR(r.GetU64(&n));
+  std::vector<uint64_t> down_hours(n);
+  for (uint64_t& d : down_hours) KEA_RETURN_IF_ERROR(r.GetU64(&d));
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes in fleet-fault state blob");
   }

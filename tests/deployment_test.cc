@@ -27,6 +27,12 @@ int GroupMax(const sim::Cluster& cluster, sim::MachineGroupKey key) {
   return cluster.machines()[static_cast<size_t>(id)].max_containers;
 }
 
+std::vector<int> MaxContainers(const sim::Cluster& cluster) {
+  std::vector<int> config;
+  for (const sim::Machine& m : cluster.machines()) config.push_back(m.max_containers);
+  return config;
+}
+
 TEST(DeploymentTest, AppliesWithinStep) {
   sim::Cluster cluster = MakeCluster();
   sim::MachineGroupKey key{0, 0};
@@ -204,37 +210,38 @@ TEST(DeploymentTest, HistoryCsvListsChangesInOrderAndSurvivesRollback) {
   EXPECT_EQ(table->rows[1][4], "1");
 }
 
-TEST(DeploymentTest, LedgerRecordsAppliesAndRollbacksWriteAhead) {
-  const std::string path = testing::TempDir() + "/deployment_ledger_test.kea";
+TEST(DeploymentTest, LegacyModuleEventsStillOpenAndListGroupRows) {
+  // Ledgers written while the module journaled its own batches hold
+  // "module/apply/<n>" and "module/rollback/<n>" events. They still open, and
+  // the applied-change export still lists the batch's per-group rows.
+  const std::string path = testing::TempDir() + "/deployment_legacy_ledger.kea";
   std::remove(path.c_str());
-  auto ledger = std::move(DeploymentLedger::Open(path)).value();
+  const AppliedChange change{sim::MachineGroupKey{0, 0}, 7, 6, false};
+  {
+    auto ledger = std::move(DeploymentLedger::Open(path)).value();
+    ASSERT_TRUE(ledger
+                    ->Append(DeploymentLedger::EventType::kApply,
+                             "module/apply/0", EncodeChangeBatch({change}))
+                    .ok());
+    ASSERT_TRUE(ledger
+                    ->Append(DeploymentLedger::EventType::kModuleRollback,
+                             "module/rollback/0", EncodeChangeBatch({change}))
+                    .ok());
+  }
+  auto reopened = DeploymentLedger::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  ASSERT_EQ((*reopened)->events().size(), 2u);
+  EXPECT_EQ((*reopened)->events()[1].key, "module/rollback/0");
 
-  sim::Cluster cluster = MakeCluster();
-  DeploymentModule deploy;
-  deploy.AttachLedger(ledger.get());
-  sim::MachineGroupKey key{0, 0};
-  int current = GroupMax(cluster, key);
-
-  ASSERT_TRUE(deploy.ApplyConservatively({{key, current, current + 1}}, &cluster).ok());
-  ASSERT_TRUE(deploy.RollbackLast(&cluster).ok());
-  // The ineffective second rollback mutates nothing and records nothing.
-  EXPECT_EQ(deploy.RollbackLast(&cluster).code(), StatusCode::kFailedPrecondition);
-
-  ASSERT_EQ(ledger->events().size(), 2u);
-  EXPECT_EQ(ledger->events()[0].type, DeploymentLedger::EventType::kApply);
-  EXPECT_EQ(ledger->events()[0].key, "module/apply/0");
-  EXPECT_EQ(ledger->events()[1].type, DeploymentLedger::EventType::kModuleRollback);
-  EXPECT_EQ(ledger->events()[1].key, "module/rollback/0");
-
-  // The ledger's applied-change export carries the per-group row.
-  auto table = ParseCsv(ledger->AppliedChangesCsv());
+  auto table = ParseCsv((*reopened)->AppliedChangesCsv());
   ASSERT_TRUE(table.ok()) << table.status();
   ASSERT_EQ(table->rows.size(), 1u);
+  EXPECT_EQ(table->rows[0][table->ColumnIndex("key")], "module/apply/0");
   EXPECT_EQ(table->rows[0][table->ColumnIndex("kind")], "group");
   EXPECT_EQ(table->rows[0][table->ColumnIndex("sc")], "0");
   EXPECT_EQ(table->rows[0][table->ColumnIndex("machine_id")], "-1");
-  EXPECT_EQ(table->rows[0][table->ColumnIndex("new_max_containers")],
-            std::to_string(current + 1));
+  EXPECT_EQ(table->rows[0][table->ColumnIndex("old_max_containers")], "7");
+  EXPECT_EQ(table->rows[0][table->ColumnIndex("new_max_containers")], "6");
   std::remove(path.c_str());
 }
 
@@ -437,7 +444,7 @@ TEST(JournaledStepTest, FailingPayloadAppendsNothing) {
   EXPECT_TRUE((*reopened)->events().empty());
 }
 
-TEST(DeploymentTest, StateRoundTripPreservesHistoryAndCounters) {
+TEST(DeploymentTest, StateRoundTripPreservesHistoryAndPendingBatch) {
   sim::Cluster cluster = MakeCluster();
   DeploymentModule deploy;
   sim::MachineGroupKey key{0, 0};
@@ -455,6 +462,59 @@ TEST(DeploymentTest, StateRoundTripPreservesHistoryAndCounters) {
   std::string blob = deploy.SerializeState();
   EXPECT_EQ(twin.RestoreState(blob.substr(0, blob.size() / 2)).code(),
             StatusCode::kInvalidArgument);
+  // The older layout, which ended in two ledger-key counters, is refused by
+  // name.
+  Status legacy = twin.RestoreState(blob + std::string(16, '\0'));
+  EXPECT_EQ(legacy.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(legacy.message().find("key counters"), std::string::npos) << legacy;
+}
+
+TEST(DeploymentTest, ClampIsPureAndRefusesInvalidOptions) {
+  sim::MachineGroupKey a{0, 0}, b{0, 5};
+  const std::vector<GroupRecommendation> recs = {{a, 7, 10}, {b, 9, 9}};
+  DeploymentModule::Options options;
+  options.max_step = 2;
+  auto batch = DeploymentModule::Clamp(recs, options);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  ASSERT_EQ(batch->size(), 1u);  // The no-op recommendation is omitted.
+  EXPECT_EQ((*batch)[0].old_max_containers, 7);
+  EXPECT_EQ((*batch)[0].new_max_containers, 9);
+  EXPECT_TRUE((*batch)[0].clamped);
+
+  // A negative step would hand std::clamp lo > hi; a floor below one would
+  // let a group reach zero containers. Both are refused, and an apply with
+  // them touches nothing.
+  sim::Cluster cluster = MakeCluster();
+  const std::vector<int> before = MaxContainers(cluster);
+  DeploymentModule::Options negative;
+  negative.max_step = -1;
+  DeploymentModule::Options floorless;
+  floorless.min_containers = 0;
+  for (const DeploymentModule::Options& bad : {negative, floorless}) {
+    EXPECT_EQ(DeploymentModule::Clamp(recs, bad).status().code(),
+              StatusCode::kInvalidArgument);
+    DeploymentModule deploy(bad);
+    const int current = GroupMax(cluster, a);
+    EXPECT_EQ(deploy.ApplyConservatively({{a, current, current + 1}}, &cluster)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_FALSE(deploy.has_pending_batch());
+  }
+  EXPECT_EQ(MaxContainers(cluster), before);
+}
+
+TEST(DeploymentTest, SupersededBatchCannotBeRolledBack) {
+  sim::Cluster cluster = MakeCluster();
+  DeploymentModule deploy;
+  sim::MachineGroupKey key{0, 0};
+  int current = GroupMax(cluster, key);
+  ASSERT_TRUE(deploy.ApplyConservatively({{key, current, current + 1}}, &cluster).ok());
+  deploy.SupersedePendingBatch();
+  EXPECT_FALSE(deploy.has_pending_batch());
+  EXPECT_EQ(deploy.RollbackLast(&cluster).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(GroupMax(cluster, key), current + 1);
+  EXPECT_EQ(deploy.history().size(), 1u);
 }
 
 TEST(DeploymentTest, Validation) {
@@ -475,6 +535,20 @@ TEST(DeploymentTest, Validation) {
                 .status()
                 .code(),
             StatusCode::kNotFound);
+  // An apply is all or nothing: a known group beside an unknown one is not
+  // touched, and nothing is recorded or left pending.
+  sim::MachineGroupKey known{0, 0};
+  const int current = GroupMax(cluster, known);
+  EXPECT_EQ(deploy
+                .ApplyConservatively({{known, current, current + 1},
+                                      {sim::MachineGroupKey{8, 8}, 5, 6}},
+                                     &cluster)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(GroupMax(cluster, known), current);
+  EXPECT_TRUE(deploy.history().empty());
+  EXPECT_FALSE(deploy.has_pending_batch());
 }
 
 }  // namespace

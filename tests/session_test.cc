@@ -80,6 +80,71 @@ TEST(KeaSessionTest, RollbackRestoresConfiguration) {
   }
 }
 
+std::vector<int> MaxContainers(const KeaSession& session) {
+  std::vector<int> config;
+  for (const sim::Machine& m : session.cluster().machines()) {
+    config.push_back(m.max_containers);
+  }
+  return config;
+}
+
+/// An unguarded round, 48 more hours, then a guarded round.
+std::unique_ptr<KeaSession> UnguardedThenGuarded(
+    const KeaSession::GuardedRoundOptions& guarded,
+    core::GuardrailedRollout::Outcome* outcome) {
+  KeaSession::Config config;
+  config.machines = 400;
+  config.seed = 5;
+  auto session = std::move(KeaSession::Create(config)).value();
+  EXPECT_TRUE(session->Simulate(sim::kHoursPerWeek).ok());
+  auto round = session->RunYarnTuningRound(YarnConfigTuner::Options(),
+                                           sim::kHoursPerWeek, 1);
+  EXPECT_TRUE(round.ok()) << round.status();
+  EXPECT_TRUE(round.ok() && !round->applied.empty());
+  EXPECT_TRUE(session->Simulate(48).ok());
+  auto second = session->RunGuardedTuningRound(guarded);
+  EXPECT_TRUE(second.ok()) << second.status();
+  if (second.ok()) *outcome = second->rollout.outcome;
+  return session;
+}
+
+TEST(KeaSessionTest, ConvergedGuardedRoundSupersedesThePendingBatch) {
+  // The guarded round set the unguarded batch's groups anew. Rolling that
+  // older batch back would move them again, by two steps at once, so the
+  // rollback is refused and the fleet stays as the guarded round left it.
+  KeaSession::GuardedRoundOptions guarded;
+  guarded.lookback_hours = sim::kHoursPerWeek;
+  guarded.rollout.wave_fractions = {0.5, 1.0};
+  core::GuardrailedRollout::Outcome outcome{};
+  auto session = UnguardedThenGuarded(guarded, &outcome);
+  ASSERT_EQ(outcome, core::GuardrailedRollout::Outcome::kConverged);
+  EXPECT_FALSE(session->deployment().has_pending_batch());
+  const std::vector<int> converged = MaxContainers(*session);
+  EXPECT_EQ(session->RollbackLastDeployment().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(MaxContainers(*session), converged);
+}
+
+TEST(KeaSessionTest, RolledBackGuardedRoundKeepsThePendingBatch) {
+  // A guarded round that tripped restored the fleet it found, so the
+  // unguarded batch before it can still be rolled back.
+  KeaSession::GuardedRoundOptions guarded;
+  guarded.lookback_hours = sim::kHoursPerWeek;
+  guarded.rollout.wave_fractions = {0.5, 1.0};
+  guarded.rollout.guardrails.max_latency_ratio = 0.5;  // Latency must halve.
+  core::GuardrailedRollout::Outcome outcome{};
+  auto session = UnguardedThenGuarded(guarded, &outcome);
+  ASSERT_EQ(outcome, core::GuardrailedRollout::Outcome::kRolledBack);
+  ASSERT_TRUE(session->deployment().has_pending_batch());
+  ASSERT_TRUE(session->RollbackLastDeployment().ok());
+  for (const core::AppliedChange& change : session->deployment().history()) {
+    for (int id : session->cluster().groups().at(change.group)) {
+      EXPECT_EQ(session->cluster().machines()[static_cast<size_t>(id)].max_containers,
+                change.old_max_containers);
+    }
+  }
+}
+
 TEST(KeaSessionTest, ValuationWithoutRoundFails) {
   auto session = MakeSession(200);
   ASSERT_TRUE(session->Simulate(24).ok());

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <iterator>
 #include <map>
@@ -19,6 +20,7 @@
 #include "common/io.h"
 #include "common/snapshot.h"
 #include "common/storage_fault.h"
+#include "core/deployment.h"
 #include "obs/metrics.h"
 
 namespace kea::apps {
@@ -138,9 +140,31 @@ struct Reference {
   std::string cluster_sig;
   std::string store_csv;
   std::string ledger_csv;
+  std::string history_csv;
   sim::HourIndex now = 0;
   std::vector<std::pair<std::string, int>> fault_points;
 };
+
+/// One durable round under test: runs it on the session and returns a
+/// signature of what it returned.
+using RoundCall = std::function<StatusOr<std::string>(KeaSession&)>;
+
+RoundCall GuardedRound(const KeaSession::GuardedRoundOptions& options) {
+  return [options](KeaSession& session) -> StatusOr<std::string> {
+    KEA_ASSIGN_OR_RETURN(KeaSession::GuardedRound round,
+                         session.RunGuardedTuningRound(options));
+    return ReportSignature(round.rollout);
+  };
+}
+
+RoundCall UnguardedRound() {
+  return [](KeaSession& session) -> StatusOr<std::string> {
+    KEA_ASSIGN_OR_RETURN(
+        KeaSession::TuningRound round,
+        session.RunYarnTuningRound(YarnConfigTuner::Options(), kPreludeHours, 1));
+    return core::EncodeChangeBatch(round.applied);
+  };
+}
 
 class StorageRecoveryTest : public testing::Test {
  protected:
@@ -154,35 +178,49 @@ class StorageRecoveryTest : public testing::Test {
   /// the sweep can enumerate every (op, occurrence) the round reaches. The
   /// injector is reset right after session setup — armed runs reset at the
   /// same point, so occurrence indices line up exactly.
-  Reference RunReference(const std::string& dir,
-                         const KeaSession::GuardedRoundOptions& options) {
+  Reference RunReference(const std::string& dir, const RoundCall& round) {
     Reference ref;
     auto session = MakeDurableSession(dir);
     injector_.Reset();
     injector_.SetRecording(true);
-    auto round = session->RunGuardedTuningRound(options);
+    StatusOr<std::string> result = round(*session);
     ref.fault_points = injector_.Reached();
     injector_.SetRecording(false);
     injector_.Reset();
-    EXPECT_TRUE(round.ok()) << round.status();
-    if (!round.ok()) return ref;
-    ref.report_sig = ReportSignature(round->rollout);
+    EXPECT_TRUE(result.ok()) << result.status();
+    if (!result.ok()) return ref;
+    ref.report_sig = result.value();
     ref.cluster_sig = ClusterSignature(*session);
     ref.store_csv = session->store().ToCsv();
     ref.ledger_csv = session->ledger()->AppliedChangesCsv();
+    ref.history_csv = session->deployment().HistoryCsv();
     ref.now = session->now();
     return ref;
   }
+  Reference RunReference(const std::string& dir,
+                         const KeaSession::GuardedRoundOptions& options) {
+    return RunReference(dir, GuardedRound(options));
+  }
 
   void ExpectMatchesReference(const Reference& ref, KeaSession& session,
-                              const core::GuardrailedRollout::Report& rollout) {
-    EXPECT_EQ(ReportSignature(rollout), ref.report_sig);
+                              const std::string& signature) {
+    EXPECT_EQ(signature, ref.report_sig);
     EXPECT_EQ(ClusterSignature(session), ref.cluster_sig);
     EXPECT_EQ(session.now(), ref.now);
     EXPECT_EQ(session.store().ToCsv(), ref.store_csv);
     EXPECT_EQ(session.ledger()->AppliedChangesCsv(), ref.ledger_csv);
+    EXPECT_EQ(session.deployment().HistoryCsv(), ref.history_csv);
     ExpectPatchesExactlyOnce(*session.ledger());
   }
+  void ExpectMatchesReference(const Reference& ref, KeaSession& session,
+                              const core::GuardrailedRollout::Report& rollout) {
+    ExpectMatchesReference(ref, session, ReportSignature(rollout));
+  }
+
+  /// The write-fault sweep of one durable round; prints its own scenario
+  /// line, prefixed by `label`. Defined below.
+  void SweepWriteFaults(const std::string& name, const std::string& label,
+                        const RoundCall& round);
 
   StorageFaultInjector injector_;
 };
@@ -218,9 +256,10 @@ std::vector<StorageFaultKind> KindsForOp(StorageOp op) {
 // must be bit-identical to the uninterrupted run — either because the
 // bounded retry absorbed it in-line, or after degraded-mode refusal,
 // process death, and a resume that re-drives the round from the journal.
-TEST_F(StorageRecoveryTest, SweepEveryFaultPointInGuardedRound) {
-  auto options = RoundOptions();
-  Reference ref = RunReference(FreshDir("storage_ref_round"), options);
+void StorageRecoveryTest::SweepWriteFaults(const std::string& name,
+                                           const std::string& label,
+                                           const RoundCall& round) {
+  Reference ref = RunReference(FreshDir("storage_ref_" + name), round);
   ASSERT_FALSE(ref.report_sig.empty());
   ASSERT_FALSE(ref.fault_points.empty());
 
@@ -235,7 +274,7 @@ TEST_F(StorageRecoveryTest, SweepEveryFaultPointInGuardedRound) {
   EXPECT_TRUE(ops.count("write"));
   EXPECT_TRUE(ops.count("flush"));
   EXPECT_TRUE(ops.count("rename"));
-  std::cout << "[storage sweep] fault points: ";
+  std::cout << "[storage sweep] " << label << "fault points: ";
   for (const auto& [op, hits] : ref.fault_points) {
     std::cout << op << "=" << hits << " ";
   }
@@ -252,34 +291,34 @@ TEST_F(StorageRecoveryTest, SweepEveryFaultPointInGuardedRound) {
         ++scenario;
         SCOPED_TRACE(op_name + " occurrence " + std::to_string(occurrence) +
                      " kind " + StorageFaultKindName(kind));
-        const std::string dir =
-            FreshDir("storage_sweep_" + std::to_string(scenario));
+        const std::string dir = FreshDir("storage_sweep_" + name + "_" +
+                                         std::to_string(scenario));
         auto session = MakeDurableSession(dir);
         injector_.Reset();
         injector_.Arm(op, occurrence, kind);
 
-        auto round = session->RunGuardedTuningRound(options);
+        StatusOr<std::string> result = round(*session);
         injector_.Reset();  // Disarm + clear sticky: the disk is "replaced".
 
-        if (round.ok()) {
+        if (result.ok()) {
           // The bounded retry absorbed the fault in-line; the world must not
           // have noticed (and the session must still be fully durable).
           ++absorbed;
           EXPECT_EQ(session->durability_mode(),
                     KeaSession::DurabilityMode::kDurable);
-          ExpectMatchesReference(ref, *session, round->rollout);
+          ExpectMatchesReference(ref, *session, result.value());
           continue;
         }
 
         // The fault surfaced: it must be classified as a storage failure,
         // and the session must have sealed itself into degraded mode...
         ++recovered;
-        ASSERT_TRUE(IsStorageFailure(round.status())) << round.status();
+        ASSERT_TRUE(IsStorageFailure(result.status())) << result.status();
         ASSERT_EQ(session->durability_mode(),
                   KeaSession::DurabilityMode::kDegraded);
         EXPECT_FALSE(session->degraded_reason().ok());
         // ...which refuses anything that would touch the fleet.
-        auto refused = session->RunGuardedTuningRound(options);
+        StatusOr<std::string> refused = round(*session);
         ASSERT_FALSE(refused.ok());
         EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
         EXPECT_NE(refused.status().message().find("degraded durability"),
@@ -292,18 +331,30 @@ TEST_F(StorageRecoveryTest, SweepEveryFaultPointInGuardedRound) {
         session.reset();
         auto resumed = KeaSession::Resume(dir);
         ASSERT_TRUE(resumed.ok()) << resumed.status();
-        auto rerun = (*resumed)->RunGuardedTuningRound(options);
+        StatusOr<std::string> rerun = round(**resumed);
         ASSERT_TRUE(rerun.ok()) << rerun.status();
-        ExpectMatchesReference(ref, **resumed, rerun->rollout);
+        ExpectMatchesReference(ref, **resumed, rerun.value());
       }
     }
   }
-  std::cout << "[storage sweep] " << scenario << " scenarios: " << absorbed
-            << " absorbed by retry, " << recovered
-            << " recovered via degraded mode + resume" << std::endl;
+  std::cout << "[storage sweep] " << label << scenario
+            << " scenarios: " << absorbed << " absorbed by retry, "
+            << recovered << " recovered via degraded mode + resume"
+            << std::endl;
   // Both recovery regimes must actually be exercised by the sweep.
   EXPECT_GT(absorbed, 0);
   EXPECT_GT(recovered, 0);
+}
+
+TEST_F(StorageRecoveryTest, SweepEveryFaultPointInGuardedRound) {
+  SweepWriteFaults("round", "", GuardedRound(RoundOptions()));
+}
+
+// The unguarded round journals ROUND_STARTED, APPLY and ROUND_FINISHED like
+// the guarded one: a storage failure after the apply degrades the session
+// instead of returning OK, and a resume re-drives the recorded batch.
+TEST_F(StorageRecoveryTest, SweepEveryFaultPointInUnguardedRound) {
+  SweepWriteFaults("unguarded", "unguarded round: ", UnguardedRound());
 }
 
 // Read-path sweep: every read Resume() performs, crossed with every read
@@ -676,6 +727,48 @@ TEST_F(StorageRecoveryTest, InlineRecordsCheckpointIsRefusedByName) {
   EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(resumed.status().message().find("inline telemetry"),
             std::string::npos)
+      << resumed.status();
+  EXPECT_TRUE(DirectoryBytes(dir) == before)
+      << "Resume changed, added or removed a file";
+}
+
+// The deployment section's layout from before the session journaled
+// deployment steps — history and pending batch, then the module's two
+// ledger-key counters — is refused by name, with no file changed.
+TEST_F(StorageRecoveryTest, DeploymentCountersCheckpointIsRefusedByName) {
+  const std::string dir = FreshDir("storage_counters_checkpoint");
+  const std::string checkpoint = dir + "/checkpoint.kea";
+  {
+    auto session = MakeDurableSession(dir);
+    auto round = session->RunYarnTuningRound(YarnConfigTuner::Options(),
+                                             kPreludeHours, 1);
+    ASSERT_TRUE(round.ok()) << round.status();
+  }
+  StateWriter counters;
+  counters.PutI64(1);  // Applies journaled.
+  counters.PutI64(0);  // Rollbacks journaled.
+  const std::string legacy_tail = counters.Release();
+  std::vector<std::string> candidates = {checkpoint};
+  for (uint64_t gen : SnapshotGenerations::List(checkpoint)) {
+    candidates.push_back(SnapshotGenerations::GenerationPath(checkpoint, gen));
+  }
+  ASSERT_GT(candidates.size(), 1u);
+  for (const std::string& path : candidates) {
+    auto reader = SnapshotReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    SnapshotWriter writer;
+    for (const auto& [name, content] : reader->sections()) {
+      writer.AddSection(name, name == "deployment" ? content + legacy_tail
+                                                   : content);
+    }
+    ASSERT_TRUE(writer.WriteFile(path).ok());
+  }
+  const std::map<std::string, std::string> before = DirectoryBytes(dir);
+
+  auto resumed = KeaSession::Resume(dir);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(resumed.status().message().find("key counters"), std::string::npos)
       << resumed.status();
   EXPECT_TRUE(DirectoryBytes(dir) == before)
       << "Resume changed, added or removed a file";
