@@ -57,6 +57,29 @@ void BM_HuberFit(benchmark::State& state) {
 }
 BENCHMARK(BM_HuberFit)->Arg(1000)->Arg(10000)->Arg(50000);
 
+// The What-if Engine's fit at the busy-row counts of its groups (400
+// machines, 168-hour window), with a tenth of the targets gross outliers so
+// IRLS reweights for several iterations; items are rows.
+void BM_HuberFitContaminated(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(3);
+  ml::Vector x(n), y(n);
+  for (size_t i = 0; i < n; ++i) {
+    x[i] = rng.Uniform(0, 10);
+    y[i] = 2.0 + 3.0 * x[i] + rng.Gaussian(0, 0.5);
+    if (rng.Uniform(0, 1) < 0.1) y[i] += rng.Uniform(20, 60);
+  }
+  ml::Dataset data = ml::MakeDataset1D(x, y);
+  ml::HuberRegressor regressor;
+  for (auto _ : state) {
+    auto model = regressor.Fit(data);
+    benchmark::DoNotOptimize(model);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_HuberFitContaminated)->Arg(3360)->Arg(8400);
+
 void BM_OlsFit(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(2);

@@ -691,14 +691,26 @@ Status KeaSession::EnableDurability(const DurabilityOptions& options) {
   if (ledger_ != nullptr) {
     return Status::FailedPrecondition("durability already enabled");
   }
-  KEA_ASSIGN_OR_RETURN(
-      ledger_, core::DeploymentLedger::Open(options.dir + kLedgerFile));
+  const std::string ledger_path = options.dir + kLedgerFile;
+  // Events belong to an earlier session. Covering them would make this
+  // session's rounds replay that session's steps, so only Resume continues
+  // them. They are counted read-only: Open would repair a torn tail in
+  // place, and a refusal leaves the directory as it found it. A ledger the
+  // scrub cannot read (absent, empty, foreign) is Open's to judge.
+  StatusOr<Journal::ScrubReport> existing =
+      Journal::Scrub(ledger_path, /*repair=*/false);
+  if (existing.ok() && existing->records > 0) {
+    return Status::FailedPrecondition(
+        ledger_path + " holds " + std::to_string(existing->records) +
+        " events of an earlier session; KeaSession::Resume continues it");
+  }
+  KEA_ASSIGN_OR_RETURN(ledger_, core::DeploymentLedger::Open(ledger_path));
   durability_dir_ = options.dir;
   keep_generations_ = options.keep_generations;
   // A fresh segment, so a stale telemetry.kea left by another session is
-  // replaced rather than appended to. The initial checkpoint covers whatever
-  // the (possibly pre-existing) ledger holds, so Resume() of a never-crashed
-  // directory is a clean no-op restore.
+  // replaced rather than appended to. The initial checkpoint covers the
+  // empty ledger, so Resume() of a never-crashed directory is a clean no-op
+  // restore.
   Status written = RewriteSegment();
   if (written.ok()) written = WriteCheckpoint(ledger_->next_seq());
   if (!written.ok()) {
@@ -1252,6 +1264,34 @@ core::JournalContext KeaSession::JournalContextFor(int64_t run_number) {
   return context;
 }
 
+Status KeaSession::RefuseOtherCallsInFlight(JournaledCall caller) const {
+  if (ledger_ == nullptr) return Status::OK();
+  const std::string round = std::to_string(round_count_);
+  const std::string fabric = std::to_string(fabric_count_);
+  std::string busy;
+  if (caller == JournaledCall::kGuardedRound) {
+    // A round call continues ROUND_STARTED, not the other kind's steps.
+    if (ledger_->Has("round/" + round + "/apply")) busy = "round " + round;
+  } else if (caller == JournaledCall::kYarnRound) {
+    if (ledger_->Has("r" + round + "/w0/started")) busy = "round " + round;
+  } else if (ledger_->Has("round/" + round + "/started")) {
+    busy = "round " + round;
+  }
+  const core::DeploymentLedger::Event* rollback =
+      ledger_->Find("rollback/" + round);
+  if (caller != JournaledCall::kRollback && rollback != nullptr &&
+      rollback->seq >= durable_seq_) {
+    busy = "the rollback after round " + round;
+  }
+  if (caller != JournaledCall::kFabric &&
+      ledger_->Has("fab/" + fabric + "/started")) {
+    busy = "fabric run " + fabric;
+  }
+  if (busy.empty()) return Status::OK();
+  return Status::FailedPrecondition(
+      busy + " is in flight; repeat the call that journaled it first");
+}
+
 StatusOr<KeaSession::GuardedRound> KeaSession::RunTunedRound(
     const GuardedRoundOptions& options,
     std::vector<core::AppliedChange>* unguarded) {
@@ -1269,17 +1309,9 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunTunedRound(
                   {"lookback_hours", std::to_string(options.lookback_hours)}});
   RoundsCounter()->Increment();
   const size_t alarms_before = TotalDriftAlarms();
-  // Another call completes what it journaled: a rollback not yet durable,
-  // or this round's waves (unguarded call) or APPLY (guarded call).
-  const core::DeploymentLedger::Event* rollback =
-      journal != nullptr ? ledger_->Find("rollback/" + number) : nullptr;
-  if ((rollback != nullptr && rollback->seq >= durable_seq_) ||
-      (journal != nullptr &&
-       ledger_->Has(unguarded != nullptr ? "r" + number + "/w0/started"
-                                         : round_key + "/apply"))) {
-    return Status::FailedPrecondition(
-        "another call's journaled step is in flight; repeat that call first");
-  }
+  KEA_RETURN_IF_ERROR(RefuseOtherCallsInFlight(
+      unguarded != nullptr ? JournaledCall::kYarnRound
+                           : JournaledCall::kGuardedRound));
   GuardedRound round;
   sim::HourIndex start_hour = 0;
   std::unique_ptr<core::WhatIfEngine> fresh_engine;
@@ -1475,6 +1507,13 @@ StatusOr<core::ExperimentFabric::Report> KeaSession::RunFlights(
                   {"fabric", std::to_string(fabric_number)},
                   {"requests", std::to_string(requests.size())}});
   FabricRunsCounter()->Increment();
+  KEA_RETURN_IF_ERROR(RefuseOtherCallsInFlight(JournaledCall::kFabric));
+  // A queue the fabric would refuse is refused before it is sealed: a sealed
+  // queue holds the fabric in flight until a call with the same queue runs.
+  core::ExperimentFabric::Options fabric_options = options.fabric;
+  WireDownHours(fleet_faults_.get(), &fabric_options);
+  KEA_RETURN_IF_ERROR(core::ExperimentFabric::Validate(
+      requests, fabric_options, cluster_.machines().size()));
 
   // --- FABRIC_STARTED: seal the start hour and queue size before any flight
   // is touched. On resume the journaled start hour is the authority — the
@@ -1505,8 +1544,6 @@ StatusOr<core::ExperimentFabric::Report> KeaSession::RunFlights(
   // --- Flights: the fabric runs each step through the same journal context
   // under "fab<n>/..." keys, checkpointing after every one. Simulate() must
   // not checkpoint meanwhile (same contract as guarded rounds).
-  core::ExperimentFabric::Options fabric_options = options.fabric;
-  WireDownHours(fleet_faults_.get(), &fabric_options);
   in_journaled_round_ = true;
   StatusOr<core::ExperimentFabric::Report> executed =
       core::ExperimentFabric(fabric_options)
@@ -1567,12 +1604,8 @@ Status KeaSession::RollbackLastDeployment() {
     // Never applied, rolled back or superseded: nothing to journal.
     return Status::FailedPrecondition("nothing to roll back");
   }
+  KEA_RETURN_IF_ERROR(RefuseOtherCallsInFlight(JournaledCall::kRollback));
   const std::string rounds = std::to_string(round_count_);
-  if (ledger_ != nullptr && ledger_->Has("round/" + rounds + "/started")) {
-    return Status::FailedPrecondition(
-        "round " + rounds +
-        " is in flight; the tuning-round call that started it completes it");
-  }
   // --- MODULE_ROLLBACK: the pending batch, journaled before any machine is
   // touched; the effect undoes the recorded batch. One rollback at most takes
   // effect between two rounds, so the completed-round count keys it.

@@ -150,7 +150,10 @@ class KeaSession {
   ///     in-flight round from its last journaled step.
   /// A fresh segment holding the current records and an initial checkpoint
   /// are written immediately. From then on the store is append-only: a
-  /// store that shrinks is rewritten whole at the next checkpoint.
+  /// store that shrinks is rewritten whole at the next checkpoint. A ledger
+  /// that already holds events belongs to an earlier session, which only
+  /// Resume() continues: the call then returns FailedPrecondition, writes
+  /// nothing and leaves the session non-durable.
   Status EnableDurability(const std::string& dir);
   /// As above with explicit knobs (generation retention).
   Status EnableDurability(const DurabilityOptions& options);
@@ -375,6 +378,17 @@ class KeaSession {
   /// journal context only while a ledger exists.
   StatusOr<GuardedRound> RunTunedRound(const GuardedRoundOptions& options,
                                        std::vector<core::AppliedChange>* unguarded);
+
+  /// The calls that journal steps, each completing only its own.
+  enum class JournaledCall { kGuardedRound, kYarnRound, kRollback, kFabric };
+
+  /// FailedPrecondition while another call's journaled work is in flight,
+  /// since the caller's per-step checkpoints would cover its unrun steps
+  /// (coverage is a ledger prefix): round `round_count_` started (for a
+  /// round call, the other kind's waves or APPLY journaled), rollback
+  /// `round_count_` journaled but not yet durable, or fabric run
+  /// `fabric_count_` started. OK without a ledger.
+  Status RefuseOtherCallsInFlight(JournaledCall caller) const;
 
   /// The one fabric body, durable or not: queue sealed at FABRIC_STARTED,
   /// flights run by ExperimentFabric::Run, outcome sealed at

@@ -365,28 +365,22 @@ Status ExperimentFabric::DecodeConclusion(const std::string& blob,
   return Status::OK();
 }
 
-StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
-    const std::vector<FlightRequest>& requests, sim::Cluster* cluster,
-    const telemetry::TelemetryStore* store, sim::HourIndex start_hour,
-    const AdvanceFn& advance, JournalContext* ctx) {
-  if (cluster == nullptr) return Status::InvalidArgument("null cluster");
-  if (store == nullptr) return Status::InvalidArgument("null telemetry store");
-  if (!advance) return Status::InvalidArgument("null advance function");
+Status ExperimentFabric::Validate(const std::vector<FlightRequest>& requests,
+                                  const Options& options, size_t fleet) {
   if (requests.empty()) {
     return Status::InvalidArgument("no flight requests");
   }
-  if (options_.max_flighted_fraction <= 0.0 ||
-      options_.max_flighted_fraction > 1.0) {
+  if (options.max_flighted_fraction <= 0.0 ||
+      options.max_flighted_fraction > 1.0) {
     return Status::InvalidArgument(
         "max_flighted_fraction must be in (0, 1]");
   }
-  if (options_.baseline_hours <= 0) {
+  if (options.baseline_hours <= 0) {
     return Status::InvalidArgument("baseline_hours must be positive");
   }
-  if (options_.num_threads < 1) {
+  if (options.num_threads < 1) {
     return Status::InvalidArgument("num_threads must be >= 1");
   }
-  const size_t fleet = cluster->machines().size();
   for (const FlightRequest& req : requests) {
     if (req.machines_per_arm <= 0) {
       return Status::InvalidArgument("machines_per_arm must be positive");
@@ -407,6 +401,18 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
       }
     }
   }
+  return Status::OK();
+}
+
+StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
+    const std::vector<FlightRequest>& requests, sim::Cluster* cluster,
+    const telemetry::TelemetryStore* store, sim::HourIndex start_hour,
+    const AdvanceFn& advance, JournalContext* ctx) {
+  if (cluster == nullptr) return Status::InvalidArgument("null cluster");
+  if (store == nullptr) return Status::InvalidArgument("null telemetry store");
+  if (!advance) return Status::InvalidArgument("null advance function");
+  const size_t fleet = cluster->machines().size();
+  KEA_RETURN_IF_ERROR(Validate(requests, options_, fleet));
 
   const size_t budget = static_cast<size_t>(
       options_.max_flighted_fraction * static_cast<double>(fleet));

@@ -150,6 +150,14 @@ class ExperimentFabric {
                        sim::HourIndex start_hour, const AdvanceFn& advance,
                        JournalContext* ctx);
 
+  /// The checks Run makes of its queue and options before any step, for a
+  /// fleet of `fleet` machines: InvalidArgument for an empty queue or a
+  /// non-positive option or request field, OutOfRange for a pinned machine
+  /// outside the fleet. A caller that journals its own step before Run
+  /// checks first, so a queue Run would refuse is never sealed.
+  static Status Validate(const std::vector<FlightRequest>& requests,
+                         const Options& options, size_t fleet);
+
   /// Bit-exact codec for FlightConclusion (FLIGHT_CONCLUDED payloads and
   /// report signatures in tests).
   static std::string EncodeConclusion(const FlightConclusion& c);

@@ -1,9 +1,14 @@
 #include "ml/regression.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <string>
+#include <utility>
 
 namespace kea::ml {
 
@@ -21,9 +26,21 @@ Status ValidateDataset(const Dataset& data) {
   return Status::OK();
 }
 
-LinearModel ModelFromSolution(const Vector& beta) {
-  Vector coef(beta.begin() + 1, beta.end());
-  return LinearModel(beta[0], std::move(coef));
+/// ValidateDataset, and every entry finite: a NaN or infinite entry makes
+/// every fit non-finite, and a NaN residual has no rank in MedianAbs.
+Status ValidateFitData(const Dataset& data) {
+  KEA_RETURN_IF_ERROR(ValidateDataset(data));
+  for (size_t r = 0; r < data.x.rows(); ++r) {
+    for (size_t c = 0; c < data.x.cols(); ++c) {
+      if (!std::isfinite(data.x(r, c))) {
+        return Status::InvalidArgument("non-finite feature in row " + std::to_string(r));
+      }
+    }
+    if (!std::isfinite(data.y[r])) {
+      return Status::InvalidArgument("non-finite target in row " + std::to_string(r));
+    }
+  }
+  return Status::OK();
 }
 
 Status ValidateWeights(const Dataset& data, const Vector& weights) {
@@ -32,18 +49,74 @@ Status ValidateWeights(const Dataset& data, const Vector& weights) {
   }
   for (double w : weights) {
     if (w < 0.0) return Status::InvalidArgument("negative observation weight");
+    if (!std::isfinite(w)) return Status::InvalidArgument("non-finite observation weight");
   }
   return Status::OK();
 }
+
+/// Solves the normal equations whose upper triangle `gram` holds, with the
+/// ridge term added to the coefficients' diagonal after the sums (the
+/// intercept, index 0, stays free): Cholesky, with pivoted Gaussian
+/// elimination as the fallback for semi-definite systems.
+StatusOr<LinearModel> SolveNormalEquations(Matrix gram, Vector rhs, double l2) {
+  const size_t p = rhs.size();
+  for (size_t i = 0; i < p; ++i) {
+    for (size_t j = 0; j < i; ++j) gram(i, j) = gram(j, i);
+  }
+  if (l2 > 0.0) {
+    for (size_t i = 1; i < p; ++i) gram(i, i) += l2;
+  }
+  auto chol = SolveCholesky(gram, rhs);
+  Vector beta;
+  if (chol.ok()) {
+    beta = std::move(chol).value();
+  } else {
+    KEA_ASSIGN_OR_RETURN(beta, SolveLinearSystem(std::move(gram), std::move(rhs)));
+  }
+  Vector coef(beta.begin() + 1, beta.end());
+  return LinearModel(beta[0], std::move(coef));
+}
+
+/// The normal equations of the two-column design [1 | x], whose row r is
+/// sqrt(w_r) [1, x_r], in five running sums. Each sum adds its entry's
+/// products in the order Matrix::Gram() / TransposedMultiply() add them over
+/// the materialized design -- rows ascending, skipping a row whose
+/// multiplier (the row entry for Gram, the scaled target for the right-hand
+/// side) is zero -- so the solution is bit-identical to the materialized
+/// form. Selecting +0.0 instead of branching is the same skip: a sum that
+/// starts at +0.0 can never be -0.0, and adding +0.0 leaves any other value
+/// unchanged.
+struct LineSums {
+  double g00 = 0.0, g01 = 0.0, g11 = 0.0;  ///< Upper triangle of Z'Z.
+  double r0 = 0.0, r1 = 0.0;               ///< Z'(sqrt(w) y).
+
+  void Add(double x, double y, double w) {
+    // sqrt(1.0) is exactly 1.0, so a unit weight skips the root.
+    const double s = w == 1.0 ? 1.0 : std::sqrt(w);
+    const double xs = x * s;
+    const double ys = y * s;
+    g00 += s == 0.0 ? 0.0 : s * s;
+    g01 += s == 0.0 ? 0.0 : s * xs;
+    g11 += xs == 0.0 ? 0.0 : xs * xs;
+    r0 += ys == 0.0 ? 0.0 : ys * s;
+    r1 += ys == 0.0 ? 0.0 : ys * xs;
+  }
+
+  StatusOr<LinearModel> Solve(double l2) const {
+    Matrix gram(2, 2, 0.0);
+    gram(0, 0) = g00;
+    gram(0, 1) = g01;
+    gram(1, 1) = g11;
+    return SolveNormalEquations(std::move(gram), {r0, r1}, l2);
+  }
+};
 
 /// Rows of the design scaled per block of SolveWeighted.
 constexpr size_t kBlockRows = 64;
 
 /// sum + the products u[k] * v[k] over k < m, in order, skipping every k
 /// with u[k] == 0 -- the skip rule of Matrix::Gram (on the row entry) and
-/// Matrix::TransposedMultiply (on the vector entry). Selecting +0.0 instead
-/// of branching is the same skip: a sum that starts at +0.0 can never be
-/// -0.0, and adding +0.0 leaves any other value unchanged.
+/// Matrix::TransposedMultiply (on the vector entry), selected as in LineSums.
 double AccumulateNonZero(const double* u, const double* v, size_t m, double sum) {
   for (size_t k = 0; k < m; ++k) sum += u[k] == 0.0 ? 0.0 : u[k] * v[k];
   return sum;
@@ -51,16 +124,22 @@ double AccumulateNonZero(const double* u, const double* v, size_t m, double sum)
 
 /// Weighted least squares on the design [1 | x] with the ridge term on the
 /// coefficients only: solves (Z'Z + l2 I') beta = Z'(sqrt(w) y), where row r
-/// of Z is sqrt(w_r) [1, x_r]. Z is never materialized: rows are scaled a
-/// block at a time into `block` (caller-owned scratch), column by column,
-/// and each entry of the normal equations adds the block's products to its
-/// running sum. Every entry thus sums the operands of the materialized
-/// Gram() / TransposedMultiply() in their order -- rows ascending, the same
-/// zero skips -- and the ridge term is added after the sums, so the solution
-/// is bit-identical to the materialized form.
+/// of Z is sqrt(w_r) [1, x_r]. Z is never materialized. One feature takes
+/// LineSums; wider designs scale rows a block at a time into `block`
+/// (caller-owned scratch), column by column, and each entry of the normal
+/// equations adds the block's products to its running sum. Either way every
+/// entry sums the operands of the materialized Gram() / TransposedMultiply()
+/// in their order -- rows ascending, the same zero skips -- and the ridge
+/// term is added after the sums, so the solution is bit-identical to the
+/// materialized form.
 StatusOr<LinearModel> SolveWeighted(const Dataset& data, const Vector& weights,
                                     double l2, Vector* block) {
   const size_t n = data.y.size();
+  if (data.x.cols() == 1) {
+    LineSums sums;
+    for (size_t r = 0; r < n; ++r) sums.Add(data.x(r, 0), data.y[r], weights[r]);
+    return sums.Solve(l2);
+  }
   const size_t p = data.x.cols() + 1;
   Matrix gram(p, p, 0.0);
   Vector rhs(p, 0.0);
@@ -82,35 +161,122 @@ StatusOr<LinearModel> SolveWeighted(const Dataset& data, const Vector& weights,
       rhs[i] = AccumulateNonZero(column(p), column(i), m, rhs[i]);
     }
   }
-  for (size_t i = 0; i < p; ++i) {
-    for (size_t j = 0; j < i; ++j) gram(i, j) = gram(j, i);
-  }
-  // Regularize coefficients only; the intercept (index 0) stays free.
-  if (l2 > 0.0) {
-    for (size_t i = 1; i < p; ++i) gram(i, i) += l2;
-  }
-
-  auto chol = SolveCholesky(gram, rhs);
-  if (chol.ok()) return ModelFromSolution(chol.value());
-  // Fall back to pivoted Gaussian elimination for semi-definite cases.
-  KEA_ASSIGN_OR_RETURN(Vector beta, SolveLinearSystem(std::move(gram), std::move(rhs)));
-  return ModelFromSolution(beta);
+  return SolveNormalEquations(std::move(gram), std::move(rhs), l2);
 }
 
-/// Median of |values|, the robust residual scale (MAD); `scratch` is
-/// caller-owned. For even sizes the lower middle is the largest element
-/// left of the upper middle once nth_element has partitioned around it.
-double MedianAbs(const Vector& values, Vector* scratch) {
-  scratch->resize(values.size());
-  for (size_t i = 0; i < values.size(); ++i) (*scratch)[i] = std::fabs(values[i]);
-  const auto mid = scratch->begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
-  std::nth_element(scratch->begin(), mid, scratch->end());
-  double m = *mid;
-  if (values.size() % 2 == 0) m = 0.5 * (m + *std::max_element(scratch->begin(), mid));
-  return m;
+/// Bits per digit of the radix select. The first digit is the exponent,
+/// bits 52-62 (bit 63, the sign, is clear in every key); the rest slice the
+/// mantissa 11 bits at a time, the last slice 8 bits.
+constexpr int kDigitBits = 11;
+constexpr int kTopShift = 63 - kDigitBits;
+/// A bucket this small finishes with one nth_element.
+constexpr size_t kSelectTail = 32;
+
+using DigitCounts = std::array<uint32_t, size_t{1} << kDigitBits>;
+
+/// Ranks k - 1 and k (0 < k < n) of keys[0, n) in unsigned order, by
+/// most-significant-digit radix select; `counts` holds the histogram of the
+/// keys' first digit. The keys that share the digits chosen so far hold a
+/// contiguous run of ranks. Each level finds the bucket of its next digit
+/// that holds rank k and keeps only that bucket while rank k - 1 is in it
+/// too. Once rank k is its bucket's smallest key, rank k - 1 is the largest
+/// key of the buckets below, and one pass takes both. Reorders keys and
+/// overwrites counts.
+std::pair<uint64_t, uint64_t> SelectMiddle(uint64_t* keys, size_t n, size_t k,
+                                           DigitCounts& counts) {
+  int width = kDigitBits;
+  int shift = kTopShift;
+  uint64_t prefix = 0;  // The digits chosen so far.
+  while (true) {
+    const uint64_t mask = (uint64_t{1} << width) - 1;
+    uint64_t digit = 0;
+    while (counts[digit] <= k) k -= counts[digit++];
+    prefix = prefix << width | digit;
+    if (k == 0) {
+      uint64_t lower = 0, upper = ~uint64_t{0};
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t key = keys[i];
+        const uint64_t d = key >> shift & mask;
+        upper = std::min(upper, d == digit ? key : ~uint64_t{0});
+        lower = std::max(lower, d < digit ? key : 0);
+      }
+      return {lower, upper};
+    }
+    if (shift == 0) return {prefix, prefix};  // Every bit chosen: one value.
+    const size_t bucket = counts[digit];
+    const int next_width = std::min(kDigitBits, shift);
+    const int next_shift = shift - next_width;
+    const uint64_t next_mask = (uint64_t{1} << next_width) - 1;
+    std::fill_n(counts.begin(), next_mask + 1, 0u);
+    size_t kept = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t key = keys[i];
+      const bool in_bucket = (key >> shift & mask) == digit;
+      keys[kept] = key;
+      kept += in_bucket;
+      counts[key >> next_shift & next_mask] += in_bucket;
+    }
+    n = bucket;
+    if (n <= kSelectTail) {
+      std::nth_element(keys, keys + k, keys + n);
+      return {*std::max_element(keys, keys + k), keys[k]};
+    }
+    width = next_width;
+    shift = next_shift;
+  }
+}
+
+/// MedianAbs in two steps, so that a caller can key each value as it
+/// computes it: Reset, Put every value, then Median.
+class AbsMedian {
+ public:
+  void Reset(size_t n) {
+    keys_.resize(n);
+    counts_.fill(0);
+  }
+
+  /// fabs clears the sign (-0.0 becomes +0.0), and the bit patterns of
+  /// non-negative non-NaN doubles are ordered as their values are.
+  void Put(size_t i, double v) {
+    const uint64_t key = std::bit_cast<uint64_t>(std::fabs(v));
+    keys_[i] = key;
+    ++counts_[key >> kTopShift];
+  }
+
+  /// Consumes the keys; Reset before the next use.
+  double Median() {
+    const size_t n = keys_.size();
+    if (n == 1) return std::bit_cast<double>(keys_[0]);
+    const auto [lower, upper] = SelectMiddle(keys_.data(), n, n / 2, counts_);
+    const double m = std::bit_cast<double>(upper);
+    return n % 2 == 0 ? 0.5 * (m + std::bit_cast<double>(lower)) : m;
+  }
+
+ private:
+  std::vector<uint64_t> keys_;
+  DigitCounts counts_{};
+};
+
+/// IRLS ranks residuals, and a NaN has no rank. With finite data only a
+/// non-finite model -- normal equations that overflowed -- gives NaN
+/// residuals, so such a model ends the fit.
+Status CheckFinite(const LinearModel& model) {
+  bool finite = std::isfinite(model.intercept());
+  for (double c : model.coefficients()) finite = finite && std::isfinite(c);
+  if (finite) return Status::OK();
+  return Status::FailedPrecondition(
+      "Huber fit diverged to a non-finite model (the data overflow the "
+      "normal equations)");
 }
 
 }  // namespace
+
+double MedianAbs(const Vector& values) {
+  AbsMedian median;
+  median.Reset(values.size());
+  for (size_t i = 0; i < values.size(); ++i) median.Put(i, values[i]);
+  return median.Median();
+}
 
 double LinearModel::Predict(const Vector& features) const {
   assert(features.size() == coefficients_.size());
@@ -154,43 +320,59 @@ StatusOr<LinearModel> LinearRegressor::Fit(const Dataset& data) const {
 
 StatusOr<LinearModel> LinearRegressor::FitWeighted(const Dataset& data,
                                                    const Vector& weights) const {
-  KEA_RETURN_IF_ERROR(ValidateDataset(data));
+  KEA_RETURN_IF_ERROR(ValidateFitData(data));
   KEA_RETURN_IF_ERROR(ValidateWeights(data, weights));
   Vector block;
   return SolveWeighted(data, weights, l2_, &block);
 }
 
 StatusOr<LinearModel> HuberRegressor::Fit(const Dataset& data) const {
-  KEA_RETURN_IF_ERROR(ValidateDataset(data));
+  KEA_RETURN_IF_ERROR(ValidateFitData(data));
   const size_t n = data.y.size();
   const size_t d = data.x.cols();
+  const double delta = options_.delta;
   // One set of buffers serves every IRLS iteration.
-  Vector weights(n, 1.0), residuals(n), scratch;
+  Vector weights(n, 1.0), residuals(n), block;
+  AbsMedian median;
   KEA_ASSIGN_OR_RETURN(LinearModel model,
-                       SolveWeighted(data, weights, options_.l2, &scratch));
+                       SolveWeighted(data, weights, options_.l2, &block));
 
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
+    KEA_RETURN_IF_ERROR(CheckFinite(model));
     // Residuals of the current model, summed exactly as LinearModel::Predict.
+    // The robust scale's select keys each one as it is computed.
     const Vector& coef = model.coefficients();
+    median.Reset(n);
     for (size_t r = 0; r < n; ++r) {
       double dot = 0.0;
       for (size_t c = 0; c < d; ++c) dot += data.x(r, c) * coef[c];
       residuals[r] = data.y[r] - (model.intercept() + dot);
+      median.Put(r, residuals[r]);
     }
     // Robust scale: MAD / 0.6745 (consistent with sigma under normality).
-    double scale = MedianAbs(residuals, &scratch) / 0.6745;
+    double scale = median.Median() / 0.6745;
     if (scale < 1e-12) scale = 1e-12;
 
     double max_weight_change = 0.0;
-    for (size_t r = 0; r < n; ++r) {
-      double z = std::fabs(residuals[r]) / scale;
-      double w = z <= options_.delta ? 1.0 : options_.delta / z;
+    auto reweight = [&](size_t r) {
+      const double z = std::fabs(residuals[r]) / scale;
+      const double w = z <= delta ? 1.0 : delta / z;
       max_weight_change = std::max(max_weight_change, std::fabs(w - weights[r]));
       weights[r] = w;
+      return w;
+    };
+    if (d == 1) {
+      // The two-column design reweights and sums in one pass.
+      LineSums sums;
+      for (size_t r = 0; r < n; ++r) sums.Add(data.x(r, 0), data.y[r], reweight(r));
+      KEA_ASSIGN_OR_RETURN(model, sums.Solve(options_.l2));
+    } else {
+      for (size_t r = 0; r < n; ++r) reweight(r);
+      KEA_ASSIGN_OR_RETURN(model, SolveWeighted(data, weights, options_.l2, &block));
     }
-    KEA_ASSIGN_OR_RETURN(model, SolveWeighted(data, weights, options_.l2, &scratch));
     if (max_weight_change < options_.tolerance) break;
   }
+  KEA_RETURN_IF_ERROR(CheckFinite(model));
   return model;
 }
 

@@ -56,11 +56,13 @@ class LinearRegressor {
   /// intercept).
   explicit LinearRegressor(double l2 = 0.0) : l2_(l2) {}
 
-  /// Fits the model. Returns InvalidArgument if the dataset is empty or
-  /// shapes mismatch; FailedPrecondition if the system is singular.
+  /// Fits the model. Returns InvalidArgument if the dataset is empty, shapes
+  /// mismatch or an entry of x or y is NaN or infinite; FailedPrecondition if
+  /// the system is singular.
   StatusOr<LinearModel> Fit(const Dataset& data) const;
 
-  /// Weighted fit; `weights` must be non-negative, one per observation.
+  /// Weighted fit; `weights` must be finite and non-negative, one per
+  /// observation.
   StatusOr<LinearModel> FitWeighted(const Dataset& data, const Vector& weights) const;
 
  private:
@@ -85,7 +87,9 @@ class HuberRegressor {
   explicit HuberRegressor() : options_(Options()) {}
   explicit HuberRegressor(const Options& options) : options_(options) {}
 
-  /// Fits the model; error conditions match LinearRegressor::Fit.
+  /// Fits the model; error conditions match LinearRegressor::Fit, plus
+  /// FailedPrecondition when the data overflow the normal equations and a
+  /// fitted model is not finite.
   StatusOr<LinearModel> Fit(const Dataset& data) const;
 
  private:
@@ -101,6 +105,12 @@ struct RegressionMetrics {
 
 /// Evaluates `model` on `data`.
 StatusOr<RegressionMetrics> Evaluate(const LinearModel& model, const Dataset& data);
+
+/// Median of |values|, the robust residual scale (MAD) of the Huber fit: for
+/// an even count, 0.5 * (upper middle + lower middle). Exact: a radix select
+/// over the bit patterns of |v|, whose unsigned order is the values' order.
+/// `values` must be non-empty and NaN-free.
+double MedianAbs(const Vector& values);
 
 /// Builds a 1-D dataset from paired samples (x_i, y_i).
 Dataset MakeDataset1D(const Vector& x, const Vector& y);

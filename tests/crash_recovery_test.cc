@@ -611,6 +611,58 @@ TEST(CrashRecoveryTest, InFlightStepIsCompletedByTheCallThatJournaledIt) {
   EXPECT_TRUE(s.RunGuardedTuningRound(RoundOptions()).ok());
 }
 
+TEST(CrashRecoveryTest, EnableDurabilityRefusesAnEarlierSessionsLedger) {
+  // A restarted process must Resume. EnableDurability over a ledger with
+  // events used to cover it whole: the new session's rounds replayed the old
+  // round's steps, returned "converged" and never deployed again.
+  for (const bool torn : {false, true}) {
+    SCOPED_TRACE(torn ? "torn tail" : "clean ledger");
+    const std::string dir = FreshDir("crash_enable_over_ledger");
+    std::string cluster_a;
+    sim::HourIndex now_a = 0;
+    {
+      auto a = MakeDurableSession(dir);
+      auto round = a->RunGuardedTuningRound(RoundOptions());
+      ASSERT_TRUE(round.ok()) << round.status();
+      cluster_a = ClusterSignature(*a);
+      now_a = a->now();
+    }
+    if (torn) {
+      // What a crash mid-append leaves: a frame header whose length runs
+      // past the end of the file. Opening the ledger would repair it.
+      std::string frame(8, '\0');
+      frame[0] = 64;
+      std::ofstream(dir + "/ledger.kea", std::ios::binary | std::ios::app)
+          << frame << "abc";
+    }
+    auto files = [&] {
+      std::map<std::string, std::string> bytes;
+      for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        bytes[entry.path().filename().string()] = RawRead(entry.path().string());
+      }
+      return bytes;
+    };
+    const std::map<std::string, std::string> before = files();
+    ASSERT_TRUE(before.count("ledger.kea"));
+
+    KeaSession::Config config;
+    config.machines = kMachines;
+    config.seed = 7;
+    auto b = std::move(KeaSession::Create(config)).value();
+    Status refused = b->EnableDurability(dir);
+    EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition) << refused;
+    EXPECT_NE(refused.message().find("Resume"), std::string::npos) << refused;
+    EXPECT_EQ(b->ledger(), nullptr);
+    ASSERT_TRUE(b->Simulate(kPreludeHours).ok());
+    EXPECT_EQ(files(), before);
+
+    auto resumed = KeaSession::Resume(dir);
+    ASSERT_TRUE(resumed.ok()) << resumed.status();
+    EXPECT_EQ(ClusterSignature(**resumed), cluster_a);
+    EXPECT_EQ((*resumed)->now(), now_a);
+  }
+}
+
 /// A session with self-healing on, durable when `dir` is non-empty, and the
 /// same telemetry prelude either way.
 std::unique_ptr<KeaSession> MakeHealingSession(const std::string& dir) {

@@ -831,6 +831,156 @@ TEST(FabricCrashRecoveryTest, SweepEveryCrashPointThroughFlightRollback) {
   SweepFabricCrashPoints(ref, requests, "rollback");
 }
 
+/// A guarded round that fits the small rack world's prelude.
+KeaSession::GuardedRoundOptions SmallRoundOptions() {
+  KeaSession::GuardedRoundOptions options;
+  options.lookback_hours = kea::core::kPreludeHours;
+  options.rollout.wave_fractions = {0.5, 1.0};
+  options.rollout.observe_hours_per_wave = 4;
+  options.rollout.baseline_hours = 8;
+  return options;
+}
+
+/// Fleet, telemetry and clock of a session, for end-state comparisons.
+std::string WorldSignature(const KeaSession& session) {
+  return ClusterSignature(session) + session.store().ToCsv() +
+         std::to_string(session.now());
+}
+
+TEST(FabricCrashRecoveryTest, FabricInFlightRefusesRoundsUntilItFinishes) {
+  // A fabric run crashed after journaling flight f0's start. A round run
+  // before the fabric call is repeated used to checkpoint past f0's start,
+  // so the repeated fabric replayed it and f0's patch never ran.
+  const auto requests = SweepRequests(false);
+  std::string want_world, want_report;
+  {
+    auto session = MakeDurableSession(FreshDir("fabric_then_round"));
+    auto report = session->RunExperimentFabric(requests, KeaSession::FabricRoundOptions());
+    ASSERT_TRUE(report.ok()) << report.status();
+    want_report = kea::core::FabricReportSignature(*report);
+    ASSERT_TRUE(session->RunGuardedTuningRound(SmallRoundOptions()).ok());
+    want_world = WorldSignature(*session);
+  }
+  const std::string dir = FreshDir("fabric_in_flight_round");
+  {
+    auto session = MakeDurableSession(dir);
+    CrashPoints::Arm("fabric.started.post_record", 0);
+    auto crashed = session->RunExperimentFabric(requests, KeaSession::FabricRoundOptions());
+    CrashPoints::Reset();
+    ASSERT_TRUE(CrashPoints::IsCrash(crashed.status())) << crashed.status();
+  }
+  auto resumed = KeaSession::Resume(dir);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  KeaSession& s = **resumed;
+  const uint64_t events = s.ledger()->next_seq();
+  EXPECT_EQ(s.RunGuardedTuningRound(SmallRoundOptions()).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(s.RunYarnTuningRound(YarnConfigTuner::Options(), kea::core::kPreludeHours, 1)
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(s.ledger()->next_seq(), events);
+  auto report = s.RunExperimentFabric(requests, KeaSession::FabricRoundOptions());
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(kea::core::FabricReportSignature(*report), want_report);
+  ASSERT_TRUE(s.RunGuardedTuningRound(SmallRoundOptions()).ok());
+  EXPECT_EQ(WorldSignature(s), want_world);
+}
+
+TEST(FabricCrashRecoveryTest, RoundOrRollbackInFlightRefusesTheFabric) {
+  const auto requests = SweepRequests(false);
+  std::string want_world;
+  {
+    auto session = MakeDurableSession(FreshDir("round_then_fabric"));
+    ASSERT_TRUE(session->RunGuardedTuningRound(SmallRoundOptions()).ok());
+    ASSERT_TRUE(
+        session->RunExperimentFabric(requests, KeaSession::FabricRoundOptions()).ok());
+    want_world = WorldSignature(*session);
+  }
+  const std::string dir = FreshDir("round_in_flight_fabric");
+  {
+    auto session = MakeDurableSession(dir);
+    CrashPoints::Arm("session.round_started.post_record", 0);
+    auto crashed = session->RunGuardedTuningRound(SmallRoundOptions());
+    CrashPoints::Reset();
+    ASSERT_TRUE(CrashPoints::IsCrash(crashed.status())) << crashed.status();
+  }
+  {
+    auto resumed = KeaSession::Resume(dir);
+    ASSERT_TRUE(resumed.ok()) << resumed.status();
+    KeaSession& s = **resumed;
+    const uint64_t events = s.ledger()->next_seq();
+    EXPECT_EQ(s.RunExperimentFabric(requests, KeaSession::FabricRoundOptions())
+                  .status()
+                  .code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(s.ledger()->next_seq(), events);
+    ASSERT_TRUE(s.RunGuardedTuningRound(SmallRoundOptions()).ok());
+    ASSERT_TRUE(s.RunExperimentFabric(requests, KeaSession::FabricRoundOptions()).ok());
+    EXPECT_EQ(WorldSignature(s), want_world);
+
+    // A rollback journaled but not yet durable refuses the fabric too.
+    ASSERT_TRUE(
+        s.RunYarnTuningRound(YarnConfigTuner::Options(), kea::core::kPreludeHours, 1).ok());
+    ASSERT_TRUE(s.deployment().has_pending_batch());
+    CrashPoints::Arm("session.rollback.post_record", 0);
+    Status crashed = s.RollbackLastDeployment();
+    CrashPoints::Reset();
+    ASSERT_TRUE(CrashPoints::IsCrash(crashed)) << crashed;
+  }
+  auto resumed = KeaSession::Resume(dir);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  KeaSession& s = **resumed;
+  EXPECT_EQ(s.RunExperimentFabric(requests, KeaSession::FabricRoundOptions())
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(s.RollbackLastDeployment().ok());
+  EXPECT_TRUE(s.RunExperimentFabric(requests, KeaSession::FabricRoundOptions()).ok());
+}
+
+TEST(FabricCrashRecoveryTest, RefusedQueueIsNeverSealed) {
+  // A queue the fabric refuses used to be sealed at FABRIC_STARTED first.
+  // That held the fabric in flight for good: rounds and rollbacks were
+  // refused, and an empty queue could never be repeated to completion.
+  const std::string dir = FreshDir("fabric_refused_queue");
+  {
+    auto session = MakeDurableSession(dir);
+    std::vector<FlightRequest> zero_arm = SweepRequests(false);
+    zero_arm[0].machines_per_arm = 0;
+    KeaSession::FabricRoundOptions no_baseline;
+    no_baseline.fabric.baseline_hours = 0;
+    const uint64_t events = session->ledger()->next_seq();
+    EXPECT_EQ(session->RunExperimentFabric({}, KeaSession::FabricRoundOptions())
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(session->RunExperimentFabric(zero_arm, KeaSession::FabricRoundOptions())
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(session->RunExperimentFabric(SweepRequests(false), no_baseline)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(session->ledger()->next_seq(), events);
+
+    ASSERT_TRUE(
+        session->RunYarnTuningRound(YarnConfigTuner::Options(), kea::core::kPreludeHours, 1)
+            .ok());
+    ASSERT_TRUE(session->deployment().has_pending_batch());
+    EXPECT_TRUE(session->RollbackLastDeployment().ok());
+    EXPECT_TRUE(session->RunGuardedTuningRound(SmallRoundOptions()).ok());
+  }
+  // Nothing sealed survives a restart either: fabric run 0 is still free.
+  auto resumed = KeaSession::Resume(dir);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_TRUE((*resumed)
+                  ->RunExperimentFabric(SweepRequests(false), KeaSession::FabricRoundOptions())
+                  .ok());
+  EXPECT_TRUE((*resumed)->ledger()->Has("fab/0/finished"));
+}
+
 TEST(FabricCrashRecoveryTest, CleanResumeAfterFabricIsBitIdentical) {
   const std::string dir = FreshDir("fabric_clean_resume");
   auto session = MakeDurableSession(dir);

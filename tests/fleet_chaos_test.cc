@@ -572,8 +572,11 @@ TEST(FleetChaosSweepTest, HealingLoopSurvivesCheckpointResume) {
   };
   std::string dir_a = ::testing::TempDir() + "/fleet_chaos_resume_a";
   std::string dir_b = ::testing::TempDir() + "/fleet_chaos_resume_b";
-  std::filesystem::create_directories(dir_a);
-  std::filesystem::create_directories(dir_b);
+  // An earlier run's ledger would make EnableDurability refuse the directory.
+  for (const std::string& dir : {dir_a, dir_b}) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+  }
 
   auto drive_to_trip = [](KeaSession* session) {
     // One week primes the seasonal baselines, and 72 more clean hours let the

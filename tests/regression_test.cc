@@ -6,10 +6,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "reference_fits.h"
 
 namespace kea::ml {
 namespace {
@@ -248,82 +251,11 @@ INSTANTIATE_TEST_SUITE_P(ContaminationLevels, HuberContaminationTest,
 
 // ---------------------------------------------------------------------------
 // Bit-identity against the materialized normal equations. FitWeighted and
-// HuberRegressor stream the design row by row; the reference below builds
-// the design [1 | x] scaled by sqrt(w) in full and solves through
-// Matrix::Gram() / TransposedMultiply(), Cholesky with the elimination
-// fallback -- the formulation the streamed code must reproduce bit for bit.
-
-struct ReferenceFit {
-  StatusOr<LinearModel> model;
-  bool used_elimination = false;  ///< Cholesky failed on the Gram matrix.
-};
-
-ReferenceFit ReferenceWls(const Dataset& data, const Vector& weights, double l2) {
-  Matrix design(data.x.rows(), data.x.cols() + 1, 0.0);
-  Vector scaled_y(data.y.size());
-  for (size_t r = 0; r < design.rows(); ++r) {
-    design(r, 0) = 1.0;
-    for (size_t c = 0; c < data.x.cols(); ++c) design(r, c + 1) = data.x(r, c);
-    double s = std::sqrt(weights[r]);
-    for (size_t c = 0; c < design.cols(); ++c) design(r, c) *= s;
-    scaled_y[r] = data.y[r] * s;
-  }
-  Matrix gram = design.Gram();
-  if (l2 > 0.0) {
-    for (size_t i = 1; i < gram.rows(); ++i) gram(i, i) += l2;
-  }
-  Vector rhs = design.TransposedMultiply(scaled_y).value();
-  ReferenceFit fit{Status::Internal("unset")};
-  StatusOr<Vector> beta = SolveCholesky(gram, rhs);
-  if (!beta.ok()) {
-    fit.used_elimination = true;
-    beta = SolveLinearSystem(gram, rhs);
-  }
-  if (!beta.ok()) {
-    fit.model = beta.status();
-    return fit;
-  }
-  fit.model = LinearModel((*beta)[0], Vector(beta->begin() + 1, beta->end()));
-  return fit;
-}
-
-double ReferenceMedianAbs(Vector values) {
-  for (double& v : values) v = std::fabs(v);
-  size_t mid = values.size() / 2;
-  std::nth_element(values.begin(), values.begin() + mid, values.end());
-  double m = values[mid];
-  if (values.size() % 2 == 0) {
-    std::nth_element(values.begin(), values.begin() + mid - 1, values.begin() + mid);
-    m = 0.5 * (m + values[mid - 1]);
-  }
-  return m;
-}
-
-StatusOr<LinearModel> ReferenceHuber(const Dataset& data,
-                                     const HuberRegressor::Options& options) {
-  Vector weights(data.y.size(), 1.0);
-  StatusOr<LinearModel> model = ReferenceWls(data, weights, options.l2).model;
-  for (int iter = 0; iter < options.max_iterations && model.ok(); ++iter) {
-    Vector residuals(data.y.size());
-    for (size_t r = 0; r < data.y.size(); ++r) {
-      Vector features(data.x.cols());
-      for (size_t c = 0; c < data.x.cols(); ++c) features[c] = data.x(r, c);
-      residuals[r] = data.y[r] - model->Predict(features);
-    }
-    double scale = ReferenceMedianAbs(residuals) / 0.6745;
-    if (scale < 1e-12) scale = 1e-12;
-    double max_weight_change = 0.0;
-    for (size_t r = 0; r < residuals.size(); ++r) {
-      double z = std::fabs(residuals[r]) / scale;
-      double w = z <= options.delta ? 1.0 : options.delta / z;
-      max_weight_change = std::max(max_weight_change, std::fabs(w - weights[r]));
-      weights[r] = w;
-    }
-    model = ReferenceWls(data, weights, options.l2).model;
-    if (max_weight_change < options.tolerance) break;
-  }
-  return model;
-}
+// HuberRegressor stream the design row by row; the references in
+// reference_fits.h build the design [1 | x] scaled by sqrt(w) in full and
+// solve through Matrix::Gram() / TransposedMultiply(), Cholesky with the
+// elimination fallback -- the formulation the streamed code must reproduce
+// bit for bit.
 
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
@@ -441,6 +373,116 @@ TEST(StreamedFitBitIdentityTest, CholeskyFallbackAndRankDeficientDesigns) {
   }
   const Vector ones(zero_column.size(), 1.0);
   EXPECT_TRUE(ReferenceWls(zero_column, ones, 0.0).used_elimination);
+}
+
+TEST(StreamedFitBitIdentityTest, HuberIrlsEdgeCases) {
+  Rng rng(34);
+  std::vector<std::pair<std::string, Dataset>> cases;
+  // All-zero targets fit the zero model exactly, so every residual is zero
+  // and the scale takes its 1e-12 floor; a constant target fits to within
+  // rounding and takes the floor too.
+  Vector x(12), zeros(12, 0.0), constant(12, 3.0);
+  for (size_t i = 0; i < x.size(); ++i) x[i] = static_cast<double>(i);
+  cases.emplace_back("zero residuals", MakeDataset1D(x, zeros));
+  cases.emplace_back("constant target", MakeDataset1D(x, constant));
+  // Every row twice: the residuals tie in pairs.
+  Dataset line = NoisyLine(1.0, -2.0, 150, 0.3, &rng);
+  for (size_t i = 0; i < line.size(); i += 7) line.y[i] += 15.0;
+  Vector dx, dy;
+  for (size_t i = 0; i < line.size(); ++i) {
+    for (int copy = 0; copy < 2; ++copy) {
+      dx.push_back(line.x(i, 0));
+      dy.push_back(line.y[i]);
+    }
+  }
+  cases.emplace_back("duplicated rows", MakeDataset1D(dx, dy));
+  cases.emplace_back("n = 3", MakeDataset1D({0.5, 1.5, 4.0}, {1.0, 2.5, 9.0}));
+  for (const auto& [name, data] : cases) {
+    for (double l2 : {0.0, 0.75}) {
+      SCOPED_TRACE(name + " l2=" + std::to_string(l2));
+      HuberRegressor::Options options;
+      options.l2 = l2;
+      ExpectSameFit(HuberRegressor(options).Fit(data), ReferenceHuber(data, options));
+    }
+  }
+}
+
+/// Bits of `v` with its low `bits` bits replaced by random ones.
+double WithRandomLowBits(double v, int bits, Rng* rng) {
+  const uint64_t mask = (uint64_t{1} << bits) - 1;
+  const uint64_t low = static_cast<uint64_t>(rng->Uniform(0.0, 1.0) * 4294967296.0) &
+                       mask;
+  return std::bit_cast<double>((std::bit_cast<uint64_t>(v) & ~mask) | low);
+}
+
+TEST(MedianAbsTest, MatchesNthElementOnNanFreeVectors) {
+  Rng rng(35);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double subnormal = std::numeric_limits<double>::denorm_min();
+  const Vector small_set = {0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-300, -inf};
+  std::vector<size_t> sizes = {1, 2, 3, 4, 5, 31, 32, 33, 34, 64, 65, 100, 101,
+                               1000, 1001, 2047, 2048, 3359, 3360, 3999, 4000};
+  for (int i = 0; i < 24; ++i) sizes.push_back(1 + static_cast<size_t>(rng.Uniform(0.0, 4000.0)));
+  // Each generator fills one value; "shared bits" values agree on all but
+  // their low 8 (or 20) bits, so every digit of the select takes part.
+  const std::vector<std::pair<std::string, std::function<double()>>> generators = {
+      {"gaussian", [&] { return rng.Gaussian(0.0, 3.0); }},
+      {"outliers", [&] { return rng.Gaussian() + (rng.Uniform(0, 1) < 0.1 ? 50.0 : 0.0); }},
+      {"ties", [&] { return small_set[static_cast<size_t>(rng.Uniform(0.0, 8.0))]; }},
+      {"all equal", [&] { return -3.25; }},
+      {"signed zeros", [&] { return rng.Uniform(0, 1) < 0.5 ? 0.0 : -0.0; }},
+      {"specials",
+       [&] {
+         switch (static_cast<int>(rng.Uniform(0.0, 6.0))) {
+           case 0: return -0.0;
+           case 1: return subnormal * std::floor(rng.Uniform(1.0, 100.0));
+           case 2: return -WithRandomLowBits(subnormal, 40, &rng);
+           case 3: return inf;
+           case 4: return std::numeric_limits<double>::max();
+           default: return rng.Gaussian();
+         }
+       }},
+      {"shared bits low 8", [&] { return WithRandomLowBits(-1.5, 8, &rng); }},
+      {"shared bits low 20", [&] { return WithRandomLowBits(1e6, 20, &rng); }},
+  };
+  for (const auto& [name, draw] : generators) {
+    for (size_t n : sizes) {
+      Vector values(n);
+      for (double& v : values) v = draw();
+      EXPECT_EQ(Bits(MedianAbs(values)), Bits(ReferenceMedianAbs(values)))
+          << name << " n=" << n;
+    }
+  }
+}
+
+TEST(LinearRegressorTest, RejectsNonFiniteInputs) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(36);
+  const Dataset clean = NoisyLine(1.0, 2.0, 30, 0.1, &rng);
+  std::vector<Dataset> bad(3, clean);
+  bad[0].x(4, 0) = nan;
+  bad[1].y[7] = nan;
+  bad[2].y[11] = inf;
+  for (const Dataset& data : bad) {
+    EXPECT_EQ(LinearRegressor().Fit(data).status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(HuberRegressor().Fit(data).status().code(), StatusCode::kInvalidArgument);
+  }
+  for (double w : {nan, inf}) {
+    Vector weights(clean.size(), 1.0);
+    weights[5] = w;
+    EXPECT_EQ(LinearRegressor().FitWeighted(clean, weights).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(HuberRegressorTest, RefusesAModelThatOverflows) {
+  // Finite data whose squares overflow: the normal equations hold inf, the
+  // fitted model is not finite, and its residuals could not be ranked.
+  Vector x = {1e200, -3e200, 2e200, 5e199};
+  Vector y = {1.0, 2.0, 3.0, 4.0};
+  EXPECT_EQ(HuberRegressor().Fit(MakeDataset1D(x, y)).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <map>
+#include <memory>
+#include <string>
+
+#include "apps/session.h"
+#include "reference_fits.h"
 #include "sim/fluid_engine.h"
 
 namespace kea::core {
@@ -163,6 +172,98 @@ TEST(WhatIfEngineTest, FilterScopesTheFit) {
   EXPECT_EQ(sc1_only->models().size(), 6u);
   for (const auto& [key, gm] : sc1_only->models()) {
     EXPECT_EQ(key.sc, 0);
+  }
+}
+
+TEST(WhatIfEngineTest, NonFiniteBusyRecordIsRefused) {
+  // A record appended past the ingestion screens: the fit refuses its group
+  // instead of returning a non-finite model.
+  WhatIfFixture fx(60, 48);
+  telemetry::MachineHourRecord record;
+  fx.store.ForEach(nullptr, [&](const telemetry::MachineHourRecord& r) {
+    if (r.tasks_finished > 0.0) record = r;
+  });
+  ASSERT_GT(record.tasks_finished, 0.0);
+  record.avg_task_latency_s = std::numeric_limits<double>::quiet_NaN();
+  fx.store.Append(record);
+  auto engine = WhatIfEngine::Fit(fx.store, nullptr, WhatIfEngine::Options());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument) << engine.status();
+}
+
+/// One group's busy-record columns, read as WhatIfEngine::Fit reads them.
+struct BusyColumns {
+  ml::Vector containers, util, tasks, latency;
+};
+
+std::map<sim::MachineGroupKey, BusyColumns> ColumnsByGroup(
+    const telemetry::TelemetryStore& store, const telemetry::RecordFilter& filter) {
+  std::map<sim::MachineGroupKey, BusyColumns> columns;
+  for (const auto& [key, records] : store.GroupByKey(filter)) {
+    BusyColumns& c = columns[key];
+    for (const auto& r : records) {
+      if (r.tasks_finished <= 0.0) continue;
+      c.containers.push_back(r.avg_running_containers);
+      c.util.push_back(r.cpu_utilization);
+      c.tasks.push_back(r.tasks_finished);
+      c.latency.push_back(r.avg_task_latency_s);
+    }
+  }
+  return columns;
+}
+
+void ExpectSameBits(const ml::LinearModel& got, const ml::Vector& x, const ml::Vector& y,
+                    const std::string& what) {
+  const StatusOr<ml::LinearModel> want =
+      ml::ReferenceHuber(ml::MakeDataset1D(x, y), ml::HuberRegressor::Options());
+  ASSERT_TRUE(want.ok()) << what << ": " << want.status();
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.intercept()),
+            std::bit_cast<uint64_t>(want->intercept()))
+      << what;
+  ASSERT_EQ(got.coefficients().size(), 1u) << what;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.coefficients()[0]),
+            std::bit_cast<uint64_t>(want->coefficients()[0]))
+      << what;
+}
+
+TEST(WhatIfEngineTest, HuberModelsMatchTheMaterializedReference) {
+  // Every group's g/h/f carries the bits of the textbook IRLS (materialized
+  // design, nth_element MAD) on the same columns, at one thread and at four.
+  // Comparing with the reference rather than a pinned hash keeps the test
+  // independent of the host's libm.
+  apps::KeaSession::Config config;
+  config.seed = 7;
+  config.machines = 400;
+  auto clean = std::move(apps::KeaSession::Create(config)).value();
+  config.machines = 250;
+  auto dirty = std::move(apps::KeaSession::Create(config)).value();
+  apps::KeaSession::IngestionConfig ingestion;
+  ingestion.seed = 7;
+  ingestion.faults = sim::FaultProfile::Moderate();
+  ingestion.pipeline.max_lateness_hours = 12;
+  ingestion.pipeline.stuck_run_threshold = 6;
+  ASSERT_TRUE(dirty->EnableIngestionPipeline(ingestion).ok());
+  for (apps::KeaSession* session : {clean.get(), dirty.get()}) {
+    ASSERT_TRUE(session->Simulate(sim::kHoursPerWeek).ok());
+    const std::string window =
+        std::to_string(session->cluster().machines().size()) + " machines";
+    const telemetry::RecordFilter filter =
+        telemetry::HourRangeFilter(0, sim::kHoursPerWeek);
+    const auto columns = ColumnsByGroup(session->store(), filter);
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(window + ", " + std::to_string(threads) + " threads");
+      WhatIfEngine::Options options;
+      options.num_threads = threads;
+      auto engine = WhatIfEngine::Fit(session->store(), filter, options);
+      ASSERT_TRUE(engine.ok()) << engine.status();
+      ASSERT_EQ(engine->models().size(), 12u);
+      for (const auto& [key, gm] : engine->models()) {
+        const BusyColumns& c = columns.at(key);
+        const std::string group = sim::GroupLabel(key);
+        ExpectSameBits(gm.g, c.containers, c.util, group + " g");
+        ExpectSameBits(gm.h, c.util, c.tasks, group + " h");
+        ExpectSameBits(gm.f, c.util, c.latency, group + " f");
+      }
+    }
   }
 }
 
