@@ -1,13 +1,16 @@
 // Google-benchmark microbenchmarks for KEA's computational kernels: the
-// simplex solver, the regressors, the fluid simulation engine, and the
-// discrete-event job engine. These bound the cost of a daily tuning pass.
+// simplex solver, the regressors, the fluid simulation engine, the
+// discrete-event job engine, and keyed random substreams. These bound the
+// cost of a daily tuning pass.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <random>
 
 #include "apps/yarn_tuner.h"
 #include "bench/bench_util.h"
+#include "common/random.h"
 #include "core/whatif.h"
 #include "ml/forecast.h"
 #include "ml/mlp.h"
@@ -179,6 +182,60 @@ void BM_FullObservationalTuningPass(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullObservationalTuningPass);
+
+// A keyed substream's per-record pattern, as the fault injectors use it: a
+// fresh stream and one decision.
+void BM_RngKeyedDraw(benchmark::State& state) {
+  uint64_t key = 0;
+  for (auto _ : state) {
+    Rng rng(MixSeed(7, key++));
+    benchmark::DoNotOptimize(rng.Bernoulli(0.02));
+  }
+}
+BENCHMARK(BM_RngKeyedDraw);
+
+// Its twin on the generator Rng held before: std::mt19937_64 with Rng's two
+// distribution objects.
+void BM_StdRngKeyedDraw(benchmark::State& state) {
+  uint64_t key = 0;
+  for (auto _ : state) {
+    std::mt19937_64 engine(MixSeed(7, key++));
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::normal_distribution<double> normal(0.0, 1.0);
+    benchmark::DoNotOptimize(normal);
+    benchmark::DoNotOptimize(unit(engine) < 0.02);
+  }
+}
+BENCHMARK(BM_StdRngKeyedDraw);
+
+// A fresh stream read far past its first block, as a what-if group's noise
+// table reads one.
+void BM_RngFreshStream(benchmark::State& state) {
+  const int64_t draws = state.range(0);
+  uint64_t key = 0;
+  for (auto _ : state) {
+    Rng rng(MixSeed(7, key++));
+    double sum = 0.0;
+    for (int64_t i = 0; i < draws; ++i) sum += rng.Uniform();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * draws);
+}
+BENCHMARK(BM_RngFreshStream)->Arg(1000);
+
+void BM_StdRngFreshStream(benchmark::State& state) {
+  const int64_t draws = state.range(0);
+  uint64_t key = 0;
+  for (auto _ : state) {
+    std::mt19937_64 engine(MixSeed(7, key++));
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    double sum = 0.0;
+    for (int64_t i = 0; i < draws; ++i) sum += unit(engine);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * draws);
+}
+BENCHMARK(BM_StdRngFreshStream)->Arg(1000);
 
 }  // namespace
 

@@ -4,8 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <iosfwd>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,9 +23,68 @@ inline uint64_t MixSeed(uint64_t seed, uint64_t stream_id) {
   return z ^ (z >> 31);
 }
 
+/// MT19937-64 (Matsumoto & Nishimura) with std::mt19937_64's exact output
+/// sequence and operator<< text, whose first block is seeded lazily.
+///
+/// std::mt19937_64 computes all 312 seeding words and twists all 312 before
+/// its first draw, which a keyed substream making a handful of draws pays in
+/// full. Twisting word k < 156 reads only the untwisted words k, k + 1 and
+/// k + 156, so here draw k of the first block computes the seeding words up
+/// to k + 156 and twists word k alone. After kLazyDraws draws the rest of the
+/// block is seeded and twisted in one pass, so a long stream costs no more
+/// than std's; every later block is twisted whole, as std's is.
+class Mt19937_64 {
+ public:
+  using result_type = uint64_t;
+  static constexpr uint32_t kStateWords = 312;
+  /// Draws served one twisted word at a time before the first block is
+  /// finished in bulk.
+  static constexpr uint32_t kLazyDraws = 32;
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(result_type seed) { x_[0] = seed; }
+
+  result_type operator()() {
+    if (p_ == twisted_) Refill();
+    result_type z = x_[p_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  /// Writes std::mt19937_64's operator<< text for the same state: the 312
+  /// state words, then the position, each followed by a space but the last.
+  void Write(std::ostream& out) const;
+
+  /// Reads the text Write() (or std::mt19937_64's operator<<) produces.
+  /// Refuses a text that ends early and, by name, a position above 312;
+  /// either way this engine is left unchanged.
+  Status Read(std::istream& in);
+
+ private:
+  /// Makes word p_ available: twists the next block once this one is spent,
+  /// or advances the lazily seeded first block.
+  void Refill();
+  /// Computes the seeding words [seeded_, end).
+  void SeedThrough(uint32_t end);
+  /// Twists words [from, 312) of a block whose words [0, from) are twisted.
+  void TwistFrom(uint32_t from);
+
+  /// Value-initialised, so a copy of a lazily seeded engine reads no unset
+  /// word.
+  uint64_t x_[kStateWords]{};
+  uint32_t p_ = 0;        ///< Index of the next word to output.
+  uint32_t twisted_ = 0;  ///< Words [0, twisted_) hold the current block.
+  uint32_t seeded_ = 1;   ///< Seeding words [0, seeded_) are computed.
+};
+
 /// Deterministic pseudo-random generator used across the simulator and the
-/// Monte-Carlo machinery. Wraps std::mt19937_64 with convenience samplers so
-/// call sites don't instantiate distribution objects.
+/// Monte-Carlo machinery: an MT19937-64 engine (Mt19937_64, the draws of
+/// std::mt19937_64) with convenience samplers so call sites don't
+/// instantiate distribution objects.
 ///
 /// All KEA randomness flows through explicitly seeded Rng instances: runs are
 /// reproducible given the seed, which the tests and benches rely on.
@@ -109,40 +168,23 @@ class Rng {
   /// The seed this generator was constructed with (substream derivation key).
   uint64_t seed() const { return seed_; }
 
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
   /// Serializes the full generator state — seed, engine position, AND the
   /// distribution objects (std::normal_distribution caches a spare Gaussian
   /// between draws, so engine state alone is not enough for bit-identical
-  /// resume). Text format via the standard stream operators.
-  std::string SerializeState() const {
-    std::ostringstream out;
-    out << seed_ << '\n' << engine_ << '\n' << unit_ << '\n' << normal_ << '\n';
-    return out.str();
-  }
+  /// resume). Text format of the standard stream operators, byte for byte
+  /// what the same state held in a std::mt19937_64 writes.
+  std::string SerializeState() const;
 
   /// Restores state written by SerializeState(). After a successful restore
   /// the draw sequence continues exactly where the serialized generator was.
-  Status RestoreState(const std::string& state) {
-    std::istringstream in(state);
-    uint64_t seed = 0;
-    std::mt19937_64 engine;
-    std::uniform_real_distribution<double> unit;
-    std::normal_distribution<double> normal;
-    in >> seed >> engine >> unit >> normal;
-    if (in.fail()) {
-      return Status::InvalidArgument("malformed Rng state blob");
-    }
-    seed_ = seed;
-    engine_ = engine;
-    unit_ = unit;
-    normal_ = normal;
-    return Status::OK();
-  }
+  /// Refuses a blob that ends early or whose engine position is above 312.
+  Status RestoreState(const std::string& state);
 
  private:
   uint64_t seed_;
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
   std::uniform_real_distribution<double> unit_{0.0, 1.0};
   std::normal_distribution<double> normal_{0.0, 1.0};
 };

@@ -257,16 +257,16 @@ class AbsMedian {
   DigitCounts counts_{};
 };
 
-/// IRLS ranks residuals, and a NaN has no rank. With finite data only a
-/// non-finite model -- normal equations that overflowed -- gives NaN
-/// residuals, so such a model ends the fit.
+/// With finite data a fitted model is non-finite only when the normal
+/// equations overflowed. No fit returns such a model, and IRLS stops at one:
+/// it ranks residuals, and a NaN has no rank.
 Status CheckFinite(const LinearModel& model) {
   bool finite = std::isfinite(model.intercept());
   for (double c : model.coefficients()) finite = finite && std::isfinite(c);
   if (finite) return Status::OK();
   return Status::FailedPrecondition(
-      "Huber fit diverged to a non-finite model (the data overflow the "
-      "normal equations)");
+      "fit diverged to a non-finite model (the data overflow the normal "
+      "equations)");
 }
 
 }  // namespace
@@ -323,7 +323,9 @@ StatusOr<LinearModel> LinearRegressor::FitWeighted(const Dataset& data,
   KEA_RETURN_IF_ERROR(ValidateFitData(data));
   KEA_RETURN_IF_ERROR(ValidateWeights(data, weights));
   Vector block;
-  return SolveWeighted(data, weights, l2_, &block);
+  KEA_ASSIGN_OR_RETURN(LinearModel model, SolveWeighted(data, weights, l2_, &block));
+  KEA_RETURN_IF_ERROR(CheckFinite(model));
+  return model;
 }
 
 StatusOr<LinearModel> HuberRegressor::Fit(const Dataset& data) const {

@@ -58,7 +58,8 @@ class LinearRegressor {
 
   /// Fits the model. Returns InvalidArgument if the dataset is empty, shapes
   /// mismatch or an entry of x or y is NaN or infinite; FailedPrecondition if
-  /// the system is singular.
+  /// the system is singular or the data overflow the normal equations, so
+  /// the fitted model would not be finite.
   StatusOr<LinearModel> Fit(const Dataset& data) const;
 
   /// Weighted fit; `weights` must be finite and non-negative, one per
@@ -87,9 +88,7 @@ class HuberRegressor {
   explicit HuberRegressor() : options_(Options()) {}
   explicit HuberRegressor(const Options& options) : options_(options) {}
 
-  /// Fits the model; error conditions match LinearRegressor::Fit, plus
-  /// FailedPrecondition when the data overflow the normal equations and a
-  /// fitted model is not finite.
+  /// Fits the model; error conditions match LinearRegressor::Fit.
   StatusOr<LinearModel> Fit(const Dataset& data) const;
 
  private:

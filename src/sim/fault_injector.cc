@@ -37,6 +37,16 @@ Rng TelemetryFaultInjector::RecordRng(const telemetry::MachineHourRecord& r,
   return Rng(MixSeed(seed_ ^ salt, (id << 32) | hour));
 }
 
+bool TelemetryFaultInjector::IsStuck(int machine_id) {
+  auto [it, inserted] = stuck_verdict_.try_emplace(machine_id, false);
+  if (inserted) {
+    Rng rng(MixSeed(seed_ ^ kStuckSalt,
+                    static_cast<uint64_t>(static_cast<uint32_t>(machine_id))));
+    it->second = rng.Bernoulli(profile_.stuck_machine_fraction);
+  }
+  return it->second;
+}
+
 std::vector<telemetry::MachineHourRecord> TelemetryFaultInjector::Corrupt(
     const std::vector<telemetry::MachineHourRecord>& batch) {
   std::vector<telemetry::MachineHourRecord> out;
@@ -52,21 +62,17 @@ std::vector<telemetry::MachineHourRecord> TelemetryFaultInjector::Corrupt(
     // Stuck-counter machines replay their first observed payload forever
     // (identity fields — machine, hour, rack, group — stay live; it is the
     // measurements that freeze).
-    if (profile_.stuck_machine_fraction > 0.0) {
-      Rng machine_rng(MixSeed(seed_ ^ kStuckSalt,
-                              static_cast<uint64_t>(static_cast<uint32_t>(r.machine_id))));
-      if (machine_rng.Bernoulli(profile_.stuck_machine_fraction)) {
-        auto [it, inserted] = stuck_payload_.try_emplace(r.machine_id, r);
-        if (!inserted) {
-          telemetry::MachineHourRecord frozen = it->second;
-          frozen.machine_id = r.machine_id;
-          frozen.hour = r.hour;
-          frozen.rack = r.rack;
-          frozen.sku = r.sku;
-          frozen.sc = r.sc;
-          r = frozen;
-          ++counters_.stuck_replayed;
-        }
+    if (profile_.stuck_machine_fraction > 0.0 && IsStuck(r.machine_id)) {
+      auto [it, inserted] = stuck_payload_.try_emplace(r.machine_id, r);
+      if (!inserted) {
+        telemetry::MachineHourRecord frozen = it->second;
+        frozen.machine_id = r.machine_id;
+        frozen.hour = r.hour;
+        frozen.rack = r.rack;
+        frozen.sku = r.sku;
+        frozen.sc = r.sc;
+        r = frozen;
+        ++counters_.stuck_replayed;
       }
     }
 

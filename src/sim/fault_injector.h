@@ -106,10 +106,17 @@ class TelemetryFaultInjector {
   /// Substream for the per-record fault draws.
   Rng RecordRng(const telemetry::MachineHourRecord& r, uint64_t salt) const;
 
+  /// Whether a machine's counters freeze, drawn from a substream keyed on the
+  /// machine alone: once per machine, then remembered.
+  bool IsStuck(int machine_id);
+
   FaultProfile profile_;
   uint64_t seed_;
   Counters counters_;
 
+  /// IsStuck's verdicts. A pure function of the seed and the machine, so
+  /// not part of the serialized state.
+  std::unordered_map<int, bool> stuck_verdict_;
   /// Frozen metric payload per stuck machine, captured at first sight.
   std::unordered_map<int, telemetry::MachineHourRecord> stuck_payload_;
   /// Delayed records keyed by release hour.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace kea::sim {
@@ -127,6 +128,41 @@ TEST(FaultInjectorTest, StuckMachinesRepeatFirstPayload) {
     EXPECT_DOUBLE_EQ(second[i].tasks_finished, first[i].tasks_finished);
   }
   EXPECT_EQ(injector.counters().stuck_replayed, 10u);
+}
+
+TEST(FaultInjectorTest, StuckVerdictIsPerMachineAndNotCheckpointed) {
+  FaultProfile profile;
+  profile.stuck_machine_fraction = 0.3;
+  TelemetryFaultInjector injector(profile, 9);
+  const auto first = injector.Corrupt(MakeBatch(200, 0));
+  std::vector<int> replays(200, 0);
+  for (int hour = 1; hour <= 4; ++hour) {
+    const auto out = injector.Corrupt(MakeBatch(200, hour));
+    ASSERT_EQ(out.size(), 200u);
+    for (size_t m = 0; m < out.size(); ++m) {
+      if (out[m].tasks_finished == first[m].tasks_finished) ++replays[m];
+    }
+  }
+  // A machine replays its first payload every hour or never.
+  const auto stuck = std::count(replays.begin(), replays.end(), 4);
+  EXPECT_EQ(stuck + std::count(replays.begin(), replays.end(), 0), 200);
+  EXPECT_GT(stuck, 30);
+  EXPECT_LT(stuck, 90);
+  EXPECT_EQ(injector.counters().stuck_replayed, 4u * static_cast<size_t>(stuck));
+
+  // The verdicts are re-derived, not restored: a fresh injector resumed from
+  // the checkpoint continues exactly as the original.
+  TelemetryFaultInjector resumed(profile, 9);
+  ASSERT_TRUE(resumed.RestoreState(injector.SerializeState()).ok());
+  for (int hour = 5; hour <= 7; ++hour) {
+    const auto want = injector.Corrupt(MakeBatch(200, hour));
+    const auto got = resumed.Corrupt(MakeBatch(200, hour));
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].tasks_finished, want[i].tasks_finished);
+    }
+  }
+  EXPECT_EQ(resumed.SerializeState(), injector.SerializeState());
 }
 
 TEST(FaultInjectorTest, WriteHookFailsTransientlyAndDeterministically) {

@@ -485,5 +485,18 @@ TEST(HuberRegressorTest, RefusesAModelThatOverflows) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST(LinearRegressorTest, RefusesAModelThatOverflows) {
+  // The same data fit by least squares: no NaN model with an OK status.
+  Vector x = {1e200, -3e200, 2e200, 5e199};
+  Vector y = {1.0, 2.0, 3.0, 4.0};
+  const Dataset data = MakeDataset1D(x, y);
+  const Status fit = LinearRegressor().Fit(data).status();
+  EXPECT_EQ(fit.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(fit.message().find("non-finite model"), std::string::npos) << fit.message();
+  EXPECT_EQ(fit.message().find("Huber"), std::string::npos) << fit.message();
+  EXPECT_EQ(LinearRegressor().FitWeighted(data, Vector{1.0, 0.5, 2.0, 1.0}).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
 }  // namespace
 }  // namespace kea::ml

@@ -190,6 +190,31 @@ TEST(WhatIfEngineTest, NonFiniteBusyRecordIsRefused) {
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument) << engine.status();
 }
 
+TEST(WhatIfEngineTest, OverflowingGroupIsRefusedByEveryRegressor) {
+  // Finite records whose container counts overflow the normal equations of
+  // the g fit: no regressor kind returns a non-finite model with an OK
+  // status.
+  const double containers[] = {1e200, -3e200, 2e200, 5e199};
+  telemetry::TelemetryStore store;
+  for (int i = 0; i < 48; ++i) {
+    telemetry::MachineHourRecord r;
+    r.machine_id = i % 8;
+    r.hour = i / 8;
+    r.avg_running_containers = containers[i % 4];
+    r.cpu_utilization = 0.3 + 0.01 * (i % 7);
+    r.tasks_finished = 10.0 + i;
+    r.avg_task_latency_s = 5.0 + 0.1 * (i % 5);
+    store.Append(r);
+  }
+  for (RegressorKind kind : {RegressorKind::kOls, RegressorKind::kAuto, RegressorKind::kHuber}) {
+    WhatIfEngine::Options options;
+    options.regressor = kind;
+    const auto engine = WhatIfEngine::Fit(store, nullptr, options);
+    EXPECT_EQ(engine.status().code(), StatusCode::kFailedPrecondition)
+        << static_cast<int>(kind) << ": " << engine.status();
+  }
+}
+
 /// One group's busy-record columns, read as WhatIfEngine::Fit reads them.
 struct BusyColumns {
   ml::Vector containers, util, tasks, latency;
