@@ -54,7 +54,8 @@ kea::core::FlightRequest SmallFlight(const std::string& name,
   kea::core::FlightRequest req;
   req.name = name;
   req.sku = sku;
-  req.treatment.feature_enabled = true;
+  req.arms.resize(2);
+  req.arms[1].feature_enabled = true;
   req.machines_per_arm = per_arm;
   req.window_hours = kWindowHours;
   req.num_windows = windows;

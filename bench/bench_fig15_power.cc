@@ -2,8 +2,9 @@
 // tuning in the hybrid setting: per cap level, four concurrent groups of one
 // SKU (A: baseline, B: Feature, C: cap, D: cap+Feature), ~120 machines each,
 // >24h per round, compared on normalized metrics (Bytes per CPU Time, Bytes
-// per Second). Paper shape: Feature always helps (~+5% at 10% cap); deeper
-// caps degrade, with Feature-off degrading more.
+// per Second). Each round is one 4-arm experiment-fabric flight; the rounds
+// follow a baseline Sunday. Paper shape: Feature always helps (~+5% at 10%
+// cap); deeper caps degrade, with Feature-off degrading more.
 
 #include <cstdio>
 
@@ -24,7 +25,9 @@ int main() {
   options.group_size = 120;
   options.hours_per_round = 26;
   apps::PowerCappingStudy study(options);
-  auto result = study.Run(env.model, &env.cluster, env.engine.get(), &env.store, 0);
+  const sim::HourIndex monday = env.SimulateBaselineDay();
+  auto result =
+      study.Run(env.model, &env.cluster, env.engine.get(), &env.store, monday);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;

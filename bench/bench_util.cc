@@ -30,6 +30,11 @@ void BenchEnv::Run(sim::HourIndex start, int hours) {
   }
 }
 
+sim::HourIndex BenchEnv::SimulateBaselineDay() {
+  Run(sim::kHoursPerWeek - sim::kHoursPerDay, sim::kHoursPerDay);
+  return sim::kHoursPerWeek;
+}
+
 void PrintBanner(const std::string& artifact, const std::string& expectation) {
   std::printf("==============================================================\n");
   std::printf("KEA reproduction: %s\n", artifact.c_str());

@@ -30,6 +30,11 @@ struct BenchEnv {
 
   /// Runs the fluid engine for [start, start+hours) into the store.
   void Run(sim::HourIndex start, int hours);
+
+  /// Simulates the Sunday [144, 168): the day of telemetry a fabric flight
+  /// needs as its guardrail baseline. Returns the Monday hour an experiment
+  /// then starts at, so its days keep their weekdays.
+  sim::HourIndex SimulateBaselineDay();
 };
 
 /// Prints the standard bench banner: which paper artifact this regenerates

@@ -87,7 +87,8 @@ int main() {
       core::FlightRequest req;
       req.name = name;
       req.sku = sku;
-      req.treatment.feature_enabled = true;
+      req.arms.resize(2);
+      req.arms[1].feature_enabled = true;
       req.machines_per_arm = 8;
       req.window_hours = 6;
       req.num_windows = 2;
@@ -100,8 +101,8 @@ int main() {
       return req;
     };
     core::FlightRequest capacity = flight("containers+4 Gen4.2", 5);
-    capacity.treatment = core::ConfigPatch();
-    capacity.treatment.max_containers = 20;
+    capacity.arms[1] = core::ConfigPatch();
+    capacity.arms[1].max_containers = 20;
     auto fabric = session.RunExperimentFabric(
         {flight("feature Gen3.1", 3), flight("feature Gen3.2", 4), capacity},
         apps::KeaSession::FabricRoundOptions());
@@ -113,15 +114,24 @@ int main() {
           static_cast<size_t>(fabric->max_concurrent),
           static_cast<size_t>(fabric->peak_flighted_machines));
       for (const auto& f : fabric->flights) {
-        std::printf("  %-22s hours %d-%d  racks %zu  ", f.name.c_str(),
-                    f.start_hour, f.end_hour, f.racks.size());
+        std::printf("  %-22s ", f.name.c_str());
+        if (!f.admitted) {
+          std::printf("REJECTED: %s\n", core::InterferenceReasonToString(f.rejected));
+          continue;
+        }
+        std::printf("hours %d-%d  racks %zu  ", f.start_hour, f.end_hour,
+                    f.racks.size());
         if (f.tripped) {
-          std::printf("TRIPPED window %d, rolled back (%zu machines restored)\n",
-                      f.tripped_window, f.machines_restored);
+          std::printf("TRIPPED window %d arm %d, rolled back (%zu machines "
+                      "restored): %s\n",
+                      f.tripped_window, f.tripped_arm, f.machines_restored,
+                      f.trip_eval.Describe().c_str());
         } else if (f.effect_ok) {
+          // Effects are fractions; print them as percents.
+          const auto& arm = f.arms[1];
           std::printf("data read %+.2f%% [%+.2f%%, %+.2f%%]%s\n",
-                      f.data_read.percent_change, f.data_read_ci_low,
-                      f.data_read_ci_high,
+                      arm.data_read.percent_change * 100.0,
+                      arm.data_read_ci_low * 100.0, arm.data_read_ci_high * 100.0,
                       f.deferrals > 0 ? "  (deferred at admission)" : "");
         } else {
           std::printf("no measurable effect window\n");

@@ -20,7 +20,7 @@
 #include "apps/session.h"
 #include "apps/yarn_tuner.h"
 #include "core/deployment.h"
-#include "core/flighting.h"
+#include "core/experiment_fabric.h"
 #include "core/treatment.h"
 #include "sim/fluid_engine.h"
 #include "telemetry/perf_monitor.h"
@@ -66,7 +66,7 @@ int main() {
               plan->predicted_latency_after_s / plan->predicted_latency_before_s);
 
   // ---- Phase III: pilot flighting (the Section 5.2.2 ladder) --------------
-  std::printf("[3/5] pilot flighting on 40 machines of one group...\n");
+  std::printf("[3/5] pilot flighting on 40 machines of one group's SKU...\n");
   const core::GroupRecommendation* pilot = nullptr;
   for (const auto& rec : plan->recommendations) {
     if (rec.recommended_max_containers > rec.current_max_containers) pilot = &rec;
@@ -75,31 +75,47 @@ int main() {
     std::fprintf(stderr, "no group grows; nothing to pilot\n");
     return 1;
   }
-  std::vector<int> pilot_machines;
-  for (int id : cluster.groups().at(pilot->group)) {
-    pilot_machines.push_back(id);
-    if (pilot_machines.size() == 40) break;
-  }
-  core::FlightingService flighting;
-  core::ConfigPatch patch;
-  patch.max_containers = pilot->current_max_containers + 1;
-  auto flight = flighting.CreateFlight(
-      {"pilot_increase", pilot_machines, kMonthHours, kMonthHours + 48, patch});
-  if (!flight.ok()) return Fail(flight.status());
-  if (Status s = flighting.Begin(*flight, &cluster); !s.ok()) return Fail(s);
-  if (Status s = engine.Run(kMonthHours, 48, &store); !s.ok()) return Fail(s);
-  if (Status s = flighting.End(*flight, &cluster); !s.ok()) return Fail(s);
+  // One fabric flight on the group's SKU: 20 machines per arm dealt within
+  // racks, the pilot arm one container above today's config for two days,
+  // guarded against its own pre-pilot week.
+  core::FlightRequest pilot_flight;
+  pilot_flight.name = "pilot_increase";
+  pilot_flight.sku = pilot->group.sku;
+  pilot_flight.arms.resize(2);
+  pilot_flight.arms[1].max_containers = pilot->current_max_containers + 1;
+  pilot_flight.machines_per_arm = 20;
+  pilot_flight.window_hours = 24;
+  pilot_flight.num_windows = 2;
+  pilot_flight.guardrails.max_latency_ratio = 1.5;
+  pilot_flight.guardrails.max_queue_p99_ratio = 5.0;
+  pilot_flight.guardrails.queue_p99_floor_ms = 500.0;
+  // The pilot starts on a Monday: its guardrail baseline is the whole week
+  // before, not the quiet Sunday alone.
+  core::ExperimentFabric::Options fabric;
+  fabric.baseline_hours = sim::kHoursPerWeek;
+  sim::HourIndex now = kMonthHours;
+  auto flown = core::ExperimentFabric(fabric)
+                   .Run({pilot_flight}, &cluster, &store, now,
+                        [&](int hours) {
+                          KEA_RETURN_IF_ERROR(engine.Run(now, hours, &store));
+                          now += hours;
+                          return Status::OK();
+                        },
+                        nullptr);
+  if (!flown.ok()) return Fail(flown.status());
+  const core::ExperimentFabric::FlightConclusion& flight = flown->flights[0];
+  if (Status s = core::ConclusionStatus(flight); !s.ok()) return Fail(s);
 
   auto pilot_window = telemetry::AndFilter(
-      telemetry::HourRangeFilter(kMonthHours, kMonthHours + 48),
-      telemetry::MachineSetFilter(pilot_machines));
+      telemetry::HourRangeFilter(flight.start_hour, flight.end_hour),
+      telemetry::MachineSetFilter(flight.arms[1].machines));
   double pilot_containers = 0.0;
   size_t pilot_count = 0;
   for (const auto& r : store.Query(pilot_window)) {
     pilot_containers += r.avg_running_containers;
     ++pilot_count;
   }
-  std::printf("      pilot group ran %.2f containers/machine (config %d)\n",
+  std::printf("      pilot arm ran %.2f containers/machine (config %d)\n",
               pilot_containers / static_cast<double>(pilot_count),
               pilot->current_max_containers + 1);
 

@@ -37,7 +37,15 @@ int main() {
               options.cap_levels.size(), options.group_size,
               options.hours_per_round);
   apps::PowerCappingStudy study(options);
-  auto result = study.Run(model, &cluster.value(), &engine, &store, 0);
+  // A fabric flight needs a day of telemetry before it starts (its
+  // guardrail baseline): simulate the Sunday, then start the rounds Monday.
+  const sim::HourIndex monday = sim::kHoursPerWeek;
+  if (Status s = engine.Run(monday - sim::kHoursPerDay, sim::kHoursPerDay, &store);
+      !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 1;
+  }
+  auto result = study.Run(model, &cluster.value(), &engine, &store, monday);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;

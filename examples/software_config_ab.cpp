@@ -37,7 +37,15 @@ int main() {
               "treatment arm for %d workdays...\n",
               options.max_racks, options.workdays);
   apps::ScSelector selector(options);
-  auto result = selector.Run(&cluster.value(), &engine, &store, 0);
+  // A fabric flight needs a day of telemetry before it starts (its
+  // guardrail baseline): simulate the Sunday, then start the workdays Monday.
+  const sim::HourIndex monday = sim::kHoursPerWeek;
+  if (Status s = engine.Run(monday - sim::kHoursPerDay, sim::kHoursPerDay, &store);
+      !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 1;
+  }
+  auto result = selector.Run(&cluster.value(), &engine, &store, monday);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;

@@ -113,7 +113,7 @@ std::vector<core::FlightRequest> ExperimentPlanner::ToFlightRequests(
     core::FlightRequest req;
     req.name = "data-read-sku" + std::to_string(plan.sku);
     req.sku = plan.sku;
-    req.treatment = treatment;
+    req.arms = {core::ConfigPatch(), treatment};
     req.machines_per_arm = plan.machines_per_arm;
     req.window_hours = window_hours;
     // The planned horizon in whole guardrail windows; a partial trailing

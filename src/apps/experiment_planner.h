@@ -71,9 +71,9 @@ class ExperimentPlanner {
                               const std::vector<sim::SkuId>& skus) const;
 
   /// Converts the feasible plans of a batch into fabric flight requests: one
-  /// request per plan, arms sized by the plan, horizon = plan.days sliced
-  /// into `window_hours` guardrail windows (partial trailing windows are
-  /// dropped, mirroring TimeSlicingSchedule).
+  /// request per plan with arms {unpatched control, `treatment`}, arms sized
+  /// by the plan, horizon = plan.days sliced into `window_hours` guardrail
+  /// windows (a partial trailing window is dropped).
   static std::vector<core::FlightRequest> ToFlightRequests(
       const BatchPlan& batch, const core::ConfigPatch& treatment,
       int window_hours = 6);

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/experiment_fabric.h"
 #include "sim/cluster.h"
 #include "sim/fluid_engine.h"
 #include "sim/perf_model.h"
@@ -14,8 +15,8 @@ namespace kea::apps {
 /// Experimental tuning: power capping (Section 7.2). For each capping level,
 /// four machine groups of the same SKU run concurrently for a round
 /// (hybrid setting — chassis-level capping makes the ideal setting
-/// impossible):
-///   A: no capping, Feature off (baseline)
+/// impossible), as the four arms of one fabric flight:
+///   A: no capping, Feature off (baseline, the control arm)
 ///   B: no capping, Feature on
 ///   C: capping,    Feature off
 ///   D: capping,    Feature on
@@ -60,10 +61,25 @@ class PowerCappingStudy {
   PowerCappingStudy() : options_(Options()) {}
   explicit PowerCappingStudy(const Options& options) : options_(options) {}
 
-  /// Runs all experiment rounds on the simulator: selects hybrid groups,
-  /// flights each round's configuration, simulates, and analyzes. The engine
-  /// keeps appending to `store`; rounds start at `start_hour`. `model` is
-  /// used only to translate the recommended cap level into watts saved.
+  /// The study's queue: one 4-arm request per cap level, every one pinned to
+  /// the same HybridGroups, so the fabric serialises the rounds through the
+  /// racks they share. Each round is one guardrail window.
+  StatusOr<std::vector<core::FlightRequest>> Requests(
+      const sim::Cluster& cluster) const;
+
+  /// Reads Figure 15 from `store` over the arms and window of each round's
+  /// concluded flight. FailedPrecondition when a round was rejected or
+  /// tripped (core::ConclusionStatus). `model` is used only to translate the
+  /// recommended cap level into watts saved.
+  StatusOr<Result> Read(const sim::PerfModel& model,
+                        const telemetry::TelemetryStore& store,
+                        const core::ExperimentFabric::Report& report) const;
+
+  /// Runs all experiment rounds on the simulator: Requests, then
+  /// core::ExperimentFabric::Run without a journal (the engine keeps
+  /// appending to `store` from `start_hour`), then Read. The fabric restores
+  /// the configuration. `start_hour` must follow a day of telemetry, the
+  /// guardrail baseline.
   StatusOr<Result> Run(const sim::PerfModel& model, sim::Cluster* cluster,
                        sim::FluidEngine* engine, telemetry::TelemetryStore* store,
                        sim::HourIndex start_hour) const;

@@ -5,6 +5,7 @@
 
 #include "common/status.h"
 #include "core/experiment.h"
+#include "core/experiment_fabric.h"
 #include "core/treatment.h"
 #include "sim/cluster.h"
 #include "sim/fluid_engine.h"
@@ -15,10 +16,11 @@ namespace kea::apps {
 /// Experimental tuning: selecting between software configurations SC1 (local
 /// temp store on HDD) and SC2 (local temp store on SSD), Section 7.1.
 ///
-/// Uses the *ideal* experiment setting: every other machine in the same
-/// racks forms the control (SC1) vs. treatment (SC2) arm, so both arms see
-/// statistically identical workloads. The experiment runs over consecutive
-/// workdays and reports the Table 4 metrics with Student t-values.
+/// Uses the *ideal* experiment setting: IdealAssignment's arms — every other
+/// machine in the same racks and SC strata — form the control (SC1) and
+/// treatment (SC2) arms, so both arms see statistically identical workloads.
+/// The experiment is one fabric flight over consecutive workdays, and the
+/// study reports the Table 4 metrics with Student t-values.
 class ScSelector {
  public:
   struct Options {
@@ -45,10 +47,23 @@ class ScSelector {
   ScSelector() : options_(Options()) {}
   explicit ScSelector(const Options& options) : options_(options) {}
 
-  /// Runs the experiment on the simulator: forces both arms to SC1, flights
-  /// SC2 on the treatment arm, simulates `workdays` x 24 hours starting at
-  /// `start_hour` (align to a Monday to avoid weekend effects), analyzes and
-  /// reverts.
+  /// The experiment's queue: one request pinning IdealAssignment's arms,
+  /// arm 0 patched to SC1 and arm 1 to SC2, guarded once per workday.
+  StatusOr<std::vector<core::FlightRequest>> Requests(
+      const sim::Cluster& cluster) const;
+
+  /// Reads Table 4 from `store` over the arms and window of the queue's
+  /// concluded flight. FailedPrecondition when it was rejected or tripped
+  /// (core::ConclusionStatus).
+  StatusOr<Result> Read(const sim::Cluster& cluster,
+                        const telemetry::TelemetryStore& store,
+                        const core::ExperimentFabric::Report& report) const;
+
+  /// Runs the experiment on the simulator: Requests, then
+  /// core::ExperimentFabric::Run without a journal (simulating `workdays` x
+  /// 24 hours from `start_hour`), then Read. The fabric restores the
+  /// configuration. `start_hour` must follow a day of telemetry, the
+  /// guardrail baseline; align it to a Monday to avoid weekend effects.
   StatusOr<Result> Run(sim::Cluster* cluster, sim::FluidEngine* engine,
                        telemetry::TelemetryStore* store,
                        sim::HourIndex start_hour) const;

@@ -1513,7 +1513,7 @@ StatusOr<core::ExperimentFabric::Report> KeaSession::RunFlights(
   core::ExperimentFabric::Options fabric_options = options.fabric;
   WireDownHours(fleet_faults_.get(), &fabric_options);
   KEA_RETURN_IF_ERROR(core::ExperimentFabric::Validate(
-      requests, fabric_options, cluster_.machines().size()));
+      requests, fabric_options, cluster_));
 
   // --- FABRIC_STARTED: seal the start hour and queue size before any flight
   // is touched. On resume the journaled start hour is the authority — the

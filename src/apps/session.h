@@ -309,15 +309,16 @@ class KeaSession {
     core::ExperimentFabric::Options fabric;
   };
 
-  /// Runs a queue of planned A/B flights concurrently through the
+  /// Runs a queue of planned experiments concurrently through the
   /// ExperimentFabric: rack-exclusive non-interfering partitions, typed
   /// interference serialization, the global blast-radius budget, per-flight
-  /// guardrail trips with exact rollback. With durability enabled every
+  /// guardrail trips with exact rollback. A study's queue (ScSelector,
+  /// PowerCappingStudy) runs here journaled. With durability enabled every
   /// fabric transition is journaled under "fab/<n>" + "fab<n>/..." keys and a
   /// crashed run is completed bit-identically by calling this again with the
-  /// same requests. With fleet chaos enabled, each flight's per-arm
-  /// down-hours are attributed in its conclusion (unless options.fabric
-  /// already carries a down_hours accessor).
+  /// same requests. With fleet chaos enabled, each flight's down-hours are
+  /// attributed in its conclusion (unless options.fabric already carries a
+  /// down_hours accessor).
   StatusOr<core::ExperimentFabric::Report> RunExperimentFabric(
       const std::vector<core::FlightRequest>& requests,
       const FabricRoundOptions& options);

@@ -150,24 +150,28 @@ std::string DeploymentLedger::AppliedChangesCsv() const {
                                 str(old_max), str(new_max)});
       }
     } else if (event.type == EventType::kFlightStarted) {
-      // Experiment-fabric patch application: payload is the encoded config
-      // patch followed by per-machine priors (see experiment_fabric.cc).
+      // Experiment-fabric patch application: payload is, per arm, the
+      // encoded config patch followed by the priors of the machines it
+      // patches (see experiment_fabric.cc).
       StateReader r(event.payload);
-      std::string patch_blob;
-      uint64_t count = 0;
-      if (!r.GetString(&patch_blob).ok() || !r.GetU64(&count).ok()) continue;
-      for (uint64_t i = 0; i < count; ++i) {
-        int machine = 0, old_max = 0, new_max = 0, sc = 0;
-        double power = 0.0;
-        bool feature = false;
-        if (!r.GetInt(&machine).ok() || !r.GetInt(&old_max).ok() ||
-            !r.GetInt(&new_max).ok() || !r.GetDouble(&power).ok() ||
-            !r.GetBool(&feature).ok() || !r.GetInt(&sc).ok()) {
-          break;
+      uint64_t arms = 0;
+      bool intact = r.GetU64(&arms).ok();
+      for (uint64_t a = 0; intact && a < arms; ++a) {
+        std::string patch_blob;
+        uint64_t count = 0;
+        intact = r.GetString(&patch_blob).ok() && r.GetU64(&count).ok();
+        for (uint64_t i = 0; intact && i < count; ++i) {
+          int machine = 0, old_max = 0, new_max = 0, sc = 0;
+          double power = 0.0;
+          bool feature = false;
+          intact = r.GetInt(&machine).ok() && r.GetInt(&old_max).ok() &&
+                   r.GetInt(&new_max).ok() && r.GetDouble(&power).ok() &&
+                   r.GetBool(&feature).ok() && r.GetInt(&sc).ok();
+          if (!intact) break;
+          (void)writer.AppendRow({str(static_cast<int64_t>(event.seq)),
+                                  event.key, "flight_machine", str(sc), "-1",
+                                  str(machine), str(old_max), str(new_max)});
         }
-        (void)writer.AppendRow({str(static_cast<int64_t>(event.seq)), event.key,
-                                "flight_machine", str(sc), "-1", str(machine),
-                                str(old_max), str(new_max)});
       }
     } else if (event.type == EventType::kApply) {
       std::vector<AppliedChange> batch;

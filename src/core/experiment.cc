@@ -3,8 +3,24 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
 
 namespace kea::core {
+
+std::vector<std::vector<int>> DealArms(const sim::Cluster& cluster,
+                                       std::vector<int> machine_ids, int arms) {
+  const auto& machines = cluster.machines();
+  std::sort(machine_ids.begin(), machine_ids.end(), [&](int a, int b) {
+    const sim::Machine& x = machines[static_cast<size_t>(a)];
+    const sim::Machine& y = machines[static_cast<size_t>(b)];
+    return std::tie(x.rack, x.sc, x.id) < std::tie(y.rack, y.sc, y.id);
+  });
+  std::vector<std::vector<int>> dealt(static_cast<size_t>(arms));
+  for (size_t i = 0; i < machine_ids.size(); ++i) {
+    dealt[i % dealt.size()].push_back(machine_ids[i]);
+  }
+  return dealt;
+}
 
 StatusOr<ExperimentAssignment> IdealAssignment(const sim::Cluster& cluster,
                                                sim::SkuId sku, int max_racks,
@@ -12,65 +28,27 @@ StatusOr<ExperimentAssignment> IdealAssignment(const sim::Cluster& cluster,
   if (max_racks <= 0) return Status::InvalidArgument("max_racks must be positive");
   if (min_per_arm <= 0) return Status::InvalidArgument("min_per_arm must be positive");
 
-  // Machines of the SKU, by rack, in id order (racks are homogeneous in SKU).
-  std::map<int, std::vector<int>> by_rack;
+  // Machines of the SKU in its first `max_racks` racks (racks are
+  // homogeneous in SKU).
+  std::set<int> racks;
+  std::vector<int> ids;
   for (const sim::Machine& m : cluster.machines()) {
-    if (m.sku == sku) by_rack[m.rack].push_back(m.id);
+    if (m.sku != sku) continue;
+    if (racks.count(m.rack) == 0) {
+      if (static_cast<int>(racks.size()) == max_racks) continue;
+      racks.insert(m.rack);
+    }
+    ids.push_back(m.id);
   }
-  if (by_rack.empty()) {
+  if (ids.empty()) {
     return Status::FailedPrecondition("no machines with the requested SKU");
   }
-
-  ExperimentAssignment assignment;
-  int racks_used = 0;
-  for (const auto& [rack, ids] : by_rack) {
-    if (racks_used >= max_racks) break;
-    ++racks_used;
-    // "Every other machine in the rack", stratified by software
-    // configuration: machines alternate SC within a rack, so pairing must
-    // happen within each SC or the arms would each get a single SC and the
-    // comparison would measure SC2-vs-SC1 instead of the treatment.
-    std::map<sim::ScId, std::vector<int>> by_sc;
-    for (int id : ids) {
-      by_sc[cluster.machines()[static_cast<size_t>(id)].sc].push_back(id);
-    }
-    for (const auto& [sc, sc_ids] : by_sc) {
-      for (size_t i = 0; i < sc_ids.size(); ++i) {
-        if (i % 2 == 0) {
-          assignment.control.push_back(sc_ids[i]);
-        } else {
-          assignment.treatment.push_back(sc_ids[i]);
-        }
-      }
-    }
-  }
-  if (assignment.control.size() < static_cast<size_t>(min_per_arm) ||
-      assignment.treatment.size() < static_cast<size_t>(min_per_arm)) {
+  std::vector<std::vector<int>> arms = DealArms(cluster, std::move(ids), 2);
+  if (arms[1].size() < static_cast<size_t>(min_per_arm)) {
     return Status::FailedPrecondition(
         "not enough machines for the ideal experiment setting");
   }
-  return assignment;
-}
-
-StatusOr<std::vector<TimeSlice>> TimeSlicingSchedule(sim::HourIndex start_hour,
-                                                     sim::HourIndex end_hour,
-                                                     int window_hours) {
-  if (end_hour <= start_hour) {
-    return Status::InvalidArgument("empty time-slicing horizon");
-  }
-  if (window_hours <= 0) {
-    return Status::InvalidArgument("window_hours must be positive");
-  }
-  if ((end_hour - start_hour) < 2 * window_hours) {
-    return Status::InvalidArgument("horizon shorter than two windows");
-  }
-  std::vector<TimeSlice> slices;
-  bool treatment = false;
-  for (sim::HourIndex h = start_hour; h + window_hours <= end_hour; h += window_hours) {
-    slices.push_back(TimeSlice{h, h + window_hours, treatment});
-    treatment = !treatment;
-  }
-  return slices;
+  return ExperimentAssignment{std::move(arms[0]), std::move(arms[1])};
 }
 
 StatusOr<std::vector<std::vector<int>>> HybridGroups(const sim::Cluster& cluster,
@@ -79,56 +57,19 @@ StatusOr<std::vector<std::vector<int>>> HybridGroups(const sim::Cluster& cluster
   if (num_groups <= 0 || group_size <= 0) {
     return Status::InvalidArgument("groups and sizes must be positive");
   }
-  // Stratify candidates by software configuration: machines alternate SC
-  // within a rack, so a naive round-robin deal would assign each group a
-  // single SC and confound the experiment (group differences would measure
-  // SC2-vs-SC1, not the treatment). Dealing each SC stratum separately keeps
-  // every group balanced in both SC and rack coverage.
-  std::map<sim::ScId, std::vector<int>> strata;
-  size_t available = 0;
+  std::vector<int> ids;
   for (const sim::Machine& m : cluster.machines()) {
-    if (m.sku == sku) {
-      strata[m.sc].push_back(m.id);
-      ++available;
-    }
+    if (m.sku == sku) ids.push_back(m.id);
   }
   size_t needed = static_cast<size_t>(num_groups) * static_cast<size_t>(group_size);
-  if (available < needed) {
+  if (ids.size() < needed) {
     return Status::FailedPrecondition(
         "not enough machines of the SKU for the hybrid setting: need " +
-        std::to_string(needed) + ", have " + std::to_string(available));
+        std::to_string(needed) + ", have " + std::to_string(ids.size()));
   }
-  std::vector<std::vector<int>> groups(static_cast<size_t>(num_groups));
-  size_t deal = 0;
-  for (const auto& [sc, ids] : strata) {
-    for (int id : ids) {
-      size_t g = deal % static_cast<size_t>(num_groups);
-      if (groups[g].size() < static_cast<size_t>(group_size)) {
-        groups[g].push_back(id);
-      }
-      ++deal;
-    }
-  }
-  // Top up any group left short by stratum boundaries from leftover ids.
-  for (auto& group : groups) {
-    if (group.size() == static_cast<size_t>(group_size)) continue;
-    std::set<int> used;
-    for (const auto& g : groups) used.insert(g.begin(), g.end());
-    for (const auto& [sc, ids] : strata) {
-      for (int id : ids) {
-        if (group.size() == static_cast<size_t>(group_size)) break;
-        if (!used.count(id)) {
-          group.push_back(id);
-          used.insert(id);
-        }
-      }
-    }
-  }
-  for (const auto& group : groups) {
-    if (group.size() != static_cast<size_t>(group_size)) {
-      return Status::Internal("hybrid group dealing failed to fill groups");
-    }
-  }
+  std::vector<std::vector<int>> groups =
+      DealArms(cluster, std::move(ids), num_groups);
+  for (auto& group : groups) group.resize(static_cast<size_t>(group_size));
   return groups;
 }
 

@@ -10,42 +10,39 @@
 
 namespace kea::core {
 
+/// The one arm-split rule of every concurrent experiment: Section 7's ideal
+/// setting ("every other machine in the same rack"), generalised from 2
+/// arms to k. Machines are taken rack by rack, SC stratum by stratum within
+/// a rack and in id order within a stratum, and dealt to arms 0..k-1
+/// round-robin; the deal carries on across strata and racks. So within every
+/// rack each arm holds the same count of each SC, +-1 — machines alternate SC
+/// within a rack, and an id-order deal would hand each arm a single SC — and
+/// the first k*n machines dealt give every arm exactly n: a caller that needs
+/// n machines per arm truncates each arm to n. Ids must be valid machines of
+/// `cluster`; `arms` must be positive.
+std::vector<std::vector<int>> DealArms(const sim::Cluster& cluster,
+                                       std::vector<int> machine_ids, int arms);
+
 /// Assignment of machines to the arms of an experiment.
 struct ExperimentAssignment {
   std::vector<int> control;
   std::vector<int> treatment;
 };
 
-/// The *ideal* experiment setting (Section 7): control and treatment
-/// interleave within the same racks — "choosing every other machine in the
-/// same rack" — so both arms receive statistically identical workloads.
-/// Selects machines of `sku` from up to `max_racks` racks. Returns
-/// FailedPrecondition if fewer than `min_per_arm` machines land in each arm.
+/// The *ideal* experiment setting (Section 7): DealArms over the machines of
+/// `sku` in up to `max_racks` racks, so control and treatment interleave
+/// within the same racks and SC strata and both arms receive statistically
+/// identical workloads. Returns FailedPrecondition if fewer than
+/// `min_per_arm` machines land in each arm.
 StatusOr<ExperimentAssignment> IdealAssignment(const sim::Cluster& cluster,
                                                sim::SkuId sku, int max_racks,
                                                int min_per_arm);
 
-/// One window of a time-slicing experiment.
-struct TimeSlice {
-  sim::HourIndex start_hour = 0;
-  sim::HourIndex end_hour = 0;
-  bool treatment = false;  ///< Which configuration runs during the window.
-};
-
-/// The *time-slicing* setting: the same machines run the old and new
-/// configuration in alternating windows. The paper warns against 24h-aligned
-/// windows (day-of-week confounds); window_hours defaults to 5 for that
-/// reason. Returns InvalidArgument on a degenerate horizon or window.
-StatusOr<std::vector<TimeSlice>> TimeSlicingSchedule(sim::HourIndex start_hour,
-                                                     sim::HourIndex end_hour,
-                                                     int window_hours);
-
 /// The *hybrid* setting: different machine groups get different
-/// configurations. Machines of the given SKU are split into `num_groups`
-/// groups of exactly `group_size`, balanced across racks (round-robin over a
-/// rack-sorted list) so the groups have similar characteristics. Used by the
-/// power-capping study (groups A-D). Returns FailedPrecondition when there
-/// are not enough machines.
+/// configurations. DealArms splits the machines of the given SKU into
+/// `num_groups` groups, each truncated to exactly `group_size`, so the groups
+/// share racks and SC mix. Used by the power-capping study (groups A-D).
+/// Returns FailedPrecondition when there are not enough machines.
 StatusOr<std::vector<std::vector<int>>> HybridGroups(const sim::Cluster& cluster,
                                                      sim::SkuId sku, int num_groups,
                                                      int group_size);

@@ -26,45 +26,57 @@ enum class InterferenceReason {
   kKnobInteraction,      ///< Knob couples with an active flight's knob
                          ///< through the scheduler (capacity knobs).
   kBlastRadiusBudget,    ///< Would push flighted machines over the budget.
-  kInsufficientMachines, ///< The fleet cannot field both arms at all.
+  kInsufficientMachines, ///< The fleet cannot field every arm at all.
 };
 
 const char* InterferenceReasonToString(InterferenceReason reason);
 
-/// One planned A/B flight submitted to the fabric — typically derived from an
-/// ExperimentPlanner plan. Both arms are machines_per_arm strong; guardrails
-/// are evaluated on the treatment arm every window_hours for num_windows
-/// windows, after which the treatment effect is estimated and the
-/// configuration restored.
+/// One planned experiment submitted to the fabric — typically derived from an
+/// ExperimentPlanner plan, or queued by a study (SC selection, power
+/// capping). Arm 0 is the control, and its patch may be empty; every other
+/// arm is a treatment judged against arm 0. Every patched arm is guarded
+/// every window_hours for num_windows windows, after which each treatment
+/// arm's effect is estimated and the configuration restored.
 struct FlightRequest {
   std::string name;
   sim::SkuId sku = 0;
-  ConfigPatch treatment;
+  /// One patch per arm; at least two arms, and every arm but arm 0 patched.
+  std::vector<ConfigPatch> arms;
+  /// Machines per arm when the fabric deals the arms itself (DealArms over
+  /// free whole racks of `sku`); unused with pinned arms.
   int machines_per_arm = 8;
   int window_hours = 5;  ///< Slice/guardrail cadence (paper avoids 24h).
   int num_windows = 4;
-  /// Optional explicit machine pool (e.g. hand-picked racks). When empty the
-  /// fabric partitions free racks of `sku` itself.
-  std::vector<int> pinned_machines;
+  /// Optional explicit arms, one machine list per arm, all of `sku`. Pairwise
+  /// disjoint arms run concurrently. Arms that are all the same machine set
+  /// run time-sliced: window w runs arm w mod k, so num_windows >= k.
+  std::vector<std::vector<int>> pinned_arms;
   GuardrailThresholds guardrails;
 };
 
-/// Scheduler for concurrent A/B flights (paper Section 6-7 scaled out): admits
-/// a queue of planned experiments, partitions the fleet into non-interfering
+/// True when the request's pinned arms are all one machine set (the
+/// time-slicing setting of Section 7).
+bool IsTimeSliced(const FlightRequest& req);
+
+/// Scheduler for concurrent experiments (paper Section 6-7 scaled out), and
+/// the one code path that patches machines for an experiment: admits a queue
+/// of planned experiments, partitions the fleet into non-interfering
 /// experiment groups — disjoint whole racks per flight, so a correlated rack
-/// outage can never straddle two experiments, with control and treatment
-/// interleaved *within* each rack ("every other machine in the same rack") so
-/// it hits both arms symmetrically — detects cross-experiment interference at
-/// admission time with a typed reason, and enforces a global blast-radius
-/// budget over all concurrently flighted machines. A per-flight guardrail
-/// trip rolls back exactly that flight; everyone else keeps running.
+/// outage can never straddle two experiments, with the arms dealt *within*
+/// each rack and SC stratum (DealArms: "every other machine in the same
+/// rack") so it hits every arm symmetrically — detects cross-experiment
+/// interference at admission time with a typed reason, and enforces a global
+/// blast-radius budget over all concurrently flighted machines. A per-flight
+/// guardrail trip rolls back exactly that flight; everyone else keeps
+/// running.
 ///
 /// Every state transition (admit, start, slice boundary, verdict, rollback,
 /// conclude) is write-ahead journaled through the DeploymentLedger with
 /// idempotency keys "fab<round>/f<index>/<step>", so a crash at any point
 /// resumes bit-identically (see experiment_fabric_test's crash sweep). A
-/// tripped or concluded flight's racks stay reserved until its *planned*
-/// horizon ends — post-rollback carryover must not seed another experiment.
+/// time-sliced flight switches arms in its verdict step. A tripped or
+/// concluded flight's racks stay reserved until its *planned* horizon ends —
+/// post-rollback carryover must not seed another experiment.
 class ExperimentFabric {
  public:
   struct Options {
@@ -77,8 +89,24 @@ class ExperimentFabric {
     /// Results are bit-identical at any thread count.
     int num_threads = 1;
     /// Optional cumulative per-machine-set down-hours accessor (wired to
-    /// FleetFaultInjector::DownHours) for per-arm fault attribution.
+    /// FleetFaultInjector::DownHours) for per-flight fault attribution.
     std::function<uint64_t(const std::vector<int>&)> down_hours;
+  };
+
+  /// One arm of a flight's conclusion. The effect fields of arm a >= 1
+  /// estimate it against arm 0 (per machine-hour, over the hours each arm
+  /// ran) and are valid only when the conclusion's effect_ok; arm 0 leaves
+  /// them unset.
+  struct ArmConclusion {
+    std::vector<int> machines;
+    /// Hours the arm ran: the whole flight for concurrent arms, its own
+    /// windows for time-sliced ones.
+    int hours = 0;
+    TreatmentEffect data_read;
+    TreatmentEffect task_latency;
+    /// 95% CI of data_read.percent_change.
+    double data_read_ci_low = 0.0;
+    double data_read_ci_high = 0.0;
   };
 
   /// Final state of one request, in request order.
@@ -94,28 +122,21 @@ class ExperimentFabric {
     sim::HourIndex start_hour = 0;
     sim::HourIndex end_hour = 0;  ///< Actual end (trip hour when tripped).
     std::vector<int> racks;
-    std::vector<int> treatment_machines;
-    std::vector<int> control_machines;
+    std::vector<ArmConclusion> arms;  ///< One per request arm; 0 = control.
 
     bool tripped = false;
     int tripped_window = -1;
+    int tripped_arm = -1;
     GuardrailEvaluation trip_eval;
 
-    /// Treatment-effect estimates over [start_hour, end_hour); only valid
-    /// when effect_ok (a tripped flight, or arms starved of telemetry by
-    /// chaos, reaches no estimate).
+    /// True when every treatment arm reached an estimate (a tripped flight,
+    /// or arms starved of telemetry by chaos, reaches none).
     bool effect_ok = false;
-    TreatmentEffect data_read;
-    TreatmentEffect task_latency;
-    /// 95% CI of data_read.percent_change.
-    double data_read_ci_low = 0.0;
-    double data_read_ci_high = 0.0;
 
-    /// Machine-down-hours accrued inside the flight window, per arm (0
-    /// without a down_hours accessor). Rack-exclusive partitions make these
-    /// symmetric under rack outages.
-    uint64_t treatment_down_hours = 0;
-    uint64_t control_down_hours = 0;
+    /// Machine-down-hours accrued on the flight's machines inside its window
+    /// (0 without a down_hours accessor).
+    uint64_t down_hours = 0;
+    /// Distinct machines the flight patched, and restored at its end.
     size_t machines_restored = 0;
   };
 
@@ -140,7 +161,7 @@ class ExperimentFabric {
   /// core::JournaledStep keyed "fab<ctx->round>/...": with a context it is
   /// journaled and checkpointed, and a crashed run re-driven through the
   /// same requests finishes bit-identically; a null `ctx` runs the same
-  /// steps unjournaled (e.g. what-if exploration). Guardrail trips are
+  /// steps unjournaled (e.g. a study's own run). Guardrail trips are
   /// reported per flight, never as a non-OK status. On return the cluster
   /// configuration is restored to its entry state (every flight ends or is
   /// rolled back).
@@ -150,13 +171,17 @@ class ExperimentFabric {
                        sim::HourIndex start_hour, const AdvanceFn& advance,
                        JournalContext* ctx);
 
-  /// The checks Run makes of its queue and options before any step, for a
-  /// fleet of `fleet` machines: InvalidArgument for an empty queue or a
-  /// non-positive option or request field, OutOfRange for a pinned machine
-  /// outside the fleet. A caller that journals its own step before Run
-  /// checks first, so a queue Run would refuse is never sealed.
+  /// The checks Run makes of its queue and options before any step:
+  /// InvalidArgument for an empty queue, a non-positive option or request
+  /// field, fewer than two arms, an unpatched treatment arm, or malformed
+  /// pinned arms (a count other than one per arm, an empty arm, a machine of
+  /// another SKU, an id repeated within an arm, arms that overlap without
+  /// being identical, a time-sliced flight with fewer windows than arms);
+  /// OutOfRange for a pinned machine outside the fleet. A caller that
+  /// journals its own step before Run checks first, so a queue Run would
+  /// refuse is never sealed.
   static Status Validate(const std::vector<FlightRequest>& requests,
-                         const Options& options, size_t fleet);
+                         const Options& options, const sim::Cluster& cluster);
 
   /// Bit-exact codec for FlightConclusion (FLIGHT_CONCLUDED payloads and
   /// report signatures in tests).
@@ -166,6 +191,12 @@ class ExperimentFabric {
  private:
   Options options_;
 };
+
+/// OK for a flight that ran to its conclusion; FailedPrecondition naming the
+/// InterferenceReason of a rejected flight, or the guardrail evidence
+/// (GuardrailEvaluation::Describe) of a tripped one. What a study returns
+/// when its flight does not conclude.
+Status ConclusionStatus(const ExperimentFabric::FlightConclusion& c);
 
 }  // namespace kea::core
 

@@ -47,7 +47,7 @@
 // KEA core.
 #include "core/deployment.h"         // IWYU pragma: export
 #include "core/experiment.h"         // IWYU pragma: export
-#include "core/experiment_runner.h"  // IWYU pragma: export
+#include "core/experiment_fabric.h"  // IWYU pragma: export
 #include "core/flighting.h"          // IWYU pragma: export
 #include "core/guardrailed_rollout.h"  // IWYU pragma: export
 #include "core/model_report.h"       // IWYU pragma: export

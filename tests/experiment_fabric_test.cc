@@ -8,12 +8,14 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "apps/power_capping.h"
 #include "apps/session.h"
 #include "common/crash_point.h"
 #include "common/csv.h"
@@ -118,7 +120,8 @@ FlightRequest FeatureFlight(const std::string& name, sim::SkuId sku,
   FlightRequest req;
   req.name = name;
   req.sku = sku;
-  req.treatment.feature_enabled = true;
+  req.arms.resize(2);
+  req.arms[1].feature_enabled = true;
   req.machines_per_arm = per_arm;
   req.window_hours = 6;
   req.num_windows = windows;
@@ -131,7 +134,8 @@ FlightRequest CapacityFlight(const std::string& name, sim::SkuId sku,
   FlightRequest req;
   req.name = name;
   req.sku = sku;
-  req.treatment.max_containers = max_containers;
+  req.arms.resize(2);
+  req.arms[1].max_containers = max_containers;
   req.machines_per_arm = 4;
   req.window_hours = 6;
   req.num_windows = windows;
@@ -139,25 +143,29 @@ FlightRequest CapacityFlight(const std::string& name, sim::SkuId sku,
   return req;
 }
 
-/// Every machine of the conclusion's arms, both arms.
+/// Every machine of the conclusion's arms, once.
 std::vector<int> ArmMachines(const ExperimentFabric::FlightConclusion& c) {
-  std::vector<int> all = c.treatment_machines;
-  all.insert(all.end(), c.control_machines.begin(), c.control_machines.end());
-  return all;
+  std::set<int> all;
+  for (const auto& arm : c.arms) all.insert(arm.machines.begin(), arm.machines.end());
+  return {all.begin(), all.end()};
 }
 
 /// No machine may sit in two flights whose windows overlap, and within one
-/// flight the arms must be disjoint — the partitioning invariant.
+/// flight the arms must be disjoint — the partitioning invariant — unless
+/// they are all one machine set, run time-sliced.
 void ExpectNonInterfering(const ExperimentFabric::Report& report) {
   const auto& flights = report.flights;
   for (const auto& c : flights) {
     if (!c.admitted) continue;
-    std::unordered_set<int> treat(c.treatment_machines.begin(),
-                                  c.treatment_machines.end());
-    for (int id : c.control_machines) {
-      EXPECT_EQ(treat.count(id), 0u)
-          << c.name << ": machine " << id << " in both arms";
+    size_t total = 0;
+    bool sliced = true;
+    const std::set<int> first(c.arms[0].machines.begin(), c.arms[0].machines.end());
+    for (const auto& arm : c.arms) {
+      total += arm.machines.size();
+      sliced = sliced && std::set<int>(arm.machines.begin(), arm.machines.end()) == first;
     }
+    EXPECT_EQ(ArmMachines(c).size(), sliced ? first.size() : total)
+        << c.name << ": arms overlap without being one machine set";
   }
   for (size_t a = 0; a < flights.size(); ++a) {
     for (size_t b = a + 1; b < flights.size(); ++b) {
@@ -218,8 +226,8 @@ TEST(ExperimentFabricTest, ConcurrentFlightsOnDisjointRacks) {
     EXPECT_EQ(c.deferrals, 0u);
     EXPECT_EQ(c.start_hour, kPreludeHours);
     EXPECT_EQ(c.end_hour, kPreludeHours + 12);
-    EXPECT_EQ(c.treatment_machines.size(), 4u);
-    EXPECT_EQ(c.control_machines.size(), 4u);
+    EXPECT_EQ(c.arms[1].machines.size(), 4u);
+    EXPECT_EQ(c.arms[0].machines.size(), 4u);
     EXPECT_TRUE(c.effect_ok) << c.name;
     EXPECT_FALSE(c.tripped);
   }
@@ -239,7 +247,12 @@ TEST(ExperimentFabricTest, ImpossibleRequestIsRejectedWithTypedReason) {
   EXPECT_FALSE(report->flights[0].admitted);
   EXPECT_EQ(report->flights[0].rejected,
             InterferenceReason::kInsufficientMachines);
+  Status rejected = ConclusionStatus(report->flights[0]);
+  EXPECT_EQ(rejected.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(rejected.message().find("INSUFFICIENT_MACHINES"), std::string::npos)
+      << rejected;
   EXPECT_TRUE(report->flights[1].admitted);
+  EXPECT_TRUE(ConclusionStatus(report->flights[1]).ok());
 }
 
 TEST(ExperimentFabricTest, RequestLargerThanBudgetIsRejectedPermanently) {
@@ -303,32 +316,27 @@ TEST(ExperimentFabricTest, BlastRadiusBudgetDefersThirdFlight) {
   ExpectNonInterfering(*report);
 }
 
-TEST(ExperimentFabricTest, PinnedPoolIsInterleavedWithinRacks) {
+TEST(ExperimentFabricTest, PinnedArmsAreTakenAsGiven) {
   FabricFixture fx;
   std::vector<int> sku4 = fx.MachinesOfSku(4);
   ASSERT_GE(sku4.size(), 16u);
   FlightRequest req = FeatureFlight("pinned", 4, 8, 1);
-  req.pinned_machines.assign(sku4.begin(), sku4.begin() + 16);
+  req.pinned_arms = {std::vector<int>(sku4.begin(), sku4.begin() + 8),
+                     std::vector<int>(sku4.begin() + 8, sku4.begin() + 16)};
 
   auto report = fx.Run({req});
   ASSERT_TRUE(report.ok()) << report.status();
   const auto& c = report->flights[0];
   ASSERT_TRUE(c.admitted);
-  std::unordered_set<int> pool(req.pinned_machines.begin(),
-                               req.pinned_machines.end());
-  for (int id : ArmMachines(c)) EXPECT_EQ(pool.count(id), 1u);
-  // "Every other machine in the same rack": each rack contributes to both
-  // arms, so per rack the arm counts differ by at most one.
-  std::map<int, std::pair<int, int>> per_rack;
-  for (int id : c.treatment_machines) {
-    ++per_rack[fx.cluster.machines()[static_cast<size_t>(id)].rack].first;
+  ASSERT_EQ(c.arms.size(), 2u);
+  EXPECT_EQ(c.arms[0].machines, req.pinned_arms[0]);
+  EXPECT_EQ(c.arms[1].machines, req.pinned_arms[1]);
+  EXPECT_EQ(c.machines_restored, 8u);  // Only the patched arm.
+  std::set<int> racks;
+  for (int id : ArmMachines(c)) {
+    racks.insert(fx.cluster.machines()[static_cast<size_t>(id)].rack);
   }
-  for (int id : c.control_machines) {
-    ++per_rack[fx.cluster.machines()[static_cast<size_t>(id)].rack].second;
-  }
-  for (const auto& [rack, counts] : per_rack) {
-    EXPECT_LE(std::abs(counts.first - counts.second), 1) << "rack " << rack;
-  }
+  EXPECT_EQ(std::vector<int>(racks.begin(), racks.end()), c.racks);
 }
 
 TEST(ExperimentFabricTest, PinnedOverlapSerializesOnSharedMachines) {
@@ -336,9 +344,10 @@ TEST(ExperimentFabricTest, PinnedOverlapSerializesOnSharedMachines) {
   std::vector<int> sku4 = fx.MachinesOfSku(4);
   ASSERT_GE(sku4.size(), 8u);
   FlightRequest a = FeatureFlight("pin-a", 4, 4, 1);
-  a.pinned_machines.assign(sku4.begin(), sku4.begin() + 8);
+  a.pinned_arms = {std::vector<int>(sku4.begin(), sku4.begin() + 4),
+                   std::vector<int>(sku4.begin() + 4, sku4.begin() + 8)};
   FlightRequest b = FeatureFlight("pin-b", 4, 4, 1);
-  b.pinned_machines = a.pinned_machines;  // Identical pool: direct conflict.
+  b.pinned_arms = a.pinned_arms;  // Identical arms: direct conflict.
 
   auto report = fx.Run({a, b});
   ASSERT_TRUE(report.ok()) << report.status();
@@ -369,6 +378,11 @@ TEST(ExperimentFabricTest, TripRollsBackOnlyTheTrippedFlight) {
   // Ended at its first window boundary, not its planned horizon.
   EXPECT_EQ(tripped.end_hour, tripped.start_hour + 6);
   EXPECT_EQ(tripped.machines_restored, 4u);
+  EXPECT_EQ(tripped.tripped_arm, 1);
+  Status trip = ConclusionStatus(tripped);
+  EXPECT_EQ(trip.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(trip.message().find(tripped.trip_eval.Describe()), std::string::npos)
+      << trip;
 
   EXPECT_FALSE(healthy.tripped);
   EXPECT_TRUE(healthy.effect_ok);
@@ -423,6 +437,11 @@ TEST(ExperimentFabricTest, ReportIsBitIdenticalAcrossThreadCounts) {
   std::vector<FlightRequest> requests = {FeatureFlight("a", 4, 4, 2),
                                          FeatureFlight("b", 4, 4, 2),
                                          FeatureFlight("c", 3, 4, 2)};
+  // "c" is the power-capping shape: one control and three treatment arms.
+  requests[2].arms.resize(4);
+  requests[2].arms[2].power_cap_fraction = 0.2;
+  requests[2].arms[3] = requests[2].arms[1];
+  requests[2].arms[3].power_cap_fraction = 0.2;
   requests.push_back(FeatureFlight("doomed", 5, 4, 2));
   requests.back().guardrails = Impossible();
 
@@ -438,8 +457,193 @@ TEST(ExperimentFabricTest, ReportIsBitIdenticalAcrossThreadCounts) {
       reference = signature;
       EXPECT_EQ(report->trips, 1u);
       EXPECT_EQ(report->admitted, 4u);
+      ASSERT_EQ(report->flights[2].arms.size(), 4u);
+      EXPECT_TRUE(report->flights[2].effect_ok);
     } else {
       EXPECT_EQ(signature, reference) << "threads=" << threads;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Property: random queues of pinned and unpinned requests never put one
+// machine in two flights at once, nor in two arms of one concurrent flight.
+// ---------------------------------------------------------------------------
+
+TEST(ExperimentFabricTest, PropertyNoMachineIsEverInTwoArmsAtOnce) {
+  std::mt19937_64 rng(20260808);
+  uint64_t deferrals = 0;
+  size_t sliced_admitted = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    FabricFixture fx;
+    const std::string before = fx.ConfigSignature();
+    std::vector<FlightRequest> queue;
+    const int n = 3 + static_cast<int>(rng() % 4);
+    for (int i = 0; i < n; ++i) {
+      const sim::SkuId sku = static_cast<sim::SkuId>(2 + rng() % 4);
+      const int per_arm = 1 + static_cast<int>(rng() % 3);
+      const int windows = 1 + static_cast<int>(rng() % 3);
+      FlightRequest req = FeatureFlight("q", sku, per_arm, windows);
+      req.name += std::to_string(i);
+      req.window_hours = 3 + static_cast<int>(rng() % 4);
+      const ConfigPatch feature = req.arms[1];
+      req.arms.resize(2 + rng() % 2, feature);
+      if (req.arms.size() == 3) req.arms[2].power_cap_fraction = 0.2;
+      if (rng() % 4 == 0) req.arms[1] = CapacityFlight("", sku, 20).arms[1];
+      if (rng() % 5 == 0) req.guardrails = Impossible();
+      const int k = static_cast<int>(req.arms.size());
+      switch (rng() % 3) {
+        case 0:  // Unpinned: the fabric deals free racks.
+          break;
+        case 1: {  // Pinned, disjoint arms.
+          std::vector<int> pool = fx.MachinesOfSku(sku);
+          std::shuffle(pool.begin(), pool.end(), rng);
+          const size_t size = 1 + rng() % 3;
+          for (size_t a = 0; a < static_cast<size_t>(k); ++a) {
+            req.pinned_arms.emplace_back(pool.begin() + a * size,
+                                         pool.begin() + (a + 1) * size);
+          }
+          break;
+        }
+        default: {  // Pinned, time-sliced over one machine set.
+          std::vector<int> pool = fx.MachinesOfSku(sku);
+          std::shuffle(pool.begin(), pool.end(), rng);
+          pool.resize(2 + rng() % 4);
+          req.pinned_arms.assign(static_cast<size_t>(k), pool);
+          req.num_windows = std::max(req.num_windows, k);
+          break;
+        }
+      }
+      queue.push_back(std::move(req));
+    }
+
+    auto report = fx.Run(queue);
+    ASSERT_TRUE(report.ok()) << report.status();
+    ExpectNonInterfering(*report);
+    EXPECT_EQ(fx.ConfigSignature(), before);
+    EXPECT_LE(report->peak_flighted_machines, static_cast<size_t>(kMachines / 4));
+    for (size_t i = 0; i < queue.size(); ++i) {
+      const auto& c = report->flights[i];
+      deferrals += c.deferrals;
+      if (!c.admitted) continue;
+      if (!queue[i].pinned_arms.empty() && IsTimeSliced(queue[i])) ++sliced_admitted;
+      ASSERT_EQ(c.arms.size(), queue[i].arms.size());
+      for (size_t a = 0; a < c.arms.size(); ++a) {
+        if (queue[i].pinned_arms.empty()) {
+          EXPECT_EQ(c.arms[a].machines.size(),
+                    static_cast<size_t>(queue[i].machines_per_arm));
+        } else {
+          EXPECT_EQ(c.arms[a].machines, queue[i].pinned_arms[a]);
+        }
+        for (int id : c.arms[a].machines) {
+          EXPECT_EQ(fx.cluster.machines()[static_cast<size_t>(id)].sku,
+                    queue[i].sku);
+        }
+      }
+    }
+  }
+  // The queues must actually provoke conflicts and time-sliced flights.
+  EXPECT_GT(deferrals, 0u);
+  EXPECT_GT(sliced_admitted, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Ground truth: the simulator's PerfModel knows the true effects, and the
+// one split rule must recover them. The world is the experiment-design
+// ablation's: 2,000 machines in racks of 40 (SC alternating within each
+// rack), engine seed 71, one baseline day, then a week of flights on SKU 4
+// with 100 machines per arm. An even/odd split by machine id puts every SC2
+// machine in one arm; these tests catch that confound.
+// ---------------------------------------------------------------------------
+
+struct GroundTruthWorld {
+  sim::PerfModel model = sim::PerfModel::CreateDefault();
+  sim::Cluster cluster;
+  ExperimentFabric::Report report;
+  Status status;
+};
+
+const GroundTruthWorld& GroundTruth() {
+  static const GroundTruthWorld* world = [] {
+    auto* w = new GroundTruthWorld;
+    sim::WorkloadModel workload = sim::WorkloadModel::CreateDefault();
+    w->cluster = std::move(sim::Cluster::Build(w->model.catalog(),
+                                               sim::ClusterSpec::Default()))
+                     .value();
+    sim::FluidEngine::Options options;
+    options.seed = 71;
+    sim::FluidEngine engine(&w->model, &w->cluster, &workload, options);
+    telemetry::TelemetryStore store;
+    sim::HourIndex now = 0;
+    auto advance = [&](int hours) {
+      KEA_RETURN_IF_ERROR(engine.Run(now, hours, &store));
+      now += hours;
+      return Status::OK();
+    };
+    w->status = advance(sim::kHoursPerDay);
+    // A/A: the "treatment" sets the Feature to the fleet's own value.
+    FlightRequest aa = FeatureFlight("a/a", 4, 100, 7);
+    aa.arms[1].feature_enabled = false;
+    aa.window_hours = sim::kHoursPerDay;
+    FlightRequest feature = FeatureFlight("feature", 4, 100, 7);
+    feature.window_hours = sim::kHoursPerDay;
+    if (w->status.ok()) {
+      auto report = ExperimentFabric(ExperimentFabric::Options())
+                        .Run({aa, feature}, &w->cluster, &store, now, advance,
+                             nullptr);
+      w->status = report.status();
+      if (report.ok()) w->report = std::move(report).value();
+    }
+    return w;
+  }();
+  return *world;
+}
+
+TEST(FabricGroundTruthTest, AaFlightFindsNoEffect) {
+  const GroundTruthWorld& w = GroundTruth();
+  ASSERT_TRUE(w.status.ok()) << w.status;
+  const auto& aa = w.report.flights[0];
+  ASSERT_TRUE(aa.effect_ok);
+  EXPECT_FALSE(aa.arms[1].data_read.significant)
+      << aa.arms[1].data_read.percent_change << " t=" << aa.arms[1].data_read.t_value;
+  EXPECT_FALSE(aa.arms[1].task_latency.significant)
+      << aa.arms[1].task_latency.percent_change
+      << " t=" << aa.arms[1].task_latency.t_value;
+}
+
+TEST(FabricGroundTruthTest, FeatureLatencyMatchesPerfModel) {
+  const GroundTruthWorld& w = GroundTruth();
+  ASSERT_TRUE(w.status.ok()) << w.status;
+  const double truth =
+      w.model.TaskLatencySeconds({0, 4}, 0.6, 14, 0.0, true) /
+          w.model.TaskLatencySeconds({0, 4}, 0.6, 14, 0.0, false) -
+      1.0;
+  const auto& feature = w.report.flights[1];
+  ASSERT_TRUE(feature.effect_ok);
+  EXPECT_NEAR(feature.arms[1].task_latency.percent_change, truth, 0.01)
+      << "truth " << truth;
+}
+
+TEST(FabricGroundTruthTest, EveryRackSplitsEachScEvenlyAcrossArms) {
+  const GroundTruthWorld& w = GroundTruth();
+  ASSERT_TRUE(w.status.ok()) << w.status;
+  for (const auto& c : w.report.flights) {
+    ASSERT_TRUE(c.admitted) << c.name;
+    std::map<std::pair<int, sim::ScId>, std::vector<int>> counts;
+    for (size_t a = 0; a < c.arms.size(); ++a) {
+      for (int id : c.arms[a].machines) {
+        const sim::Machine& m = w.cluster.machines()[static_cast<size_t>(id)];
+        auto& per_arm = counts[{m.rack, m.sc}];
+        per_arm.resize(c.arms.size());
+        ++per_arm[a];
+      }
+    }
+    EXPECT_FALSE(counts.empty());
+    for (const auto& [stratum, per_arm] : counts) {
+      auto [lo, hi] = std::minmax_element(per_arm.begin(), per_arm.end());
+      EXPECT_LE(*hi - *lo, 1) << c.name << ": rack " << stratum.first << " SC "
+                              << stratum.second;
     }
   }
 }
@@ -491,19 +695,67 @@ TEST(ExperimentFabricTest, Validation) {
           .code(),
       StatusCode::kInvalidArgument);
   std::vector<FlightRequest> empty_patch = good;
-  empty_patch[0].treatment = ConfigPatch();
+  empty_patch[0].arms[1] = ConfigPatch();
   EXPECT_EQ(
       fabric.Run(empty_patch, &fx.cluster, &fx.store, fx.now, advance, nullptr)
           .status()
           .code(),
       StatusCode::kInvalidArgument);
   std::vector<FlightRequest> bad_pin = good;
-  bad_pin[0].pinned_machines = {99999};
+  bad_pin[0].pinned_arms = {{99999}, {fx.MachinesOfSku(4)[0]}};
   EXPECT_EQ(
       fabric.Run(bad_pin, &fx.cluster, &fx.store, fx.now, advance, nullptr)
           .status()
           .code(),
       StatusCode::kOutOfRange);
+
+  // Malformed pinned arms: each is refused before any step, so the fleet
+  // and the clock are untouched.
+  const std::string before = fx.ConfigSignature();
+  const sim::HourIndex now = fx.now;
+  const std::vector<int> sku4 = fx.MachinesOfSku(4);
+  const std::vector<int> sku0 = fx.MachinesOfSku(0);
+  auto pinned = [&](std::vector<std::vector<int>> arms, int windows = 2) {
+    std::vector<FlightRequest> queue = good;
+    queue[0].pinned_arms = std::move(arms);
+    queue[0].num_windows = windows;
+    return fabric.Run(queue, &fx.cluster, &fx.store, fx.now, advance, nullptr)
+        .status()
+        .code();
+  };
+  // A SKU-4 request pinned to SKU-0 machines.
+  EXPECT_EQ(pinned({{sku0[0], sku0[1], sku0[2], sku0[3]},
+                    {sku0[4], sku0[5], sku0[6], sku0[7]}}),
+            StatusCode::kInvalidArgument);
+  // One machine repeated within an arm.
+  EXPECT_EQ(pinned({{sku4[0], sku4[0], sku4[0], sku4[0]},
+                    {sku4[1], sku4[2], sku4[3], sku4[4]}}),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(pinned({{sku4[0], sku4[0]}, {sku4[0], sku4[0]}}),
+            StatusCode::kInvalidArgument);
+  // Arms that overlap without being identical.
+  EXPECT_EQ(pinned({{sku4[0], sku4[1]}, {sku4[1], sku4[2]}}),
+            StatusCode::kInvalidArgument);
+  // One list per arm, none empty; a time-sliced flight needs a window per
+  // arm.
+  EXPECT_EQ(pinned({{sku4[0], sku4[1]}}), StatusCode::kInvalidArgument);
+  EXPECT_EQ(pinned({{sku4[0]}, {}}), StatusCode::kInvalidArgument);
+  EXPECT_EQ(pinned({{sku4[0], sku4[1]}, {sku4[1], sku4[0]}}, 1),
+            StatusCode::kInvalidArgument);
+  std::vector<FlightRequest> one_arm = good;
+  one_arm[0].arms.resize(1);
+  EXPECT_EQ(
+      fabric.Run(one_arm, &fx.cluster, &fx.store, fx.now, advance, nullptr)
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(fx.ConfigSignature(), before);
+  EXPECT_EQ(fx.now, now);
+
+  // Well-formed pinned arms, disjoint or time-sliced, validate.
+  EXPECT_TRUE(ExperimentFabric::Validate(
+                  {FeatureFlight("ok", 4)}, ExperimentFabric::Options(), fx.cluster)
+                  .ok());
 }
 
 TEST(ExperimentFabricTest, ConclusionCodecRoundTrips) {
@@ -516,20 +768,24 @@ TEST(ExperimentFabricTest, ConclusionCodecRoundTrips) {
   c.start_hour = 30;
   c.end_hour = 54;
   c.racks = {9, 10};
-  c.treatment_machines = {72, 74, 76};
-  c.control_machines = {73, 75, 77};
+  c.arms.resize(3);
+  c.arms[0].machines = {73, 75, 77};
+  c.arms[1].machines = {72, 74, 76};
+  c.arms[2].machines = {78, 79, 80};
+  c.arms[1].hours = 24;
   c.tripped = true;
   c.tripped_window = 1;
+  c.tripped_arm = 2;
   c.effect_ok = true;
-  c.data_read.metric = "data_read_mb";
-  c.data_read.percent_change = 0.12;
-  c.data_read.t_value = 4.5;
-  c.data_read.significant = true;
-  c.data_read_ci_low = 0.07;
-  c.data_read_ci_high = 0.17;
-  c.treatment_down_hours = 5;
-  c.control_down_hours = 4;
-  c.machines_restored = 3;
+  c.arms[1].data_read.metric = "data_read_mb";
+  c.arms[1].data_read.percent_change = 0.12;
+  c.arms[1].data_read.t_value = 4.5;
+  c.arms[1].data_read.significant = true;
+  c.arms[1].data_read_ci_low = 0.07;
+  c.arms[1].data_read_ci_high = 0.17;
+  c.arms[2].task_latency.percent_change = -0.04;
+  c.down_hours = 9;
+  c.machines_restored = 6;
 
   ExperimentFabric::FlightConclusion back;
   ASSERT_TRUE(ExperimentFabric::DecodeConclusion(
@@ -539,9 +795,12 @@ TEST(ExperimentFabricTest, ConclusionCodecRoundTrips) {
             ExperimentFabric::EncodeConclusion(c));
   EXPECT_EQ(back.name, "codec");
   EXPECT_EQ(back.racks, c.racks);
-  EXPECT_EQ(back.treatment_machines, c.treatment_machines);
+  ASSERT_EQ(back.arms.size(), 3u);
+  EXPECT_EQ(back.arms[1].machines, c.arms[1].machines);
+  EXPECT_EQ(back.arms[2].task_latency.percent_change, -0.04);
   EXPECT_TRUE(back.tripped);
-  EXPECT_EQ(back.treatment_down_hours, 5u);
+  EXPECT_EQ(back.tripped_arm, 2);
+  EXPECT_EQ(back.down_hours, 9u);
 
   EXPECT_FALSE(
       ExperimentFabric::DecodeConclusion("torn", &back).ok());
@@ -776,6 +1035,18 @@ TEST(FabricCrashRecoveryTest, ResumedRunMustPassTheSameQueue) {
                 .status()
                 .code(),
             StatusCode::kFailedPrecondition);
+
+  // Same queue size, but flight 0 now has three arms where its journaled
+  // admission recorded two: the record is refused, not indexed past.
+  std::vector<FlightRequest> more_arms = SweepRequests(false);
+  more_arms[0].arms.push_back(more_arms[0].arms[1]);
+  more_arms[0].arms[2].power_cap_fraction = 0.2;
+  auto refused =
+      (*resumed)->RunExperimentFabric(more_arms, KeaSession::FabricRoundOptions());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.status().message().find("admitted with 2 arms"),
+            std::string::npos)
+      << refused.status();
 }
 
 TEST(FabricCrashRecoveryTest, SweepEveryCrashPointInConvergingFabric) {
@@ -829,6 +1100,48 @@ TEST(FabricCrashRecoveryTest, SweepEveryCrashPointThroughFlightRollback) {
   EXPECT_TRUE(names.count("fabric.rollback.post_record"));
 
   SweepFabricCrashPoints(ref, requests, "rollback");
+}
+
+/// A small power-capping queue — two cap levels, each one 4-arm request on
+/// the same hybrid groups of SKU 3, so the fabric serialises them — beside a
+/// time-sliced feature flight on SKU 5, which switches arms in its verdicts.
+std::vector<FlightRequest> PowerCappingQueue() {
+  auto session = std::move(KeaSession::Create(SweepConfig())).value();
+  PowerCappingStudy::Options options;
+  options.sku = 3;
+  options.group_size = 2;
+  options.cap_levels = {0.10, 0.30};
+  options.hours_per_round = 6;
+  auto requests = PowerCappingStudy(options).Requests(session->cluster());
+  EXPECT_TRUE(requests.ok()) << requests.status();
+  if (!requests.ok()) return {};
+  // Two-machine arms over 6-hour rounds are too noisy for the study's own
+  // guardrails; this sweep is about crash safety, so no round may trip.
+  for (FlightRequest& req : *requests) req.guardrails = kea::core::Generous();
+  FlightRequest sliced = kea::core::FeatureFlight("sliced-sku5", 5, 4, 3);
+  std::vector<int> machines;
+  for (const sim::Machine& m : session->cluster().machines()) {
+    if (m.sku == 5 && machines.size() < 4) machines.push_back(m.id);
+  }
+  sliced.pinned_arms = {machines, machines};
+  requests->push_back(sliced);
+  return *requests;
+}
+
+TEST(FabricCrashRecoveryTest, SweepEveryCrashPointThroughPowerCappingQueue) {
+  const auto requests = PowerCappingQueue();
+  ASSERT_EQ(requests.size(), 3u);
+  std::string pre_fabric_cluster;
+  {
+    auto session = MakeDurableSession(FreshDir("fabric_ref_power_pre"));
+    pre_fabric_cluster = ClusterSignature(*session);
+  }
+  FabricReference ref = RunFabricReference(FreshDir("fabric_ref_power"), requests);
+  ASSERT_FALSE(ref.report_sig.empty());
+  EXPECT_EQ(ref.trips, 0u);
+  // Every arm of every round was restored: no machine is left patched.
+  EXPECT_EQ(ref.cluster_sig, pre_fabric_cluster);
+  SweepFabricCrashPoints(ref, requests, "power");
 }
 
 /// A guarded round that fits the small rack world's prelude.

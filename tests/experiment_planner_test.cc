@@ -156,8 +156,11 @@ TEST(ExperimentPlannerTest, ToFlightRequestsShapesTheFabricQueue) {
   EXPECT_EQ(requests[0].window_hours, 6);
   EXPECT_EQ(requests[0].num_windows, 8);  // 2 days / 6h windows.
   EXPECT_EQ(requests[1].num_windows, 4);
-  ASSERT_TRUE(requests[1].treatment.feature_enabled.has_value());
-  EXPECT_TRUE(*requests[1].treatment.feature_enabled);
+  // Arms {unpatched control, treatment}.
+  ASSERT_EQ(requests[1].arms.size(), 2u);
+  EXPECT_TRUE(requests[1].arms[0].empty());
+  ASSERT_TRUE(requests[1].arms[1].feature_enabled.has_value());
+  EXPECT_TRUE(*requests[1].arms[1].feature_enabled);
 
   // A 7-hour window doesn't divide a day: the partial trailing window is
   // dropped from the horizon (3 whole windows of 24h), never fabricated.

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <utility>
 
 namespace kea::core {
 namespace {
@@ -85,30 +88,37 @@ TEST(IdealAssignmentTest, Errors) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST(TimeSlicingTest, AlternatingWindows) {
-  auto slices = TimeSlicingSchedule(0, 25, 5);
-  ASSERT_TRUE(slices.ok());
-  ASSERT_EQ(slices->size(), 5u);
-  for (size_t i = 0; i < slices->size(); ++i) {
-    EXPECT_EQ((*slices)[i].start_hour, static_cast<int>(i) * 5);
-    EXPECT_EQ((*slices)[i].end_hour, static_cast<int>(i + 1) * 5);
-    EXPECT_EQ((*slices)[i].treatment, i % 2 == 1);
+TEST(DealArmsTest, BalancesEveryRackAndScStratum) {
+  sim::Cluster cluster = MakeCluster();
+  std::vector<int> ids;
+  for (const sim::Machine& m : cluster.machines()) {
+    if (m.sku == 4) ids.push_back(m.id);
   }
-}
+  // Any order in, the same deal out.
+  std::vector<int> reversed(ids.rbegin(), ids.rend());
+  auto arms = DealArms(cluster, ids, 3);
+  ASSERT_EQ(arms, DealArms(cluster, reversed, 3));
+  ASSERT_EQ(arms.size(), 3u);
 
-TEST(TimeSlicingTest, DropsPartialTrailingWindow) {
-  auto slices = TimeSlicingSchedule(0, 23, 5);
-  ASSERT_TRUE(slices.ok());
-  EXPECT_EQ(slices->size(), 4u);
-}
-
-TEST(TimeSlicingTest, Errors) {
-  EXPECT_EQ(TimeSlicingSchedule(5, 5, 2).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(TimeSlicingSchedule(0, 10, 0).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(TimeSlicingSchedule(0, 8, 5).status().code(),
-            StatusCode::kInvalidArgument);
+  std::set<int> seen;
+  std::map<std::pair<int, sim::ScId>, std::vector<int>> counts;
+  for (size_t a = 0; a < arms.size(); ++a) {
+    for (int id : arms[a]) {
+      EXPECT_TRUE(seen.insert(id).second) << "machine dealt twice: " << id;
+      const sim::Machine& m = cluster.machines()[static_cast<size_t>(id)];
+      auto& per_arm = counts[{m.rack, m.sc}];
+      per_arm.resize(arms.size());
+      ++per_arm[a];
+    }
+  }
+  EXPECT_EQ(seen.size(), ids.size());
+  for (const auto& [stratum, per_arm] : counts) {
+    auto [lo, hi] = std::minmax_element(per_arm.begin(), per_arm.end());
+    EXPECT_LE(*hi - *lo, 1) << "rack " << stratum.first << " sc " << stratum.second;
+  }
+  // Arm sizes differ by at most one, so truncating every arm to the smallest
+  // keeps a prefix of the deal.
+  EXPECT_LE(arms[0].size() - arms[2].size(), 1u);
 }
 
 TEST(HybridGroupsTest, GroupsAreDisjointAndSized) {

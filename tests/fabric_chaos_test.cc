@@ -9,12 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "apps/power_capping.h"
 #include "apps/session.h"
 #include "common/snapshot.h"
+#include "core/experiment.h"
 #include "core/experiment_fabric.h"
 
 namespace kea::apps {
@@ -85,16 +88,21 @@ std::vector<int> SkuPool(const KeaSession& session, sim::SkuId sku, int skip,
   return pool;
 }
 
+/// A feature flight pinned to `pool`, dealt into two arms of kPerArm by the
+/// one split rule.
 FlightRequest PinnedFeatureFlight(const std::string& name, sim::SkuId sku,
+                                  const KeaSession& session,
                                   std::vector<int> pool) {
   FlightRequest req;
   req.name = name;
   req.sku = sku;
-  req.treatment.feature_enabled = true;
+  req.arms.resize(2);
+  req.arms[1].feature_enabled = true;
   req.machines_per_arm = kPerArm;
   req.window_hours = 6;
   req.num_windows = kWindows;
-  req.pinned_machines = std::move(pool);
+  req.pinned_arms = core::DealArms(session.cluster(), std::move(pool), 2);
+  for (auto& arm : req.pinned_arms) arm.resize(kPerArm);
   req.guardrails = Generous();
   return req;
 }
@@ -103,12 +111,15 @@ FlightRequest PinnedFeatureFlight(const std::string& name, sim::SkuId sku,
 /// doomed flight whose guardrails no treatment can satisfy.
 std::vector<FlightRequest> CompositionRequests(const KeaSession& session) {
   std::vector<FlightRequest> requests = {
-      PinnedFeatureFlight("flight-a", 3, SkuPool(session, 3, 0, 2 * kMachinesPerRack)),
-      PinnedFeatureFlight("flight-b", 4, SkuPool(session, 4, 0, 2 * kMachinesPerRack)),
-      PinnedFeatureFlight("flight-c", 5, SkuPool(session, 5, 0, 2 * kMachinesPerRack)),
+      PinnedFeatureFlight("flight-a", 3, session,
+                          SkuPool(session, 3, 0, 2 * kMachinesPerRack)),
+      PinnedFeatureFlight("flight-b", 4, session,
+                          SkuPool(session, 4, 0, 2 * kMachinesPerRack)),
+      PinnedFeatureFlight("flight-c", 5, session,
+                          SkuPool(session, 5, 0, 2 * kMachinesPerRack)),
   };
   FlightRequest doomed = PinnedFeatureFlight(
-      "flight-doomed", 4,
+      "flight-doomed", 4, session,
       SkuPool(session, 4, 2 * kMachinesPerRack, 2 * kMachinesPerRack));
   doomed.guardrails.max_latency_ratio = 0.01;  // Latency must drop 99%: never.
   requests.push_back(doomed);
@@ -225,21 +236,23 @@ TEST(FabricChaosCompositionTest, SurvivingFlightsMatchSoloGroundTruth) {
     ExperimentFabric::FlightConclusion solo = SoloGroundTruth(*req);
     ASSERT_TRUE(solo.effect_ok);
     // Identical arms: the conclusion differs only through chaos.
-    EXPECT_EQ(solo.treatment_machines, chaos.treatment_machines);
-    EXPECT_EQ(solo.control_machines, chaos.control_machines);
+    EXPECT_EQ(solo.arms[1].machines, chaos.arms[1].machines);
+    EXPECT_EQ(solo.arms[0].machines, chaos.arms[0].machines);
 
     // Same verdict: the treatment still reads more data, still runs faster.
-    EXPECT_GT(solo.data_read.percent_change, 0.0);
-    EXPECT_EQ(Sign(chaos.data_read.percent_change),
-              Sign(solo.data_read.percent_change));
-    EXPECT_EQ(Sign(chaos.task_latency.percent_change),
-              Sign(solo.task_latency.percent_change));
+    EXPECT_GT(solo.arms[1].data_read.percent_change, 0.0);
+    EXPECT_EQ(Sign(chaos.arms[1].data_read.percent_change),
+              Sign(solo.arms[1].data_read.percent_change));
+    EXPECT_EQ(Sign(chaos.arms[1].task_latency.percent_change),
+              Sign(solo.arms[1].task_latency.percent_change));
 
     // The chaos CI must cover the chaos-free effect (small absolute slack:
     // chaos shifts both arms, the CI half-width only captures variance).
-    const double slack = 0.1 * std::abs(solo.data_read.percent_change);
-    EXPECT_LE(chaos.data_read_ci_low - slack, solo.data_read.percent_change);
-    EXPECT_GE(chaos.data_read_ci_high + slack, solo.data_read.percent_change);
+    const double slack = 0.1 * std::abs(solo.arms[1].data_read.percent_change);
+    EXPECT_LE(chaos.arms[1].data_read_ci_low - slack,
+              solo.arms[1].data_read.percent_change);
+    EXPECT_GE(chaos.arms[1].data_read_ci_high + slack,
+              solo.arms[1].data_read.percent_change);
   }
   EXPECT_GE(survivors, 2);
 
@@ -253,10 +266,68 @@ TEST(FabricChaosCompositionTest, SurvivingFlightsMatchSoloGroundTruth) {
   uint64_t fleet_down = session->fleet_faults()->DownHours(all_ids);
   uint64_t charged = 0;
   for (const auto& c : report->flights) {
-    charged += c.treatment_down_hours + c.control_down_hours;
+    charged += c.down_hours;
   }
   EXPECT_LE(charged, fleet_down);
   EXPECT_GT(fleet_down, 0u) << "chaos profile too gentle to matter";
+}
+
+TEST(FabricChaosCompositionTest, TrippedStudyRollsBackOnlyItsOwnArms) {
+  // A power-capping study's round rides beside the healthy flights under
+  // chaos, with guardrails it cannot meet: it trips at its first boundary,
+  // journals the only rollback of the run, and the flights beside it run
+  // their whole horizon.
+  const std::string dir = testing::TempDir() + "/fabric_chaos_study";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  auto session = std::move(KeaSession::Create(ChaosWorldConfig())).value();
+  ASSERT_TRUE(session->EnableDurability(dir).ok());
+  ASSERT_TRUE(session->EnableFleetChaos(GentleChaos()).ok());
+  ASSERT_TRUE(session->Simulate(kPreludeHours).ok());
+  const std::string before = ClusterSignature(*session);
+
+  std::vector<FlightRequest> requests = CompositionRequests(*session);
+  requests.pop_back();  // The doomed flight: here the study is what trips.
+  PowerCappingStudy::Options options;
+  options.sku = 2;
+  options.group_size = 3;
+  options.cap_levels = {0.20};
+  options.hours_per_round = 6;
+  const PowerCappingStudy study(options);
+  auto study_queue = study.Requests(session->cluster());
+  ASSERT_TRUE(study_queue.ok()) << study_queue.status();
+  ASSERT_EQ(study_queue->size(), 1u);
+  (*study_queue)[0].guardrails.max_latency_ratio = 0.01;  // Never met.
+  requests.push_back((*study_queue)[0]);
+
+  auto report = session->RunExperimentFabric(requests, RoundOptions());
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->admitted, 4u);
+  EXPECT_EQ(report->trips, 1u);
+
+  const auto& tripped = report->flights[3];
+  ASSERT_TRUE(tripped.tripped);
+  EXPECT_EQ(tripped.tripped_window, 0);
+  EXPECT_EQ(tripped.end_hour, tripped.start_hour + options.hours_per_round);
+  EXPECT_EQ(tripped.machines_restored, 3u * 3u);  // Arms B, C and D.
+  for (size_t i = 0; i < 3; ++i) {
+    const auto& flight = report->flights[i];
+    SCOPED_TRACE(flight.name);
+    EXPECT_FALSE(flight.tripped);
+    EXPECT_EQ(flight.end_hour, flight.start_hour + 6 * kWindows);
+    EXPECT_FALSE(session->ledger()->Has("fab0/f" + std::to_string(i) + "/rollback"));
+  }
+  EXPECT_TRUE(session->ledger()->Has("fab0/f3/rollback"));
+  EXPECT_EQ(ClusterSignature(*session), before);
+
+  // The study reads the trip as its failure, with the guardrail evidence.
+  ExperimentFabric::Report study_report;
+  study_report.flights = {tripped};
+  auto read = study.Read(session->perf_model(), session->store(), study_report);
+  EXPECT_EQ(read.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(read.status().message().find(tripped.trip_eval.Describe()),
+            std::string::npos)
+      << read.status();
 }
 
 TEST(FabricChaosCompositionTest, CompositionIsThreadCountInvariant) {

@@ -12,7 +12,7 @@
 #include "apps/session.h"
 #include "apps/yarn_tuner.h"
 #include "core/deployment.h"
-#include "core/flighting.h"
+#include "core/experiment_fabric.h"
 #include "core/treatment.h"
 #include "sim/fluid_engine.h"
 #include "sim/job_sim.h"
@@ -54,9 +54,9 @@ TEST_F(ObservationalTuningLoop, FullDeploymentImprovesThroughputAtFlatLatency) {
   ASSERT_TRUE(plan.ok()) << plan.status();
   ASSERT_FALSE(plan->recommendations.empty());
 
-  // 3. Flighting: pilot the change on one group before fleet-wide rollout
-  //    (the Section 5.2.2 pilot ladder, compressed to one rung).
-  core::FlightingService flighting;
+  // 3. Flighting: pilot the change on one group's SKU before fleet-wide
+  //    rollout (the Section 5.2.2 pilot ladder, compressed to one rung): one
+  //    guarded fabric flight, 20 machines per arm, two days.
   const core::GroupRecommendation* pilot_rec = nullptr;
   for (const auto& rec : plan->recommendations) {
     if (rec.recommended_max_containers > rec.current_max_containers) {
@@ -65,18 +65,36 @@ TEST_F(ObservationalTuningLoop, FullDeploymentImprovesThroughputAtFlatLatency) {
     }
   }
   ASSERT_NE(pilot_rec, nullptr) << "expected at least one group to grow";
-  std::vector<int> pilot_machines;
-  for (int id : cluster_.groups().at(pilot_rec->group)) {
-    pilot_machines.push_back(id);
-    if (pilot_machines.size() >= 40) break;
-  }
-  core::ConfigPatch patch;
-  patch.max_containers = pilot_rec->current_max_containers + 1;
-  auto flight = flighting.CreateFlight(
-      {"pilot", pilot_machines, kBeforeHours, kBeforeHours + 48, patch});
-  ASSERT_TRUE(flight.ok());
-  ASSERT_TRUE(flighting.Begin(*flight, &cluster_).ok());
-  ASSERT_TRUE(engine_->Run(kBeforeHours, 48, &store_).ok());
+  core::FlightRequest pilot;
+  pilot.name = "pilot";
+  pilot.sku = pilot_rec->group.sku;
+  pilot.arms.resize(2);
+  pilot.arms[1].max_containers = pilot_rec->current_max_containers + 1;
+  pilot.machines_per_arm = 20;
+  pilot.window_hours = 24;
+  pilot.num_windows = 2;
+  pilot.guardrails.max_latency_ratio = 1.5;
+  pilot.guardrails.max_queue_p99_ratio = 5.0;
+  pilot.guardrails.queue_p99_floor_ms = 500.0;
+  // The pilot starts on a Monday: its guardrail baseline is the whole week
+  // before, not the quiet Sunday alone.
+  core::ExperimentFabric::Options fabric;
+  fabric.baseline_hours = sim::kHoursPerWeek;
+  sim::HourIndex now = kBeforeHours;
+  auto flown = core::ExperimentFabric(fabric)
+                   .Run({pilot}, &cluster_, &store_, now,
+                        [&](int hours) {
+                          KEA_RETURN_IF_ERROR(engine_->Run(now, hours, &store_));
+                          now += hours;
+                          return Status::OK();
+                        },
+                        nullptr);
+  ASSERT_TRUE(flown.ok()) << flown.status();
+  const core::ExperimentFabric::FlightConclusion& flight = flown->flights[0];
+  ASSERT_TRUE(core::ConclusionStatus(flight).ok()) << core::ConclusionStatus(flight);
+  ASSERT_EQ(flight.start_hour, kBeforeHours);
+  ASSERT_EQ(flight.end_hour, kBeforeHours + 48);
+  const std::vector<int>& pilot_machines = flight.arms[1].machines;
 
   // The pilot must confirm that raising the config raises the real observed
   // container count (the paper's first pilot flighting).
@@ -99,7 +117,11 @@ TEST_F(ObservationalTuningLoop, FullDeploymentImprovesThroughputAtFlatLatency) {
     base_containers /= static_cast<double>(base_records.size());
   }
   EXPECT_GT(pilot_containers, base_containers);
-  ASSERT_TRUE(flighting.End(*flight, &cluster_).ok());
+  // The flight ended: the pilot config is gone before the rollout.
+  for (int id : pilot_machines) {
+    EXPECT_EQ(cluster_.machines()[static_cast<size_t>(id)].max_containers,
+              pilot_rec->current_max_containers);
+  }
 
   // 4. Conservative fleet-wide rollout (max_step = 1 per round, like the
   //    paper's first production round).

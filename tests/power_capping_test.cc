@@ -5,6 +5,10 @@
 namespace kea::apps {
 namespace {
 
+/// Every round is a fabric flight, whose guardrails need a day of telemetry
+/// before it starts: studies start at kStart.
+constexpr sim::HourIndex kStart = sim::kHoursPerDay;
+
 struct PowerFixture {
   sim::PerfModel model = sim::PerfModel::CreateDefault();
   sim::WorkloadModel workload = sim::WorkloadModel::CreateDefault();
@@ -21,6 +25,11 @@ struct PowerFixture {
     cs.total_machines = 1200;
     cluster = std::move(sim::Cluster::Build(model.catalog(), cs)).value();
   }
+
+  /// Simulates the baseline day [0, kStart).
+  static void Baseline(sim::FluidEngine* engine, telemetry::TelemetryStore* store) {
+    ASSERT_TRUE(engine->Run(0, kStart, store).ok());
+  }
 };
 
 TEST(PowerCappingTest, ProducesAllCells) {
@@ -35,7 +44,8 @@ TEST(PowerCappingTest, ProducesAllCells) {
   options.cap_levels = {0.10, 0.20, 0.30};
   options.hours_per_round = 26;
   PowerCappingStudy study(options);
-  auto result = study.Run(fx.model, &fx.cluster, &engine, &store, 0);
+  PowerFixture::Baseline(&engine, &store);
+  auto result = study.Run(fx.model, &fx.cluster, &engine, &store, kStart);
   ASSERT_TRUE(result.ok()) << result.status();
   // 1 feature-only cell + 2 per cap level.
   EXPECT_EQ(result->cells.size(), 1u + 2u * 3u);
@@ -54,7 +64,8 @@ TEST(PowerCappingTest, FeatureHelpsAndDeepCapsHurt) {
   options.cap_levels = {0.10, 0.30};
   options.hours_per_round = 30;
   PowerCappingStudy study(options);
-  auto result = study.Run(fx.model, &fx.cluster, &engine, &store, 0);
+  PowerFixture::Baseline(&engine, &store);
+  auto result = study.Run(fx.model, &fx.cluster, &engine, &store, kStart);
   ASSERT_TRUE(result.ok());
 
   double feature_only = 0.0, cap10_on = 0.0, cap10_off = 0.0;
@@ -91,7 +102,8 @@ TEST(PowerCappingTest, RecommendsANonTrivialCap) {
   options.cap_levels = {0.10, 0.15};
   options.hours_per_round = 26;
   PowerCappingStudy study(options);
-  auto result = study.Run(fx.model, &fx.cluster, &engine, &store, 0);
+  PowerFixture::Baseline(&engine, &store);
+  auto result = study.Run(fx.model, &fx.cluster, &engine, &store, kStart);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->recommended_cap_level, 0.0);
   EXPECT_GT(result->provisioned_watts_saved_per_machine, 0.0);
@@ -131,6 +143,28 @@ TEST(PowerCappingTest, Validation) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST(PowerCappingTest, RoundWithoutBaselineDayTripsAsUnmeasurable) {
+  // No telemetry before the first round: its guardrail baseline is empty,
+  // the fabric trips it at window 0, and the study names the evidence.
+  PowerFixture fx;
+  sim::FluidEngine engine(&fx.model, &fx.cluster, &fx.workload,
+                          sim::FluidEngine::Options());
+  telemetry::TelemetryStore store;
+  PowerCappingStudy::Options options;
+  options.sku = 4;
+  options.group_size = 20;
+  options.cap_levels = {0.20};
+  PowerCappingStudy study(options);
+  auto result = study.Run(fx.model, &fx.cluster, &engine, &store, 0);
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(result.status().message().find("unmeasurable"), std::string::npos)
+      << result.status();
+  for (const sim::Machine& m : fx.cluster.machines()) {
+    EXPECT_DOUBLE_EQ(m.power_cap_fraction, 0.0) << m.id;
+    EXPECT_FALSE(m.feature_enabled) << m.id;
+  }
+}
+
 TEST(PowerCappingTest, ConfigurationRestoredAfterStudy) {
   PowerFixture fx;
   sim::FluidEngine engine(&fx.model, &fx.cluster, &fx.workload,
@@ -143,7 +177,8 @@ TEST(PowerCappingTest, ConfigurationRestoredAfterStudy) {
   options.cap_levels = {0.20};
   options.hours_per_round = 26;
   PowerCappingStudy study(options);
-  ASSERT_TRUE(study.Run(fx.model, &fx.cluster, &engine, &store, 0).ok());
+  PowerFixture::Baseline(&engine, &store);
+  ASSERT_TRUE(study.Run(fx.model, &fx.cluster, &engine, &store, kStart).ok());
   for (const sim::Machine& m : fx.cluster.machines()) {
     EXPECT_DOUBLE_EQ(m.power_cap_fraction, 0.0) << m.id;
     EXPECT_FALSE(m.feature_enabled) << m.id;

@@ -5,6 +5,10 @@
 namespace kea::apps {
 namespace {
 
+/// The experiment runs as a fabric flight, whose guardrails need a day of
+/// telemetry before it starts: studies start at kStart.
+constexpr sim::HourIndex kStart = sim::kHoursPerDay;
+
 struct ScFixture {
   sim::PerfModel model = sim::PerfModel::CreateDefault();
   sim::WorkloadModel workload = sim::WorkloadModel::CreateDefault();
@@ -14,6 +18,11 @@ struct ScFixture {
     sim::ClusterSpec spec = sim::ClusterSpec::Default();
     spec.total_machines = machines;
     cluster = std::move(sim::Cluster::Build(model.catalog(), spec)).value();
+  }
+
+  /// Simulates the baseline day [0, kStart).
+  static void Baseline(sim::FluidEngine* engine, telemetry::TelemetryStore* store) {
+    ASSERT_TRUE(engine->Run(0, kStart, store).ok());
   }
 };
 
@@ -31,7 +40,8 @@ TEST(ScSelectorTest, Sc2DominatesSc1) {
   options.min_machines_per_arm = 40;
   options.workdays = 5;
   ScSelector selector(options);
-  auto result = selector.Run(&fx.cluster, &engine, &store, 0);
+  ScFixture::Baseline(&engine, &store);
+  auto result = selector.Run(&fx.cluster, &engine, &store, kStart);
   ASSERT_TRUE(result.ok()) << result.status();
 
   EXPECT_TRUE(result->balance.balanced);
@@ -58,10 +68,17 @@ TEST(ScSelectorTest, ConfigurationRestoredAfterExperiment) {
   options.min_machines_per_arm = 20;
   options.workdays = 2;
   ScSelector selector(options);
-  ASSERT_TRUE(selector.Run(&fx.cluster, &engine, &store, 0).ok());
+  ScFixture::Baseline(&engine, &store);
+  ASSERT_TRUE(selector.Run(&fx.cluster, &engine, &store, kStart).ok());
 
   for (size_t i = 0; i < fx.cluster.machines().size(); ++i) {
     EXPECT_EQ(fx.cluster.machines()[i].sc, before[i]) << "machine " << i;
+  }
+  // The group indexes follow the restored SCs.
+  for (const auto& [group, ids] : fx.cluster.groups()) {
+    for (int id : ids) {
+      EXPECT_EQ(fx.cluster.machines()[static_cast<size_t>(id)].group(), group);
+    }
   }
 }
 
