@@ -15,6 +15,7 @@
 #include "ml/forecast.h"
 #include "ml/mlp.h"
 #include "ml/regression.h"
+#include "obs/metrics.h"
 #include "opt/lp.h"
 
 namespace {
@@ -114,13 +115,25 @@ void BM_FluidEngineHour(benchmark::State& state) {
 }
 BENCHMARK(BM_FluidEngineHour)->Arg(1000)->Arg(5000)->Arg(20000);
 
+// Also reports IRLS iterations per Huber fit (three fits per fitted group),
+// from the fit's deterministic counters: a property of the data and the
+// stopping rule, not of the host, so CI gates it.
 void BM_WhatIfFit(benchmark::State& state) {
   bench::BenchEnv env = bench::BenchEnv::Make(500);
   env.Run(0, static_cast<int>(state.range(0)));
+  const obs::Registry& registry = obs::Registry::Get();
+  const uint64_t iterations = registry.CounterValue("whatif.irls_iterations");
+  const uint64_t groups = registry.CounterValue("whatif.groups_fitted");
   for (auto _ : state) {
     auto engine = core::WhatIfEngine::Fit(env.store, nullptr,
                                           core::WhatIfEngine::Options());
     benchmark::DoNotOptimize(engine);
+  }
+  const uint64_t fits = 3 * (registry.CounterValue("whatif.groups_fitted") - groups);
+  if (fits > 0) {
+    state.counters["irls_iterations_per_fit"] =
+        static_cast<double>(registry.CounterValue("whatif.irls_iterations") - iterations) /
+        static_cast<double>(fits);
   }
 }
 BENCHMARK(BM_WhatIfFit)->Arg(48)->Arg(168);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "ml/stats.h"
 
@@ -37,9 +38,9 @@ StatusOr<ValidationReport> ModelValidator::Validate(
     GroupValidation v;
     v.group = key;
     v.observations = containers.size();
-    KEA_ASSIGN_OR_RETURN(v.observed_containers, ml::Quantile(containers, 0.5));
-    KEA_ASSIGN_OR_RETURN(v.observed_utilization, ml::Quantile(util, 0.5));
-    KEA_ASSIGN_OR_RETURN(v.observed_latency_s, ml::Quantile(latency, 0.5));
+    KEA_ASSIGN_OR_RETURN(v.observed_containers, ml::Quantile(std::move(containers), 0.5));
+    KEA_ASSIGN_OR_RETURN(v.observed_utilization, ml::Quantile(std::move(util), 0.5));
+    KEA_ASSIGN_OR_RETURN(v.observed_latency_s, ml::Quantile(std::move(latency), 0.5));
 
     KEA_ASSIGN_OR_RETURN(v.predicted_utilization,
                          engine.PredictUtilization(key, v.observed_containers));

@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -34,29 +35,38 @@ obs::Counter* GroupsSkippedCounter() {
       obs::Registry::Get().GetCounter("whatif.groups_skipped");
   return c;
 }
+obs::Counter* IrlsIterationsCounter() {
+  static obs::Counter* c =
+      obs::Registry::Get().GetCounter("whatif.irls_iterations");
+  return c;
+}
 
-StatusOr<ml::LinearModel> FitPairs(const std::vector<double>& x,
-                                   const std::vector<double>& y,
-                                   RegressorKind kind) {
-  ml::Dataset data = ml::MakeDataset1D(x, y);
+/// Fits one relationship; a kHuber fit adds its IRLS iterations to
+/// `*irls_iterations`.
+StatusOr<ml::LinearModel> FitPairs(const ml::Dataset& data, RegressorKind kind,
+                                   int* irls_iterations) {
   if (kind == RegressorKind::kAuto) {
     KEA_ASSIGN_OR_RETURN(ml::RegressorFamily family, ml::SelectRegressor(data));
     return ml::FitFamily(data, family);
   }
   if (kind == RegressorKind::kHuber) {
-    ml::HuberRegressor regressor;
-    return regressor.Fit(data);
+    int iterations = 0;
+    KEA_ASSIGN_OR_RETURN(ml::LinearModel model,
+                         ml::HuberRegressor().Fit(data, &iterations));
+    *irls_iterations += iterations;
+    return model;
   }
   ml::LinearRegressor regressor;
   return regressor.Fit(data);
 }
 
-/// Fits one machine group's g/h/f models. Returns an empty optional when the
-/// group lacks enough busy observations (skipped, not an error).
+/// Fits one machine group's g/h/f models and adds their IRLS iterations to
+/// `*irls_iterations`. Returns an empty optional when the group lacks enough
+/// busy observations (skipped, not an error).
 StatusOr<std::optional<GroupModels>> FitGroup(
     const sim::MachineGroupKey& key,
     const std::vector<telemetry::MachineHourRecord>& records,
-    const WhatIfEngine::Options& options) {
+    const WhatIfEngine::Options& options, int* irls_iterations) {
   std::vector<double> containers, util, tasks, latency;
   std::unordered_set<int> machines;
   containers.reserve(records.size());
@@ -81,19 +91,24 @@ StatusOr<std::optional<GroupModels>> FitGroup(
   gm.group = key;
   gm.num_machines = static_cast<int>(machines.size());
 
-  KEA_ASSIGN_OR_RETURN(gm.g, FitPairs(containers, util, options.regressor));
-  KEA_ASSIGN_OR_RETURN(gm.h, FitPairs(util, tasks, options.regressor));
-  KEA_ASSIGN_OR_RETURN(gm.f, FitPairs(util, latency, options.regressor));
+  // Each relationship's dataset serves its fit and its evaluation.
+  const ml::Dataset g_data = ml::MakeDataset1D(containers, util);
+  const ml::Dataset h_data = ml::MakeDataset1D(util, tasks);
+  const ml::Dataset f_data = ml::MakeDataset1D(util, latency);
+  KEA_ASSIGN_OR_RETURN(gm.g, FitPairs(g_data, options.regressor, irls_iterations));
+  KEA_ASSIGN_OR_RETURN(gm.h, FitPairs(h_data, options.regressor, irls_iterations));
+  KEA_ASSIGN_OR_RETURN(gm.f, FitPairs(f_data, options.regressor, irls_iterations));
 
-  KEA_ASSIGN_OR_RETURN(gm.g_fit, ml::Evaluate(gm.g, ml::MakeDataset1D(containers, util)));
-  KEA_ASSIGN_OR_RETURN(gm.h_fit, ml::Evaluate(gm.h, ml::MakeDataset1D(util, tasks)));
-  KEA_ASSIGN_OR_RETURN(gm.f_fit, ml::Evaluate(gm.f, ml::MakeDataset1D(util, latency)));
+  KEA_ASSIGN_OR_RETURN(gm.g_fit, ml::Evaluate(gm.g, g_data));
+  KEA_ASSIGN_OR_RETURN(gm.h_fit, ml::Evaluate(gm.h, h_data));
+  KEA_ASSIGN_OR_RETURN(gm.f_fit, ml::Evaluate(gm.f, f_data));
 
-  // Median operating point (the large dot of Figure 9).
-  KEA_ASSIGN_OR_RETURN(gm.current_containers, ml::Quantile(containers, 0.5));
-  KEA_ASSIGN_OR_RETURN(gm.current_utilization, ml::Quantile(util, 0.5));
-  KEA_ASSIGN_OR_RETURN(gm.current_tasks_per_hour, ml::Quantile(tasks, 0.5));
-  KEA_ASSIGN_OR_RETURN(gm.current_latency_s, ml::Quantile(latency, 0.5));
+  // Median operating point (the large dot of Figure 9). The medians are the
+  // columns' last use, so each selects in its column's own storage.
+  KEA_ASSIGN_OR_RETURN(gm.current_containers, ml::Quantile(std::move(containers), 0.5));
+  KEA_ASSIGN_OR_RETURN(gm.current_utilization, ml::Quantile(std::move(util), 0.5));
+  KEA_ASSIGN_OR_RETURN(gm.current_tasks_per_hour, ml::Quantile(std::move(tasks), 0.5));
+  KEA_ASSIGN_OR_RETURN(gm.current_latency_s, ml::Quantile(std::move(latency), 0.5));
 
   return std::optional<GroupModels>(std::move(gm));
 }
@@ -129,12 +144,13 @@ StatusOr<WhatIfEngine> WhatIfEngine::Fit(const telemetry::TelemetryStore& store,
 
   std::vector<std::optional<GroupModels>> fitted(groups.size());
   std::vector<Status> failures(groups.size(), Status::OK());
+  std::vector<int> irls_iterations(groups.size(), 0);
   common::ThreadPool::Run(options.num_threads, groups.size(), [&](size_t i) {
     KEA_TRACE_SPAN("whatif.fit_group",
                    {{"group", sim::GroupLabel(groups[i]->first)},
                     {"records", std::to_string(groups[i]->second.size())}});
     StatusOr<std::optional<GroupModels>> result =
-        FitGroup(groups[i]->first, groups[i]->second, options);
+        FitGroup(groups[i]->first, groups[i]->second, options, &irls_iterations[i]);
     if (result.ok()) {
       fitted[i] = std::move(result).value();
     } else {
@@ -149,6 +165,7 @@ StatusOr<WhatIfEngine> WhatIfEngine::Fit(const telemetry::TelemetryStore& store,
   for (size_t i = 0; i < groups.size(); ++i) {
     if (fitted[i].has_value()) {
       GroupsFittedCounter()->Increment();
+      IrlsIterationsCounter()->Increment(static_cast<uint64_t>(irls_iterations[i]));
       models[groups[i]->first] = std::move(*fitted[i]);
     } else {
       GroupsSkippedCounter()->Increment();

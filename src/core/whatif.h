@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -90,6 +91,12 @@ class WhatIfEngine {
   static StatusOr<WhatIfEngine> Fit(const telemetry::TelemetryStore& store,
                                     const telemetry::RecordFilter& filter,
                                     const Options& options);
+
+  /// An engine over group models fitted elsewhere, such as a reference fit
+  /// at other regressor settings. Every g/h/f must be 1-D; nothing is refit.
+  static WhatIfEngine FromModels(std::map<sim::MachineGroupKey, GroupModels> models) {
+    return WhatIfEngine(std::move(models));
+  }
 
   const std::map<sim::MachineGroupKey, GroupModels>& models() const { return models_; }
 

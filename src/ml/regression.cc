@@ -1,7 +1,6 @@
 #include "ml/regression.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -9,6 +8,8 @@
 #include <cstdint>
 #include <string>
 #include <utility>
+
+#include "ml/radix_select.h"
 
 namespace kea::ml {
 
@@ -164,68 +165,6 @@ StatusOr<LinearModel> SolveWeighted(const Dataset& data, const Vector& weights,
   return SolveNormalEquations(std::move(gram), std::move(rhs), l2);
 }
 
-/// Bits per digit of the radix select. The first digit is the exponent,
-/// bits 52-62 (bit 63, the sign, is clear in every key); the rest slice the
-/// mantissa 11 bits at a time, the last slice 8 bits.
-constexpr int kDigitBits = 11;
-constexpr int kTopShift = 63 - kDigitBits;
-/// A bucket this small finishes with one nth_element.
-constexpr size_t kSelectTail = 32;
-
-using DigitCounts = std::array<uint32_t, size_t{1} << kDigitBits>;
-
-/// Ranks k - 1 and k (0 < k < n) of keys[0, n) in unsigned order, by
-/// most-significant-digit radix select; `counts` holds the histogram of the
-/// keys' first digit. The keys that share the digits chosen so far hold a
-/// contiguous run of ranks. Each level finds the bucket of its next digit
-/// that holds rank k and keeps only that bucket while rank k - 1 is in it
-/// too. Once rank k is its bucket's smallest key, rank k - 1 is the largest
-/// key of the buckets below, and one pass takes both. Reorders keys and
-/// overwrites counts.
-std::pair<uint64_t, uint64_t> SelectMiddle(uint64_t* keys, size_t n, size_t k,
-                                           DigitCounts& counts) {
-  int width = kDigitBits;
-  int shift = kTopShift;
-  uint64_t prefix = 0;  // The digits chosen so far.
-  while (true) {
-    const uint64_t mask = (uint64_t{1} << width) - 1;
-    uint64_t digit = 0;
-    while (counts[digit] <= k) k -= counts[digit++];
-    prefix = prefix << width | digit;
-    if (k == 0) {
-      uint64_t lower = 0, upper = ~uint64_t{0};
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t key = keys[i];
-        const uint64_t d = key >> shift & mask;
-        upper = std::min(upper, d == digit ? key : ~uint64_t{0});
-        lower = std::max(lower, d < digit ? key : 0);
-      }
-      return {lower, upper};
-    }
-    if (shift == 0) return {prefix, prefix};  // Every bit chosen: one value.
-    const size_t bucket = counts[digit];
-    const int next_width = std::min(kDigitBits, shift);
-    const int next_shift = shift - next_width;
-    const uint64_t next_mask = (uint64_t{1} << next_width) - 1;
-    std::fill_n(counts.begin(), next_mask + 1, 0u);
-    size_t kept = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const uint64_t key = keys[i];
-      const bool in_bucket = (key >> shift & mask) == digit;
-      keys[kept] = key;
-      kept += in_bucket;
-      counts[key >> next_shift & next_mask] += in_bucket;
-    }
-    n = bucket;
-    if (n <= kSelectTail) {
-      std::nth_element(keys, keys + k, keys + n);
-      return {*std::max_element(keys, keys + k), keys[k]};
-    }
-    width = next_width;
-    shift = next_shift;
-  }
-}
-
 /// MedianAbs in two steps, so that a caller can key each value as it
 /// computes it: Reset, Put every value, then Median.
 class AbsMedian {
@@ -240,21 +179,21 @@ class AbsMedian {
   void Put(size_t i, double v) {
     const uint64_t key = std::bit_cast<uint64_t>(std::fabs(v));
     keys_[i] = key;
-    ++counts_[key >> kTopShift];
+    ++counts_[key >> internal::kTopShift];
   }
 
   /// Consumes the keys; Reset before the next use.
   double Median() {
     const size_t n = keys_.size();
     if (n == 1) return std::bit_cast<double>(keys_[0]);
-    const auto [lower, upper] = SelectMiddle(keys_.data(), n, n / 2, counts_);
+    const auto [lower, upper] = internal::SelectMiddle(keys_.data(), n, n / 2, counts_);
     const double m = std::bit_cast<double>(upper);
     return n % 2 == 0 ? 0.5 * (m + std::bit_cast<double>(lower)) : m;
   }
 
  private:
   std::vector<uint64_t> keys_;
-  DigitCounts counts_{};
+  internal::DigitCounts counts_{};
 };
 
 /// With finite data a fitted model is non-finite only when the normal
@@ -328,7 +267,7 @@ StatusOr<LinearModel> LinearRegressor::FitWeighted(const Dataset& data,
   return model;
 }
 
-StatusOr<LinearModel> HuberRegressor::Fit(const Dataset& data) const {
+StatusOr<LinearModel> HuberRegressor::Fit(const Dataset& data, int* iterations) const {
   KEA_RETURN_IF_ERROR(ValidateFitData(data));
   const size_t n = data.y.size();
   const size_t d = data.x.cols();
@@ -339,6 +278,7 @@ StatusOr<LinearModel> HuberRegressor::Fit(const Dataset& data) const {
   KEA_ASSIGN_OR_RETURN(LinearModel model,
                        SolveWeighted(data, weights, options_.l2, &block));
 
+  int reweighted = 0;  // Reweighted solves run.
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
     KEA_RETURN_IF_ERROR(CheckFinite(model));
     // Residuals of the current model, summed exactly as LinearModel::Predict.
@@ -372,9 +312,11 @@ StatusOr<LinearModel> HuberRegressor::Fit(const Dataset& data) const {
       for (size_t r = 0; r < n; ++r) reweight(r);
       KEA_ASSIGN_OR_RETURN(model, SolveWeighted(data, weights, options_.l2, &block));
     }
+    ++reweighted;
     if (max_weight_change < options_.tolerance) break;
   }
   KEA_RETURN_IF_ERROR(CheckFinite(model));
+  if (iterations != nullptr) *iterations = reweighted;
   return model;
 }
 

@@ -80,7 +80,11 @@ class HuberRegressor {
     /// Residuals beyond delta * (robust residual scale) get linear loss.
     double delta = 1.345;
     int max_iterations = 50;
-    double tolerance = 1e-8;
+    /// IRLS stops after the first reweighted solve in which every weight
+    /// moved by less than this. At 1e-4 the What-if fits take about 5
+    /// iterations, and every coefficient lies within about 1e-4 of its
+    /// standard error of the fixed point (DESIGN.md "Fit hot path").
+    double tolerance = 1e-4;
     /// Ridge term passed to the inner weighted least squares.
     double l2 = 0.0;
   };
@@ -88,8 +92,10 @@ class HuberRegressor {
   explicit HuberRegressor() : options_(Options()) {}
   explicit HuberRegressor(const Options& options) : options_(options) {}
 
-  /// Fits the model; error conditions match LinearRegressor::Fit.
-  StatusOr<LinearModel> Fit(const Dataset& data) const;
+  /// Fits the model; error conditions match LinearRegressor::Fit. When
+  /// `iterations` is not null, a successful fit stores the number of
+  /// reweighted solves it ran there (at most max_iterations).
+  StatusOr<LinearModel> Fit(const Dataset& data, int* iterations = nullptr) const;
 
  private:
   Options options_;

@@ -1,11 +1,14 @@
 #include "ml/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "common/snapshot.h"
+#include "ml/radix_select.h"
 
 namespace kea::ml {
 
@@ -141,18 +144,41 @@ double Variance(const std::vector<double>& sample) {
 
 StatusOr<double> Quantile(std::vector<double> sample, double q) {
   if (sample.empty()) return Status::InvalidArgument("empty sample");
-  if (q < 0.0 || q > 1.0) return Status::InvalidArgument("quantile outside [0, 1]");
-  double pos = q * static_cast<double>(sample.size() - 1);
+  if (!(q >= 0.0 && q <= 1.0)) return Status::InvalidArgument("quantile outside [0, 1]");
+  const size_t n = sample.size();
+  double pos = q * static_cast<double>(n - 1);
   size_t lo = static_cast<size_t>(pos);
-  size_t hi = std::min(lo + 1, sample.size() - 1);
+  size_t hi = std::min(lo + 1, n - 1);
   double frac = pos - static_cast<double>(lo);
-  // The lo-th and hi-th order statistics by selection, O(n): after
-  // nth_element everything right of lo is >= it, so the next order
-  // statistic is the smallest of that tail.
-  const auto lo_it = sample.begin() + static_cast<std::ptrdiff_t>(lo);
-  std::nth_element(sample.begin(), lo_it, sample.end());
-  const double lo_value = *lo_it;
-  const double hi_value = hi == lo ? lo_value : *std::min_element(lo_it + 1, sample.end());
+  // One pass refuses NaN, which has no rank, ORs the sign bits and counts
+  // each key's first digit for the radix select.
+  internal::DigitCounts counts{};
+  uint64_t bits = 0;
+  bool has_nan = false;
+  for (double v : sample) {
+    const uint64_t key = internal::SelectKey(v);
+    has_nan |= std::isnan(v);
+    bits |= key;
+    ++counts[(key >> internal::kTopShift) & (counts.size() - 1)];
+  }
+  if (has_nan) return Status::InvalidArgument("NaN in quantile sample");
+  double lo_value = 0.0, hi_value = 0.0;
+  if (bits >> 63 == 0 && hi > lo) {
+    // No sign bit set: the keys' unsigned order is the values' order, and
+    // equal values have equal bits (no -0.0), so the radix select's ranks
+    // lo and lo + 1 are the values nth_element puts there, bit for bit.
+    const auto [lower, upper] = internal::SelectMiddle(sample.data(), n, hi, counts);
+    lo_value = std::bit_cast<double>(lower);
+    hi_value = std::bit_cast<double>(upper);
+  } else {
+    // The lo-th and hi-th order statistics by selection, O(n): after
+    // nth_element everything right of lo is >= it, so the next order
+    // statistic is the smallest of that tail.
+    const auto lo_it = sample.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(sample.begin(), lo_it, sample.end());
+    lo_value = *lo_it;
+    hi_value = hi == lo ? lo_value : *std::min_element(lo_it + 1, sample.end());
+  }
   return lo_value * (1.0 - frac) + hi_value * frac;
 }
 

@@ -29,8 +29,12 @@ double Mean(const std::vector<double>& sample);
 /// Unbiased sample variance; returns 0 for samples of size < 2.
 double Variance(const std::vector<double>& sample);
 
-/// Linear-interpolation quantile, q in [0, 1]. Returns InvalidArgument for an
-/// empty sample or q outside [0, 1]. q=0.5 is the median.
+/// Linear-interpolation quantile, q in [0, 1]: the value at position
+/// q * (n - 1) of the sorted sample. Returns InvalidArgument for an empty
+/// sample, q outside [0, 1] or a NaN in the sample. q=0.5 is the median.
+/// Selects in the sample's own storage: a sample with no sign bit set takes
+/// the radix select of MedianAbs, which gives the bits nth_element gives;
+/// any other sample takes nth_element.
 StatusOr<double> Quantile(std::vector<double> sample, double q);
 
 /// Equal-width histogram over [lo, hi] with `bins` buckets; values outside

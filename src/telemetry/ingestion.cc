@@ -1,8 +1,10 @@
 #include "telemetry/ingestion.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
+#include <iterator>
+#include <tuple>
 
 #include "common/snapshot.h"
 #include "obs/metrics.h"
@@ -54,20 +56,29 @@ uint64_t RecordKey(const MachineHourRecord& r) {
          static_cast<uint32_t>(r.hour);
 }
 
-/// FNV-1a over the metric payload (everything that should vary hour to hour
-/// on a live machine). Identity fields are excluded: a stuck counter is a
-/// machine whose *measurements* freeze, not its labels.
-uint64_t MetricSignature(const MachineHourRecord& r) {
+using MetricWords = std::array<uint64_t, 14>;
+
+/// The metric payload (everything that should vary hour to hour on a live
+/// machine) as bit patterns. Identity fields are excluded: a stuck counter is
+/// a machine whose *measurements* freeze, not its labels.
+MetricWords MetricWordsOf(const MachineHourRecord& r) {
   const double fields[] = {
       r.avg_running_containers, r.cpu_utilization,  r.tasks_finished,
       r.data_read_mb,           r.avg_task_latency_s, r.cpu_time_core_s,
       r.queued_containers,      r.queue_latency_ms,  r.rejected_containers,
       r.cores_used,             r.ssd_used_gb,       r.ram_used_gb,
       r.network_used_mbps,      r.power_watts};
+  MetricWords words{};
+  static_assert(std::size(fields) == std::tuple_size_v<MetricWords>);
+  for (size_t i = 0; i < words.size(); ++i) words[i] = std::bit_cast<uint64_t>(fields[i]);
+  return words;
+}
+
+/// FNV-1a over the payload's little-endian bytes: the form a checkpoint
+/// saves a machine's last payload in.
+uint64_t MetricSignature(const MetricWords& words) {
   uint64_t hash = 1469598103934665603ULL;
-  for (double v : fields) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
+  for (uint64_t bits : words) {
     for (int shift = 0; shift < 64; shift += 8) {
       hash ^= (bits >> shift) & 0xFF;
       hash *= 1099511628211ULL;
@@ -171,9 +182,12 @@ Status IngestionPipeline::Ingest(const std::vector<MachineHourRecord>& batch) {
     }
     if (options_.stuck_run_threshold > 0) {
       StuckState& state = stuck_[r.machine_id];
-      uint64_t signature = MetricSignature(r);
-      state.run_length = signature == state.signature ? state.run_length + 1 : 1;
-      state.signature = signature;
+      const MetricWords words = MetricWordsOf(r);
+      const bool repeat = state.signature ? MetricSignature(words) == *state.signature
+                                          : words == state.words;
+      state.run_length = repeat ? state.run_length + 1 : 1;
+      state.words = words;
+      state.signature.reset();
       if (state.run_length > options_.stuck_run_threshold) {
         Quarantine(r, QuarantineReason::kStuckCounter);
         continue;
@@ -233,7 +247,7 @@ std::string IngestionPipeline::SerializeState() const {
   w.PutU64(stuck.size());
   for (const auto& [machine, state] : stuck) {
     w.PutInt(machine);
-    w.PutU64(state.signature);
+    w.PutU64(state.signature ? *state.signature : MetricSignature(state.words));
     w.PutInt(state.run_length);
   }
 
@@ -297,9 +311,11 @@ Status IngestionPipeline::RestoreState(const std::string& blob) {
   for (uint64_t i = 0; i < count; ++i) {
     int machine = 0;
     StuckState state;
+    uint64_t signature = 0;
     KEA_RETURN_IF_ERROR(r.GetInt(&machine));
-    KEA_RETURN_IF_ERROR(r.GetU64(&state.signature));
+    KEA_RETURN_IF_ERROR(r.GetU64(&signature));
     KEA_RETURN_IF_ERROR(r.GetInt(&state.run_length));
+    state.signature = signature;
     stuck[machine] = state;
   }
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -135,10 +136,13 @@ class IngestionPipeline {
   std::unordered_set<uint64_t> seen_keys_;  ///< (machine, hour) dedup index.
   sim::HourIndex watermark_ = -1;
 
-  /// Stuck-counter tracking: per machine, a hash of the last metric payload
-  /// and how many consecutive records carried it.
+  /// Stuck-counter tracking: per machine, the last metric payload (its 14
+  /// metric fields' bit patterns) and how many consecutive records carried
+  /// it. A checkpoint saves the payload as its FNV-1a signature, so a
+  /// restored machine holds only `signature` until its next record.
   struct StuckState {
-    uint64_t signature = 0;
+    std::array<uint64_t, 14> words{};
+    std::optional<uint64_t> signature;
     int run_length = 0;
   };
   std::unordered_map<int, StuckState> stuck_;

@@ -4,12 +4,16 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "obs/metrics.h"
 #include "sim/fault_injector.h"
+#include "sim/fluid_engine.h"
 
 namespace kea::telemetry {
 namespace {
@@ -240,6 +244,75 @@ TEST_P(IngestionPropertyTest, OutputSaneAndConservationHolds) {
   for (const MachineHourRecord& r : sink.records()) {
     EXPECT_TRUE(keys.emplace(r.machine_id, r.hour).second);
   }
+}
+
+// --- The stuck-counter screen keeps each machine's last metric payload and
+// compares the next one word for word; a checkpoint saves the payload as its
+// FNV-1a signature, and a restored machine compares its next record by that
+// signature once. So a pipeline restored from its own checkpoint before
+// every record compares every record by signature, as the screen did when it
+// kept only the hash: that is the hashing reference here. The two may differ
+// only on two different payloads whose signatures collide.
+
+/// Ingests `batch` one record at a time, each after a checkpoint round trip.
+void IngestHashing(IngestionPipeline* reference, const std::vector<MachineHourRecord>& batch) {
+  for (const MachineHourRecord& r : batch) {
+    ASSERT_TRUE(reference->RestoreState(reference->SerializeState()).ok());
+    ASSERT_TRUE(reference->Ingest({r}).ok());
+  }
+}
+
+TEST(IngestionPipelineTest, StuckScreenMatchesTheHashingReference) {
+  constexpr int kHours = 32;
+  sim::PerfModel model = sim::PerfModel::CreateDefault();
+  sim::WorkloadModel workload = sim::WorkloadModel::CreateDefault();
+  sim::ClusterSpec spec = sim::ClusterSpec::Default();
+  spec.total_machines = 80;
+  sim::Cluster cluster = std::move(sim::Cluster::Build(model.catalog(), spec)).value();
+  const sim::FaultProfile profile = sim::FaultProfile::Moderate();
+  IngestionPipeline::Options options;
+  options.max_lateness_hours = 12;
+  options.stuck_run_threshold = 4;
+  size_t stuck = 0;
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::FluidEngine::Options engine_options;
+    engine_options.seed = seed;
+    sim::FluidEngine engine(&model, &cluster, &workload, engine_options);
+    // One injector corrupts the stream; each pipeline draws its transient
+    // write failures from its own copy, so both see the same failures.
+    sim::TelemetryFaultInjector corrupter(profile, seed), hooks(profile, seed),
+        reference_hooks(profile, seed);
+    TelemetryStore sink, reference_sink;
+    auto pipeline = std::make_unique<IngestionPipeline>(&sink, options);
+    pipeline->set_write_hook(hooks.MakeWriteHook());
+    IngestionPipeline reference(&reference_sink, options);
+    reference.set_write_hook(reference_hooks.MakeWriteHook());
+    for (int hour = 0; hour <= kHours; ++hour) {
+      std::vector<MachineHourRecord> batch;
+      if (hour < kHours) {
+        TelemetryStore simulated;
+        ASSERT_TRUE(engine.Run(hour, 1, &simulated).ok());
+        batch = corrupter.Corrupt(simulated.records());
+      } else {
+        batch = corrupter.Flush();
+      }
+      if (hour == kHours / 2) {
+        // Resume mid-stream: the restored machines compare by signature once.
+        auto resumed = std::make_unique<IngestionPipeline>(&sink, options);
+        ASSERT_TRUE(resumed->RestoreState(pipeline->SerializeState()).ok());
+        resumed->set_write_hook(hooks.MakeWriteHook());
+        pipeline = std::move(resumed);
+      }
+      ASSERT_TRUE(pipeline->Ingest(batch).ok());
+      IngestHashing(&reference, batch);
+      EXPECT_EQ(pipeline->counters().by_reason, reference.counters().by_reason) << "hour " << hour;
+      ASSERT_EQ(pipeline->SerializeState(), reference.SerializeState()) << "hour " << hour;
+    }
+    EXPECT_EQ(sink.ToCsv(), reference_sink.ToCsv());
+    stuck += pipeline->counters().Reason(QuarantineReason::kStuckCounter);
+  }
+  EXPECT_GT(stuck, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Profiles, IngestionPropertyTest,

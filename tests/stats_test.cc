@@ -6,7 +6,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 
@@ -82,10 +86,102 @@ TEST(QuantileTest, SelectionMatchesSortBitForBit) {
   }
 }
 
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+/// `v` with its low `bits` mantissa bits replaced by random ones.
+double WithRandomLowBits(double v, int bits, Rng* rng) {
+  const uint64_t mask = (uint64_t{1} << bits) - 1;
+  const uint64_t low = static_cast<uint64_t>(rng->Uniform(0.0, static_cast<double>(mask)));
+  return std::bit_cast<double>((std::bit_cast<uint64_t>(v) & ~mask) | low);
+}
+
+/// Sample sizes from 1 to 4,000: every select depth and both parities.
+std::vector<size_t> QuantileSizes(Rng* rng) {
+  std::vector<size_t> sizes = {1, 2, 3, 4, 5, 31, 32, 33, 34, 64, 65, 100, 101,
+                               1000, 1001, 2047, 2048, 3359, 3360, 3999, 4000};
+  for (int i = 0; i < 16; ++i) sizes.push_back(1 + static_cast<size_t>(rng->Uniform(0.0, 4000.0)));
+  return sizes;
+}
+
+TEST(QuantileTest, RadixSelectMatchesSortBitForBit) {
+  // Samples with no sign bit set take the radix select: the values of the
+  // sorted sample at ranks lo and lo + 1, bit for bit, whatever the ties.
+  Rng rng(23);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double subnormal = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> small_set = {0.0, 1.0, 2.5, 1e-300, subnormal, inf};
+  const std::vector<std::pair<std::string, std::function<double()>>> generators = {
+      {"uniform", [&] { return rng.Uniform(0.0, 100.0); }},
+      {"ties", [&] { return small_set[static_cast<size_t>(rng.Uniform(0.0, 6.0))]; }},
+      {"all equal", [&] { return 3.25; }},
+      {"subnormals", [&] { return subnormal * std::floor(rng.Uniform(1.0, 1e6)); }},
+      {"specials",
+       [&] {
+         switch (static_cast<int>(rng.Uniform(0.0, 5.0))) {
+           case 0: return 0.0;
+           case 1: return WithRandomLowBits(subnormal, 40, &rng);
+           case 2: return inf;
+           case 3: return std::numeric_limits<double>::max();
+           default: return rng.Uniform(0.0, 1.0);
+         }
+       }},
+      {"shared bits low 8", [&] { return WithRandomLowBits(1.5, 8, &rng); }},
+      {"shared bits low 20", [&] { return WithRandomLowBits(1e6, 20, &rng); }},
+  };
+  for (const auto& [name, draw] : generators) {
+    for (size_t n : QuantileSizes(&rng)) {
+      std::vector<double> sample(n);
+      for (double& v : sample) v = draw();
+      for (double q : {0.0, 0.25, 0.5, 1.0, rng.Uniform()}) {
+        const StatusOr<double> got = Quantile(sample, q);
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(Bits(*got), Bits(SortedQuantile(sample, q)))
+            << name << " n=" << n << " q=" << q;
+      }
+    }
+  }
+}
+
+TEST(QuantileTest, SignedSamplesMatchSort) {
+  // A sample with a negative value or a -0.0 takes nth_element. -0.0 and
+  // +0.0 are equal, and neither sort nor nth_element fixes which one lands
+  // at a rank, so a zero result is compared by value.
+  Rng rng(29);
+  const std::vector<std::pair<std::string, std::function<double()>>> generators = {
+      {"mixed sign", [&] { return rng.Gaussian(0.0, 10.0); }},
+      {"signed zeros", [&] { return rng.Uniform(0, 1) < 0.5 ? 0.0 : -0.0; }},
+      {"zeros and positives",
+       [&] { return rng.Uniform(0, 1) < 0.3 ? -0.0 : rng.Uniform(0.0, 1.0) < 0.5 ? 0.0 : 2.0; }},
+  };
+  for (const auto& [name, draw] : generators) {
+    for (size_t n : QuantileSizes(&rng)) {
+      std::vector<double> sample(n);
+      for (double& v : sample) v = draw();
+      for (double q : {0.0, 0.25, 0.5, 1.0, rng.Uniform()}) {
+        const StatusOr<double> got = Quantile(sample, q);
+        ASSERT_TRUE(got.ok()) << got.status();
+        const double want = SortedQuantile(sample, q);
+        if (want == 0.0) {
+          EXPECT_EQ(*got, want) << name << " n=" << n << " q=" << q;
+        } else {
+          EXPECT_EQ(Bits(*got), Bits(want)) << name << " n=" << n << " q=" << q;
+        }
+      }
+    }
+  }
+}
+
 TEST(QuantileTest, Validation) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_EQ(Quantile({}, 0.5).status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(Quantile({1.0}, 1.5).status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(Quantile({1.0}, -0.1).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Quantile({1.0}, nan).status().code(), StatusCode::kInvalidArgument);
+  // A NaN has no rank: nth_element would be handed a comparison that is not
+  // a strict weak order.
+  EXPECT_EQ(Quantile({1.0, nan, 2.0}, 0.5).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Quantile({-1.0, -nan, 2.0}, 0.5).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Quantile({nan}, 0.0).status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(HistogramTest, CountsAndClamping) {

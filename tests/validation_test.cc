@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -113,6 +114,26 @@ TEST(ModelValidatorTest, ToleranceOptionRespected) {
   auto report = validator.Validate(*whatif, fx.store, nullptr);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->models_valid);
+}
+
+TEST(ModelValidatorTest, NanBusyRecordIsRefused) {
+  // A record appended past the ingestion screens: a NaN has no rank, so the
+  // window's median utilization cannot be taken and validation says so
+  // instead of comparing the models with an arbitrary element.
+  ValidationFixture fx(60);
+  auto whatif = WhatIfEngine::Fit(fx.store, nullptr, WhatIfEngine::Options());
+  ASSERT_TRUE(whatif.ok()) << whatif.status();
+  telemetry::MachineHourRecord record;
+  fx.store.ForEach(nullptr, [&](const telemetry::MachineHourRecord& r) {
+    if (r.tasks_finished > 0.0) record = r;
+  });
+  ASSERT_GT(record.tasks_finished, 0.0);
+  record.hour = sim::kHoursPerWeek;
+  record.cpu_utilization = std::numeric_limits<double>::quiet_NaN();
+  fx.store.Append(record);
+  ModelValidator validator;
+  auto report = validator.Validate(*whatif, fx.store, nullptr);
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument) << report.status();
 }
 
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }

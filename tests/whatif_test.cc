@@ -2,14 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/session.h"
+#include "apps/yarn_tuner.h"
+#include "obs/metrics.h"
 #include "reference_fits.h"
 #include "sim/fluid_engine.h"
 
@@ -215,6 +221,28 @@ TEST(WhatIfEngineTest, OverflowingGroupIsRefusedByEveryRegressor) {
   }
 }
 
+/// The clean 400-machine window and the 250-machine FaultProfile::Moderate
+/// window of kea_bench's round workloads, one simulated week each.
+std::vector<std::unique_ptr<apps::KeaSession>> BenchShapedSessions(uint64_t seed) {
+  apps::KeaSession::Config config;
+  config.seed = seed;
+  config.machines = 400;
+  std::vector<std::unique_ptr<apps::KeaSession>> sessions;
+  sessions.push_back(std::move(apps::KeaSession::Create(config)).value());
+  config.machines = 250;
+  sessions.push_back(std::move(apps::KeaSession::Create(config)).value());
+  apps::KeaSession::IngestionConfig ingestion;
+  ingestion.seed = seed;
+  ingestion.faults = sim::FaultProfile::Moderate();
+  ingestion.pipeline.max_lateness_hours = 12;
+  ingestion.pipeline.stuck_run_threshold = 6;
+  if (!sessions[1]->EnableIngestionPipeline(ingestion).ok()) std::abort();
+  for (const auto& session : sessions) {
+    if (!session->Simulate(sim::kHoursPerWeek).ok()) std::abort();
+  }
+  return sessions;
+}
+
 /// One group's busy-record columns, read as WhatIfEngine::Fit reads them.
 struct BusyColumns {
   ml::Vector containers, util, tasks, latency;
@@ -255,20 +283,7 @@ TEST(WhatIfEngineTest, HuberModelsMatchTheMaterializedReference) {
   // design, nth_element MAD) on the same columns, at one thread and at four.
   // Comparing with the reference rather than a pinned hash keeps the test
   // independent of the host's libm.
-  apps::KeaSession::Config config;
-  config.seed = 7;
-  config.machines = 400;
-  auto clean = std::move(apps::KeaSession::Create(config)).value();
-  config.machines = 250;
-  auto dirty = std::move(apps::KeaSession::Create(config)).value();
-  apps::KeaSession::IngestionConfig ingestion;
-  ingestion.seed = 7;
-  ingestion.faults = sim::FaultProfile::Moderate();
-  ingestion.pipeline.max_lateness_hours = 12;
-  ingestion.pipeline.stuck_run_threshold = 6;
-  ASSERT_TRUE(dirty->EnableIngestionPipeline(ingestion).ok());
-  for (apps::KeaSession* session : {clean.get(), dirty.get()}) {
-    ASSERT_TRUE(session->Simulate(sim::kHoursPerWeek).ok());
+  for (const auto& session : BenchShapedSessions(7)) {
     const std::string window =
         std::to_string(session->cluster().machines().size()) + " machines";
     const telemetry::RecordFilter filter =
@@ -289,6 +304,131 @@ TEST(WhatIfEngineTest, HuberModelsMatchTheMaterializedReference) {
         ExpectSameBits(gm.f, c.util, c.latency, group + " f");
       }
     }
+  }
+}
+
+ml::LinearModel FitAt(double tolerance, const ml::Vector& x, const ml::Vector& y,
+                      int* iterations = nullptr) {
+  ml::HuberRegressor::Options options;
+  options.tolerance = tolerance;
+  options.max_iterations = 200;
+  return ml::HuberRegressor(options).Fit(ml::MakeDataset1D(x, y), iterations).value();
+}
+
+/// Standard errors of a 1-D model's intercept and slope on (x, y): the
+/// least-squares forms s * sqrt(1/n + mean(x)^2 / Sxx) and s / sqrt(Sxx),
+/// with s the robust residual scale MAD / 0.6745 that IRLS itself uses.
+std::pair<double, double> StandardErrors(const ml::LinearModel& model, const ml::Vector& x,
+                                         const ml::Vector& y) {
+  const double n = static_cast<double>(x.size());
+  double mean = 0.0;
+  for (double v : x) mean += v;
+  mean /= n;
+  double sxx = 0.0;
+  ml::Vector residuals(x.size());
+  for (size_t i = 0; i < x.size(); ++i) {
+    sxx += (x[i] - mean) * (x[i] - mean);
+    residuals[i] = y[i] - model.Predict1D(x[i]);
+  }
+  const double s = ml::MedianAbs(residuals) / 0.6745;
+  return {s * std::sqrt(1.0 / n + mean * mean / sxx), s / std::sqrt(sxx)};
+}
+
+TEST(WhatIfEngineTest, DefaultToleranceIsWithinAThousandthOfAStandardError) {
+  // IRLS stops at a 1e-4 weight tolerance. On the bench-shaped windows every
+  // g/h/f coefficient must lie within 1e-3 standard errors of the fixed point
+  // (a 1e-12 fit), and a fit must take at most 6 iterations on average.
+  for (const auto& session : BenchShapedSessions(7)) {
+    const std::string window =
+        std::to_string(session->cluster().machines().size()) + " machines";
+    const auto columns =
+        ColumnsByGroup(session->store(), telemetry::HourRangeFilter(0, sim::kHoursPerWeek));
+    int fits = 0, iterations = 0;
+    double worst = 0.0;
+    for (const auto& [key, c] : columns) {
+      const std::pair<const ml::Vector*, const ml::Vector*> relations[] = {
+          {&c.containers, &c.util}, {&c.util, &c.tasks}, {&c.util, &c.latency}};
+      for (const auto& [x, y] : relations) {
+        int used = 0, tight_used = 0;
+        const ml::LinearModel fit = ml::HuberRegressor().Fit(ml::MakeDataset1D(*x, *y), &used).value();
+        const ml::LinearModel tight = FitAt(1e-12, *x, *y, &tight_used);
+        ASSERT_LT(tight_used, 200) << window << " " << sim::GroupLabel(key);
+        const auto [se_intercept, se_slope] = StandardErrors(tight, *x, *y);
+        worst = std::max({worst, std::fabs(fit.intercept() - tight.intercept()) / se_intercept,
+                          std::fabs(fit.coefficients()[0] - tight.coefficients()[0]) / se_slope});
+        iterations += used;
+        ++fits;
+      }
+    }
+    ASSERT_EQ(fits, 36) << window;
+    EXPECT_LE(worst, 1e-3) << window;
+    EXPECT_LE(static_cast<double>(iterations) / fits, 6.0) << window;
+  }
+}
+
+TEST(WhatIfEngineTest, PlansAgreeWithTheFormerTolerance) {
+  // Until a ground-truth oracle exists, the stopping rule's bar is the plan:
+  // the LP's recommendations from models fit at the former 1e-8 tolerance
+  // equal those from the default fit.
+  for (uint64_t seed : {7, 11, 12, 13, 14}) {
+    for (const auto& session : BenchShapedSessions(seed)) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                   std::to_string(session->cluster().machines().size()) + " machines");
+      const telemetry::RecordFilter filter = telemetry::HourRangeFilter(0, sim::kHoursPerWeek);
+      auto engine = WhatIfEngine::Fit(session->store(), filter, WhatIfEngine::Options());
+      ASSERT_TRUE(engine.ok()) << engine.status();
+      // Only g, h and f are refit: the plan reads them and the operating points.
+      std::map<sim::MachineGroupKey, GroupModels> former = engine->models();
+      const auto columns = ColumnsByGroup(session->store(), filter);
+      for (auto& [key, gm] : former) {
+        const BusyColumns& c = columns.at(key);
+        gm.g = FitAt(1e-8, c.containers, c.util);
+        gm.h = FitAt(1e-8, c.util, c.tasks);
+        gm.f = FitAt(1e-8, c.util, c.latency);
+      }
+      const apps::YarnConfigTuner tuner;
+      auto plan = tuner.ProposeFromEngine(*engine, session->cluster());
+      auto former_plan =
+          tuner.ProposeFromEngine(WhatIfEngine::FromModels(std::move(former)), session->cluster());
+      ASSERT_TRUE(plan.ok() && former_plan.ok()) << plan.status() << former_plan.status();
+      ASSERT_EQ(plan->recommendations.size(), former_plan->recommendations.size());
+      for (size_t i = 0; i < plan->recommendations.size(); ++i) {
+        const GroupRecommendation& a = plan->recommendations[i];
+        const GroupRecommendation& b = former_plan->recommendations[i];
+        EXPECT_EQ(a.group, b.group);
+        EXPECT_EQ(a.current_max_containers, b.current_max_containers);
+        EXPECT_EQ(a.recommended_max_containers, b.recommended_max_containers)
+            << sim::GroupLabel(a.group);
+      }
+    }
+  }
+}
+
+TEST(WhatIfEngineTest, IrlsIterationCounterIsThreadInvariant) {
+#ifdef KEA_OBS_DISABLED
+  GTEST_SKIP() << "observability compiled out (KEA_OBS=OFF)";
+#endif
+  // whatif.irls_iterations adds every Huber fit's iterations during the
+  // single-threaded assembly: the same total at any thread count, equal to
+  // the groups' own fits.
+  WhatIfFixture fx;
+  uint64_t want = 0;
+  for (const auto& [key, c] : ColumnsByGroup(fx.store, nullptr)) {
+    for (const auto& [x, y] : {std::pair(&c.containers, &c.util), std::pair(&c.util, &c.tasks),
+                               std::pair(&c.util, &c.latency)}) {
+      int used = 0;
+      ASSERT_TRUE(ml::HuberRegressor().Fit(ml::MakeDataset1D(*x, *y), &used).ok());
+      want += static_cast<uint64_t>(used);
+    }
+  }
+  obs::Registry& registry = obs::Registry::Get();
+  for (int threads : {1, 4, 8}) {
+    WhatIfEngine::Options options;
+    options.num_threads = threads;
+    const uint64_t before = registry.CounterValue("whatif.irls_iterations");
+    ASSERT_TRUE(WhatIfEngine::Fit(fx.store, nullptr, options).ok());
+    EXPECT_EQ(registry.CounterValue("whatif.irls_iterations") - before, want)
+        << threads << " threads";
   }
 }
 
