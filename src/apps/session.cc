@@ -89,30 +89,9 @@ struct SegmentCoverage {
   uint32_t crc = 0;
 };
 
-std::string EncodeCoverage(uint64_t records, uint32_t crc) {
-  StateWriter w;
-  w.PutU64(records);
-  w.PutU32(crc);
-  return w.Release();
-}
-
-/// Decodes a checkpoint's "records" section. The layout before
-/// telemetry.kea, which held the records themselves, is refused by name.
-StatusOr<SegmentCoverage> DecodeCoverage(const std::string& blob) {
-  StateReader reader(blob);
-  SegmentCoverage coverage;
-  KEA_RETURN_IF_ERROR(reader.GetU64(&coverage.records));
-  if (reader.remaining() != sizeof(uint32_t)) {
-    const bool inline_records =
-        reader.remaining() ==
-        coverage.records * telemetry::kMachineHourRecordBytes;
-    return Status::InvalidArgument(
-        inline_records ? "checkpoint holds inline telemetry in its 'records' "
-                         "section; telemetry now lives in telemetry.kea"
-                       : "checkpoint has a malformed 'records' section");
-  }
-  KEA_RETURN_IF_ERROR(reader.GetU32(&coverage.crc));
-  return coverage;
+template <typename Ar>
+void Persist(Ar& ar, SegmentCoverage& coverage) {
+  ar(coverage.records, coverage.crc);
 }
 
 /// telemetry.kea as Resume reads it, once: the image's intact frames, each
@@ -170,10 +149,8 @@ class SegmentImage {
   Status AppendPrefix(uint64_t count, telemetry::TelemetryStore* store) const {
     for (const Frame& frame : frames_) {
       if (frame.first >= count) break;
-      const uint64_t take = std::min(frame.count, count - frame.first);
-      StateWriter header;
-      header.PutU64(take);
-      std::string blob = header.Release();
+      uint64_t take = std::min(frame.count, count - frame.first);
+      std::string blob = Encode(take);
       blob.append(data_, frame.offset,
                   take * telemetry::kMachineHourRecordBytes);
       KEA_RETURN_IF_ERROR(store->AppendState(blob));
@@ -215,316 +192,147 @@ class SegmentImage {
   uint32_t crc_ = 0;
 };
 
-// ---- Bit-exact codecs for the checkpoint's "config" section. Everything a
-// session was constructed with goes in, so Resume() needs only the directory.
+// ---- The checkpoint's "config" section: everything a session was
+// constructed with, so Resume() needs only the directory.
 
-void EncodeConfig(const KeaSession::Config& config,
-                  const KeaSession::IngestionConfig& ingestion,
-                  bool ingestion_enabled,
-                  const KeaSession::FleetChaosConfig& chaos, bool chaos_enabled,
-                  const KeaSession::SelfHealingConfig& healing,
-                  bool healing_enabled, StateWriter* w) {
-  w->PutInt(config.machines);
-  w->PutU64(config.seed);
+struct DurableConfig {
+  KeaSession::Config config;
+  KeaSession::IngestionConfig ingestion;
+  bool ingestion_enabled = false;
+  KeaSession::FleetChaosConfig chaos;
+  bool chaos_enabled = false;
+  KeaSession::SelfHealingConfig healing;
+  bool healing_enabled = false;
+};
 
-  const sim::PerfModel::Params& p = config.perf_params;
-  const double perf[] = {p.cores_per_container, p.task_cpu_work, p.task_input_mb,
-                         p.task_temp_mb,        p.interference,
-                         p.feature_speed_boost, p.feature_power_discount,
-                         p.power_elasticity,    p.power_util_exponent,
-                         p.ssd_base_gb,         p.ssd_gb_per_core_mean,
-                         p.ssd_gb_per_core_stddev, p.ram_base_gb,
-                         p.ram_gb_per_core_mean, p.ram_gb_per_core_stddev,
-                         p.nic_base_mbps,       p.nic_mbps_per_core_mean,
-                         p.nic_mbps_per_core_stddev};
-  for (double v : perf) w->PutDouble(v);
+template <typename Ar>
+void Persist(Ar& ar, DurableConfig& d) {
+  KeaSession::Config& c = d.config;
+  ar(c.machines, c.seed);
 
-  const sim::WorkloadSpec& ws = config.workload;
-  w->PutDouble(ws.base_demand_fraction);
-  w->PutDouble(ws.diurnal_amplitude);
-  w->PutDouble(ws.peak_hour);
-  w->PutDouble(ws.weekend_factor);
-  w->PutDouble(ws.demand_noise_sigma);
-  w->PutDouble(ws.weekly_growth);
-  w->PutU64(ws.task_types.size());
-  for (const sim::TaskType& t : ws.task_types) {
-    w->PutString(t.name);
-    w->PutDouble(t.cpu_work_multiplier);
-    w->PutDouble(t.input_mb_multiplier);
-    w->PutDouble(t.temp_mb_multiplier);
-    w->PutDouble(t.weight);
-  }
+  sim::PerfModel::Params& p = c.perf_params;
+  ar(p.cores_per_container, p.task_cpu_work, p.task_input_mb, p.task_temp_mb,
+     p.interference, p.feature_speed_boost, p.feature_power_discount,
+     p.power_elasticity, p.power_util_exponent, p.ssd_base_gb,
+     p.ssd_gb_per_core_mean, p.ssd_gb_per_core_stddev, p.ram_base_gb,
+     p.ram_gb_per_core_mean, p.ram_gb_per_core_stddev, p.nic_base_mbps,
+     p.nic_mbps_per_core_mean, p.nic_mbps_per_core_stddev);
 
-  const sim::ClusterSpec& cs = config.cluster;
-  w->PutInt(cs.total_machines);
-  w->PutInt(cs.machines_per_rack);
-  w->PutU64(cs.sku_fractions.size());
-  for (double v : cs.sku_fractions) w->PutDouble(v);
-  w->PutU64(cs.baseline_max_containers.size());
-  for (int v : cs.baseline_max_containers) w->PutInt(v);
-  w->PutInt(cs.baseline_max_queued);
-  w->PutDouble(cs.sc2_fraction);
-  w->PutInt(cs.racks_per_subcluster);
+  sim::WorkloadSpec& ws = c.workload;
+  ar(ws.base_demand_fraction, ws.diurnal_amplitude, ws.peak_hour,
+     ws.weekend_factor, ws.demand_noise_sigma, ws.weekly_growth);
+  ar.Seq(ws.task_types, [&ar](sim::TaskType& t) {
+    ar(t.name, t.cpu_work_multiplier, t.input_mb_multiplier,
+       t.temp_mb_multiplier, t.weight);
+  });
 
-  const sim::FluidEngine::Options& eo = config.engine;
-  w->PutU64(eo.seed);
-  w->PutDouble(eo.placement_noise_sigma);
-  w->PutDouble(eo.utilization_noise);
-  w->PutDouble(eo.latency_noise_sigma);
-  w->PutDouble(eo.data_noise_sigma);
-  w->PutInt(eo.redistribution_rounds);
-  w->PutDouble(eo.failure_rate_per_hour);
-  w->PutDouble(eo.mean_repair_hours);
+  sim::ClusterSpec& cs = c.cluster;
+  ar(cs.total_machines, cs.machines_per_rack, cs.sku_fractions,
+     cs.baseline_max_containers, cs.baseline_max_queued, cs.sc2_fraction,
+     cs.racks_per_subcluster);
 
-  w->PutBool(ingestion_enabled);
-  const sim::FaultProfile& f = ingestion.faults;
-  w->PutDouble(f.drop_rate);
-  w->PutDouble(f.duplicate_rate);
-  w->PutDouble(f.non_finite_rate);
-  w->PutDouble(f.out_of_range_rate);
-  w->PutDouble(f.outlier_rate);
-  w->PutDouble(f.outlier_scale);
-  w->PutDouble(f.stuck_machine_fraction);
-  w->PutDouble(f.late_rate);
-  w->PutInt(f.max_late_hours);
-  w->PutDouble(f.transient_error_rate);
-  const telemetry::IngestionPipeline::Options& po = ingestion.pipeline;
-  w->PutBool(po.validate);
-  w->PutBool(po.deduplicate);
-  w->PutInt(po.max_lateness_hours);
-  w->PutInt(po.stuck_run_threshold);
-  w->PutInt(po.retry.max_attempts);
-  w->PutDouble(po.retry.initial_backoff_ms);
-  w->PutDouble(po.retry.backoff_multiplier);
-  w->PutDouble(po.retry.max_backoff_ms);
-  w->PutDouble(po.retry.jitter);
-  w->PutU64(po.retry.seed);
-  w->PutU64(ingestion.seed);
+  sim::FluidEngine::Options& eo = c.engine;
+  ar(eo.seed, eo.placement_noise_sigma, eo.utilization_noise,
+     eo.latency_noise_sigma, eo.data_noise_sigma, eo.redistribution_rounds,
+     eo.failure_rate_per_hour, eo.mean_repair_hours);
 
-  w->PutBool(chaos_enabled);
-  const sim::FleetFaultProfile& fp = chaos.profile;
-  w->PutDouble(fp.crash_rate_per_hour);
-  w->PutDouble(fp.mean_repair_hours);
-  w->PutDouble(fp.rack_outage_rate_per_hour);
-  w->PutDouble(fp.mean_rack_outage_hours);
-  w->PutDouble(fp.degrade_rate_per_hour);
-  w->PutDouble(fp.degrade_severity);
-  w->PutDouble(fp.recovery_per_hour);
-  w->PutDouble(fp.permanent_loss_rate_per_hour);
-  w->PutU64(chaos.seed);
+  sim::FaultProfile& f = d.ingestion.faults;
+  ar(d.ingestion_enabled, f.drop_rate, f.duplicate_rate, f.non_finite_rate,
+     f.out_of_range_rate, f.outlier_rate, f.outlier_scale,
+     f.stuck_machine_fraction, f.late_rate, f.max_late_hours,
+     f.transient_error_rate);
+  telemetry::IngestionPipeline::Options& po = d.ingestion.pipeline;
+  ar(po.validate, po.deduplicate, po.max_lateness_hours,
+     po.stuck_run_threshold, po.retry.max_attempts,
+     po.retry.initial_backoff_ms, po.retry.backoff_multiplier,
+     po.retry.max_backoff_ms, po.retry.jitter, po.retry.seed,
+     d.ingestion.seed);
 
-  w->PutBool(healing_enabled);
-  const ml::PageHinkleyDetector::Options& ph = healing.drift.page_hinkley;
-  w->PutDouble(ph.delta);
-  w->PutDouble(ph.lambda);
-  w->PutInt(ph.warmup);
-  w->PutDouble(ph.min_stddev);
-  w->PutDouble(ph.max_z);
-  w->PutInt(healing.drift.staleness_hours);
-  const core::ModelHealth::Options& mh = healing.health;
-  w->PutDouble(mh.residual_tolerance);
-  w->PutDouble(mh.residual_inflation);
-  w->PutDouble(mh.min_baseline_error);
-  w->PutInt(mh.refit_delay_hours);
-  w->PutInt(mh.refit_lookback_hours);
-  w->PutInt(mh.holdout_hours);
-  w->PutDouble(mh.validation_tolerance);
-  w->PutInt(mh.probation_rounds);
-  w->PutDouble(mh.probation_margin_scale);
+  sim::FleetFaultProfile& fp = d.chaos.profile;
+  ar(d.chaos_enabled, fp.crash_rate_per_hour, fp.mean_repair_hours,
+     fp.rack_outage_rate_per_hour, fp.mean_rack_outage_hours,
+     fp.degrade_rate_per_hour, fp.degrade_severity, fp.recovery_per_hour,
+     fp.permanent_loss_rate_per_hour, d.chaos.seed);
+
+  ml::PageHinkleyDetector::Options& ph = d.healing.drift.page_hinkley;
+  core::ModelHealth::Options& mh = d.healing.health;
+  ar(d.healing_enabled, ph.delta, ph.lambda, ph.warmup, ph.min_stddev,
+     ph.max_z, d.healing.drift.staleness_hours, mh.residual_tolerance,
+     mh.residual_inflation, mh.min_baseline_error, mh.refit_delay_hours,
+     mh.refit_lookback_hours, mh.holdout_hours, mh.validation_tolerance,
+     mh.probation_rounds, mh.probation_margin_scale);
 }
 
-Status DecodeConfig(const std::string& blob, KeaSession::Config* config,
-                    KeaSession::IngestionConfig* ingestion,
-                    bool* ingestion_enabled,
-                    KeaSession::FleetChaosConfig* chaos, bool* chaos_enabled,
-                    KeaSession::SelfHealingConfig* healing,
-                    bool* healing_enabled) {
-  StateReader r(blob);
-  KEA_RETURN_IF_ERROR(r.GetInt(&config->machines));
-  KEA_RETURN_IF_ERROR(r.GetU64(&config->seed));
-
-  sim::PerfModel::Params& p = config->perf_params;
-  double* perf[] = {&p.cores_per_container, &p.task_cpu_work, &p.task_input_mb,
-                    &p.task_temp_mb,        &p.interference,
-                    &p.feature_speed_boost, &p.feature_power_discount,
-                    &p.power_elasticity,    &p.power_util_exponent,
-                    &p.ssd_base_gb,         &p.ssd_gb_per_core_mean,
-                    &p.ssd_gb_per_core_stddev, &p.ram_base_gb,
-                    &p.ram_gb_per_core_mean, &p.ram_gb_per_core_stddev,
-                    &p.nic_base_mbps,       &p.nic_mbps_per_core_mean,
-                    &p.nic_mbps_per_core_stddev};
-  for (double* v : perf) KEA_RETURN_IF_ERROR(r.GetDouble(v));
-
-  sim::WorkloadSpec& ws = config->workload;
-  KEA_RETURN_IF_ERROR(r.GetDouble(&ws.base_demand_fraction));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&ws.diurnal_amplitude));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&ws.peak_hour));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&ws.weekend_factor));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&ws.demand_noise_sigma));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&ws.weekly_growth));
-  uint64_t count = 0;
-  KEA_RETURN_IF_ERROR(r.GetU64(&count));
-  ws.task_types.assign(count, sim::TaskType{});
-  for (sim::TaskType& t : ws.task_types) {
-    KEA_RETURN_IF_ERROR(r.GetString(&t.name));
-    KEA_RETURN_IF_ERROR(r.GetDouble(&t.cpu_work_multiplier));
-    KEA_RETURN_IF_ERROR(r.GetDouble(&t.input_mb_multiplier));
-    KEA_RETURN_IF_ERROR(r.GetDouble(&t.temp_mb_multiplier));
-    KEA_RETURN_IF_ERROR(r.GetDouble(&t.weight));
-  }
-
-  sim::ClusterSpec& cs = config->cluster;
-  KEA_RETURN_IF_ERROR(r.GetInt(&cs.total_machines));
-  KEA_RETURN_IF_ERROR(r.GetInt(&cs.machines_per_rack));
-  KEA_RETURN_IF_ERROR(r.GetU64(&count));
-  cs.sku_fractions.assign(count, 0.0);
-  for (double& v : cs.sku_fractions) KEA_RETURN_IF_ERROR(r.GetDouble(&v));
-  KEA_RETURN_IF_ERROR(r.GetU64(&count));
-  cs.baseline_max_containers.assign(count, 0);
-  for (int& v : cs.baseline_max_containers) KEA_RETURN_IF_ERROR(r.GetInt(&v));
-  KEA_RETURN_IF_ERROR(r.GetInt(&cs.baseline_max_queued));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&cs.sc2_fraction));
-  KEA_RETURN_IF_ERROR(r.GetInt(&cs.racks_per_subcluster));
-
-  sim::FluidEngine::Options& eo = config->engine;
-  KEA_RETURN_IF_ERROR(r.GetU64(&eo.seed));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eo.placement_noise_sigma));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eo.utilization_noise));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eo.latency_noise_sigma));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eo.data_noise_sigma));
-  KEA_RETURN_IF_ERROR(r.GetInt(&eo.redistribution_rounds));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eo.failure_rate_per_hour));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eo.mean_repair_hours));
-
-  KEA_RETURN_IF_ERROR(r.GetBool(ingestion_enabled));
-  sim::FaultProfile& f = ingestion->faults;
-  KEA_RETURN_IF_ERROR(r.GetDouble(&f.drop_rate));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&f.duplicate_rate));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&f.non_finite_rate));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&f.out_of_range_rate));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&f.outlier_rate));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&f.outlier_scale));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&f.stuck_machine_fraction));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&f.late_rate));
-  KEA_RETURN_IF_ERROR(r.GetInt(&f.max_late_hours));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&f.transient_error_rate));
-  telemetry::IngestionPipeline::Options& po = ingestion->pipeline;
-  KEA_RETURN_IF_ERROR(r.GetBool(&po.validate));
-  KEA_RETURN_IF_ERROR(r.GetBool(&po.deduplicate));
-  KEA_RETURN_IF_ERROR(r.GetInt(&po.max_lateness_hours));
-  KEA_RETURN_IF_ERROR(r.GetInt(&po.stuck_run_threshold));
-  KEA_RETURN_IF_ERROR(r.GetInt(&po.retry.max_attempts));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&po.retry.initial_backoff_ms));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&po.retry.backoff_multiplier));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&po.retry.max_backoff_ms));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&po.retry.jitter));
-  KEA_RETURN_IF_ERROR(r.GetU64(&po.retry.seed));
-  KEA_RETURN_IF_ERROR(r.GetU64(&ingestion->seed));
-  KEA_RETURN_IF_ERROR(r.GetBool(chaos_enabled));
-  sim::FleetFaultProfile& fp = chaos->profile;
-  KEA_RETURN_IF_ERROR(r.GetDouble(&fp.crash_rate_per_hour));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&fp.mean_repair_hours));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&fp.rack_outage_rate_per_hour));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&fp.mean_rack_outage_hours));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&fp.degrade_rate_per_hour));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&fp.degrade_severity));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&fp.recovery_per_hour));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&fp.permanent_loss_rate_per_hour));
-  KEA_RETURN_IF_ERROR(r.GetU64(&chaos->seed));
-
-  KEA_RETURN_IF_ERROR(r.GetBool(healing_enabled));
-  ml::PageHinkleyDetector::Options& ph = healing->drift.page_hinkley;
-  KEA_RETURN_IF_ERROR(r.GetDouble(&ph.delta));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&ph.lambda));
-  KEA_RETURN_IF_ERROR(r.GetInt(&ph.warmup));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&ph.min_stddev));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&ph.max_z));
-  KEA_RETURN_IF_ERROR(r.GetInt(&healing->drift.staleness_hours));
-  core::ModelHealth::Options& mh = healing->health;
-  KEA_RETURN_IF_ERROR(r.GetDouble(&mh.residual_tolerance));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&mh.residual_inflation));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&mh.min_baseline_error));
-  KEA_RETURN_IF_ERROR(r.GetInt(&mh.refit_delay_hours));
-  KEA_RETURN_IF_ERROR(r.GetInt(&mh.refit_lookback_hours));
-  KEA_RETURN_IF_ERROR(r.GetInt(&mh.holdout_hours));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&mh.validation_tolerance));
-  KEA_RETURN_IF_ERROR(r.GetInt(&mh.probation_rounds));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&mh.probation_margin_scale));
-  return Status::OK();
-}
-
-// ---- Bit-exact codec for the plan journaled at ROUND_STARTED. The journal,
-// not a refit, is the authority on resume: the simulation clock has advanced
-// into the rollout, so refitting would see a different window.
-
-void EncodePlan(const YarnConfigTuner::Plan& plan, StateWriter* w) {
-  w->PutU64(plan.recommendations.size());
-  for (const core::GroupRecommendation& rec : plan.recommendations) {
-    w->PutInt(rec.group.sc);
-    w->PutInt(rec.group.sku);
-    w->PutInt(rec.current_max_containers);
-    w->PutInt(rec.recommended_max_containers);
-  }
-  w->PutDouble(plan.predicted_capacity_gain);
-  w->PutDouble(plan.predicted_latency_before_s);
-  w->PutDouble(plan.predicted_latency_after_s);
-  w->PutU64(plan.lp_solution.size());
-  for (const auto& [group, value] : plan.lp_solution) {
-    w->PutInt(group.sc);
-    w->PutInt(group.sku);
-    w->PutDouble(value);
+/// The checkpoint's "cluster" section: every machine's mutable config, in
+/// id order. The fleet itself is rebuilt from the config section.
+template <typename Ar>
+void PersistMachineConfigs(Ar& ar, std::vector<sim::Machine>& machines) {
+  ar.Count(machines.size(),
+           "checkpoint cluster size does not match the rebuilt fleet");
+  for (sim::Machine& m : machines) {
+    ar(m.sc, m.max_containers, m.max_queued_containers, m.power_cap_fraction,
+       m.feature_enabled);
   }
 }
 
-Status DecodePlan(StateReader* r, YarnConfigTuner::Plan* plan) {
-  uint64_t count = 0;
-  KEA_RETURN_IF_ERROR(r->GetU64(&count));
-  plan->recommendations.assign(count, core::GroupRecommendation{});
-  for (core::GroupRecommendation& rec : plan->recommendations) {
-    KEA_RETURN_IF_ERROR(r->GetInt(&rec.group.sc));
-    KEA_RETURN_IF_ERROR(r->GetInt(&rec.group.sku));
-    KEA_RETURN_IF_ERROR(r->GetInt(&rec.current_max_containers));
-    KEA_RETURN_IF_ERROR(r->GetInt(&rec.recommended_max_containers));
-  }
-  KEA_RETURN_IF_ERROR(r->GetDouble(&plan->predicted_capacity_gain));
-  KEA_RETURN_IF_ERROR(r->GetDouble(&plan->predicted_latency_before_s));
-  KEA_RETURN_IF_ERROR(r->GetDouble(&plan->predicted_latency_after_s));
-  KEA_RETURN_IF_ERROR(r->GetU64(&count));
-  plan->lp_solution.clear();
-  for (uint64_t i = 0; i < count; ++i) {
-    sim::MachineGroupKey group;
-    double value = 0.0;
-    KEA_RETURN_IF_ERROR(r->GetInt(&group.sc));
-    KEA_RETURN_IF_ERROR(r->GetInt(&group.sku));
-    KEA_RETURN_IF_ERROR(r->GetDouble(&value));
-    plan->lp_solution[group] = value;
-  }
-  return Status::OK();
+/// The checkpoint format of a snapshot's "format" section, or 0 for a
+/// snapshot from before the section existed.
+StatusOr<uint32_t> CheckpointFormat(const SnapshotReader& snapshot) {
+  if (!snapshot.Has("format")) return 0u;
+  KEA_ASSIGN_OR_RETURN(const std::string blob, snapshot.Section("format"));
+  uint32_t format = 0;
+  KEA_RETURN_IF_ERROR(Decode(blob, &format));
+  return format;
 }
 
-std::string EncodeRoundStart(sim::HourIndex start_hour, sim::HourIndex fit_begin,
-                             sim::HourIndex fit_end,
-                             const YarnConfigTuner::Plan& plan) {
-  StateWriter w;
-  w.PutI64(start_hour);
-  w.PutI64(fit_begin);
-  w.PutI64(fit_end);
-  EncodePlan(plan, &w);
-  return w.Release();
+// ---- ROUND_STARTED: the fit window and the plan. The journal, not a
+// refit, is the authority on resume: the simulation clock has advanced into
+// the rollout, so refitting would see a different window. kea_bench's
+// traced pass writes this payload with its own copy of the layout and
+// requires a byte-identical ledger, so the layout must not move.
+
+struct RoundStart {
+  sim::HourIndex start_hour = 0;
+  sim::HourIndex fit_begin = 0;
+  sim::HourIndex fit_end = 0;
+  YarnConfigTuner::Plan plan;
+};
+
+template <typename Ar>
+void Persist(Ar& ar, RoundStart& start) {
+  ar(start.start_hour, start.fit_begin, start.fit_end, start.plan);
 }
 
-Status DecodeRoundStart(const std::string& blob, sim::HourIndex* start_hour,
-                        sim::HourIndex* fit_begin, sim::HourIndex* fit_end,
-                        YarnConfigTuner::Plan* plan) {
-  StateReader r(blob);
-  int64_t start = 0, begin = 0, end = 0;
-  KEA_RETURN_IF_ERROR(r.GetI64(&start));
-  KEA_RETURN_IF_ERROR(r.GetI64(&begin));
-  KEA_RETURN_IF_ERROR(r.GetI64(&end));
-  *start_hour = static_cast<sim::HourIndex>(start);
-  *fit_begin = static_cast<sim::HourIndex>(begin);
-  *fit_end = static_cast<sim::HourIndex>(end);
-  return DecodePlan(&r, plan);
+/// ROUND_FINISHED: the round's outcome (kea_bench writes it too).
+struct RoundOutcome {
+  core::GuardrailedRollout::Outcome outcome;
+  int tripped_wave = -1;
+  uint64_t machines_restored = 0;
+};
+
+template <typename Ar>
+void Persist(Ar& ar, RoundOutcome& o) {
+  ar.Enum(o.outcome, core::GuardrailedRollout::Outcome::kNoChange);
+  ar(o.tripped_wave, o.machines_restored);
+}
+
+/// FABRIC_STARTED: the start hour and queue size.
+using FabricStart = std::pair<sim::HourIndex, uint64_t>;
+
+/// FABRIC_FINISHED: the run's report, flights aside.
+struct FabricOutcome {
+  uint64_t admitted = 0;
+  uint64_t rejected = 0;
+  uint64_t trips = 0;
+  uint64_t max_concurrent = 0;
+  uint64_t peak_flighted_machines = 0;
+  sim::HourIndex end_hour = 0;
+};
+
+template <typename Ar>
+void Persist(Ar& ar, FabricOutcome& o) {
+  ar(o.admitted, o.rejected, o.trips, o.max_concurrent,
+     o.peak_flighted_machines, o.end_hour);
 }
 
 /// The plan-sanity screen of every tuning round: a corrupted model never
@@ -547,6 +355,16 @@ Status CheckPlanSane(const YarnConfigTuner::Plan& plan) {
 }
 
 }  // namespace
+
+template <typename Ar>
+void KeaSession::PersistMeta(Ar& ar, uint64_t& covered_seq) {
+  ar(covered_seq, now_, has_round_, last_fit_begin_, last_fit_end_,
+     last_deploy_hour_, round_count_);
+  core::WhatIfEngine::Options& whatif = last_whatif_options_;
+  ar.Enum(whatif.regressor, core::RegressorKind::kAuto);
+  ar(whatif.min_observations, whatif.num_threads, model_epoch_, deploy_epoch_,
+     fabric_count_, keep_generations_);
+}
 
 StatusOr<std::unique_ptr<KeaSession>> KeaSession::Create(const Config& config) {
   KEA_ASSIGN_OR_RETURN(sim::PerfModel perf_model,
@@ -830,41 +648,22 @@ Status KeaSession::WriteCheckpoint(uint64_t covered_seq) {
   // Telemetry first: a snapshot never covers records the segment lacks.
   KEA_RETURN_IF_ERROR(SyncSegment());
   SnapshotWriter snapshot;
+  snapshot.AddSection("format", Encode(kCheckpointFormat));
 
   StateWriter meta;
-  meta.PutU64(covered_seq);
-  meta.PutI64(now_);
-  meta.PutBool(has_round_);
-  meta.PutI64(last_fit_begin_);
-  meta.PutI64(last_fit_end_);
-  meta.PutI64(last_deploy_hour_);
-  meta.PutI64(round_count_);
-  meta.PutInt(static_cast<int>(last_whatif_options_.regressor));
-  meta.PutU64(last_whatif_options_.min_observations);
-  meta.PutInt(last_whatif_options_.num_threads);
-  meta.PutU64(model_epoch_);
-  meta.PutU64(deploy_epoch_);
-  meta.PutI64(fabric_count_);
-  meta.PutI64(keep_generations_);
+  PersistMeta(meta, covered_seq);
   snapshot.AddSection("meta", meta.Release());
 
-  StateWriter config;
-  EncodeConfig(config_, ingestion_config_, ingestion_enabled_,
-               fleet_chaos_config_, fleet_chaos_enabled_, self_healing_config_,
-               self_healing_enabled_, &config);
-  snapshot.AddSection("config", config.Release());
-
-  snapshot.AddSection("records", EncodeCoverage(segment_records_, segment_crc_));
+  snapshot.AddSection(
+      "config",
+      Encode(DurableConfig{config_, ingestion_config_, ingestion_enabled_,
+                           fleet_chaos_config_, fleet_chaos_enabled_,
+                           self_healing_config_, self_healing_enabled_}));
+  snapshot.AddSection("records",
+                      Encode(SegmentCoverage{segment_records_, segment_crc_}));
 
   StateWriter cluster;
-  cluster.PutU64(cluster_.machines().size());
-  for (const sim::Machine& m : cluster_.machines()) {
-    cluster.PutInt(m.sc);
-    cluster.PutInt(m.max_containers);
-    cluster.PutInt(m.max_queued_containers);
-    cluster.PutDouble(m.power_cap_fraction);
-    cluster.PutBool(m.feature_enabled);
-  }
+  PersistMachineConfigs(cluster, cluster_.mutable_machines());
   snapshot.AddSection("cluster", cluster.Release());
 
   snapshot.AddSection("engine", engine_->SerializeState());
@@ -894,11 +693,10 @@ StatusOr<std::unique_ptr<KeaSession>> KeaSession::Resume(const std::string& dir)
   std::unique_ptr<core::DeploymentLedger> ledger;
   KEA_ASSIGN_OR_RETURN(ledger, core::DeploymentLedger::Open(dir + kLedgerFile));
   const uint64_t ledger_next = ledger->next_seq();
-  // Then the telemetry segment, read once and never written: beside the
-  // ledger check, a checkpoint is admissible only if the segment's intact
-  // frames reproduce its records pair. Telemetry lives only there, so a
-  // checkpoint without the pair (telemetry held inline or as CSV) is refused
-  // by name before anything is built from it.
+  // Then the telemetry segment, read once and never written. A checkpoint
+  // is admissible only if it is of this build's format, the ledger holds
+  // every event it covers and the segment's intact frames reproduce its
+  // records pair.
   StatusOr<std::string> segment_bytes = ReadFileToString(dir + kSegmentFile);
   if (!segment_bytes.ok() &&
       segment_bytes.status().code() != StatusCode::kNotFound) {
@@ -909,28 +707,29 @@ StatusOr<std::unique_ptr<KeaSession>> KeaSession::Resume(const std::string& dir)
                                  : std::string());
   SnapshotGenerations::Validator admissible =
       [ledger_next, &segment](const SnapshotReader& candidate) -> Status {
-    StatusOr<std::string> meta_blob = candidate.Section("meta");
-    if (!meta_blob.ok()) return meta_blob.status();
-    StateReader meta(meta_blob.value());
+    // The format first: no other section of another layout is read.
+    KEA_ASSIGN_OR_RETURN(const uint32_t format, CheckpointFormat(candidate));
+    if (format != kCheckpointFormat) {
+      return Status::InvalidArgument(
+          "checkpoint is format " + std::to_string(format) +
+          (format == 0 ? " (it has no 'format' section)" : "") +
+          "; this build reads format " + std::to_string(kCheckpointFormat));
+    }
+    // The ledger coverage is the meta section's first field.
+    KEA_ASSIGN_OR_RETURN(const std::string meta_blob, candidate.Section("meta"));
+    StateReader meta(meta_blob);
     uint64_t covered = 0;
-    KEA_RETURN_IF_ERROR(meta.GetU64(&covered));
+    meta(covered);
+    if (!meta.ok()) return meta.Finish();
     if (covered > ledger_next) {
       return Status::FailedPrecondition(
           "checkpoint covers " + std::to_string(covered) +
           " ledger events but the ledger holds " +
           std::to_string(ledger_next) + " — refusing to fabricate state");
     }
-    StatusOr<std::string> records = candidate.Section("records");
-    if (!records.ok()) {
-      return Status::InvalidArgument("checkpoint has no 'records' section");
-    }
-    KEA_ASSIGN_OR_RETURN(const SegmentCoverage coverage,
-                         DecodeCoverage(records.value()));
-    // Every checkpoint has a deployment section, whose decoder refuses the
-    // older layout by name: no older checkpoint is decoded any further.
-    KEA_ASSIGN_OR_RETURN(const std::string deployment,
-                         candidate.Section("deployment"));
-    KEA_RETURN_IF_ERROR(core::DeploymentModule().RestoreState(deployment));
+    KEA_ASSIGN_OR_RETURN(const std::string records, candidate.Section("records"));
+    SegmentCoverage coverage;
+    KEA_RETURN_IF_ERROR(Decode(records, &coverage));
     return segment.Check(coverage);
   };
   KEA_ASSIGN_OR_RETURN(SnapshotGenerations::Restored restored,
@@ -938,100 +737,51 @@ StatusOr<std::unique_ptr<KeaSession>> KeaSession::Resume(const std::string& dir)
                            dir + kCheckpointFile, admissible));
   SnapshotReader& snapshot = restored.reader;
 
-  std::string config_blob;
-  KEA_ASSIGN_OR_RETURN(config_blob, snapshot.Section("config"));
-  Config config;
-  IngestionConfig ingestion_config;
-  bool ingestion_enabled = false;
-  FleetChaosConfig chaos_config;
-  bool chaos_enabled = false;
-  SelfHealingConfig healing_config;
-  bool healing_enabled = false;
-  KEA_RETURN_IF_ERROR(DecodeConfig(config_blob, &config, &ingestion_config,
-                                   &ingestion_enabled, &chaos_config,
-                                   &chaos_enabled, &healing_config,
-                                   &healing_enabled));
+  KEA_ASSIGN_OR_RETURN(const std::string config_blob, snapshot.Section("config"));
+  DurableConfig config;
+  KEA_RETURN_IF_ERROR(Decode(config_blob, &config));
 
-  KEA_ASSIGN_OR_RETURN(std::unique_ptr<KeaSession> session, Create(config));
-  if (ingestion_enabled) {
-    KEA_RETURN_IF_ERROR(session->EnableIngestionPipeline(ingestion_config));
+  KEA_ASSIGN_OR_RETURN(std::unique_ptr<KeaSession> session,
+                       Create(config.config));
+  if (config.ingestion_enabled) {
+    KEA_RETURN_IF_ERROR(session->EnableIngestionPipeline(config.ingestion));
   }
-  if (chaos_enabled) {
-    KEA_RETURN_IF_ERROR(session->EnableFleetChaos(chaos_config));
+  if (config.chaos_enabled) {
+    KEA_RETURN_IF_ERROR(session->EnableFleetChaos(config.chaos));
   }
-  if (healing_enabled) {
-    KEA_RETURN_IF_ERROR(session->EnableSelfHealing(healing_config));
+  if (config.healing_enabled) {
+    KEA_RETURN_IF_ERROR(session->EnableSelfHealing(config.healing));
   }
-
-  std::string meta_blob;
-  KEA_ASSIGN_OR_RETURN(meta_blob, snapshot.Section("meta"));
-  StateReader meta(meta_blob);
-  int64_t now = 0, fit_begin = 0, fit_end = 0, deploy_hour = 0;
-  int regressor = 0, num_threads = 0;
-  uint64_t min_observations = 0;
-  KEA_RETURN_IF_ERROR(meta.GetU64(&session->durable_seq_));
-  KEA_RETURN_IF_ERROR(meta.GetI64(&now));
-  KEA_RETURN_IF_ERROR(meta.GetBool(&session->has_round_));
-  KEA_RETURN_IF_ERROR(meta.GetI64(&fit_begin));
-  KEA_RETURN_IF_ERROR(meta.GetI64(&fit_end));
-  KEA_RETURN_IF_ERROR(meta.GetI64(&deploy_hour));
-  KEA_RETURN_IF_ERROR(meta.GetI64(&session->round_count_));
-  KEA_RETURN_IF_ERROR(meta.GetInt(&regressor));
-  KEA_RETURN_IF_ERROR(meta.GetU64(&min_observations));
-  KEA_RETURN_IF_ERROR(meta.GetInt(&num_threads));
-  KEA_RETURN_IF_ERROR(meta.GetU64(&session->model_epoch_));
-  KEA_RETURN_IF_ERROR(meta.GetU64(&session->deploy_epoch_));
-  KEA_RETURN_IF_ERROR(meta.GetI64(&session->fabric_count_));
-  int64_t keep = 0;
-  KEA_RETURN_IF_ERROR(meta.GetI64(&keep));
-  session->keep_generations_ = static_cast<int>(keep);
-  if (!meta.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in checkpoint meta section");
-  }
-  session->now_ = static_cast<sim::HourIndex>(now);
-  session->last_fit_begin_ = static_cast<sim::HourIndex>(fit_begin);
-  session->last_fit_end_ = static_cast<sim::HourIndex>(fit_end);
-  session->last_deploy_hour_ = static_cast<sim::HourIndex>(deploy_hour);
-  session->last_whatif_options_.regressor =
-      static_cast<core::RegressorKind>(regressor);
-  session->last_whatif_options_.min_observations =
-      static_cast<size_t>(min_observations);
-  session->last_whatif_options_.num_threads = num_threads;
 
   std::string blob;
+  KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("meta"));
+  StateReader meta(blob);
+  session->PersistMeta(meta, session->durable_seq_);
+  KEA_RETURN_IF_ERROR(meta.Finish());
+
   KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("records"));
-  KEA_ASSIGN_OR_RETURN(const SegmentCoverage coverage,
-                       DecodeCoverage(blob));
+  SegmentCoverage coverage;
+  KEA_RETURN_IF_ERROR(Decode(blob, &coverage));
   KEA_RETURN_IF_ERROR(segment.AppendPrefix(coverage.records, &session->store_));
   session->segment_records_ = coverage.records;
   session->segment_crc_ = coverage.crc;
   session->segment_dirty_ = !segment.EndsAt(coverage.records);
 
-  std::string cluster_blob;
-  KEA_ASSIGN_OR_RETURN(cluster_blob, snapshot.Section("cluster"));
-  StateReader cluster(cluster_blob);
-  uint64_t machine_count = 0;
-  KEA_RETURN_IF_ERROR(cluster.GetU64(&machine_count));
-  if (machine_count != session->cluster_.machines().size()) {
-    return Status::InvalidArgument(
-        "checkpoint cluster size does not match the rebuilt fleet");
-  }
-  std::vector<int> scs(machine_count, 0);
+  // Decoded into a copy; a drifted machine's SC goes through
+  // SetSoftwareConfig, which rebuilds the group index.
+  KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("cluster"));
+  std::vector<sim::Machine>& live = session->cluster_.mutable_machines();
+  std::vector<sim::Machine> machines = live;
+  StateReader cluster(blob);
+  PersistMachineConfigs(cluster, machines);
+  KEA_RETURN_IF_ERROR(cluster.Finish());
   std::map<int, std::vector<int>> ids_by_sc;
-  std::vector<sim::Machine>& machines = session->cluster_.mutable_machines();
-  for (uint64_t i = 0; i < machine_count; ++i) {
-    sim::Machine& m = machines[i];
-    KEA_RETURN_IF_ERROR(cluster.GetInt(&scs[i]));
-    KEA_RETURN_IF_ERROR(cluster.GetInt(&m.max_containers));
-    KEA_RETURN_IF_ERROR(cluster.GetInt(&m.max_queued_containers));
-    KEA_RETURN_IF_ERROR(cluster.GetDouble(&m.power_cap_fraction));
-    KEA_RETURN_IF_ERROR(cluster.GetBool(&m.feature_enabled));
-    if (scs[i] != m.sc) ids_by_sc[scs[i]].push_back(m.id);
+  for (size_t i = 0; i < machines.size(); ++i) {
+    if (machines[i].sc == live[i].sc) continue;
+    ids_by_sc[machines[i].sc].push_back(machines[i].id);
+    machines[i].sc = live[i].sc;
   }
-  if (!cluster.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in checkpoint cluster section");
-  }
-  // SetSoftwareConfig rebuilds the group index; only drifted machines need it.
+  live = std::move(machines);
   for (const auto& [sc, ids] : ids_by_sc) {
     KEA_RETURN_IF_ERROR(session->cluster_.SetSoftwareConfig(ids, sc));
   }
@@ -1348,11 +1098,15 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunTunedRound(
                                 plan.recommendations, options.rollout.deploy)
                                 .status());
         fresh_engine = std::make_unique<core::WhatIfEngine>(std::move(engine));
-        return EncodeRoundStart(now_, begin, now_, plan);
+        return Encode(RoundStart{now_, begin, now_, std::move(plan)});
       },
       nullptr, &payload));
-  KEA_RETURN_IF_ERROR(DecodeRoundStart(payload, &start_hour, &round.fit_begin,
-                                       &round.fit_end, &round.plan));
+  RoundStart started;
+  KEA_RETURN_IF_ERROR(Decode(payload, &started));
+  start_hour = started.start_hour;
+  round.fit_begin = started.fit_begin;
+  round.fit_end = started.fit_end;
+  round.plan = std::move(started.plan);
 
   if (unguarded != nullptr) {
     // --- APPLY, in place of the waves: the clamped batch, journaled before
@@ -1365,14 +1119,14 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunTunedRound(
                                core::DeploymentModule::Clamp(
                                    round.plan.recommendations,
                                    options.rollout.deploy));
-          return core::EncodeChangeBatch(batch);
+          return Encode(batch);
         },
         [&](const std::string& recorded) -> Status {
-          KEA_RETURN_IF_ERROR(core::DecodeChangeBatch(recorded, unguarded));
+          KEA_RETURN_IF_ERROR(Decode(recorded, unguarded));
           return deployment_.Apply(*unguarded, &cluster_);
         },
         &payload));
-    KEA_RETURN_IF_ERROR(core::DecodeChangeBatch(payload, unguarded));
+    KEA_RETURN_IF_ERROR(Decode(payload, unguarded));
     round.rollout.outcome = unguarded->empty()
                                 ? core::GuardrailedRollout::Outcome::kNoChange
                                 : core::GuardrailedRollout::Outcome::kConverged;
@@ -1407,11 +1161,9 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunTunedRound(
       journal, EventType::kRoundFinished, round_key + "/finished",
       "session.round_finished",
       [&] {
-        StateWriter outcome;
-        outcome.PutInt(static_cast<int>(round.rollout.outcome));
-        outcome.PutInt(round.rollout.tripped_wave);
-        outcome.PutU64(round.rollout.machines_restored);
-        return outcome.Release();
+        return Encode(RoundOutcome{round.rollout.outcome,
+                                   round.rollout.tripped_wave,
+                                   round.rollout.machines_restored});
       },
       [&](const std::string&) {
         if (journal != nullptr) round_count_ = round_number + 1;
@@ -1522,18 +1274,11 @@ StatusOr<core::ExperimentFabric::Report> KeaSession::RunFlights(
   KEA_RETURN_IF_ERROR(core::JournaledStep(
       journal, EventType::kFabricStarted, fabric_key + "/started",
       "session.fabric_started",
-      [&] {
-        StateWriter w;
-        w.PutI64(now_);
-        w.PutU64(requests.size());
-        return w.Release();
-      },
+      [&] { return Encode(FabricStart{now_, requests.size()}); },
       nullptr, &payload));
-  StateReader r(payload);
-  int64_t start_hour = 0;
-  uint64_t queue_size = 0;
-  KEA_RETURN_IF_ERROR(r.GetI64(&start_hour));
-  KEA_RETURN_IF_ERROR(r.GetU64(&queue_size));
+  FabricStart started;
+  KEA_RETURN_IF_ERROR(Decode(payload, &started));
+  const auto [start_hour, queue_size] = started;
   if (queue_size != requests.size()) {
     return Status::FailedPrecondition(
         "resumed fabric run " + std::to_string(fabric_number) + " had " +
@@ -1547,8 +1292,7 @@ StatusOr<core::ExperimentFabric::Report> KeaSession::RunFlights(
   in_journaled_round_ = true;
   StatusOr<core::ExperimentFabric::Report> executed =
       core::ExperimentFabric(fabric_options)
-          .Run(requests, &cluster_, &store_,
-               static_cast<sim::HourIndex>(start_hour),
+          .Run(requests, &cluster_, &store_, start_hour,
                [this](int hours) { return Simulate(hours); }, journal);
   in_journaled_round_ = false;
   if (!executed.ok()) return executed.status();
@@ -1561,14 +1305,10 @@ StatusOr<core::ExperimentFabric::Report> KeaSession::RunFlights(
       journal, EventType::kFabricFinished, fabric_key + "/finished",
       "session.fabric_finished",
       [&] {
-        StateWriter outcome;
-        outcome.PutU64(report.admitted);
-        outcome.PutU64(report.rejected);
-        outcome.PutU64(report.trips);
-        outcome.PutU64(report.max_concurrent);
-        outcome.PutU64(report.peak_flighted_machines);
-        outcome.PutI64(report.end_hour);
-        return outcome.Release();
+        return Encode(FabricOutcome{report.admitted, report.rejected,
+                                    report.trips, report.max_concurrent,
+                                    report.peak_flighted_machines,
+                                    report.end_hour});
       },
       [&](const std::string&) {
         if (journal != nullptr) fabric_count_ = fabric_number + 1;
@@ -1614,10 +1354,10 @@ Status KeaSession::RollbackLastDeployment() {
   Status status = core::JournaledStep(
       ledger_ != nullptr ? &context : nullptr, EventType::kModuleRollback,
       "rollback/" + rounds, "session.rollback",
-      [&] { return core::EncodeChangeBatch(deployment_.pending_batch()); },
+      [&] { return Encode(deployment_.pending_batch()); },
       [&](const std::string& recorded) -> Status {
         std::vector<core::AppliedChange> batch;
-        KEA_RETURN_IF_ERROR(core::DecodeChangeBatch(recorded, &batch));
+        KEA_RETURN_IF_ERROR(Decode(recorded, &batch));
         return deployment_.Undo(batch, &cluster_);
       },
       &payload);

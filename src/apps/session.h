@@ -194,15 +194,20 @@ class KeaSession {
   /// RunGuardedTuningRound() call picks it up from its last journaled step
   /// and completes it bit-identically to an uninterrupted run.
   ///
-  /// A checkpoint generation is admissible only if the ledger holds every
+  /// A checkpoint generation is admissible only if its "format" section,
+  /// read before any other, holds kCheckpointFormat, the ledger holds every
   /// event it covers and telemetry.kea's intact frames reproduce its
-  /// records pair; with none admissible, Resume refuses. A checkpoint that
-  /// holds telemetry inline (or as CSV), or deployment state with the older
-  /// ledger-key counters, is refused by name. Resume reads
+  /// records pair; with none admissible, Resume refuses. A checkpoint of
+  /// another format (or none) is refused by its format number. Resume reads
   /// telemetry.kea but never writes it: a segment with a torn tail or
   /// frames past the restored coverage is rewritten whole by the resumed
   /// session's first checkpoint.
   static StatusOr<std::unique_ptr<KeaSession>> Resume(const std::string& dir);
+
+  /// The checkpoint layout this build writes in every checkpoint's "format"
+  /// section and the only one Resume admits. Any change to a checkpoint
+  /// section's layout bumps it (and the golden layouts in persist_test).
+  static constexpr uint32_t kCheckpointFormat = 1;
 
   /// Null until EnableDurability has been called.
   const core::DeploymentLedger* ledger() const { return ledger_.get(); }
@@ -417,6 +422,11 @@ class KeaSession {
 
   /// Total drift alarms fired so far (all metrics + staleness).
   size_t TotalDriftAlarms() const;
+
+  /// The checkpoint's "meta" section: the ledger coverage, the clock and
+  /// the round bookkeeping, in one field list for both directions.
+  template <typename Ar>
+  void PersistMeta(Ar& ar, uint64_t& covered_seq);
 
   sim::PerfModel perf_model_;
   sim::WorkloadModel workload_;

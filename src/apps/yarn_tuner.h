@@ -52,6 +52,15 @@ class YarnConfigTuner {
     double predicted_latency_after_s = 0.0;
     /// Continuous LP optimum per group (before rounding), keyed by group.
     std::map<sim::MachineGroupKey, double> lp_solution;
+
+    /// The state archive's field list (common/snapshot.h): the plan a
+    /// ROUND_STARTED payload journals.
+    template <typename Ar>
+    friend void Persist(Ar& ar, Plan& plan) {
+      ar(plan.recommendations, plan.predicted_capacity_gain,
+         plan.predicted_latency_before_s, plan.predicted_latency_after_s,
+         plan.lp_solution);
+    }
   };
 
   YarnConfigTuner() : options_(Options()) {}

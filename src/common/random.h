@@ -182,6 +182,17 @@ class Rng {
   /// Refuses a blob that ends early or whose engine position is above 312.
   Status RestoreState(const std::string& state);
 
+  /// The state archive's field (common/snapshot.h): SerializeState's text
+  /// as one string, so a checkpoint's engine section keeps its bytes.
+  template <typename Ar>
+  friend void Persist(Ar& ar, Rng& rng) {
+    std::string text = Ar::kReading ? std::string() : rng.SerializeState();
+    ar(text);
+    if constexpr (Ar::kReading) {
+      if (ar.ok()) ar.Fail(rng.RestoreState(text));
+    }
+  }
+
  private:
   uint64_t seed_;
   Mt19937_64 engine_;

@@ -78,6 +78,14 @@ class RetryPolicy {
   void RestoreStats(const Stats& stats) { stats_ = stats; }
 
  private:
+  /// The state archive's field list (common/snapshot.h): the stats only;
+  /// options are construction-time.
+  template <typename Ar>
+  friend void Persist(Ar& ar, RetryPolicy& policy) {
+    Stats& s = policy.stats_;
+    ar(s.calls, s.attempts, s.retries, s.exhausted, s.total_backoff_ms);
+  }
+
   Options options_;
   Stats stats_;
 };

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <set>
 
 #include "common/io.h"
@@ -267,68 +268,47 @@ bool SnapshotReader::Has(const std::string& name) const {
   return false;
 }
 
-void StateWriter::PutU32(uint32_t v) { AppendLittleEndian(v, &buf_); }
-
-void StateWriter::PutU64(uint64_t v) { AppendLittleEndian(v, &buf_); }
-
-void StateWriter::PutDouble(double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
-}
-
-void StateWriter::PutString(const std::string& s) {
-  PutU32(static_cast<uint32_t>(s.size()));
-  buf_ += s;
-}
-
-Status StateReader::GetU32(uint32_t* v) { return ParseU32(data_, &pos_, v); }
-
-Status StateReader::GetU64(uint64_t* v) {
-  uint32_t lo = 0, hi = 0;
-  KEA_RETURN_IF_ERROR(GetU32(&lo));
-  KEA_RETURN_IF_ERROR(GetU32(&hi));
-  *v = static_cast<uint64_t>(hi) << 32 | lo;
-  return Status::OK();
-}
-
-Status StateReader::GetI64(int64_t* v) {
-  uint64_t u = 0;
-  KEA_RETURN_IF_ERROR(GetU64(&u));
-  *v = static_cast<int64_t>(u);
-  return Status::OK();
-}
-
-Status StateReader::GetInt(int* v) {
-  int64_t i = 0;
-  KEA_RETURN_IF_ERROR(GetI64(&i));
-  *v = static_cast<int>(i);
-  return Status::OK();
-}
-
-Status StateReader::GetBool(bool* v) {
-  uint32_t u = 0;
-  KEA_RETURN_IF_ERROR(GetU32(&u));
-  *v = u != 0;
-  return Status::OK();
-}
-
-Status StateReader::GetDouble(double* v) {
-  uint64_t bits = 0;
-  KEA_RETURN_IF_ERROR(GetU64(&bits));
-  std::memcpy(v, &bits, sizeof(*v));
-  return Status::OK();
-}
-
-Status StateReader::GetString(std::string* s) {
-  uint32_t len = 0;
-  KEA_RETURN_IF_ERROR(GetU32(&len));
-  if (data_.size() - pos_ < len) {
-    return Status::InvalidArgument("state blob truncated in string");
+void StateReader::Field(int& v) {
+  const int64_t wide = static_cast<int64_t>(Raw<uint64_t>());
+  if (wide < std::numeric_limits<int>::min() ||
+      wide > std::numeric_limits<int>::max()) {
+    Fail(Status::InvalidArgument("state blob holds " + std::to_string(wide) +
+                                 " where an int is expected"));
+    return;
   }
-  s->assign(data_.data() + pos_, len);
+  v = static_cast<int>(wide);
+}
+
+void StateReader::Field(std::string& v) {
+  const uint32_t len = Raw<uint32_t>();
+  if (!ok()) return;
+  if (len > remaining()) {
+    Fail(Status::InvalidArgument("state blob truncated in string"));
+    return;
+  }
+  v.assign(data_.data() + pos_, len);
   pos_ += len;
+}
+
+uint64_t StateReader::ReadCount(size_t min_bytes) {
+  const uint64_t n = Raw<uint64_t>();
+  if (!ok()) return 0;
+  if (n > remaining() / min_bytes) {
+    Fail(Status::InvalidArgument(
+        "state blob declares " + std::to_string(n) + " elements but holds " +
+        std::to_string(remaining()) + " bytes"));
+    return 0;
+  }
+  return n;
+}
+
+Status StateReader::Finish() const {
+  if (!status_.ok()) return status_;
+  if (!AtEnd()) {
+    return Status::InvalidArgument("state blob has " +
+                                   std::to_string(remaining()) +
+                                   " trailing bytes");
+  }
   return Status::OK();
 }
 

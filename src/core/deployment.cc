@@ -32,35 +32,7 @@ Status SetGroups(const std::vector<AppliedChange>& batch, bool undo,
 }  // namespace
 
 std::string EncodeChangeBatch(const std::vector<AppliedChange>& batch) {
-  StateWriter w;
-  w.PutU64(batch.size());
-  for (const AppliedChange& c : batch) {
-    w.PutInt(c.group.sc);
-    w.PutInt(c.group.sku);
-    w.PutInt(c.old_max_containers);
-    w.PutInt(c.new_max_containers);
-    w.PutBool(c.clamped);
-  }
-  return w.Release();
-}
-
-Status DecodeChangeBatch(const std::string& blob,
-                         std::vector<AppliedChange>* batch) {
-  StateReader r(blob);
-  uint64_t count = 0;
-  KEA_RETURN_IF_ERROR(r.GetU64(&count));
-  batch->clear();
-  batch->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    AppliedChange c;
-    KEA_RETURN_IF_ERROR(r.GetInt(&c.group.sc));
-    KEA_RETURN_IF_ERROR(r.GetInt(&c.group.sku));
-    KEA_RETURN_IF_ERROR(r.GetInt(&c.old_max_containers));
-    KEA_RETURN_IF_ERROR(r.GetInt(&c.new_max_containers));
-    KEA_RETURN_IF_ERROR(r.GetBool(&c.clamped));
-    batch->push_back(c);
-  }
-  return Status::OK();
+  return Encode(batch);
 }
 
 StatusOr<std::vector<AppliedChange>> DeploymentModule::Clamp(
@@ -141,36 +113,17 @@ std::string DeploymentModule::HistoryCsv() const {
   return writer.ToString();
 }
 
-std::string DeploymentModule::SerializeState() const {
-  StateWriter w;
-  w.PutString(EncodeChangeBatch(history_));
-  w.PutString(EncodeChangeBatch(last_batch_));
-  w.PutBool(has_last_batch_);
-  return w.Release();
+template <typename Ar>
+void Persist(Ar& ar, DeploymentModule& m) {
+  ar.Nested(m.history_);
+  ar.Nested(m.last_batch_);
+  ar(m.has_last_batch_);
 }
 
+std::string DeploymentModule::SerializeState() const { return Encode(*this); }
+
 Status DeploymentModule::RestoreState(const std::string& blob) {
-  StateReader r(blob);
-  std::string history_blob, batch_blob;
-  KEA_RETURN_IF_ERROR(r.GetString(&history_blob));
-  KEA_RETURN_IF_ERROR(r.GetString(&batch_blob));
-  std::vector<AppliedChange> history, last_batch;
-  KEA_RETURN_IF_ERROR(DecodeChangeBatch(history_blob, &history));
-  KEA_RETURN_IF_ERROR(DecodeChangeBatch(batch_blob, &last_batch));
-  bool has_last_batch = false;
-  KEA_RETURN_IF_ERROR(r.GetBool(&has_last_batch));
-  if (r.remaining() == 2 * sizeof(int64_t)) {
-    return Status::InvalidArgument(
-        "deployment state holds the module's apply/rollback key counters, "
-        "the layout from before the session journaled deployment steps");
-  }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in deployment state blob");
-  }
-  history_ = std::move(history);
-  last_batch_ = std::move(last_batch);
-  has_last_batch_ = has_last_batch;
-  return Status::OK();
+  return Decode(blob, this);
 }
 
 }  // namespace kea::core

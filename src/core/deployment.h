@@ -16,6 +16,11 @@ struct GroupRecommendation {
   int recommended_max_containers = 0;
 };
 
+template <typename Ar>
+void Persist(Ar& ar, GroupRecommendation& rec) {
+  ar(rec.group, rec.current_max_containers, rec.recommended_max_containers);
+}
+
 /// One change the deployment module actually applied.
 struct AppliedChange {
   sim::MachineGroupKey group;
@@ -24,10 +29,16 @@ struct AppliedChange {
   bool clamped = false;  ///< True when the recommendation exceeded max_step.
 };
 
-/// Bit-exact codec for a batch of changes: the APPLY and MODULE_ROLLBACK
-/// ledger payloads, and the checkpointed history.
+/// AppliedChange's field list for the state archive. A batch of changes
+/// (a vector) is the APPLY and MODULE_ROLLBACK ledger payloads and the
+/// checkpointed history.
+template <typename Ar>
+void Persist(Ar& ar, AppliedChange& c) {
+  ar(c.group, c.old_max_containers, c.new_max_containers, c.clamped);
+}
+
+/// Encode(batch), by the name the ledger payload's callers know it by.
 std::string EncodeChangeBatch(const std::vector<AppliedChange>& batch);
-Status DecodeChangeBatch(const std::string& blob, std::vector<AppliedChange>* batch);
 
 /// The Deployment Module: rolls recommendations out to the full cluster with
 /// the production guardrails of Section 5.2.2 — "we only modify the
@@ -99,6 +110,9 @@ class DeploymentModule {
   Status RestoreState(const std::string& blob);
 
  private:
+  template <typename Ar>
+  friend void Persist(Ar& ar, DeploymentModule& module);
+
   Options options_;
   std::vector<AppliedChange> history_;
   std::vector<AppliedChange> last_batch_;

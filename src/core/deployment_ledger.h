@@ -56,10 +56,8 @@ class DeploymentLedger {
     uint64_t seq = 0;     ///< Position in the ledger, dense from 0.
     EventType type = EventType::kRoundStarted;
     std::string key;      ///< Idempotency key, unique in the ledger.
-    std::string payload;  ///< Bit-exact binary blob (StateWriter format).
+    std::string payload;  ///< Bit-exact blob: the owning step's Persist.
   };
-
-  static const char* EventTypeToString(EventType type);
 
   /// Opens (or creates) the ledger backed by the journal at `path`. Torn
   /// tails are recovered by the journal layer; a record that decodes to a
@@ -92,7 +90,9 @@ class DeploymentLedger {
   /// per-group rows from unguarded-round batches (kApply, including the
   /// "module/apply/<n>" events of older ledgers), in ledger order. Columns:
   ///   seq,key,kind,sc,sku,machine_id,old_max_containers,new_max_containers
-  /// with -1 for fields a row kind does not carry.
+  /// with -1 for fields a row kind does not carry. Each payload is read
+  /// through its owner's Persist, so this is defined beside the owners
+  /// (applied_changes.cc), not with the ledger's own framing.
   std::string AppliedChangesCsv() const;
 
  private:

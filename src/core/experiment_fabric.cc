@@ -45,28 +45,6 @@ obs::Counter* ConcludedCounter() {
       obs::Registry::Get().GetCounter("fabric.flights_concluded");
   return c;
 }
-/// Pre-flight value of every config field a patch can touch, per machine.
-/// Journaled in FLIGHT_STARTED so rollback restores bit-exact state from the
-/// record even across a crash.
-struct Prior {
-  int id = 0;
-  int old_max = 0;
-  int new_max = 0;  ///< Post-patch value (for the applied-changes audit CSV).
-  double power = 1.0;
-  bool feature = false;
-  int sc = 0;
-};
-
-/// The FLIGHT_STARTED record: every arm's patch with the priors of its
-/// machines (none for an unpatched arm), then the flight's down-hours
-/// reading at its start. The record, not the request, is the authority for
-/// every later patch, switch and restore.
-struct StartRecord {
-  std::vector<ConfigPatch> patches;
-  std::vector<std::vector<Prior>> priors;
-  uint64_t down_hours = 0;
-};
-
 /// A flight's rack/machine reservation. Held until the *planned* horizon ends
 /// even after a trip — post-rollback carryover on those machines must not
 /// contaminate a newly admitted experiment.
@@ -84,7 +62,7 @@ struct FlightState {
   bool time_sliced = false;
   ExperimentFabric::FlightConclusion conclusion;
   std::vector<int> machines;  ///< Every machine of the flight, once.
-  StartRecord start;
+  FlightStart start;
   sim::HourIndex planned_end = 0;
   int windows_done = 0;
   bool running = false;
@@ -173,9 +151,10 @@ Assignment AssignPinned(const sim::Cluster& cluster, const FlightRequest& req,
   return a;
 }
 
-Status RestorePriors(const std::vector<Prior>& priors, sim::Cluster* cluster) {
+Status RestorePriors(const std::vector<FlightStart::Prior>& priors,
+                     sim::Cluster* cluster) {
   auto& machines = cluster->mutable_machines();
-  for (const Prior& p : priors) {
+  for (const FlightStart::Prior& p : priors) {
     if (p.id < 0 || static_cast<size_t>(p.id) >= machines.size()) {
       return Status::OutOfRange("machine id " + std::to_string(p.id));
     }
@@ -191,141 +170,70 @@ Status RestorePriors(const std::vector<Prior>& priors, sim::Cluster* cluster) {
 }
 
 /// Restores every patched machine of the flight to its pre-flight state.
-Status RestoreAll(const StartRecord& rec, sim::Cluster* cluster) {
-  for (const auto& priors : rec.priors) {
-    KEA_RETURN_IF_ERROR(RestorePriors(priors, cluster));
+Status RestoreAll(const FlightStart& rec, sim::Cluster* cluster) {
+  for (const FlightStart::Arm& arm : rec.arms) {
+    KEA_RETURN_IF_ERROR(RestorePriors(arm.priors, cluster));
   }
   return Status::OK();
 }
 
 /// Applies arm `arm`'s patch to its machines.
-Status RunArm(const StartRecord& rec, size_t arm, sim::Cluster* cluster) {
+Status RunArm(const FlightStart& rec, size_t arm, sim::Cluster* cluster) {
   std::vector<int> ids;
-  ids.reserve(rec.priors[arm].size());
-  for (const Prior& p : rec.priors[arm]) ids.push_back(p.id);
-  return ApplyPatch(rec.patches[arm], ids, cluster);
+  ids.reserve(rec.arms[arm].priors.size());
+  for (const FlightStart::Prior& p : rec.arms[arm].priors) ids.push_back(p.id);
+  return ApplyPatch(rec.arms[arm].patch, ids, cluster);
 }
 
 /// Distinct machines the flight patches (restored at its end).
-size_t PatchedMachines(const StartRecord& rec) {
+size_t PatchedMachines(const FlightStart& rec) {
   std::set<int> ids;
-  for (const auto& priors : rec.priors) {
-    for (const Prior& p : priors) ids.insert(p.id);
+  for (const FlightStart::Arm& arm : rec.arms) {
+    for (const FlightStart::Prior& p : arm.priors) ids.insert(p.id);
   }
   return ids.size();
 }
 
-std::string EncodeStart(const StartRecord& rec) {
-  StateWriter w;
-  w.PutU64(rec.patches.size());
-  for (size_t a = 0; a < rec.patches.size(); ++a) {
-    w.PutString(EncodeConfigPatch(rec.patches[a]));
-    w.PutU64(rec.priors[a].size());
-    for (const Prior& p : rec.priors[a]) {
-      w.PutInt(p.id);
-      w.PutInt(p.old_max);
-      w.PutInt(p.new_max);
-      w.PutDouble(p.power);
-      w.PutBool(p.feature);
-      w.PutInt(p.sc);
-    }
-  }
-  w.PutU64(rec.down_hours);
-  return w.Release();
+/// One guarded arm's guardrail reading in a window.
+struct Reading {
+  int arm = 0;
+  GuardrailEvaluation eval;
+};
+
+template <typename Ar>
+void Persist(Ar& ar, Reading& reading) {
+  ar(reading.arm);
+  ar.Nested(reading.eval);
 }
 
-Status DecodeStart(const std::string& blob, StartRecord* rec) {
-  StateReader r(blob);
-  uint64_t arms = 0;
-  KEA_RETURN_IF_ERROR(r.GetU64(&arms));
-  rec->patches.assign(arms, ConfigPatch{});
-  rec->priors.assign(arms, {});
-  for (uint64_t a = 0; a < arms; ++a) {
-    std::string patch_blob;
-    KEA_RETURN_IF_ERROR(r.GetString(&patch_blob));
-    KEA_RETURN_IF_ERROR(DecodeConfigPatch(patch_blob, &rec->patches[a]));
-    uint64_t count = 0;
-    KEA_RETURN_IF_ERROR(r.GetU64(&count));
-    rec->priors[a].assign(count, Prior{});
-    for (Prior& p : rec->priors[a]) {
-      KEA_RETURN_IF_ERROR(r.GetInt(&p.id));
-      KEA_RETURN_IF_ERROR(r.GetInt(&p.old_max));
-      KEA_RETURN_IF_ERROR(r.GetInt(&p.new_max));
-      KEA_RETURN_IF_ERROR(r.GetDouble(&p.power));
-      KEA_RETURN_IF_ERROR(r.GetBool(&p.feature));
-      KEA_RETURN_IF_ERROR(r.GetInt(&p.sc));
-    }
-  }
-  return r.GetU64(&rec->down_hours);
+/// One window's guardrail readings (the FLIGHT_VERDICT payload): one per
+/// guarded arm.
+using Verdict = std::vector<Reading>;
+
+/// The FLIGHT_ADMITTED payload: the planned window, the deferrals before
+/// admission, the racks and each arm's machines.
+struct Admission {
+  sim::HourIndex start = 0;
+  sim::HourIndex end = 0;
+  uint64_t deferrals = 0;
+  std::vector<int> racks;
+  std::vector<std::vector<int>> arms;
+};
+
+template <typename Ar>
+void Persist(Ar& ar, Admission& a) {
+  ar(a.start, a.end, a.deferrals, a.racks, a.arms);
 }
 
-/// One window's guardrail readings: (arm, evaluation) per guarded arm.
-using Verdict = std::vector<std::pair<int, GuardrailEvaluation>>;
-
-std::string EncodeVerdict(const Verdict& verdict) {
-  StateWriter w;
-  w.PutU64(verdict.size());
-  for (const auto& [arm, eval] : verdict) {
-    w.PutInt(arm);
-    w.PutString(GuardrailedRollout::EncodeEvaluation(eval));
-  }
-  return w.Release();
-}
-
-Status DecodeVerdict(const std::string& blob, Verdict* verdict) {
-  StateReader r(blob);
-  uint64_t n = 0;
-  KEA_RETURN_IF_ERROR(r.GetU64(&n));
-  verdict->assign(n, {});
-  for (auto& [arm, eval] : *verdict) {
-    std::string eval_blob;
-    KEA_RETURN_IF_ERROR(r.GetInt(&arm));
-    KEA_RETURN_IF_ERROR(r.GetString(&eval_blob));
-    KEA_RETURN_IF_ERROR(GuardrailedRollout::DecodeEvaluation(eval_blob, &eval));
-  }
-  return Status::OK();
-}
+/// The FABRIC_ADVANCED payload: the clock's move [from, to).
+using Advance = std::pair<sim::HourIndex, sim::HourIndex>;
 
 /// The first failing reading of a verdict, or null when every arm passed.
-const std::pair<int, GuardrailEvaluation>* FirstTrip(const Verdict& verdict) {
-  for (const auto& reading : verdict) {
-    if (!reading.second.pass()) return &reading;
+const Reading* FirstTrip(const Verdict& verdict) {
+  for (const Reading& reading : verdict) {
+    if (!reading.eval.pass()) return &reading;
   }
   return nullptr;
-}
-
-void PutIntVec(StateWriter* w, const std::vector<int>& v) {
-  w->PutU64(v.size());
-  for (int x : v) w->PutInt(x);
-}
-
-Status GetIntVec(StateReader* r, std::vector<int>* v) {
-  uint64_t n = 0;
-  KEA_RETURN_IF_ERROR(r->GetU64(&n));
-  v->assign(n, 0);
-  for (uint64_t i = 0; i < n; ++i) KEA_RETURN_IF_ERROR(r->GetInt(&(*v)[i]));
-  return Status::OK();
-}
-
-void PutEffect(StateWriter* w, const TreatmentEffect& e) {
-  w->PutString(e.metric);
-  w->PutDouble(e.control_mean);
-  w->PutDouble(e.treatment_mean);
-  w->PutDouble(e.percent_change);
-  w->PutDouble(e.t_value);
-  w->PutDouble(e.p_value);
-  w->PutBool(e.significant);
-}
-
-Status GetEffect(StateReader* r, TreatmentEffect* e) {
-  KEA_RETURN_IF_ERROR(r->GetString(&e->metric));
-  KEA_RETURN_IF_ERROR(r->GetDouble(&e->control_mean));
-  KEA_RETURN_IF_ERROR(r->GetDouble(&e->treatment_mean));
-  KEA_RETURN_IF_ERROR(r->GetDouble(&e->percent_change));
-  KEA_RETURN_IF_ERROR(r->GetDouble(&e->t_value));
-  KEA_RETURN_IF_ERROR(r->GetDouble(&e->p_value));
-  KEA_RETURN_IF_ERROR(r->GetBool(&e->significant));
-  return Status::OK();
 }
 
 /// The arm a time-sliced flight runs in window `window`.
@@ -449,73 +357,7 @@ ExperimentFabric::ExperimentFabric(const Options& options)
     : options_(options) {}
 
 std::string ExperimentFabric::EncodeConclusion(const FlightConclusion& c) {
-  StateWriter w;
-  w.PutInt(c.flight);
-  w.PutString(c.name);
-  w.PutBool(c.admitted);
-  w.PutInt(static_cast<int>(c.rejected));
-  w.PutU64(c.deferrals);
-  w.PutI64(c.start_hour);
-  w.PutI64(c.end_hour);
-  PutIntVec(&w, c.racks);
-  w.PutU64(c.arms.size());
-  for (const ArmConclusion& arm : c.arms) {
-    PutIntVec(&w, arm.machines);
-    w.PutInt(arm.hours);
-    PutEffect(&w, arm.data_read);
-    PutEffect(&w, arm.task_latency);
-    w.PutDouble(arm.data_read_ci_low);
-    w.PutDouble(arm.data_read_ci_high);
-  }
-  w.PutBool(c.tripped);
-  w.PutInt(c.tripped_window);
-  w.PutInt(c.tripped_arm);
-  w.PutString(GuardrailedRollout::EncodeEvaluation(c.trip_eval));
-  w.PutBool(c.effect_ok);
-  w.PutU64(c.down_hours);
-  w.PutU64(c.machines_restored);
-  return w.Release();
-}
-
-Status ExperimentFabric::DecodeConclusion(const std::string& blob,
-                                          FlightConclusion* c) {
-  StateReader r(blob);
-  int rejected = 0;
-  int64_t start = 0, end = 0;
-  uint64_t arms = 0, restored = 0;
-  std::string eval_blob;
-  KEA_RETURN_IF_ERROR(r.GetInt(&c->flight));
-  KEA_RETURN_IF_ERROR(r.GetString(&c->name));
-  KEA_RETURN_IF_ERROR(r.GetBool(&c->admitted));
-  KEA_RETURN_IF_ERROR(r.GetInt(&rejected));
-  KEA_RETURN_IF_ERROR(r.GetU64(&c->deferrals));
-  KEA_RETURN_IF_ERROR(r.GetI64(&start));
-  KEA_RETURN_IF_ERROR(r.GetI64(&end));
-  KEA_RETURN_IF_ERROR(GetIntVec(&r, &c->racks));
-  KEA_RETURN_IF_ERROR(r.GetU64(&arms));
-  c->arms.assign(arms, ArmConclusion{});
-  for (ArmConclusion& arm : c->arms) {
-    KEA_RETURN_IF_ERROR(GetIntVec(&r, &arm.machines));
-    KEA_RETURN_IF_ERROR(r.GetInt(&arm.hours));
-    KEA_RETURN_IF_ERROR(GetEffect(&r, &arm.data_read));
-    KEA_RETURN_IF_ERROR(GetEffect(&r, &arm.task_latency));
-    KEA_RETURN_IF_ERROR(r.GetDouble(&arm.data_read_ci_low));
-    KEA_RETURN_IF_ERROR(r.GetDouble(&arm.data_read_ci_high));
-  }
-  KEA_RETURN_IF_ERROR(r.GetBool(&c->tripped));
-  KEA_RETURN_IF_ERROR(r.GetInt(&c->tripped_window));
-  KEA_RETURN_IF_ERROR(r.GetInt(&c->tripped_arm));
-  KEA_RETURN_IF_ERROR(r.GetString(&eval_blob));
-  KEA_RETURN_IF_ERROR(
-      GuardrailedRollout::DecodeEvaluation(eval_blob, &c->trip_eval));
-  KEA_RETURN_IF_ERROR(r.GetBool(&c->effect_ok));
-  KEA_RETURN_IF_ERROR(r.GetU64(&c->down_hours));
-  KEA_RETURN_IF_ERROR(r.GetU64(&restored));
-  c->rejected = static_cast<InterferenceReason>(rejected);
-  c->start_hour = static_cast<sim::HourIndex>(start);
-  c->end_hour = static_cast<sim::HourIndex>(end);
-  c->machines_restored = static_cast<size_t>(restored);
-  return Status::OK();
+  return Encode(c);
 }
 
 Status ExperimentFabric::Validate(const std::vector<FlightRequest>& requests,
@@ -677,39 +519,30 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
     KEA_RETURN_IF_ERROR(JournaledStep(
         ctx, EventType::kFlightAdmitted, fkey + "/admitted", "fabric.admitted",
         [&] {
-          StateWriter w;
-          w.PutI64(now);
-          w.PutI64(now + st.req->window_hours * st.req->num_windows);
-          w.PutU64(st.conclusion.deferrals);
-          PutIntVec(&w, fresh_assignment->racks);
-          w.PutU64(fresh_assignment->arms.size());
-          for (const auto& arm : fresh_assignment->arms) PutIntVec(&w, arm);
-          return w.Release();
+          return Encode(Admission{
+              now, now + st.req->window_hours * st.req->num_windows,
+              st.conclusion.deferrals, fresh_assignment->racks,
+              fresh_assignment->arms});
         },
         nullptr, &payload));
     {
-      StateReader r(payload);
-      int64_t start = 0, end = 0;
-      uint64_t arms = 0;
-      KEA_RETURN_IF_ERROR(r.GetI64(&start));
-      KEA_RETURN_IF_ERROR(r.GetI64(&end));
-      KEA_RETURN_IF_ERROR(r.GetU64(&st.conclusion.deferrals));
-      KEA_RETURN_IF_ERROR(GetIntVec(&r, &st.conclusion.racks));
-      KEA_RETURN_IF_ERROR(r.GetU64(&arms));
+      Admission admission;
+      KEA_RETURN_IF_ERROR(Decode(payload, &admission));
+      const size_t arms = admission.arms.size();
       if (arms != st.req->arms.size()) {
         return Status::FailedPrecondition(
             fkey + " was admitted with " + std::to_string(arms) +
             " arms, its request has " + std::to_string(st.req->arms.size()));
       }
+      st.conclusion.deferrals = admission.deferrals;
+      st.conclusion.racks = admission.racks;
       st.conclusion.arms.assign(arms, ArmConclusion{});
-      std::vector<std::vector<int>> arm_machines(arms);
       for (size_t a = 0; a < arms; ++a) {
-        KEA_RETURN_IF_ERROR(GetIntVec(&r, &arm_machines[a]));
-        st.conclusion.arms[a].machines = arm_machines[a];
+        st.conclusion.arms[a].machines = admission.arms[a];
       }
-      st.machines = DistinctMachines(arm_machines);
-      st.conclusion.start_hour = static_cast<sim::HourIndex>(start);
-      st.planned_end = static_cast<sim::HourIndex>(end);
+      st.machines = DistinctMachines(admission.arms);
+      st.conclusion.start_hour = admission.start;
+      st.planned_end = admission.end;
       st.conclusion.admitted = true;
     }
 
@@ -730,16 +563,15 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
     KEA_RETURN_IF_ERROR(JournaledStep(
         ctx, EventType::kFlightStarted, fkey + "/started", "fabric.started",
         [&] {
-          StartRecord rec;
-          rec.patches = st.req->arms;
-          rec.priors.resize(rec.patches.size());
+          FlightStart rec;
           const auto& machines = cluster->machines();
-          for (size_t a = 0; a < rec.patches.size(); ++a) {
-            const ConfigPatch& patch = rec.patches[a];
+          rec.arms.resize(st.req->arms.size());
+          for (size_t a = 0; a < rec.arms.size(); ++a) {
+            const ConfigPatch& patch = rec.arms[a].patch = st.req->arms[a];
             if (patch.empty()) continue;
             for (int id : st.conclusion.arms[a].machines) {
               const sim::Machine& m = machines[static_cast<size_t>(id)];
-              rec.priors[a].push_back(
+              rec.arms[a].priors.push_back(
                   {id, m.max_containers,
                    patch.max_containers.value_or(m.max_containers),
                    m.power_cap_fraction, m.feature_enabled, m.sc});
@@ -747,20 +579,20 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
           }
           rec.down_hours =
               options_.down_hours ? options_.down_hours(st.machines) : 0;
-          return EncodeStart(rec);
+          return Encode(rec);
         },
         [&](const std::string& p) -> Status {
-          StartRecord rec;
-          KEA_RETURN_IF_ERROR(DecodeStart(p, &rec));
+          FlightStart rec;
+          KEA_RETURN_IF_ERROR(Decode(p, &rec));
           if (st.time_sliced) return RunArm(rec, 0, cluster);
-          for (size_t a = 0; a < rec.patches.size(); ++a) {
+          for (size_t a = 0; a < rec.arms.size(); ++a) {
             KEA_RETURN_IF_ERROR(RunArm(rec, a, cluster));
           }
           return Status::OK();
         },
         &payload));
     // The recorded priors are the rollback authority.
-    KEA_RETURN_IF_ERROR(DecodeStart(payload, &st.start));
+    KEA_RETURN_IF_ERROR(Decode(payload, &st.start));
     st.conclusion.machines_restored = PatchedMachines(st.start);
 
     Reservation res;
@@ -791,11 +623,11 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
             st.conclusion.down_hours =
                 options_.down_hours(st.machines) - st.start.down_hours;
           }
-          return EncodeConclusion(st.conclusion);
+          return Encode(st.conclusion);
         },
         [&](const std::string&) { return RestoreAll(st.start, cluster); },
         &payload));
-    KEA_RETURN_IF_ERROR(DecodeConclusion(payload, &st.conclusion));
+    KEA_RETURN_IF_ERROR(Decode(payload, &st.conclusion));
     st.running = false;
     st.finished = true;
     reservations[st.index].running = false;
@@ -818,10 +650,9 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
         // Journaled admission: the record is the authority. It may belong to
         // a later boundary of the re-driven schedule — only replay it when
         // the clock matches its recorded start.
-        StateReader r(admitted_ev->payload);
-        int64_t recorded_start = 0;
-        KEA_RETURN_IF_ERROR(r.GetI64(&recorded_start));
-        if (recorded_start != static_cast<int64_t>(now)) continue;
+        Admission recorded;
+        KEA_RETURN_IF_ERROR(Decode(admitted_ev->payload, &recorded));
+        if (recorded.start != now) continue;
         KEA_RETURN_IF_ERROR(start_flight(st, nullptr));
         continue;
       }
@@ -918,28 +749,17 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
     KEA_RETURN_IF_ERROR(JournaledStep(
         ctx, EventType::kFabricAdvanced,
         prefix + "/adv" + std::to_string(adv_count), "fabric.advanced",
-        [&] {
-          StateWriter w;
-          w.PutI64(now);
-          w.PutI64(next);
-          return w.Release();
-        },
+        [&] { return Encode(Advance{now, next}); },
         [&](const std::string& p) -> Status {
-          StateReader r(p);
-          int64_t from = 0, to = 0;
-          KEA_RETURN_IF_ERROR(r.GetI64(&from));
-          KEA_RETURN_IF_ERROR(r.GetI64(&to));
-          return advance(static_cast<int>(to - from));
+          Advance step;
+          KEA_RETURN_IF_ERROR(Decode(p, &step));
+          return advance(step.second - step.first);
         },
         &payload));
     ++adv_count;
-    {
-      StateReader r(payload);
-      int64_t from = 0, to = 0;
-      KEA_RETURN_IF_ERROR(r.GetI64(&from));
-      KEA_RETURN_IF_ERROR(r.GetI64(&to));
-      now = static_cast<sim::HourIndex>(to);
-    }
+    Advance step;
+    KEA_RETURN_IF_ERROR(Decode(payload, &step));
+    now = step.second;
 
     // --- Guardrail verdicts for every flight whose boundary this is. The
     // window evaluations (and completion-time effect estimates) are computed
@@ -965,14 +785,14 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
               0, st.conclusion.start_hour - options_.baseline_hours);
           const size_t k = st.conclusion.arms.size();
           for (size_t a = 0; a < k; ++a) {
-            if (st.start.patches[a].empty()) continue;
+            if (st.start.arms[a].patch.empty()) continue;
             if (st.time_sliced && SlicedArm(st.windows_done, k) != a) continue;
-            verdicts[i].emplace_back(
-                static_cast<int>(a),
-                EvaluateGuardrails(*store, st.req->guardrails,
-                                   st.conclusion.arms[a].machines,
-                                   baseline_begin, st.conclusion.start_hour,
-                                   now - st.req->window_hours, now));
+            verdicts[i].push_back(
+                {static_cast<int>(a),
+                 EvaluateGuardrails(*store, st.req->guardrails,
+                                    st.conclusion.arms[a].machines,
+                                    baseline_begin, st.conclusion.start_hour,
+                                    now - st.req->window_hours, now)});
           }
           if (st.windows_done + 1 == st.req->num_windows) {
             estimates[i] = st.conclusion;
@@ -990,21 +810,21 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
       KEA_RETURN_IF_ERROR(JournaledStep(
           ctx, EventType::kFlightVerdict,
           fkey + "/win" + std::to_string(window), "fabric.verdict",
-          [&] { return EncodeVerdict(verdicts[i]); },
+          [&] { return Encode(verdicts[i]); },
           [&](const std::string& p) -> Status {
             Verdict verdict;
-            KEA_RETURN_IF_ERROR(DecodeVerdict(p, &verdict));
+            KEA_RETURN_IF_ERROR(Decode(p, &verdict));
             if (!st.time_sliced || FirstTrip(verdict) != nullptr ||
                 window + 1 == st.req->num_windows) {
               return Status::OK();
             }
             KEA_RETURN_IF_ERROR(RestoreAll(st.start, cluster));
-            return RunArm(st.start, SlicedArm(window + 1, st.start.patches.size()),
+            return RunArm(st.start, SlicedArm(window + 1, st.start.arms.size()),
                           cluster);
           },
           &payload));
       Verdict verdict;
-      KEA_RETURN_IF_ERROR(DecodeVerdict(payload, &verdict));
+      KEA_RETURN_IF_ERROR(Decode(payload, &verdict));
       ++st.windows_done;
 
       if (const auto* trip = FirstTrip(verdict)) {
@@ -1014,17 +834,13 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
         ++report.trips;
         st.conclusion.tripped = true;
         st.conclusion.tripped_window = window;
-        st.conclusion.tripped_arm = trip->first;
-        st.conclusion.trip_eval = trip->second;
+        st.conclusion.tripped_arm = trip->arm;
+        st.conclusion.trip_eval = trip->eval;
         st.conclusion.end_hour = now;
         KEA_RETURN_IF_ERROR(JournaledStep(
             ctx, EventType::kFlightRollback, fkey + "/rollback",
             "fabric.rollback",
-            [&] {
-              StateWriter w;
-              w.PutU64(st.conclusion.machines_restored);
-              return w.Release();
-            },
+            [&] { return Encode(st.conclusion.machines_restored); },
             [&](const std::string&) { return RestoreAll(st.start, cluster); },
             &payload));
         RollbacksCounter()->Increment();

@@ -183,14 +183,77 @@ class ExperimentFabric {
   static Status Validate(const std::vector<FlightRequest>& requests,
                          const Options& options, const sim::Cluster& cluster);
 
-  /// Bit-exact codec for FlightConclusion (FLIGHT_CONCLUDED payloads and
-  /// report signatures in tests).
+  /// Encode(c), by the name the FLIGHT_CONCLUDED payload's callers know it
+  /// by (report signatures in tests).
   static std::string EncodeConclusion(const FlightConclusion& c);
-  static Status DecodeConclusion(const std::string& blob, FlightConclusion* c);
 
  private:
   Options options_;
 };
+
+// ---- Field lists for the state archive (common/snapshot.h).
+
+template <typename Ar>
+void Persist(Ar& ar, TreatmentEffect& e) {
+  ar(e.metric, e.control_mean, e.treatment_mean, e.percent_change, e.t_value,
+     e.p_value, e.significant);
+}
+
+template <typename Ar>
+void Persist(Ar& ar, ExperimentFabric::ArmConclusion& arm) {
+  ar(arm.machines, arm.hours, arm.data_read, arm.task_latency,
+     arm.data_read_ci_low, arm.data_read_ci_high);
+}
+
+/// The FLIGHT_CONCLUDED payload.
+template <typename Ar>
+void Persist(Ar& ar, ExperimentFabric::FlightConclusion& c) {
+  ar(c.flight, c.name, c.admitted);
+  ar.Enum(c.rejected, InterferenceReason::kInsufficientMachines);
+  ar(c.deferrals, c.start_hour, c.end_hour, c.racks, c.arms, c.tripped,
+     c.tripped_window, c.tripped_arm);
+  ar.Nested(c.trip_eval);
+  ar(c.effect_ok, c.down_hours, c.machines_restored);
+}
+
+/// The FLIGHT_STARTED payload: every arm's patch with the priors of its
+/// machines (none for an unpatched arm), then the flight's down-hours
+/// reading at its start. The record, not the request, is the authority for
+/// every later patch, switch and restore.
+struct FlightStart {
+  /// Pre-flight value of every config field a patch can touch, for one
+  /// machine, so rollback restores bit-exact state even across a crash.
+  struct Prior {
+    int id = 0;
+    int old_max = 0;
+    int new_max = 0;  ///< Post-patch value (for the applied-changes audit CSV).
+    double power = 1.0;
+    bool feature = false;
+    int sc = 0;
+  };
+  struct Arm {
+    ConfigPatch patch;
+    std::vector<Prior> priors;
+  };
+  std::vector<Arm> arms;
+  uint64_t down_hours = 0;
+};
+
+template <typename Ar>
+void Persist(Ar& ar, FlightStart::Prior& p) {
+  ar(p.id, p.old_max, p.new_max, p.power, p.feature, p.sc);
+}
+
+template <typename Ar>
+void Persist(Ar& ar, FlightStart::Arm& arm) {
+  ar.Nested(arm.patch);
+  ar(arm.priors);
+}
+
+template <typename Ar>
+void Persist(Ar& ar, FlightStart& start) {
+  ar(start.arms, start.down_hours);
+}
 
 /// OK for a flight that ran to its conclusion; FailedPrecondition naming the
 /// InterferenceReason of a rejected flight, or the guardrail evidence

@@ -1,43 +1,6 @@
 #include "core/flighting.h"
 
-#include "common/snapshot.h"
-
 namespace kea::core {
-
-std::string EncodeConfigPatch(const ConfigPatch& patch) {
-  StateWriter w;
-  w.PutBool(patch.max_containers.has_value());
-  w.PutInt(patch.max_containers.value_or(0));
-  w.PutBool(patch.power_cap_fraction.has_value());
-  w.PutDouble(patch.power_cap_fraction.value_or(0.0));
-  w.PutBool(patch.feature_enabled.has_value());
-  w.PutBool(patch.feature_enabled.value_or(false));
-  w.PutBool(patch.software_config.has_value());
-  w.PutInt(patch.software_config.value_or(0));
-  return w.Release();
-}
-
-Status DecodeConfigPatch(const std::string& blob, ConfigPatch* patch) {
-  StateReader r(blob);
-  bool has = false;
-  int i = 0;
-  double d = 0.0;
-  bool b = false;
-  *patch = ConfigPatch{};
-  KEA_RETURN_IF_ERROR(r.GetBool(&has));
-  KEA_RETURN_IF_ERROR(r.GetInt(&i));
-  if (has) patch->max_containers = i;
-  KEA_RETURN_IF_ERROR(r.GetBool(&has));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&d));
-  if (has) patch->power_cap_fraction = d;
-  KEA_RETURN_IF_ERROR(r.GetBool(&has));
-  KEA_RETURN_IF_ERROR(r.GetBool(&b));
-  if (has) patch->feature_enabled = b;
-  KEA_RETURN_IF_ERROR(r.GetBool(&has));
-  KEA_RETURN_IF_ERROR(r.GetInt(&i));
-  if (has) patch->software_config = i;
-  return Status::OK();
-}
 
 Status ApplyPatch(const ConfigPatch& patch, const std::vector<int>& machine_ids,
                   sim::Cluster* cluster) {

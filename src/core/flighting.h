@@ -29,9 +29,13 @@ struct ConfigPatch {
 Status ApplyPatch(const ConfigPatch& patch, const std::vector<int>& machine_ids,
                   sim::Cluster* cluster);
 
-/// Bit-exact codec for ConfigPatch (FLIGHT_STARTED ledger payloads).
-std::string EncodeConfigPatch(const ConfigPatch& patch);
-Status DecodeConfigPatch(const std::string& blob, ConfigPatch* patch);
+/// ConfigPatch's field list for the state archive (FLIGHT_STARTED ledger
+/// payloads): each field as a has-value flag, then the value or zero.
+template <typename Ar>
+void Persist(Ar& ar, ConfigPatch& patch) {
+  ar(patch.max_containers, patch.power_cap_fraction, patch.feature_enabled,
+     patch.software_config);
+}
 
 }  // namespace kea::core
 

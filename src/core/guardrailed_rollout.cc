@@ -97,59 +97,18 @@ void Restore(const std::vector<MachineSnapshot>& snapshots,
 }
 
 /// WAVE_STARTED payload: the wave's end sub-cluster, then the sub-clusters.
-Status DecodeWaveStart(const std::string& blob, int* end_sc,
-                       std::vector<int>* sub_clusters) {
-  StateReader r(blob);
-  uint64_t count = 0;
-  KEA_RETURN_IF_ERROR(r.GetInt(end_sc));
-  KEA_RETURN_IF_ERROR(r.GetU64(&count));
-  for (uint64_t i = 0; i < count; ++i) {
-    int sc = 0;
-    KEA_RETURN_IF_ERROR(r.GetInt(&sc));
-    sub_clusters->push_back(sc);
-  }
-  return Status::OK();
-}
+struct WaveStart {
+  int end_sc = 0;
+  std::vector<int> sub_clusters;
+};
 
-/// WAVE_APPLIED payload: per-machine (id, old max, new max) deltas.
-using Deltas = std::vector<std::tuple<int, int, int>>;
-
-std::string EncodeDeltas(const Deltas& deltas) {
-  StateWriter w;
-  w.PutU64(deltas.size());
-  for (const auto& [id, old_max, new_max] : deltas) {
-    w.PutInt(id);
-    w.PutInt(old_max);
-    w.PutInt(new_max);
-  }
-  return w.Release();
-}
-
-Status DecodeDeltas(const std::string& blob, Deltas* deltas) {
-  StateReader r(blob);
-  uint64_t count = 0;
-  KEA_RETURN_IF_ERROR(r.GetU64(&count));
-  for (uint64_t i = 0; i < count; ++i) {
-    int id = 0, old_max = 0, new_max = 0;
-    KEA_RETURN_IF_ERROR(r.GetInt(&id));
-    KEA_RETURN_IF_ERROR(r.GetInt(&old_max));
-    KEA_RETURN_IF_ERROR(r.GetInt(&new_max));
-    deltas->emplace_back(id, old_max, new_max);
-  }
-  return Status::OK();
+template <typename Ar>
+void Persist(Ar& ar, WaveStart& start) {
+  ar(start.end_sc, start.sub_clusters);
 }
 
 /// WAVE_OBSERVED payload: the observation window [begin, end).
-Status DecodeWindow(const std::string& blob, sim::HourIndex* begin,
-                    sim::HourIndex* end) {
-  StateReader r(blob);
-  int64_t b = 0, e = 0;
-  KEA_RETURN_IF_ERROR(r.GetI64(&b));
-  KEA_RETURN_IF_ERROR(r.GetI64(&e));
-  *begin = static_cast<sim::HourIndex>(b);
-  *end = static_cast<sim::HourIndex>(e);
-  return Status::OK();
-}
+using Window = std::pair<sim::HourIndex, sim::HourIndex>;
 
 }  // namespace
 
@@ -287,7 +246,9 @@ StatusOr<GuardrailedRollout::Report> GuardrailedRollout::Execute(
     return error;
   };
 
-  const std::string rkey = "r" + std::to_string(ctx != nullptr ? ctx->round : 0);
+  // append, not "r" + ...: GCC 12 misreports -Wrestrict on that inlining.
+  const std::string rkey =
+      std::string("r").append(std::to_string(ctx != nullptr ? ctx->round : 0));
   std::vector<int> treated;  ///< Cumulative machines changed across waves.
   sim::HourIndex now = start_hour;
   sim::HourIndex baseline_begin = std::max(0, start_hour - options_.baseline_hours);
@@ -315,17 +276,18 @@ StatusOr<GuardrailedRollout::Report> GuardrailedRollout::Execute(
             end_sc = num_sc;  // Final full-fleet wave sweeps every remainder.
           }
           if (end_sc == next_sc && next_sc < num_sc) end_sc = next_sc + 1;
-          StateWriter sw;
-          sw.PutInt(end_sc);
-          sw.PutU64(static_cast<uint64_t>(end_sc - next_sc));
-          for (int sc = next_sc; sc < end_sc; ++sc) sw.PutInt(sc);
-          return sw.Release();
+          WaveStart start{end_sc, {}};
+          for (int sc = next_sc; sc < end_sc; ++sc) {
+            start.sub_clusters.push_back(sc);
+          }
+          return Encode(start);
         },
         nullptr, &payload);
-    if (status.ok()) {
-      status = DecodeWaveStart(payload, &next_sc, &wave.sub_clusters);
-    }
+    WaveStart start;
+    if (status.ok()) status = Decode(payload, &start);
     if (!status.ok()) return unwind(status);
+    next_sc = start.end_sc;
+    wave.sub_clusters = std::move(start.sub_clusters);
     std::vector<int> wave_machines;
     for (int sc : wave.sub_clusters) {
       std::vector<int> ids = cluster->SubClusterMachines(sc);
@@ -337,20 +299,20 @@ StatusOr<GuardrailedRollout::Report> GuardrailedRollout::Execute(
     status = JournaledStep(
         ctx, EventType::kWaveApplied, wkey + "/applied", "rollout.wave_applied",
         [&] {
-          Deltas deltas;
+          std::vector<MachineDelta> deltas;
           const auto& machines = cluster->machines();
           for (int id : wave_machines) {
             if (id < 0 || static_cast<size_t>(id) >= machines.size()) continue;
             const sim::Machine& m = machines[static_cast<size_t>(id)];
             auto it = targets.find(m.group());
             if (it == targets.end() || m.max_containers == it->second) continue;
-            deltas.emplace_back(id, m.max_containers, it->second);
+            deltas.push_back({id, m.max_containers, it->second});
           }
-          return EncodeDeltas(deltas);
+          return Encode(deltas);
         },
         [&](const std::string& p) -> Status {
-          Deltas deltas;
-          KEA_RETURN_IF_ERROR(DecodeDeltas(p, &deltas));
+          std::vector<MachineDelta> deltas;
+          KEA_RETURN_IF_ERROR(Decode(p, &deltas));
           auto& machines = cluster->mutable_machines();
           for (const auto& [id, old_max, new_max] : deltas) {
             if (id < 0 || static_cast<size_t>(id) >= machines.size()) {
@@ -361,8 +323,8 @@ StatusOr<GuardrailedRollout::Report> GuardrailedRollout::Execute(
           return Status::OK();
         },
         &payload);
-    Deltas deltas;
-    if (status.ok()) status = DecodeDeltas(payload, &deltas);
+    std::vector<MachineDelta> deltas;
+    if (status.ok()) status = Decode(payload, &deltas);
     if (!status.ok()) return unwind(status);
     wave.machines_changed = deltas.size();
     if (wave.machines_changed == 0) {
@@ -380,18 +342,13 @@ StatusOr<GuardrailedRollout::Report> GuardrailedRollout::Execute(
     // -- WAVE_OBSERVED: advance the world through the observation window.
     status = JournaledStep(
         ctx, EventType::kWaveObserved, wkey + "/observed", "rollout.wave_observed",
-        [&] {
-          StateWriter sw;
-          sw.PutI64(now);
-          sw.PutI64(now + options_.observe_hours_per_wave);
-          return sw.Release();
-        },
+        [&] { return Encode(Window{now, now + options_.observe_hours_per_wave}); },
         [&](const std::string&) { return advance(options_.observe_hours_per_wave); },
         &payload);
-    if (status.ok()) {
-      status = DecodeWindow(payload, &wave.observe_begin, &wave.observe_end);
-    }
+    Window window;
+    if (status.ok()) status = Decode(payload, &window);
     if (!status.ok()) return unwind(status);
+    std::tie(wave.observe_begin, wave.observe_end) = window;
     now = wave.observe_end;
 
     // -- WAVE_VERDICT: the guardrail decision, recorded before it is acted
@@ -401,12 +358,12 @@ StatusOr<GuardrailedRollout::Report> GuardrailedRollout::Execute(
     status = JournaledStep(
         ctx, EventType::kWaveVerdict, wkey + "/verdict", "rollout.wave_verdict",
         [&] {
-          return EncodeEvaluation(EvaluateGuardrails(
+          return Encode(EvaluateGuardrails(
               *store, options_.guardrails, treated, baseline_begin, start_hour,
               wave.observe_begin, wave.observe_end));
         },
         nullptr, &payload);
-    if (status.ok()) status = DecodeEvaluation(payload, &wave.eval);
+    if (status.ok()) status = Decode(payload, &wave.eval);
     if (!status.ok()) return unwind(status);
     wave.passed = wave.eval.pass();
     const bool tripped = !wave.passed;
@@ -419,11 +376,9 @@ StatusOr<GuardrailedRollout::Report> GuardrailedRollout::Execute(
       status = JournaledStep(
           ctx, EventType::kRollback, rkey + "/rollback", "rollout.rollback",
           [&] {
-            size_t total = 0;
+            uint64_t total = 0;
             for (const MachineSnapshot& s : snapshots) total += s.size();
-            StateWriter sw;
-            sw.PutU64(total);
-            return sw.Release();
+            return Encode(total);
           },
           [&](const std::string&) {
             Restore(snapshots, cluster);
@@ -431,7 +386,7 @@ StatusOr<GuardrailedRollout::Report> GuardrailedRollout::Execute(
           },
           &payload);
       uint64_t restored = 0;
-      if (status.ok()) status = StateReader(payload).GetU64(&restored);
+      if (status.ok()) status = Decode(payload, &restored);
       if (!status.ok()) return unwind(status);
       report.machines_restored = restored;
       RollbacksCounter()->Increment();
@@ -446,45 +401,7 @@ StatusOr<GuardrailedRollout::Report> GuardrailedRollout::Execute(
 }
 
 std::string GuardrailedRollout::EncodeEvaluation(const GuardrailEvaluation& eval) {
-  StateWriter w;
-  w.PutDouble(eval.baseline_latency_s);
-  w.PutDouble(eval.observed_latency_s);
-  w.PutDouble(eval.baseline_queue_p99_ms);
-  w.PutDouble(eval.observed_queue_p99_ms);
-  w.PutDouble(eval.baseline_utilization);
-  w.PutDouble(eval.observed_utilization);
-  w.PutBool(eval.latency_ok);
-  w.PutBool(eval.queue_ok);
-  w.PutBool(eval.utilization_ok);
-  w.PutBool(eval.measurable);
-  // SLO guardrail fields (appended; pre-SLO blobs simply end here).
-  w.PutBool(eval.slo_checked);
-  w.PutDouble(eval.observed_slo_burn);
-  w.PutBool(eval.slo_ok);
-  return w.Release();
-}
-
-Status GuardrailedRollout::DecodeEvaluation(const std::string& blob,
-                                            GuardrailEvaluation* eval) {
-  StateReader r(blob);
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eval->baseline_latency_s));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eval->observed_latency_s));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eval->baseline_queue_p99_ms));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eval->observed_queue_p99_ms));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eval->baseline_utilization));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eval->observed_utilization));
-  KEA_RETURN_IF_ERROR(r.GetBool(&eval->latency_ok));
-  KEA_RETURN_IF_ERROR(r.GetBool(&eval->queue_ok));
-  KEA_RETURN_IF_ERROR(r.GetBool(&eval->utilization_ok));
-  KEA_RETURN_IF_ERROR(r.GetBool(&eval->measurable));
-  if (!r.AtEnd()) {
-    // Blobs journaled before the SLO guardrail existed stop above; their
-    // defaults (slo_checked=false, slo_ok=true) reproduce the old verdict.
-    KEA_RETURN_IF_ERROR(r.GetBool(&eval->slo_checked));
-    KEA_RETURN_IF_ERROR(r.GetDouble(&eval->observed_slo_burn));
-    KEA_RETURN_IF_ERROR(r.GetBool(&eval->slo_ok));
-  }
-  return Status::OK();
+  return Encode(eval);
 }
 
 }  // namespace kea::core

@@ -57,9 +57,8 @@ struct GuardrailEvaluation {
   /// a trip (never conclude "healthy" from silence).
   bool measurable = false;
   /// SLO guardrail verdict. slo_checked records whether the guardrail was
-  /// enabled for this evaluation; slo_ok defaults true so evaluations
-  /// decoded from pre-SLO ledger blobs (and runs with the guardrail off)
-  /// pass unchanged.
+  /// enabled for this evaluation; slo_ok defaults true so runs with the
+  /// guardrail off pass unchanged.
   bool slo_checked = false;
   double observed_slo_burn = 0.0;
   bool slo_ok = true;
@@ -69,6 +68,29 @@ struct GuardrailEvaluation {
   }
   std::string Describe() const;
 };
+
+/// GuardrailEvaluation's field list for the state archive (WAVE_VERDICT and
+/// fabric verdict payloads, flight conclusions).
+template <typename Ar>
+void Persist(Ar& ar, GuardrailEvaluation& e) {
+  ar(e.baseline_latency_s, e.observed_latency_s, e.baseline_queue_p99_ms,
+     e.observed_queue_p99_ms, e.baseline_utilization, e.observed_utilization,
+     e.latency_ok, e.queue_ok, e.utilization_ok, e.measurable, e.slo_checked,
+     e.observed_slo_burn, e.slo_ok);
+}
+
+/// One machine's max_containers change in a WAVE_APPLIED payload, which is
+/// the wave's vector of them.
+struct MachineDelta {
+  int machine = 0;
+  int old_max = 0;
+  int new_max = 0;
+};
+
+template <typename Ar>
+void Persist(Ar& ar, MachineDelta& d) {
+  ar(d.machine, d.old_max, d.new_max);
+}
 
 /// Guardrail metrics of `machine_ids` (every machine when empty) over the
 /// observed window [begin, end) against the same machines' baseline window
@@ -181,9 +203,8 @@ class GuardrailedRollout {
     return Execute(recommendations, cluster, store, start_hour, advance, ctx);
   }
 
-  /// Bit-exact codec for GuardrailEvaluation (used in WAVE_VERDICT payloads).
+  /// Encode(eval), by the name the verdict payload's callers know it by.
   static std::string EncodeEvaluation(const GuardrailEvaluation& eval);
-  static Status DecodeEvaluation(const std::string& blob, GuardrailEvaluation* eval);
 
  private:
   Status ValidateOptions() const;

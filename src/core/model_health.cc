@@ -133,59 +133,18 @@ GuardrailThresholds ModelHealth::EffectiveGuardrails(
   return tightened;
 }
 
-std::string ModelHealth::SerializeState() const {
-  StateWriter w;
-  w.PutU32(static_cast<uint32_t>(state_));
-  w.PutString(trip_reason_);
-  w.PutI64(tripped_at_);
-  w.PutI64(retry_after_);
-  w.PutInt(probation_left_);
-  w.PutDouble(baseline_error_);
-  w.PutDouble(last_error_);
-  w.PutU64(trips_);
-  w.PutU64(refits_);
-  w.PutU64(refit_failures_);
-  w.PutU64(safe_mode_rounds_);
-  return w.Release();
+template <typename Ar>
+void Persist(Ar& ar, ModelHealth& h) {
+  ar.template Enum<uint32_t>(h.state_, ModelHealth::State::kRearmed);
+  ar(h.trip_reason_, h.tripped_at_, h.retry_after_, h.probation_left_,
+     h.baseline_error_, h.last_error_, h.trips_, h.refits_, h.refit_failures_,
+     h.safe_mode_rounds_);
 }
 
+std::string ModelHealth::SerializeState() const { return Encode(*this); }
+
 Status ModelHealth::RestoreState(const std::string& blob) {
-  StateReader r(blob);
-  uint32_t state = 0;
-  std::string reason;
-  int64_t tripped_at = 0, retry_after = 0;
-  int probation_left = 0;
-  double baseline_error = 0.0, last_error = 0.0;
-  uint64_t trips = 0, refits = 0, refit_failures = 0, safe_mode_rounds = 0;
-  KEA_RETURN_IF_ERROR(r.GetU32(&state));
-  KEA_RETURN_IF_ERROR(r.GetString(&reason));
-  KEA_RETURN_IF_ERROR(r.GetI64(&tripped_at));
-  KEA_RETURN_IF_ERROR(r.GetI64(&retry_after));
-  KEA_RETURN_IF_ERROR(r.GetInt(&probation_left));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&baseline_error));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&last_error));
-  KEA_RETURN_IF_ERROR(r.GetU64(&trips));
-  KEA_RETURN_IF_ERROR(r.GetU64(&refits));
-  KEA_RETURN_IF_ERROR(r.GetU64(&refit_failures));
-  KEA_RETURN_IF_ERROR(r.GetU64(&safe_mode_rounds));
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in model-health state");
-  }
-  if (state > static_cast<uint32_t>(State::kRearmed)) {
-    return Status::InvalidArgument("bad model-health state value");
-  }
-  state_ = static_cast<State>(state);
-  trip_reason_ = std::move(reason);
-  tripped_at_ = static_cast<sim::HourIndex>(tripped_at);
-  retry_after_ = static_cast<sim::HourIndex>(retry_after);
-  probation_left_ = probation_left;
-  baseline_error_ = baseline_error;
-  last_error_ = last_error;
-  trips_ = trips;
-  refits_ = refits;
-  refit_failures_ = refit_failures;
-  safe_mode_rounds_ = safe_mode_rounds;
-  return Status::OK();
+  return Decode(blob, this);
 }
 
 }  // namespace kea::core

@@ -111,6 +111,9 @@ class ModelHealth {
   Status RestoreState(const std::string& blob);
 
  private:
+  template <typename Ar>
+  friend void Persist(Ar& ar, ModelHealth& health);
+
   Options options_;
   State state_ = State::kHealthy;
   std::string trip_reason_;

@@ -313,42 +313,10 @@ double PageHinkleyDetector::drift_magnitude() const {
   return std::max(up_sum_ - up_min_, down_max_ - down_sum_);
 }
 
-std::string PageHinkleyDetector::SerializeState() const {
-  StateWriter w;
-  w.PutU64(count_);
-  w.PutDouble(mean_);
-  w.PutDouble(m2_);
-  w.PutDouble(up_sum_);
-  w.PutDouble(up_min_);
-  w.PutDouble(down_sum_);
-  w.PutDouble(down_max_);
-  w.PutBool(alarmed_);
-  return w.Release();
-}
+std::string PageHinkleyDetector::SerializeState() const { return Encode(*this); }
 
 Status PageHinkleyDetector::RestoreState(const std::string& blob) {
-  StateReader r(blob);
-  uint64_t count = 0;
-  double mean = 0.0, m2 = 0.0, up_sum = 0.0, up_min = 0.0, down_sum = 0.0,
-         down_max = 0.0;
-  bool alarmed = false;
-  KEA_RETURN_IF_ERROR(r.GetU64(&count));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&mean));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&m2));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&up_sum));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&up_min));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&down_sum));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&down_max));
-  KEA_RETURN_IF_ERROR(r.GetBool(&alarmed));
-  count_ = count;
-  mean_ = mean;
-  m2_ = m2;
-  up_sum_ = up_sum;
-  up_min_ = up_min;
-  down_sum_ = down_sum;
-  down_max_ = down_max;
-  alarmed_ = alarmed;
-  return Status::OK();
+  return Decode(blob, this);
 }
 
 }  // namespace kea::ml

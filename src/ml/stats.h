@@ -145,6 +145,14 @@ class PageHinkleyDetector {
   Status RestoreState(const std::string& blob);
 
  private:
+  /// The state archive's field list (common/snapshot.h); options are
+  /// construction-time. Inline: the drift detector nests it.
+  template <typename Ar>
+  friend void Persist(Ar& ar, PageHinkleyDetector& d) {
+    ar(d.count_, d.mean_, d.m2_, d.up_sum_, d.up_min_, d.down_sum_,
+       d.down_max_, d.alarmed_);
+  }
+
   Options options_;
   // Welford running stats.
   size_t count_ = 0;

@@ -171,96 +171,20 @@ telemetry::WriteHook TelemetryFaultInjector::MakeWriteHook() {
   };
 }
 
+template <typename Ar>
+void Persist(Ar& ar, TelemetryFaultInjector& f) {
+  TelemetryFaultInjector::Counters& c = f.counters_;
+  ar(c.seen, c.dropped, c.duplicated, c.made_non_finite, c.made_out_of_range,
+     c.made_outlier, c.stuck_replayed, c.delayed, c.transient_errors,
+     f.stuck_payload_, f.delayed_, f.watermark_, f.write_calls_);
+}
+
 std::string TelemetryFaultInjector::SerializeState() const {
-  StateWriter w;
-  w.PutU64(counters_.seen);
-  w.PutU64(counters_.dropped);
-  w.PutU64(counters_.duplicated);
-  w.PutU64(counters_.made_non_finite);
-  w.PutU64(counters_.made_out_of_range);
-  w.PutU64(counters_.made_outlier);
-  w.PutU64(counters_.stuck_replayed);
-  w.PutU64(counters_.delayed);
-  w.PutU64(counters_.transient_errors);
-
-  // Canonical (sorted) order for the hash map so identical logical state
-  // always serializes to identical bytes.
-  std::vector<int> machines;
-  machines.reserve(stuck_payload_.size());
-  for (const auto& [machine, record] : stuck_payload_) machines.push_back(machine);
-  std::sort(machines.begin(), machines.end());
-  w.PutU64(machines.size());
-  for (int machine : machines) {
-    w.PutInt(machine);
-    telemetry::PutMachineHourRecord(stuck_payload_.at(machine), &w);
-  }
-
-  w.PutU64(delayed_.size());
-  for (const auto& [hour, records] : delayed_) {
-    w.PutI64(hour);
-    w.PutU64(records.size());
-    for (const auto& record : records) telemetry::PutMachineHourRecord(record, &w);
-  }
-
-  w.PutI64(watermark_);
-  w.PutU64(write_calls_);
-  return w.Release();
+  return Encode(*this);
 }
 
 Status TelemetryFaultInjector::RestoreState(const std::string& blob) {
-  StateReader r(blob);
-  Counters counters;
-  uint64_t u = 0;
-  size_t* fields[] = {&counters.seen,          &counters.dropped,
-                      &counters.duplicated,    &counters.made_non_finite,
-                      &counters.made_out_of_range, &counters.made_outlier,
-                      &counters.stuck_replayed, &counters.delayed,
-                      &counters.transient_errors};
-  for (size_t* f : fields) {
-    KEA_RETURN_IF_ERROR(r.GetU64(&u));
-    *f = u;
-  }
-
-  uint64_t count = 0;
-  KEA_RETURN_IF_ERROR(r.GetU64(&count));
-  std::unordered_map<int, telemetry::MachineHourRecord> stuck;
-  stuck.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    int machine = 0;
-    telemetry::MachineHourRecord record;
-    KEA_RETURN_IF_ERROR(r.GetInt(&machine));
-    KEA_RETURN_IF_ERROR(telemetry::GetMachineHourRecord(&r, &record));
-    stuck[machine] = record;
-  }
-
-  KEA_RETURN_IF_ERROR(r.GetU64(&count));
-  std::map<HourIndex, std::vector<telemetry::MachineHourRecord>> delayed;
-  for (uint64_t i = 0; i < count; ++i) {
-    int64_t hour = 0;
-    uint64_t n = 0;
-    KEA_RETURN_IF_ERROR(r.GetI64(&hour));
-    KEA_RETURN_IF_ERROR(r.GetU64(&n));
-    std::vector<telemetry::MachineHourRecord> records(n);
-    for (auto& record : records) {
-      KEA_RETURN_IF_ERROR(telemetry::GetMachineHourRecord(&r, &record));
-    }
-    delayed[static_cast<HourIndex>(hour)] = std::move(records);
-  }
-
-  int64_t watermark = 0;
-  uint64_t write_calls = 0;
-  KEA_RETURN_IF_ERROR(r.GetI64(&watermark));
-  KEA_RETURN_IF_ERROR(r.GetU64(&write_calls));
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in fault-injector state blob");
-  }
-
-  counters_ = counters;
-  stuck_payload_ = std::move(stuck);
-  delayed_ = std::move(delayed);
-  watermark_ = static_cast<HourIndex>(watermark);
-  write_calls_ = write_calls;
-  return Status::OK();
+  return Decode(blob, this);
 }
 
 }  // namespace kea::sim

@@ -103,6 +103,9 @@ class TelemetryFaultInjector {
   Status RestoreState(const std::string& blob);
 
  private:
+  template <typename Ar>
+  friend void Persist(Ar& ar, TelemetryFaultInjector& injector);
+
   /// Substream for the per-record fault draws.
   Rng RecordRng(const telemetry::MachineHourRecord& r, uint64_t salt) const;
 

@@ -173,78 +173,19 @@ size_t FleetFaultInjector::machines_degraded_now() const {
   return degraded;
 }
 
-std::string FleetFaultInjector::SerializeState() const {
-  StateWriter w;
-  w.PutI64(current_hour_);
-  w.PutU64(down_until_.size());
-  for (HourIndex h : down_until_) w.PutI64(h);
-  w.PutU64(rack_down_until_.size());
-  for (HourIndex h : rack_down_until_) w.PutI64(h);
-  w.PutU64(lost_.size());
-  for (uint8_t v : lost_) w.PutBool(v != 0);
-  w.PutU64(speed_.size());
-  for (double s : speed_) w.PutDouble(s);
-  w.PutU64(counters_.crashes);
-  w.PutU64(counters_.rack_outages);
-  w.PutU64(counters_.degradations);
-  w.PutU64(counters_.recoveries);
-  w.PutU64(counters_.permanent_losses);
-  w.PutU64(counters_.machine_down_hours);
-  w.PutU64(down_hours_.size());
-  for (uint64_t d : down_hours_) w.PutU64(d);
-  return w.Release();
+template <typename Ar>
+void Persist(Ar& ar, FleetFaultInjector& f) {
+  ar(f.current_hour_, f.down_until_, f.rack_down_until_);
+  ar.Seq(f.lost_, [&ar](uint8_t& lost) { ar.Flag(lost); });
+  FleetFaultInjector::Counters& c = f.counters_;
+  ar(f.speed_, c.crashes, c.rack_outages, c.degradations, c.recoveries,
+     c.permanent_losses, c.machine_down_hours, f.down_hours_);
 }
 
+std::string FleetFaultInjector::SerializeState() const { return Encode(*this); }
+
 Status FleetFaultInjector::RestoreState(const std::string& blob) {
-  StateReader r(blob);
-  int64_t hour = 0;
-  KEA_RETURN_IF_ERROR(r.GetI64(&hour));
-  uint64_t n = 0;
-  KEA_RETURN_IF_ERROR(r.GetU64(&n));
-  std::vector<HourIndex> down(n);
-  for (HourIndex& h : down) {
-    int64_t v = 0;
-    KEA_RETURN_IF_ERROR(r.GetI64(&v));
-    h = static_cast<HourIndex>(v);
-  }
-  KEA_RETURN_IF_ERROR(r.GetU64(&n));
-  std::vector<HourIndex> rack_down(n);
-  for (HourIndex& h : rack_down) {
-    int64_t v = 0;
-    KEA_RETURN_IF_ERROR(r.GetI64(&v));
-    h = static_cast<HourIndex>(v);
-  }
-  KEA_RETURN_IF_ERROR(r.GetU64(&n));
-  std::vector<uint8_t> lost(n);
-  for (uint8_t& v : lost) {
-    bool b = false;
-    KEA_RETURN_IF_ERROR(r.GetBool(&b));
-    v = b ? 1 : 0;
-  }
-  KEA_RETURN_IF_ERROR(r.GetU64(&n));
-  std::vector<double> speed(n);
-  for (double& s : speed) KEA_RETURN_IF_ERROR(r.GetDouble(&s));
-  Counters c;
-  KEA_RETURN_IF_ERROR(r.GetU64(&c.crashes));
-  KEA_RETURN_IF_ERROR(r.GetU64(&c.rack_outages));
-  KEA_RETURN_IF_ERROR(r.GetU64(&c.degradations));
-  KEA_RETURN_IF_ERROR(r.GetU64(&c.recoveries));
-  KEA_RETURN_IF_ERROR(r.GetU64(&c.permanent_losses));
-  KEA_RETURN_IF_ERROR(r.GetU64(&c.machine_down_hours));
-  KEA_RETURN_IF_ERROR(r.GetU64(&n));
-  std::vector<uint64_t> down_hours(n);
-  for (uint64_t& d : down_hours) KEA_RETURN_IF_ERROR(r.GetU64(&d));
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in fleet-fault state blob");
-  }
-  current_hour_ = static_cast<HourIndex>(hour);
-  down_until_ = std::move(down);
-  rack_down_until_ = std::move(rack_down);
-  lost_ = std::move(lost);
-  speed_ = std::move(speed);
-  down_hours_ = std::move(down_hours);
-  counters_ = c;
-  return Status::OK();
+  return Decode(blob, this);
 }
 
 }  // namespace kea::sim

@@ -126,6 +126,9 @@ class FleetFaultInjector {
   Status RestoreState(const std::string& blob);
 
  private:
+  template <typename Ar>
+  friend void Persist(Ar& ar, FleetFaultInjector& injector);
+
   void EnsureSized();
   Rng EntityRng(uint64_t salt, uint64_t entity_id, HourIndex hour) const;
 

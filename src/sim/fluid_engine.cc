@@ -235,36 +235,15 @@ void FluidEngine::SimulateHour(HourIndex hour, telemetry::TelemetryStore* store)
   }
 }
 
-std::string FluidEngine::SerializeState() const {
-  StateWriter w;
-  w.PutString(rng_.SerializeState());
-  w.PutDouble(baseline_slots_);
-  w.PutU64(down_until_.size());
-  for (HourIndex h : down_until_) w.PutI64(h);
-  return w.Release();
+template <typename Ar>
+void Persist(Ar& ar, FluidEngine& e) {
+  ar(e.rng_, e.baseline_slots_, e.down_until_);
 }
 
+std::string FluidEngine::SerializeState() const { return Encode(*this); }
+
 Status FluidEngine::RestoreState(const std::string& blob) {
-  StateReader r(blob);
-  std::string rng_state;
-  KEA_RETURN_IF_ERROR(r.GetString(&rng_state));
-  double baseline = 0.0;
-  KEA_RETURN_IF_ERROR(r.GetDouble(&baseline));
-  uint64_t count = 0;
-  KEA_RETURN_IF_ERROR(r.GetU64(&count));
-  std::vector<HourIndex> down(count);
-  for (HourIndex& h : down) {
-    int64_t v = 0;
-    KEA_RETURN_IF_ERROR(r.GetI64(&v));
-    h = static_cast<HourIndex>(v);
-  }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in fluid-engine state blob");
-  }
-  KEA_RETURN_IF_ERROR(rng_.RestoreState(rng_state));
-  baseline_slots_ = baseline;
-  down_until_ = std::move(down);
-  return Status::OK();
+  return Decode(blob, this);
 }
 
 }  // namespace kea::sim

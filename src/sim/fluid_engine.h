@@ -86,6 +86,9 @@ class FluidEngine {
   Status RestoreState(const std::string& blob);
 
  private:
+  template <typename Ar>
+  friend void Persist(Ar& ar, FluidEngine& engine);
+
   void SimulateHour(HourIndex hour, telemetry::TelemetryStore* store);
 
   const PerfModel* model_;

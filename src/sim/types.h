@@ -40,6 +40,12 @@ struct MachineGroupKey {
   }
 };
 
+/// The state archive's field list (common/snapshot.h).
+template <typename Ar>
+void Persist(Ar& ar, MachineGroupKey& key) {
+  ar(key.sc, key.sku);
+}
+
 /// "SC<sc>-SKU<sku>" label for reports.
 inline std::string GroupLabel(const MachineGroupKey& key) {
   return "SC" + std::to_string(key.sc + 1) + "-SKU" + std::to_string(key.sku);

@@ -179,110 +179,30 @@ double DriftDetector::max_drift() const {
   return max_drift;
 }
 
-std::string DriftDetector::SerializeState() const {
-  StateWriter w;
-  w.PutU64(cursor_);
-  w.PutI64(fed_watermark_);
-  w.PutI64(last_data_hour_);
-  w.PutBool(drifting_);
-  w.PutBool(stale_alarmed_);
-  w.PutU64(staleness_alarms_);
-  for (size_t m = 0; m < kNumMetrics; ++m) {
-    w.PutU64(alarm_counts_[m]);
-    w.PutString(detectors_[m].SerializeState());
-    w.PutU64(season_value_[m].size());
-    for (size_t s = 0; s < season_value_[m].size(); ++s) {
-      w.PutDouble(season_value_[m][s]);
-      w.PutBool(season_filled_[m][s] != 0);
+template <typename Ar>
+void Persist(Ar& ar, DriftDetector& d) {
+  ar(d.cursor_, d.fed_watermark_, d.last_data_hour_, d.drifting_,
+     d.stale_alarmed_, d.staleness_alarms_);
+  for (size_t m = 0; m < DriftDetector::kNumMetrics; ++m) {
+    ar(d.alarm_counts_[m]);
+    ar.Nested(d.detectors_[m]);
+    // The baselines are sized by the options' period, which is
+    // construction-time: a blob of another period is refused.
+    std::vector<double>& values = d.season_value_[m];
+    ar.Count(values.size(),
+             "drift-detector state has a different seasonal period");
+    for (size_t s = 0; s < values.size(); ++s) {
+      ar(values[s]);
+      ar.Flag(d.season_filled_[m][s]);
     }
   }
-  w.PutU64(pending_.size());
-  for (const HourAgg& a : pending_) {
-    w.PutI64(a.hour);
-    w.PutU64(a.records);
-    w.PutU64(a.active);
-    w.PutDouble(a.util_sum);
-    w.PutDouble(a.latency_sum);
-    w.PutDouble(a.queue_sum);
-    w.PutDouble(a.tasks_sum);
-  }
-  return w.Release();
+  ar(d.pending_);
 }
 
+std::string DriftDetector::SerializeState() const { return Encode(*this); }
+
 Status DriftDetector::RestoreState(const std::string& blob) {
-  StateReader r(blob);
-  uint64_t cursor = 0;
-  int64_t fed_watermark = 0, last_data_hour = 0;
-  bool drifting = false, stale_alarmed = false;
-  uint64_t staleness_alarms = 0;
-  KEA_RETURN_IF_ERROR(r.GetU64(&cursor));
-  KEA_RETURN_IF_ERROR(r.GetI64(&fed_watermark));
-  KEA_RETURN_IF_ERROR(r.GetI64(&last_data_hour));
-  KEA_RETURN_IF_ERROR(r.GetBool(&drifting));
-  KEA_RETURN_IF_ERROR(r.GetBool(&stale_alarmed));
-  KEA_RETURN_IF_ERROR(r.GetU64(&staleness_alarms));
-  std::array<size_t, kNumMetrics> alarm_counts{};
-  std::array<ml::PageHinkleyDetector, kNumMetrics> detectors;
-  std::array<std::vector<double>, kNumMetrics> season_value;
-  std::array<std::vector<uint8_t>, kNumMetrics> season_filled;
-  for (size_t m = 0; m < kNumMetrics; ++m) {
-    uint64_t count = 0;
-    KEA_RETURN_IF_ERROR(r.GetU64(&count));
-    alarm_counts[m] = count;
-    std::string state;
-    KEA_RETURN_IF_ERROR(r.GetString(&state));
-    detectors[m] = ml::PageHinkleyDetector(options_.page_hinkley);
-    KEA_RETURN_IF_ERROR(detectors[m].RestoreState(state));
-    uint64_t period = 0;
-    KEA_RETURN_IF_ERROR(r.GetU64(&period));
-    const size_t expected = options_.seasonal_period_hours > 0
-                                ? static_cast<size_t>(options_.seasonal_period_hours)
-                                : 0;
-    if (period != expected) {
-      return Status::InvalidArgument(
-          "drift-detector state has a different seasonal period");
-    }
-    season_value[m].resize(period);
-    season_filled[m].resize(period);
-    for (size_t s = 0; s < period; ++s) {
-      KEA_RETURN_IF_ERROR(r.GetDouble(&season_value[m][s]));
-      bool filled = false;
-      KEA_RETURN_IF_ERROR(r.GetBool(&filled));
-      season_filled[m][s] = filled ? 1 : 0;
-    }
-  }
-  uint64_t n_pending = 0;
-  KEA_RETURN_IF_ERROR(r.GetU64(&n_pending));
-  std::vector<HourAgg> pending(n_pending);
-  for (HourAgg& a : pending) {
-    int64_t hour = 0;
-    KEA_RETURN_IF_ERROR(r.GetI64(&hour));
-    a.hour = static_cast<sim::HourIndex>(hour);
-    uint64_t records = 0, active = 0;
-    KEA_RETURN_IF_ERROR(r.GetU64(&records));
-    KEA_RETURN_IF_ERROR(r.GetU64(&active));
-    a.records = records;
-    a.active = active;
-    KEA_RETURN_IF_ERROR(r.GetDouble(&a.util_sum));
-    KEA_RETURN_IF_ERROR(r.GetDouble(&a.latency_sum));
-    KEA_RETURN_IF_ERROR(r.GetDouble(&a.queue_sum));
-    KEA_RETURN_IF_ERROR(r.GetDouble(&a.tasks_sum));
-  }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in drift-detector state");
-  }
-  cursor_ = cursor;
-  fed_watermark_ = static_cast<sim::HourIndex>(fed_watermark);
-  last_data_hour_ = static_cast<sim::HourIndex>(last_data_hour);
-  drifting_ = drifting;
-  stale_alarmed_ = stale_alarmed;
-  staleness_alarms_ = staleness_alarms;
-  alarm_counts_ = alarm_counts;
-  detectors_ = detectors;
-  season_value_ = std::move(season_value);
-  season_filled_ = std::move(season_filled);
-  pending_ = std::move(pending);
-  return Status::OK();
+  return Decode(blob, this);
 }
 
 }  // namespace kea::telemetry

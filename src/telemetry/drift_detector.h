@@ -118,7 +118,15 @@ class DriftDetector {
     double latency_sum = 0.0;
     double queue_sum = 0.0;
     double tasks_sum = 0.0;
+
+    template <typename Ar>
+    friend void Persist(Ar& ar, HourAgg& a) {
+      ar(a.hour, a.records, a.active, a.util_sum, a.latency_sum, a.queue_sum,
+         a.tasks_sum);
+    }
   };
+  template <typename Ar>
+  friend void Persist(Ar& ar, DriftDetector& detector);
 
   void FeedHour(const HourAgg& agg, std::vector<Alarm>* alarms);
   void ResetSeasonalBaseline();

@@ -1,6 +1,5 @@
 #include "telemetry/ingestion.h"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <iterator>
@@ -72,19 +71,6 @@ MetricWords MetricWordsOf(const MachineHourRecord& r) {
   static_assert(std::size(fields) == std::tuple_size_v<MetricWords>);
   for (size_t i = 0; i < words.size(); ++i) words[i] = std::bit_cast<uint64_t>(fields[i]);
   return words;
-}
-
-/// FNV-1a over the payload's little-endian bytes: the form a checkpoint
-/// saves a machine's last payload in.
-uint64_t MetricSignature(const MetricWords& words) {
-  uint64_t hash = 1469598103934665603ULL;
-  for (uint64_t bits : words) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      hash ^= (bits >> shift) & 0xFF;
-      hash *= 1099511628211ULL;
-    }
-  }
-  return hash;
 }
 
 }  // namespace
@@ -183,11 +169,8 @@ Status IngestionPipeline::Ingest(const std::vector<MachineHourRecord>& batch) {
     if (options_.stuck_run_threshold > 0) {
       StuckState& state = stuck_[r.machine_id];
       const MetricWords words = MetricWordsOf(r);
-      const bool repeat = state.signature ? MetricSignature(words) == *state.signature
-                                          : words == state.words;
-      state.run_length = repeat ? state.run_length + 1 : 1;
+      state.run_length = words == state.words ? state.run_length + 1 : 1;
       state.words = words;
-      state.signature.reset();
       if (state.run_length > options_.stuck_run_threshold) {
         Quarantine(r, QuarantineReason::kStuckCounter);
         continue;
@@ -217,135 +200,33 @@ Status IngestionPipeline::Ingest(const std::vector<MachineHourRecord>& batch) {
   return Status::OK();
 }
 
-std::string IngestionPipeline::SerializeState() const {
-  StateWriter w;
-  w.PutU64(counters_.seen);
-  w.PutU64(counters_.accepted);
-  w.PutU64(counters_.quarantined);
-  for (size_t n : counters_.by_reason) w.PutU64(n);
-  w.PutU64(counters_.transient_write_failures);
-
-  w.PutU64(quarantine_.size());
-  for (const QuarantinedRecord& q : quarantine_) {
-    PutMachineHourRecord(q.record, &w);
-    w.PutInt(static_cast<int>(q.reason));
-    w.PutI64(q.watermark);
-  }
-
-  // Canonical (sorted) order so two pipelines with identical logical state
-  // serialize identically regardless of hash-table iteration order.
-  std::vector<uint64_t> keys(seen_keys_.begin(), seen_keys_.end());
-  std::sort(keys.begin(), keys.end());
-  w.PutU64(keys.size());
-  for (uint64_t k : keys) w.PutU64(k);
-
-  w.PutI64(watermark_);
-
-  std::vector<std::pair<int, StuckState>> stuck(stuck_.begin(), stuck_.end());
-  std::sort(stuck.begin(), stuck.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.PutU64(stuck.size());
-  for (const auto& [machine, state] : stuck) {
-    w.PutInt(machine);
-    w.PutU64(state.signature ? *state.signature : MetricSignature(state.words));
-    w.PutInt(state.run_length);
-  }
-
-  const RetryPolicy::Stats& rs = retry_.stats();
-  w.PutI64(rs.calls);
-  w.PutI64(rs.attempts);
-  w.PutI64(rs.retries);
-  w.PutI64(rs.exhausted);
-  w.PutDouble(rs.total_backoff_ms);
-  return w.Release();
+template <typename Ar>
+void Persist(Ar& ar, IngestionPipeline& p) {
+  IngestionPipeline::Counters& c = p.counters_;
+  ar(c.seen, c.accepted, c.quarantined, c.by_reason, c.transient_write_failures,
+     p.quarantine_, p.seen_keys_, p.watermark_, p.stuck_, p.retry_);
 }
 
+std::string IngestionPipeline::SerializeState() const { return Encode(*this); }
+
 Status IngestionPipeline::RestoreState(const std::string& blob) {
-  StateReader r(blob);
-  Counters counters;
-  uint64_t u = 0;
-  KEA_RETURN_IF_ERROR(r.GetU64(&u));
-  counters.seen = u;
-  KEA_RETURN_IF_ERROR(r.GetU64(&u));
-  counters.accepted = u;
-  KEA_RETURN_IF_ERROR(r.GetU64(&u));
-  counters.quarantined = u;
-  for (size_t& n : counters.by_reason) {
-    KEA_RETURN_IF_ERROR(r.GetU64(&u));
-    n = u;
-  }
-  KEA_RETURN_IF_ERROR(r.GetU64(&u));
-  counters.transient_write_failures = u;
-
-  uint64_t count = 0;
-  KEA_RETURN_IF_ERROR(r.GetU64(&count));
-  std::vector<QuarantinedRecord> quarantine(count);
-  for (QuarantinedRecord& q : quarantine) {
-    KEA_RETURN_IF_ERROR(GetMachineHourRecord(&r, &q.record));
-    int reason = 0;
-    KEA_RETURN_IF_ERROR(r.GetInt(&reason));
-    if (reason < 0 || reason >= static_cast<int>(kNumQuarantineReasons)) {
-      return Status::InvalidArgument("bad quarantine reason in state blob");
-    }
-    q.reason = static_cast<QuarantineReason>(reason);
-    int64_t wm = 0;
-    KEA_RETURN_IF_ERROR(r.GetI64(&wm));
-    q.watermark = static_cast<sim::HourIndex>(wm);
-  }
-
-  KEA_RETURN_IF_ERROR(r.GetU64(&count));
-  std::unordered_set<uint64_t> seen_keys;
-  seen_keys.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t k = 0;
-    KEA_RETURN_IF_ERROR(r.GetU64(&k));
-    seen_keys.insert(k);
-  }
-
-  int64_t watermark = 0;
-  KEA_RETURN_IF_ERROR(r.GetI64(&watermark));
-
-  KEA_RETURN_IF_ERROR(r.GetU64(&count));
-  std::unordered_map<int, StuckState> stuck;
-  stuck.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    int machine = 0;
-    StuckState state;
-    uint64_t signature = 0;
-    KEA_RETURN_IF_ERROR(r.GetInt(&machine));
-    KEA_RETURN_IF_ERROR(r.GetU64(&signature));
-    KEA_RETURN_IF_ERROR(r.GetInt(&state.run_length));
-    state.signature = signature;
-    stuck[machine] = state;
-  }
-
-  RetryPolicy::Stats rs;
-  KEA_RETURN_IF_ERROR(r.GetI64(&rs.calls));
-  KEA_RETURN_IF_ERROR(r.GetI64(&rs.attempts));
-  KEA_RETURN_IF_ERROR(r.GetI64(&rs.retries));
-  KEA_RETURN_IF_ERROR(r.GetI64(&rs.exhausted));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&rs.total_backoff_ms));
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in ingestion state blob");
-  }
-
-  counters_ = counters;
-  quarantine_ = std::move(quarantine);
-  seen_keys_ = std::move(seen_keys);
-  watermark_ = static_cast<sim::HourIndex>(watermark);
-  stuck_ = std::move(stuck);
-  retry_.RestoreStats(rs);
-
-  // Re-point the registry mirrors at the restored totals so a resumed
-  // process reports the same counts the crashed one had durably recorded
-  // (obs_test asserts the snapshot is bit-identical across the cycle).
-  SeenCounter()->RestoreTo(counters_.seen);
-  AcceptedCounter()->RestoreTo(counters_.accepted);
-  QuarantinedCounter()->RestoreTo(counters_.quarantined);
-  TransientWriteFailureCounter()->RestoreTo(counters_.transient_write_failures);
+  const Counters before = counters_;
+  KEA_RETURN_IF_ERROR(Decode(blob, this));
+  // The registry mirrors are process-wide: move each by this pipeline's own
+  // change, so a resumed process reports the counts the crashed one had
+  // durably recorded (obs_test asserts the snapshot is bit-identical across
+  // the cycle) and every other live pipeline's counts stay.
+  auto move = [](obs::Counter* counter, size_t from, size_t to) {
+    counter->RestoreTo(counter->value() - from + to);
+  };
+  move(SeenCounter(), before.seen, counters_.seen);
+  move(AcceptedCounter(), before.accepted, counters_.accepted);
+  move(QuarantinedCounter(), before.quarantined, counters_.quarantined);
+  move(TransientWriteFailureCounter(), before.transient_write_failures,
+       counters_.transient_write_failures);
   for (size_t i = 0; i < kNumQuarantineReasons; ++i) {
-    ReasonCounter(static_cast<QuarantineReason>(i))
-        ->RestoreTo(counters_.by_reason[i]);
+    move(ReasonCounter(static_cast<QuarantineReason>(i)), before.by_reason[i],
+         counters_.by_reason[i]);
   }
   return Status::OK();
 }

@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -37,6 +36,13 @@ struct QuarantinedRecord {
   QuarantineReason reason = QuarantineReason::kNonFinite;
   sim::HourIndex watermark = 0;
 };
+
+template <typename Ar>
+void Persist(Ar& ar, QuarantinedRecord& q) {
+  ar(q.record);
+  ar.Enum(q.reason, QuarantineReason::kWriteFailed);
+  ar(q.watermark);
+}
 
 /// Pluggable sink write. `attempt` is the 0-based retry attempt; the fault
 /// injector's hook uses it to decide which attempts fail transiently. The
@@ -122,6 +128,9 @@ class IngestionPipeline {
   Status RestoreState(const std::string& blob);
 
  private:
+  template <typename Ar>
+  friend void Persist(Ar& ar, IngestionPipeline& pipeline);
+
   /// Validation verdict for one record, OK reasons aside.
   bool Validate(const MachineHourRecord& r, QuarantineReason* reason) const;
   void Quarantine(const MachineHourRecord& r, QuarantineReason reason);
@@ -138,12 +147,16 @@ class IngestionPipeline {
 
   /// Stuck-counter tracking: per machine, the last metric payload (its 14
   /// metric fields' bit patterns) and how many consecutive records carried
-  /// it. A checkpoint saves the payload as its FNV-1a signature, so a
-  /// restored machine holds only `signature` until its next record.
+  /// it. A checkpoint saves the words, so a restored pipeline compares its
+  /// next record exactly as a running one does.
   struct StuckState {
     std::array<uint64_t, 14> words{};
-    std::optional<uint64_t> signature;
     int run_length = 0;
+
+    template <typename Ar>
+    friend void Persist(Ar& ar, StuckState& state) {
+      ar(state.words, state.run_length);
+    }
   };
   std::unordered_map<int, StuckState> stuck_;
 };

@@ -87,16 +87,28 @@ struct JobRecord {
 std::vector<std::string> MachineHourCsvHeader();
 std::vector<std::string> MachineHourCsvRow(const MachineHourRecord& r);
 
-/// Bit-exact binary codec for checkpoint blobs (the telemetry store,
-/// fault-injector queues, quarantine contents). Doubles are stored as raw
-/// IEEE-754 bit patterns.
-void PutMachineHourRecord(const MachineHourRecord& r, StateWriter* w);
-Status GetMachineHourRecord(StateReader* reader, MachineHourRecord* r);
+/// The record's field list for the state archive (common/snapshot.h): the
+/// telemetry segment, fault-injector queues and quarantine contents. Five
+/// integer fields as 64-bit values, then fourteen doubles as raw IEEE-754
+/// bits.
+template <typename Ar>
+void Persist(Ar& ar, MachineHourRecord& r) {
+  ar(r.machine_id, r.hour, r.rack, r.sku, r.sc, r.avg_running_containers,
+     r.cpu_utilization, r.tasks_finished, r.data_read_mb, r.avg_task_latency_s,
+     r.cpu_time_core_s, r.queued_containers, r.queue_latency_ms,
+     r.rejected_containers, r.cores_used, r.ssd_used_gb, r.ram_used_gb,
+     r.network_used_mbps, r.power_watts);
+}
 
-/// Bytes PutMachineHourRecord writes for every record: five integer fields
-/// as 64-bit values, then fourteen doubles.
+/// Bytes every record encodes to.
 inline constexpr size_t kMachineHourRecordBytes = 5 * 8 + 14 * 8;
 
 }  // namespace kea::telemetry
+
+namespace kea {
+template <>
+inline constexpr size_t kWireBytes<telemetry::MachineHourRecord> =
+    telemetry::kMachineHourRecordBytes;
+}  // namespace kea
 
 #endif  // KEA_TELEMETRY_RECORD_H_

@@ -148,36 +148,22 @@ std::string TelemetryStore::SerializeState(size_t first) const {
   first = std::min(first, records_.size());
   StateWriter w;
   w.Reserve(sizeof(uint64_t) + (records_.size() - first) * kMachineHourRecordBytes);
-  w.PutU64(records_.size() - first);
-  for (size_t i = first; i < records_.size(); ++i) PutMachineHourRecord(records_[i], &w);
+  w.Range(records_.begin() + static_cast<std::ptrdiff_t>(first), records_.end());
   return w.Release();
 }
 
 Status TelemetryStore::AppendState(const std::string& blob) {
-  StateReader reader(blob);
-  uint64_t count = 0;
-  KEA_RETURN_IF_ERROR(reader.GetU64(&count));
-  // Every record encodes to the same width, so the count alone says whether
-  // the blob is whole: a count it cannot hold is refused before anything is
-  // reserved for it, and so are trailing bytes, before anything is appended.
-  if (count > reader.remaining() / kMachineHourRecordBytes) {
-    return Status::InvalidArgument(
-        "telemetry state declares " + std::to_string(count) +
-        " records but holds " + std::to_string(reader.remaining()) + " bytes");
-  }
-  if (reader.remaining() != count * kMachineHourRecordBytes) {
-    return Status::InvalidArgument("trailing bytes in telemetry state");
-  }
+  // Every record encodes to the same width, so the decode refuses a count
+  // the blob cannot hold before it allocates, and trailing bytes, before
+  // anything is appended.
+  std::vector<MachineHourRecord> records;
+  KEA_RETURN_IF_ERROR(Decode(blob, &records));
   // Grow geometrically: a resume appends one blob per segment frame.
-  const size_t needed = records_.size() + count;
+  const size_t needed = records_.size() + records.size();
   if (needed > records_.capacity()) {
     records_.reserve(std::max<size_t>(needed, 2 * records_.capacity()));
   }
-  MachineHourRecord r;
-  for (uint64_t i = 0; i < count; ++i) {
-    KEA_RETURN_IF_ERROR(GetMachineHourRecord(&reader, &r));
-    Append(r);
-  }
+  for (const MachineHourRecord& r : records) Append(r);
   return Status::OK();
 }
 

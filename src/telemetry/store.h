@@ -134,7 +134,7 @@ class TelemetryStore {
   static StatusOr<TelemetryStore> FromCsv(const std::string& text);
 
   /// State blob of records [first, size()), in store order: a u64 count,
-  /// then each record in PutMachineHourRecord's encoding (doubles as raw
+  /// then each record as its Persist encodes it (doubles as raw
   /// IEEE-754 bits, little-endian throughout). With no argument, every
   /// record; with `first` at or past the end, none.
   std::string SerializeState(size_t first = 0) const;

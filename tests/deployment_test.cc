@@ -462,11 +462,9 @@ TEST(DeploymentTest, StateRoundTripPreservesHistoryAndPendingBatch) {
   std::string blob = deploy.SerializeState();
   EXPECT_EQ(twin.RestoreState(blob.substr(0, blob.size() / 2)).code(),
             StatusCode::kInvalidArgument);
-  // The older layout, which ended in two ledger-key counters, is refused by
-  // name.
-  Status legacy = twin.RestoreState(blob + std::string(16, '\0'));
-  EXPECT_EQ(legacy.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(legacy.message().find("key counters"), std::string::npos) << legacy;
+  // So are trailing bytes.
+  EXPECT_EQ(twin.RestoreState(blob + std::string(16, '\0')).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(DeploymentTest, ClampIsPureAndRefusesInvalidOptions) {

@@ -788,7 +788,7 @@ TEST(ExperimentFabricTest, ConclusionCodecRoundTrips) {
   c.machines_restored = 6;
 
   ExperimentFabric::FlightConclusion back;
-  ASSERT_TRUE(ExperimentFabric::DecodeConclusion(
+  ASSERT_TRUE(Decode(
                   ExperimentFabric::EncodeConclusion(c), &back)
                   .ok());
   EXPECT_EQ(ExperimentFabric::EncodeConclusion(back),
@@ -803,7 +803,7 @@ TEST(ExperimentFabricTest, ConclusionCodecRoundTrips) {
   EXPECT_EQ(back.down_hours, 9u);
 
   EXPECT_FALSE(
-      ExperimentFabric::DecodeConclusion("torn", &back).ok());
+      Decode("torn", &back).ok());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/snapshot.h"
+
 namespace kea::core {
 namespace {
 
@@ -54,7 +56,7 @@ TEST(ConfigPatchTest, CodecRoundTrips) {
   patch.feature_enabled = true;
   patch.software_config = 1;
   ConfigPatch back;
-  ASSERT_TRUE(DecodeConfigPatch(EncodeConfigPatch(patch), &back).ok());
+  ASSERT_TRUE(Decode(Encode(patch), &back).ok());
   EXPECT_EQ(back.max_containers, patch.max_containers);
   EXPECT_EQ(back.power_cap_fraction, patch.power_cap_fraction);
   EXPECT_EQ(back.feature_enabled, patch.feature_enabled);
@@ -65,14 +67,14 @@ TEST(ConfigPatchTest, CodecRoundTrips) {
   sparse.feature_enabled = false;
   ConfigPatch sparse_back;
   ASSERT_TRUE(
-      DecodeConfigPatch(EncodeConfigPatch(sparse), &sparse_back).ok());
+      Decode(Encode(sparse), &sparse_back).ok());
   EXPECT_FALSE(sparse_back.max_containers.has_value());
   EXPECT_FALSE(sparse_back.power_cap_fraction.has_value());
   EXPECT_FALSE(sparse_back.software_config.has_value());
   ASSERT_TRUE(sparse_back.feature_enabled.has_value());
   EXPECT_FALSE(*sparse_back.feature_enabled);
 
-  EXPECT_FALSE(DecodeConfigPatch("torn", &back).ok());
+  EXPECT_FALSE(Decode("torn", &back).ok());
 }
 
 }  // namespace

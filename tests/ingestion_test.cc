@@ -247,12 +247,11 @@ TEST_P(IngestionPropertyTest, OutputSaneAndConservationHolds) {
 }
 
 // --- The stuck-counter screen keeps each machine's last metric payload and
-// compares the next one word for word; a checkpoint saves the payload as its
-// FNV-1a signature, and a restored machine compares its next record by that
-// signature once. So a pipeline restored from its own checkpoint before
-// every record compares every record by signature, as the screen did when it
-// kept only the hash: that is the hashing reference here. The two may differ
-// only on two different payloads whose signatures collide.
+// compares the next one word for word, and a checkpoint saves the words. So
+// a pipeline restored from its own checkpoint before every record screens
+// exactly as one that never restores. (The layout before checkpoint format
+// 1 saved the payload's FNV-1a signature, so this reference compared every
+// record by hash.)
 
 /// Ingests `batch` one record at a time, each after a checkpoint round trip.
 void IngestHashing(IngestionPipeline* reference, const std::vector<MachineHourRecord>& batch) {
@@ -298,7 +297,7 @@ TEST(IngestionPipelineTest, StuckScreenMatchesTheHashingReference) {
         batch = corrupter.Flush();
       }
       if (hour == kHours / 2) {
-        // Resume mid-stream: the restored machines compare by signature once.
+        // Resume mid-stream: the restored machines compare their words.
         auto resumed = std::make_unique<IngestionPipeline>(&sink, options);
         ASSERT_TRUE(resumed->RestoreState(pipeline->SerializeState()).ok());
         resumed->set_write_hook(hooks.MakeWriteHook());
@@ -364,6 +363,35 @@ TEST(IngestionObsMetricsTest, RegistryConservationInvariantHolds) {
   EXPECT_EQ(seen, pipeline.counters().seen);
   EXPECT_EQ(accepted, pipeline.counters().accepted);
   EXPECT_EQ(quarantined, pipeline.counters().quarantined);
+}
+
+// The ingest.* counters are process-wide: restoring one pipeline's
+// checkpoint moves them by that pipeline's own change and leaves what every
+// other live pipeline counted.
+TEST(IngestionObsMetricsTest, RestoringOnePipelineKeepsTheOthersCounts) {
+#ifdef KEA_OBS_DISABLED
+  GTEST_SKIP() << "observability compiled out (KEA_OBS=OFF)";
+#endif
+  obs::Registry& reg = obs::Registry::Get();
+  reg.ResetForTest();
+
+  TelemetryStore sink_a, sink_b, sink_c;
+  IngestionPipeline a(&sink_a, IngestionPipeline::Options());
+  IngestionPipeline b(&sink_b, IngestionPipeline::Options());
+  std::vector<MachineHourRecord> five;
+  for (int m = 0; m < 5; ++m) five.push_back(MakeRecord(m, 0));
+  ASSERT_TRUE(a.Ingest(five).ok());
+  ASSERT_TRUE(b.Ingest({MakeRecord(0, 0), MakeRecord(1, 0)}).ok());
+  EXPECT_EQ(reg.CounterValue("ingest.seen"), 7u);
+
+  IngestionPipeline c(&sink_c, IngestionPipeline::Options());
+  ASSERT_TRUE(c.RestoreState(b.SerializeState()).ok());
+  EXPECT_EQ(reg.CounterValue("ingest.seen"), 9u);
+  EXPECT_EQ(reg.CounterValue("ingest.accepted"), 9u);
+
+  // Restoring C again changes nothing: its own count is already B's.
+  ASSERT_TRUE(c.RestoreState(b.SerializeState()).ok());
+  EXPECT_EQ(reg.CounterValue("ingest.seen"), 9u);
 }
 
 }  // namespace

@@ -263,7 +263,8 @@ TEST(StateCodecTest, RoundTripsEveryType) {
   w.PutDouble(-0.1);  // Not exactly representable: bit pattern must survive.
   w.PutString("hello\0world");
 
-  StateReader r(w.Release());
+  const std::string blob = w.Release();
+  StateReader r(blob);
   uint32_t u32 = 0;
   uint64_t u64 = 0;
   int64_t i64 = 0;
@@ -271,13 +272,8 @@ TEST(StateCodecTest, RoundTripsEveryType) {
   bool b = false;
   double d = 0;
   std::string s;
-  ASSERT_TRUE(r.GetU32(&u32).ok());
-  ASSERT_TRUE(r.GetU64(&u64).ok());
-  ASSERT_TRUE(r.GetI64(&i64).ok());
-  ASSERT_TRUE(r.GetInt(&i).ok());
-  ASSERT_TRUE(r.GetBool(&b).ok());
-  ASSERT_TRUE(r.GetDouble(&d).ok());
-  ASSERT_TRUE(r.GetString(&s).ok());
+  r(u32, u64, i64, i, b, d, s);
+  ASSERT_TRUE(r.Finish().ok()) << r.Finish();
   EXPECT_EQ(u32, 0xdeadbeef);
   EXPECT_EQ(u64, 0x0123456789abcdefULL);
   EXPECT_EQ(i64, -42);
@@ -295,14 +291,13 @@ TEST(StateCodecTest, TruncatedBlobNeverFabricates) {
   w.PutDouble(3.25);
   const std::string full = w.Release();
   for (size_t cut = 0; cut < full.size(); ++cut) {
-    StateReader r(full.substr(0, cut));
+    const std::string torn = full.substr(0, cut);
+    StateReader r(torn);
     uint64_t u = 0;
     std::string s;
     double d = 0;
-    Status status = r.GetU64(&u);
-    if (status.ok()) status = r.GetString(&s);
-    if (status.ok()) status = r.GetDouble(&d);
-    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+    r(u, s, d);
+    EXPECT_EQ(r.Finish().code(), StatusCode::kInvalidArgument)
         << "cut at byte " << cut;
   }
 }

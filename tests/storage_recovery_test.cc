@@ -9,6 +9,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -647,21 +648,14 @@ std::map<std::string, std::string> DirectoryBytes(const std::string& dir) {
   return files;
 }
 
-// A checkpoint that holds telemetry as a CSV "telemetry" section, as
-// checkpoints did before the binary "records" section, is refused by name:
-// no session comes back and nothing on disk changes.
-TEST_F(StorageRecoveryTest, CsvTelemetryCheckpointIsRefusedByName) {
-  const std::string dir = FreshDir("storage_csv_checkpoint");
+/// Rewrites the live checkpoint and every generation in `dir` through
+/// `rewrite`, which maps each section to its replacement (nullopt drops it).
+void RewriteEveryGeneration(
+    const std::string& dir,
+    const std::function<std::optional<std::string>(const std::string& name,
+                                                   const std::string& content)>&
+        rewrite) {
   const std::string checkpoint = dir + "/checkpoint.kea";
-  std::string store_csv;
-  {
-    auto session = MakeDurableSession(dir);
-    auto round = session->RunGuardedTuningRound(RoundOptions());
-    ASSERT_TRUE(round.ok()) << round.status();
-    store_csv = session->store().ToCsv();
-  }
-  // Rewrite the live checkpoint and every generation in the old layout: the
-  // same sections in the same order, with the session's store as CSV.
   std::vector<std::string> candidates = {checkpoint};
   for (uint64_t gen : SnapshotGenerations::List(checkpoint)) {
     candidates.push_back(SnapshotGenerations::GenerationPath(checkpoint, gen));
@@ -672,106 +666,68 @@ TEST_F(StorageRecoveryTest, CsvTelemetryCheckpointIsRefusedByName) {
     ASSERT_TRUE(reader.ok()) << reader.status();
     SnapshotWriter writer;
     for (const auto& [name, content] : reader->sections()) {
-      if (name != "records") {
-        writer.AddSection(name, content);
-        continue;
-      }
-      writer.AddSection("telemetry", store_csv);
+      if (auto replaced = rewrite(name, content)) writer.AddSection(name, *replaced);
     }
     ASSERT_TRUE(writer.WriteFile(path).ok());
   }
+}
+
+/// Resume refuses `dir` by the format it found, and changes no file.
+void ExpectRefusedByFormat(const std::string& dir, const std::string& found) {
   const std::map<std::string, std::string> before = DirectoryBytes(dir);
   ASSERT_TRUE(before.count("ledger.kea"));
-
+  ASSERT_TRUE(before.count("telemetry.kea"));
   auto resumed = KeaSession::Resume(dir);
   ASSERT_FALSE(resumed.ok());
   EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(resumed.status().message().find("no 'records' section"),
+  EXPECT_NE(resumed.status().message().find("checkpoint is format " + found),
+            std::string::npos)
+      << resumed.status();
+  EXPECT_NE(resumed.status().message().find(
+                "this build reads format " +
+                std::to_string(KeaSession::kCheckpointFormat)),
             std::string::npos)
       << resumed.status();
   EXPECT_TRUE(DirectoryBytes(dir) == before)
       << "Resume changed, added or removed a file";
 }
 
-// The layout before telemetry.kea — the records themselves in the
-// checkpoint's "records" section — is refused by name, with no file changed.
-TEST_F(StorageRecoveryTest, InlineRecordsCheckpointIsRefusedByName) {
-  const std::string dir = FreshDir("storage_inline_checkpoint");
-  const std::string checkpoint = dir + "/checkpoint.kea";
-  std::string inline_records;
+// A checkpoint from before the format section (every earlier layout) is
+// refused through every generation by the format it has, with no file
+// changed.
+TEST_F(StorageRecoveryTest, CheckpointWithoutFormatIsRefusedByName) {
+  const std::string dir = FreshDir("storage_formatless_checkpoint");
   {
     auto session = MakeDurableSession(dir);
     auto round = session->RunGuardedTuningRound(RoundOptions());
     ASSERT_TRUE(round.ok()) << round.status();
-    inline_records = session->store().SerializeState();
   }
-  std::vector<std::string> candidates = {checkpoint};
-  for (uint64_t gen : SnapshotGenerations::List(checkpoint)) {
-    candidates.push_back(SnapshotGenerations::GenerationPath(checkpoint, gen));
-  }
-  ASSERT_GT(candidates.size(), 1u);
-  for (const std::string& path : candidates) {
-    auto reader = SnapshotReader::Open(path);
-    ASSERT_TRUE(reader.ok()) << reader.status();
-    SnapshotWriter writer;
-    for (const auto& [name, content] : reader->sections()) {
-      writer.AddSection(name, name == "records" ? inline_records : content);
-    }
-    ASSERT_TRUE(writer.WriteFile(path).ok());
-  }
-  const std::map<std::string, std::string> before = DirectoryBytes(dir);
-  ASSERT_TRUE(before.count("telemetry.kea"));
-
-  auto resumed = KeaSession::Resume(dir);
-  ASSERT_FALSE(resumed.ok());
-  EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(resumed.status().message().find("inline telemetry"),
-            std::string::npos)
-      << resumed.status();
-  EXPECT_TRUE(DirectoryBytes(dir) == before)
-      << "Resume changed, added or removed a file";
+  RewriteEveryGeneration(
+      dir, [](const std::string& name,
+              const std::string& content) -> std::optional<std::string> {
+        if (name == "format") return std::nullopt;
+        return content;
+      });
+  ExpectRefusedByFormat(dir, "0");
 }
 
-// The deployment section's layout from before the session journaled
-// deployment steps — history and pending batch, then the module's two
-// ledger-key counters — is refused by name, with no file changed.
-TEST_F(StorageRecoveryTest, DeploymentCountersCheckpointIsRefusedByName) {
-  const std::string dir = FreshDir("storage_counters_checkpoint");
-  const std::string checkpoint = dir + "/checkpoint.kea";
+// A checkpoint of a later format is refused through every generation by
+// its number, with no file changed.
+TEST_F(StorageRecoveryTest, CheckpointOfAnotherFormatIsRefusedByName) {
+  const std::string dir = FreshDir("storage_format2_checkpoint");
   {
     auto session = MakeDurableSession(dir);
     auto round = session->RunYarnTuningRound(YarnConfigTuner::Options(),
                                              kPreludeHours, 1);
     ASSERT_TRUE(round.ok()) << round.status();
   }
-  StateWriter counters;
-  counters.PutI64(1);  // Applies journaled.
-  counters.PutI64(0);  // Rollbacks journaled.
-  const std::string legacy_tail = counters.Release();
-  std::vector<std::string> candidates = {checkpoint};
-  for (uint64_t gen : SnapshotGenerations::List(checkpoint)) {
-    candidates.push_back(SnapshotGenerations::GenerationPath(checkpoint, gen));
-  }
-  ASSERT_GT(candidates.size(), 1u);
-  for (const std::string& path : candidates) {
-    auto reader = SnapshotReader::Open(path);
-    ASSERT_TRUE(reader.ok()) << reader.status();
-    SnapshotWriter writer;
-    for (const auto& [name, content] : reader->sections()) {
-      writer.AddSection(name, name == "deployment" ? content + legacy_tail
-                                                   : content);
-    }
-    ASSERT_TRUE(writer.WriteFile(path).ok());
-  }
-  const std::map<std::string, std::string> before = DirectoryBytes(dir);
-
-  auto resumed = KeaSession::Resume(dir);
-  ASSERT_FALSE(resumed.ok());
-  EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(resumed.status().message().find("key counters"), std::string::npos)
-      << resumed.status();
-  EXPECT_TRUE(DirectoryBytes(dir) == before)
-      << "Resume changed, added or removed a file";
+  const uint32_t next = KeaSession::kCheckpointFormat + 1;
+  RewriteEveryGeneration(
+      dir, [next](const std::string& name,
+                  const std::string& content) -> std::optional<std::string> {
+        return name == "format" ? Encode(next) : content;
+      });
+  ExpectRefusedByFormat(dir, std::to_string(next));
 }
 
 uint64_t Counter(const std::string& name) {
