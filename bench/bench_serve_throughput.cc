@@ -238,7 +238,7 @@ int main() {
   }
   std::fprintf(out,
                "{\n"
-               "  \"nproc\": %u,\n"
+               "%s,\n"
                "  \"probe_candidates\": %d,\n"
                "  \"probe_reps\": %d,\n"
                "  \"cold_us_median\": %.2f,\n"
@@ -249,7 +249,7 @@ int main() {
                "  \"workers\": %d,\n"
                "  \"queries_per_tenant\": %d,\n"
                "  \"tenant_sweep\": [",
-               std::thread::hardware_concurrency(), kProbeCandidates,
+               bench::HostJsonFields().c_str(), kProbeCandidates,
                kProbeReps, cold_us, cold_one_us, grid_cost_ratio, warm_us,
                warm_speedup, kWorkers, kQueriesPerTenant);
   for (size_t i = 0; i < sweep.size(); ++i) {

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 namespace kea::bench {
 
@@ -33,6 +34,13 @@ void BenchEnv::Run(sim::HourIndex start, int hours) {
 sim::HourIndex BenchEnv::SimulateBaselineDay() {
   Run(sim::kHoursPerWeek - sim::kHoursPerDay, sim::kHoursPerDay);
   return sim::kHoursPerWeek;
+}
+
+std::string HostJsonFields() {
+  return "  \"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
+         ",\n  \"compiler\": \"" KEA_BENCH_COMPILER "\",\n"
+         "  \"build_type\": \"" KEA_BENCH_BUILD_TYPE "\",\n"
+         "  \"git_sha\": \"" KEA_BENCH_GIT_SHA "\"";
 }
 
 void PrintBanner(const std::string& artifact, const std::string& expectation) {

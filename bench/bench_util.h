@@ -41,6 +41,12 @@ struct BenchEnv {
 /// and what shape to expect.
 void PrintBanner(const std::string& artifact, const std::string& expectation);
 
+/// The recording host and build as JSON object members, one per line at a
+/// two-space indent, with no trailing comma: "nproc", "compiler",
+/// "build_type" and "git_sha" (`git describe --always --dirty` of the source
+/// tree when the build was configured, or "unknown" outside a checkout).
+std::string HostJsonFields();
+
 /// Fixed-width table printing.
 void PrintRow(const std::vector<std::string>& cells, int width = 14);
 std::string Fmt(double value, int precision = 3);
