@@ -3,10 +3,12 @@
 // sweep, where the bar is a >=10x warm speedup with bit-identical payloads
 // (bit-identity itself is proven in whatif_cache_test; this bench quantifies
 // the latency win) — (2) what a cold grid costs against a cold one-candidate
-// query: candidates share each group's uncertainty draws, so the ratio stays
-// far below the candidate count — and (3) sustained multi-tenant throughput:
-// queries/sec and cache-hit ratio as the tenant count grows on a fixed
-// 4-worker service. Writes BENCH_serve_throughput.json for the CI serve job.
+// query, and how many normals the cold probes drew: each group key's stream
+// is drawn once per process, so the count is 3 x samples x groups however
+// many probes and candidates ran — and (3) sustained multi-tenant
+// throughput: queries/sec and cache-hit ratio as the tenant count grows on a
+// fixed 4-worker service. Writes BENCH_serve_throughput.json for the CI
+// serve job.
 
 #include <algorithm>
 #include <chrono>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "obs/metrics.h"
 #include "serve/service.h"
 
 namespace {
@@ -116,6 +119,8 @@ int main() {
   const int kProbeReps = 128;
   const int kProbeCandidates = 64;
   double cold_us, cold_one_us, warm_us;
+  uint64_t normal_draws = 0;
+  size_t probe_groups = 0;
   {
     TuningService::Options options;
     options.num_threads = 0;
@@ -140,6 +145,12 @@ int main() {
     };
     cold_us = time_cold(kProbeCandidates);
     cold_one_us = time_cold(1);
+    // The probes are the process's first what-ifs, at the default sample
+    // count, so every normal drawn so far was drawn for them.
+    normal_draws = obs::Registry::Get().CounterValue("whatif.normal_draws");
+    auto session = service.tenant_session(id);
+    if (!session.ok()) Die(session.status());
+    probe_groups = session.value()->whatif_engine()->models().size();
 
     WhatIfRequest repeated = MakeQuery(base, kProbeCandidates, 0);
     {
@@ -168,6 +179,12 @@ int main() {
   std::printf("\ncold 1-candidate query: %.1f us; a %d-candidate grid costs "
               "%.1fx that\n",
               cold_one_us, kProbeCandidates, grid_cost_ratio);
+  std::printf("normals drawn by %d cold probes: %llu for %zu groups "
+              "(3 x %d samples x groups = %llu)\n",
+              2 * kProbeReps, static_cast<unsigned long long>(normal_draws),
+              probe_groups, WhatIfRequest().uncertainty_samples,
+              static_cast<unsigned long long>(
+                  3ULL * WhatIfRequest().uncertainty_samples * probe_groups));
 
   // -------------------------------------------------------------------------
   // Tenant scaling: a 4-worker service; each tenant fires 300 queries cycling
@@ -241,17 +258,22 @@ int main() {
                "%s,\n"
                "  \"probe_candidates\": %d,\n"
                "  \"probe_reps\": %d,\n"
+               "  \"probe_samples\": %d,\n"
                "  \"cold_us_median\": %.2f,\n"
                "  \"cold_one_us_median\": %.2f,\n"
                "  \"grid_cost_ratio\": %.2f,\n"
+               "  \"normal_draws\": %llu,\n"
+               "  \"probe_groups\": %zu,\n"
                "  \"warm_us_median\": %.2f,\n"
                "  \"warm_speedup\": %.2f,\n"
                "  \"workers\": %d,\n"
                "  \"queries_per_tenant\": %d,\n"
                "  \"tenant_sweep\": [",
-               bench::HostJsonFields().c_str(), kProbeCandidates,
-               kProbeReps, cold_us, cold_one_us, grid_cost_ratio, warm_us,
-               warm_speedup, kWorkers, kQueriesPerTenant);
+               bench::HostJsonFields().c_str(), kProbeCandidates, kProbeReps,
+               WhatIfRequest().uncertainty_samples, cold_us, cold_one_us,
+               grid_cost_ratio, static_cast<unsigned long long>(normal_draws),
+               probe_groups, warm_us, warm_speedup, kWorkers,
+               kQueriesPerTenant);
   for (size_t i = 0; i < sweep.size(); ++i) {
     std::fprintf(out,
                  "%s\n    {\"tenants\": %d, \"qps\": %.1f, "

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_set>
@@ -230,6 +232,15 @@ StatusOr<double> WhatIfEngine::CurrentClusterLatency() const {
 
 namespace {
 
+// Not deterministic: how many normals are drawn depends on the sample counts
+// the process asked for before and on which of two concurrent extensions of
+// one key publishes, so it stays out of the deterministic exports.
+obs::Counter* NormalDrawsCounter() {
+  static obs::Counter* c = obs::Registry::Get().GetCounter(
+      "whatif.normal_draws", "", obs::Kind::kTiming);
+  return c;
+}
+
 /// Deterministic per-group sampling seed: FNV-1a over the group key alone.
 /// Every candidate that names the group draws the same noise (common random
 /// numbers), and no estimate depends on evaluation order, thread count, or
@@ -247,36 +258,157 @@ uint64_t SampleSeed(const sim::MachineGroupKey& key) {
   return h;
 }
 
-/// One group's shared draws for a request: the first 3n standard normals of
-/// its stream, split by the model they perturb. Sample s reads g[s], h[s] and
-/// f[s], which are draws 3s, 3s+1 and 3s+2.
+/// A prefix of one group's stream of standard normals, split by the model
+/// they perturb: sample s reads g[s], h[s] and f[s], which are draws 3s, 3s+1
+/// and 3s+2.
 struct GroupDraws {
   std::vector<double> g, h, f;
 };
 
-GroupDraws DrawNormals(const sim::MachineGroupKey& key, size_t samples) {
-  Rng rng(SampleSeed(key));
-  GroupDraws z;
-  z.g.resize(samples);
-  z.h.resize(samples);
-  z.f.resize(samples);
-  for (size_t s = 0; s < samples; ++s) {
-    z.g[s] = rng.Gaussian();
-    z.h[s] = rng.Gaussian();
-    z.f[s] = rng.Gaussian();
+/// Every group key's draws, for the process. The stream is seeded by the key
+/// alone, so what the table holds for a key is a pure function of the key and
+/// the largest sample count asked so far: engines and tenants share it without
+/// sharing anything an answer could depend on. A key costs 24 bytes a sample,
+/// up to WhatIfEngine::kKeptUncertaintySamples; a longer request draws its
+/// tail past that on every call.
+class DrawTable {
+ public:
+  static DrawTable& Get() {
+    static DrawTable* table = new DrawTable();  // never destroyed
+    return *table;
   }
-  return z;
-}
 
-double Stddev(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  double mean = 0.0;
-  for (double x : xs) mean += x;
-  mean /= static_cast<double>(xs.size());
-  double ss = 0.0;
-  for (double x : xs) ss += (x - mean) * (x - mean);
-  return std::sqrt(ss / static_cast<double>(xs.size() - 1));
-}
+  /// An immutable snapshot holding at least the key's first 3 * `samples`
+  /// draws. The lock is held only to read or publish a key's snapshot and
+  /// generator; the draws themselves happen outside it, so no request waits
+  /// behind another's extension. A snapshot that grew the key's stream is
+  /// published unless a larger one was published meanwhile (its prefix is
+  /// the same draws); holders of an older snapshot keep it.
+  std::shared_ptr<const GroupDraws> Draws(const sim::MachineGroupKey& key,
+                                          size_t samples) {
+    std::shared_ptr<const GroupDraws> draws;
+    std::optional<Rng> rng;
+    Stream* stream = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stream = &streams_.try_emplace(key, SampleSeed(key)).first->second;
+      if (stream->draws->g.size() >= samples) return stream->draws;
+      draws = stream->draws;
+      rng = stream->rng;
+    }
+    const size_t kept = std::min(
+        samples,
+        static_cast<size_t>(WhatIfEngine::kKeptUncertaintySamples));
+    if (draws->g.size() < kept) {
+      draws = Extend(*draws, &*rng, kept);
+      std::lock_guard<std::mutex> lock(mu_);
+      if (stream->draws->g.size() < kept) {
+        stream->draws = draws;
+        stream->rng = *rng;
+      }
+    }
+    if (draws->g.size() < samples) draws = Extend(*draws, &*rng, samples);
+    return draws;
+  }
+
+ private:
+  struct Stream {
+    explicit Stream(uint64_t seed) : rng(seed) {}
+    Rng rng;  ///< Positioned just past `draws`.
+    std::shared_ptr<const GroupDraws> draws = std::make_shared<GroupDraws>();
+  };
+
+  /// `prefix` followed by draws from `rng`, which is positioned just past it,
+  /// up to `samples`.
+  static std::shared_ptr<const GroupDraws> Extend(const GroupDraws& prefix,
+                                                  Rng* rng, size_t samples) {
+    const size_t drawn = prefix.g.size();
+    auto grown = std::make_shared<GroupDraws>();
+    for (auto [to, from] : {std::pair{&grown->g, &prefix.g},
+                            std::pair{&grown->h, &prefix.h},
+                            std::pair{&grown->f, &prefix.f}}) {
+      to->reserve(samples);
+      to->assign(from->begin(), from->end());
+      to->resize(samples);
+    }
+    for (size_t s = drawn; s < samples; ++s) {
+      grown->g[s] = rng->Gaussian();
+      grown->h[s] = rng->Gaussian();
+      grown->f[s] = rng->Gaussian();
+    }
+    NormalDrawsCounter()->Increment(3 * (samples - drawn));
+    return grown;
+  }
+
+  std::mutex mu_;  ///< Guards streams_ and every Stream in it.
+  /// Keys are never erased, so a Stream's address outlives any call.
+  std::map<sim::MachineGroupKey, Stream> streams_;
+};
+
+/// Sample standard deviations of n-value rows, kWidth rows at a time. Each
+/// row's mean and squared-deviation sums run over s = 0, 1, ..., n-1 in their
+/// own accumulators, the order of a one-row loop, so every deviation keeps
+/// those bits; the rows' chains are independent, so the processor overlaps
+/// their adds instead of waiting on one row's add after another.
+class StddevBatch {
+ public:
+  explicit StddevBatch(size_t n) : n_(n), rows_(kWidth * n) {}
+
+  /// The row to fill next; Push() then queues it.
+  double* Row() { return rows_.data() + pending_ * n_; }
+
+  /// Queues the filled Row(), whose deviation goes to `*target` by the next
+  /// Flush() at the latest; `target` must stay valid until then.
+  void Push(double* target) {
+    targets_[pending_++] = target;
+    if (pending_ == kWidth) {
+      Deviations<kWidth>(0);
+      pending_ = 0;
+    }
+  }
+
+  /// Writes the deviation of every queued row.
+  void Flush() {
+    for (size_t r = 0; r < pending_; ++r) Deviations<1>(r);
+    pending_ = 0;
+  }
+
+ private:
+  static constexpr size_t kWidth = 4;
+
+  /// Rows [first, first + W).
+  template <size_t W>
+  void Deviations(size_t first) {
+    if (n_ < 2) {
+      for (size_t r = 0; r < W; ++r) *targets_[first + r] = 0.0;
+      return;
+    }
+    const double* x[W];
+    double mean[W], ss[W];
+    for (size_t r = 0; r < W; ++r) {
+      x[r] = rows_.data() + (first + r) * n_;
+      mean[r] = 0.0;
+      ss[r] = 0.0;
+    }
+    for (size_t s = 0; s < n_; ++s) {
+      for (size_t r = 0; r < W; ++r) mean[r] += x[r][s];
+    }
+    for (size_t r = 0; r < W; ++r) mean[r] /= static_cast<double>(n_);
+    for (size_t s = 0; s < n_; ++s) {
+      for (size_t r = 0; r < W; ++r) {
+        ss[r] += (x[r][s] - mean[r]) * (x[r][s] - mean[r]);
+      }
+    }
+    for (size_t r = 0; r < W; ++r) {
+      *targets_[first + r] = std::sqrt(ss[r] / static_cast<double>(n_ - 1));
+    }
+  }
+
+  const size_t n_;
+  std::vector<double> rows_;
+  double* targets_[kWidth] = {};
+  size_t pending_ = 0;
+};
 
 }  // namespace
 
@@ -290,10 +422,13 @@ StatusOr<std::vector<WhatIfResult>> WhatIfEngine::EvaluateGrid(
   }
   const size_t samples =
       uncertainty_samples > 0 ? static_cast<size_t>(uncertainty_samples) : 0;
-  std::map<sim::MachineGroupKey, GroupDraws> draws;
+  std::map<sim::MachineGroupKey, std::shared_ptr<const GroupDraws>> draws;
   // Per-sample cluster accumulators, aggregated across one candidate's groups.
   std::vector<double> mc_weighted(samples), mc_weight(samples);
-  std::vector<double> mc_latency(samples);
+  // A group's rows are flushed before its candidate's result moves into
+  // `results`; the cluster rows' targets live in `results`, which never
+  // reallocates.
+  StddevBatch group_stddevs(samples), cluster_stddevs(samples);
   std::vector<WhatIfResult> results;
   results.reserve(grid.size());
   for (const auto& containers_per_machine : grid) {
@@ -303,7 +438,7 @@ StatusOr<std::vector<WhatIfResult>> WhatIfEngine::EvaluateGrid(
     std::fill(mc_weight.begin(), mc_weight.end(), 0.0);
     for (const auto& [key, m_k] : containers_per_machine) {
       KEA_ASSIGN_OR_RETURN(const GroupModels* gm, Find(key));
-      GroupWhatIf gw;
+      GroupWhatIf& gw = result.groups[key];
       gw.containers = m_k;
       gw.utilization = gm->g.Predict1D(m_k);
       gw.tasks_per_hour = gm->h.Predict1D(gw.utilization);
@@ -314,18 +449,21 @@ StatusOr<std::vector<WhatIfResult>> WhatIfEngine::EvaluateGrid(
 
       if (samples > 0) {
         auto [it, fresh] = draws.try_emplace(key);
-        if (fresh) it->second = DrawNormals(key, samples);
-        const GroupDraws& z = it->second;
+        if (fresh) it->second = DrawTable::Get().Draws(key, samples);
+        const GroupDraws& z = *it->second;
         // Propagate each model's residual noise through the g -> h/f chain,
         // each draw as mean + rmse * z. Throughput is floored at a sliver so
         // a noisy draw cannot flip the task-weighting negative.
-        const double g_rmse = gm->g_fit.rmse;
+        // Locals, not `gw`'s fields, so the loop vectorizes: stores through
+        // the row could otherwise alias the map node.
+        const double util0 = gw.utilization, g_rmse = gm->g_fit.rmse;
         const double h0 = gm->h.intercept(), h1 = gm->h.coefficients()[0];
         const double h_rmse = gm->h_fit.rmse;
         const double f0 = gm->f.intercept(), f1 = gm->f.coefficients()[0];
         const double f_rmse = gm->f_fit.rmse;
+        double* mc_latency = group_stddevs.Row();
         for (size_t s = 0; s < samples; ++s) {
-          const double util = gw.utilization + g_rmse * z.g[s];
+          const double util = util0 + g_rmse * z.g[s];
           const double tasks =
               std::max(h0 + h1 * util + h_rmse * z.h[s], 1e-9);
           const double latency = f0 + f1 * util + f_rmse * z.f[s];
@@ -333,22 +471,24 @@ StatusOr<std::vector<WhatIfResult>> WhatIfEngine::EvaluateGrid(
           mc_weighted[s] += latency * tasks * n_k;
           mc_weight[s] += tasks * n_k;
         }
-        gw.latency_stderr_s = Stddev(mc_latency);
+        group_stddevs.Push(&gw.latency_stderr_s);
       }
-      result.groups[key] = gw;
     }
+    group_stddevs.Flush();
     if (weight <= 0.0) {
       return Status::FailedPrecondition("predicted zero task throughput");
     }
     result.cluster_latency_s = weighted / weight;
+    results.push_back(std::move(result));
     if (samples > 0) {
+      double* mc_latency = cluster_stddevs.Row();
       for (size_t s = 0; s < samples; ++s) {
         mc_latency[s] = mc_weighted[s] / mc_weight[s];
       }
-      result.cluster_latency_stderr_s = Stddev(mc_latency);
+      cluster_stddevs.Push(&results.back().cluster_latency_stderr_s);
     }
-    results.push_back(std::move(result));
   }
+  cluster_stddevs.Flush();
   return results;
 }
 
@@ -382,7 +522,8 @@ inline void HashModel(const ml::LinearModel& m, uint64_t* h) {
 
 }  // namespace
 
-uint64_t WhatIfEngine::ModelHash() const {
+WhatIfEngine::WhatIfEngine(std::map<sim::MachineGroupKey, GroupModels> models)
+    : models_(std::move(models)) {
   uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64 offset basis.
   HashU64(models_.size(), &h);
   for (const auto& [key, gm] : models_) {
@@ -392,12 +533,16 @@ uint64_t WhatIfEngine::ModelHash() const {
     HashModel(gm.g, &h);
     HashModel(gm.h, &h);
     HashModel(gm.f, &h);
+    // The fit RMSEs scale every error bar.
+    HashDouble(gm.g_fit.rmse, &h);
+    HashDouble(gm.h_fit.rmse, &h);
+    HashDouble(gm.f_fit.rmse, &h);
     HashDouble(gm.current_containers, &h);
     HashDouble(gm.current_utilization, &h);
     HashDouble(gm.current_tasks_per_hour, &h);
     HashDouble(gm.current_latency_s, &h);
   }
-  return h;
+  model_hash_ = h;
 }
 
 }  // namespace kea::core

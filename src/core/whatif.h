@@ -117,8 +117,13 @@ class WhatIfEngine {
 
   /// Largest `uncertainty_samples` EvaluateGrid accepts. The sample count
   /// arrives from outside the program (a serving request), and each group's
-  /// draw table holds 3 doubles per sample.
+  /// draws take 3 doubles per sample.
   static constexpr int kMaxUncertaintySamples = 65536;
+
+  /// Samples per group key that the process-wide draw table keeps, so what a
+  /// client asks cannot pin more than 96 KB per key for the life of the
+  /// process. A request for more draws the rest of its stream on each call.
+  static constexpr int kKeptUncertaintySamples = 4096;
 
   /// Evaluates every candidate allocation of `grid`: per-group
   /// utilization/throughput/latency plus the Eq. (9) cluster latency, using
@@ -130,16 +135,19 @@ class WhatIfEngine {
   /// models' residual noise (each model's fit RMSE) through the g -> h/f
   /// chain by Monte Carlo and fills the *_stderr fields. Uncertainty uses
   /// common random numbers: a group's noise stream is seeded from its key
-  /// alone, and the first time a group appears in the grid its first 3n
-  /// standard normals are drawn; sample s perturbs g, h and f by draws 3s,
-  /// 3s+1 and 3s+2, as `mean + rmse * z`. Every candidate naming that group
-  /// reuses the same draws, so each candidate keeps its marginal
-  /// distribution, candidate-to-candidate differences carry no independent
-  /// sampling noise, and the draws cost the same however many candidates
-  /// the grid holds. The result — error bars included — is a pure function
-  /// of (models, candidate, n): it does not depend on which grid the
-  /// candidate arrived in, and it is bit-identical across runs, threads, and
-  /// identically-fitted engines. n above kMaxUncertaintySamples is
+  /// alone, and sample s perturbs g, h and f by its draws 3s, 3s+1 and 3s+2,
+  /// as `mean + rmse * z`. Every candidate naming that group reuses the same
+  /// draws, so each candidate keeps its marginal distribution,
+  /// candidate-to-candidate differences carry no independent sampling noise,
+  /// and the draws cost the same however many candidates the grid holds.
+  /// The draws are a process-wide table: each group key's stream is drawn
+  /// once, as far as the largest n asked so far up to
+  /// kKeptUncertaintySamples (24 bytes a sample), and every later request
+  /// reads that prefix. The result — error bars included — is a pure
+  /// function of (models, candidate, n): it does not depend on which grid the
+  /// candidate arrived in or what the process asked before, and it is
+  /// bit-identical across runs, threads, and identically-fitted engines.
+  /// n above kMaxUncertaintySamples is
   /// InvalidArgument; n <= 0 disables sampling. The tuning loop uses the
   /// point-prediction paths and never pays this cost.
   StatusOr<std::vector<WhatIfResult>> EvaluateGrid(
@@ -151,20 +159,22 @@ class WhatIfEngine {
       const std::map<sim::MachineGroupKey, double>& containers_per_machine,
       int uncertainty_samples = 0) const;
 
-  /// FNV-1a digest over every fitted coefficient and operating point, walked
-  /// in group-key order. Engines fit from identical telemetry with identical
-  /// options hash identically; a refit on different data changes the digest
-  /// with overwhelming probability. Cache-key material for the serving
-  /// layer's memoized what-if cache.
-  uint64_t ModelHash() const;
+  /// FNV-1a digest, taken at construction, over everything EvaluateGrid
+  /// reads: every group's key, machine count, fitted coefficients, fit
+  /// RMSEs and operating point, walked in group-key order. Engines fit from
+  /// identical telemetry with identical options hash identically; a refit on
+  /// different data changes the digest with overwhelming probability.
+  /// Cache-key material for the serving layer's memoized what-if cache;
+  /// never persisted.
+  uint64_t ModelHash() const { return model_hash_; }
 
  private:
-  explicit WhatIfEngine(std::map<sim::MachineGroupKey, GroupModels> models)
-      : models_(std::move(models)) {}
+  explicit WhatIfEngine(std::map<sim::MachineGroupKey, GroupModels> models);
 
   StatusOr<const GroupModels*> Find(sim::MachineGroupKey group) const;
 
   std::map<sim::MachineGroupKey, GroupModels> models_;
+  uint64_t model_hash_ = 0;
 };
 
 }  // namespace kea::core

@@ -67,7 +67,6 @@
 #include "apps/yarn_tuner.h"        // IWYU pragma: export
 
 // Serving layer (multi-tenant tuning service).
-#include "serve/fingerprint.h"    // IWYU pragma: export
 #include "serve/request_queue.h"  // IWYU pragma: export
 #include "serve/service.h"        // IWYU pragma: export
 #include "serve/whatif_cache.h"   // IWYU pragma: export

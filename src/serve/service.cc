@@ -480,16 +480,10 @@ bool TuningService::DrainWhatIfBatch(Tenant* t, uint64_t batch) {
   // mid-drain cannot split the batch across fidelity levels.
   const int rung = rung_.load(std::memory_order_relaxed);
   const bool browning = options_.overload.enabled && rung > 0;
-  // One snapshot answers the whole batch: epochs, model digest, and the
-  // fingerprint of the telemetry window the models were fit on.
+  // One snapshot answers the whole batch: the epochs and the model digest.
   const uint64_t model_epoch = t->session->model_epoch();
   const uint64_t deploy_epoch = t->session->deploy_epoch();
   const uint64_t model_hash = engine->ModelHash();
-  if (t->fingerprint_epoch != model_epoch) {
-    auto [begin, end] = t->session->fit_window();
-    t->fingerprint = FingerprintWindow(t->session->store(), begin, end);
-    t->fingerprint_epoch = model_epoch;
-  }
   for (const auto& item : items) {
     // The key of the request as asked — brownout fidelity cuts never change
     // it, so a full-fidelity cached answer is always preferred and stale
@@ -499,7 +493,6 @@ bool TuningService::DrainWhatIfBatch(Tenant* t, uint64_t batch) {
     key.model_epoch = model_epoch;
     key.deploy_epoch = deploy_epoch;
     key.model_hash = model_hash;
-    key.workload = t->fingerprint;
     key.config_hash = ConfigHash(item.request);
     if (cache_ != nullptr) {
       WhatIfResponsePtr hit = cache_->Lookup(key);

@@ -22,7 +22,6 @@
 #include "common/virtual_clock.h"
 #include "core/whatif.h"
 #include "obs/metrics.h"
-#include "serve/fingerprint.h"
 #include "serve/overload.h"
 #include "serve/request_queue.h"
 #include "serve/whatif_cache.h"
@@ -203,7 +202,7 @@ class TuningService {
 
   /// Evaluate candidate configurations. Consecutive what-if submissions from
   /// one tenant (not split by another accepted request type) coalesce into
-  /// one queue slot and are answered from one models/fingerprint snapshot.
+  /// one queue slot and are answered from one snapshot of the models and epochs.
   /// Resolves to an immutable shared payload: a cache hit hands back the
   /// cached response itself (zero-copy), a miss the freshly evaluated one.
   /// Under brownout the payload may be marked degraded (reduced sampling or
@@ -289,12 +288,6 @@ class TuningService {
     /// Batch id currently accepting coalesced what-ifs; 0 = none open.
     uint64_t open_batch = 0;
     std::map<uint64_t, std::vector<StagedWhatIf>> staged;
-
-    /// Memoized workload fingerprint of the last fit window, recomputed only
-    /// when the model epoch moves. Touched only from the tenant's (single)
-    /// in-flight request, so no lock needed.
-    WorkloadFingerprint fingerprint;
-    uint64_t fingerprint_epoch = ~0ULL;
 
     // -- Overload-control state, guarded by TuningService::overload_mu_.
     CircuitBreaker breaker;

@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "common/random.h"
 #include "obs/metrics.h"
 
 namespace kea::serve {
@@ -31,11 +32,14 @@ obs::Counter* InvalidatedCounter() {
   return c;
 }
 
+// Each word passes through a SplitMix64 finalizer before its FNV step. The
+// multiply alone only carries upward, so two words' flipped sign bits would
+// cancel, and values that share their low bits (powers of two, small
+// integers) would collide. The finalizer reads only the word, so it overlaps
+// with the chain of steps instead of lengthening it.
 inline void HashU64(uint64_t v, uint64_t* h) {
-  for (int i = 0; i < 8; ++i) {
-    *h ^= (v >> (8 * i)) & 0xffu;
-    *h *= 0x100000001b3ULL;
-  }
+  *h ^= MixSeed(v, 0);
+  *h *= 0x100000001b3ULL;
 }
 inline void HashDouble(double v, uint64_t* h) {
   HashU64(std::bit_cast<uint64_t>(v), h);

@@ -12,7 +12,6 @@
 
 #include "common/status.h"
 #include "core/whatif.h"
-#include "serve/fingerprint.h"
 #include "sim/types.h"
 
 namespace kea::serve {
@@ -55,7 +54,10 @@ struct WhatIfResponse {
 using WhatIfResponsePtr = std::shared_ptr<const WhatIfResponse>;
 
 /// Order-sensitive digest of the request's candidate grids; the config
-/// component of the cache key. Doubles hash their IEEE-754 bit pattern.
+/// component of the cache key. FNV-1a folding each 64-bit word in one step,
+/// after a SplitMix64 finalizer spreads the word over all 64 bits; doubles
+/// hash their IEEE-754 bit pattern. Computed on every request and never
+/// persisted, so its bits may change freely.
 uint64_t ConfigHash(const WhatIfRequest& request);
 
 /// Evaluates every candidate against `engine` in one WhatIfEngine::EvaluateGrid
@@ -73,25 +75,24 @@ WhatIfResponsePtr MakeDegradedCopy(const WhatIfResponse& base, int rung,
                                    std::string reason);
 
 /// Full cache key: (tenant, model version, applied-config version, model
-/// digest, telemetry window digest, request digest). The epochs make
-/// invalidation exact — any refit, deployment, or health trip bumps one of
-/// them — while model_hash and the workload fingerprint guard against epoch
-/// counters that moved without a semantic change (or vice versa across
-/// resumes).
+/// digest, request digest). The epochs make invalidation exact — any refit,
+/// deployment, or health trip bumps one of them — and model_hash, a digest
+/// of everything EvaluateGrid reads from the models, guards against an
+/// epoch counter that stayed put while the models changed. The answer is a
+/// pure function of (models, request), so nothing else belongs in the key.
 struct WhatIfCacheKey {
   int tenant = 0;
   uint64_t model_epoch = 0;
   uint64_t deploy_epoch = 0;
   uint64_t model_hash = 0;
-  WorkloadFingerprint workload;
   uint64_t config_hash = 0;
 
   bool operator==(const WhatIfCacheKey&) const = default;
   bool operator<(const WhatIfCacheKey& o) const {
-    return std::tie(tenant, model_epoch, deploy_epoch, model_hash, workload,
+    return std::tie(tenant, model_epoch, deploy_epoch, model_hash,
                     config_hash) <
            std::tie(o.tenant, o.model_epoch, o.deploy_epoch, o.model_hash,
-                    o.workload, o.config_hash);
+                    o.config_hash);
   }
 };
 
@@ -121,8 +122,8 @@ class WhatIfCache {
   /// Brownout fallback (rung >= 2): on a fresh-epoch miss, returns the best
   /// entry for the same (tenant, config_hash) whose epochs lag `key`'s by at
   /// most `max_epoch_lag` — the answer the service gave for this exact query
-  /// one refit/deploy ago. model_hash and workload fingerprint are allowed
-  /// to differ (they legitimately moved with the epoch). Returns the cached
+  /// one refit/deploy ago. model_hash is allowed to differ (it legitimately
+  /// moved with the epoch). Returns the cached
   /// payload itself; the service marks degradation on a pointer-distinct
   /// copy (MakeDegradedCopy), never on the cached object. InvalidateTenant
   /// drops these entries like any other — once a tenant is invalidated no

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "serve/fingerprint.h"
 #include "sim/fluid_engine.h"
 #include "telemetry/perf_monitor.h"
 
@@ -163,9 +162,8 @@ void ExpectSameReport(const ValidationReport& got, const ValidationReport& want)
 }
 
 // Window reads start at the store's hour index. On a store whose telemetry
-// arrived out of hour order, the index-backed reads of the validator, the
-// What-if fit and the serving fingerprint must equal a full scan, bit for
-// bit.
+// arrived out of hour order, the index-backed reads of the validator and the
+// What-if fit must equal a full scan, bit for bit.
 TEST(ModelValidatorTest, LateArrivalsMatchFullScanReference) {
   ValidationFixture fx;
   ASSERT_TRUE(fx.engine->Run(168, 168, &fx.store).ok());
@@ -206,15 +204,6 @@ TEST(ModelValidatorTest, LateArrivalsMatchFullScanReference) {
     ASSERT_TRUE(fast_fit.ok());
     ASSERT_TRUE(full_fit.ok());
     EXPECT_EQ(fast_fit->ModelHash(), full_fit->ModelHash());
-
-    // The fingerprint's reference digests the window's records gathered by
-    // a full scan, in store order.
-    telemetry::TelemetryStore in_window;
-    for (const auto& r : late.records()) {
-      if (full_scan(r)) in_window.Append(r);
-    }
-    EXPECT_EQ(serve::FingerprintWindow(late, begin, end),
-              serve::FingerprintWindow(in_window, begin, end));
   }
 }
 

@@ -2,91 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/session.h"
-#include "serve/fingerprint.h"
+#include "obs/metrics.h"
+#include "reference_whatif.h"
 #include "serve/service.h"
-#include "telemetry/store.h"
 
 namespace kea::serve {
 namespace {
-
-using telemetry::MachineHourRecord;
-using telemetry::TelemetryStore;
-
-MachineHourRecord MakeRecord(int machine, int hour) {
-  MachineHourRecord r;
-  r.machine_id = machine;
-  r.hour = hour;
-  r.sc = machine % 2;
-  r.sku = machine % 3;
-  r.avg_running_containers = 8.0 + machine;
-  r.cpu_utilization = 0.5 + 0.001 * machine;
-  r.tasks_finished = 100.0 + hour;
-  r.data_read_mb = 4000.0;
-  r.avg_task_latency_s = 20.0;
-  r.cpu_time_core_s = 40000.0;
-  r.power_watts = 280.0;
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Workload fingerprints
-
-TEST(FingerprintTest, DeterministicOverIdenticalWindows) {
-  TelemetryStore a, b;
-  for (int h = 0; h < 3; ++h) {
-    a.Append(MakeRecord(1, h));
-    a.Append(MakeRecord(2, h));
-    b.Append(MakeRecord(1, h));
-    b.Append(MakeRecord(2, h));
-  }
-  const WorkloadFingerprint fa = FingerprintWindow(a, 0, 3);
-  const WorkloadFingerprint fb = FingerprintWindow(b, 0, 3);
-  EXPECT_EQ(fa, fb);
-  EXPECT_EQ(fa.records, 6u);
-}
-
-TEST(FingerprintTest, SensitiveToSingleBitPerturbation) {
-  TelemetryStore a, b;
-  a.Append(MakeRecord(1, 0));
-  MachineHourRecord tweaked = MakeRecord(1, 0);
-  tweaked.cpu_utilization += 1e-12;  // One ULP-scale nudge must be seen.
-  b.Append(tweaked);
-  EXPECT_NE(FingerprintWindow(a, 0, 1), FingerprintWindow(b, 0, 1));
-}
-
-TEST(FingerprintTest, SensitiveToDroppedRecordsAndOrder) {
-  TelemetryStore full, dropped, swapped;
-  full.Append(MakeRecord(1, 0));
-  full.Append(MakeRecord(2, 0));
-  dropped.Append(MakeRecord(1, 0));
-  swapped.Append(MakeRecord(2, 0));
-  swapped.Append(MakeRecord(1, 0));
-  EXPECT_NE(FingerprintWindow(full, 0, 1), FingerprintWindow(dropped, 0, 1));
-  EXPECT_NE(FingerprintWindow(full, 0, 1), FingerprintWindow(swapped, 0, 1));
-}
-
-TEST(FingerprintTest, WindowBoundsAreHalfOpenAndSealed) {
-  TelemetryStore store;
-  store.Append(MakeRecord(1, 0));
-  store.Append(MakeRecord(1, 1));
-  store.Append(MakeRecord(1, 2));
-  // [0, 2) excludes hour 2.
-  const WorkloadFingerprint f02 = FingerprintWindow(store, 0, 2);
-  EXPECT_EQ(f02.records, 2u);
-  EXPECT_NE(f02, FingerprintWindow(store, 0, 3));
-  // Two empty windows with different bounds must not alias.
-  TelemetryStore empty;
-  EXPECT_NE(FingerprintWindow(empty, 0, 5), FingerprintWindow(empty, 3, 9));
-}
 
 // ---------------------------------------------------------------------------
 // Cache properties
@@ -97,9 +31,6 @@ WhatIfCacheKey MakeKey(int tenant, uint64_t salt = 0) {
   key.model_epoch = 3;
   key.deploy_epoch = 2;
   key.model_hash = 0xabcdef0123456789ULL + salt;
-  key.workload.lo = 11;
-  key.workload.hi = 22;
-  key.workload.records = 33;
   key.config_hash = 44 + salt;
   return key;
 }
@@ -166,15 +97,12 @@ TEST(WhatIfCacheTest, DistinctKeyFieldsNeverAlias) {
   const WhatIfCacheKey base = MakeKey(0);
   cache.Insert(base, MakeResponsePtr(1.0));
 
-  std::vector<WhatIfCacheKey> variants(8, base);
+  std::vector<WhatIfCacheKey> variants(5, base);
   variants[0].tenant = 1;
   variants[1].model_epoch += 1;
   variants[2].deploy_epoch += 1;
   variants[3].model_hash += 1;
-  variants[4].workload.lo += 1;
-  variants[5].workload.hi += 1;
-  variants[6].workload.records += 1;
-  variants[7].config_hash += 1;
+  variants[4].config_hash += 1;
   for (size_t i = 0; i < variants.size(); ++i) {
     EXPECT_EQ(cache.Lookup(variants[i]), nullptr) << "variant " << i;
   }
@@ -304,6 +232,31 @@ TEST(ConfigHashTest, SensitiveToCandidatesAndValues) {
   WhatIfRequest e = a;
   e.uncertainty_samples = a.uncertainty_samples + 1;
   EXPECT_NE(ConfigHash(a), ConfigHash(e));
+}
+
+// A hash collision returns another request's payload as a hit, so every bit
+// of every word must reach the whole hash. A fold that only multiplies
+// carries upward: two flipped sign bits cancel, and values that share their
+// low bits (powers of two, small integers) land in a few thousand hashes.
+TEST(ConfigHashTest, TwoGroupGridsNeverCollide) {
+  auto request = [](double a, double b) {
+    WhatIfRequest r;
+    r.candidates.push_back(
+        {{sim::MachineGroupKey{0, 0}, a}, {sim::MachineGroupKey{1, 0}, b}});
+    return r;
+  };
+  EXPECT_NE(ConfigHash(request(8.0, 16.0)), ConfigHash(request(-8.0, -16.0)));
+  std::set<double> values;
+  for (int e = -16; e <= 16; ++e) {
+    values.insert(std::ldexp(1.0, e));
+    values.insert(-std::ldexp(1.0, e));
+  }
+  for (int i = 0; i < 128; ++i) values.insert(i);
+  std::set<uint64_t> hashes;
+  for (double a : values) {
+    for (double b : values) hashes.insert(ConfigHash(request(a, b)));
+  }
+  EXPECT_EQ(hashes.size(), values.size() * values.size());
 }
 
 // The error bars are part of the cached payload, so they must be a pure
@@ -526,6 +479,150 @@ TEST(WhatIfUncertaintyTest, SampleCountIsBounded) {
   auto answer = accepted.value().Wait();
   ASSERT_TRUE(answer.ok()) << answer.status();
   EXPECT_GT(answer.value()->candidates.front().cluster_latency_stderr_s, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// The process-wide draw table and the interleaved error-bar sums. Each test
+// builds its engines on group keys (sc >= 1000) that no other test in this
+// binary draws, so the table starts cold for them whatever ran before.
+
+// `groups` synthetic groups with keys {sc_base + i, i % 3}; `tilt` moves
+// every slope, so two engines on the same keys answer differently.
+core::WhatIfEngine SyntheticEngine(int sc_base, int groups, double tilt = 0.0) {
+  std::map<sim::MachineGroupKey, core::GroupModels> models;
+  for (int i = 0; i < groups; ++i) {
+    core::GroupModels gm;
+    gm.group = sim::MachineGroupKey{sc_base + i, i % 3};
+    gm.num_machines = 10 + 7 * i;
+    gm.g = ml::LinearModel(0.05 + 0.01 * i, {0.02 + 0.001 * i + tilt});
+    gm.h = ml::LinearModel(50.0 + i, {100.0 - 3.0 * i + 10.0 * tilt});
+    gm.f = ml::LinearModel(10.0 + 0.5 * i, {30.0 + i + 5.0 * tilt});
+    gm.g_fit.rmse = 0.03 + 0.002 * i;
+    gm.h_fit.rmse = 5.0 + 0.3 * i;
+    gm.f_fit.rmse = 2.0 + 0.1 * i;
+    gm.current_containers = 20.0 + i;
+    models[gm.group] = std::move(gm);
+  }
+  return core::WhatIfEngine::FromModels(std::move(models));
+}
+
+// `n` candidates over the engine's groups. Candidate c names every group
+// when c is even and only the first c % groups + 1 of them when odd, so a
+// candidate's group count fills the interleave width, leaves a partial
+// batch, or both.
+std::vector<Allocation> MixedGrid(const core::WhatIfEngine& engine, int n) {
+  std::vector<Allocation> grid(n);
+  const int groups = static_cast<int>(engine.models().size());
+  for (int c = 0; c < n; ++c) {
+    int named = 0;
+    for (const auto& [key, gm] : engine.models()) {
+      if (c % 2 == 1 && named > c % groups) break;
+      grid[c][key] = gm.current_containers * (0.7 + 0.037 * c);
+      ++named;
+    }
+  }
+  return grid;
+}
+
+void ExpectReferenceBits(const core::WhatIfEngine& engine,
+                         const std::vector<Allocation>& grid, int samples) {
+  SCOPED_TRACE("samples " + std::to_string(samples) + ", candidates " +
+               std::to_string(grid.size()));
+  auto got = engine.EvaluateGrid(grid, samples);
+  auto want = core::ReferenceEvaluateGrid(engine, grid, samples);
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_EQ(got->size(), want->size());
+  for (size_t c = 0; c < got->size(); ++c) {
+    ExpectSameBits((*got)[c], (*want)[c]);
+  }
+}
+
+uint64_t NormalDraws() {
+  return obs::Registry::Get().CounterValue("whatif.normal_draws");
+}
+
+// Sample counts that grow, shrink and grow again: each answer equals the
+// reference that draws afresh per call, and the table draws each key's
+// stream once, only as far as the largest count asked. Past what the table
+// keeps, every call draws the tail again.
+TEST(WhatIfDrawTableTest, EveryAnswerMatchesTheDrawPerCallReference) {
+  constexpr int kGroups = 5;  // not a multiple of the interleave width
+  constexpr uint64_t kKept = core::WhatIfEngine::kKeptUncertaintySamples;
+  const core::WhatIfEngine engine = SyntheticEngine(1000, kGroups);
+  uint64_t kept = 0;  // samples the table holds per key so far
+  for (int samples : {32, 256, 64, 1, 0, 4096, 4500}) {
+    for (int candidates : {1, 3, 16}) {
+      const uint64_t before = NormalDraws();
+      ExpectReferenceBits(engine, MixedGrid(engine, candidates), samples);
+      const uint64_t n = static_cast<uint64_t>(samples);
+      const uint64_t table = std::min(n, kKept);
+      const uint64_t grown = table > kept ? table - kept : 0;
+      const uint64_t tail = n > kKept ? n - kKept : 0;
+      EXPECT_EQ(NormalDraws() - before, 3 * (grown + tail) * kGroups)
+          << "samples " << samples << ", candidates " << candidates;
+      kept += grown;
+    }
+  }
+}
+
+// Engines with different models on the same group keys share the keys'
+// draws, and neither's answers depend on what the other asked.
+TEST(WhatIfDrawTableTest, EnginesSharingGroupKeysMatchTheReference) {
+  const core::WhatIfEngine a = SyntheticEngine(1100, 6);
+  const core::WhatIfEngine b = SyntheticEngine(1100, 6, 0.01);
+  const std::vector<Allocation> grid_a = MixedGrid(a, 3);
+  const std::vector<Allocation> grid_b = MixedGrid(b, 16);
+  ExpectReferenceBits(a, grid_a, 64);
+  ExpectReferenceBits(b, grid_b, 128);
+  ExpectReferenceBits(a, grid_a, 128);
+  ExpectReferenceBits(b, grid_b, 64);
+  ExpectReferenceBits(a, grid_a, 100);
+  auto from_a = a.EvaluateGrid(grid_a, 128);
+  auto from_b = b.EvaluateGrid(grid_a, 128);
+  ASSERT_TRUE(from_a.ok());
+  ASSERT_TRUE(from_b.ok());
+  EXPECT_NE(std::bit_cast<uint64_t>(from_a->front().cluster_latency_s),
+            std::bit_cast<uint64_t>(from_b->front().cluster_latency_s));
+}
+
+// Eight threads start together on keys the table has never drawn and ask
+// mixed sample counts, one past what the table keeps, so they race to extend
+// and publish the same streams. Every answer still equals the reference.
+TEST(WhatIfDrawTableTest, ConcurrentColdExtensionsMatchTheReference) {
+  constexpr int kThreads = 8;
+  const core::WhatIfEngine a = SyntheticEngine(1200, 7);
+  const core::WhatIfEngine b = SyntheticEngine(1200, 5, 0.02);
+  const std::vector<int> counts = {16, 300, 1, 64, 1024, 0, 512, 4200};
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (size_t k = 0; k < counts.size(); ++k) {
+        const core::WhatIfEngine& engine = (t + k) % 2 == 0 ? a : b;
+        ExpectReferenceBits(engine, MixedGrid(engine, 1 + (t + 3 * k) % 5),
+                            counts[(t + k) % counts.size()]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+}
+
+// The key guards the cache with ModelHash alone, so it must see every model
+// field EvaluateGrid reads: here each fit RMSE, which scales the error bars.
+TEST(ModelHashTest, CoversTheFitRmses) {
+  const core::WhatIfEngine base = SyntheticEngine(1300, 3);
+  EXPECT_EQ(base.ModelHash(), SyntheticEngine(1300, 3).ModelHash());
+  for (auto fit : {&core::GroupModels::g_fit, &core::GroupModels::h_fit,
+                   &core::GroupModels::f_fit}) {
+    std::map<sim::MachineGroupKey, core::GroupModels> models = base.models();
+    (models.begin()->second.*fit).rmse *= 1.5;
+    const core::WhatIfEngine moved =
+        core::WhatIfEngine::FromModels(std::move(models));
+    EXPECT_NE(moved.ModelHash(), base.ModelHash());
+  }
 }
 
 // ---------------------------------------------------------------------------
