@@ -361,7 +361,7 @@ void KeaSession::PersistMeta(Ar& ar, uint64_t& covered_seq) {
   ar(covered_seq, now_, has_round_, last_fit_begin_, last_fit_end_,
      last_deploy_hour_, round_count_);
   core::WhatIfEngine::Options& whatif = last_whatif_options_;
-  ar.Enum(whatif.regressor, core::RegressorKind::kAuto);
+  ar.Enum(whatif.regressor, core::RegressorKind::kHuber);
   ar(whatif.min_observations, whatif.num_threads, model_epoch_, deploy_epoch_,
      fabric_count_, keep_generations_);
 }
@@ -406,13 +406,13 @@ Status KeaSession::Simulate(int hours) {
     now_ += hours;
   } else {
     // Hardened path: engine -> (fault injector) -> ingestion pipeline -> store.
-    telemetry::TelemetryStore scratch;
-    KEA_RETURN_IF_ERROR(engine_->Run(now_, hours, &scratch));
+    batch_.Clear();
+    KEA_RETURN_IF_ERROR(engine_->Run(now_, hours, &batch_));
     if (fault_injector_ != nullptr) {
       KEA_RETURN_IF_ERROR(
-          ingestion_->Ingest(fault_injector_->Corrupt(scratch.records())));
+          ingestion_->Ingest(fault_injector_->Corrupt(batch_.records())));
     } else {
-      KEA_RETURN_IF_ERROR(ingestion_->Ingest(scratch.records()));
+      KEA_RETURN_IF_ERROR(ingestion_->Ingest(batch_.records()));
     }
     now_ += hours;
   }

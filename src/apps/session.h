@@ -437,6 +437,9 @@ class KeaSession {
   // Hardened telemetry path (optional; see EnableIngestionPipeline).
   std::unique_ptr<sim::TelemetryFaultInjector> fault_injector_;
   std::unique_ptr<telemetry::IngestionPipeline> ingestion_;
+  /// The engine's output on the ingestion path, cleared and refilled by each
+  /// Simulate: its chunks are allocated once, not per call.
+  telemetry::TelemetryStore batch_;
   // Fleet chaos + self-healing loop (optional; see EnableFleetChaos /
   // EnableSelfHealing).
   std::unique_ptr<sim::FleetFaultInjector> fleet_faults_;

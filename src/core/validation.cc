@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <utility>
 
 #include "ml/stats.h"
@@ -11,7 +12,7 @@ namespace kea::core {
 StatusOr<ValidationReport> ModelValidator::Validate(
     const WhatIfEngine& engine, const telemetry::TelemetryStore& store,
     const telemetry::RecordFilter& window) const {
-  auto grouped = store.GroupByKey(window);
+  std::map<sim::MachineGroupKey, GroupColumns> grouped = ReadGroupColumns(store, window);
   if (grouped.empty()) {
     return Status::FailedPrecondition("no telemetry in the validation window");
   }
@@ -20,27 +21,23 @@ StatusOr<ValidationReport> ModelValidator::Validate(
   report.models_valid = true;
   bool any_validated = false;
 
-  for (const auto& [key, records] : grouped) {
+  for (auto& [key, columns] : grouped) {
     if (engine.models().find(key) == engine.models().end()) {
       report.unmodeled_groups.push_back(key);
       report.models_valid = false;
       continue;
     }
-    std::vector<double> containers, util, latency;
-    for (const auto& r : records) {
-      if (r.tasks_finished <= 0.0) continue;
-      containers.push_back(r.avg_running_containers);
-      util.push_back(r.cpu_utilization);
-      latency.push_back(r.avg_task_latency_s);
-    }
-    if (containers.size() < options_.min_observations) continue;
+    if (columns.containers.size() < options_.min_observations) continue;
 
     GroupValidation v;
     v.group = key;
-    v.observations = containers.size();
-    KEA_ASSIGN_OR_RETURN(v.observed_containers, ml::Quantile(std::move(containers), 0.5));
-    KEA_ASSIGN_OR_RETURN(v.observed_utilization, ml::Quantile(std::move(util), 0.5));
-    KEA_ASSIGN_OR_RETURN(v.observed_latency_s, ml::Quantile(std::move(latency), 0.5));
+    v.observations = columns.containers.size();
+    KEA_ASSIGN_OR_RETURN(v.observed_containers,
+                         ml::Quantile(std::move(columns.containers), 0.5));
+    KEA_ASSIGN_OR_RETURN(v.observed_utilization,
+                         ml::Quantile(std::move(columns.utilization), 0.5));
+    KEA_ASSIGN_OR_RETURN(v.observed_latency_s,
+                         ml::Quantile(std::move(columns.latency), 0.5));
 
     KEA_ASSIGN_OR_RETURN(v.predicted_utilization,
                          engine.PredictUtilization(key, v.observed_containers));

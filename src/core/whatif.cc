@@ -13,7 +13,6 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "ml/model_selection.h"
 #include "ml/stats.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -47,10 +46,6 @@ obs::Counter* IrlsIterationsCounter() {
 /// `*irls_iterations`.
 StatusOr<ml::LinearModel> FitPairs(const ml::Dataset& data, RegressorKind kind,
                                    int* irls_iterations) {
-  if (kind == RegressorKind::kAuto) {
-    KEA_ASSIGN_OR_RETURN(ml::RegressorFamily family, ml::SelectRegressor(data));
-    return ml::FitFamily(data, family);
-  }
   if (kind == RegressorKind::kHuber) {
     int iterations = 0;
     KEA_ASSIGN_OR_RETURN(ml::LinearModel model,
@@ -62,32 +57,23 @@ StatusOr<ml::LinearModel> FitPairs(const ml::Dataset& data, RegressorKind kind,
   return regressor.Fit(data);
 }
 
-/// Fits one machine group's g/h/f models and adds their IRLS iterations to
-/// `*irls_iterations`. Returns an empty optional when the group lacks enough
-/// busy observations (skipped, not an error).
-StatusOr<std::optional<GroupModels>> FitGroup(
-    const sim::MachineGroupKey& key,
-    const std::vector<telemetry::MachineHourRecord>& records,
-    const WhatIfEngine::Options& options, int* irls_iterations) {
-  std::vector<double> containers, util, tasks, latency;
-  std::unordered_set<int> machines;
-  containers.reserve(records.size());
-  util.reserve(records.size());
-  tasks.reserve(records.size());
-  latency.reserve(records.size());
-  for (const auto& r : records) {
-    // Idle machine-hours carry no task-latency signal; skip them, matching
-    // the production pipeline's data preparation.
-    if (r.tasks_finished <= 0.0) continue;
-    machines.insert(r.machine_id);
-    containers.push_back(r.avg_running_containers);
-    util.push_back(r.cpu_utilization);
-    tasks.push_back(r.tasks_finished);
-    latency.push_back(r.avg_task_latency_s);
-  }
+/// Fits one machine group's g/h/f models from its columns, which it
+/// consumes, and adds their IRLS iterations to `*irls_iterations`. Returns an
+/// empty optional when the group lacks enough busy observations (skipped,
+/// not an error).
+StatusOr<std::optional<GroupModels>> FitGroup(const sim::MachineGroupKey& key,
+                                              GroupColumns& columns,
+                                              const WhatIfEngine::Options& options,
+                                              int* irls_iterations) {
+  std::vector<double>& containers = columns.containers;
+  std::vector<double>& util = columns.utilization;
+  std::vector<double>& tasks = columns.tasks;
+  std::vector<double>& latency = columns.latency;
   if (containers.size() < options.min_observations) {
     return std::optional<GroupModels>();
   }
+  std::unordered_set<int> machines;
+  for (int machine : columns.machines) machines.insert(machine);
 
   GroupModels gm;
   gm.group = key;
@@ -117,15 +103,31 @@ StatusOr<std::optional<GroupModels>> FitGroup(
 
 }  // namespace
 
+std::map<sim::MachineGroupKey, GroupColumns> ReadGroupColumns(
+    const telemetry::TelemetryStore& store, const telemetry::RecordFilter& filter) {
+  std::map<sim::MachineGroupKey, GroupColumns> columns;
+  store.ForEach(filter, [&columns](const telemetry::MachineHourRecord& r) {
+    GroupColumns& c = columns[r.group()];
+    ++c.records;
+    if (r.tasks_finished <= 0.0) return;
+    c.machines.push_back(r.machine_id);
+    c.containers.push_back(r.avg_running_containers);
+    c.utilization.push_back(r.cpu_utilization);
+    c.tasks.push_back(r.tasks_finished);
+    c.latency.push_back(r.avg_task_latency_s);
+  });
+  return columns;
+}
+
 StatusOr<WhatIfEngine> WhatIfEngine::Fit(const telemetry::TelemetryStore& store,
                                          const telemetry::RecordFilter& filter,
                                          const Options& options) {
-  auto grouped = store.GroupByKey(filter);
+  std::map<sim::MachineGroupKey, GroupColumns> grouped = ReadGroupColumns(store, filter);
   if (grouped.empty()) {
     return Status::FailedPrecondition("no telemetry to fit the What-if Engine");
   }
   size_t window_records = 0;
-  for (const auto& entry : grouped) window_records += entry.second.size();
+  for (const auto& entry : grouped) window_records += entry.second.records;
   KEA_TRACE_SPAN("whatif.fit",
                  {{"groups", std::to_string(grouped.size())},
                   {"records", std::to_string(window_records)},
@@ -136,12 +138,10 @@ StatusOr<WhatIfEngine> WhatIfEngine::Fit(const telemetry::TelemetryStore& store,
   // fitting loop fans out over the pool. Results land in per-group slots and
   // are assembled below in key order, making the output identical at any
   // thread count.
-  std::vector<const std::pair<const sim::MachineGroupKey,
-                              std::vector<telemetry::MachineHourRecord>>*>
-      groups;
+  std::vector<std::pair<const sim::MachineGroupKey, GroupColumns>*> groups;
   groups.reserve(grouped.size());
-  for (const auto& entry : grouped) {
-    if (entry.second.size() >= options.min_observations) groups.push_back(&entry);
+  for (auto& entry : grouped) {
+    if (entry.second.records >= options.min_observations) groups.push_back(&entry);
   }
 
   std::vector<std::optional<GroupModels>> fitted(groups.size());
@@ -150,7 +150,7 @@ StatusOr<WhatIfEngine> WhatIfEngine::Fit(const telemetry::TelemetryStore& store,
   common::ThreadPool::Run(options.num_threads, groups.size(), [&](size_t i) {
     KEA_TRACE_SPAN("whatif.fit_group",
                    {{"group", sim::GroupLabel(groups[i]->first)},
-                    {"records", std::to_string(groups[i]->second.size())}});
+                    {"records", std::to_string(groups[i]->second.records)}});
     StatusOr<std::optional<GroupModels>> result =
         FitGroup(groups[i]->first, groups[i]->second, options, &irls_iterations[i]);
     if (result.ok()) {

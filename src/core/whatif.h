@@ -16,9 +16,22 @@ namespace kea::core {
 
 /// Which regression family the What-if Engine fits. The paper uses a Huber
 /// regressor in production ("more robust to outliers", Section 5.2.1); OLS is
-/// kept for the ablation bench; kAuto picks per relationship by 5-fold
-/// cross-validation.
-enum class RegressorKind { kOls, kHuber, kAuto };
+/// kept for the ablation bench.
+enum class RegressorKind { kOls, kHuber };
+
+/// One machine group's telemetry as the fit and the validator read it.
+/// Idle machine-hours (no finished tasks) carry no task-latency signal, so
+/// only busy ones enter the columns, in store order.
+struct GroupColumns {
+  size_t records = 0;  ///< The group's records in the window, idle ones too.
+  std::vector<int> machines;
+  std::vector<double> containers, utilization, tasks, latency;
+};
+
+/// Reads the records `filter` matches into per-group columns in one pass
+/// over the store, copying no record.
+std::map<sim::MachineGroupKey, GroupColumns> ReadGroupColumns(
+    const telemetry::TelemetryStore& store, const telemetry::RecordFilter& filter);
 
 /// The calibrated model set for one SC-SKU combination k (Figure 9):
 ///   g_k: running containers -> CPU utilization      (Eq. 1-2)

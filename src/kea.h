@@ -18,7 +18,6 @@
 #include "ml/forecast.h"         // IWYU pragma: export
 #include "ml/matrix.h"           // IWYU pragma: export
 #include "ml/mlp.h"              // IWYU pragma: export
-#include "ml/model_selection.h"  // IWYU pragma: export
 #include "ml/regression.h"       // IWYU pragma: export
 #include "ml/stats.h"            // IWYU pragma: export
 

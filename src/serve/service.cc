@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
+#include <utility>
 
 #include "common/random.h"
 #include "obs/profiler.h"
@@ -380,7 +382,7 @@ StatusOr<Ticket<apps::SkuDesigner::Result>> TuningService::SubmitSkuDesign(
 }
 
 StatusOr<Ticket<WhatIfResponsePtr>> TuningService::SubmitWhatIf(
-    TenantId id, const WhatIfRequest& request, const SubmitOptions& submit) {
+    TenantId id, WhatIfRequest request, const SubmitOptions& submit) {
   Tenant* t = FindTenant(id);
   if (t == nullptr) {
     return Status::NotFound("unknown tenant " + std::to_string(id));
@@ -396,12 +398,13 @@ StatusOr<Ticket<WhatIfResponsePtr>> TuningService::SubmitWhatIf(
   }
   KEA_RETURN_IF_ERROR(AdmitOverload(t, /*cold_work=*/false));
   Ticket<WhatIfResponsePtr> ticket;
+  const uint64_t config_hash = ConfigHash(request);
   std::lock_guard<std::mutex> lock(t->staging_mu);
   const bool opened = t->open_batch == 0;
   if (opened) t->open_batch = t->next_batch++;
   const uint64_t batch = t->open_batch;
   const uint64_t item_id = t->next_item++;
-  t->staged[batch].push_back(StagedWhatIf{item_id, request, ticket});
+  t->staged[batch].push_back(StagedWhatIf{item_id, std::move(request), config_hash, ticket});
   // Every admitted what-if consumes one queue slot (admission control sees
   // the true request rate); the first drain to run answers the whole batch
   // and the remaining slots become no-ops.
@@ -493,7 +496,7 @@ bool TuningService::DrainWhatIfBatch(Tenant* t, uint64_t batch) {
     key.model_epoch = model_epoch;
     key.deploy_epoch = deploy_epoch;
     key.model_hash = model_hash;
-    key.config_hash = ConfigHash(item.request);
+    key.config_hash = item.config_hash;
     if (cache_ != nullptr) {
       WhatIfResponsePtr hit = cache_->Lookup(key);
       if (hit != nullptr) {
@@ -508,13 +511,15 @@ bool TuningService::DrainWhatIfBatch(Tenant* t, uint64_t batch) {
     // content is always unmarked (it is the exact answer to the clamped
     // query) and degradation is stamped on a pointer-distinct copy at serve
     // time.
-    WhatIfRequest effective = item.request;
-    bool clamped = false;
+    // Only a clamp copies the request; otherwise it is evaluated as staged.
+    std::optional<WhatIfRequest> clamped_request;
     if (browning && rung >= static_cast<int>(BrownoutRung::kReducedSampling) &&
-        effective.uncertainty_samples > options_.overload.brownout_samples) {
-      effective.uncertainty_samples = options_.overload.brownout_samples;
-      clamped = true;
+        item.request.uncertainty_samples > options_.overload.brownout_samples) {
+      clamped_request = item.request;
+      clamped_request->uncertainty_samples = options_.overload.brownout_samples;
     }
+    const bool clamped = clamped_request.has_value();
+    const WhatIfRequest& effective = clamped ? *clamped_request : item.request;
     WhatIfCacheKey clamped_key = key;
     if (clamped) {
       clamped_key.config_hash = ConfigHash(effective);

@@ -209,8 +209,9 @@ class TuningService {
   /// a stale epoch), and rung 3 refuses cold evaluations with kUnavailable.
   /// No candidates, or uncertainty_samples above
   /// WhatIfEngine::kMaxUncertaintySamples, is InvalidArgument at submission.
+  /// The request is moved into the batch and hashed once, here.
   StatusOr<Ticket<WhatIfResponsePtr>> SubmitWhatIf(
-      TenantId id, const WhatIfRequest& request,
+      TenantId id, WhatIfRequest request,
       const SubmitOptions& submit = SubmitOptions());
 
   /// Run a guarded tuning round (fit + LP + staged rollout).
@@ -269,10 +270,12 @@ class TuningService {
   size_t queue_depth() const { return queue_.depth(); }
 
  private:
-  /// One staged (not yet drained) what-if item.
+  /// One staged (not yet drained) what-if item, with the request's
+  /// ConfigHash taken at submission.
   struct StagedWhatIf {
     uint64_t item_id = 0;
     WhatIfRequest request;
+    uint64_t config_hash = 0;
     Ticket<WhatIfResponsePtr> ticket;
   };
 

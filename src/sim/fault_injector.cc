@@ -48,7 +48,7 @@ bool TelemetryFaultInjector::IsStuck(int machine_id) {
 }
 
 std::vector<telemetry::MachineHourRecord> TelemetryFaultInjector::Corrupt(
-    const std::vector<telemetry::MachineHourRecord>& batch) {
+    telemetry::RecordView batch) {
   std::vector<telemetry::MachineHourRecord> out;
   out.reserve(batch.size());
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();

@@ -80,8 +80,7 @@ class TelemetryFaultInjector {
   /// batch and returns the stream that "arrives" now: surviving records plus
   /// previously delayed records whose delay has expired (appended at the end,
   /// i.e. out of hour order).
-  std::vector<telemetry::MachineHourRecord> Corrupt(
-      const std::vector<telemetry::MachineHourRecord>& batch);
+  std::vector<telemetry::MachineHourRecord> Corrupt(telemetry::RecordView batch);
 
   /// Drains every still-delayed record (end of stream), oldest first.
   std::vector<telemetry::MachineHourRecord> Flush();

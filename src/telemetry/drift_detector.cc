@@ -103,7 +103,7 @@ void DriftDetector::FeedHour(const HourAgg& agg, std::vector<Alarm>* alarms) {
 std::vector<DriftDetector::Alarm> DriftDetector::CatchUp(
     const TelemetryStore& store) {
   std::vector<Alarm> alarms;
-  const auto& records = store.records();
+  const RecordView records = store.records();
   if (cursor_ > records.size()) {
     // Store was replaced/truncated under us; start over from the beginning
     // rather than fabricate a window.

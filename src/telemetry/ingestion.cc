@@ -1,5 +1,6 @@
 #include "telemetry/ingestion.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <iterator>
@@ -49,12 +50,6 @@ obs::Counter* ReasonCounter(QuarantineReason reason) {
   return (*counters)[static_cast<size_t>(reason)];
 }
 
-/// Stable key for the (machine, hour) dedup index.
-uint64_t RecordKey(const MachineHourRecord& r) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(r.machine_id)) << 32) |
-         static_cast<uint32_t>(r.hour);
-}
-
 using MetricWords = std::array<uint64_t, 14>;
 
 /// The metric payload (everything that should vary hour to hour on a live
@@ -74,6 +69,79 @@ MetricWords MetricWordsOf(const MachineHourRecord& r) {
 }
 
 }  // namespace
+
+size_t DedupIndex::WordAt(const std::vector<Word>& words, uint32_t block) {
+  // Hours mostly arrive in order, so the newest word answers most lookups.
+  if (words.empty() || words.back().block < block) return words.size();
+  if (words.back().block == block) return words.size() - 1;
+  return static_cast<size_t>(
+      std::lower_bound(words.begin(), words.end(), block,
+                       [](const Word& w, uint32_t b) { return w.block < b; }) -
+      words.begin());
+}
+
+bool DedupIndex::Contains(int machine, sim::HourIndex hour) const {
+  const auto it = machines_.find(static_cast<uint32_t>(machine));
+  if (it == machines_.end()) return false;
+  const std::vector<Word>& words = it->second;
+  const uint32_t h = static_cast<uint32_t>(hour);
+  const size_t i = WordAt(words, h >> 6);
+  return i < words.size() && words[i].block == h >> 6 && (words[i].bits >> (h & 63) & 1) != 0;
+}
+
+bool DedupIndex::Insert(int machine, sim::HourIndex hour) {
+  return Insert(static_cast<uint32_t>(machine), static_cast<uint32_t>(hour));
+}
+
+bool DedupIndex::Insert(uint32_t machine, uint32_t hour) {
+  std::vector<Word>& words = machines_[machine];
+  const uint32_t block = hour >> 6;
+  const size_t i = WordAt(words, block);
+  if (i == words.size() || words[i].block != block) {
+    words.insert(words.begin() + static_cast<std::ptrdiff_t>(i), Word{block, 0});
+  }
+  const uint64_t bit = uint64_t{1} << (hour & 63);
+  if ((words[i].bits & bit) != 0) return false;
+  words[i].bits |= bit;
+  ++size_;
+  return true;
+}
+
+std::vector<uint64_t> DedupIndex::SortedKeys() const {
+  std::vector<uint32_t> machines;
+  machines.reserve(machines_.size());
+  for (const auto& entry : machines_) machines.push_back(entry.first);
+  std::sort(machines.begin(), machines.end());
+  std::vector<uint64_t> keys;
+  keys.reserve(size_);
+  for (uint32_t machine : machines) {
+    for (const Word& word : machines_.at(machine)) {
+      for (uint64_t bits = word.bits; bits != 0; bits &= bits - 1) {
+        const uint64_t hour = uint64_t{word.block} << 6 | std::countr_zero(bits);
+        keys.push_back(uint64_t{machine} << 32 | hour);
+      }
+    }
+  }
+  return keys;
+}
+
+/// The checkpoint's key list: a u64 count, then each key as a u64, in
+/// ascending order. A list that repeats a key is refused.
+template <typename Ar>
+void Persist(Ar& ar, DedupIndex& index) {
+  std::vector<uint64_t> keys;
+  if constexpr (!Ar::kReading) keys = index.SortedKeys();
+  ar(keys);
+  if constexpr (Ar::kReading) {
+    index = DedupIndex();
+    for (size_t i = 0; i < keys.size() && ar.ok(); ++i) {
+      if (!index.Insert(static_cast<uint32_t>(keys[i] >> 32),
+                        static_cast<uint32_t>(keys[i]))) {
+        ar.Fail(Status::InvalidArgument("state blob repeats a key"));
+      }
+    }
+  }
+}
 
 const char* QuarantineReasonToString(QuarantineReason reason) {
   switch (reason) {
@@ -136,7 +204,7 @@ void IngestionPipeline::Quarantine(const MachineHourRecord& r,
   quarantine_.push_back(QuarantinedRecord{r, reason, watermark_});
 }
 
-Status IngestionPipeline::Ingest(const std::vector<MachineHourRecord>& batch) {
+Status IngestionPipeline::Ingest(RecordView batch) {
   if (sink_ == nullptr) return Status::InvalidArgument("null telemetry sink");
   // Register every mirror up front so the registry's instrument set — and
   // therefore the deterministic snapshot — does not depend on which rare
@@ -162,7 +230,7 @@ Status IngestionPipeline::Ingest(const std::vector<MachineHourRecord>& batch) {
       Quarantine(r, QuarantineReason::kLate);
       continue;
     }
-    if (options_.deduplicate && seen_keys_.count(RecordKey(r)) > 0) {
+    if (options_.deduplicate && seen_keys_.Contains(r.machine_id, r.hour)) {
       Quarantine(r, QuarantineReason::kDuplicate);
       continue;
     }
@@ -194,7 +262,7 @@ Status IngestionPipeline::Ingest(const std::vector<MachineHourRecord>& batch) {
     sink_->Append(r);
     ++counters_.accepted;
     AcceptedCounter()->Increment();
-    if (options_.deduplicate) seen_keys_.insert(RecordKey(r));
+    if (options_.deduplicate) seen_keys_.Insert(r.machine_id, r.hour);
     if (r.hour > watermark_) watermark_ = r.hour;
   }
   return Status::OK();

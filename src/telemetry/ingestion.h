@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/retry.h"
@@ -43,6 +42,40 @@ void Persist(Ar& ar, QuarantinedRecord& q) {
   ar.Enum(q.reason, QuarantineReason::kWriteFailed);
   ar(q.watermark);
 }
+
+/// The (machine, hour) keys an IngestionPipeline has accepted, one bit per
+/// key. Each machine keeps a bitmap of 64-hour words, holding only the words
+/// that have a key, in hour order. Memory is therefore O(keys) for any
+/// machine ids and hours, corrupted ones included: at most one 16-byte word
+/// per key, and a 64th of that for a machine that reports every hour.
+/// Machines and hours are read as unsigned 32-bit values, the order of the
+/// persisted key list.
+class DedupIndex {
+ public:
+  bool Contains(int machine, sim::HourIndex hour) const;
+  /// Adds the key; false when it was already present.
+  bool Insert(int machine, sim::HourIndex hour);
+  size_t size() const { return size_; }
+
+ private:
+  template <typename Ar>
+  friend void Persist(Ar& ar, DedupIndex& index);
+
+  /// Hours [64 * block, 64 * block + 64), bit i for hour 64 * block + i.
+  struct Word {
+    uint32_t block = 0;
+    uint64_t bits = 0;
+  };
+
+  /// Position of the word for `block` in `words`, or where it would go.
+  static size_t WordAt(const std::vector<Word>& words, uint32_t block);
+  bool Insert(uint32_t machine, uint32_t hour);
+  /// Every key as (machine << 32) | hour, ascending.
+  std::vector<uint64_t> SortedKeys() const;
+
+  std::unordered_map<uint32_t, std::vector<Word>> machines_;
+  size_t size_ = 0;
+};
 
 /// Pluggable sink write. `attempt` is the 0-based retry attempt; the fault
 /// injector's hook uses it to decide which attempts fail transiently. The
@@ -112,7 +145,7 @@ class IngestionPipeline {
   /// Always processes the whole batch; the returned status is only non-OK for
   /// structural errors (null sink), never for bad records — those are
   /// quarantined and counted instead.
-  Status Ingest(const std::vector<MachineHourRecord>& batch);
+  Status Ingest(RecordView batch);
 
   const Counters& counters() const { return counters_; }
   const std::vector<QuarantinedRecord>& quarantine() const { return quarantine_; }
@@ -142,7 +175,7 @@ class IngestionPipeline {
 
   Counters counters_;
   std::vector<QuarantinedRecord> quarantine_;
-  std::unordered_set<uint64_t> seen_keys_;  ///< (machine, hour) dedup index.
+  DedupIndex seen_keys_;
   sim::HourIndex watermark_ = -1;
 
   /// Stuck-counter tracking: per machine, the last metric payload (its 14

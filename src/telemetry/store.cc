@@ -33,21 +33,15 @@ RecordFilter AndFilter(RecordFilter a, RecordFilter b) {
   return RecordFilter(hours.first, hours.second, std::move(both));
 }
 
-void TelemetryStore::AppendAll(const std::vector<MachineHourRecord>& records) {
-  const size_t first = records_.size();
-  records_.insert(records_.end(), records.begin(), records.end());
-  for (size_t i = first; i < records_.size(); ++i) IndexHour(i, records_[i].hour);
-}
+void TelemetryStore::AddChunk() { chunks_.push_back(std::make_unique<Chunk>()); }
 
-size_t TelemetryStore::FirstAtOrAfter(sim::HourIndex hour) const {
-  const size_t entries = (records_.size() + index_stride_ - 1) / index_stride_;
-  const auto entry = std::lower_bound(max_hour_.begin(), max_hour_.begin() + entries, hour);
-  return static_cast<size_t>(entry - max_hour_.begin()) * index_stride_;
+void TelemetryStore::AppendAll(RecordView records) {
+  for (const MachineHourRecord& r : records) Append(r);
 }
 
 std::vector<MachineHourRecord> TelemetryStore::Query(const RecordFilter& filter) const {
-  if (!filter) return records_;
   std::vector<MachineHourRecord> out;
+  if (!filter) out.reserve(size_);
   ForEach(filter, [&out](const MachineHourRecord& r) { out.push_back(r); });
   return out;
 }
@@ -68,16 +62,15 @@ std::vector<double> TelemetryStore::Extract(
 }
 
 StatusOr<std::pair<sim::HourIndex, sim::HourIndex>> TelemetryStore::HourRange() const {
-  if (records_.empty()) {
+  if (size_ == 0) {
     return Status::FailedPrecondition("telemetry store is empty");
   }
-  sim::HourIndex lo = records_.front().hour;
-  sim::HourIndex hi = lo;
-  for (const auto& r : records_) {
-    lo = std::min(lo, r.hour);
-    hi = std::max(hi, r.hour);
+  HourBounds all = chunks_[0]->hours;
+  for (size_t c = 1; c * kChunkRecords < size_; ++c) {
+    all.Extend(chunks_[c]->hours.min);
+    all.Extend(chunks_[c]->hours.max);
   }
-  return std::make_pair(lo, hi);
+  return std::make_pair(all.min, all.max);
 }
 
 StatusOr<TelemetryStore> TelemetryStore::FromCsv(const std::string& text) {
@@ -145,10 +138,11 @@ StatusOr<TelemetryStore> TelemetryStore::FromCsv(const std::string& text) {
 }
 
 std::string TelemetryStore::SerializeState(size_t first) const {
-  first = std::min(first, records_.size());
+  first = std::min(first, size_);
+  const RecordView view = records();
   StateWriter w;
-  w.Reserve(sizeof(uint64_t) + (records_.size() - first) * kMachineHourRecordBytes);
-  w.Range(records_.begin() + static_cast<std::ptrdiff_t>(first), records_.end());
+  w.Reserve(sizeof(uint64_t) + (size_ - first) * kMachineHourRecordBytes);
+  w.Range(view.begin() + static_cast<std::ptrdiff_t>(first), view.end());
   return w.Release();
 }
 
@@ -158,26 +152,22 @@ Status TelemetryStore::AppendState(const std::string& blob) {
   // anything is appended.
   std::vector<MachineHourRecord> records;
   KEA_RETURN_IF_ERROR(Decode(blob, &records));
-  // Grow geometrically: a resume appends one blob per segment frame.
-  const size_t needed = records_.size() + records.size();
-  if (needed > records_.capacity()) {
-    records_.reserve(std::max<size_t>(needed, 2 * records_.capacity()));
-  }
-  for (const MachineHourRecord& r : records) Append(r);
+  AppendAll(records);
   return Status::OK();
 }
 
 Status TelemetryStore::RestoreState(const std::string& blob) {
-  TelemetryStore restored;
-  KEA_RETURN_IF_ERROR(restored.AppendState(blob));
-  *this = std::move(restored);
+  std::vector<MachineHourRecord> records;
+  KEA_RETURN_IF_ERROR(Decode(blob, &records));
+  Clear();
+  AppendAll(records);
   return Status::OK();
 }
 
 std::string TelemetryStore::ToCsv() const {
   CsvWriter writer;
   writer.SetHeader(MachineHourCsvHeader());
-  for (const auto& r : records_) {
+  for (const MachineHourRecord& r : records()) {
     // Row width always matches the header; ignore the status.
     (void)writer.AppendRow(MachineHourCsvRow(r));
   }

@@ -5,7 +5,9 @@
 #include <array>
 #include <cstddef>
 #include <functional>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -19,8 +21,8 @@ namespace kea::telemetry {
 /// Predicate over machine-hour records used by queries. Built from nullptr
 /// (matches everything), from any callable, or by HourRangeFilter /
 /// AndFilter, which also carry the window's hour bounds. A filter with hour
-/// bounds matches no record outside them, so the store starts its scan at
-/// the first record that can fall inside (see TelemetryStore::ForEach).
+/// bounds matches no record outside them, so the store skips every block of
+/// records whose hours lie outside (see TelemetryStore::ForEach).
 class RecordFilter {
  public:
   using Predicate = std::function<bool(const MachineHourRecord&)>;
@@ -73,39 +75,162 @@ RecordFilter HourRangeFilter(sim::HourIndex begin, sim::HourIndex end);
 /// carries the intersection of the operands' hour bounds.
 RecordFilter AndFilter(RecordFilter a, RecordFilter b);
 
+class TelemetryStore;
+
+/// A read-only view of records in store order: a TelemetryStore's (see
+/// TelemetryStore::records()) or a std::vector's, which converts to it
+/// implicitly. It holds no records of its own; a store's view is valid until
+/// the store changes, and a vector's while the vector lives unchanged.
+class RecordView {
+ public:
+  class Iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = MachineHourRecord;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const MachineHourRecord*;
+    using reference = const MachineHourRecord&;
+
+    Iterator() = default;
+    reference operator*() const { return (*view_)[index_]; }
+    pointer operator->() const { return &(*view_)[index_]; }
+    Iterator& operator++() {
+      ++index_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++index_;
+      return before;
+    }
+    Iterator operator+(difference_type n) const {
+      return Iterator(view_, index_ + static_cast<size_t>(n));
+    }
+    difference_type operator-(const Iterator& other) const {
+      return static_cast<difference_type>(index_) -
+             static_cast<difference_type>(other.index_);
+    }
+    bool operator==(const Iterator& other) const { return index_ == other.index_; }
+
+   private:
+    friend class RecordView;
+    Iterator(const RecordView* view, size_t index) : view_(view), index_(index) {}
+
+    const RecordView* view_ = nullptr;
+    size_t index_ = 0;
+  };
+
+  RecordView(const std::vector<MachineHourRecord>& records)  // NOLINT(runtime/explicit)
+      : contiguous_(records.data()), size_(records.size()) {}
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  inline const MachineHourRecord& operator[](size_t i) const;
+  Iterator begin() const { return Iterator(this, 0); }
+  Iterator end() const { return Iterator(this, size_); }
+
+ private:
+  friend class TelemetryStore;
+  RecordView(const TelemetryStore* store, size_t size) : store_(store), size_(size) {}
+
+  const MachineHourRecord* contiguous_ = nullptr;
+  const TelemetryStore* store_ = nullptr;  ///< Set for a store's view.
+  size_t size_ = 0;
+};
+
 /// In-memory column-agnostic store of machine-hour telemetry. In production
 /// this is the output of the daily data-orchestration pipeline; here the
 /// simulation engines append into it and KEA's performance monitor queries
 /// it.
 ///
+/// Records live in fixed-size chunks of kChunkRecords. A chunk is allocated
+/// once at full capacity and is never moved or freed while the store lives
+/// (Clear() keeps it for the next records), so growth never copies a record
+/// and a record's address never changes (DESIGN.md, "Fit hot path").
+///
 /// Records keep their append order, which need not be hour order (late
-/// arrivals, quarantine releases). An hour index -- the running maximum hour
-/// of the store's prefixes, sampled every 64 records, a stride that doubles
-/// whenever the store outgrows the index's fixed 1024 entries -- is
-/// non-decreasing regardless, so a read of an hour window binary-searches the
-/// first stride that can hold a record inside it: every record before that
-/// stride is older than the window. Reads therefore cost the window plus
-/// whatever was appended after it, not the whole history, and still visit
-/// records in store order.
+/// arrivals, quarantine releases). Each chunk keeps the [min, max] hour of
+/// its records and of every kBlockRecords-record block inside it, so a read
+/// of an hour window visits only the blocks that can hold a record inside
+/// it. Reads therefore cost the window plus the blocks late arrivals touch,
+/// not the whole history, and still visit records in store order.
 class TelemetryStore {
  public:
-  void Append(const MachineHourRecord& record) {
-    records_.push_back(record);
-    IndexHour(records_.size() - 1, records_.back().hour);
+  /// Records per chunk: 4,096 records of 136 bytes, 544 KiB.
+  static constexpr size_t kChunkRecords = 4096;
+  /// Records per hour-bounded block inside a chunk.
+  static constexpr size_t kBlockRecords = 64;
+
+  TelemetryStore() = default;
+  TelemetryStore(const TelemetryStore& other) { AppendAll(other.records()); }
+  TelemetryStore(TelemetryStore&& other) noexcept
+      : chunks_(std::move(other.chunks_)), size_(std::exchange(other.size_, 0)) {}
+  TelemetryStore& operator=(const TelemetryStore& other) {
+    if (this != &other) {
+      Clear();
+      AppendAll(other.records());
+    }
+    return *this;
   }
-  void AppendAll(const std::vector<MachineHourRecord>& records);
+  TelemetryStore& operator=(TelemetryStore&& other) noexcept {
+    if (this != &other) {
+      chunks_ = std::move(other.chunks_);
+      size_ = std::exchange(other.size_, 0);
+    }
+    return *this;
+  }
 
-  size_t size() const { return records_.size(); }
-  bool empty() const { return records_.empty(); }
-  const std::vector<MachineHourRecord>& records() const { return records_; }
+  void Append(const MachineHourRecord& record) {
+    const size_t offset = size_ % kChunkRecords;
+    if (offset == 0 && size_ / kChunkRecords == chunks_.size()) AddChunk();
+    Chunk& chunk = *chunks_[size_ / kChunkRecords];
+    const sim::HourIndex hour = record.hour;
+    HourBounds& block = chunk.blocks[offset / kBlockRecords];
+    if (offset % kBlockRecords == 0) {
+      block = {hour, hour};
+    } else {
+      block.Extend(hour);
+    }
+    if (offset == 0) {
+      chunk.hours = {hour, hour};
+    } else {
+      chunk.hours.Extend(hour);
+    }
+    // The record is copied last: `record` may be one of this store's own,
+    // which a new chunk never moves.
+    std::construct_at(&chunk.slots[offset].record, record);
+    ++size_;
+  }
+  void AppendAll(RecordView records);
 
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  /// Every record, in store order.
+  RecordView records() const { return RecordView(this, size_); }
   /// Calls fn(record) for every record `filter` matches, in store order.
-  /// Filters with hour bounds start at the hour index's first candidate.
+  /// Filters with hour bounds visit only the blocks whose hours meet them.
   template <typename Fn>
   void ForEach(const RecordFilter& filter, Fn&& fn) const {
-    const size_t first = filter.hours() ? FirstAtOrAfter(filter.hours()->first) : 0;
-    for (size_t i = first; i < records_.size(); ++i) {
-      if (filter(records_[i])) fn(records_[i]);
+    const auto& hours = filter.hours();
+    for (size_t c = 0; c * kChunkRecords < size_; ++c) {
+      const Chunk& chunk = *chunks_[c];
+      const size_t n = std::min(kChunkRecords, size_ - c * kChunkRecords);
+      auto visit = [&](size_t first, size_t last) {
+        for (size_t i = first; i < last; ++i) {
+          const MachineHourRecord& r = chunk.slots[i].record;
+          if (filter(r)) fn(r);
+        }
+      };
+      if (!hours) {
+        visit(0, n);
+        continue;
+      }
+      if (!chunk.hours.Meets(*hours)) continue;
+      for (size_t first = 0; first < n; first += kBlockRecords) {
+        if (chunk.blocks[first / kBlockRecords].Meets(*hours)) {
+          visit(first, std::min(n, first + kBlockRecords));
+        }
+      }
     }
   }
 
@@ -139,55 +264,68 @@ class TelemetryStore {
   /// record; with `first` at or past the end, none.
   std::string SerializeState(size_t first = 0) const;
 
-  /// Appends the records of a SerializeState blob, extending the hour index
-  /// through Append. InvalidArgument on a truncated blob, trailing bytes, or
-  /// a count the blob cannot hold; the store is then left as it was.
+  /// Appends the records of a SerializeState blob. InvalidArgument on a
+  /// truncated blob, trailing bytes, or a count the blob cannot hold; the
+  /// store is then left as it was.
   Status AppendState(const std::string& blob);
 
-  /// Replaces the records with those of a SerializeState blob: a fresh
-  /// store plus AppendState, with the same checks. A refused blob leaves
-  /// the store as it was.
+  /// Replaces the records with those of a SerializeState blob, with the same
+  /// checks. A refused blob leaves the store as it was.
   Status RestoreState(const std::string& blob);
 
-  void Clear() {
-    records_.clear();
-    index_stride_ = kIndexStride;
-  }
+  /// Drops every record and keeps the chunks for the next ones.
+  void Clear() { size_ = 0; }
 
  private:
-  /// Records per hour-index entry while the store is small.
-  static constexpr size_t kIndexStride = 64;
-  /// Hour-index entries; when a store outgrows them the stride doubles.
-  static constexpr size_t kIndexEntries = 1024;
+  /// Inclusive [min, max] hours of a run of records.
+  struct HourBounds {
+    sim::HourIndex min = 0;
+    sim::HourIndex max = 0;
 
-  /// Position from which a record can have `hour >= hour`: every record
-  /// before it has a smaller hour.
-  size_t FirstAtOrAfter(sim::HourIndex hour) const;
+    void Extend(sim::HourIndex hour) {
+      min = std::min(min, hour);
+      max = std::max(max, hour);
+    }
+    /// Whether a record of the run can fall in [window.first, window.second).
+    bool Meets(const std::pair<sim::HourIndex, sim::HourIndex>& window) const {
+      return min < window.second && max >= window.first;
+    }
+  };
 
-  /// Extends the hour index by the record appended at `position`.
-  void IndexHour(size_t position, sim::HourIndex hour) {
-    if (position == index_stride_ * kIndexEntries) {
-      // Merge entry pairs: a prefix maximum at twice the stride is the
-      // second entry of each pair.
-      for (size_t k = 0; k < kIndexEntries / 2; ++k) max_hour_[k] = max_hour_[2 * k + 1];
-      index_stride_ *= 2;
-    }
-    const size_t k = position / index_stride_;
-    if (position % index_stride_ == 0) {
-      max_hour_[k] = k == 0 ? hour : std::max(max_hour_[k - 1], hour);
-    } else {
-      max_hour_[k] = std::max(max_hour_[k], hour);
-    }
+  /// A record slot. A union, so that a new chunk leaves its slots unwritten
+  /// and its pages untouched until records are built in them.
+  union Slot {
+    Slot() {}  // NOLINT(modernize-use-equals-default): constructs no record.
+    MachineHourRecord record;
+  };
+  static_assert(std::is_trivially_destructible_v<MachineHourRecord>,
+                "slots are reused and freed without destroying their records");
+
+  /// One fixed-capacity chunk. Its bounds cover the chunk's records and each
+  /// kBlockRecords block of them, up to the store's size.
+  struct Chunk {
+    Chunk() {}  // NOLINT(modernize-use-equals-default): no zeroing on new.
+
+    HourBounds hours;
+    std::array<HourBounds, kChunkRecords / kBlockRecords> blocks;
+    std::array<Slot, kChunkRecords> slots;
+  };
+
+  friend class RecordView;
+
+  const MachineHourRecord& At(size_t i) const {
+    return chunks_[i / kChunkRecords]->slots[i % kChunkRecords].record;
   }
+  /// Allocates the chunk the next record opens.
+  void AddChunk();
 
-  std::vector<MachineHourRecord> records_;
-  /// max_hour_[k] = max hour of records_[0 .. (k + 1) * index_stride_), for
-  /// every entry the store's records reach. A fixed array: an index that grew
-  /// on the heap in step with records_ left freed record buffers resident in
-  /// malloc arenas (DESIGN.md, "Fit hot path").
-  std::array<sim::HourIndex, kIndexEntries> max_hour_{};
-  size_t index_stride_ = kIndexStride;
+  std::vector<std::unique_ptr<Chunk>> chunks_;
+  size_t size_ = 0;
 };
+
+inline const MachineHourRecord& RecordView::operator[](size_t i) const {
+  return store_ != nullptr ? store_->At(i) : contiguous_[i];
+}
 
 }  // namespace kea::telemetry
 

@@ -153,16 +153,5 @@ TEST_F(ThreeResourceDesignTest, TwoResourceModeUnchanged) {
   }
 }
 
-TEST_F(ThreeResourceDesignTest, WhatIfAutoRegressorWorks) {
-  core::WhatIfEngine::Options options;
-  options.regressor = core::RegressorKind::kAuto;
-  auto engine = core::WhatIfEngine::Fit(store_, nullptr, options);
-  ASSERT_TRUE(engine.ok()) << engine.status();
-  EXPECT_EQ(engine->models().size(), 12u);
-  for (const auto& [key, gm] : engine->models()) {
-    EXPECT_GT(gm.g.coefficients()[0], 0.0) << sim::GroupLabel(key);
-  }
-}
-
 }  // namespace
 }  // namespace kea

@@ -12,11 +12,14 @@
 
 #include "common/random.h"
 #include "obs/metrics.h"
+#include "reference_ingestion.h"
 #include "sim/fault_injector.h"
 #include "sim/fluid_engine.h"
 
 namespace kea::telemetry {
 namespace {
+
+using Batch = std::vector<MachineHourRecord>;
 
 MachineHourRecord MakeRecord(int machine, int hour, double tasks = 100.0) {
   MachineHourRecord r;
@@ -67,7 +70,7 @@ TEST(IngestionPipelineTest, QuarantinesNonFiniteAndOutOfRange) {
   ghost_latency.avg_task_latency_s = 12.0;
 
   ASSERT_TRUE(
-      pipeline.Ingest({nan_record, inf_record, negative, hot, ghost_latency, MakeRecord(5, 0)})
+      pipeline.Ingest(Batch{nan_record, inf_record, negative, hot, ghost_latency, MakeRecord(5, 0)})
           .ok());
   EXPECT_EQ(pipeline.counters().accepted, 1u);
   EXPECT_EQ(pipeline.counters().quarantined, 5u);
@@ -83,9 +86,9 @@ TEST(IngestionPipelineTest, DeduplicatesOnMachineHour) {
   TelemetryStore sink;
   IngestionPipeline pipeline(&sink, IngestionPipeline::Options());
   auto r = MakeRecord(7, 3);
-  ASSERT_TRUE(pipeline.Ingest({r, r, MakeRecord(7, 4)}).ok());
+  ASSERT_TRUE(pipeline.Ingest(Batch{r, r, MakeRecord(7, 4)}).ok());
   // Dedup works across Ingest calls too.
-  ASSERT_TRUE(pipeline.Ingest({r}).ok());
+  ASSERT_TRUE(pipeline.Ingest(Batch{r}).ok());
   EXPECT_EQ(pipeline.counters().accepted, 2u);
   EXPECT_EQ(pipeline.counters().Reason(QuarantineReason::kDuplicate), 2u);
   EXPECT_EQ(sink.size(), 2u);
@@ -97,10 +100,10 @@ TEST(IngestionPipelineTest, LatenessBoundAgainstWatermark) {
   options.max_lateness_hours = 2;
   IngestionPipeline pipeline(&sink, options);
 
-  ASSERT_TRUE(pipeline.Ingest({MakeRecord(0, 10)}).ok());
+  ASSERT_TRUE(pipeline.Ingest(Batch{MakeRecord(0, 10)}).ok());
   EXPECT_EQ(pipeline.watermark(), 10);
   // Hour 8 is within tolerance; hour 7 is too late.
-  ASSERT_TRUE(pipeline.Ingest({MakeRecord(1, 8), MakeRecord(2, 7)}).ok());
+  ASSERT_TRUE(pipeline.Ingest(Batch{MakeRecord(1, 8), MakeRecord(2, 7)}).ok());
   EXPECT_EQ(pipeline.counters().accepted, 2u);
   EXPECT_EQ(pipeline.counters().Reason(QuarantineReason::kLate), 1u);
 }
@@ -140,7 +143,7 @@ TEST(IngestionPipelineTest, TransientWriteFailuresRetryThenSucceed) {
     }
     return Status::OK();
   });
-  ASSERT_TRUE(pipeline.Ingest({MakeRecord(0, 0)}).ok());
+  ASSERT_TRUE(pipeline.Ingest(Batch{MakeRecord(0, 0)}).ok());
   EXPECT_EQ(pipeline.counters().accepted, 1u);
   EXPECT_EQ(pipeline.counters().transient_write_failures, 2u);
   EXPECT_EQ(pipeline.retry_policy().stats().retries, 2);
@@ -153,7 +156,7 @@ TEST(IngestionPipelineTest, ExhaustedRetriesQuarantineNotDrop) {
   IngestionPipeline pipeline(&sink, options);
   pipeline.set_write_hook(
       [](const MachineHourRecord&, int) { return Status::Unavailable("down"); });
-  ASSERT_TRUE(pipeline.Ingest({MakeRecord(0, 0)}).ok());
+  ASSERT_TRUE(pipeline.Ingest(Batch{MakeRecord(0, 0)}).ok());
   EXPECT_EQ(pipeline.counters().accepted, 0u);
   EXPECT_EQ(pipeline.counters().Reason(QuarantineReason::kWriteFailed), 1u);
   EXPECT_EQ(sink.size(), 0u);
@@ -257,7 +260,7 @@ TEST_P(IngestionPropertyTest, OutputSaneAndConservationHolds) {
 void IngestHashing(IngestionPipeline* reference, const std::vector<MachineHourRecord>& batch) {
   for (const MachineHourRecord& r : batch) {
     ASSERT_TRUE(reference->RestoreState(reference->SerializeState()).ok());
-    ASSERT_TRUE(reference->Ingest({r}).ok());
+    ASSERT_TRUE(reference->Ingest(Batch{r}).ok());
   }
 }
 
@@ -324,6 +327,104 @@ INSTANTIATE_TEST_SUITE_P(Profiles, IngestionPropertyTest,
 // the per-reason breakdown — must hold for the *registry's* view too, not
 // just the struct the pipeline hands back.
 
+void ExpectSameAsReference(const IngestionPipeline& pipeline, const TelemetryStore& sink,
+                           const ReferenceIngestionPipeline& reference,
+                           const TelemetryStore& reference_sink) {
+  EXPECT_EQ(sink.SerializeState(), reference_sink.SerializeState()) << "accepted records";
+  const IngestionPipeline::Counters& got = pipeline.counters();
+  const IngestionPipeline::Counters& want = reference.counters();
+  EXPECT_EQ(got.seen, want.seen);
+  EXPECT_EQ(got.accepted, want.accepted);
+  EXPECT_EQ(got.quarantined, want.quarantined);
+  EXPECT_EQ(got.by_reason, want.by_reason);
+  EXPECT_EQ(got.transient_write_failures, want.transient_write_failures);
+  ASSERT_EQ(pipeline.quarantine().size(), reference.quarantine().size());
+  for (size_t i = 0; i < pipeline.quarantine().size(); ++i) {
+    ASSERT_EQ(Encode(pipeline.quarantine()[i]), Encode(reference.quarantine()[i]))
+        << "quarantined record " << i;
+  }
+  EXPECT_EQ(pipeline.SerializeState(), reference.SerializeState());
+}
+
+TEST(DedupBitmapTest, MatchesTheHashSetReferenceOverRandomStreams) {
+  // Streams of fresh records, in-batch and cross-batch duplicates, late
+  // records reaching back across many 64-hour words, and machine ids and
+  // hours at the int extremes, negative ones included. With validation off
+  // every id and hour reaches the dedup index; with it on, negative ones are
+  // screened first. A write hook refuses some writes for good and delays
+  // others, so a record can pass the dedup check and still not be indexed.
+  constexpr int kMax = std::numeric_limits<int>::max();
+  constexpr int kMin = std::numeric_limits<int>::min();
+  const int extremes[] = {kMin, kMin + 1, -65, -64, -1, 0, 63, 64, kMax - 64, kMax - 1, kMax};
+  const int num_extremes = static_cast<int>(std::size(extremes));
+  WriteHook hook = [](const MachineHourRecord& r, int attempt) -> Status {
+    if (r.machine_id % 13 == 5) return Status::Internal("sink refused the record");
+    if (r.hour % 7 == 3 && attempt == 0) return Status::Unavailable("sink busy");
+    return Status::OK();
+  };
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    IngestionPipeline::Options options;
+    options.validate = seed % 2 == 0;
+    options.max_lateness_hours = seed % 4 >= 2 ? 24 : -1;
+    options.stuck_run_threshold = seed % 3 == 0 ? 3 : 0;
+    // A watermark at INT_MAX would make every later record late.
+    const bool high_hours = options.max_lateness_hours < 0;
+    TelemetryStore sink, reference_sink;
+    IngestionPipeline pipeline(&sink, options);
+    ReferenceIngestionPipeline reference(&reference_sink, options);
+    pipeline.set_write_hook(hook);
+    reference.set_write_hook(hook);
+    Rng rng(seed);
+    std::vector<MachineHourRecord> history;
+    int now = 0;
+    for (int b = 0; b < 30; ++b) {
+      Batch batch;
+      for (int i = 0; i < 300; ++i) {
+        MachineHourRecord r = MakeRecord(static_cast<int>(rng.UniformInt(0, 50)), now,
+                                         rng.Uniform() < 0.05 ? 0.0 : 100.0);
+        const double u = rng.Uniform();
+        if (u < 0.15 && !batch.empty()) {
+          r = batch[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(batch.size()) - 1))];
+        } else if (u < 0.25 && !history.empty()) {
+          r = history[static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(history.size()) - 1))];
+        } else if (u < 0.40) {
+          r.hour = now - static_cast<int>(rng.UniformInt(1, 400));
+        } else if (u < 0.46) {
+          r.machine_id = extremes[rng.UniformInt(0, num_extremes - 1)];
+        } else if (u < 0.52) {
+          const int hour = extremes[rng.UniformInt(0, num_extremes - 1)];
+          if (high_hours || hour < 0) r.hour = hour;
+        } else if (u < 0.55) {
+          r.machine_id = extremes[rng.UniformInt(0, num_extremes - 1)];
+          r.hour = extremes[rng.UniformInt(0, num_extremes - 1)];
+          if (!high_hours && r.hour > 0) r.hour = -r.hour;
+        }
+        batch.push_back(r);
+      }
+      ASSERT_TRUE(pipeline.Ingest(batch).ok());
+      reference.Ingest(batch);
+      ExpectSameAsReference(pipeline, sink, reference, reference_sink);
+      if (HasFailure()) return;
+      history.insert(history.end(), batch.begin(), batch.end());
+      now += static_cast<int>(rng.UniformInt(1, 40));
+    }
+    EXPECT_GT(pipeline.counters().Reason(QuarantineReason::kDuplicate), 0u);
+    EXPECT_GT(pipeline.counters().accepted, 0u);
+
+    // A pipeline restored from the reference's state decides as it does.
+    TelemetryStore restored_sink = sink;
+    IngestionPipeline restored(&restored_sink, options);
+    restored.set_write_hook(hook);
+    ASSERT_TRUE(restored.RestoreState(reference.SerializeState()).ok());
+    EXPECT_EQ(restored.SerializeState(), reference.SerializeState());
+    ASSERT_TRUE(restored.Ingest(history).ok());
+    reference.Ingest(history);
+    ExpectSameAsReference(restored, restored_sink, reference, reference_sink);
+  }
+}
+
 TEST(IngestionObsMetricsTest, RegistryConservationInvariantHolds) {
 #ifdef KEA_OBS_DISABLED
   GTEST_SKIP() << "observability compiled out (KEA_OBS=OFF)";
@@ -341,7 +442,7 @@ TEST(IngestionObsMetricsTest, RegistryConservationInvariantHolds) {
   auto dup = MakeRecord(1, 10);
   auto late = MakeRecord(2, 3);  // Watermark will be 10 after the first batch.
   ASSERT_TRUE(
-      pipeline.Ingest({MakeRecord(3, 10), nan_record, dup, dup, late}).ok());
+      pipeline.Ingest(Batch{MakeRecord(3, 10), nan_record, dup, dup, late}).ok());
 
   const uint64_t seen = reg.CounterValue("ingest.seen");
   const uint64_t accepted = reg.CounterValue("ingest.accepted");
@@ -381,7 +482,7 @@ TEST(IngestionObsMetricsTest, RestoringOnePipelineKeepsTheOthersCounts) {
   std::vector<MachineHourRecord> five;
   for (int m = 0; m < 5; ++m) five.push_back(MakeRecord(m, 0));
   ASSERT_TRUE(a.Ingest(five).ok());
-  ASSERT_TRUE(b.Ingest({MakeRecord(0, 0), MakeRecord(1, 0)}).ok());
+  ASSERT_TRUE(b.Ingest(Batch{MakeRecord(0, 0), MakeRecord(1, 0)}).ok());
   EXPECT_EQ(reg.CounterValue("ingest.seen"), 7u);
 
   IngestionPipeline c(&sink_c, IngestionPipeline::Options());

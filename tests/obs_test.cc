@@ -339,7 +339,7 @@ TEST_F(ObsTest, CountersBitIdenticalAcrossCheckpointResume) {
   auto bad = make_record(9, 0);
   bad.cpu_utilization = 2.0;  // out of range -> quarantined
   ASSERT_TRUE(
-      pipeline.Ingest({make_record(0, 0), make_record(1, 0), bad}).ok());
+      pipeline.Ingest(std::vector<telemetry::MachineHourRecord>{make_record(0, 0), make_record(1, 0), bad}).ok());
   const std::string before = Registry::Get().RenderText();
   const std::string blob = pipeline.SerializeState();
   ASSERT_NE(before.find("ingest.seen"), std::string::npos);

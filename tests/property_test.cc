@@ -334,20 +334,32 @@ TEST(TelemetryStateCodecTest, SpecialValuesRoundTripBitExactly) {
   }
 }
 
-TEST_P(TelemetryStatePropertyTest, RestoredHourIndexMatchesFullScan) {
-  // Hours rise with the append order, and one record in four arrives late,
-  // so the hour index skips real prefixes and late arrivals sit behind them.
+TEST_P(TelemetryStatePropertyTest, RestoredWindowReadsMatchFullScanAcrossChunks) {
+  // The store spans several chunks. Hours rise with the append order, one
+  // record in four arrives late, and one in fifty reaches back across
+  // several chunk edges (a chunk here covers 1,024 hours), so windows
+  // straddle chunk and block edges and late arrivals widen chunks' bounds.
   std::mt19937_64 rng(GetParam());
   std::uniform_int_distribution<int> lateness(1, 40);
+  std::uniform_int_distribution<int> far_lateness(41, 3000);
+  const int n = 3 * static_cast<int>(TelemetryStore::kChunkRecords) + 900;
+  const TelemetryStore random = RandomStore(GetParam(), n);
+  std::vector<MachineHourRecord> source(random.records().begin(), random.records().end());
   TelemetryStore store;
-  std::vector<MachineHourRecord> source = RandomStore(GetParam(), 900).records();
   for (size_t i = 0; i < source.size(); ++i) {
     source[i].hour = static_cast<sim::HourIndex>(i / 4);
-    if (rng() % 4 == 0) source[i].hour -= lateness(rng);
+    const uint64_t draw = rng() % 100;
+    if (draw < 2) {
+      source[i].hour -= far_lateness(rng);
+    } else if (draw < 25) {
+      source[i].hour -= lateness(rng);
+    }
     store.Append(source[i]);
   }
-  // The target held as many records at hours before every window: an index
-  // left over from them would skip the restored records' real prefixes.
+  ASSERT_GT(store.size(), 3 * TelemetryStore::kChunkRecords);
+  // The target held as many records at hours before every window, and
+  // keeps their chunks: bounds left over from them would skip restored
+  // records.
   TelemetryStore restored;
   for (MachineHourRecord r : source) {
     r.hour = -1000000;
@@ -356,19 +368,24 @@ TEST_P(TelemetryStatePropertyTest, RestoredHourIndexMatchesFullScan) {
   ASSERT_TRUE(restored.RestoreState(store.SerializeState()).ok());
   ASSERT_EQ(restored.size(), store.size());
 
-  std::uniform_int_distribution<int> hour(-60, 260);
+  const int last_hour = n / 4;
+  std::uniform_int_distribution<int> hour(-3100, last_hour + 60);
+  std::uniform_int_distribution<int> width(-5, 300);
   for (int w = 0; w < 300; ++w) {
     const sim::HourIndex begin = hour(rng);
-    const sim::HourIndex end = hour(rng);  // Inverted windows included.
+    // Inverted, narrow and wide windows, and one in ten from an
+    // independent end.
+    const sim::HourIndex end = w % 10 == 0 ? hour(rng) : begin + width(rng);
     std::vector<MachineHourRecord> expected;
     for (const MachineHourRecord& r : store.records()) {
       if (r.hour >= begin && r.hour < end) expected.push_back(r);
     }
-    const std::vector<MachineHourRecord> got =
-        restored.Query(HourRangeFilter(begin, end));
-    ASSERT_EQ(got.size(), expected.size()) << "[" << begin << ", " << end << ")";
-    for (size_t i = 0; i < got.size(); ++i) {
-      ExpectBitIdentical(expected[i], got[i], i);
+    for (const TelemetryStore* read : {&store, &restored}) {
+      const std::vector<MachineHourRecord> got = read->Query(HourRangeFilter(begin, end));
+      ASSERT_EQ(got.size(), expected.size()) << "[" << begin << ", " << end << ")";
+      for (size_t i = 0; i < got.size(); ++i) {
+        ExpectBitIdentical(expected[i], got[i], i);
+      }
     }
   }
 }
@@ -406,6 +423,29 @@ TEST_P(TelemetryStatePropertyTest, AppendStateRoundTripsEverySplitPoint) {
                                (store.size() - split) * kMachineHourRecordBytes);
     ASSERT_TRUE(prefix.AppendState(tail).ok()) << "split " << split;
     EXPECT_EQ(prefix.SerializeState(), whole) << "split " << split;
+    for (sim::HourIndex begin : {0, 1000, 3000}) {
+      EXPECT_EQ(prefix.Query(HourRangeFilter(begin, begin + 700)).size(),
+                store.Query(HourRangeFilter(begin, begin + 700)).size())
+          << "split " << split << ", window at " << begin;
+    }
+  }
+}
+
+TEST_P(TelemetryStatePropertyTest, AppendStateRoundTripsAroundChunkEdges) {
+  // Every split within a block's reach of the first chunk edge, and a few
+  // around the second: the appended tail starts a chunk, ends one, or
+  // crosses one, into a prefix whose open chunk is full, empty or partial.
+  constexpr size_t kChunk = TelemetryStore::kChunkRecords;
+  TelemetryStore store = RandomStore(GetParam() ^ 0xc4a1, static_cast<int>(2 * kChunk + 100));
+  const std::string whole = store.SerializeState();
+  std::vector<size_t> splits = {0, 1, 2 * kChunk - 1, 2 * kChunk, 2 * kChunk + 1,
+                                store.size()};
+  for (size_t split = kChunk - 70; split <= kChunk + 70; ++split) splits.push_back(split);
+  for (size_t split : splits) {
+    TelemetryStore prefix;
+    for (size_t i = 0; i < split; ++i) prefix.Append(store.records()[i]);
+    ASSERT_TRUE(prefix.AppendState(store.SerializeState(split)).ok()) << "split " << split;
+    ASSERT_EQ(prefix.SerializeState(), whole) << "split " << split;
     for (sim::HourIndex begin : {0, 1000, 3000}) {
       EXPECT_EQ(prefix.Query(HourRangeFilter(begin, begin + 700)).size(),
                 store.Query(HourRangeFilter(begin, begin + 700)).size())

@@ -4,6 +4,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -474,10 +475,9 @@ TEST(StoreHourIndexTest, WindowReadsMatchFullScanUnderLateArrivals) {
   ExpectWindowsMatchFullScan(*parsed, &rng);
 }
 
-TEST(StoreHourIndexTest, WindowReadsMatchFullScanPastIndexCoarsening) {
-  // The index holds 1024 entries at a stride of 64 records; 150,000 records
-  // double the stride twice. ForEach is the read behind Query, GroupByKey
-  // and Extract, so it is checked alone here.
+TEST(StoreHourIndexTest, WindowReadsMatchFullScanOverManyChunks) {
+  // 150,000 records fill 37 chunks. ForEach is the read behind Query,
+  // GroupByKey and Extract, so it is checked alone here.
   Rng rng(29);
   TelemetryStore store;
   auto expect_windows_match = [&] {
@@ -504,7 +504,6 @@ TEST(StoreHourIndexTest, WindowReadsMatchFullScanPastIndexCoarsening) {
       batch.push_back(MakeRecord(i % 40, late, 0, 1, 1, 0.5, 1, 1, rng.Uniform(1, 60)));
     }
     store.AppendAll(batch);
-    // Before the first doubling, between the two, and after the second.
     if (hour == 120 || hour == 200 || hour == 299) expect_windows_match();
   }
   ASSERT_EQ(store.size(), 150000u);
@@ -516,14 +515,48 @@ TEST(StoreHourIndexTest, WindowReadsMatchFullScanPastIndexCoarsening) {
   expect_windows_match();
 }
 
+TEST(StoreChunkTest, RecordAddressesNeverChangeAsTheStoreGrows) {
+  // Growth allocates a new chunk and moves no record: every record keeps
+  // its address past five chunk edges. Clear() keeps the chunks, so the
+  // records written after it land in the same slots.
+  const size_t n = 5 * TelemetryStore::kChunkRecords + 17;
+  TelemetryStore store;
+  std::vector<const MachineHourRecord*> addresses;
+  for (size_t i = 0; i < n; ++i) {
+    store.Append(MakeRecord(static_cast<int>(i % 40), static_cast<int>(i / 40), 0, 1, 1,
+                            0.5, 1, 1, static_cast<double>(i)));
+    addresses.push_back(&store.records()[i]);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(&store.records()[i], addresses[i]) << "record " << i;
+    ASSERT_EQ(store.records()[i].avg_task_latency_s, static_cast<double>(i));
+  }
+  store.Clear();
+  EXPECT_TRUE(store.empty());
+  EXPECT_TRUE(store.Query(nullptr).empty());
+  // Blocks of a chunk's size, held while the store refills: had Clear()
+  // freed the chunks, these would take their memory.
+  std::vector<std::unique_ptr<char[]>> taken;
+  for (int i = 0; i < 8; ++i) {
+    taken.push_back(std::make_unique<char[]>(TelemetryStore::kChunkRecords *
+                                             sizeof(MachineHourRecord)));
+  }
+  for (size_t i = 0; i < n; ++i) {
+    store.Append(MakeRecord(0, static_cast<int>(n - i), 0, 1, 1, 0.5, 1, 1, 1));
+    ASSERT_EQ(&store.records()[i], addresses[i]) << "record " << i << " after Clear";
+  }
+  ASSERT_TRUE(store.HourRange().ok());
+  EXPECT_EQ(*store.HourRange(), std::make_pair(1, static_cast<int>(n)));
+}
+
 TEST(StoreHourIndexTest, AppendOfAStoredRecord) {
-  // The argument points into the store's own buffer, which push_back
-  // reallocates on growth: the index must read the stored copy (the ASan
-  // build flags a read of the argument after the append).
+  // The argument points into the store itself: the append must not read it
+  // after it allocates a new chunk (the ASan build flags such a read).
   TelemetryStore store;
   store.Append(MakeRecord(0, 7, 0, 0, 1, 0.1, 1, 1, 1));
-  for (size_t i = 0; i < 300; ++i) store.Append(store.records()[i]);
-  EXPECT_EQ(store.Query(HourRangeFilter(7, 8)).size(), 301u);
+  const size_t appends = TelemetryStore::kChunkRecords + 300;
+  for (size_t i = 0; i < appends; ++i) store.Append(store.records()[i]);
+  EXPECT_EQ(store.Query(HourRangeFilter(7, 8)).size(), appends + 1);
   EXPECT_TRUE(store.Query(HourRangeFilter(8, 100)).empty());
 }
 

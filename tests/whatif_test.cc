@@ -9,12 +9,14 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "apps/session.h"
 #include "apps/yarn_tuner.h"
+#include "core/validation.h"
 #include "obs/metrics.h"
 #include "reference_fits.h"
 #include "sim/fluid_engine.h"
@@ -181,6 +183,43 @@ TEST(WhatIfEngineTest, FilterScopesTheFit) {
   }
 }
 
+TEST(WhatIfEngineTest, IdleMachineHoursStayOutOfTheColumns) {
+  // Idle machine-hours carry no task-latency signal. A store that holds an
+  // idle twin (absurd containers and utilization, no tasks) beside every
+  // record fits the models and validates the medians of the busy records
+  // alone, bit for bit, though the twins double each group's record count.
+  WhatIfFixture fx(60, 72);
+  telemetry::TelemetryStore mixed;
+  fx.store.ForEach(nullptr, [&mixed](const telemetry::MachineHourRecord& r) {
+    telemetry::MachineHourRecord idle = r;
+    idle.avg_running_containers = 1e6;
+    idle.cpu_utilization = 1.0;
+    idle.tasks_finished = 0.0;
+    idle.avg_task_latency_s = 0.0;
+    mixed.Append(idle);
+    mixed.Append(r);
+  });
+  const auto busy = WhatIfEngine::Fit(fx.store, nullptr, WhatIfEngine::Options());
+  const auto both = WhatIfEngine::Fit(mixed, nullptr, WhatIfEngine::Options());
+  ASSERT_TRUE(busy.ok()) << busy.status();
+  ASSERT_TRUE(both.ok()) << both.status();
+  EXPECT_EQ(both->models().size(), busy->models().size());
+  EXPECT_EQ(both->ModelHash(), busy->ModelHash());
+
+  const ModelValidator validator;
+  const auto want = validator.Validate(*busy, fx.store, nullptr);
+  const auto got = validator.Validate(*busy, mixed, nullptr);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_EQ(got->groups.size(), want->groups.size());
+  for (size_t i = 0; i < got->groups.size(); ++i) {
+    EXPECT_EQ(got->groups[i].observations, want->groups[i].observations);
+    EXPECT_EQ(got->groups[i].observed_containers, want->groups[i].observed_containers);
+    EXPECT_EQ(got->groups[i].observed_utilization, want->groups[i].observed_utilization);
+    EXPECT_EQ(got->groups[i].observed_latency_s, want->groups[i].observed_latency_s);
+  }
+}
+
 TEST(WhatIfEngineTest, NonFiniteBusyRecordIsRefused) {
   // A record appended past the ingestion screens: the fit refuses its group
   // instead of returning a non-finite model.
@@ -212,7 +251,7 @@ TEST(WhatIfEngineTest, OverflowingGroupIsRefusedByEveryRegressor) {
     r.avg_task_latency_s = 5.0 + 0.1 * (i % 5);
     store.Append(r);
   }
-  for (RegressorKind kind : {RegressorKind::kOls, RegressorKind::kAuto, RegressorKind::kHuber}) {
+  for (RegressorKind kind : {RegressorKind::kOls, RegressorKind::kHuber}) {
     WhatIfEngine::Options options;
     options.regressor = kind;
     const auto engine = WhatIfEngine::Fit(store, nullptr, options);
@@ -243,9 +282,11 @@ std::vector<std::unique_ptr<apps::KeaSession>> BenchShapedSessions(uint64_t seed
   return sessions;
 }
 
-/// One group's busy-record columns, read as WhatIfEngine::Fit reads them.
+/// One group's busy-record columns from GroupByKey's record copies: what
+/// WhatIfEngine::Fit read before it read its columns in place.
 struct BusyColumns {
   ml::Vector containers, util, tasks, latency;
+  std::set<int> machines;
 };
 
 std::map<sim::MachineGroupKey, BusyColumns> ColumnsByGroup(
@@ -259,9 +300,15 @@ std::map<sim::MachineGroupKey, BusyColumns> ColumnsByGroup(
       c.util.push_back(r.cpu_utilization);
       c.tasks.push_back(r.tasks_finished);
       c.latency.push_back(r.avg_task_latency_s);
+      c.machines.insert(r.machine_id);
     }
   }
   return columns;
+}
+
+void ExpectSameMedian(double got, const ml::Vector& column, const std::string& what) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(*ml::Quantile(column, 0.5)))
+      << what;
 }
 
 void ExpectSameBits(const ml::LinearModel& got, const ml::Vector& x, const ml::Vector& y,
@@ -280,28 +327,38 @@ void ExpectSameBits(const ml::LinearModel& got, const ml::Vector& x, const ml::V
 
 TEST(WhatIfEngineTest, HuberModelsMatchTheMaterializedReference) {
   // Every group's g/h/f carries the bits of the textbook IRLS (materialized
-  // design, nth_element MAD) on the same columns, at one thread and at four.
-  // Comparing with the reference rather than a pinned hash keeps the test
-  // independent of the host's libm.
+  // design, nth_element MAD) on the same columns, at one thread and at four,
+  // and its machine count and operating point are those of the record
+  // copies. Comparing with the reference rather than a pinned hash keeps the
+  // test independent of the host's libm. Each store spans many chunks; the
+  // second window starts and ends inside one.
   for (const auto& session : BenchShapedSessions(7)) {
-    const std::string window =
-        std::to_string(session->cluster().machines().size()) + " machines";
-    const telemetry::RecordFilter filter =
-        telemetry::HourRangeFilter(0, sim::kHoursPerWeek);
-    const auto columns = ColumnsByGroup(session->store(), filter);
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE(window + ", " + std::to_string(threads) + " threads");
-      WhatIfEngine::Options options;
-      options.num_threads = threads;
-      auto engine = WhatIfEngine::Fit(session->store(), filter, options);
-      ASSERT_TRUE(engine.ok()) << engine.status();
-      ASSERT_EQ(engine->models().size(), 12u);
-      for (const auto& [key, gm] : engine->models()) {
-        const BusyColumns& c = columns.at(key);
-        const std::string group = sim::GroupLabel(key);
-        ExpectSameBits(gm.g, c.containers, c.util, group + " g");
-        ExpectSameBits(gm.h, c.util, c.tasks, group + " h");
-        ExpectSameBits(gm.f, c.util, c.latency, group + " f");
+    ASSERT_GT(session->store().size(), 4 * telemetry::TelemetryStore::kChunkRecords);
+    for (const auto& [begin, end] : {std::pair{0, sim::kHoursPerWeek}, std::pair{31, 149}}) {
+      const std::string window = std::to_string(session->cluster().machines().size()) +
+                                 " machines, [" + std::to_string(begin) + ", " +
+                                 std::to_string(end) + ")";
+      const telemetry::RecordFilter filter = telemetry::HourRangeFilter(begin, end);
+      const auto columns = ColumnsByGroup(session->store(), filter);
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(window + ", " + std::to_string(threads) + " threads");
+        WhatIfEngine::Options options;
+        options.num_threads = threads;
+        auto engine = WhatIfEngine::Fit(session->store(), filter, options);
+        ASSERT_TRUE(engine.ok()) << engine.status();
+        ASSERT_EQ(engine->models().size(), 12u);
+        for (const auto& [key, gm] : engine->models()) {
+          const BusyColumns& c = columns.at(key);
+          const std::string group = sim::GroupLabel(key);
+          ExpectSameBits(gm.g, c.containers, c.util, group + " g");
+          ExpectSameBits(gm.h, c.util, c.tasks, group + " h");
+          ExpectSameBits(gm.f, c.util, c.latency, group + " f");
+          EXPECT_EQ(gm.num_machines, static_cast<int>(c.machines.size())) << group;
+          ExpectSameMedian(gm.current_containers, c.containers, group + " containers");
+          ExpectSameMedian(gm.current_utilization, c.util, group + " utilization");
+          ExpectSameMedian(gm.current_tasks_per_hour, c.tasks, group + " tasks");
+          ExpectSameMedian(gm.current_latency_s, c.latency, group + " latency");
+        }
       }
     }
   }
