@@ -196,8 +196,7 @@ class TelemetryStore {
     } else {
       chunk.hours.Extend(hour);
     }
-    // The record is copied last: `record` may be one of this store's own,
-    // which a new chunk never moves.
+    // `record` may be one of this store's own: a new chunk moves none.
     std::construct_at(&chunk.slots[offset].record, record);
     ++size_;
   }
