@@ -115,25 +115,32 @@ void BM_FluidEngineHour(benchmark::State& state) {
 }
 BENCHMARK(BM_FluidEngineHour)->Arg(1000)->Arg(5000)->Arg(20000);
 
-// Also reports IRLS iterations per Huber fit (three fits per fitted group),
-// from the fit's deterministic counters: a property of the data and the
-// stopping rule, not of the host, so CI gates it.
+// Also reports IRLS iterations per Huber fit (three fits per fitted group)
+// and the share of row-iterations whose weight the kernel recomputed, from
+// the fit's deterministic counters: properties of the data, the stopping
+// rule and the kernel, not of the host, so CI gates them.
 void BM_WhatIfFit(benchmark::State& state) {
   bench::BenchEnv env = bench::BenchEnv::Make(500);
   env.Run(0, static_cast<int>(state.range(0)));
   const obs::Registry& registry = obs::Registry::Get();
-  const uint64_t iterations = registry.CounterValue("whatif.irls_iterations");
-  const uint64_t groups = registry.CounterValue("whatif.groups_fitted");
+  const auto since = [&registry](const char* name) {
+    const uint64_t before = registry.CounterValue(name);
+    return [&registry, name, before] {
+      return static_cast<double>(registry.CounterValue(name) - before);
+    };
+  };
+  const auto iterations = since("whatif.irls_iterations");
+  const auto groups = since("whatif.groups_fitted");
+  const auto rows_reweighted = since("whatif.irls_rows_reweighted");
+  const auto row_iterations = since("whatif.irls_row_iterations");
   for (auto _ : state) {
     auto engine = core::WhatIfEngine::Fit(env.store, nullptr,
                                           core::WhatIfEngine::Options());
     benchmark::DoNotOptimize(engine);
   }
-  const uint64_t fits = 3 * (registry.CounterValue("whatif.groups_fitted") - groups);
-  if (fits > 0) {
-    state.counters["irls_iterations_per_fit"] =
-        static_cast<double>(registry.CounterValue("whatif.irls_iterations") - iterations) /
-        static_cast<double>(fits);
+  if (groups() > 0) {
+    state.counters["irls_iterations_per_fit"] = iterations() / (3 * groups());
+    state.counters["irls_reweighted_share"] = rows_reweighted() / row_iterations();
   }
 }
 BENCHMARK(BM_WhatIfFit)->Arg(48)->Arg(168);

@@ -31,10 +31,6 @@ Status SetGroups(const std::vector<AppliedChange>& batch, bool undo,
 
 }  // namespace
 
-std::string EncodeChangeBatch(const std::vector<AppliedChange>& batch) {
-  return Encode(batch);
-}
-
 StatusOr<std::vector<AppliedChange>> DeploymentModule::Clamp(
     const std::vector<GroupRecommendation>& recommendations,
     const Options& options) {

@@ -37,9 +37,6 @@ void Persist(Ar& ar, AppliedChange& c) {
   ar(c.group, c.old_max_containers, c.new_max_containers, c.clamped);
 }
 
-/// Encode(batch), by the name the ledger payload's callers know it by.
-std::string EncodeChangeBatch(const std::vector<AppliedChange>& batch);
-
 /// The Deployment Module: rolls recommendations out to the full cluster with
 /// the production guardrails of Section 5.2.2 — "we only modify the
 /// configuration by a small margin, i.e. decrease or increase the maximum

@@ -356,10 +356,6 @@ Status ConclusionStatus(const ExperimentFabric::FlightConclusion& c) {
 ExperimentFabric::ExperimentFabric(const Options& options)
     : options_(options) {}
 
-std::string ExperimentFabric::EncodeConclusion(const FlightConclusion& c) {
-  return Encode(c);
-}
-
 Status ExperimentFabric::Validate(const std::vector<FlightRequest>& requests,
                                   const Options& options,
                                   const sim::Cluster& cluster) {

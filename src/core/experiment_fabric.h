@@ -183,10 +183,6 @@ class ExperimentFabric {
   static Status Validate(const std::vector<FlightRequest>& requests,
                          const Options& options, const sim::Cluster& cluster);
 
-  /// Encode(c), by the name the FLIGHT_CONCLUDED payload's callers know it
-  /// by (report signatures in tests).
-  static std::string EncodeConclusion(const FlightConclusion& c);
-
  private:
   Options options_;
 };

@@ -400,8 +400,4 @@ StatusOr<GuardrailedRollout::Report> GuardrailedRollout::Execute(
   return report;
 }
 
-std::string GuardrailedRollout::EncodeEvaluation(const GuardrailEvaluation& eval) {
-  return Encode(eval);
-}
-
 }  // namespace kea::core

@@ -203,9 +203,6 @@ class GuardrailedRollout {
     return Execute(recommendations, cluster, store, start_hour, advance, ctx);
   }
 
-  /// Encode(eval), by the name the verdict payload's callers know it by.
-  static std::string EncodeEvaluation(const GuardrailEvaluation& eval);
-
  private:
   Status ValidateOptions() const;
 

@@ -41,30 +41,45 @@ obs::Counter* IrlsIterationsCounter() {
       obs::Registry::Get().GetCounter("whatif.irls_iterations");
   return c;
 }
+obs::Counter* IrlsRowIterationsCounter() {
+  static obs::Counter* c =
+      obs::Registry::Get().GetCounter("whatif.irls_row_iterations");
+  return c;
+}
+obs::Counter* IrlsRowsReweightedCounter() {
+  static obs::Counter* c =
+      obs::Registry::Get().GetCounter("whatif.irls_rows_reweighted");
+  return c;
+}
 
-/// Fits one relationship; a kHuber fit adds its IRLS iterations to
-/// `*irls_iterations`.
-StatusOr<ml::LinearModel> FitPairs(const ml::Dataset& data, RegressorKind kind,
-                                   int* irls_iterations) {
-  if (kind == RegressorKind::kHuber) {
-    int iterations = 0;
-    KEA_ASSIGN_OR_RETURN(ml::LinearModel model,
-                         ml::HuberRegressor().Fit(data, &iterations));
-    *irls_iterations += iterations;
-    return model;
-  }
-  ml::LinearRegressor regressor;
-  return regressor.Fit(data);
+/// One group's IRLS work over its Huber fits.
+struct IrlsWork {
+  uint64_t iterations = 0;      ///< Reweighted solves.
+  uint64_t row_iterations = 0;  ///< Rows times reweighted solves.
+  uint64_t rows_reweighted = 0;  ///< Rows whose weight was recomputed.
+};
+
+/// Fits one relationship from its columns in place; a kHuber fit adds its
+/// IRLS work to `*work`.
+StatusOr<ml::LinearModel> FitPairs(std::span<const double> x, std::span<const double> y,
+                                   RegressorKind kind, IrlsWork* work) {
+  if (kind == RegressorKind::kOls) return ml::LinearRegressor().FitLine(x, y);
+  ml::HuberRegressor::FitStats stats;
+  KEA_ASSIGN_OR_RETURN(ml::LinearModel model, ml::HuberRegressor().FitLine(x, y, &stats));
+  const auto iterations = static_cast<uint64_t>(stats.iterations);
+  work->iterations += iterations;
+  work->row_iterations += iterations * y.size();
+  work->rows_reweighted += stats.rows_reweighted;
+  return model;
 }
 
 /// Fits one machine group's g/h/f models from its columns, which it
-/// consumes, and adds their IRLS iterations to `*irls_iterations`. Returns an
-/// empty optional when the group lacks enough busy observations (skipped,
-/// not an error).
+/// consumes, and adds their IRLS work to `*work`. Returns an empty optional
+/// when the group lacks enough busy observations (skipped, not an error).
 StatusOr<std::optional<GroupModels>> FitGroup(const sim::MachineGroupKey& key,
                                               GroupColumns& columns,
                                               const WhatIfEngine::Options& options,
-                                              int* irls_iterations) {
+                                              IrlsWork* work) {
   std::vector<double>& containers = columns.containers;
   std::vector<double>& util = columns.utilization;
   std::vector<double>& tasks = columns.tasks;
@@ -79,17 +94,14 @@ StatusOr<std::optional<GroupModels>> FitGroup(const sim::MachineGroupKey& key,
   gm.group = key;
   gm.num_machines = static_cast<int>(machines.size());
 
-  // Each relationship's dataset serves its fit and its evaluation.
-  const ml::Dataset g_data = ml::MakeDataset1D(containers, util);
-  const ml::Dataset h_data = ml::MakeDataset1D(util, tasks);
-  const ml::Dataset f_data = ml::MakeDataset1D(util, latency);
-  KEA_ASSIGN_OR_RETURN(gm.g, FitPairs(g_data, options.regressor, irls_iterations));
-  KEA_ASSIGN_OR_RETURN(gm.h, FitPairs(h_data, options.regressor, irls_iterations));
-  KEA_ASSIGN_OR_RETURN(gm.f, FitPairs(f_data, options.regressor, irls_iterations));
+  // Every fit and evaluation reads the columns in place.
+  KEA_ASSIGN_OR_RETURN(gm.g, FitPairs(containers, util, options.regressor, work));
+  KEA_ASSIGN_OR_RETURN(gm.h, FitPairs(util, tasks, options.regressor, work));
+  KEA_ASSIGN_OR_RETURN(gm.f, FitPairs(util, latency, options.regressor, work));
 
-  KEA_ASSIGN_OR_RETURN(gm.g_fit, ml::Evaluate(gm.g, g_data));
-  KEA_ASSIGN_OR_RETURN(gm.h_fit, ml::Evaluate(gm.h, h_data));
-  KEA_ASSIGN_OR_RETURN(gm.f_fit, ml::Evaluate(gm.f, f_data));
+  KEA_ASSIGN_OR_RETURN(gm.g_fit, ml::Evaluate(gm.g, containers, util));
+  KEA_ASSIGN_OR_RETURN(gm.h_fit, ml::Evaluate(gm.h, util, tasks));
+  KEA_ASSIGN_OR_RETURN(gm.f_fit, ml::Evaluate(gm.f, util, latency));
 
   // Median operating point (the large dot of Figure 9). The medians are the
   // columns' last use, so each selects in its column's own storage.
@@ -146,13 +158,13 @@ StatusOr<WhatIfEngine> WhatIfEngine::Fit(const telemetry::TelemetryStore& store,
 
   std::vector<std::optional<GroupModels>> fitted(groups.size());
   std::vector<Status> failures(groups.size(), Status::OK());
-  std::vector<int> irls_iterations(groups.size(), 0);
+  std::vector<IrlsWork> irls(groups.size());
   common::ThreadPool::Run(options.num_threads, groups.size(), [&](size_t i) {
     KEA_TRACE_SPAN("whatif.fit_group",
                    {{"group", sim::GroupLabel(groups[i]->first)},
                     {"records", std::to_string(groups[i]->second.records)}});
     StatusOr<std::optional<GroupModels>> result =
-        FitGroup(groups[i]->first, groups[i]->second, options, &irls_iterations[i]);
+        FitGroup(groups[i]->first, groups[i]->second, options, &irls[i]);
     if (result.ok()) {
       fitted[i] = std::move(result).value();
     } else {
@@ -167,7 +179,9 @@ StatusOr<WhatIfEngine> WhatIfEngine::Fit(const telemetry::TelemetryStore& store,
   for (size_t i = 0; i < groups.size(); ++i) {
     if (fitted[i].has_value()) {
       GroupsFittedCounter()->Increment();
-      IrlsIterationsCounter()->Increment(static_cast<uint64_t>(irls_iterations[i]));
+      IrlsIterationsCounter()->Increment(irls[i].iterations);
+      IrlsRowIterationsCounter()->Increment(irls[i].row_iterations);
+      IrlsRowsReweightedCounter()->Increment(irls[i].rows_reweighted);
       models[groups[i]->first] = std::move(*fitted[i]);
     } else {
       GroupsSkippedCounter()->Increment();

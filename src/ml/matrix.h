@@ -34,6 +34,9 @@ class Matrix {
   double& operator()(size_t r, size_t c) { return data_[r * cols_ + c]; }
   double operator()(size_t r, size_t c) const { return data_[r * cols_ + c]; }
 
+  /// The entries, row by row.
+  const double* data() const { return data_.data(); }
+
   /// Matrix transpose.
   Matrix Transposed() const;
 

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -14,6 +16,30 @@
 namespace kea::ml {
 
 namespace {
+
+/// ValidateDataset for the one-feature design read from columns.
+Status ValidateLineShape(std::span<const double> x, std::span<const double> y) {
+  if (y.empty()) return Status::InvalidArgument("empty dataset");
+  if (x.size() != y.size()) {
+    return Status::InvalidArgument("feature/target row count mismatch");
+  }
+  if (y.size() < 2) return Status::InvalidArgument("fewer observations than parameters");
+  return Status::OK();
+}
+
+/// ValidateFitData for the one-feature design read from columns.
+Status ValidateLine(std::span<const double> x, std::span<const double> y) {
+  KEA_RETURN_IF_ERROR(ValidateLineShape(x, y));
+  for (size_t r = 0; r < y.size(); ++r) {
+    if (!std::isfinite(x[r])) {
+      return Status::InvalidArgument("non-finite feature in row " + std::to_string(r));
+    }
+    if (!std::isfinite(y[r])) {
+      return Status::InvalidArgument("non-finite target in row " + std::to_string(r));
+    }
+  }
+  return Status::OK();
+}
 
 Status ValidateDataset(const Dataset& data) {
   if (data.y.empty()) return Status::InvalidArgument("empty dataset");
@@ -91,9 +117,14 @@ struct LineSums {
   double g00 = 0.0, g01 = 0.0, g11 = 0.0;  ///< Upper triangle of Z'Z.
   double r0 = 0.0, r1 = 0.0;               ///< Z'(sqrt(w) y).
 
+  /// Adds the row of weight w.
   void Add(double x, double y, double w) {
     // sqrt(1.0) is exactly 1.0, so a unit weight skips the root.
-    const double s = w == 1.0 ? 1.0 : std::sqrt(w);
+    AddRoot(x, y, w == 1.0 ? 1.0 : std::sqrt(w));
+  }
+
+  /// Adds the row whose weight's root is s.
+  void AddRoot(double x, double y, double s) {
     const double xs = x * s;
     const double ys = y * s;
     g00 += s == 0.0 ? 0.0 : s * s;
@@ -111,6 +142,14 @@ struct LineSums {
     return SolveNormalEquations(std::move(gram), {r0, r1}, l2);
   }
 };
+
+/// The line's least-squares solve: every row of weight 1.
+StatusOr<LinearModel> SolveLine(std::span<const double> x, std::span<const double> y,
+                                double l2) {
+  LineSums sums;
+  for (size_t r = 0; r < y.size(); ++r) sums.AddRoot(x[r], y[r], 1.0);
+  return sums.Solve(l2);
+}
 
 /// Rows of the design scaled per block of SolveWeighted.
 constexpr size_t kBlockRows = 64;
@@ -165,36 +204,128 @@ StatusOr<LinearModel> SolveWeighted(const Dataset& data, const Vector& weights,
   return SolveNormalEquations(std::move(gram), std::move(rhs), l2);
 }
 
+/// The select key of |v|: fabs clears the sign (-0.0 becomes +0.0), and the
+/// bit patterns of non-negative non-NaN doubles are ordered as their values
+/// are.
+uint64_t AbsKey(double v) { return std::bit_cast<uint64_t>(std::fabs(v)); }
+
 /// MedianAbs in two steps, so that a caller can key each value as it
-/// computes it: Reset, Put every value, then Median.
+/// computes it: Reset, Put every value, then Median. Or in one call, with a
+/// guess of the median: MedianNear.
 class AbsMedian {
  public:
   void Reset(size_t n) {
-    keys_.resize(n);
+    Reserve(n);
+    n_ = n;
     counts_.fill(0);
   }
 
-  /// fabs clears the sign (-0.0 becomes +0.0), and the bit patterns of
-  /// non-negative non-NaN doubles are ordered as their values are.
   void Put(size_t i, double v) {
-    const uint64_t key = std::bit_cast<uint64_t>(std::fabs(v));
+    const uint64_t key = AbsKey(v);
     keys_[i] = key;
     ++counts_[key >> internal::kTopShift];
   }
 
   /// Consumes the keys; Reset before the next use.
   double Median() {
-    const size_t n = keys_.size();
-    if (n == 1) return std::bit_cast<double>(keys_[0]);
-    const auto [lower, upper] = internal::SelectMiddle(keys_.data(), n, n / 2, counts_);
+    if (n_ == 1) return std::bit_cast<double>(keys_[0]);
+    const auto [lower, upper] = internal::SelectMiddle(keys_.get(), n_, n_ / 2, counts_);
+    return Middle(n_, lower, upper);
+  }
+
+  /// MedianAbs of values[0, n). When `near` is within a sixteenth of it,
+  /// one pass keeps the keys in that window, counts the keys below it, and
+  /// selects the middle ranks among the kept keys: rank j of all n keys is
+  /// rank j - below of the window when the window holds it, since every key
+  /// below the window is smaller and every key above it is larger. Any
+  /// other case selects over all n keys.
+  double MedianNear(const double* values, size_t n, double near) {
+    Reserve(n);
+    const size_t k = n / 2;
+    if (near > 0.0 && std::isfinite(near)) {
+      const uint64_t lo = AbsKey(near - near / 16);
+      const uint64_t width = AbsKey(near + near / 16) - lo;
+      size_t below = 0, kept = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t key = AbsKey(values[i]);
+        below += key < lo;
+        keys_[kept] = key;
+        kept += key - lo < width;
+      }
+      if (below < k && k < below + kept) {
+        uint64_t* window = keys_.get();
+        const size_t j = k - below;
+        std::nth_element(window, window + j, window + kept);
+        return Middle(n, *std::max_element(window, window + j), window[j]);
+      }
+    }
+    Reset(n);
+    for (size_t i = 0; i < n; ++i) Put(i, values[i]);
+    return Median();
+  }
+
+ private:
+  void Reserve(size_t n) {
+    // Every key is written before it is read, so the buffer is not zeroed.
+    if (capacity_ < n) {
+      keys_ = std::make_unique_for_overwrite<uint64_t[]>(n);
+      capacity_ = n;
+    }
+  }
+
+  /// The median of n values from the keys of ranks n/2 - 1 and n/2.
+  static double Middle(size_t n, uint64_t lower, uint64_t upper) {
     const double m = std::bit_cast<double>(upper);
     return n % 2 == 0 ? 0.5 * (m + std::bit_cast<double>(lower)) : m;
   }
 
- private:
-  std::vector<uint64_t> keys_;
+  std::unique_ptr<uint64_t[]> keys_;
+  size_t capacity_ = 0, n_ = 0;
   internal::DigitCounts counts_{};
 };
+
+/// The least select key (AbsKey) of an outlier: a residual r is an outlier,
+/// !(fl(|r| / scale) <= delta), exactly when AbsKey(r) >= the bound. For a
+/// fixed scale > 0, correctly rounded division is monotone in |r|, and keys
+/// are ordered as the values, so the inliers' keys are a prefix of the keys
+/// [0, AbsKey(+inf)]. (+inf / +inf is NaN, an outlier, and +inf's key is the
+/// largest.) The search gallops out from the key of delta * scale, which
+/// lies within a few ulps of the bound, then bisects: a handful of
+/// divisions per iteration, whatever the row count.
+uint64_t OutlierKeyBound(double scale, double delta) {
+  const uint64_t inf_key = AbsKey(std::numeric_limits<double>::infinity());
+  const auto inlier = [scale, delta](uint64_t key) {
+    return std::bit_cast<double>(key) / scale <= delta;
+  };
+  if (!inlier(0)) return 0;
+  if (inlier(inf_key)) return inf_key + 1;
+  uint64_t lo = 0, hi = inf_key;  // An inlier's key and an outlier's.
+  const uint64_t guess = std::min(std::bit_cast<uint64_t>(delta * scale), inf_key);
+  if (inlier(guess)) {
+    lo = guess;
+    for (uint64_t step = 1; hi - lo > step; step *= 2) {
+      if (!inlier(lo + step)) {
+        hi = lo + step;
+        break;
+      }
+      lo += step;
+    }
+  } else {
+    hi = guess;
+    for (uint64_t step = 1; hi - lo > step; step *= 2) {
+      if (inlier(hi - step)) {
+        lo = hi - step;
+        break;
+      }
+      hi -= step;
+    }
+  }
+  while (hi - lo > 1) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    (inlier(mid) ? lo : hi) = mid;
+  }
+  return hi;
+}
 
 /// With finite data a fitted model is non-finite only when the normal
 /// equations overflowed. No fit returns such a model, and IRLS stops at one:
@@ -253,8 +384,17 @@ StatusOr<double> LinearModel::Invert1D(double y) const {
 }
 
 StatusOr<LinearModel> LinearRegressor::Fit(const Dataset& data) const {
+  if (data.x.cols() == 1) return FitLine(std::span(data.x.data(), data.x.rows()), data.y);
   Vector ones(data.y.size(), 1.0);
   return FitWeighted(data, ones);
+}
+
+StatusOr<LinearModel> LinearRegressor::FitLine(std::span<const double> x,
+                                               std::span<const double> y) const {
+  KEA_RETURN_IF_ERROR(ValidateLine(x, y));
+  KEA_ASSIGN_OR_RETURN(LinearModel model, SolveLine(x, y, l2_));
+  KEA_RETURN_IF_ERROR(CheckFinite(model));
+  return model;
 }
 
 StatusOr<LinearModel> LinearRegressor::FitWeighted(const Dataset& data,
@@ -268,6 +408,13 @@ StatusOr<LinearModel> LinearRegressor::FitWeighted(const Dataset& data,
 }
 
 StatusOr<LinearModel> HuberRegressor::Fit(const Dataset& data, int* iterations) const {
+  if (data.x.cols() == 1) {
+    FitStats stats;
+    KEA_ASSIGN_OR_RETURN(LinearModel model,
+                         FitLine(std::span(data.x.data(), data.x.rows()), data.y, &stats));
+    if (iterations != nullptr) *iterations = stats.iterations;
+    return model;
+  }
   KEA_RETURN_IF_ERROR(ValidateFitData(data));
   const size_t n = data.y.size();
   const size_t d = data.x.cols();
@@ -296,22 +443,13 @@ StatusOr<LinearModel> HuberRegressor::Fit(const Dataset& data, int* iterations) 
     if (scale < 1e-12) scale = 1e-12;
 
     double max_weight_change = 0.0;
-    auto reweight = [&](size_t r) {
+    for (size_t r = 0; r < n; ++r) {
       const double z = std::fabs(residuals[r]) / scale;
       const double w = z <= delta ? 1.0 : delta / z;
       max_weight_change = std::max(max_weight_change, std::fabs(w - weights[r]));
       weights[r] = w;
-      return w;
-    };
-    if (d == 1) {
-      // The two-column design reweights and sums in one pass.
-      LineSums sums;
-      for (size_t r = 0; r < n; ++r) sums.Add(data.x(r, 0), data.y[r], reweight(r));
-      KEA_ASSIGN_OR_RETURN(model, sums.Solve(options_.l2));
-    } else {
-      for (size_t r = 0; r < n; ++r) reweight(r);
-      KEA_ASSIGN_OR_RETURN(model, SolveWeighted(data, weights, options_.l2, &block));
     }
+    KEA_ASSIGN_OR_RETURN(model, SolveWeighted(data, weights, options_.l2, &block));
     ++reweighted;
     if (max_weight_change < options_.tolerance) break;
   }
@@ -320,27 +458,125 @@ StatusOr<LinearModel> HuberRegressor::Fit(const Dataset& data, int* iterations) 
   return model;
 }
 
-StatusOr<RegressionMetrics> Evaluate(const LinearModel& model, const Dataset& data) {
-  KEA_RETURN_IF_ERROR(ValidateDataset(data));
-  KEA_ASSIGN_OR_RETURN(Vector pred, model.PredictBatch(data.x));
+StatusOr<LinearModel> HuberRegressor::FitLine(std::span<const double> x,
+                                              std::span<const double> y,
+                                              FitStats* stats) const {
+  KEA_RETURN_IF_ERROR(ValidateLine(x, y));
+  const size_t n = y.size();
+  if (n > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("more rows than the line kernel indexes");
+  }
+  const double delta = options_.delta;
+  KEA_ASSIGN_OR_RETURN(LinearModel model, SolveLine(x, y, options_.l2));
+  // The fit's per-row state. Only weights and roots are read before they are
+  // written; every row's starts at 1. Rows outside outliers[0, outlier_count),
+  // the last iteration's outliers, keep weight and root 1.
+  Vector weights(n, 1.0), roots(n, 1.0);
+  const auto residuals = std::make_unique_for_overwrite<double[]>(n);
+  auto outliers = std::make_unique_for_overwrite<uint32_t[]>(n);
+  auto next_outliers = std::make_unique_for_overwrite<uint32_t[]>(n);
+  size_t outlier_count = 0;
+  AbsMedian median;
+  double mad = 0.0;
+  FitStats done;
+  for (int iter = 0; iter < options_.max_iterations; ++iter) {
+    KEA_RETURN_IF_ERROR(CheckFinite(model));
+    // Residuals of the current model, summed exactly as LinearModel::Predict
+    // sums one feature.
+    const double b0 = model.intercept(), b1 = model.coefficients()[0];
+    for (size_t r = 0; r < n; ++r) {
+      double dot = 0.0;
+      dot += x[r] * b1;
+      residuals[r] = y[r] - (b0 + dot);
+    }
+    // Robust scale: MAD / 0.6745 (consistent with sigma under normality).
+    // After the first solve the MAD moves by well under 1% an iteration, so
+    // the last one guesses the next.
+    mad = median.MedianNear(residuals.get(), n, mad);
+    double scale = mad / 0.6745;
+    if (scale < 1e-12) scale = 1e-12;
+    const uint64_t bound = OutlierKeyBound(scale, delta);
 
+    // A row that is an inlier now and was one before keeps weight and root 1,
+    // and its weight change, 0, leaves the maximum as it is. The last
+    // iteration's outliers that are inliers now go back to 1; the rows that
+    // are outliers now get weight delta / z, as the loop of Fit weighs them.
+    double max_weight_change = 0.0;
+    for (size_t i = 0; i < outlier_count; ++i) {
+      const uint32_t r = outliers[i];
+      if (AbsKey(residuals[r]) >= bound) continue;
+      max_weight_change = std::max(max_weight_change, std::fabs(1.0 - weights[r]));
+      weights[r] = 1.0;
+      roots[r] = 1.0;
+      ++done.rows_reweighted;
+    }
+    outlier_count = 0;
+    for (size_t r = 0; r < n; ++r) {
+      next_outliers[outlier_count] = static_cast<uint32_t>(r);
+      outlier_count += AbsKey(residuals[r]) >= bound;
+    }
+    std::swap(outliers, next_outliers);
+    for (size_t i = 0; i < outlier_count; ++i) {
+      const uint32_t r = outliers[i];
+      const double w = delta / (std::fabs(residuals[r]) / scale);
+      max_weight_change = std::max(max_weight_change, std::fabs(w - weights[r]));
+      weights[r] = w;
+      roots[r] = std::sqrt(w);
+    }
+    done.rows_reweighted += outlier_count;
+
+    LineSums sums;
+    for (size_t r = 0; r < n; ++r) sums.AddRoot(x[r], y[r], roots[r]);
+    KEA_ASSIGN_OR_RETURN(model, sums.Solve(options_.l2));
+    ++done.iterations;
+    if (max_weight_change < options_.tolerance) break;
+  }
+  KEA_RETURN_IF_ERROR(CheckFinite(model));
+  if (stats != nullptr) *stats = done;
+  return model;
+}
+
+namespace {
+
+/// Goodness of fit of the predictions predict(i) of y[i].
+template <typename Predict>
+RegressionMetrics MetricsOf(std::span<const double> y, Predict predict) {
   double mean_y = 0.0;
-  for (double v : data.y) mean_y += v;
-  mean_y /= static_cast<double>(data.y.size());
+  for (double v : y) mean_y += v;
+  mean_y /= static_cast<double>(y.size());
 
   double ss_res = 0.0, ss_tot = 0.0, abs_sum = 0.0;
-  for (size_t i = 0; i < data.y.size(); ++i) {
-    double e = data.y[i] - pred[i];
+  for (size_t i = 0; i < y.size(); ++i) {
+    double e = y[i] - predict(i);
     ss_res += e * e;
     abs_sum += std::fabs(e);
-    double d = data.y[i] - mean_y;
+    double d = y[i] - mean_y;
     ss_tot += d * d;
   }
   RegressionMetrics m;
-  m.rmse = std::sqrt(ss_res / static_cast<double>(data.y.size()));
-  m.mae = abs_sum / static_cast<double>(data.y.size());
+  m.rmse = std::sqrt(ss_res / static_cast<double>(y.size()));
+  m.mae = abs_sum / static_cast<double>(y.size());
   m.r2 = ss_tot > 0.0 ? 1.0 - ss_res / ss_tot : (ss_res == 0.0 ? 1.0 : 0.0);
   return m;
+}
+
+}  // namespace
+
+StatusOr<RegressionMetrics> Evaluate(const LinearModel& model, const Dataset& data) {
+  KEA_RETURN_IF_ERROR(ValidateDataset(data));
+  KEA_ASSIGN_OR_RETURN(Vector pred, model.PredictBatch(data.x));
+  return MetricsOf(data.y, [&pred](size_t i) { return pred[i]; });
+}
+
+StatusOr<RegressionMetrics> Evaluate(const LinearModel& model, std::span<const double> x,
+                                     std::span<const double> y) {
+  KEA_RETURN_IF_ERROR(ValidateLineShape(x, y));
+  if (model.coefficients().size() != 1) {
+    return Status::InvalidArgument("feature width mismatch in Evaluate");
+  }
+  // Each prediction summed as PredictBatch sums one feature.
+  const double b0 = model.intercept(), b1 = model.coefficients()[0];
+  return MetricsOf(y, [&](size_t i) { return b0 + x[i] * b1; });
 }
 
 Dataset MakeDataset1D(const Vector& x, const Vector& y) {

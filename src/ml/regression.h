@@ -1,6 +1,8 @@
 #ifndef KEA_ML_REGRESSION_H_
 #define KEA_ML_REGRESSION_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -59,8 +61,12 @@ class LinearRegressor {
   /// Fits the model. Returns InvalidArgument if the dataset is empty, shapes
   /// mismatch or an entry of x or y is NaN or infinite; FailedPrecondition if
   /// the system is singular or the data overflow the normal equations, so
-  /// the fitted model would not be finite.
+  /// the fitted model would not be finite. One feature takes FitLine.
   StatusOr<LinearModel> Fit(const Dataset& data) const;
+
+  /// Fit of the one-feature design [1 | x] read from the columns in place;
+  /// errors as Fit.
+  StatusOr<LinearModel> FitLine(std::span<const double> x, std::span<const double> y) const;
 
   /// Weighted fit; `weights` must be finite and non-negative, one per
   /// observation.
@@ -89,13 +95,32 @@ class HuberRegressor {
     double l2 = 0.0;
   };
 
+  /// What one IRLS fit did.
+  struct FitStats {
+    int iterations = 0;  ///< Reweighted solves run (at most max_iterations).
+    /// Rows whose weight was recomputed, summed over the iterations: the
+    /// rows that were outliers in the iteration or in the one before it.
+    uint64_t rows_reweighted = 0;
+  };
+
   explicit HuberRegressor() : options_(Options()) {}
   explicit HuberRegressor(const Options& options) : options_(options) {}
 
   /// Fits the model; error conditions match LinearRegressor::Fit. When
   /// `iterations` is not null, a successful fit stores the number of
-  /// reweighted solves it ran there (at most max_iterations).
+  /// reweighted solves it ran there (at most max_iterations). One feature
+  /// takes FitLine.
   StatusOr<LinearModel> Fit(const Dataset& data, int* iterations = nullptr) const;
+
+  /// IRLS on the one-feature design [1 | x], read from the columns in place:
+  /// the kernel the What-if Engine's fits run. Bit for bit the iterations
+  /// of Fit's multi-feature loop; per iteration it recomputes the weight of
+  /// only the rows that are outliers now or were in the iteration before
+  /// (DESIGN.md "Fit hot path"). Errors as Fit, and InvalidArgument above
+  /// 2^32 - 1 rows. When `stats` is not null, a successful fit stores what
+  /// it did there.
+  StatusOr<LinearModel> FitLine(std::span<const double> x, std::span<const double> y,
+                                FitStats* stats = nullptr) const;
 
  private:
   Options options_;
@@ -110,6 +135,11 @@ struct RegressionMetrics {
 
 /// Evaluates `model` on `data`.
 StatusOr<RegressionMetrics> Evaluate(const LinearModel& model, const Dataset& data);
+
+/// Evaluates a 1-D `model` on the columns (x, y) in place, bit for bit as
+/// Evaluate on MakeDataset1D(x, y).
+StatusOr<RegressionMetrics> Evaluate(const LinearModel& model, std::span<const double> x,
+                                     std::span<const double> y);
 
 /// Median of |values|, the robust residual scale (MAD) of the Huber fit: for
 /// an even count, 0.5 * (upper middle + lower middle). Exact: a radix select

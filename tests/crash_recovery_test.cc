@@ -87,7 +87,7 @@ std::string ReportSignature(const core::GuardrailedRollout::Report& report) {
     w.PutU64(wave.machines_changed);
     w.PutI64(wave.observe_begin);
     w.PutI64(wave.observe_end);
-    w.PutString(core::GuardrailedRollout::EncodeEvaluation(wave.eval));
+    w.PutString(Encode(wave.eval));
     w.PutBool(wave.passed);
   }
   return w.Release();
@@ -170,7 +170,7 @@ Operation UnguardedRoundThenRollback() {
                 session.RunYarnTuningRound(YarnConfigTuner::Options(),
                                            kPreludeHours, 1));
             return CallResult{PlanSignature(round.plan) +
-                              core::EncodeChangeBatch(round.applied)};
+                              Encode(round.applied)};
           },
           [](KeaSession& session) -> StatusOr<CallResult> {
             KEA_RETURN_IF_ERROR(session.RollbackLastDeployment());
@@ -482,7 +482,7 @@ TEST(CrashRecoveryTest, ResumedUnguardedRoundAppliesTheRecordedBatch) {
     ASSERT_TRUE(round.ok()) << round.status();
     ASSERT_FALSE(round->applied.empty());
     ledger_csv = session->ledger()->AppliedChangesCsv();
-    applied = core::EncodeChangeBatch(round->applied);
+    applied = Encode(round->applied);
   }
   PutBackCheckpointFiles(dir, pre_round);
 
@@ -493,7 +493,7 @@ TEST(CrashRecoveryTest, ResumedUnguardedRoundAppliesTheRecordedBatch) {
   auto rerun = s.RunYarnTuningRound(YarnConfigTuner::Options(),
                                     sim::kHoursPerWeek, 2);
   ASSERT_TRUE(rerun.ok()) << rerun.status();
-  EXPECT_EQ(core::EncodeChangeBatch(rerun->applied), applied);
+  EXPECT_EQ(Encode(rerun->applied), applied);
   EXPECT_EQ(s.ledger()->AppliedChangesCsv(), ledger_csv);
 
   // Every group of the recorded batch holds its recorded target.
@@ -743,8 +743,8 @@ TEST(CrashRecoveryTest, DurableUnguardedRoundMatchesPlainRound) {
     ASSERT_TRUE(p.ok()) << p.status();
     ASSERT_TRUE(d.ok()) << d.status();
     EXPECT_EQ(PlanSignature(p->plan), PlanSignature(d->plan));
-    EXPECT_EQ(core::EncodeChangeBatch(p->applied),
-              core::EncodeChangeBatch(d->applied));
+    EXPECT_EQ(Encode(p->applied),
+              Encode(d->applied));
     EXPECT_EQ(p->fit_begin, d->fit_begin);
     EXPECT_EQ(p->fit_end, d->fit_end);
     expect_same_world();

@@ -10,6 +10,7 @@
 
 #include "common/crash_point.h"
 #include "common/csv.h"
+#include "common/snapshot.h"
 #include "core/deployment_ledger.h"
 #include "obs/metrics.h"
 
@@ -221,11 +222,11 @@ TEST(DeploymentTest, LegacyModuleEventsStillOpenAndListGroupRows) {
     auto ledger = std::move(DeploymentLedger::Open(path)).value();
     ASSERT_TRUE(ledger
                     ->Append(DeploymentLedger::EventType::kApply,
-                             "module/apply/0", EncodeChangeBatch({change}))
+                             "module/apply/0", Encode(std::vector<AppliedChange>{change}))
                     .ok());
     ASSERT_TRUE(ledger
                     ->Append(DeploymentLedger::EventType::kModuleRollback,
-                             "module/rollback/0", EncodeChangeBatch({change}))
+                             "module/rollback/0", Encode(std::vector<AppliedChange>{change}))
                     .ok());
   }
   auto reopened = DeploymentLedger::Open(path);

@@ -201,7 +201,7 @@ std::string FabricReportSignature(const ExperimentFabric::Report& report) {
   w.PutI64(report.end_hour);
   w.PutU64(report.flights.size());
   for (const auto& c : report.flights) {
-    w.PutString(ExperimentFabric::EncodeConclusion(c));
+    w.PutString(Encode(c));
   }
   return w.Release();
 }
@@ -789,10 +789,10 @@ TEST(ExperimentFabricTest, ConclusionCodecRoundTrips) {
 
   ExperimentFabric::FlightConclusion back;
   ASSERT_TRUE(Decode(
-                  ExperimentFabric::EncodeConclusion(c), &back)
+                  Encode(c), &back)
                   .ok());
-  EXPECT_EQ(ExperimentFabric::EncodeConclusion(back),
-            ExperimentFabric::EncodeConclusion(c));
+  EXPECT_EQ(Encode(back),
+            Encode(c));
   EXPECT_EQ(back.name, "codec");
   EXPECT_EQ(back.racks, c.racks);
   ASSERT_EQ(back.arms.size(), 3u);

@@ -175,7 +175,7 @@ std::string ReportSignature(const ExperimentFabric::Report& report) {
   w.PutI64(report.end_hour);
   w.PutU64(report.flights.size());
   for (const auto& c : report.flights) {
-    w.PutString(ExperimentFabric::EncodeConclusion(c));
+    w.PutString(Encode(c));
   }
   return w.Release();
 }

@@ -8,7 +8,10 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <span>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -496,6 +499,266 @@ TEST(LinearRegressorTest, RefusesAModelThatOverflows) {
   EXPECT_EQ(fit.message().find("Huber"), std::string::npos) << fit.message();
   EXPECT_EQ(LinearRegressor().FitWeighted(data, Vector{1.0, 0.5, 2.0, 1.0}).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+
+// ---------------------------------------------------------------------------
+// The one-feature kernel, HuberRegressor::FitLine, against ReferenceHuber,
+// which classifies every row in every iteration: the coefficients bit for
+// bit, the iteration count, and the rows the kernel reweighted. The Dataset
+// entry point delegates to the kernel and must agree too.
+
+std::span<const double> Column(const Dataset& data) {
+  return std::span(data.x.data(), data.x.rows());
+}
+
+/// Fits `data` through both entry points and expects the reference's model,
+/// iterations and reweighted rows; returns the reference's counts.
+ReferenceIrlsStats ExpectKernelMatchesReference(const Dataset& data,
+                                                const HuberRegressor::Options& options) {
+  ReferenceIrlsStats want;
+  const StatusOr<LinearModel> reference = ReferenceHuber(data, options, &want);
+  HuberRegressor::FitStats got;
+  ExpectSameFit(HuberRegressor(options).FitLine(Column(data), data.y, &got), reference);
+  int iterations = -1;
+  ExpectSameFit(HuberRegressor(options).Fit(data, &iterations), reference);
+  if (reference.ok()) {
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(iterations, want.iterations);
+    EXPECT_EQ(got.rows_reweighted, want.rows_reweighted);
+  }
+  return want;
+}
+
+/// The first iteration's residuals of the least-squares line and their
+/// robust scale, computed as the kernel computes them.
+std::pair<Vector, double> FirstResiduals(const Dataset& data) {
+  const LinearModel ols = ReferenceWls(data, Vector(data.size(), 1.0), 0.0).model.value();
+  Vector residuals(data.size());
+  for (size_t r = 0; r < data.size(); ++r) {
+    residuals[r] = data.y[r] - ols.Predict({data.x(r, 0)});
+  }
+  return {residuals, std::max(ReferenceMedianAbs(residuals) / 0.6745, 1e-12)};
+}
+
+TEST(LineKernelTest, ResidualOnTheInlierBoundaryAndOneUlpEitherSide) {
+  // delta = fl(|r| / scale) of one row's first residual puts that row exactly
+  // on the boundary (an inlier); one ulp of delta below makes it an outlier,
+  // one ulp above leaves it an inlier with the next row's ratio in reach.
+  // The scale is below 1 on one dataset and far above it on the other, so
+  // the division both spreads and merges neighbouring residuals.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double noise : {0.05, 40.0}) {
+    Rng rng(41);
+    Dataset data = NoisyLine(1.0, 2.0, 201, noise, &rng);
+    for (size_t i = 0; i < data.size(); i += 10) data.y[i] += 8.0 * noise;
+    const auto [residuals, scale] = FirstResiduals(data);
+    for (size_t row : {3, 50, 120, 170}) {
+      const double z = std::fabs(residuals[row]) / scale;
+      for (double delta : {z, std::nextafter(z, 0.0), std::nextafter(z, inf)}) {
+        SCOPED_TRACE("noise=" + std::to_string(noise) + " row=" + std::to_string(row) +
+                     " delta=" + std::to_string(delta));
+        HuberRegressor::Options options;
+        options.delta = delta;
+        ExpectKernelMatchesReference(data, options);
+      }
+    }
+  }
+}
+
+TEST(LineKernelTest, RowsThatFlipClassAndFlipBack) {
+  // A quarter of the targets lifted by 2 to 6 noise widths sit near the
+  // boundary: as the model and the scale move, some cross it one way and
+  // later the other. A tight tolerance runs enough iterations to see it.
+  for (uint64_t seed : {43, 58}) {
+    Rng rng(seed);
+    Dataset data = NoisyLine(0.5, -1.5, 2000, 1.0, &rng);
+    for (size_t i = 0; i < data.size(); i += 4) data.y[i] += rng.Uniform(2.0, 6.0);
+    for (double l2 : {0.0, 3.0}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) + " l2=" + std::to_string(l2));
+      HuberRegressor::Options options;
+      options.l2 = l2;
+      options.tolerance = 1e-10;
+      const ReferenceIrlsStats want = ExpectKernelMatchesReference(data, options);
+      EXPECT_GT(want.rows_flipped_back, 0u);
+    }
+  }
+}
+
+TEST(LineKernelTest, MostRowsOutliers) {
+  // A small delta makes most rows outliers, and so does a moderate one when
+  // 60% of the targets are contaminated: the outlier lists hold most rows.
+  Rng rng(43);
+  Dataset line = NoisyLine(2.0, 1.0, 301, 0.5, &rng);
+  Dataset contaminated = line;
+  for (size_t i = 0; i < contaminated.size(); ++i) {
+    if (rng.Uniform(0.0, 1.0) < 0.6) contaminated.y[i] += rng.Uniform(-30.0, 30.0);
+  }
+  for (const auto& [data, delta] : {std::pair(line, 0.2), std::pair(contaminated, 0.5)}) {
+    SCOPED_TRACE("delta=" + std::to_string(delta));
+    HuberRegressor::Options options;
+    options.delta = delta;
+    const ReferenceIrlsStats want = ExpectKernelMatchesReference(data, options);
+    EXPECT_GT(want.outlier_rows, static_cast<uint64_t>(want.iterations) * data.size() / 2);
+  }
+}
+
+TEST(LineKernelTest, ScaleThatStaysOrJumpsBetweenIterations) {
+  // From the second iteration on, the kernel selects the MAD among the keys
+  // within a sixteenth of the last MAD, and over all keys when the window
+  // misses the middle ranks. One-sided contamination moves the scale by far
+  // more than that after the first solve; a clean line barely moves it.
+  for (const auto& [fraction, shift] : {std::pair(0.1, 20.0), std::pair(0.2, 5.0),
+                                        std::pair(0.0, 0.0)}) {
+    SCOPED_TRACE("fraction=" + std::to_string(fraction));
+    Rng rng(60);
+    Dataset data = NoisyLine(1.0, 2.0, 400, 0.5, &rng);
+    for (size_t i = 0; i < data.size(); ++i) {
+      if (rng.Uniform(0.0, 1.0) < fraction) data.y[i] += shift;
+    }
+    const ReferenceIrlsStats want =
+        ExpectKernelMatchesReference(data, HuberRegressor::Options());
+    ASSERT_GE(want.iterations, 2);
+    if (fraction > 0.0) {
+      EXPECT_GT(want.max_scale_step, 1.0 / 16);
+    } else {
+      EXPECT_LT(want.max_scale_step, 1.0 / 64);
+    }
+  }
+}
+
+TEST(LineKernelTest, ZeroResidualsClampTheScale) {
+  // All-zero targets fit the zero model exactly; every residual is zero and
+  // the scale takes its 1e-12 floor. A constant target and an exact line
+  // leave residuals at rounding level, around that floor.
+  Vector x(15), zeros(15, 0.0), constant(15, -7.25), exact(15);
+  for (size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<double>(i) - 4.0;
+    exact[i] = 3.0 + 0.5 * x[i];
+  }
+  for (const Vector* y : {&zeros, &constant, &exact}) {
+    for (double l2 : {0.0, 0.5}) {
+      HuberRegressor::Options options;
+      options.l2 = l2;
+      ExpectKernelMatchesReference(MakeDataset1D(x, *y), options);
+    }
+  }
+}
+
+TEST(LineKernelTest, ZeroFeaturesAndTargetsTakeTheZeroSkips) {
+  // Rows with x = +-0 or y = +-0, some of them outliers, so that a scaled
+  // zero meets a root below 1 in every skipped product.
+  Rng rng(44);
+  Dataset data = NoisyLine(4.0, 1.5, 120, 0.3, &rng);
+  for (size_t i = 0; i < data.size(); i += 6) data.x(i, 0) = i % 12 == 0 ? 0.0 : -0.0;
+  for (size_t i = 2; i < data.size(); i += 9) data.y[i] = i % 18 == 2 ? 0.0 : -0.0;
+  for (size_t i = 5; i < data.size(); i += 30) data.x(i, 0) = data.y[i] = 0.0;
+  for (double l2 : {0.0, 1.0}) {
+    HuberRegressor::Options options;
+    options.l2 = l2;
+    const ReferenceIrlsStats want = ExpectKernelMatchesReference(data, options);
+    EXPECT_GT(want.outlier_rows, 0u);
+  }
+}
+
+TEST(LineKernelTest, SmallOddAndEvenRowCounts) {
+  Rng rng(45);
+  for (size_t n : {2, 3, 4, 5, 100, 101, 1000, 1001}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Dataset data = NoisyLine(-1.0, 0.25, n, 0.4, &rng);
+    for (size_t i = 1; i < n; i += 7) data.y[i] += 6.0;
+    ExpectKernelMatchesReference(data, HuberRegressor::Options());
+  }
+}
+
+TEST(LineKernelTest, FitsOfEverySizeInTurn) {
+  // Consecutive fits of different sizes and outlier sets on one thread, and
+  // each again after the others: no fit sees another's state.
+  Rng rng(46);
+  std::vector<Dataset> datasets;
+  for (size_t n : {3000, 40, 3000, 7, 511}) {
+    Dataset data = NoisyLine(1.0, 1.0, n, 0.2, &rng);
+    for (size_t i = 0; i < n; i += 3) data.y[i] += rng.Uniform(-20.0, 20.0);
+    datasets.push_back(std::move(data));
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Dataset& data : datasets) {
+      ExpectKernelMatchesReference(data, HuberRegressor::Options());
+    }
+  }
+}
+
+TEST(LineKernelTest, LeastSquaresLineIsTheFirstSolve) {
+  Rng rng(47);
+  Dataset data = NoisyLine(2.0, -0.5, 257, 0.7, &rng);
+  for (size_t i = 0; i < data.size(); i += 11) data.y[i] = 0.0;
+  for (double l2 : {0.0, 2.5}) {
+    const ReferenceFit want = ReferenceWls(data, Vector(data.size(), 1.0), l2);
+    ExpectSameFit(LinearRegressor(l2).FitLine(Column(data), data.y), want.model);
+    ExpectSameFit(LinearRegressor(l2).Fit(data), want.model);
+    HuberRegressor::Options options;
+    options.l2 = l2;
+    options.max_iterations = 0;
+    HuberRegressor::FitStats stats;
+    ExpectSameFit(HuberRegressor(options).FitLine(Column(data), data.y, &stats), want.model);
+    EXPECT_EQ(stats.iterations, 0);
+    EXPECT_EQ(stats.rows_reweighted, 0u);
+  }
+}
+
+TEST(LineKernelTest, RefusesOverflowNonFiniteAndShapeErrors) {
+  const Vector big_x = {1e200, -3e200, 2e200, 5e199}, y4 = {1.0, 2.0, 3.0, 4.0};
+  EXPECT_EQ(HuberRegressor().FitLine(big_x, y4).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(LinearRegressor().FitLine(big_x, y4).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(48);
+  const Dataset clean = NoisyLine(1.0, 2.0, 30, 0.1, &rng);
+  const Vector x(Column(clean).begin(), Column(clean).end());
+  Vector bad_x = x, bad_y = clean.y;
+  bad_x[4] = nan;
+  bad_y[7] = -inf;
+  using Case = std::tuple<const Vector*, const Vector*, std::string>;
+  for (const auto& [fx, fy, message] :
+       {Case(&bad_x, &clean.y, "non-finite feature in row 4"),
+        Case(&x, &bad_y, "non-finite target in row 7")}) {
+    for (const Status& status : {HuberRegressor().FitLine(*fx, *fy).status(),
+                                 LinearRegressor().FitLine(*fx, *fy).status(),
+                                 HuberRegressor().Fit(MakeDataset1D(*fx, *fy)).status()}) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(status.message(), message);
+    }
+  }
+  const Vector one = {1.0}, two = {1.0, 2.0}, none;
+  EXPECT_EQ(HuberRegressor().FitLine(none, none).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(HuberRegressor().FitLine(one, one).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(HuberRegressor().FitLine(one, two).status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(LineKernelTest, ColumnEvaluateMatchesDatasetEvaluate) {
+  Rng rng(49);
+  Dataset noisy = NoisyLine(3.0, -1.0, 333, 0.6, &rng);
+  for (size_t i = 0; i < noisy.size(); i += 8) noisy.y[i] = i % 16 == 0 ? 0.0 : -0.0;
+  for (size_t i = 4; i < noisy.size(); i += 10) noisy.x(i, 0) = -0.0;
+  const Dataset flat = MakeDataset1D({1.0, 2.0, 3.0}, {5.0, 5.0, 5.0});
+  for (const Dataset& data : {noisy, flat}) {
+    for (const LinearModel& model :
+         {HuberRegressor().Fit(data).value(), LinearModel(-0.0, {0.0}), LinearModel(5.0, {-0.0})}) {
+      const RegressionMetrics got = Evaluate(model, Column(data), data.y).value();
+      const RegressionMetrics want = Evaluate(model, data).value();
+      EXPECT_EQ(Bits(got.r2), Bits(want.r2));
+      EXPECT_EQ(Bits(got.rmse), Bits(want.rmse));
+      EXPECT_EQ(Bits(got.mae), Bits(want.mae));
+    }
+  }
+  EXPECT_EQ(Evaluate(LinearModel(0.0, {1.0, 2.0}), Column(noisy), noisy.y).status().code(),
+            StatusCode::kInvalidArgument);
+  const Vector one = {1.0};
+  EXPECT_EQ(Evaluate(LinearModel(0.0, {1.0}), one, one).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -111,7 +111,7 @@ std::string ReportSignature(const core::GuardrailedRollout::Report& report) {
     w.PutU64(wave.machines_changed);
     w.PutI64(wave.observe_begin);
     w.PutI64(wave.observe_end);
-    w.PutString(core::GuardrailedRollout::EncodeEvaluation(wave.eval));
+    w.PutString(Encode(wave.eval));
     w.PutBool(wave.passed);
   }
   return w.Release();
@@ -163,7 +163,7 @@ RoundCall UnguardedRound() {
     KEA_ASSIGN_OR_RETURN(
         KeaSession::TuningRound round,
         session.RunYarnTuningRound(YarnConfigTuner::Options(), kPreludeHours, 1));
-    return core::EncodeChangeBatch(round.applied);
+    return Encode(round.applied);
   };
 }
 

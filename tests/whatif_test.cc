@@ -489,5 +489,41 @@ TEST(WhatIfEngineTest, IrlsIterationCounterIsThreadInvariant) {
   }
 }
 
+TEST(WhatIfEngineTest, IrlsRowCountersAreThreadInvariant) {
+#ifdef KEA_OBS_DISABLED
+  GTEST_SKIP() << "observability compiled out (KEA_OBS=OFF)";
+#endif
+  // whatif.irls_rows_reweighted and whatif.irls_row_iterations add every
+  // Huber fit's kernel counts during the single-threaded assembly: the same
+  // totals at any thread count, equal to the groups' own fits. The kernel
+  // recomputes the weight of the outliers only, a minority of the rows.
+  WhatIfFixture fx;
+  uint64_t want_rows = 0, want_row_iterations = 0;
+  for (const auto& [key, c] : ColumnsByGroup(fx.store, nullptr)) {
+    for (const auto& [x, y] : {std::pair(&c.containers, &c.util), std::pair(&c.util, &c.tasks),
+                               std::pair(&c.util, &c.latency)}) {
+      ml::HuberRegressor::FitStats stats;
+      ASSERT_TRUE(ml::HuberRegressor().FitLine(*x, *y, &stats).ok());
+      want_rows += stats.rows_reweighted;
+      want_row_iterations += static_cast<uint64_t>(stats.iterations) * x->size();
+    }
+  }
+  EXPECT_GT(want_rows, 0u);
+  EXPECT_LT(want_rows, want_row_iterations / 2);
+  obs::Registry& registry = obs::Registry::Get();
+  for (int threads : {1, 4, 8}) {
+    WhatIfEngine::Options options;
+    options.num_threads = threads;
+    const uint64_t rows = registry.CounterValue("whatif.irls_rows_reweighted");
+    const uint64_t row_iterations = registry.CounterValue("whatif.irls_row_iterations");
+    ASSERT_TRUE(WhatIfEngine::Fit(fx.store, nullptr, options).ok());
+    EXPECT_EQ(registry.CounterValue("whatif.irls_rows_reweighted") - rows, want_rows)
+        << threads << " threads";
+    EXPECT_EQ(registry.CounterValue("whatif.irls_row_iterations") - row_iterations,
+              want_row_iterations)
+        << threads << " threads";
+  }
+}
+
 }  // namespace
 }  // namespace kea::core
