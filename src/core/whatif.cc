@@ -54,8 +54,8 @@ obs::Counter* IrlsRowsReweightedCounter() {
 
 /// One group's IRLS work over its Huber fits.
 struct IrlsWork {
-  uint64_t iterations = 0;      ///< Reweighted solves.
-  uint64_t row_iterations = 0;  ///< Rows times reweighted solves.
+  uint64_t iterations = 0;       ///< Reweighted solves.
+  uint64_t row_iterations = 0;   ///< Rows times reweighted solves.
   uint64_t rows_reweighted = 0;  ///< Rows whose weight was recomputed.
 };
 

@@ -468,9 +468,10 @@ StatusOr<LinearModel> HuberRegressor::FitLine(std::span<const double> x,
   }
   const double delta = options_.delta;
   KEA_ASSIGN_OR_RETURN(LinearModel model, SolveLine(x, y, options_.l2));
-  // The fit's per-row state. Only weights and roots are read before they are
-  // written; every row's starts at 1. Rows outside outliers[0, outlier_count),
-  // the last iteration's outliers, keep weight and root 1.
+  // The fit's per-row state. Every weight and root starts at 1; the other
+  // buffers are written before they are read, so they are not zeroed. Rows
+  // outside outliers[0, outlier_count), the last iteration's outliers, keep
+  // weight and root 1.
   Vector weights(n, 1.0), roots(n, 1.0);
   const auto residuals = std::make_unique_for_overwrite<double[]>(n);
   auto outliers = std::make_unique_for_overwrite<uint32_t[]>(n);
