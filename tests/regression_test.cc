@@ -717,7 +717,8 @@ TEST(LineKernelTest, RefusesOverflowNonFiniteAndShapeErrors) {
   const double inf = std::numeric_limits<double>::infinity();
   Rng rng(48);
   const Dataset clean = NoisyLine(1.0, 2.0, 30, 0.1, &rng);
-  const Vector x(Column(clean).begin(), Column(clean).end());
+  const std::span<const double> column = Column(clean);
+  const Vector x(column.begin(), column.end());
   Vector bad_x = x, bad_y = clean.y;
   bad_x[4] = nan;
   bad_y[7] = -inf;
