@@ -214,8 +214,8 @@ void BM_RngKeyedDraw(benchmark::State& state) {
 }
 BENCHMARK(BM_RngKeyedDraw);
 
-// Its twin on the generator Rng held before: std::mt19937_64 with Rng's two
-// distribution objects.
+// Its twin on the generator Rng held before: std::mt19937_64 with the two
+// distribution objects Rng held.
 void BM_StdRngKeyedDraw(benchmark::State& state) {
   uint64_t key = 0;
   for (auto _ : state) {
@@ -227,6 +227,51 @@ void BM_StdRngKeyedDraw(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StdRngKeyedDraw);
+
+// The fault injectors' per-record pattern as they run it: eight keyed
+// streams seeded side by side into reused lanes, one decision each. An
+// iteration is eight streams.
+void BM_RngKeyedBatch(benchmark::State& state) {
+  Rng lanes[Rng::kSeedLanes];
+  uint64_t seeds[Rng::kSeedLanes];
+  uint64_t key = 0;
+  for (auto _ : state) {
+    for (uint64_t& seed : seeds) seed = MixSeed(7, key++);
+    Rng::SeedMany(seeds, lanes, Rng::kSeedLanes);
+    for (Rng& lane : lanes) benchmark::DoNotOptimize(lane.Bernoulli(0.02));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * Rng::kSeedLanes));
+}
+BENCHMARK(BM_RngKeyedBatch);
+
+// The fluid engine's noise draws, each beside the std distribution it
+// reproduces bit for bit. Report only.
+void BM_RngGaussian(benchmark::State& state) {
+  Rng rng(7);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.Gaussian());
+}
+BENCHMARK(BM_RngGaussian);
+
+void BM_StdRngGaussian(benchmark::State& state) {
+  std::mt19937_64 engine(7);
+  std::normal_distribution<double> normal(0.0, 1.0);
+  for (auto _ : state) benchmark::DoNotOptimize(normal(engine));
+}
+BENCHMARK(BM_StdRngGaussian);
+
+void BM_RngLogNormal(benchmark::State& state) {
+  Rng rng(7);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.LogNormal(0.0, 0.2));
+}
+BENCHMARK(BM_RngLogNormal);
+
+void BM_StdRngLogNormal(benchmark::State& state) {
+  std::mt19937_64 engine(7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(std::lognormal_distribution<double>(0.0, 0.2)(engine));
+  }
+}
+BENCHMARK(BM_StdRngLogNormal);
 
 // A fresh stream read far past its first block, as a what-if group's noise
 // table reads one.

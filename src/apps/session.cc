@@ -460,6 +460,13 @@ Status KeaSession::Simulate(int hours) {
 }
 
 Status KeaSession::EnableIngestionPipeline(const IngestionConfig& config) {
+  const int max_attempts = config.pipeline.retry.max_attempts;
+  if (max_attempts < 1 || max_attempts > RetryPolicy::kMaxAttempts) {
+    return Status::InvalidArgument(
+        "retry.max_attempts is " + std::to_string(max_attempts) + "; it must lie in [1, " +
+        std::to_string(RetryPolicy::kMaxAttempts) +
+        "], or a retry's keyed stream would repeat the next write's");
+  }
   telemetry::IngestionPipeline::Options pipeline_options = config.pipeline;
   pipeline_options.retry.seed = MixSeed(config.seed, 0x1e7e57);
   ingestion_ =

@@ -222,6 +222,9 @@ class KeaSession {
   /// Routes all subsequent Simulate() telemetry through the hardened
   /// ingestion path. Call before the first Simulate() for a fully validated
   /// store. Replaces any previously enabled pipeline (counters reset).
+  /// Refuses, with InvalidArgument and no change, a retry.max_attempts
+  /// outside [1, RetryPolicy::kMaxAttempts]; Resume runs this too, so it
+  /// refuses a checkpoint holding such a config.
   Status EnableIngestionPipeline(const IngestionConfig& config);
 
   /// Null until EnableIngestionPipeline has been called.

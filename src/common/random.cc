@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -14,6 +15,9 @@ constexpr uint32_t kMiddle = 156;
 constexpr uint64_t kMatrixA = 0xB5026F5AA96619E9ULL;
 constexpr uint64_t kSeedMultiplier = 6364136223846793005ULL;
 constexpr uint64_t kUpperMask = ~uint64_t{0} << 31;
+/// Seeding words a batch-seeded engine holds: draw k of the first block reads
+/// words k, k + 1 and k + kMiddle, so the first eight read [0, 8 + kMiddle).
+constexpr uint32_t kBatchSeeded = 8 + kMiddle;
 
 /// One twisted word: the upper 33 bits of `word` and the lower 31 of `next`,
 /// shifted and folded into the word `kMiddle` places on. The matrix is
@@ -24,6 +28,32 @@ inline uint64_t Twist(uint64_t word, uint64_t next, uint64_t middle) {
 }
 
 }  // namespace
+
+void Mt19937_64::SeedLanes(const uint64_t* seeds, Mt19937_64* const* lanes, size_t n) {
+  constexpr size_t kLanes = Rng::kSeedLanes;
+  // A short group repeats its last lane: the copies compute the same words
+  // into the same engine, and the chain loop keeps its fixed width.
+  Mt19937_64* lane[kLanes];
+  uint64_t word[kLanes];
+  for (size_t k = 0; k < kLanes; ++k) {
+    const size_t from = std::min(k, n - 1);
+    lane[k] = lanes[from];
+    word[k] = seeds[from];
+    lane[k]->x_[0] = word[k];
+  }
+  // The same recurrence as SeedThrough, eight independent chains per step.
+  for (uint32_t i = 1; i < kBatchSeeded; ++i) {
+    for (size_t k = 0; k < kLanes; ++k) {
+      word[k] = kSeedMultiplier * (word[k] ^ (word[k] >> 62)) + i;
+      lane[k]->x_[i] = word[k];
+    }
+  }
+  for (size_t k = 0; k < n; ++k) {
+    lanes[k]->p_ = 0;
+    lanes[k]->twisted_ = 0;
+    lanes[k]->seeded_ = kBatchSeeded;
+  }
+}
 
 void Mt19937_64::Refill() {
   if (twisted_ == kStateWords) {
@@ -99,11 +129,32 @@ Status Mt19937_64::Read(std::istream& in) {
   return Status::OK();
 }
 
+void Rng::SeedMany(const uint64_t* seeds, Rng* rngs, size_t n) {
+  for (size_t base = 0; base < n; base += kSeedLanes) {
+    const size_t lanes = std::min(kSeedLanes, n - base);
+    Mt19937_64* engines[kSeedLanes];
+    for (size_t k = 0; k < lanes; ++k) {
+      Rng& rng = rngs[base + k];
+      rng.seed_ = seeds[base + k];
+      rng.spare_ = 0.0;
+      rng.has_spare_ = false;
+      engines[k] = &rng.engine_;
+    }
+    Mt19937_64::SeedLanes(seeds + base, engines, lanes);
+  }
+}
+
 std::string Rng::SerializeState() const {
   std::ostringstream out;
   out << seed_ << '\n';
   engine_.Write(out);
-  out << '\n' << unit_ << '\n' << normal_ << '\n';
+  // uniform_real_distribution's text, then normal_distribution's: the
+  // parameters, the spare's flag and the spare, in the format both set.
+  out.flags(std::ios_base::scientific | std::ios_base::left);
+  out.precision(std::numeric_limits<double>::max_digits10);
+  out << '\n' << 0.0 << ' ' << 1.0 << '\n' << 0.0 << ' ' << 1.0 << ' ' << has_spare_;
+  if (has_spare_) out << ' ' << spare_;
+  out << '\n';
   return out.str();
 }
 
@@ -111,20 +162,26 @@ Status Rng::RestoreState(const std::string& state) {
   std::istringstream in(state);
   uint64_t seed = 0;
   Mt19937_64 engine(0);
-  std::uniform_real_distribution<double> unit;
-  std::normal_distribution<double> normal;
+  double lo = 0.0, hi = 0.0, mean = 0.0, stddev = 0.0, spare = 0.0;
+  bool has_spare = false;
   in >> seed;
   KEA_RETURN_IF_ERROR(engine.Read(in));
-  in >> unit >> normal;
+  in >> lo >> hi >> mean >> stddev >> has_spare;
+  if (has_spare) in >> spare;
   // SerializeState ends the blob with a newline: without it the last field
   // may have lost digits.
   if (in.fail() || in.get() != '\n') {
     return Status::InvalidArgument("malformed Rng state blob");
   }
+  if (lo != 0.0 || hi != 1.0 || mean != 0.0 || stddev != 1.0) {
+    return Status::InvalidArgument(
+        "Rng state blob holds distribution parameters other than (0, 1), "
+        "the only ones Rng draws with");
+  }
   seed_ = seed;
   engine_ = engine;
-  unit_ = unit;
-  normal_ = normal;
+  spare_ = spare;
+  has_spare_ = has_spare;
   return Status::OK();
 }
 

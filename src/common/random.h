@@ -1,10 +1,12 @@
 #ifndef KEA_COMMON_RANDOM_H_
 #define KEA_COMMON_RANDOM_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -65,6 +67,13 @@ class Mt19937_64 {
   Status Read(std::istream& in);
 
  private:
+  friend class Rng;
+
+  /// Puts each of lanes[0, n), 1 <= n <= 8, in the state the engine of its
+  /// seed starts in, with the seeding words of its first eight draws
+  /// computed. The n chains run side by side.
+  static void SeedLanes(const uint64_t* seeds, Mt19937_64* const* lanes, size_t n);
+
   /// Makes word p_ available: twists the next block once this one is spent,
   /// or advances the lazily seeded first block.
   void Refill();
@@ -86,14 +95,38 @@ class Mt19937_64 {
 /// std::mt19937_64) with convenience samplers so call sites don't
 /// instantiate distribution objects.
 ///
+/// Every sampler returns the bits libstdc++'s distribution of the same name
+/// returns on the same engine. Uniform, Gaussian, LogNormal and Exponential
+/// compute libstdc++'s algorithms directly, without its adaptors; the other
+/// samplers call the std distributions. random_test checks each against std.
+///
 /// All KEA randomness flows through explicitly seeded Rng instances: runs are
 /// reproducible given the seed, which the tests and benches rely on.
 class Rng {
  public:
+  /// Streams SeedMany seeds side by side.
+  static constexpr size_t kSeedLanes = 8;
+
   explicit Rng(uint64_t seed = 42) : seed_(seed), engine_(seed) {}
 
-  /// Uniform double in [0, 1).
-  double Uniform() { return unit_(engine_); }
+  /// Puts each rngs[k], k < n, in the state Rng(seeds[k]) starts in. The
+  /// seeding chains run eight side by side, with the seeding words of each
+  /// stream's first eight draws computed, so the processor overlaps their
+  /// multiplies: a keyed decision pays about a fifth of a lone stream's
+  /// set-up. Reusing the same rngs avoids zeroing their 2.5 KB states again.
+  static void SeedMany(const uint64_t* seeds, Rng* rngs, size_t n);
+
+  /// Uniform double in [0, 1): std::generate_canonical<double, 53>'s
+  /// result for the next 64-bit word u, round(u) / 2^64 with 1 replaced by
+  /// the largest double below it. The two 32-bit halves convert exactly, and
+  /// their sum hi * 2^32 + lo is u rounded once, as the u64 conversion
+  /// rounds it; the scaling by 2^-64 is exact.
+  double Uniform() {
+    const uint64_t u = engine_();
+    const double sum = static_cast<double>(static_cast<uint32_t>(u >> 32)) * 0x1p32 +
+                       static_cast<double>(static_cast<uint32_t>(u));
+    return std::min(sum * 0x1p-64, 0x1.fffffffffffffp-1);
+  }
 
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
@@ -104,21 +137,34 @@ class Rng {
     return std::uniform_int_distribution<int64_t>(lo, hi)(engine_);
   }
 
-  /// Standard normal draw.
-  double Gaussian() { return normal_(engine_); }
+  /// Standard normal draw: std::normal_distribution's, which keeps the
+  /// second value of each polar pair as the next draw. Its `g * 1 + 0`
+  /// turns -0 into +0, hence the `+ 0.0`.
+  double Gaussian() {
+    if (has_spare_) {
+      has_spare_ = false;
+      return spare_ + 0.0;
+    }
+    has_spare_ = true;
+    return Polar(&spare_) + 0.0;
+  }
 
   /// Normal draw with the given mean and standard deviation.
   double Gaussian(double mean, double stddev) { return mean + stddev * Gaussian(); }
 
-  /// Exponential draw with the given rate (lambda > 0).
+  /// Exponential draw with the given rate (lambda > 0), as
+  /// std::exponential_distribution computes it.
   double Exponential(double rate) {
     assert(rate > 0);
-    return std::exponential_distribution<double>(rate)(engine_);
+    return -std::log(1.0 - Uniform()) / rate;
   }
 
-  /// Log-normal draw parameterized by the underlying normal's mu/sigma.
+  /// Log-normal draw parameterized by the underlying normal's mu/sigma. A
+  /// fresh std::lognormal_distribution's: its own normal draws a polar pair
+  /// and drops the spare, so this leaves Gaussian's spare alone.
   double LogNormal(double mu, double sigma) {
-    return std::lognormal_distribution<double>(mu, sigma)(engine_);
+    double dropped;
+    return std::exp(sigma * (Polar(&dropped) + 0.0) + mu);
   }
 
   /// Pareto draw with scale x_m > 0 and shape alpha > 0 (heavy-tailed work).
@@ -171,15 +217,17 @@ class Rng {
   Mt19937_64& engine() { return engine_; }
 
   /// Serializes the full generator state — seed, engine position, AND the
-  /// distribution objects (std::normal_distribution caches a spare Gaussian
-  /// between draws, so engine state alone is not enough for bit-identical
-  /// resume). Text format of the standard stream operators, byte for byte
-  /// what the same state held in a std::mt19937_64 writes.
+  /// spare Gaussian (engine state alone is not enough for bit-identical
+  /// resume). Byte for byte the text the std stream operators write for a
+  /// std::mt19937_64, a uniform_real_distribution(0, 1) and a
+  /// normal_distribution(0, 1) holding the same state.
   std::string SerializeState() const;
 
   /// Restores state written by SerializeState(). After a successful restore
   /// the draw sequence continues exactly where the serialized generator was.
-  /// Refuses a blob that ends early or whose engine position is above 312.
+  /// Refuses a blob that ends early, whose engine position is above 312, or
+  /// whose distribution parameters are not (0, 1); a refusal leaves this
+  /// generator unchanged.
   Status RestoreState(const std::string& state);
 
   /// The state archive's field (common/snapshot.h): SerializeState's text
@@ -194,10 +242,59 @@ class Rng {
   }
 
  private:
+  /// One pair of Marsaglia's polar method, step for step as
+  /// std::normal_distribution runs it: returns y * m and leaves the pair's
+  /// other value, x * m, in *spare.
+  double Polar(double* spare) {
+    double x, y, r2;
+    do {
+      x = 2.0 * Uniform() - 1.0;
+      y = 2.0 * Uniform() - 1.0;
+      r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+    const double mult = std::sqrt(-2 * std::log(r2) / r2);
+    *spare = x * mult;
+    return y * mult;
+  }
+
   uint64_t seed_;
   Mt19937_64 engine_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
-  std::normal_distribution<double> normal_{0.0, 1.0};
+  double spare_ = 0.0;  ///< Gaussian's next draw, while has_spare_.
+  bool has_spare_ = false;
+};
+
+/// Eight Rng lanes for a loop that makes one keyed decision per item, such
+/// as a fault injector's per-record or per-machine draws: the items' streams
+/// are seeded eight at a time (Rng::SeedMany) into lanes built once, not
+/// once per decision.
+class KeyedStreams {
+ public:
+  /// For each i in [0, n) in order whose key(i) holds a seed, calls
+  /// decide(i, rng) with rng in the state Rng(*key(i)) starts in. key(i) runs
+  /// before decide does for the up to seven items queued ahead of i, so it
+  /// must not read what decide writes for other items.
+  template <typename KeyFn, typename DecideFn>
+  void ForEach(size_t n, KeyFn key, DecideFn decide) {
+    size_t items[Rng::kSeedLanes];
+    uint64_t seeds[Rng::kSeedLanes];
+    size_t queued = 0;
+    auto flush = [&] {
+      Rng::SeedMany(seeds, lanes_, queued);
+      for (size_t k = 0; k < queued; ++k) decide(items[k], lanes_[k]);
+      queued = 0;
+    };
+    for (size_t i = 0; i < n; ++i) {
+      const std::optional<uint64_t> seed = key(i);
+      if (!seed.has_value()) continue;
+      items[queued] = i;
+      seeds[queued] = *seed;
+      if (++queued == Rng::kSeedLanes) flush();
+    }
+    if (queued > 0) flush();
+  }
+
+ private:
+  Rng lanes_[Rng::kSeedLanes];
 };
 
 }  // namespace kea

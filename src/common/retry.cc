@@ -11,7 +11,8 @@ double RetryPolicy::BackoffMs(uint64_t call_index, int retry_index) const {
   base = std::min(base, options_.max_backoff_ms);
   // One substream per (call, retry): the jitter draw is independent of how
   // many other calls or retries happened before it.
-  Rng jitter_rng(MixSeed(options_.seed, call_index * 64 + static_cast<uint64_t>(retry_index)));
+  Rng jitter_rng(MixSeed(options_.seed,
+                         call_index * kMaxAttempts + static_cast<uint64_t>(retry_index)));
   double factor = 1.0 + options_.jitter * jitter_rng.Uniform(-1.0, 1.0);
   return base * std::max(factor, 0.0);
 }

@@ -27,8 +27,16 @@ namespace kea {
 ///      stats().
 class RetryPolicy {
  public:
+  /// Attempts per call that the keyed streams leave room for: attempt a of
+  /// call c draws from substream c * kMaxAttempts + a, here and in the
+  /// telemetry fault injector's write hook, so attempt kMaxAttempts would
+  /// reuse call c + 1's first-attempt stream.
+  static constexpr int kMaxAttempts = 64;
+
   struct Options {
-    /// Total tries per operation, including the first. Must be >= 1.
+    /// Total tries per operation, including the first. Must lie in
+    /// [1, kMaxAttempts]: KeaSession::EnableIngestionPipeline refuses any
+    /// other value.
     int max_attempts = 4;
     /// Backoff before retry r (1-based) is
     /// min(initial_backoff_ms * multiplier^(r-1), max_backoff_ms),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/retry.h"
 #include "common/snapshot.h"
 
 namespace kea::sim {
@@ -30,11 +31,10 @@ FaultProfile FaultProfile::Moderate() {
   return p;
 }
 
-Rng TelemetryFaultInjector::RecordRng(const telemetry::MachineHourRecord& r,
-                                      uint64_t salt) const {
+uint64_t TelemetryFaultInjector::RecordSeed(const telemetry::MachineHourRecord& r) const {
   uint64_t id = static_cast<uint64_t>(static_cast<uint32_t>(r.machine_id));
   uint64_t hour = static_cast<uint64_t>(static_cast<uint32_t>(r.hour));
-  return Rng(MixSeed(seed_ ^ salt, (id << 32) | hour));
+  return MixSeed(seed_ ^ kRecordSalt, (id << 32) | hour);
 }
 
 bool TelemetryFaultInjector::IsStuck(int machine_id) {
@@ -51,89 +51,11 @@ std::vector<telemetry::MachineHourRecord> TelemetryFaultInjector::Corrupt(
     telemetry::RecordView batch) {
   std::vector<telemetry::MachineHourRecord> out;
   out.reserve(batch.size());
-  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-
-  for (const telemetry::MachineHourRecord& clean : batch) {
-    ++counters_.seen;
-    if (clean.hour > watermark_) watermark_ = clean.hour;
-    telemetry::MachineHourRecord r = clean;
-
-    // Stuck-counter machines replay their first observed payload forever
-    // (identity fields — machine, hour, rack, group — stay live; it is the
-    // measurements that freeze).
-    if (profile_.stuck_machine_fraction > 0.0 && IsStuck(r.machine_id)) {
-      auto [it, inserted] = stuck_payload_.try_emplace(r.machine_id, r);
-      if (!inserted) {
-        telemetry::MachineHourRecord frozen = it->second;
-        frozen.machine_id = r.machine_id;
-        frozen.hour = r.hour;
-        frozen.rack = r.rack;
-        frozen.sku = r.sku;
-        frozen.sc = r.sc;
-        r = frozen;
-        ++counters_.stuck_replayed;
-      }
-    }
-
-    Rng rng = RecordRng(r, kRecordSalt);
-    if (rng.Bernoulli(profile_.drop_rate)) {
-      ++counters_.dropped;
-      continue;
-    }
-
-    // At most one corruption kind per record, drawn in a fixed order so the
-    // pattern is stable under profile tweaks to unrelated rates.
-    if (rng.Bernoulli(profile_.non_finite_rate)) {
-      double poison = kNan;
-      switch (rng.UniformInt(0, 2)) {
-        case 0: poison = kNan; break;
-        case 1: poison = kInf; break;
-        default: poison = -kInf; break;
-      }
-      switch (rng.UniformInt(0, 3)) {
-        case 0: r.cpu_utilization = poison; break;
-        case 1: r.tasks_finished = poison; break;
-        case 2: r.data_read_mb = poison; break;
-        default: r.avg_task_latency_s = poison; break;
-      }
-      ++counters_.made_non_finite;
-    } else if (rng.Bernoulli(profile_.out_of_range_rate)) {
-      switch (rng.UniformInt(0, 2)) {
-        case 0: r.cpu_utilization = 1.0 + rng.Uniform(0.1, 2.0); break;
-        case 1: r.tasks_finished = -rng.Uniform(1.0, 100.0); break;
-        default: r.data_read_mb = -rng.Uniform(1.0, 1000.0); break;
-      }
-      ++counters_.made_out_of_range;
-    } else if (rng.Bernoulli(profile_.outlier_rate)) {
-      // In-range garbage: plausible schema, absurd magnitude.
-      if (rng.Bernoulli(0.5)) {
-        r.data_read_mb *= profile_.outlier_scale;
-      } else {
-        r.avg_task_latency_s *= profile_.outlier_scale;
-      }
-      ++counters_.made_outlier;
-    }
-
-    bool duplicate = rng.Bernoulli(profile_.duplicate_rate);
-    if (rng.Bernoulli(profile_.late_rate)) {
-      int delay = static_cast<int>(
-          rng.UniformInt(1, std::max(1, profile_.max_late_hours)));
-      delayed_[r.hour + delay].push_back(r);
-      ++counters_.delayed;
-      // A delayed record's replay copy arrives with it.
-      if (duplicate) {
-        delayed_[r.hour + delay].push_back(r);
-        ++counters_.duplicated;
-      }
-      continue;
-    }
-    out.push_back(r);
-    if (duplicate) {
-      out.push_back(r);
-      ++counters_.duplicated;
-    }
-  }
+  // A stuck replay keeps the record's machine and hour, so its key is the
+  // clean record's.
+  streams_.ForEach(
+      batch.size(), [&](size_t i) -> std::optional<uint64_t> { return RecordSeed(batch[i]); },
+      [&](size_t i, Rng& rng) { CorruptOne(batch[i], rng, &out); });
 
   // Release delayed records whose hour has come, oldest first, after the
   // fresh records — i.e. out of hour order, as a real pipeline would see.
@@ -145,6 +67,89 @@ std::vector<telemetry::MachineHourRecord> TelemetryFaultInjector::Corrupt(
   return out;
 }
 
+void TelemetryFaultInjector::CorruptOne(const telemetry::MachineHourRecord& clean, Rng& rng,
+                                        std::vector<telemetry::MachineHourRecord>* out) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  ++counters_.seen;
+  if (clean.hour > watermark_) watermark_ = clean.hour;
+  telemetry::MachineHourRecord r = clean;
+
+  // Stuck-counter machines replay their first observed payload forever
+  // (identity fields — machine, hour, rack, group — stay live; it is the
+  // measurements that freeze).
+  if (profile_.stuck_machine_fraction > 0.0 && IsStuck(r.machine_id)) {
+    auto [it, inserted] = stuck_payload_.try_emplace(r.machine_id, r);
+    if (!inserted) {
+      telemetry::MachineHourRecord frozen = it->second;
+      frozen.machine_id = r.machine_id;
+      frozen.hour = r.hour;
+      frozen.rack = r.rack;
+      frozen.sku = r.sku;
+      frozen.sc = r.sc;
+      r = frozen;
+      ++counters_.stuck_replayed;
+    }
+  }
+
+  if (rng.Bernoulli(profile_.drop_rate)) {
+    ++counters_.dropped;
+    return;
+  }
+
+  // At most one corruption kind per record, drawn in a fixed order so the
+  // pattern is stable under profile tweaks to unrelated rates.
+  if (rng.Bernoulli(profile_.non_finite_rate)) {
+    double poison = kNan;
+    switch (rng.UniformInt(0, 2)) {
+      case 0: poison = kNan; break;
+      case 1: poison = kInf; break;
+      default: poison = -kInf; break;
+    }
+    switch (rng.UniformInt(0, 3)) {
+      case 0: r.cpu_utilization = poison; break;
+      case 1: r.tasks_finished = poison; break;
+      case 2: r.data_read_mb = poison; break;
+      default: r.avg_task_latency_s = poison; break;
+    }
+    ++counters_.made_non_finite;
+  } else if (rng.Bernoulli(profile_.out_of_range_rate)) {
+    switch (rng.UniformInt(0, 2)) {
+      case 0: r.cpu_utilization = 1.0 + rng.Uniform(0.1, 2.0); break;
+      case 1: r.tasks_finished = -rng.Uniform(1.0, 100.0); break;
+      default: r.data_read_mb = -rng.Uniform(1.0, 1000.0); break;
+    }
+    ++counters_.made_out_of_range;
+  } else if (rng.Bernoulli(profile_.outlier_rate)) {
+    // In-range garbage: plausible schema, absurd magnitude.
+    if (rng.Bernoulli(0.5)) {
+      r.data_read_mb *= profile_.outlier_scale;
+    } else {
+      r.avg_task_latency_s *= profile_.outlier_scale;
+    }
+    ++counters_.made_outlier;
+  }
+
+  bool duplicate = rng.Bernoulli(profile_.duplicate_rate);
+  if (rng.Bernoulli(profile_.late_rate)) {
+    int delay = static_cast<int>(
+        rng.UniformInt(1, std::max(1, profile_.max_late_hours)));
+    delayed_[r.hour + delay].push_back(r);
+    ++counters_.delayed;
+    // A delayed record's replay copy arrives with it.
+    if (duplicate) {
+      delayed_[r.hour + delay].push_back(r);
+      ++counters_.duplicated;
+    }
+    return;
+  }
+  out->push_back(r);
+  if (duplicate) {
+    out->push_back(r);
+    ++counters_.duplicated;
+  }
+}
+
 std::vector<telemetry::MachineHourRecord> TelemetryFaultInjector::Flush() {
   std::vector<telemetry::MachineHourRecord> out;
   for (auto& [hour, records] : delayed_) {
@@ -154,6 +159,25 @@ std::vector<telemetry::MachineHourRecord> TelemetryFaultInjector::Flush() {
   return out;
 }
 
+uint64_t TelemetryFaultInjector::WriteSeed(uint64_t call, int attempt) const {
+  return MixSeed(seed_ ^ kWriteSalt,
+                 call * RetryPolicy::kMaxAttempts + static_cast<uint64_t>(attempt));
+}
+
+bool TelemetryFaultInjector::FirstAttemptFails(uint64_t call) {
+  if (call - verdict_base_ >= verdict_count_) {
+    verdict_base_ = call;
+    verdict_count_ = Rng::kSeedLanes;
+    verdicts_ = 0;
+    streams_.ForEach(
+        verdict_count_, [&](size_t k) -> std::optional<uint64_t> { return WriteSeed(call + k, 0); },
+        [&](size_t k, Rng& rng) {
+          if (rng.Bernoulli(profile_.transient_error_rate)) verdicts_ |= uint32_t{1} << k;
+        });
+  }
+  return (verdicts_ >> (call - verdict_base_)) & 1;
+}
+
 telemetry::WriteHook TelemetryFaultInjector::MakeWriteHook() {
   if (profile_.transient_error_rate <= 0.0) return nullptr;
   return [this](const telemetry::MachineHourRecord&, int attempt) {
@@ -161,9 +185,10 @@ telemetry::WriteHook TelemetryFaultInjector::MakeWriteHook() {
     // (call, attempt) substream key is stable for a given record.
     if (attempt == 0) ++write_calls_;
     uint64_t call = write_calls_ - 1;
-    Rng rng(MixSeed(seed_ ^ kWriteSalt,
-                    call * 64 + static_cast<uint64_t>(attempt)));
-    if (rng.Bernoulli(profile_.transient_error_rate)) {
+    const bool fails = attempt == 0 ? FirstAttemptFails(call)
+                                    : Rng(WriteSeed(call, attempt))
+                                          .Bernoulli(profile_.transient_error_rate);
+    if (fails) {
       ++counters_.transient_errors;
       return Status::Unavailable("telemetry sink momentarily unreachable");
     }

@@ -58,7 +58,9 @@ struct FaultProfile {
 /// ingestion pipeline. Every per-record decision draws from an Rng::Split
 /// substream keyed on (machine, hour), so the fault pattern for a given seed
 /// is a pure function of the record's identity — independent of batch
-/// boundaries, arrival order, or thread schedule.
+/// boundaries, arrival order, or thread schedule. The record streams, and
+/// the write hook's first-attempt streams, are seeded eight at a time
+/// (KeyedStreams).
 class TelemetryFaultInjector {
  public:
   struct Counters {
@@ -87,8 +89,9 @@ class TelemetryFaultInjector {
 
   /// Write hook for IngestionPipeline: attempt k of the c-th write fails with
   /// Status::Unavailable with probability transient_error_rate, decided by a
-  /// substream keyed on (c, k) — deterministic and eventually succeeding for
-  /// any rate < 1 given enough attempts.
+  /// substream keyed on c * 64 + k (k < RetryPolicy::kMaxAttempts) —
+  /// deterministic and eventually succeeding for any rate < 1 given enough
+  /// attempts. The first attempts' verdicts are drawn eight calls ahead.
   telemetry::WriteHook MakeWriteHook();
 
   const Counters& counters() const { return counters_; }
@@ -105,8 +108,16 @@ class TelemetryFaultInjector {
   template <typename Ar>
   friend void Persist(Ar& ar, TelemetryFaultInjector& injector);
 
-  /// Substream for the per-record fault draws.
-  Rng RecordRng(const telemetry::MachineHourRecord& r, uint64_t salt) const;
+  /// Seed of a record's fault-draw substream.
+  uint64_t RecordSeed(const telemetry::MachineHourRecord& r) const;
+  /// Applies one record's faults, drawn from its substream `rng`.
+  void CorruptOne(const telemetry::MachineHourRecord& clean, Rng& rng,
+                  std::vector<telemetry::MachineHourRecord>* out);
+  /// Seed of the substream deciding attempt `attempt` of write call `call`.
+  uint64_t WriteSeed(uint64_t call, int attempt) const;
+  /// Whether the first attempt of write call `call` fails: a pure function
+  /// of the call index, drawn with the seven calls after it.
+  bool FirstAttemptFails(uint64_t call);
 
   /// Whether a machine's counters freeze, drawn from a substream keyed on the
   /// machine alone: once per machine, then remembered.
@@ -126,6 +137,14 @@ class TelemetryFaultInjector {
   HourIndex watermark_ = -1;
   /// Write-hook call counter (grows monotonically; deterministic replay).
   uint64_t write_calls_ = 0;
+
+  /// Lanes for the record and first-attempt streams, reused by every call.
+  KeyedStreams streams_;
+  /// Bit k: the first attempt of write call verdict_base_ + k fails, for
+  /// k < verdict_count_. Pure functions of the call index, so not state.
+  uint64_t verdict_base_ = 0;
+  uint32_t verdict_count_ = 0;
+  uint32_t verdicts_ = 0;
 };
 
 }  // namespace kea::sim

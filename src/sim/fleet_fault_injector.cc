@@ -46,10 +46,9 @@ FleetFaultInjector::FleetFaultInjector(const Cluster* cluster,
                                        uint64_t seed)
     : cluster_(cluster), profile_(profile), seed_(seed) {}
 
-Rng FleetFaultInjector::EntityRng(uint64_t salt, uint64_t entity_id,
-                                  HourIndex hour) const {
-  return Rng(MixSeed(seed_ ^ salt,
-                     (entity_id << 32) | static_cast<uint32_t>(hour)));
+uint64_t FleetFaultInjector::EntitySeed(uint64_t salt, uint64_t entity_id,
+                                       HourIndex hour) const {
+  return MixSeed(seed_ ^ salt, (entity_id << 32) | static_cast<uint32_t>(hour));
 }
 
 void FleetFaultInjector::EnsureSized() {
@@ -71,57 +70,86 @@ void FleetFaultInjector::BeginHour(HourIndex hour) {
   EnsureSized();
   for (HourIndex h = current_hour_ + 1; h <= hour; ++h) {
     const auto& machines = cluster_->machines();
+    // Each fault kind is one pass whose streams are seeded eight at a time.
+    // A decision writes only its own entity's state, and each kind draws
+    // from its own streams, so the passes decide as one interleaved loop
+    // over the machines would.
+    const auto machine_up = [&](size_t i) {
+      return down_until_[i] <= h && rack_down_until_[machines[i].rack] <= h;
+    };
+    const auto machine_seed = [&](uint64_t salt, size_t i) {
+      return EntitySeed(salt, static_cast<uint64_t>(machines[i].id), h);
+    };
 
     if (profile_.rack_outage_rate_per_hour > 0.0) {
-      for (size_t r = 0; r < rack_down_until_.size(); ++r) {
-        if (rack_down_until_[r] > h) continue;
-        Rng rng = EntityRng(kRackSalt, r, h);
-        if (rng.Bernoulli(profile_.rack_outage_rate_per_hour)) {
-          double d = rng.Exponential(1.0 / profile_.mean_rack_outage_hours);
-          rack_down_until_[r] = h + std::max(1, static_cast<int>(d));
-          ++counters_.rack_outages;
-        }
-      }
+      streams_.ForEach(
+          rack_down_until_.size(),
+          [&](size_t r) -> std::optional<uint64_t> {
+            if (rack_down_until_[r] > h) return std::nullopt;
+            return EntitySeed(kRackSalt, r, h);
+          },
+          [&](size_t r, Rng& rng) {
+            if (rng.Bernoulli(profile_.rack_outage_rate_per_hour)) {
+              double d = rng.Exponential(1.0 / profile_.mean_rack_outage_hours);
+              rack_down_until_[r] = h + std::max(1, static_cast<int>(d));
+              ++counters_.rack_outages;
+            }
+          });
     }
 
-    for (size_t i = 0; i < machines.size(); ++i) {
-      if (lost_[i]) continue;
-      const uint64_t id = static_cast<uint64_t>(machines[i].id);
-      const bool machine_up = down_until_[i] <= h &&
-                              rack_down_until_[machines[i].rack] <= h;
-
-      if (profile_.permanent_loss_rate_per_hour > 0.0 && machine_up) {
-        Rng rng = EntityRng(kLossSalt, id, h);
-        if (rng.Bernoulli(profile_.permanent_loss_rate_per_hour)) {
-          lost_[i] = 1;
-          ++counters_.permanent_losses;
-          continue;
-        }
-      }
-
-      if (profile_.crash_rate_per_hour > 0.0 && machine_up) {
-        Rng rng = EntityRng(kCrashSalt, id, h);
-        if (rng.Bernoulli(profile_.crash_rate_per_hour)) {
-          double repair = rng.Exponential(1.0 / profile_.mean_repair_hours);
-          down_until_[i] = h + std::max(1, static_cast<int>(repair));
-          ++counters_.crashes;
-        }
-      }
-
-      if (speed_[i] < 1.0) {
-        // Gradual recovery; no draw needed — onset fixed the trajectory.
-        speed_[i] = std::min(1.0, speed_[i] + profile_.recovery_per_hour);
-        if (speed_[i] >= 1.0) ++counters_.recoveries;
-      } else if (profile_.degrade_rate_per_hour > 0.0) {
-        Rng rng = EntityRng(kDegradeSalt, id, h);
-        if (rng.Bernoulli(profile_.degrade_rate_per_hour)) {
-          double drop = profile_.degrade_severity * rng.Uniform(0.5, 1.5);
-          drop = std::clamp(drop, 0.05, 0.9);
-          speed_[i] = 1.0 - drop;
-          ++counters_.degradations;
-        }
-      }
+    if (profile_.permanent_loss_rate_per_hour > 0.0) {
+      streams_.ForEach(
+          machines.size(),
+          [&](size_t i) -> std::optional<uint64_t> {
+            if (lost_[i] || !machine_up(i)) return std::nullopt;
+            return machine_seed(kLossSalt, i);
+          },
+          [&](size_t i, Rng& rng) {
+            if (rng.Bernoulli(profile_.permanent_loss_rate_per_hour)) {
+              lost_[i] = 1;
+              ++counters_.permanent_losses;
+            }
+          });
     }
+
+    if (profile_.crash_rate_per_hour > 0.0) {
+      streams_.ForEach(
+          machines.size(),
+          [&](size_t i) -> std::optional<uint64_t> {
+            if (lost_[i] || !machine_up(i)) return std::nullopt;
+            return machine_seed(kCrashSalt, i);
+          },
+          [&](size_t i, Rng& rng) {
+            if (rng.Bernoulli(profile_.crash_rate_per_hour)) {
+              double repair = rng.Exponential(1.0 / profile_.mean_repair_hours);
+              down_until_[i] = h + std::max(1, static_cast<int>(repair));
+              ++counters_.crashes;
+            }
+          });
+    }
+
+    // A degraded machine creeps back with no draw (onset fixed the
+    // trajectory); only a healthy one draws an onset.
+    streams_.ForEach(
+        machines.size(),
+        [&](size_t i) -> std::optional<uint64_t> {
+          if (lost_[i]) return std::nullopt;
+          if (speed_[i] < 1.0) {
+            speed_[i] = std::min(1.0, speed_[i] + profile_.recovery_per_hour);
+            if (speed_[i] >= 1.0) ++counters_.recoveries;
+            return std::nullopt;
+          }
+          if (profile_.degrade_rate_per_hour <= 0.0) return std::nullopt;
+          return machine_seed(kDegradeSalt, i);
+        },
+        [&](size_t i, Rng& rng) {
+          if (rng.Bernoulli(profile_.degrade_rate_per_hour)) {
+            double drop = profile_.degrade_severity * rng.Uniform(0.5, 1.5);
+            drop = std::clamp(drop, 0.05, 0.9);
+            speed_[i] = 1.0 - drop;
+            ++counters_.degradations;
+          }
+        });
 
     current_hour_ = h;
     if (!profile_.empty()) {

@@ -75,7 +75,8 @@ struct MachineHealth {
 /// Every per-entity decision draws from an Rng substream keyed
 /// MixSeed(seed ^ salt, (entity_id << 32) | hour), so the fault pattern for
 /// a given seed is a pure function of (entity, hour) — independent of
-/// iteration order, engine choice, or thread schedule — and the salt family
+/// iteration order, engine choice, or thread schedule. Each hour seeds the
+/// streams of one fault kind eight at a time (KeyedStreams). The salt family
 /// (0xF1EE7FA0C…) is disjoint from TelemetryFaultInjector's (0x7E1E7E1E…),
 /// so both injectors compose under one session seed without stream
 /// collision (see determinism_test).
@@ -130,7 +131,7 @@ class FleetFaultInjector {
   friend void Persist(Ar& ar, FleetFaultInjector& injector);
 
   void EnsureSized();
-  Rng EntityRng(uint64_t salt, uint64_t entity_id, HourIndex hour) const;
+  uint64_t EntitySeed(uint64_t salt, uint64_t entity_id, HourIndex hour) const;
 
   const Cluster* cluster_;
   FleetFaultProfile profile_;
@@ -143,6 +144,9 @@ class FleetFaultInjector {
   std::vector<uint8_t> lost_;               ///< Permanent-loss flags.
   std::vector<double> speed_;               ///< Throughput multipliers.
   std::vector<uint64_t> down_hours_;        ///< Cumulative down-hours, by machine.
+
+  /// Lanes for the per-entity streams, reused by every hour.
+  KeyedStreams streams_;
 };
 
 }  // namespace kea::sim

@@ -4,6 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/snapshot.h"
+#include "reference_faults.h"
 
 namespace kea::sim {
 namespace {
@@ -186,6 +192,119 @@ TEST(FaultInjectorTest, WriteHookFailsTransientlyAndDeterministically) {
   }
   EXPECT_GT(failures, 20);
   EXPECT_LT(failures, 120);
+}
+
+/// Every FaultProfile mode alone at a high rate, and Moderate.
+std::vector<std::pair<std::string, FaultProfile>> ProfilesUnderTest() {
+  std::vector<std::pair<std::string, FaultProfile>> profiles;
+  auto alone = [&](const std::string& name, double FaultProfile::*rate) {
+    FaultProfile p;
+    p.*rate = 0.3;
+    profiles.emplace_back(name, p);
+  };
+  alone("drop", &FaultProfile::drop_rate);
+  alone("duplicate", &FaultProfile::duplicate_rate);
+  alone("non_finite", &FaultProfile::non_finite_rate);
+  alone("out_of_range", &FaultProfile::out_of_range_rate);
+  alone("outlier", &FaultProfile::outlier_rate);
+  alone("stuck", &FaultProfile::stuck_machine_fraction);
+  alone("late", &FaultProfile::late_rate);
+  alone("transient", &FaultProfile::transient_error_rate);
+  profiles.emplace_back("moderate", FaultProfile::Moderate());
+  return profiles;
+}
+
+// The batch-seeded injector corrupts every batch size as the one-stream-per-
+// record reference does: the same records bit for bit (NaN patterns too), the
+// same counters and the same checkpoint bytes.
+TEST(FaultInjectorBatchTest, CorruptMatchesOneStreamPerRecord) {
+  for (const auto& [name, profile] : ProfilesUnderTest()) {
+    for (int n : {0, 1, 7, 8, 9, 17}) {
+      SCOPED_TRACE(name + ", batch of " + std::to_string(n));
+      TelemetryFaultInjector injector(profile, 31);
+      ReferenceTelemetryFaultInjector reference(profile, 31);
+      for (int hour = 0; hour < 30; ++hour) {
+        const auto batch = MakeBatch(n, hour);
+        ASSERT_EQ(Encode(injector.Corrupt(batch)), Encode(reference.Corrupt(batch)))
+            << "hour " << hour;
+        ASSERT_EQ(injector.SerializeState(), reference.SerializeState()) << "hour " << hour;
+      }
+      ASSERT_EQ(Encode(injector.Flush()), Encode(reference.Flush()));
+      EXPECT_EQ(injector.SerializeState(), reference.SerializeState());
+    }
+  }
+}
+
+/// Drives `hook` through `calls` write calls the way RetryPolicy does: each
+/// call retries a transient failure, up to `max_attempts` attempts. Appends
+/// each attempt's status code.
+void DriveWrites(const telemetry::WriteHook& hook, int calls, int max_attempts,
+                 std::vector<StatusCode>* codes) {
+  const telemetry::MachineHourRecord record;
+  for (int call = 0; call < calls; ++call) {
+    for (int attempt = 0; attempt < max_attempts; ++attempt) {
+      const Status s = hook(record, attempt);
+      codes->push_back(s.code());
+      if (s.ok()) break;
+    }
+  }
+}
+
+// The write hook draws first-attempt verdicts eight calls ahead, and a retry
+// from its own stream: every attempt's verdict is the reference's, and so is
+// the checkpoint. An injector restored from its own checkpoint at a call
+// count that is no multiple of eight continues as the reference does.
+TEST(FaultInjectorBatchTest, WriteHookMatchesOneStreamPerAttempt) {
+  for (const auto& [name, profile] : ProfilesUnderTest()) {
+    if (profile.transient_error_rate <= 0.0) continue;
+    for (int max_attempts : {1, 3, RetryPolicy::kMaxAttempts}) {
+      SCOPED_TRACE(name + ", " + std::to_string(max_attempts) + " attempts");
+      TelemetryFaultInjector injector(profile, 21);
+      ReferenceTelemetryFaultInjector reference(profile, 21);
+      const telemetry::WriteHook hook = injector.MakeWriteHook();
+      const telemetry::WriteHook reference_hook = reference.MakeWriteHook();
+      for (int calls : {1, 7, 8, 9, 13, 200}) {
+        std::vector<StatusCode> got, want;
+        DriveWrites(hook, calls, max_attempts, &got);
+        DriveWrites(reference_hook, calls, max_attempts, &want);
+        ASSERT_EQ(got, want) << calls << " calls";
+        ASSERT_EQ(injector.SerializeState(), reference.SerializeState()) << calls << " calls";
+      }
+      // 238 calls so far: restore a fresh injector there and go on.
+      TelemetryFaultInjector resumed(profile, 21);
+      ASSERT_TRUE(resumed.RestoreState(injector.SerializeState()).ok());
+      const telemetry::WriteHook resumed_hook = resumed.MakeWriteHook();
+      for (int calls : {3, 8, 50}) {
+        std::vector<StatusCode> got, want;
+        DriveWrites(resumed_hook, calls, max_attempts, &got);
+        DriveWrites(reference_hook, calls, max_attempts, &want);
+        ASSERT_EQ(got, want) << calls << " calls after the restore";
+        ASSERT_EQ(resumed.SerializeState(), reference.SerializeState());
+      }
+      EXPECT_EQ(resumed.counters().transient_errors, reference.counters().transient_errors);
+      EXPECT_GT(reference.counters().transient_errors, 0u);
+    }
+  }
+}
+
+// Corrupt and the write hook share the injector's lanes: interleaved, each
+// still matches the reference.
+TEST(FaultInjectorBatchTest, CorruptAndWriteHookInterleaved) {
+  const FaultProfile profile = FaultProfile::Moderate();
+  TelemetryFaultInjector injector(profile, 5);
+  ReferenceTelemetryFaultInjector reference(profile, 5);
+  const telemetry::WriteHook hook = injector.MakeWriteHook();
+  const telemetry::WriteHook reference_hook = reference.MakeWriteHook();
+  for (int hour = 0; hour < 24; ++hour) {
+    const auto batch = MakeBatch(9 + hour % 5, hour);
+    const auto out = injector.Corrupt(batch);
+    ASSERT_EQ(Encode(out), Encode(reference.Corrupt(batch)));
+    std::vector<StatusCode> got, want;
+    DriveWrites(hook, static_cast<int>(out.size()), 4, &got);
+    DriveWrites(reference_hook, static_cast<int>(out.size()), 4, &want);
+    ASSERT_EQ(got, want) << "hour " << hour;
+    ASSERT_EQ(injector.SerializeState(), reference.SerializeState()) << "hour " << hour;
+  }
 }
 
 }  // namespace

@@ -14,9 +14,11 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/session.h"
+#include "reference_faults.h"
 #include "sim/fleet_fault_injector.h"
 #include "sim/fluid_engine.h"
 #include "sim/job_sim.h"
@@ -176,6 +178,51 @@ struct EngineFixture {
   PerfModel model = PerfModel::CreateDefault();
   WorkloadModel workload = WorkloadModel::CreateDefault();
 };
+
+// Each hour the batch-seeded injector runs one pass per fault kind, with
+// its streams seeded eight at a time. It must decide as the reference's one
+// loop with a fresh stream per decision does: the same health every hour,
+// the same counters, the same checkpoint bytes, on fleets shorter than one
+// group of eight, just past one and of many groups.
+TEST(FleetFaultInjectorTest, BatchedPassesMatchOneStreamPerDecision) {
+  FleetFaultProfile loss;
+  loss.permanent_loss_rate_per_hour = 0.01;
+  FleetFaultProfile every_kind;
+  every_kind.crash_rate_per_hour = 0.02;
+  every_kind.rack_outage_rate_per_hour = 0.02;
+  every_kind.degrade_rate_per_hour = 0.02;
+  every_kind.permanent_loss_rate_per_hour = 0.005;
+  const std::vector<std::pair<std::string, FleetFaultProfile>> profiles = {
+      {"CrashStorm", FleetFaultProfile::CrashStorm()},
+      {"RackOutages", FleetFaultProfile::RackOutages()},
+      {"SlowDegradation", FleetFaultProfile::SlowDegradation()},
+      {"permanent loss", loss},
+      {"every kind", every_kind}};
+  for (int machines : {1, 7, 9, 250}) {
+    Cluster cluster = MakeCluster(machines);
+    ASSERT_EQ(cluster.size(), static_cast<size_t>(machines));
+    for (const auto& [name, profile] : profiles) {
+      SCOPED_TRACE(name + ", " + std::to_string(machines) + " machines");
+      FleetFaultInjector injector(&cluster, profile, 13);
+      ReferenceFleetFaultInjector reference(&cluster, profile, 13);
+      // Hour by hour, and in calls that advance many hours at once.
+      for (HourIndex hour : {0, 1, 2, 3, 5, 8, 13, 60, 61, 200, 201, 202, 400}) {
+        injector.BeginHour(hour);
+        reference.BeginHour(hour);
+        for (size_t i = 0; i < cluster.size(); ++i) {
+          ASSERT_EQ(injector.Health(i).up, reference.Health(i).up) << "hour " << hour;
+          ASSERT_EQ(injector.Health(i).speed, reference.Health(i).speed) << "hour " << hour;
+        }
+        ASSERT_EQ(injector.SerializeState(), reference.SerializeState()) << "hour " << hour;
+      }
+      const auto& c = reference.counters();
+      EXPECT_EQ(injector.counters().machine_down_hours, c.machine_down_hours);
+      if (machines == 250) {
+        EXPECT_GT(c.crashes + c.rack_outages + c.degradations + c.permanent_losses, 0u);
+      }
+    }
+  }
+}
 
 TEST(FleetFaultInjectorTest, FluidEngineDropsTelemetryForDownMachines) {
   EngineFixture fx;

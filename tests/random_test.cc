@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -168,8 +169,9 @@ TEST(RngTest, ForkProducesIndependentStream) {
   EXPECT_LT(matches, 50);
 }
 
-/// The generator Rng held before Mt19937_64: std::mt19937_64 and the two
-/// distributions Rng keeps, written the way Rng::SerializeState writes them.
+/// The generator Rng reproduces: std::mt19937_64 and the two distributions
+/// whose draws and state text Rng's match, written the way
+/// Rng::SerializeState writes them.
 struct StdRng {
   explicit StdRng(uint64_t s) : seed(s), engine(s) {}
 
@@ -367,6 +369,233 @@ TEST(Mt19937_64Test, RestoreRefusesEveryTruncatedBlob) {
     EXPECT_EQ(target.SerializeState(), before);
     EXPECT_TRUE(target.RestoreState(blob).ok());
   }
+}
+
+/// Every sampler, drawn in turn from `rng`, into one list of bit patterns.
+std::vector<uint64_t> SamplerBits(Rng rng) {
+  const std::vector<double> weights = {0.5, 2.0, 0.0, 1.5};
+  std::vector<uint64_t> bits;
+  for (int i = 0; i < 12; ++i) {
+    bits.push_back(Bits(rng.Uniform()));
+    bits.push_back(Bits(rng.Uniform(-3.0, 5.0)));
+    bits.push_back(static_cast<uint64_t>(rng.UniformInt(-7, 1000)));
+    bits.push_back(Bits(rng.Gaussian()));
+    bits.push_back(Bits(rng.Gaussian(3.0, 2.0)));
+    bits.push_back(Bits(rng.Exponential(0.5)));
+    bits.push_back(Bits(rng.LogNormal(0.1, 0.5)));
+    bits.push_back(Bits(rng.Pareto(1.0, 3.0)));
+    bits.push_back(static_cast<uint64_t>(rng.Poisson(4.0)));
+    bits.push_back(rng.Categorical(weights));
+    bits.push_back(rng.Bernoulli(0.3));
+  }
+  std::vector<int> shuffled(20);
+  std::iota(shuffled.begin(), shuffled.end(), 0);
+  rng.Shuffle(&shuffled);
+  bits.insert(bits.end(), shuffled.begin(), shuffled.end());
+  bits.push_back(rng.Split(5).seed());
+  bits.push_back(rng.Fork().seed());
+  return bits;
+}
+
+/// `lane` is in the state Rng(seed) starts in: the same seed, raw draws
+/// through draw 1,000, samplers, and state text at every boundary with and
+/// without a spare Gaussian. Each check reads a copy of `lane`.
+void ExpectFreshStream(const Rng& lane, uint64_t seed, const std::string& where) {
+  SCOPED_TRACE(where + ", seed " + std::to_string(seed));
+  ASSERT_EQ(lane.seed(), seed);
+  Rng raw = lane;
+  std::mt19937_64 ref(seed);
+  for (int draw = 0; draw <= 1000; ++draw) ASSERT_EQ(raw.engine()(), ref()) << "draw " << draw;
+  ASSERT_EQ(SamplerBits(lane), SamplerBits(Rng(seed)));
+  for (uint32_t draws : BoundaryDraws()) {
+    Rng at = lane;
+    Rng fresh(seed);
+    for (uint32_t i = 0; i < draws; ++i) {
+      (void)at.engine()();
+      (void)fresh.engine()();
+    }
+    ASSERT_EQ(at.SerializeState(), fresh.SerializeState()) << "draw " << draws;
+    ASSERT_EQ(Bits(at.Gaussian()), Bits(fresh.Gaussian())) << "draw " << draws;
+    ASSERT_EQ(at.SerializeState(), fresh.SerializeState()) << "draw " << draws << " + a Gaussian";
+  }
+}
+
+TEST(RngSeedManyTest, EachLaneStartsAsAFreshRng) {
+  const std::vector<uint64_t> all = TestSeeds();
+  for (size_t n : {0, 1, 7, 8, 9, 64, 65}) {
+    const std::vector<uint64_t> seeds(all.begin() + 3, all.begin() + 3 + n);
+    std::vector<Rng> lanes(n + 1, Rng(77));
+    Rng::SeedMany(seeds.data(), lanes.data(), n);
+    for (size_t k = 0; k < n; ++k) {
+      ExpectFreshStream(lanes[k], seeds[k], "n " + std::to_string(n) + ", lane " + std::to_string(k));
+    }
+    // The lane past n is not touched.
+    EXPECT_EQ(lanes[n].SerializeState(), Rng(77).SerializeState()) << "n " << n;
+  }
+}
+
+TEST(RngSeedManyTest, ReusedLanesStartAsFreshRngs) {
+  const std::vector<uint64_t> all = TestSeeds();
+  for (size_t n : {0, 1, 7, 8, 9, 64, 65}) {
+    // Every lane has run 400 draws of another stream past its first block,
+    // and half of them hold a spare Gaussian.
+    std::vector<Rng> lanes;
+    for (size_t k = 0; k < n; ++k) {
+      Rng other(MixSeed(99, k));
+      for (int i = 0; i < 400; ++i) (void)other.engine()();
+      if (k % 2 == 0) (void)other.Gaussian();
+      lanes.push_back(other);
+    }
+    const std::vector<uint64_t> seeds(all.end() - n, all.end());
+    Rng::SeedMany(seeds.data(), lanes.data(), n);
+    for (size_t k = 0; k < n; ++k) {
+      ExpectFreshStream(lanes[k], seeds[k], "n " + std::to_string(n) + ", reused lane " + std::to_string(k));
+    }
+    // Seeded again, each lane starts over.
+    Rng::SeedMany(seeds.data(), lanes.data(), n);
+    for (size_t k = 0; k < n; ++k) {
+      ExpectFreshStream(lanes[k], seeds[k], "n " + std::to_string(n) + ", reseeded lane " + std::to_string(k));
+    }
+  }
+}
+
+TEST(RngSeedManyTest, KeyedStreamsDecideEachKeyedItemInOrder) {
+  KeyedStreams streams;
+  for (size_t n : {0, 1, 7, 8, 9, 17, 64, 65}) {
+    std::vector<size_t> decided;
+    streams.ForEach(
+        n,
+        [](size_t i) -> std::optional<uint64_t> {
+          if (i % 3 == 1) return std::nullopt;
+          return MixSeed(5, i);
+        },
+        [&](size_t i, Rng& rng) {
+          decided.push_back(i);
+          ASSERT_EQ(rng.seed(), MixSeed(5, i));
+          Rng fresh(MixSeed(5, i));
+          for (int draw = 0; draw < 20; ++draw) ASSERT_EQ(Bits(rng.Gaussian()), Bits(fresh.Gaussian()));
+        });
+    std::vector<size_t> want;
+    for (size_t i = 0; i < n; ++i) {
+      if (i % 3 != 1) want.push_back(i);
+    }
+    EXPECT_EQ(decided, want) << "n " << n;
+  }
+}
+
+/// The state word MT19937-64 tempers into `z`: each tempering step undone by
+/// fixed-point iteration, last step first.
+uint64_t Untemper(uint64_t z) {
+  auto undo_right = [](uint64_t y, int shift, uint64_t mask) {
+    uint64_t x = y;
+    for (int i = 0; i < 64 / shift + 1; ++i) x = y ^ ((x >> shift) & mask);
+    return x;
+  };
+  auto undo_left = [](uint64_t y, int shift, uint64_t mask) {
+    uint64_t x = y;
+    for (int i = 0; i < 64 / shift + 1; ++i) x = y ^ ((x << shift) & mask);
+    return x;
+  };
+  z = undo_right(z, 43, ~uint64_t{0});
+  z = undo_left(z, 37, 0xFFF7EEE000000000ULL);
+  z = undo_left(z, 17, 0x71D67FFFEDA60000ULL);
+  return undo_right(z, 29, 0x5555555555555555ULL);
+}
+
+/// A state blob whose next raw draws are `draws`, then seed 7's block.
+std::string BlobDrawing(const std::vector<uint64_t>& draws) {
+  std::istringstream in(Rng(7).SerializeState());
+  std::string seed_line, engine_line, rest;
+  std::getline(in, seed_line);
+  std::getline(in, engine_line);
+  std::getline(in, rest, '\0');
+  std::istringstream words_in(engine_line);
+  std::vector<uint64_t> words(Mt19937_64::kStateWords);
+  for (uint64_t& word : words) words_in >> word;
+  for (size_t i = 0; i < draws.size(); ++i) words[i] = Untemper(draws[i]);
+  std::ostringstream out;
+  out << seed_line << '\n';
+  for (uint64_t word : words) out << word << ' ';
+  out << "0\n" << rest;
+  return out.str();
+}
+
+// Words at the conversion's edges: a word that rounds to 2^64 gives the
+// largest double below 1, as generate_canonical's does, and a polar pair
+// with r2 == 1 has a zero multiplier of sign -, whose -0 results std's
+// `g * 1 + 0` turns into +0.
+TEST(Mt19937_64Test, EdgeWordsSampleAsStd) {
+  const uint64_t half = uint64_t{1} << 63;
+  const uint64_t top = ~uint64_t{0};
+  const std::vector<std::vector<uint64_t>> cases = {
+      {0, half}, {half, 0}, {top, top - 1024}, {top - 1024, top - 1025}, {top - 2047, 1},
+      {1, 2}, {half - 1, half + 1}};
+  for (const std::vector<uint64_t>& draws : cases) {
+    const std::string blob = BlobDrawing(draws);
+    SCOPED_TRACE("draws " + std::to_string(draws[0]) + ", " + std::to_string(draws[1]));
+    StdRng ref(0);
+    std::istringstream in(blob);
+    in >> ref.seed >> ref.engine;
+    ASSERT_FALSE(in.fail());
+    Rng rng(0);
+    ASSERT_TRUE(rng.RestoreState(blob).ok());
+    Rng raw = rng;
+    for (uint64_t draw : draws) ASSERT_EQ(raw.engine()(), draw);
+    const StdRng start = ref;
+    const Rng rng_start = rng;
+    for (size_t i = 0; i < draws.size(); ++i) ASSERT_EQ(Bits(rng.Uniform()), Bits(ref.unit(ref.engine)));
+    ref = start;
+    rng = rng_start;
+    ASSERT_EQ(Bits(rng.Gaussian()), Bits(ref.normal(ref.engine)));
+    ASSERT_EQ(rng.SerializeState(), ref.Text());
+    ASSERT_EQ(Bits(rng.Gaussian()), Bits(ref.normal(ref.engine)));
+    ref = start;
+    rng = rng_start;
+    ASSERT_EQ(Bits(rng.LogNormal(0.0, 0.5)),
+              Bits(std::lognormal_distribution<double>(0.0, 0.5)(ref.engine)));
+    ref = start;
+    rng = rng_start;
+    for (size_t i = 0; i < draws.size(); ++i) {
+      ASSERT_EQ(Bits(rng.Exponential(0.5)),
+                Bits(std::exponential_distribution<double>(0.5)(ref.engine)));
+    }
+  }
+}
+
+/// `blob` with its line `line` (0-based) replaced by `text`.
+std::string WithLine(const std::string& blob, int line, const std::string& text) {
+  size_t begin = 0;
+  for (int i = 0; i < line; ++i) begin = blob.find('\n', begin) + 1;
+  return blob.substr(0, begin) + text + blob.substr(blob.find('\n', begin));
+}
+
+TEST(Mt19937_64Test, RestoreRefusesParametersOtherThanZeroOne) {
+  Rng source(7);
+  for (int i = 0; i < 40; ++i) (void)source.Uniform();
+  (void)source.Gaussian();
+  const std::string blob = source.SerializeState();
+  const std::string zero = "0.00000000000000000e+00";
+  const std::string one = "1.00000000000000000e+00";
+  const std::string two = "2.00000000000000000e+00";
+  ASSERT_EQ(WithLine(blob, 2, zero + " " + one), blob);
+
+  Rng target(11);
+  (void)target.Gaussian();
+  const std::string before = target.SerializeState();
+  const std::string spare = blob.substr(blob.rfind(' '));
+  for (const std::string& bad :
+       {WithLine(blob, 2, zero + " " + two), WithLine(blob, 2, "-" + one + " " + one),
+        WithLine(blob, 3, one + " " + one + " 1" + spare.substr(0, spare.size() - 1)),
+        WithLine(blob, 3, zero + " " + two + " 1" + spare.substr(0, spare.size() - 1)),
+        WithLine(blob, 3, zero + " " + two + " 0")}) {
+    const Status s = target.RestoreState(bad);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(s.message().find("distribution parameters other than (0, 1)"), std::string::npos)
+        << s.message();
+    EXPECT_EQ(target.SerializeState(), before) << "a refused restore changed the state";
+  }
+  ASSERT_TRUE(target.RestoreState(blob).ok());
+  EXPECT_EQ(target.SerializeState(), blob);
 }
 
 }  // namespace

@@ -19,6 +19,29 @@ TEST(KeaSessionTest, CreateValidatesConfig) {
   EXPECT_FALSE(KeaSession::Create(bad).ok());
 }
 
+// Attempt a of write call c draws from stream c * 64 + a, so a 65th attempt
+// would draw call c + 1's first verdict: the session refuses more than 64
+// attempts (and fewer than one), names the bound and keeps its old path.
+TEST(KeaSessionTest, IngestionRefusesRetryAttemptsOutsideOneTo64) {
+  auto session = MakeSession(50);
+  KeaSession::IngestionConfig config;
+  config.faults = sim::FaultProfile::Moderate();
+  for (int attempts : {0, -1, 65, 1000}) {
+    config.pipeline.retry.max_attempts = attempts;
+    const Status s = session->EnableIngestionPipeline(config);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << attempts;
+    EXPECT_NE(s.message().find("[1, 64]"), std::string::npos) << s.message();
+    EXPECT_EQ(session->ingestion(), nullptr);
+    EXPECT_EQ(session->fault_injector(), nullptr);
+  }
+  for (int attempts : {1, 64}) {
+    config.pipeline.retry.max_attempts = attempts;
+    ASSERT_TRUE(session->EnableIngestionPipeline(config).ok()) << attempts;
+    ASSERT_TRUE(session->Simulate(2).ok());
+  }
+  EXPECT_GT(session->ingestion()->counters().accepted, 0u);
+}
+
 TEST(KeaSessionTest, SimulateAdvancesClockAndCollectsTelemetry) {
   auto session = MakeSession(200);
   EXPECT_EQ(session->now(), 0);

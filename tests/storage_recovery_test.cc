@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -728,6 +729,57 @@ TEST_F(StorageRecoveryTest, CheckpointOfAnotherFormatIsRefusedByName) {
         return name == "format" ? Encode(next) : content;
       });
   ExpectRefusedByFormat(dir, std::to_string(next));
+}
+
+/// `v`'s eight little-endian bytes, as the state archive writes an int or a
+/// double's bits.
+std::string LittleEndian(uint64_t v) {
+  std::string bytes(8, '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<char>(v >> (8 * i));
+  return bytes;
+}
+
+// A checkpoint whose ingestion config asks for more than 64 write attempts
+// (an earlier build took any count) is refused by name, with no file
+// changed: a 65th attempt would draw the next write's first verdict.
+TEST_F(StorageRecoveryTest, CheckpointWithRetryAttemptsAbove64IsRefused) {
+  const std::string dir = FreshDir("storage_retry_attempts_65");
+  constexpr double kBackoffMs = 12.375;
+  {
+    KeaSession::Config config;
+    config.machines = kMachines;
+    config.seed = 7;
+    auto session = std::move(KeaSession::Create(config)).value();
+    KeaSession::IngestionConfig ingestion;
+    ingestion.faults = sim::FaultProfile::Moderate();
+    ingestion.pipeline.retry.max_attempts = 64;
+    ingestion.pipeline.retry.initial_backoff_ms = kBackoffMs;
+    ASSERT_TRUE(session->EnableIngestionPipeline(ingestion).ok());
+    ASSERT_TRUE(session->EnableDurability(dir).ok());
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(session->Simulate(4).ok());
+  }
+  // The config lists max_attempts, then initial_backoff_ms.
+  const std::string backoff = LittleEndian(std::bit_cast<uint64_t>(kBackoffMs));
+  const std::string at_64 = LittleEndian(64) + backoff;
+  RewriteEveryGeneration(
+      dir, [&](const std::string& name,
+               const std::string& content) -> std::optional<std::string> {
+        if (name != "config") return content;
+        const size_t at = content.find(at_64);
+        EXPECT_NE(at, std::string::npos);
+        EXPECT_EQ(content.find(at_64, at + 1), std::string::npos);
+        std::string patched = content;
+        if (at != std::string::npos) patched.replace(at, at_64.size(), LittleEndian(65) + backoff);
+        return patched;
+      });
+  const std::map<std::string, std::string> before = DirectoryBytes(dir);
+  auto resumed = KeaSession::Resume(dir);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(resumed.status().message().find("retry.max_attempts is 65"), std::string::npos)
+      << resumed.status();
+  EXPECT_NE(resumed.status().message().find("[1, 64]"), std::string::npos) << resumed.status();
+  EXPECT_TRUE(DirectoryBytes(dir) == before) << "Resume changed, added or removed a file";
 }
 
 uint64_t Counter(const std::string& name) {
